@@ -18,19 +18,24 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 
-@lru_cache(maxsize=None)
-def stretch_root(d: int) -> float:
-    """Real root > 1 of x^d = x + 1 (Newton, double precision)."""
-    x = 1.3
+def trinomial_root(d: int, k: int) -> float:
+    """Real root > 1 of x^d = x^k + 1, 1 <= k < d (Newton from 1.5, double precision)."""
+    x = 1.5
     for _ in range(80):
-        f = x**d - x - 1.0
-        fp = d * x ** (d - 1) - 1.0
+        f = x**d - x**k - 1.0
+        fp = d * x ** (d - 1) - k * x ** (k - 1)
         step = f / fp
         x -= step
         if abs(step) < 1e-16:
             break
-    assert abs(x**d - x - 1.0) < 1e-12
+    assert abs(x**d - x**k - 1.0) < 1e-12
     return x
+
+
+@lru_cache(maxsize=None)
+def stretch_root(d: int) -> float:
+    """Real root > 1 of x^d = x + 1, the Perron value of the inverse family."""
+    return trinomial_root(d, 1)
 
 
 def _reduce_poly(d: int, coeffs: list[int]) -> tuple[int, ...]:

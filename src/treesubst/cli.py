@@ -106,14 +106,33 @@ def cmd_gen(args) -> int:
 
 
 def _load_rules(d: int, path: Path) -> TreeSubstitution:
-    data = json.loads(path.read_text())
-    rules = {
-        int(color): RulePattern(
-            int(color), tuple((s, t, int(c)) for s, t, c in pattern)
-        )
-        for color, pattern in data["rules"].items()
-    }
-    return TreeSubstitution(data.get("d", d), rules)
+    try:
+        data = json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"cannot read rules file {path}: {exc}") from None
+    if not isinstance(data, dict) or not isinstance(data.get("rules"), dict):
+        raise ValueError(f"rules file {path}: expected an object with a 'rules' object")
+    d = data.get("d", d)
+    if not isinstance(d, int) or d < 3:
+        raise ValueError(f"rules file {path}: 'd' must be an integer >= 3")
+    rules = {}
+    for color, pattern in data["rules"].items():
+        if not isinstance(pattern, list) or not all(_is_edge(e) for e in pattern):
+            raise ValueError(
+                f"rules file {path}: rule {color} must be a list of "
+                "[src, dst, color] edges"
+            )
+        rules[int(color)] = RulePattern(int(color), tuple(map(tuple, pattern)))
+    return TreeSubstitution(d, rules)
+
+
+def _is_edge(edge) -> bool:
+    """A rule edge in a rules file: [src symbol, dst symbol, integer color]."""
+    return (
+        isinstance(edge, list) and len(edge) == 3
+        and isinstance(edge[0], str) and isinstance(edge[1], str)
+        and isinstance(edge[2], int)
+    )
 
 
 def _rules_audit(ts: TreeSubstitution) -> list[verify.CheckResult]:

@@ -26,7 +26,7 @@ from .freegroup import (
 )
 from .prefix_suffix import automatic_writing
 from .realization import FreePoint, Realization, distance
-from .trees import ColoredTree, TreeIteration
+from .trees import ColoredTree, TreeIteration, path_steps
 from .words import (
     Word,
     bispecials_by_generation,
@@ -118,30 +118,6 @@ class PartitionReport:
     spectrum: MeasureSpectrum
 
 
-def _path_vertices(tree: ColoredTree, x: int, y: int) -> list[int]:
-    # BFS parent chase; tree adjacency is cached on the ColoredTree
-    if x == y:
-        return [x]
-    adj = tree.adjacency()
-    parent = {x: None}
-    queue = [x]
-    while queue:
-        nxt = []
-        for v in queue:
-            for w, _, _ in adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    if w == y:
-                        path = [y]
-                        while path[-1] != x:
-                            path.append(parent[path[-1]])
-                        path.reverse()
-                        return path
-                    nxt.append(w)
-        queue = nxt
-    raise ValueError(f"no path {x} -> {y}")
-
-
 def _hull(tree: ColoredTree, vertices: set[int]) -> tuple[set[int], set[int]]:
     """Vertex and edge sets of the smallest subtree containing `vertices`."""
     if not vertices:
@@ -225,9 +201,6 @@ class CoreScan:
             raise ValueError(
                 f"label {word_text(lab)} not seen up to stage {self.scanned}"
             ) from None
-
-    def apparition_step(self, lab: GroupWord) -> int:
-        return self.apparition[self.vertex_of_label(lab)]
 
     def writing(self, v: int) -> list[int]:
         return automatic_writing(self.d, to_positive(invert(self.labels[v])))
@@ -408,7 +381,7 @@ class CoreScan:
                 deeper = self.it.tree_at(n + k)
                 interior = [
                     v
-                    for v in _path_vertices(deeper, s, t)[1:-1]
+                    for v, _ in path_steps(deeper.adjacency(), s, t)[:-1]
                     if deeper.degree(v) == d
                 ]
                 if len(interior) == 1:
@@ -519,9 +492,6 @@ class CoreScan:
         if self.omega_letter(len(lab)) != a:
             raise ValueError(f"vertex {v} is not in the domain of letter {a}")
         return (-a,) + lab
-
-    def shift_image_vertex(self, a: int, v: int) -> int:
-        return self.vertex_of_label(self.shift_image_label(a, v))
 
     def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
         """Image labels are the one-step-longer prefix inverses."""

@@ -87,14 +87,6 @@ class Automorphism:
             w = self(w)
         return w
 
-    def incidence_matrix(self) -> np.ndarray:
-        """m[i,j] = occurrences of +-(i+1) in the image of j+1."""
-        m = np.zeros((self.d, self.d), dtype=np.int64)
-        for j in range(1, self.d + 1):
-            for x in self.images[j]:
-                m[abs(x) - 1, j - 1] += 1
-        return m
-
 
 @lru_cache(maxsize=None)
 def family_auto(d: int) -> Automorphism:
@@ -110,26 +102,6 @@ def family_inverse(d: int) -> Automorphism:
     for k in range(3, d + 1):
         images[k] = (k - 1,)
     return Automorphism(d, images)
-
-
-def inverse_growth_root(d: int) -> float:
-    """Real root > 1 of x^d = x + 1, the Perron value of the inverse family."""
-    x = 1.3
-    for _ in range(80):
-        f = x**d - x - 1.0
-        fp = d * x ** (d - 1) - 1.0
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-16:
-            break
-    assert abs(x**d - x - 1.0) < 1e-12
-    return x
-
-
-def letter_length_vector(d: int) -> np.ndarray:
-    """[1, eta^(d-1), eta^(d-2), .., eta]: a left eigenvector of the inverse matrix."""
-    eta = inverse_growth_root(d)
-    return np.array([1.0] + [eta ** (d - k + 1) for k in range(2, d + 1)])
 
 
 def abelianize(d: int, w: GroupWord) -> np.ndarray:

@@ -28,11 +28,6 @@ class Transition:
     def label(self) -> tuple[Word, int, Word]:
         return (self.prefix, self.letter, self.suffix)
 
-    def label_str(self) -> str:
-        p = word_str(self.prefix) or "e"
-        s = word_str(self.suffix) or "e"
-        return f"({p},{self.letter},{s})"
-
 
 class PrefixSuffixAutomaton:
     def __init__(self, sub: Substitution):
@@ -56,15 +51,6 @@ class PrefixSuffixAutomaton:
             if self.sub.images[b] == word:
                 return b
         raise ValueError(f"label {label} matches no image")
-
-    def to_dot(self) -> str:
-        lines = ["digraph prefix_suffix {", "  rankdir=LR;"]
-        for a in range(1, self.d + 1):
-            lines.append(f'  s{a} [label="{a}", shape=circle];')
-        for t in self.transitions:
-            lines.append(f'  s{t.src} -> s{t.dst} [label="{t.label_str()}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 @lru_cache(maxsize=None)

@@ -165,14 +165,8 @@ class _OrbitIndex:
         tree = it.tree_at(stage)
         born = it.born[stage]
         step = len(sub.iterate(bytes([1]), stage - 1))
-        deg = {}
-        for s, t, _ in tree.edges:
-            if s in born:
-                deg[s] = deg.get(s, 0) + 1
-            if t in born:
-                deg[t] = deg.get(t, 0) + 1
         for v, e in born.items():
-            if deg.get(v) != 3:
+            if tree.degree(v) != 3:
                 continue
             src = prev.edges[e][0]
             # the replaced edge always runs from an already-labeled vertex
@@ -184,7 +178,7 @@ class _OrbitIndex:
         if on_edges is None:
             return None
         new_on = np.zeros(len(tree.edges), dtype=bool)
-        leaves = {v for v, dg in deg.items() if dg == 1}
+        leaves = {v for v in born if tree.degree(v) == 1}
         origin = it.origins[stage - 1]
         for idx, (s, t, _) in enumerate(tree.edges):
             if s in leaves or t in leaves:

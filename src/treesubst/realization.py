@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algnum import ExactLength, edge_length_vector
-from .trees import ColoredTree, TreeIteration
+from .trees import TreeIteration
 
 Syllable = tuple[int, ExactLength]
 
@@ -65,9 +65,6 @@ class FreePoint:
             total = total + abs(t)
         return total
 
-    def to_json(self) -> list:
-        return [[c, *t.coeffs, t.scale] for c, t in self.syllables]
-
     def text(self) -> str:
         if not self.syllables:
             return "O"
@@ -108,17 +105,6 @@ def on_segment(x: FreePoint, a: FreePoint, b: FreePoint) -> bool:
 
 def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLength:
     return distance(x, median(a, b, x))
-
-
-def segment_intersection(a: FreePoint, b: FreePoint, c: FreePoint, d: FreePoint):
-    """[a,b] intersect [c,d]: None, ("point", p) or ("segment", p, q)."""
-    u = median(a, b, c)
-    v = median(a, b, d)
-    if u != v:
-        return ("segment", u, v)
-    if on_segment(u, c, d):
-        return ("point", u)
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -15,13 +15,42 @@ fully deterministic and vertex sets are nested along the stages.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 Edge = tuple[int, int, int]
+
+
+def path_steps(adj: dict, x, y) -> list[tuple[object, int]]:
+    """(vertex, signed color) steps along the unique path x -> y of a tree.
+
+    `adj` maps a vertex to its (neighbor, signed color, edge index)
+    entries.  Breadth-first search from x stops as soon as it discovers y;
+    the result excludes x and ends with y.
+    """
+    if x == y:
+        return []
+    parent = {x: (x, 0)}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, sc, _ in adj[v]:
+                if w not in parent:
+                    parent[w] = (v, sc)
+                    if w == y:
+                        steps = []
+                        while w != x:
+                            v, sc = parent[w]
+                            steps.append((w, sc))
+                            w = v
+                        steps.reverse()
+                        return steps
+                    nxt.append(w)
+        frontier = nxt
+    raise ValueError(f"no path {x!r} -> {y!r}")
 
 
 class ColoredTree:
@@ -73,34 +102,12 @@ class ColoredTree:
     def degree(self, v: int) -> int:
         return len(self.adjacency()[v])
 
-    def degrees(self) -> dict[int, int]:
-        return {v: self.degree(v) for v in self.vertices}
-
     def branch_points(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) >= 3]
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
         """Signed colors along the unique path x -> y (negative = against the arrow)."""
-        if x == y:
-            return ()
-        parent: dict[int, tuple[int, int]] = {x: (x, 0)}
-        frontier = [x]
-        while frontier and y not in parent:
-            nxt = []
-            for v in frontier:
-                for w, sc, _ in self.adjacency()[v]:
-                    if w not in parent:
-                        parent[w] = (v, sc)
-                        nxt.append(w)
-            frontier = nxt
-        if y not in parent:
-            raise ValueError("no path (disconnected input?)")
-        word: list[int] = []
-        v = y
-        while v != x:
-            v, sc = parent[v]
-            word.append(sc)
-        return tuple(reversed(word))
+        return tuple(sc for _, sc in path_steps(self.adjacency(), x, y))
 
     def is_discerned(self) -> bool:
         """No path word contains a barred color next to its unbarred twin.
@@ -116,45 +123,6 @@ class ColoredTree:
             if len(set(outs)) != len(outs) or len(set(ins)) != len(ins):
                 return False
         return True
-
-    def ball(self, radius: int, center: int | None = None) -> "ColoredTree":
-        """Subtree induced by vertices within graph distance `radius` of center."""
-        c = self.root if center is None else center
-        if c is None:
-            raise ValueError("no center given and tree has no root")
-        dist = {c: 0}
-        frontier = [c]
-        while frontier:
-            nxt = []
-            for v in frontier:
-                for w, _, _ in self.adjacency()[v]:
-                    if w not in dist and dist[v] < radius:
-                        dist[w] = dist[v] + 1
-                        nxt.append(w)
-            frontier = nxt
-        kept = [e for e in self.edges if e[0] in dist and e[1] in dist]
-        return ColoredTree(self.d, kept, root=c)
-
-    def root_signature(self, center: int | None = None) -> tuple:
-        """Sorted multiset of (direction, color) seen at the root."""
-        c = self.root if center is None else center
-        return tuple(sorted(("out" if sc > 0 else "in", abs(sc))
-                            for _, sc, _ in self.adjacency()[c]))
-
-    def canonical_form(self, root: int | None = None) -> tuple:
-        """Rooted canonical encoding, invariant under vertex renaming."""
-        r = self.root if root is None else root
-        if r is None:
-            raise ValueError("rooted canonical form needs a root")
-
-        def enc(v: int, parent: int) -> tuple:
-            subs = []
-            for w, sc, _ in self.adjacency()[v]:
-                if w != parent:
-                    subs.append((("out" if sc > 0 else "in"), abs(sc), enc(w, v)))
-            return tuple(sorted(subs))
-
-        return enc(r, -1)
 
     def to_json(self) -> dict:
         return {
@@ -225,28 +193,12 @@ class RulePattern:
 
     def trunk_word(self) -> tuple[int, ...]:
         """Signed colors along the X -> Y path inside the pattern."""
-        adj: dict[str, list[tuple[str, int]]] = {}
-        for s, t, c in self.edges:
-            adj.setdefault(s, []).append((t, c))
-            adj.setdefault(t, []).append((s, -c))
-        parent: dict[str, tuple[str, int]] = {ANCHOR_SRC: (ANCHOR_SRC, 0)}
-        frontier = [ANCHOR_SRC]
-        while frontier and ANCHOR_DST not in parent:
-            nxt = []
-            for v in frontier:
-                for w, sc in adj.get(v, ()):
-                    if w not in parent:
-                        parent[w] = (v, sc)
-                        nxt.append(w)
-            frontier = nxt
-        if ANCHOR_DST not in parent:
-            raise ValueError("anchors are not connected in the pattern")
-        word: list[int] = []
-        v = ANCHOR_DST
-        while v != ANCHOR_SRC:
-            v, sc = parent[v]
-            word.append(sc)
-        return tuple(reversed(word))
+        # both anchors present, so a pattern missing one has no path rather than a KeyError
+        adj: dict[str, list[tuple[str, int, int]]] = {ANCHOR_SRC: [], ANCHOR_DST: []}
+        for i, (s, t, c) in enumerate(self.edges):
+            adj.setdefault(s, []).append((t, c, i))
+            adj.setdefault(t, []).append((s, -c, i))
+        return tuple(sc for _, sc in path_steps(adj, ANCHOR_SRC, ANCHOR_DST))
 
     def anchor_degrees(self) -> tuple[int, int]:
         deg = {ANCHOR_SRC: 0, ANCHOR_DST: 0}
@@ -435,6 +387,8 @@ class TreeIteration:
         self.birth_stage: dict[int, int] = {v: 0 for v in self.trees[0].vertices}
 
     def tree_at(self, n: int) -> ColoredTree:
+        if n < 0:
+            raise ValueError(f"stage must be >= 0, got {n}")
         while len(self.trees) <= n:
             res = self.subst.apply(self.trees[-1])
             self.trees.append(res.tree)

@@ -14,11 +14,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from .algnum import trinomial_root
+
 Word = bytes
-
-
-def word_from_ints(letters) -> Word:
-    return bytes(letters)
 
 
 def word_str(w: Word) -> str:
@@ -86,6 +84,8 @@ def _fixed_point_cache(d: int, min_len: int) -> Word:
 
 def fixed_point_prefix(d: int, length: int) -> Word:
     """Prefix of the fixed point lim sigma^n(1); 1 is a prefix of sigma(1)."""
+    if length < 0:
+        raise ValueError(f"prefix length must be >= 0, got {length}")
     # round the cache key up so repeated close requests share one expansion
     min_len = 1
     while min_len < length:
@@ -94,17 +94,8 @@ def fixed_point_prefix(d: int, length: int) -> Word:
 
 
 def growth_root(d: int) -> float:
-    """Real root > 1 of x^d = x^(d-1) + 1 (Newton, double precision)."""
-    x = 1.5
-    for _ in range(80):
-        f = x**d - x ** (d - 1) - 1.0
-        fp = d * x ** (d - 1) - (d - 1) * x ** (d - 2)
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-16:
-            break
-    assert abs(x**d - x ** (d - 1) - 1.0) < 1e-12
-    return x
+    """Real root > 1 of x^d = x^(d-1) + 1, the Perron value of the substitution."""
+    return trinomial_root(d, d - 1)
 
 
 def perron(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
@@ -184,16 +175,6 @@ class LanguageTable:
     right_special: list[Word]
     bispecial: list[Word]
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "factors": [word_str(w) for w in self.factors],
-            "left_special": [word_str(w) for w in self.left_special],
-            "right_special": [word_str(w) for w in self.right_special],
-            "bispecial": [word_str(w) for w in self.bispecial],
-        }
-
 
 def language(d: int, n: int) -> LanguageTable:
     """Factors of length n classified by extendability inside the language."""
@@ -241,13 +222,7 @@ def cylinder_measure(d: int, u: Word, prefix_len: int = DEFAULT_PREFIX_LEN) -> f
     """Sliding-window frequency of u among the first prefix_len positions."""
     if len(u) == 0:
         return 1.0
-    text = fixed_point_prefix(d, prefix_len + len(u))
-    count = 0
-    start = text.find(u)
-    while 0 <= start < prefix_len:
-        count += 1
-        start = text.find(u, start + 1)
-    return count / prefix_len
+    return dict(_window_counts(d, len(u), prefix_len)).get(u, 0) / prefix_len
 
 
 @lru_cache(maxsize=None)

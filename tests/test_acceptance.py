@@ -6,28 +6,15 @@ its own "criterion NN" line so the gate reads the same under -s.
 
 import time
 
-import numpy as np
-
-from treesubst.algnum import ExactLength, stretch_root
-from treesubst.freegroup import (
-    cancellation_report,
-    family_inverse,
-    nielsen_probe,
-    p_star,
-    tribonacci_inverse,
-)
-from treesubst.realization import Realization
-from treesubst.trees import TreeIteration, family_tree_substitution
+from treesubst.freegroup import cancellation_report, nielsen_probe, tribonacci_inverse
 from treesubst.words import (
+    DEFAULT_PREFIX_LEN,
     bispecials_by_generation,
-    complexity,
     cylinder_measure,
     growth_root,
-    language,
-    measure_recursion_gap,
     measure_spectrum,
 )
-from treesubst import core, rauzy
+from treesubst import core, rauzy, verify
 
 
 def _report(num, name, failures):
@@ -40,33 +27,17 @@ def test_c01_factor_complexity():
     failures = []
     t0 = time.monotonic()
     for d in (3, 4, 5):
-        for n in range(31):
-            got = complexity(d, n)
-            want = (d - 1) * n + 1 if n else 1
-            if got != want:
-                failures.append(f"d={d} n={n}: {got} != {want}")
+        failures += verify.factor_complexity(d, 30)
     elapsed = time.monotonic() - t0
     if elapsed >= 5.0:
         failures.append(f"took {elapsed:.2f}s, budget 5s")
     _report(1, "factor complexity (d-1)n+1", failures)
 
 
-def _brute_bispecials(d, max_len):
-    out = []
-    for n in range(1, max_len + 1):
-        out.extend(language(d, n).bispecial)
-    return out
-
-
 def test_c02_bispecial_factors():
     failures = []
     for d in (3, 4):
-        gen = bispecials_by_generation(d, 60)
-        brute = _brute_bispecials(d, 60)
-        if sorted(gen, key=lambda w: (len(w), w)) != sorted(
-            brute, key=lambda w: (len(w), w)
-        ):
-            failures.append(f"d={d}: generation list differs from extension count")
+        failures += verify.bispecial_oracle(d, 60)
     if [len(b) for b in bispecials_by_generation(3, 10)] != [1, 2, 4, 6, 10]:
         failures.append("d=3 bispecial lengths do not begin 1,2,4,6,10")
     _report(2, "bispecials by generation = brute force", failures)
@@ -75,62 +46,34 @@ def test_c02_bispecial_factors():
 def test_c03_stage_trees_discerned():
     failures = []
     for d, top in ((3, 12), (4, 10), (5, 10)):
-        it = TreeIteration(d)
-        for n in range(top + 1):
-            if not it.tree_at(n).is_discerned():
-                failures.append(f"d={d} stage {n} not discerned")
+        failures += verify.discerned_stages(d, top)
     _report(3, "every stage tree is discerned", failures)
 
 
 def test_c04_trunk_words_give_inverse():
     failures = []
     for d in (3, 4, 5, 6):
-        ts = family_tree_substitution(d)
-        inv = family_inverse(d)
-        for i in range(1, d + 1):
-            got = p_star(d, ts.rules[i].trunk_word())
-            if got != inv.images[i]:
-                failures.append(f"d={d} rule {i}: {got} != {inv.images[i]}")
+        failures += verify.trunk_determinism(d)
     _report(4, "trunk words project to the inverse substitution", failures)
 
 
 def test_c05_exact_edge_lengths():
     failures = []
     for d in (3, 4):
-        real = Realization(TreeIteration(d))
-        for n in range(11):
-            try:
-                real.edge_length_check(n)
-            except AssertionError as exc:
-                failures.append(f"d={d} stage {n}: {exc}")
+        failures += verify.edge_length_law(d, 10)
     _report(5, "edge lengths are base(color) * rho^-n exactly", failures)
 
 
 def test_c06_hausdorff_convergence():
-    failures = []
-    eta = stretch_root(3)
-    real = Realization(TreeIteration(3))
-    for n in range(1, 11):
-        gap = real.hausdorff_gap(n).value()
-        bound = eta ** (-1 - n) + 1e-12
-        if gap > bound:
-            failures.append(f"stage {n}: gap {gap:.3e} > {bound:.3e}")
+    failures = verify.stage_convergence(3, 10)
     _report(6, "stage gap bounded by rho^-(n+1)", failures)
 
 
 def test_c07_label_inventories():
     failures = []
     for d in (3, 4):
+        failures += verify.label_inventory(d)
         scan = core.shared_scan(d)
-        scan.extend_to(5)
-        for m in range(1, 6):
-            lm = core.l_word(d, m)
-            want = {lm[i:] for i in range(len(lm) + 1)}
-            got = scan.inventory(m)
-            if got != want:
-                failures.append(f"d={d} m={m}: inventory is not the suffix set")
-            if len(got) != len(lm) + 1:
-                failures.append(f"d={d} m={m}: {len(got)} labels, want {len(lm) + 1}")
         for m in range(1, d):
             fresh = scan.inventory(m) - scan.inventory(m - 1)
             if len(fresh) != 1:
@@ -142,15 +85,7 @@ def test_c07_label_inventories():
 
 
 def test_c08_writing_exponents():
-    failures = []
-    scan = core.shared_scan(3)
-    scan.extend_to(12)
-    for v, stage in scan.apparition.items():
-        if not 1 <= stage <= 12:
-            continue
-        top = max(scan.writing(v))
-        if top not in (stage - 1, stage):
-            failures.append(f"vertex {v} born at {stage}: max exponent {top}")
+    failures = core.shared_scan(3).check_writing_exponents(12)
     _report(8, "writing exponents track the birth stage", failures)
 
 
@@ -165,9 +100,8 @@ def test_c09_partition_measures():
         if abs(est - lam**-j) > 1e-3:
             failures.append(f"letter {a}: measure {est:.6f} not lambda^-{j}")
     for m, want in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 4), (7, 4), (11, 4)):
+        failures += verify.measure_snapping(3, (m,), 1e-3, DEFAULT_PREFIX_LEN)
         spec = measure_spectrum(3, m)
-        if not spec.ok(1e-3):
-            failures.append(f"m={m}: snap residual {spec.max_residual:.2e}")
         if spec.class_count != want:
             failures.append(f"m={m}: {spec.class_count} classes, want {want}")
     _report(9, "cylinder measures snap to powers of lambda", failures)
@@ -176,59 +110,25 @@ def test_c09_partition_measures():
 def test_c10_measure_recursion():
     failures = []
     for d in (3, 4):
-        gap = measure_recursion_gap(d)
-        if gap > 2e-3:
-            failures.append(f"d={d}: recursion gap {gap:.2e} > 2e-3")
+        failures += verify.measure_recursion(d, 4, DEFAULT_PREFIX_LEN)
     _report(10, "measure of C_u vs lambda * C_sigma(u)", failures)
 
 
 def test_c11_shift_isometries():
-    failures = []
-    scan = core.shared_scan(3)
-    for a in (1, 2, 3):
-        failures += scan.check_shift_isometry(a, 8)
-        failures += scan.check_shift_conjugacy(a, 8)
-    failures += scan.check_domain_overlaps(8)
+    failures = verify.shift_isometries(3, 8)
     _report(11, "letter shifts are exact partial isometries", failures)
 
 
 def test_c12_path_distance_formula():
-    failures = []
-    scan = core.shared_scan(3)
-    for n in range(9):
-        failures += scan.check_path_distances(n)
+    failures = verify.path_distances(3, 8)
     _report(12, "realized distances equal the coded path formula", failures)
-
-
-def _match_roots(eigs, targets, tol=1e-6):
-    pool = list(eigs)
-    for t in targets:
-        i = min(range(len(pool)), key=lambda k: abs(pool[k] - t))
-        if abs(pool[i] - t) > tol:
-            return None
-        pool.pop(i)
-    return pool
 
 
 def test_c13_matrix_spectra():
     failures = []
     for d in (3, 4, 5, 6):
-        lam, eta = growth_root(d), stretch_root(d)
-        if abs(lam**d - lam ** (d - 1) - 1) > 1e-12:
-            failures.append(f"d={d}: lambda residual")
-        if abs(eta**d - eta - 1) > 1e-12:
-            failures.append(f"d={d}: eta residual")
-        ts = family_tree_substitution(d)
-        trunk = np.linalg.eigvals(ts.trunk_matrix())
-        rest = _match_roots(trunk, np.roots([1] + [0] * (d - 2) + [-1, -1]))
-        if rest is None or len(rest) != d - 2 or any(abs(z) > 1e-6 for z in rest):
-            failures.append(f"d={d}: trunk spectrum mismatch")
-        edge = np.linalg.eigvals(ts.incidence_matrix())
-        rest = _match_roots(edge, np.roots([1, -1] + [0] * (d - 2) + [-1]))
-        if rest is None or len(rest) != d - 2 or any(
-            abs(abs(z) - 1) > 1e-6 for z in rest
-        ):
-            failures.append(f"d={d}: edge spectrum mismatch")
+        failures += verify.growth_roots(d)
+        failures += verify.matrix_spectra(d)
     _report(13, "growth matrices carry the two root families", failures)
 
 
@@ -241,28 +141,13 @@ def test_c14_cancellation_probes():
     if flags != [True] * 10:
         failures.append(f"probe map on ac: {flags} != all True")
     for d in (3, 4, 5):
-        rep = cancellation_report(
-            family_inverse(d), [(i,) for i in range(1, d + 1)], 12
-        )
-        if any(any(f) for f in rep.values()):
-            failures.append(f"d={d}: family inverse cancelled on a letter")
+        failures += verify.cancellation_probes(d, 12)
     _report(14, "cancellation happens exactly where predicted", failures)
 
 
-def test_c15_planar_projection(tmp_path):
+def test_c15_planar_projection():
     failures = []
     failures += rauzy.check_boundedness(0.01)
     failures += rauzy.check_partition_match(20_000, 7, 4)
-    cloud = rauzy.fractal_cloud(20_000, "cylinder:7")
-    svgs, csvs = [], []
-    for i in (0, 1):
-        sp, cp = tmp_path / f"{i}.svg", tmp_path / f"{i}.csv"
-        rauzy.render_svg(cloud, str(sp))
-        rauzy.export_csv(cloud, str(cp))
-        svgs.append(sp.read_bytes())
-        csvs.append(cp.read_bytes())
-    if svgs[0] != svgs[1]:
-        failures.append("svg render is not byte-deterministic")
-    if csvs[0] != csvs[1]:
-        failures.append("csv export is not byte-deterministic")
+    failures += verify.artifact_determinism(20_000)
     _report(15, "planar projection bounded, partitioned, deterministic", failures)

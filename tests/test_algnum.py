@@ -1,5 +1,6 @@
 """Exact arithmetic in Z[rho] with rho^d = rho + 1."""
 
+import numpy as np
 import pytest
 
 from treesubst.algnum import (
@@ -8,12 +9,13 @@ from treesubst.algnum import (
     letter_length_exact,
     stretch_root,
 )
-from treesubst.freegroup import inverse_growth_root
 
 
 def test_stretch_root_matches_newton():
-    for d in (3, 4, 5):
-        assert abs(stretch_root(d) - inverse_growth_root(d)) < 1e-12
+    for d in (3, 4, 5, 6):
+        roots = np.roots([1] + [0] * (d - 2) + [-1, -1])
+        real = max(r.real for r in roots if abs(r.imag) < 1e-12)
+        assert abs(stretch_root(d) - real) < 1e-12
 
 
 def test_defining_relation():

@@ -153,3 +153,37 @@ def test_seed_env_is_ignored(monkeypatch, capsys):
     rc = cli.main(["gen", "--n", "1"])
     assert rc == 0
     assert capsys.readouterr().out == base
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, '{"d": 3}', "[1, 2]", '{"d": 3, "rules": []}', '{"d": 3, "rules": {"1": [7]}}',
+     '{"d": 3, "rules": {"1": [["X", "Y", [1]]]}}', '{"d": "x", "rules": {}}'],
+    ids=["missing-file", "no-rules-key", "not-an-object", "rules-not-an-object",
+         "edge-not-a-list", "color-not-an-int", "d-not-an-int"],
+)
+def test_verify_rules_unusable_file_is_usage_error(tmp_path, capsys, content):
+    path = tmp_path / "rules.json"
+    if content is not None:
+        path.write_text(content)
+    rc = cli.main(["verify", "--rules", str(path)])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "-1"],
+        ["verify", "--suite", "realization", "--max-stage", "-1"],
+        ["verify", "--suite", "core", "--max-stage", "-1"],
+        ["verify", "--suite", "words", "--prefix-len", "0"],
+        ["plot", "--depth", "-1"],
+    ],
+    ids=["gen-negative-stage", "realization-negative-stage", "core-negative-stage",
+         "zero-prefix-len", "plot-negative-depth"],
+)
+def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err

@@ -2,6 +2,7 @@
 
 import pytest
 
+from treesubst.algnum import stretch_root
 from treesubst.freegroup import (
     abelianize,
     cancellation_report,
@@ -10,7 +11,6 @@ from treesubst.freegroup import (
     family_inverse,
     from_positive,
     invert,
-    inverse_growth_root,
     nielsen_probe,
     p_star,
     reduce_word,
@@ -81,7 +81,7 @@ def test_p_star_letters():
 
 
 def test_inverse_growth_root():
-    eta = inverse_growth_root(3)
+    eta = stretch_root(3)
     assert abs(eta**3 - eta - 1) < 1e-12
     assert abs(eta - 1.3247179572) < 1e-9
 

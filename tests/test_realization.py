@@ -1,7 +1,6 @@
 """Isometric realization in the free product of d lines."""
 
-from treesubst.algnum import ExactLength
-from treesubst.freegroup import inverse_growth_root
+from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import (
     FreePoint,
     Realization,
@@ -87,7 +86,7 @@ def test_edge_lengths_d4():
 def test_hausdorff_gap_decays():
     real = Realization(TreeIteration(3))
     real.extend_to(8)
-    eta = inverse_growth_root(3)
+    eta = stretch_root(3)
     prev = None
     for n in range(1, 9):
         gap = real.hausdorff_gap(n).value()
