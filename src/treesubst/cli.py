@@ -22,6 +22,7 @@ from .trees import (
     TreeIteration,
     TreeSubstitution,
 )
+from .words import DEFAULT_PREFIX_LEN
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -51,7 +52,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--suite", choices=verify.SUITES, default="all")
     ver.add_argument("--max-stage", type=int, default=None, help="deepest stage to scan")
     ver.add_argument("--tol", type=float, default=1e-3, help="measure snap tolerance")
-    ver.add_argument("--prefix-len", type=int, default=10**6,
+    ver.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN,
                      help="fixed-point prefix length for measure estimates")
     ver.add_argument("--format", choices=("table", "json"), default="table")
     ver.add_argument("--rules", type=Path, default=None,

@@ -172,15 +172,20 @@ class Realization:
         return self.points[v]
 
     def edge_length_check(self, n: int) -> None:
-        """Every stage-n edge realizes as one syllable of length rho^-n * base(color)."""
+        """Every stage-n edge realizes as one syllable of length rho^-n * base(color).
+
+        Raises ValueError naming the first edge that does not.
+        """
         self.extend_to(n)
         tree = self.it.tree_at(n)
         for s, t, c in tree.edges:
             diff = self.points[s].inverse() * self.points[t]
-            assert len(diff.syllables) == 1, (n, (s, t, c), "not a single syllable")
+            if len(diff.syllables) != 1:
+                raise ValueError((n, (s, t, c), "not a single syllable"))
             got = abs(diff.syllables[0][1])
             want = self.base_lengths[c].scaled(-n)
-            assert got == want, (n, (s, t, c), got, want)
+            if got != want:
+                raise ValueError((n, (s, t, c), got, want))
 
     def hausdorff_gap(self, n: int) -> ExactLength:
         """Largest distance from a stage-n vertex to the realized T_(n-1).

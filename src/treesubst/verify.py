@@ -32,6 +32,7 @@ from .freegroup import (
 from .prefix_suffix import development_tail_word, shift_development
 from .trees import family_tree_substitution, initial_tree
 from .words import (
+    DEFAULT_PREFIX_LEN,
     bispecials_by_generation,
     complexity,
     expected_class_count,
@@ -156,7 +157,9 @@ def growth_roots(d: int) -> list[str]:
     return fails
 
 
-def words_suite(d: int, tol: float = 1e-3, prefix_len: int = 10**6) -> list[CheckResult]:
+def words_suite(
+    d: int, tol: float = 1e-3, prefix_len: int = DEFAULT_PREFIX_LEN
+) -> list[CheckResult]:
     ms = (1, 2, 3, 4, 5, 7, 11) if d == 3 else (1, 2, 3, 4, 5)
     return [
         _result("factor-complexity", f"d={d}, n<=30", factor_complexity(d, 30)),
@@ -262,7 +265,7 @@ def edge_length_law(d: int, max_stage: int) -> list[str]:
     for n in range(max_stage + 1):
         try:
             real.edge_length_check(n)
-        except AssertionError as exc:
+        except ValueError as exc:
             fails.append(f"stage {n}: {exc}")
     return fails
 
@@ -476,7 +479,7 @@ def run_suite(
     d: int,
     max_stage: int | None = None,
     tol: float = 1e-3,
-    prefix_len: int = 10**6,
+    prefix_len: int = DEFAULT_PREFIX_LEN,
 ) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")

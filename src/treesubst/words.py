@@ -5,6 +5,11 @@ the letters themselves (so b"\\x01\\x02" is the word 12).  The module knows
 how to iterate the substitution, enumerate the language of the fixed point
 with certified stabilization, classify special factors, and estimate
 cylinder measures by sliding-window frequencies.
+
+The estimates count the windows of a long fixed-point prefix at numpy
+speed: a window of length m is read as an m-digit integer in base d+1,
+so equal windows get equal codes and code order is word order, and
+``np.unique`` counts the codes block by block.
 """
 
 from __future__ import annotations
@@ -29,19 +34,45 @@ def word_from_str(s: str) -> Word:
 
 
 class Substitution:
-    """A non-erasing substitution letter -> word on letters 1..d."""
+    """A non-erasing substitution letter -> word on letters 1..d.
+
+    sigma(w) is one ``bytes.translate`` that maps every letter with a
+    one-letter image to that image and every letter with a longer image to a
+    marker byte outside 1..d, followed by one ``bytes.replace`` per marker.
+    """
 
     def __init__(self, images: dict[int, Word]):
-        self.d = len(images)
-        assert sorted(images) == list(range(1, self.d + 1)), "letters must be 1..d"
+        self.d = d = len(images)
+        if sorted(images) != list(range(1, d + 1)):
+            raise ValueError("letters must be 1..d")
+        self._letters = bytes(range(1, d + 1))
         for a, img in images.items():
-            assert len(img) > 0, f"empty image for letter {a}"
-            assert all(1 <= c <= self.d for c in img), f"image of {a} leaves alphabet"
+            if len(img) == 0:
+                raise ValueError(f"empty image for letter {a}")
+            if img.translate(None, self._letters):
+                raise ValueError(f"image of {a} leaves alphabet")
         self.images = dict(images)
+        long = [a for a in sorted(images) if len(images[a]) > 1]
+        markers = [b for b in range(256) if not 1 <= b <= d]
+        if len(long) > len(markers):
+            raise ValueError(
+                f"{len(long)} images longer than one letter, at most {len(markers)} fit"
+            )
+        table = bytearray(range(256))
+        for a, img in images.items():
+            if len(img) == 1:
+                table[a] = img[0]
+        for a, marker in zip(long, markers):
+            table[a] = marker
+        self._table = bytes(table)
+        self._expand = [(bytes([marker]), images[a]) for a, marker in zip(long, markers)]
 
     def __call__(self, w: Word) -> Word:
         self._check_word(w)
-        return b"".join(self.images[c] for c in w)
+        out = w.translate(self._table)
+        for marker, img in self._expand:
+            out = out.replace(marker, img)
+        return out
 
     def iterate(self, w: Word, n: int) -> Word:
         for _ in range(n):
@@ -49,9 +80,9 @@ class Substitution:
         return w
 
     def _check_word(self, w: Word) -> None:
-        for c in w:
-            if not 1 <= c <= self.d:
-                raise ValueError(f"letter {c} outside alphabet 1..{self.d}")
+        bad = w.translate(None, self._letters)
+        if bad:
+            raise ValueError(f"letter {bad[0]} outside alphabet 1..{self.d}")
 
     def incidence_matrix(self) -> np.ndarray:
         """M[i,j] = number of occurrences of letter i+1 in the image of j+1."""
@@ -225,13 +256,41 @@ def cylinder_measure(d: int, u: Word, prefix_len: int = DEFAULT_PREFIX_LEN) -> f
     return dict(_window_counts(d, len(u), prefix_len)).get(u, 0) / prefix_len
 
 
+_BLOCK = 1 << 16   # window positions coded per np.unique call
+_CODE_MAX = np.iinfo(np.int64).max
+
+
 @lru_cache(maxsize=None)
 def _window_counts(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
+    """(window, count) over the length-m windows at positions < prefix_len, sorted.
+
+    Each block of positions reads its windows as base-(d+1) integers, one
+    digit per letter, so equal windows get equal codes and code order is
+    word order.  Before a code could overflow int64 it is replaced by its
+    rank among the block's codes, which keeps both.
+    """
     text = fixed_point_prefix(d, prefix_len + m)
+    arr = np.frombuffer(text, dtype=np.uint8)
+    base = d + 1
     counts: dict[Word, int] = {}
-    for i in range(prefix_len):
-        key = text[i : i + m]
-        counts[key] = counts.get(key, 0) + 1
+    for start in range(0, prefix_len, _BLOCK):
+        n = min(_BLOCK, prefix_len - start)
+        codes = np.zeros(n, dtype=np.int64)
+        bound = 1   # codes < bound
+        for k in range(start, start + m):
+            if bound > _CODE_MAX // base:
+                codes[:] = np.unique(codes, return_inverse=True)[1]
+                bound = n
+            codes *= base
+            codes += arr[k : k + n]
+            bound *= base
+        uniq, hits = np.unique(codes, return_counts=True)
+        # any position of each code will do; the first ones need a slower stable sort
+        where = np.empty(len(uniq), dtype=np.intp)
+        where[np.searchsorted(uniq, codes)] = np.arange(start, start + n)
+        for i, c in zip(where.tolist(), hits.tolist()):
+            key = text[i : i + m]
+            counts[key] = counts.get(key, 0) + c
     return tuple(sorted(counts.items()))
 
 

@@ -1,5 +1,13 @@
 """Isometric realization in the free product of d lines."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import treesubst
 from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import (
     FreePoint,
@@ -81,6 +89,39 @@ def test_edge_lengths_d4():
     real.extend_to(5)
     for n in range(6):
         real.edge_length_check(n)
+
+
+# edge_length_law reads the process-wide scan, so the script swaps in one
+# whose colour-1 base length is wrong
+_BROKEN_LAW = """
+from types import SimpleNamespace
+from treesubst import core, verify
+from treesubst.algnum import ExactLength
+from treesubst.realization import Realization
+from treesubst.trees import TreeIteration
+
+real = Realization(TreeIteration(3))
+real.base_lengths[1] = ExactLength.rho_power(3, 5)
+core.shared_scan = lambda d: SimpleNamespace(real=real)
+print(verify.edge_length_law(3, 3))
+"""
+
+
+def test_broken_edge_length_law_is_reported():
+    real = Realization(TreeIteration(3))
+    real.base_lengths[1] = ExactLength.rho_power(3, 5)
+    with pytest.raises(ValueError, match="^\\(0, "):
+        real.edge_length_check(0)
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_edge_length_law_witness_survives_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(treesubst.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_LAW],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout
+    assert out.startswith("['stage 0: (0, "), out
 
 
 def test_hausdorff_gap_decays():

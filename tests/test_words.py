@@ -1,10 +1,17 @@
 """Word-level facts: fixed point, language, bispecials, cylinder measures."""
 
+import hashlib
+from collections import Counter
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treesubst.words import (
+    _BLOCK,
     Substitution,
+    _window_counts,
     bispecials_by_generation,
     complexity,
     cylinder_measure,
@@ -121,5 +128,71 @@ def test_substitution_rejects_bad_letters():
     sub = family_substitution(3)
     with pytest.raises(ValueError):
         sub(b"\x05")
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         Substitution({1: b"\x01", 2: b""})
+
+
+def test_substitution_validates_with_value_error():
+    with pytest.raises(ValueError, match="letters must be 1..d"):
+        Substitution({1: b"\x01", 3: b"\x01"})
+    with pytest.raises(ValueError, match="leaves alphabet"):
+        Substitution({1: b"\x01\x03", 2: b"\x01"})
+    with pytest.raises(ValueError, match="at most 1 fit"):
+        Substitution({a: bytes([1, a]) for a in range(1, 256)})
+    with pytest.raises(ValueError, match="letter 7 outside alphabet 1..3"):
+        family_substitution(3)(b"\x01\x07\x00")
+
+
+@settings(max_examples=60, deadline=None)
+@example(d=3, m=40, prefix_len=2 * _BLOCK)
+@example(d=6, m=30, prefix_len=_BLOCK + 1)
+@given(
+    d=st.integers(3, 6),
+    m=st.integers(1, 40),
+    prefix_len=st.integers(1, 3 * _BLOCK),
+)
+def test_window_counts_match_counter(d, m, prefix_len):
+    text = fixed_point_prefix(d, prefix_len + m)
+    want = Counter(text[i : i + m] for i in range(prefix_len))
+    assert _window_counts(d, m, prefix_len) == tuple(sorted(want.items()))
+
+
+@st.composite
+def _substitutions(draw):
+    """Non-erasing substitutions with at least two images longer than one letter."""
+    d = draw(st.integers(2, 8))
+    long = draw(st.sets(st.integers(1, d), min_size=2))
+    letters = st.integers(1, d)
+    images = {}
+    for a in range(1, d + 1):
+        size = draw(st.integers(2, 5)) if a in long else 1
+        images[a] = bytes(draw(st.lists(letters, min_size=size, max_size=size)))
+    return Substitution(images)
+
+
+@given(sub=_substitutions(), data=st.data())
+def test_substitution_matches_letterwise_join(sub, data):
+    w = data.draw(st.lists(st.integers(1, sub.d), max_size=50).map(bytes))
+    assert sub(w) == b"".join(sub.images[c] for c in w)
+    assert sub.iterate(w, 3) == sub(sub(sub(w)))
+
+
+# SHA-256 of fixed_point_prefix(d, 10**6 + 11) and of
+# repr(_window_counts(d, 11, 10**6)), as produced by the letter-by-letter
+# expansion and the pure-Python window count they replace
+_PINNED = {
+    3: ("7adfb710e0bcc9fbf1b20c9a1777ced7e701b362b2e163eab281d869ac74b0fa",
+        "832e35ae1740005d91e7def9baf383659949b645df306379c78954c8a99ceb92"),
+    4: ("9fa1fb3bf85c0cfb0d1bc5e2e605b636ad90234f96d8ff6ca82b94801069ee19",
+        "1109b891216d29a10a6409a2c5f468c5f8ac9ef937dc7e2f55f88c5503a0dd18"),
+    5: ("db23b960871e1fd3821b4f7765c61ef9c9b5092920a16bd15bdcfa78f24fc348",
+        "9e1cdb8fb5b5b927a53dc0e21d882a45bfa49ed2f9b8689df08a7cc9a93f2d13"),
+}
+
+
+@pytest.mark.parametrize("d", sorted(_PINNED))
+def test_prefix_and_window_counts_are_pinned(d):
+    prefix_sha, counts_sha = _PINNED[d]
+    assert hashlib.sha256(fixed_point_prefix(d, 10**6 + 11)).hexdigest() == prefix_sha
+    counts = repr(_window_counts(d, 11, 10**6)).encode()
+    assert hashlib.sha256(counts).hexdigest() == counts_sha
