@@ -1,20 +1,22 @@
-"""Exact lengths in Z[rho, rho^-1] where rho is the real root of x^d = x + 1.
+"""Exact lengths in Z[rho] where rho is the real root of x^d = x + 1.
 
 Every metric quantity in the realized trees is an integer polynomial in
-rho divided by a power of rho, so equality of lengths is decidable
-exactly.  A value is stored as (coeffs, scale) meaning
+rho and rho^-1.  rho is a unit of Z[rho] (rho^-1 = rho^(d-1) - 1), so each
+such number has exactly one coefficient vector
 
-    rho^-scale * sum coeffs[i] * rho^i,   0 <= i < d.
+    sum coeffs[i] * rho^i,   0 <= i < d,
 
-rho is a unit of Z[rho] (rho^-1 = rho^(d-1) - 1), hence the scale is
-only a convenience; hashing goes through a scale-0 canonical form.
-Order comparisons use the certified double value of rho, with an exact
-short-circuit for equality.
+and equality and hashing are those of the vector.  The sign is decided
+exactly: the double value decides when it clears a proven rounding bound,
+and otherwise rho is refined by exact bisection until the interval is
+narrow enough to fix the sign (x^d - x - 1 is irreducible, so a nonzero
+vector never vanishes at rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 
@@ -38,37 +40,40 @@ def stretch_root(d: int) -> float:
     return trinomial_root(d, 1)
 
 
-def _reduce_poly(d: int, coeffs: list[int]) -> tuple[int, ...]:
-    """Fold powers >= d with x^d = x + 1."""
-    cs = list(coeffs) + [0] * max(0, d - len(coeffs))
-    for i in range(len(cs) - 1, d - 1, -1):
-        c = cs[i]
-        if c:
-            cs[i] = 0
-            cs[i - d + 1] += c
-            cs[i - d] += c
-    return tuple(cs[:d])
+@lru_cache(maxsize=None)
+def _certified_root(d: int) -> tuple[float, Fraction, Fraction]:
+    """stretch_root(d) and rationals lo < rho < hi within 2^-50 of it relatively."""
+    x = Fraction(stretch_root(d))
+    lo, hi = x - x / 2**50, x + x / 2**50
+    if not lo**d - lo - 1 < 0 < hi**d - hi - 1:
+        raise ArithmeticError(f"stretch_root({d}) is not within 2^-50 of rho")
+    return stretch_root(d), lo, hi
 
 
-def _mul_inv_rho(d: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
-    """Multiply by rho^-1 = rho^(d-1) - 1 inside Z[rho]."""
-    shifted = [0] * (d - 1) + list(coeffs)     # coeffs * rho^(d-1)
-    out = list(_reduce_poly(d, shifted))
-    for i in range(d):
-        out[i] -= coeffs[i]
-    return tuple(out)
+def _times_rho(c: tuple[int, ...]) -> tuple[int, ...]:
+    """Coefficients times rho: the top one folds by rho^d = rho + 1."""
+    return (c[-1], c[0] + c[-1]) + c[1:-1]
+
+
+@lru_cache(maxsize=None)
+def _power_coeffs(d: int, k: int) -> tuple[int, ...]:
+    """Coefficient vector of rho^k, cached per (d, k)."""
+    c = (1,) + (0,) * (d - 1)
+    for _ in range(abs(k)):   # rho^-1 = rho^(d-1) - 1 undoes _times_rho
+        c = _times_rho(c) if k > 0 else (c[1] - c[0],) + c[2:] + (c[0],)
+    return c
 
 
 @dataclass(frozen=True)
 class ExactLength:
-    """Element of Z[rho][rho^-1]; exact equality, float-backed ordering."""
+    """Element of Z[rho] by its coefficients on 1, rho, .., rho^(d-1)."""
 
     d: int
     coeffs: tuple[int, ...]
-    scale: int = 0
 
     def __post_init__(self):
-        assert len(self.coeffs) == self.d
+        if len(self.coeffs) != self.d:
+            raise ValueError(f"{len(self.coeffs)} coefficients for d = {self.d}")
 
     # -- constructors -------------------------------------------------------
 
@@ -78,90 +83,78 @@ class ExactLength:
 
     @staticmethod
     def one(d: int) -> "ExactLength":
-        return ExactLength(d, (1,) + (0,) * (d - 1))
+        return ExactLength(d, _power_coeffs(d, 0))
 
     @staticmethod
     def rho_power(d: int, k: int) -> "ExactLength":
         """rho^k for any integer k."""
-        if k >= 0:
-            return ExactLength(d, _reduce_poly(d, [0] * k + [1]))
-        return ExactLength(d, (1,) + (0,) * (d - 1), scale=-k)
+        return ExactLength(d, _power_coeffs(d, k))
 
     # -- ring operations ----------------------------------------------------
 
-    def _aligned(self, other: "ExactLength") -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        assert self.d == other.d, "mixed rings"
-        e = max(self.scale, other.scale)
-        a = self.coeffs
-        for _ in range(e - self.scale):        # multiply by rho to raise the scale
-            a = _reduce_poly(self.d, [0] + list(a))
-        b = other.coeffs
-        for _ in range(e - other.scale):
-            b = _reduce_poly(self.d, [0] + list(b))
-        return a, b, e
+    def _same_ring(self, other: "ExactLength") -> None:
+        if self.d != other.d:
+            raise ValueError(f"mixed rings: d = {self.d} and d = {other.d}")
 
     def __add__(self, other: "ExactLength") -> "ExactLength":
-        a, b, e = self._aligned(other)
-        return ExactLength(self.d, tuple(x + y for x, y in zip(a, b)), e)
+        self._same_ring(other)
+        return ExactLength(self.d, tuple(x + y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ExactLength") -> "ExactLength":
-        a, b, e = self._aligned(other)
-        return ExactLength(self.d, tuple(x - y for x, y in zip(a, b)), e)
+        self._same_ring(other)
+        return ExactLength(self.d, tuple(x - y for x, y in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self) -> "ExactLength":
-        return ExactLength(self.d, tuple(-x for x in self.coeffs), self.scale)
+        return ExactLength(self.d, tuple(-x for x in self.coeffs))
 
     def __mul__(self, other: "ExactLength") -> "ExactLength":
-        assert self.d == other.d
-        prod = [0] * (2 * self.d - 1)
-        for i, a in enumerate(self.coeffs):
+        self._same_ring(other)
+        acc, b = (0,) * self.d, other.coeffs
+        for a in self.coeffs:       # sum of a_i * (other * rho^i)
             if a:
-                for j, b in enumerate(other.coeffs):
-                    prod[i + j] += a * b
-        return ExactLength(self.d, _reduce_poly(self.d, prod), self.scale + other.scale)
+                acc = tuple(x + a * y for x, y in zip(acc, b))
+            b = _times_rho(b)
+        return ExactLength(self.d, acc)
 
     def scaled(self, k: int) -> "ExactLength":
         """self * rho^k."""
-        return ExactLength(self.d, self.coeffs, self.scale - k)
+        return self * ExactLength.rho_power(self.d, k)
 
     # -- comparisons --------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
-
-    def canonical(self) -> tuple[int, ...]:
-        """Scale-0 coefficient vector (rho is a unit, so always integral)."""
-        cs = self.coeffs
-        if self.scale >= 0:
-            for _ in range(self.scale):
-                cs = _mul_inv_rho(self.d, cs)
-        else:
-            for _ in range(-self.scale):
-                cs = _reduce_poly(self.d, [0] + list(cs))
-        return cs
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ExactLength):
-            return NotImplemented
-        a, b, _ = self._aligned(other)
-        return a == b
-
-    def __hash__(self):
-        return hash((self.d, self.canonical()))
+        return not any(self.coeffs)
 
     def value(self) -> float:
         rho = stretch_root(self.d)
         acc = 0.0
         for c in reversed(self.coeffs):
             acc = acc * rho + c
-        return acc * rho**-self.scale
+        return acc
 
     def sign(self) -> int:
+        # Horner at the double root is off by at most 6 d 2^-52 sum |c_i| rho^i
+        # (root error, coefficient rounding and 2(d-1) roundings), so 8 d is safe
+        rho, lo, hi = _certified_root(self.d)
+        v = size = 0.0
+        try:
+            for c in reversed(self.coeffs):
+                v = v * rho + c
+                size = size * rho + abs(c)
+        except OverflowError:   # coefficients beyond the double range
+            size = float("inf")
+        if abs(v) > 8 * self.d * 2.0**-52 * size:
+            return 1 if v > 0 else -1
         if self.is_zero():
             return 0
-        v = self.value()
-        assert v != 0.0, "numeric underflow in sign"
-        return 1 if v > 0 else -1
+        d, cs = self.d, self.coeffs
+        while True:   # bisect rho until |alpha(lo)| beats the slope bound on [lo, hi]
+            at_lo = sum(c * lo**i for i, c in enumerate(cs))
+            slope = sum(i * abs(c) * hi ** (i - 1) for i, c in enumerate(cs) if i)
+            if abs(at_lo) > slope * (hi - lo):
+                return 1 if at_lo > 0 else -1
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if mid**d - mid - 1 < 0 else (lo, mid)
 
     def __abs__(self) -> "ExactLength":
         return self if self.sign() >= 0 else -self
@@ -173,7 +166,7 @@ class ExactLength:
         return (self - other).sign() <= 0
 
     def __repr__(self) -> str:
-        return f"ExactLength(d={self.d}, {self.coeffs}, scale={self.scale}, ~{self.value():.9g})"
+        return f"ExactLength(d={self.d}, {self.coeffs}, ~{self.value():.9g})"
 
 
 def edge_length_vector(d: int) -> dict[int, ExactLength]:

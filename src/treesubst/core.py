@@ -177,17 +177,18 @@ class CoreScan:
         born = self.it.born[n]
         for v in sorted(v for v in born if tree.degree(v) == self.d):
             src, _, color = prev.edges[born[v]]
-            assert color == 2, "centers can only replace 2-colored edges"
+            if color != 2:
+                raise ValueError("centers can only replace 2-colored edges")
             lab = self.labels[src] + step
             self._register(v, lab, n, src)
         self.scanned = n
 
     def _register(self, v: int, lab: GroupWord, stage: int, src: int) -> None:
-        assert all(x < 0 for x in lab)
-        length = len(lab)
-        prefix = fixed_point_prefix(self.d, length)
-        assert to_positive(invert(lab)) == prefix, "label is not a prefix inverse"
-        assert length not in self.by_length, "duplicate label length"
+        length = len(lab)   # to_positive rejects a label with a positive letter
+        if to_positive(invert(lab)) != fixed_point_prefix(self.d, length):
+            raise ValueError("label is not a prefix inverse")
+        if length in self.by_length:
+            raise ValueError("duplicate label length")
         self.labels[v] = lab
         self.apparition[v] = stage
         self.parent[v] = src
@@ -443,8 +444,8 @@ class CoreScan:
                         failures.append(f"arcs {i},{j}: shared {v} not a branch")
         return failures
 
-    def check_arc_cylinders(self, n: int) -> list[str]:
-        """Arcs match length-m cylinders and absorb all later labels."""
+    def check_arc_cylinders(self, n: int, deep: int) -> list[str]:
+        """Arcs match length-m cylinders and absorb the labels born after n, up to deep."""
         d = self.d
         m = determined_partition(d, n)
         arcs = self.simple_arcs(n)
@@ -459,7 +460,7 @@ class CoreScan:
             failures.append(f"stage {n}: arc suffixes of length {m} collide")
         if set(tags) != factors(d, m):
             failures.append(f"stage {n}: suffixes miss some length-{m} factors")
-        deep = self.scanned
+        self.extend_to(deep)
         by_edge = {arc.edge_index: arc for arc in arcs}
         for v, stage in self.apparition.items():
             if not n < stage <= deep:

@@ -150,12 +150,14 @@ class Realization:
             for w, sc, _ in tree.adjacency()[y]:
                 nbr[sc] = w
             y1, y2 = nbr[1], nbr[d]          # color-1 and color-d neighbors
-            assert y1 in self.points and y2 in self.points, "anchors must be old"
+            if y1 not in self.points or y2 not in self.points:
+                raise ValueError("anchors must be old")
             diff = self.points[y1].inverse() * self.points[y2]
-            assert len(diff.syllables) == 1, "replaced edge was not a single syllable"
+            if len(diff.syllables) != 1:
+                raise ValueError("replaced edge was not a single syllable")
             copy, p = diff.syllables[0]
-            expect = self.base_lengths[2].scaled(-(n - 1))
-            assert abs(p) == expect, "replaced 2-edge has the wrong length"
+            if abs(p) != self.base_lengths[2].scaled(-(n - 1)):
+                raise ValueError("replaced 2-edge has the wrong length")
             alpha = p.sign()
             t = step if alpha > 0 else -step
             self.points[y] = self.points[y1] * FreePoint.syllable(d, copy, t)
@@ -165,7 +167,8 @@ class Realization:
                 leaf_t = ExactLength.rho_power(d, -(n + h))
                 self.points[z] = self.points[y] * FreePoint.syllable(d, k, leaf_t)
         missing = [v for v in tree.vertices if v not in self.points]
-        assert not missing, f"unplaced vertices {missing}"
+        if missing:
+            raise ValueError(f"unplaced vertices {missing}")
         self.stage_done = n
 
     def point(self, v: int) -> FreePoint:

@@ -1,7 +1,12 @@
 """Exact arithmetic in Z[rho] with rho^d = rho + 1."""
 
+from decimal import Decimal, localcontext
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treesubst.algnum import (
     ExactLength,
@@ -66,8 +71,85 @@ def test_exact_equality_is_not_float_equality():
 
 
 def test_mixed_d_rejected():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError, match="mixed rings"):
         ExactLength.one(3) + ExactLength.one(4)
+
+
+@pytest.mark.parametrize("k", [100, 140])
+def test_negative_power_from_unscaled_arithmetic_is_positive(k):
+    # rho^-k as k products with rho^-1 = rho^2 - 1: coefficients near 1e6
+    # (k = 100) and 3e8 (k = 140) whose double value cancels to noise
+    d = 3
+    inv_rho = ExactLength.rho_power(d, 2) - ExactLength.one(d)
+    x = ExactLength.one(d)
+    for _ in range(k):
+        x = x * inv_rho
+    assert x == ExactLength.rho_power(d, -k)
+    assert x.sign() == 1 and (-x).sign() == -1
+    assert ExactLength.zero(d) < x < ExactLength.rho_power(d, -k + 1)
+
+
+# A nonzero alpha in Z[rho] has a nonzero integer norm, so |alpha(rho)| is at least
+# 1 / prod |alpha(rho_j)| over the other conjugates; for the differences below
+# (heights up to 1e12 rho^1000) that is above 10^-410 of their size, so a
+# threshold of 10^-450 at 520 digits separates zero from nonzero exactly.
+DIGITS = 520
+
+
+@lru_cache(maxsize=None)
+def _decimal_root(d):
+    """rho to DIGITS digits by Newton's method in decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS + 20
+        x = Decimal(stretch_root(d))
+        for _ in range(12):
+            x -= (x**d - x - 1) / (d * x ** (d - 1) - 1)
+        return x
+
+
+def _decimal_value(d, coeffs, k):
+    """sum coeffs[i] * rho^(i + k) in DIGITS-digit decimal arithmetic."""
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        rho = _decimal_root(d)
+        return sum(Decimal(c) * rho ** (i + k) for i, c in enumerate(coeffs))
+
+
+def _decimal_sign(value, scale):
+    """Sign of a reference value, 0 when it is zero to 450 digits of scale."""
+    if abs(value) <= scale * Decimal(10) ** -450:
+        return 0
+    return 1 if value > 0 else -1
+
+
+_coeffs = st.lists(st.integers(-10**12, 10**12), min_size=5, max_size=5)
+_exponent = st.integers(-500, 500)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.sampled_from([3, 4, 5]), a=_coeffs, ka=_exponent, b=_coeffs, kb=_exponent,
+       shift=_exponent)
+@example(d=3, a=[1, 0, 0, 0, 0], ka=-500, b=[0] * 5, kb=0, shift=500)
+@example(d=5, a=[1, 0, 0, 0, 0], ka=-500, b=[1, 0, 0, 0, 0], kb=-499, shift=-500)
+@example(d=4, a=[10**12, -10**12, 1, 0, 0], ka=500, b=[10**12, -10**12, 1, 0, 0], kb=500,
+         shift=1)
+def test_order_matches_decimal_reference(d, a, ka, b, kb, shift):
+    x = ExactLength(d, tuple(a[:d])).scaled(ka)
+    y = ExactLength(d, tuple(b[:d])).scaled(kb)
+    rx, ry = _decimal_value(d, a[:d], ka), _decimal_value(d, b[:d], kb)
+    sx = _decimal_value(d, [abs(c) for c in a[:d]], ka)
+    sy = _decimal_value(d, [abs(c) for c in b[:d]], kb)
+    assert x.sign() == _decimal_sign(rx, sx)
+    assert (-x).sign() == -_decimal_sign(rx, sx)
+    diff = _decimal_sign(rx - ry, sx + sy)
+    assert (x < y) == (diff < 0)
+    assert (x <= y) == (diff <= 0)
+    assert (x == y) == (diff == 0)
+    if x == y:
+        assert hash(x) == hash(y)
+    back = x.scaled(shift).scaled(-shift)
+    assert back == x and hash(back) == hash(x)
+    assert not back < x and back <= x
 
 
 def test_edge_length_vector():

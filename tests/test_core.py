@@ -6,6 +6,7 @@ from treesubst.algnum import ExactLength
 from treesubst.freegroup import invert, to_positive
 from treesubst.words import growth_root, word_str
 from treesubst.core import (
+    CoreScan,
     apparition_of_empty,
     branch_inventory,
     determined_partition,
@@ -119,7 +120,28 @@ def test_arc_checks():
     scan = shared_scan(3)
     for n in range(5):
         assert scan.check_arc_overlaps(n) == []
-        assert scan.check_arc_cylinders(n) == []
+        assert scan.check_arc_cylinders(n, 8) == []
+
+
+class _LabelCorruptedAt12(CoreScan):
+    """A scan that garbles the last letter of one stage-10 label once stage 12
+    is scanned (its children are born from stage 12 on, so the scan must stop there)."""
+
+    def _scan_stage(self, n):
+        super()._scan_stage(n)
+        if n == 12:
+            v = min(v for v, stage in self.apparition.items() if stage == 10)
+            lab = self.labels[v]
+            self.labels[v] = (-(-lab[0] % 3 + 1),) + lab[1:]
+
+
+def test_arc_cylinders_cover_the_requested_depth():
+    fresh = _LabelCorruptedAt12(3)
+    assert any("does not extend arc" in f for f in fresh.check_arc_cylinders(2, 12))
+    extended = _LabelCorruptedAt12(3)
+    extended.extend_to(12)
+    assert any("does not extend arc" in f for f in extended.check_arc_cylinders(2, 12))
+    assert extended.check_arc_cylinders(2, 6) == []
 
 
 def test_shift_image_fixture():

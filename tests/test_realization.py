@@ -124,6 +124,30 @@ def test_edge_length_law_witness_survives_optimize(flags):
     assert out.startswith("['stage 0: (0, "), out
 
 
+_BROKEN_EXTEND = """
+from treesubst.algnum import ExactLength
+from treesubst.realization import Realization
+from treesubst.trees import TreeIteration
+
+real = Realization(TreeIteration(3))
+real.base_lengths[2] = ExactLength.rho_power(3, 5)
+try:
+    real.extend_to(3)
+except ValueError as exc:
+    print("rejected:", exc)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimized"])
+def test_extend_rejects_wrong_replaced_edge_under_optimize(flags):
+    env = dict(os.environ, PYTHONPATH=str(Path(treesubst.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", _BROKEN_EXTEND],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    ).stdout
+    assert out == "rejected: replaced 2-edge has the wrong length\n", out
+
+
 def test_hausdorff_gap_decays():
     real = Realization(TreeIteration(3))
     real.extend_to(8)
