@@ -6,18 +6,18 @@ such number has exactly one coefficient vector
 
     sum coeffs[i] * rho^i,   0 <= i < d,
 
-and equality and hashing are those of the vector.  The sign is decided
-exactly: the double value decides when it clears a proven rounding bound,
-and otherwise rho is refined by exact bisection until the interval is
-narrow enough to fix the sign (x^d - x - 1 is irreducible, so a nonzero
-vector never vanishes at rho).
+and equality and hashing are those of the vector.  Signs and values are
+exact: the vector is evaluated in integers at floor(rho * 2^p) / 2^p, with
+rho's bits found by exact bisection, and p doubles until the error bound
+fixes the sign or the leading bits (x^d - x - 1 is irreducible, so a
+nonzero vector never vanishes at rho).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 
 def trinomial_root(d: int, k: int) -> float:
@@ -41,13 +41,22 @@ def stretch_root(d: int) -> float:
 
 
 @lru_cache(maxsize=None)
-def _certified_root(d: int) -> tuple[float, Fraction, Fraction]:
-    """stretch_root(d) and rationals lo < rho < hi within 2^-50 of it relatively."""
-    x = Fraction(stretch_root(d))
-    lo, hi = x - x / 2**50, x + x / 2**50
-    if not lo**d - lo - 1 < 0 < hi**d - hi - 1:
-        raise ArithmeticError(f"stretch_root({d}) is not within 2^-50 of rho")
-    return stretch_root(d), lo, hi
+def _rho_floor(d: int, p: int) -> int:
+    """floor(rho * 2^p), exactly: bisection on x^d - x - 1 from the floor at p // 2."""
+    q = p // 2   # at p = 0 the floor is 1: x^d - x - 1 is -1 at 1 and positive at 2
+    m = _rho_floor(d, q) << (p - q) if p else 1
+    for b in reversed(range(p - q)):   # the remaining bits, highest first
+        t = m | 1 << b
+        if t**d - (t << p * (d - 1)) - (1 << p * d) < 0:
+            m = t
+    return m
+
+
+@lru_cache(maxsize=None)
+def _rho_weights(d: int, p: int) -> tuple[int, ...]:
+    """lo^i * 2^(p(d-1)) for i < d, where lo = floor(rho * 2^p) / 2^p."""
+    m = _rho_floor(d, p)
+    return tuple(m**i << p * (d - 1 - i) for i in range(d))
 
 
 def _times_rho(c: tuple[int, ...]) -> tuple[int, ...]:
@@ -125,36 +134,28 @@ class ExactLength:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
+    def _fixed(self, bits: int) -> tuple[int, int]:
+        """(num, e) with |num / 2^e - self| < 2^-bits |num / 2^e|, or (0, 0) for zero."""
+        d, cs = self.d, self.coeffs
+        # rho < 2, so on [lo, rho] alpha moves by less than
+        # 2^-p sum i |c_i| 2^(i-1) <= 2^-p (d-1) 2^(d-2) sum |c_i|
+        slope = sum(map(abs, cs)) * (d - 1) << (d - 2)
+        p = 64 + bits
+        while slope:   # alpha(lo) = num / 2^(p(d-1)); double p until it is certain
+            num = sum(map(mul, cs, _rho_weights(d, p)))
+            if abs(num) > slope << (p * (d - 2) + bits):
+                return num, p * (d - 1)
+            p *= 2
+        return 0, 0
+
     def value(self) -> float:
-        rho = stretch_root(self.d)
-        acc = 0.0
-        for c in reversed(self.coeffs):
-            acc = acc * rho + c
-        return acc
+        """The double nearest self (or its neighbour, if self is 2^-60-close to a midpoint)."""
+        num, e = self._fixed(60)
+        return num / (1 << e)
 
     def sign(self) -> int:
-        # Horner at the double root is off by at most 6 d 2^-52 sum |c_i| rho^i
-        # (root error, coefficient rounding and 2(d-1) roundings), so 8 d is safe
-        rho, lo, hi = _certified_root(self.d)
-        v = size = 0.0
-        try:
-            for c in reversed(self.coeffs):
-                v = v * rho + c
-                size = size * rho + abs(c)
-        except OverflowError:   # coefficients beyond the double range
-            size = float("inf")
-        if abs(v) > 8 * self.d * 2.0**-52 * size:
-            return 1 if v > 0 else -1
-        if self.is_zero():
-            return 0
-        d, cs = self.d, self.coeffs
-        while True:   # bisect rho until |alpha(lo)| beats the slope bound on [lo, hi]
-            at_lo = sum(c * lo**i for i, c in enumerate(cs))
-            slope = sum(i * abs(c) * hi ** (i - 1) for i, c in enumerate(cs) if i)
-            if abs(at_lo) > slope * (hi - lo):
-                return 1 if at_lo > 0 else -1
-            mid = (lo + hi) / 2
-            lo, hi = (mid, hi) if mid**d - mid - 1 < 0 else (lo, mid)
+        num = self._fixed(0)[0]
+        return (num > 0) - (num < 0)
 
     def __abs__(self) -> "ExactLength":
         return self if self.sign() >= 0 else -self

@@ -87,6 +87,8 @@ def test_negative_power_from_unscaled_arithmetic_is_positive(k):
     assert x == ExactLength.rho_power(d, -k)
     assert x.sign() == 1 and (-x).sign() == -1
     assert ExactLength.zero(d) < x < ExactLength.rho_power(d, -k + 1)
+    # and its double value is accurate to the last bit, though the coefficients cancel
+    assert abs(Decimal(x.value()) / _decimal_value(d, [1], -k) - 1) < Decimal(2) ** -52
 
 
 # A nonzero alpha in Z[rho] has a nonzero integer norm, so |alpha(rho)| is at least
@@ -140,6 +142,7 @@ def test_order_matches_decimal_reference(d, a, ka, b, kb, shift):
     sx = _decimal_value(d, [abs(c) for c in a[:d]], ka)
     sy = _decimal_value(d, [abs(c) for c in b[:d]], kb)
     assert x.sign() == _decimal_sign(rx, sx)
+    assert abs(Decimal(x.value()) - rx) <= abs(rx) * Decimal(2) ** -52
     assert (-x).sign() == -_decimal_sign(rx, sx)
     diff = _decimal_sign(rx - ry, sx + sy)
     assert (x < y) == (diff < 0)

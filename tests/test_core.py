@@ -120,7 +120,7 @@ def test_arc_checks():
     scan = shared_scan(3)
     for n in range(5):
         assert scan.check_arc_overlaps(n) == []
-        assert scan.check_arc_cylinders(n, 8) == []
+        assert scan.check_arc_cylinders(n, 12) == []
 
 
 class _LabelCorruptedAt12(CoreScan):
