@@ -30,7 +30,8 @@ def trinomial_root(d: int, k: int) -> float:
         x -= step
         if abs(step) < 1e-16:
             break
-    assert abs(x**d - x**k - 1.0) < 1e-12
+    if abs(x**d - x**k - 1.0) >= 1e-12:
+        raise ValueError(f"Newton did not converge for x^{d} = x^{k} + 1")
     return x
 
 

@@ -14,14 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from . import rauzy, verify
-from .realization import Realization
-from .trees import (
-    ColoredTree,
-    RulePattern,
-    TreeIteration,
-    TreeSubstitution,
-)
+from . import core, rauzy, verify
+from .trees import ColoredTree, RulePattern, TreeSubstitution
 from .words import DEFAULT_PREFIX_LEN
 
 EXIT_OK = 0
@@ -81,7 +75,8 @@ def _write(text: str, out: Path | None) -> None:
 
 
 def cmd_gen(args) -> int:
-    it = TreeIteration(args.d)
+    scan = core.shared_scan(args.d)
+    it = scan.it
     tree = it.tree_at(args.n)
     if args.format == "json":
         payload = tree.to_json()
@@ -90,7 +85,7 @@ def cmd_gen(args) -> int:
     elif args.format == "dot":
         _write(tree.to_dot(), args.out)
     else:
-        real = Realization(it)
+        real = scan.real
         real.extend_to(args.n)
         lines = ["vertex,birth_stage,degree,norm,address"]
         for v in tree.vertices:

@@ -32,10 +32,10 @@ from .words import (
     bispecials_by_generation,
     cylinder_measure,
     factors,
-    family_substitution,
     fixed_point_prefix,
     measure_spectrum,
     MeasureSpectrum,
+    power_image,
     word_str,
 )
 
@@ -48,8 +48,7 @@ def apparition_of_empty(d: int) -> int:
 @lru_cache(maxsize=None)
 def _power_inverse(d: int, alpha: int) -> GroupWord:
     """sigma^alpha(1) inverted, the building block of every label."""
-    sub = family_substitution(d)
-    return invert(from_positive(sub.iterate(bytes([1]), alpha)))
+    return invert(from_positive(power_image(d, alpha)))
 
 
 def l_word(d: int, m: int) -> GroupWord:
@@ -153,7 +152,6 @@ class CoreScan:
 
     def __init__(self, d: int):
         self.d = d
-        self.sub = family_substitution(d)
         self.auto = family_auto(d)
         self.it = TreeIteration(d)
         self.real = Realization(self.it)
@@ -171,16 +169,10 @@ class CoreScan:
             self._scan_stage(self.scanned + 1)
 
     def _scan_stage(self, n: int) -> None:
-        prev = self.it.tree_at(n - 1)
-        tree = self.it.tree_at(n)
+        self.it.tree_at(n)
         step = _power_inverse(self.d, n - 1)
-        born = self.it.born[n]
-        for v in sorted(v for v in born if tree.degree(v) == self.d):
-            src, _, color = prev.edges[born[v]]
-            if color != 2:
-                raise ValueError("centers can only replace 2-colored edges")
-            lab = self.labels[src] + step
-            self._register(v, lab, n, src)
+        for c in self.it.centers[n]:
+            self._register(c.vertex, self.labels[c.src] + step, n, c.src)
         self.scanned = n
 
     def _register(self, v: int, lab: GroupWord, stage: int, src: int) -> None:

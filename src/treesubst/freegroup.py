@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .words import Word, family_substitution
+from .words import Word, family_substitution, power_image
 
 GroupWord = tuple[int, ...]
 
@@ -67,7 +67,8 @@ class Automorphism:
 
     def __init__(self, d: int, images: dict[int, GroupWord]):
         self.d = d
-        assert sorted(images) == list(range(1, d + 1))
+        if sorted(images) != list(range(1, d + 1)):
+            raise ValueError(f"images must be given for the letters 1..{d}")
         self.images = {k: reduce_word(v) for k, v in images.items()}
 
     def apply(self, w: GroupWord) -> tuple[GroupWord, bool]:
@@ -123,18 +124,12 @@ def p_star(d: int, tree_word) -> GroupWord:
     Colors k <= d map to the generator k, color d+k to sigma^k(1), and a
     barred color (negative sign) to the inverse of its image.
     """
-    sub = family_substitution(d)
-    imgs = {k: (k,) for k in range(1, d + 1)}
-    w: Word = bytes([1])
-    for k in range(1, d - 1):
-        w = sub(w)
-        imgs[d + k] = from_positive(w)
     parts: list[int] = []
     for x in tree_word:
         c = abs(x)
         if not 1 <= c <= 2 * d - 2:
             raise ValueError(f"color {c} outside 1..{2*d-2}")
-        img = imgs[c]
+        img = (c,) if c <= d else power_image(d, c - d)   # bytes iterate as ints
         parts.extend(img if x > 0 else invert(img))
     return reduce_word(parts)
 

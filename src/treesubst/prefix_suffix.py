@@ -12,7 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import Substitution, Word, family_substitution, fixed_point_prefix, word_str
+from .words import (
+    Substitution, Word, family_substitution, fixed_point_prefix, power_image, word_str,
+)
 
 EMPTY: Word = b""
 
@@ -77,7 +79,7 @@ def reconstruct(d: int, dev: Development) -> Word:
     """Assemble sigma^(k-1)(p_(k-1))...p_0 . a_0 . s_0 ... sigma^(k-1)(s_(k-1)).
 
     For k labels the result equals sigma^k(a_k) where a_k is the final
-    state of the walk; that identity is asserted before returning.
+    state of the walk; that identity is checked before returning.
     """
     if not dev:
         raise ValueError("empty development")
@@ -97,7 +99,8 @@ def reconstruct(d: int, dev: Development) -> Word:
         right += sub.iterate(dev[i][2], i)
     word = left + middle + right
     final_state = auto.dst_of_label(dev[-1])
-    assert word == sub.iterate(bytes([final_state]), k), "reconstruction identity broke"
+    if word != sub.iterate(bytes([final_state]), k):
+        raise ValueError("reconstruction identity broke")
     return word
 
 
@@ -124,16 +127,6 @@ def all_paths(d: int, k: int) -> list[Development]:
 # automatic writing of fixed-point prefixes
 
 
-@lru_cache(maxsize=None)
-def _power_images(d: int, max_exp: int) -> list[Word]:
-    """sigma^k(1) for 0 <= k <= max_exp."""
-    sub = family_substitution(d)
-    imgs = [bytes([1])]
-    for _ in range(max_exp):
-        imgs.append(sub(imgs[-1]))
-    return imgs
-
-
 def automatic_writing(d: int, u: Word) -> list[int]:
     """Exponents (ascending) of the unique writing u = sigma^(a_p)(1)...sigma^(a_0)(1).
 
@@ -148,29 +141,23 @@ def automatic_writing(d: int, u: Word) -> list[int]:
     exps: list[int] = []
     rest = u
     while rest:
-        imgs = _power_images(d, 1)
-        while len(imgs[-1]) <= len(rest):
-            imgs = _power_images(d, len(imgs) + 1)
-        a = len(imgs) - 2 if len(imgs[-1]) > len(rest) else len(imgs) - 1
-        while len(imgs[a]) > len(rest):
-            a -= 1
-        if not rest.startswith(imgs[a]):
+        a = 0
+        while len(power_image(d, a + 1)) <= len(rest):
+            a += 1
+        top = power_image(d, a)
+        if not rest.startswith(top):
             raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
         if exps and not exps[-1] - a >= d:
             raise ValueError(f"{word_str(u)} breaks the exponent-gap rule")
         exps.append(a)
-        rest = rest[len(imgs[a]):]
+        rest = rest[len(top):]
     exps.reverse()
     return exps
 
 
 def writing_word(d: int, exps: list[int]) -> Word:
     """Concatenation sigma^(a_p)(1)...sigma^(a_0)(1) for ascending exponents."""
-    imgs = _power_images(d, max(exps, default=0))
-    out = EMPTY
-    for a in reversed(exps):
-        out += imgs[a]
-    return out
+    return EMPTY.join(power_image(d, a) for a in reversed(exps))
 
 
 def shift_development(d: int, k: int, depth: int) -> Development:
@@ -192,14 +179,16 @@ def shift_development(d: int, k: int, depth: int) -> Development:
     for i in range(depth - 1, -1, -1):
         img = sub.images[states[i + 1]]
         if i in exps:
-            assert img[:1] == b"\x01", "prefix letter 1 forces target sigma-image 1..."
+            if img[:1] != b"\x01":
+                raise ValueError("prefix letter 1 forces target sigma-image 1...")
             states[i] = img[1]
             labels[i] = (b"\x01", img[1], img[2:])
         else:
             states[i] = img[0]
             labels[i] = (EMPTY, img[0], img[1:])
     dev = tuple(labels)
-    assert is_admissible(d, dev)
+    if not is_admissible(d, dev):
+        raise ValueError("development is not an admissible path")
     return dev
 
 

@@ -15,14 +15,14 @@ from functools import lru_cache
 
 import numpy as np
 
-from .core import l_word
-from .trees import TreeIteration
+from .core import l_word, shared_scan
 from .words import (
     factors,
     family_substitution,
     fixed_point_prefix,
     growth_root,
     measure_spectrum,
+    power_image,
     word_str,
 )
 
@@ -128,68 +128,41 @@ def parse_coloring(spec: str) -> tuple[str, int]:
     return parts[0], int(parts[1])
 
 
-class _OrbitIndex:
-    """Per-prefix-length assignment to the arcs of one base tree.
-
-    Walks the tree iteration once, recording for each center its label
-    length, its base-stage ancestor edge, and whether every step of its
-    descent stayed on trunk edges (off-trunk edges end in fresh leaves, so
-    the center then realizes outside the embedded base tree).
-    """
-
-    def __init__(self, base: int, depth: int):
-        self.base = base
-        self.depth = depth
-        self.boundary = len(l_word(3, base))
-        self.arc_of = np.full(depth + 1, -1, dtype=np.int64)
-        self.on_tree = np.zeros(depth + 1, dtype=bool)
-        self.on_tree[: self.boundary + 1] = True
-        self._build()
-
-    def _build(self) -> None:
-        it = TreeIteration(3)
-        sub = family_substitution(3)
-        base_tree = it.tree_at(self.base)
-        # label lengths of the centers; pre-base stages seed the chains
-        length = {0: 0}
-        for s in range(1, self.base + 1):
-            self._scan_stage(it, sub, s, length, None)
-        stage = self.base
-        on_edges = np.ones(len(base_tree.edges), dtype=bool)
-        while len(l_word(3, stage)) < self.depth:
-            stage += 1
-            on_edges = self._scan_stage(it, sub, stage, length, on_edges)
-
-    def _scan_stage(self, it, sub, stage, length, on_edges):
-        prev = it.tree_at(stage - 1)
-        tree = it.tree_at(stage)
-        born = it.born[stage]
-        step = len(sub.iterate(bytes([1]), stage - 1))
-        for v, e in born.items():
-            if tree.degree(v) != 3:
-                continue
-            src = prev.edges[e][0]
-            # the replaced edge always runs from an already-labeled vertex
-            lab_len = length[src] + step
-            length[v] = lab_len
-            if on_edges is not None and lab_len <= self.depth:
-                self.arc_of[lab_len] = it.ancestor_edge(stage - 1, e, self.base)
-                self.on_tree[lab_len] = bool(on_edges[e])
-        if on_edges is None:
-            return None
-        new_on = np.zeros(len(tree.edges), dtype=bool)
-        leaves = {v for v in born if tree.degree(v) == 1}
-        origin = it.origins[stage - 1]
-        for idx, (s, t, _) in enumerate(tree.edges):
-            if s in leaves or t in leaves:
-                continue
-            new_on[idx] = on_edges[origin[idx]]
-        return new_on
-
-
 @lru_cache(maxsize=8)
-def _orbit_index(base: int, depth: int) -> _OrbitIndex:
-    return _OrbitIndex(base, depth)
+def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """Arc of the stage-`base` tree, and whether it lies on that embedded
+    tree, for each prefix length 0..depth; arc -1 where no arc applies.
+
+    Walks the new centers of the shared d=3 iteration.  A center born at
+    stage n has the label of its replaced edge's source extended by
+    sigma^(n-1)(1^-1), as in `CoreScan._scan_stage`, so only lengths are
+    kept; the center of label length i realizes the prefix of length i.
+    Its arc is its base-stage provenance.  It lies on the embedded base
+    tree when both ends of its replaced edge do: fresh leaves never do,
+    and a center inherits the status of the edge it splits.
+    """
+    it = shared_scan(3).it
+    arc_of = np.full(depth + 1, -1, dtype=np.int64)
+    on_tree = np.zeros(depth + 1, dtype=bool)
+    on_tree[: len(l_word(3, base)) + 1] = True
+    on = set(it.tree_at(base).vertices)
+    length = {0: 0}
+    stage = longest = 0   # longest label so far, the length of l_word(3, stage)
+    while stage < base or longest < depth:
+        stage += 1
+        it.tree_at(stage)
+        step = len(power_image(3, stage - 1))
+        for c in it.centers[stage]:
+            lab_len = length[c.vertex] = length[c.src] + step
+            longest = max(longest, lab_len)
+            if stage <= base:
+                continue
+            if c.src in on and c.dst in on:
+                on.add(c.vertex)
+            if lab_len <= depth:
+                arc_of[lab_len] = it.vertex_provenance(c.vertex, base)
+                on_tree[lab_len] = c.vertex in on
+    return arc_of, on_tree
 
 
 def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
@@ -207,22 +180,17 @@ def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
             word_str(text[i - k : i]) if i >= k else "-" for i in range(depth + 1)
         ]
     else:
-        index = _orbit_index(k, depth)
-        tags = [
-            f"a{index.arc_of[i]}" if index.arc_of[i] >= 0 else "-"
-            for i in range(depth + 1)
-        ]
+        arc_of, _ = _orbit_index(k, depth)
+        tags = [f"a{a}" if a >= 0 else "-" for a in arc_of.tolist()]
     return PointCloud(pts[:, 0].copy(), pts[:, 1].copy(), tags)
 
 
 def zeta_cloud(n: int, depth: int) -> PointCloud:
     """Projection of the orbit points that lie on the embedded stage-n tree."""
     pts = _projected_prefix_orbit(depth)
-    index = _orbit_index(n, depth)
-    keep = np.flatnonzero(index.on_tree)
-    tags = [
-        f"a{index.arc_of[i]}" if index.arc_of[i] >= 0 else "-" for i in keep
-    ]
+    arc_of, on_tree = _orbit_index(n, depth)
+    keep = np.flatnonzero(on_tree)
+    tags = [f"a{a}" if a >= 0 else "-" for a in arc_of[keep].tolist()]
     return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), tags)
 
 
@@ -252,10 +220,9 @@ def check_boundedness(ratio_tol: float = 0.01) -> list[str]:
 def contraction_decay(kmax: int = 18) -> list[float]:
     """Plane norms of the projected images of sigma^k(1); they shrink geometrically."""
     basis = family_basis(3)
-    sub = family_substitution(3)
     out = []
     for k in range(kmax + 1):
-        img = sub.iterate(bytes([1]), k)
+        img = power_image(3, k)
         vec = [img.count(bytes([j + 1])) for j in range(3)]
         out.append(float(np.hypot(*basis.project(vec))))
     return out

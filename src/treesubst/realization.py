@@ -36,14 +36,16 @@ class FreePoint:
 
     @staticmethod
     def syllable(d: int, copy: int, t: ExactLength) -> "FreePoint":
-        assert 0 <= copy < d
+        if not 0 <= copy < d:
+            raise ValueError(f"copy {copy} outside 0..{d - 1}")
         if t.is_zero():
             return FreePoint(d, ())
         return FreePoint(d, ((copy, t),))
 
     def __mul__(self, other: "FreePoint") -> "FreePoint":
         """Concatenate and reduce: merge touching syllables of one copy."""
-        assert self.d == other.d
+        if self.d != other.d:
+            raise ValueError(f"points of d={self.d} and d={other.d} do not mix")
         left = list(self.syllables)
         right = list(other.syllables)
         while left and right and left[-1][0] == right[0][0]:
@@ -77,7 +79,8 @@ def distance(p: FreePoint, q: FreePoint) -> ExactLength:
 
 def common_prefix(p: FreePoint, q: FreePoint) -> FreePoint:
     """Longest common initial segment of two reduced syllable words."""
-    assert p.d == q.d
+    if p.d != q.d:
+        raise ValueError(f"points of d={p.d} and d={q.d} do not mix")
     out: list[Syllable] = []
     for (c1, t1), (c2, t2) in zip(p.syllables, q.syllables):
         if c1 != c2:
@@ -124,8 +127,8 @@ class Realization:
 
     def _place_initial(self) -> None:
         d = self.d
-        t0 = self.it.tree_at(0)
-        assert t0.root == 0
+        if self.it.tree_at(0).root != 0:
+            raise ValueError("the initial star must be rooted at vertex 0")
         self.points[0] = FreePoint.origin(d)
         self.points[1] = FreePoint.syllable(d, 0, ExactLength.one(d))
         # the color-j edge of the initial star runs along copy j-1
@@ -140,19 +143,13 @@ class Realization:
     def _extend_once(self) -> None:
         d = self.d
         n = self.stage_done + 1
-        prev = self.it.tree_at(n - 1)
         tree = self.it.tree_at(n)
-        born = self.it.born[n]
-        centers = sorted(v for v in born if tree.degree(v) == d)
         step = ExactLength.rho_power(d, -n)
-        for y in centers:
-            nbr = {}
-            for w, sc, _ in tree.adjacency()[y]:
-                nbr[sc] = w
-            y1, y2 = nbr[1], nbr[d]          # color-1 and color-d neighbors
-            if y1 not in self.points or y2 not in self.points:
+        for c in self.it.centers[n]:
+            if c.dst not in self.points or c.src not in self.points:
                 raise ValueError("anchors must be old")
-            diff = self.points[y1].inverse() * self.points[y2]
+            start = self.points[c.dst]       # the color-1 neighbor
+            diff = start.inverse() * self.points[c.src]
             if len(diff.syllables) != 1:
                 raise ValueError("replaced edge was not a single syllable")
             copy, p = diff.syllables[0]
@@ -160,12 +157,10 @@ class Realization:
                 raise ValueError("replaced 2-edge has the wrong length")
             alpha = p.sign()
             t = step if alpha > 0 else -step
-            self.points[y] = self.points[y1] * FreePoint.syllable(d, copy, t)
-            for h in range(1, d - 1):
-                z = nbr[d + h]
-                k = (copy + h) % d
+            center = self.points[c.vertex] = start * FreePoint.syllable(d, copy, t)
+            for h, z in enumerate(c.leaves, start=1):
                 leaf_t = ExactLength.rho_power(d, -(n + h))
-                self.points[z] = self.points[y] * FreePoint.syllable(d, k, leaf_t)
+                self.points[z] = center * FreePoint.syllable(d, (copy + h) % d, leaf_t)
         missing = [v for v in tree.vertices if v not in self.points]
         if missing:
             raise ValueError(f"unplaced vertices {missing}")
@@ -196,15 +191,13 @@ class Realization:
         New centers sit on an old segment, so only the fresh leaves
         contribute; the bound is rho^-(n+1) exactly.
         """
-        assert n >= 1
+        if n < 1:
+            raise ValueError(f"stage must be >= 1, got {n}")
         self.extend_to(n)
-        tree = self.it.tree_at(n)
-        born = self.it.born[n]
         gap = ExactLength.zero(self.d)
-        for y in sorted(v for v in born if tree.degree(v) == self.d):
-            nbr = {sc: w for w, sc, _ in tree.adjacency()[y]}
-            a, b = self.points[nbr[1]], self.points[nbr[self.d]]
-            for v in [y] + [nbr[self.d + h] for h in range(1, self.d - 1)]:
+        for c in self.it.centers[n]:
+            a, b = self.points[c.dst], self.points[c.src]
+            for v in (c.vertex, *c.leaves):
                 dist = point_segment_distance(self.points[v], a, b)
                 if gap < dist:
                     gap = dist

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,27 +71,31 @@ class ColoredTree:
             verts.add(s)
             verts.add(t)
         self.vertices: tuple[int, ...] = tuple(sorted(verts))
-        self._assert_tree()
+        self._check_tree()
 
-    def _assert_tree(self) -> None:
-        n = len(self.vertices)
-        if n == 0:
-            return
-        if len(self.edges) != n - 1:
+    def _check_tree(self) -> None:
+        """|V| - 1 edges and no cycle, which together force connectedness.
+
+        Cycles are found by union-find with path halving, so checking keeps
+        no adjacency on the tree.
+        """
+        if self.vertices and len(self.edges) != len(self.vertices) - 1:
             raise ValueError("edge count is not vertex count - 1")
-        seen = {self.vertices[0]}
-        frontier = [self.vertices[0]]
-        while frontier:
-            v = frontier.pop()
-            for w, _, _ in self.adjacency().get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        if len(seen) != n:
-            raise ValueError("tree is not connected")
+        parent = {v: v for v in self.vertices}
+        for s, t, _ in self.edges:
+            while parent[s] != s:
+                parent[s] = s = parent[parent[s]]
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]
+            if s == t:
+                raise ValueError("tree is not connected")
+            parent[s] = t
 
     def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
-        """v -> list of (neighbor, signed color, edge index); sign -1 on incoming."""
+        """v -> list of (neighbor, signed color, edge index); sign -1 on incoming.
+
+        Built on first use and kept on the tree.
+        """
         if self._adj is None:
             adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
             for i, (s, t, c) in enumerate(self.edges):
@@ -309,7 +314,6 @@ class TreeSubstitution:
                 origin.append(idx)
         order = sorted(range(len(new_edges)), key=lambda i: new_edges[i])
         result = ColoredTree(self.d, [new_edges[i] for i in order], root=tree.root)
-        assert len(result.edges) == len(new_edges), "pattern instantiation collided"
         return ApplyResult(result, tuple(origin[i] for i in order), born)
 
     def trunk_matrix(self) -> np.ndarray:
@@ -363,20 +367,38 @@ def initial_tree(d: int) -> ColoredTree:
     for _ in range(d - 1):
         t = ts.apply(t).tree
     centers = [v for v in t.vertices if t.degree(v) == d]
-    assert len(centers) == 1, "seed iteration did not produce a star"
+    if len(centers) != 1:
+        raise ValueError("seed iteration did not produce a star")
     center = centers[0]
     colors = sorted(c for _, c, _ in t.adjacency()[center])
-    assert colors == list(range(1, d + 1)), "star colors are not 1..d"
+    if colors != list(range(1, d + 1)):
+        raise ValueError("star colors are not 1..d")
     relabel = {center: 0}
     for w, sc, _ in t.adjacency()[center]:
-        assert sc > 0, "star edge pointing at the center"
+        if sc < 0:
+            raise ValueError("star edge pointing at the center")
         relabel[w] = sc
     edges = [(relabel[s], relabel[t_], c) for s, t_, c in t.edges]
     return ColoredTree(d, edges, root=0)
 
 
+class NewCenter(NamedTuple):
+    """A branch point born at one stage on the 2-edge src -> dst it replaced."""
+
+    vertex: int
+    edge: int                  # index of the replaced edge one stage earlier
+    src: int                   # the center's color-d neighbor
+    dst: int                   # the center's color-1 neighbor
+    leaves: tuple[int, ...]    # its fresh leaves, on colors d+1, ..., 2d-2
+
+
 class TreeIteration:
-    """Stage-indexed iteration T_0^s, T_1^s, ... with provenance maps."""
+    """Stage-indexed iteration T_0^s, T_1^s, ... with provenance maps.
+
+    Besides the trees it records, per stage, the vertices born there
+    (`born`) and the same births grouped into new centers (`centers`), so
+    stage loops need no adjacency to find them.
+    """
 
     def __init__(self, d: int):
         self.d = d
@@ -384,24 +406,45 @@ class TreeIteration:
         self.trees: list[ColoredTree] = [initial_tree(d)]
         self.origins: list[tuple[int, ...]] = []   # stage n edge -> stage n-1 edge
         self.born: list[dict[int, int]] = [{}]     # vertex -> replaced edge at birth
+        self.centers: list[tuple[NewCenter, ...]] = [()]
         self.birth_stage: dict[int, int] = {v: 0 for v in self.trees[0].vertices}
 
     def tree_at(self, n: int) -> ColoredTree:
         if n < 0:
             raise ValueError(f"stage must be >= 0, got {n}")
         while len(self.trees) <= n:
-            res = self.subst.apply(self.trees[-1])
+            prev = self.trees[-1]
+            res = self.subst.apply(prev)
             self.trees.append(res.tree)
             self.origins.append(res.edge_origin)
             self.born.append(res.born)
+            self.centers.append(self._new_centers(prev, res.born))
             stage = len(self.trees) - 1
             for v in res.born:
                 self.birth_stage[v] = stage
         return self.trees[n]
 
+    def _new_centers(self, prev: ColoredTree, born: dict[int, int]) -> tuple[NewCenter, ...]:
+        """Group the births of one stage into the stars grown on 2-edges.
+
+        The 2-rule gives its fresh ids first to P1, the center (X on color
+        d, Y on color 1), then to its leaves P2, ..., P(d-1); `born` lists
+        them in that order, d - 1 per replaced edge.
+        """
+        fresh = list(born.items())
+        out = []
+        for i in range(0, len(fresh), self.d - 1):
+            (v, e), *leaves = fresh[i : i + self.d - 1]
+            src, dst, color = prev.edges[e]
+            if color != 2 or any(f != e for _, f in leaves):
+                raise ValueError("centers can only replace 2-colored edges")
+            out.append(NewCenter(v, e, src, dst, tuple(w for w, _ in leaves)))
+        return tuple(out)
+
     def ancestor_edge(self, stage: int, edge_idx: int, base: int) -> int:
         """Index in T_base^s of the edge that edge_idx at `stage` descends from."""
-        assert base <= stage
+        if base > stage:
+            raise ValueError(f"base stage {base} is after stage {stage}")
         i = edge_idx
         for k in range(stage, base, -1):
             i = self.origins[k - 1][i]

@@ -104,6 +104,14 @@ def family_substitution(d: int) -> Substitution:
     return Substitution(images)
 
 
+@lru_cache(maxsize=None)
+def power_image(d: int, k: int) -> Word:
+    """sigma^k(1), the building block of fixed-point prefixes and branch labels."""
+    if k < 0:
+        raise ValueError(f"power must be >= 0, got {k}")
+    return family_substitution(d)(power_image(d, k - 1)) if k else bytes([1])
+
+
 @lru_cache(maxsize=8)
 def _fixed_point_cache(d: int, min_len: int) -> Word:
     sub = family_substitution(d)
@@ -137,7 +145,8 @@ def perron(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """
     m = np.asarray(m)
     n = m.shape[0]
-    assert m.shape == (n, n), "square matrix required"
+    if m.shape != (n, n):
+        raise ValueError("square matrix required")
     if (m < 0).any():
         raise ValueError("nonnegative matrix required")
     # Wielandt's bound: primitive iff m^(n^2-2n+2) is positive
@@ -156,8 +165,10 @@ def perron(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     k2 = int(np.argmax(lvals.real))
     left = lvecs[:, k2].real
     left = left / left[0]
-    assert np.allclose(m @ right, lam * right, atol=1e-9)
-    assert np.allclose(left @ m, lam * left, atol=1e-9)
+    if not np.allclose(m @ right, lam * right, atol=1e-9):
+        raise ValueError("right Perron vector fails the eigen equation")
+    if not np.allclose(left @ m, lam * left, atol=1e-9):
+        raise ValueError("left Perron vector fails the eigen equation")
     return lam, left, right
 
 

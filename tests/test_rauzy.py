@@ -1,8 +1,12 @@
 """Planar projection, orbit clouds, and the plot artifacts."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from treesubst import cli, core, rauzy
+from treesubst.trees import TreeIteration
 from treesubst.words import family_substitution, fixed_point_prefix, word_str
 from treesubst.rauzy import (
     check_boundedness,
@@ -165,3 +169,45 @@ def test_tiny_cloud_svg(tmp_path):
     text = p.read_text()
     assert text.count("<circle") == len(cloud)
     assert "</svg>" in text
+
+
+# SHA-256 of the arc:4 tags at depth 20000 (joined by newlines) and of the
+# zeta_cloud(n, 3000) CSV for n = 0..4, as first produced by the orbit index
+ARC4_TAGS_SHA256 = "1449b0c3c2d1bc8c6a4ef2153cd3a191d9c6eaf6c5fdbe34a2f3b7ad605ff24f"
+ZETA_CSV_SHA256 = [
+    "6445523bf1ee94aab06d55a97da872d9506b2dfe9cadfaafba683c3ae68f8e5f",
+    "c02d9a7096040422df029120bc460cfdd66a15a33825ee4633a7600325ae18ab",
+    "144daf6887fb89019405e344c0ef8d680715667f182533ea40fdca902e5e847e",
+    "5de5c940f808dbf9ed739183581565b2238d7fc4b3184d50adc3b29614430ce5",
+    "dfd3a508587295fc93dcda400ae5f4fae74d7dd506c324ea28f69919fee1c22f",
+]
+
+
+def test_arc_tags_pinned():
+    tags = fractal_cloud(20000, "arc:4").tags
+    assert hashlib.sha256("\n".join(tags).encode()).hexdigest() == ARC4_TAGS_SHA256
+
+
+def test_zeta_csv_pinned(tmp_path):
+    for n, want in enumerate(ZETA_CSV_SHA256):
+        path = tmp_path / f"zeta{n}.csv"
+        export_csv(zeta_cloud(n, 3000), str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, n
+
+
+def test_clouds_and_gen_build_no_private_iteration(monkeypatch, tmp_path):
+    core.shared_scan(3)
+    rauzy._orbit_index.cache_clear()
+    built = []
+    init = TreeIteration.__init__
+
+    def counting_init(self, d):
+        built.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(TreeIteration, "__init__", counting_init)
+    fractal_cloud(3000, "arc:4")
+    zeta_cloud(2, 3000)
+    out = tmp_path / "t.csv"
+    assert cli.main(["gen", "--n", "4", "--format", "csv", "--out", str(out)]) == 0
+    assert built == []

@@ -23,6 +23,9 @@ def test_tree_rejects_non_trees():
         ColoredTree(3, [(0, 1, 7)])                   # color out of range
     with pytest.raises(ValueError):
         ColoredTree(3, [(0, 0, 1)])                   # loop
+    with pytest.raises(ValueError, match="not connected"):
+        # |V| - 1 edges, so only the connectivity check can catch it
+        ColoredTree(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1)])
 
 
 def test_path_word_signs():
@@ -96,6 +99,28 @@ def test_born_vertices_and_origins():
         assert 0 <= e < len(it.tree_at(0).edges)
     # every stage-1 edge descends from a stage-0 edge
     assert len(it.origins[0]) == len(t1.edges)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_new_center_record_matches_adjacency(d):
+    it = TreeIteration(d)
+    it.tree_at(8)
+    # the record is built without adjacency, and none is left on the new trees
+    assert all(t._adj is None for t in it.trees[1:])
+    for n in range(1, 9):
+        tree = it.tree_at(n)
+        born = it.born[n]
+        centers = [v for v in born if tree.degree(v) == d]
+        leaves = {v for v in born if tree.degree(v) == 1}
+        record = it.centers[n]
+        assert [c.vertex for c in record] == sorted(centers)
+        assert {z for c in record for z in c.leaves} == leaves
+        for c in record:
+            nbr = {sc: w for w, sc, _ in tree.adjacency()[c.vertex]}
+            assert (c.src, c.dst) == (nbr[d], nbr[1])
+            assert c.leaves == tuple(nbr[d + h] for h in range(1, d - 1))
+            assert it.tree_at(n - 1).edges[c.edge] == (c.src, c.dst, 2)
+            assert born[c.vertex] == c.edge
 
 
 def test_ancestor_edge_chains():

@@ -23,6 +23,7 @@ from treesubst.words import (
     measure_recursion_gap,
     measure_spectrum,
     perron,
+    power_image,
     word_from_str,
     word_str,
 )
@@ -33,6 +34,15 @@ def test_family_images():
     assert sub.images == {1: b"\x01\x02", 2: b"\x03", 3: b"\x01"}
     sub4 = family_substitution(4)
     assert sub4.images == {1: b"\x01\x02", 2: b"\x03", 3: b"\x04", 4: b"\x01"}
+
+
+def test_power_image_iterates_the_substitution():
+    for d in (3, 4, 5):
+        sub = family_substitution(d)
+        for k in range(13):
+            assert power_image(d, k) == sub.iterate(b"\x01", k)
+    with pytest.raises(ValueError):
+        power_image(3, -1)
 
 
 def test_family_rejects_small_d():
