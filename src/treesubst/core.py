@@ -26,15 +26,12 @@ from .freegroup import (
 )
 from .prefix_suffix import automatic_writing
 from .realization import FreePoint, Realization, distance
-from .trees import ColoredTree, TreeIteration, path_steps
+from .trees import ColoredTree, TreeIteration
 from .words import (
     Word,
     bispecials_by_generation,
-    cylinder_measure,
     factors,
     fixed_point_prefix,
-    measure_spectrum,
-    MeasureSpectrum,
     power_image,
     word_str,
 )
@@ -106,15 +103,6 @@ class Arc:
     @property
     def word(self) -> Word:
         return to_positive(invert(self.label))
-
-
-@dataclass
-class PartitionReport:
-    m: int
-    cylinders: list[tuple[str, float]]
-    class_count: int
-    determined_by: int | None
-    spectrum: MeasureSpectrum
 
 
 def _hull(tree: ColoredTree, vertices: set[int]) -> tuple[set[int], set[int]]:
@@ -363,29 +351,27 @@ class CoreScan:
     # -- simple arcs --------------------------------------------------------
 
     def simple_arcs(self, n: int) -> list[Arc]:
-        """Each stage-n edge with its first strictly interior branch point."""
+        """Each stage-n edge with its first strictly interior branch point.
+
+        The branch points strictly inside the path of edge e in a deeper
+        tree are the centers born inside e on the embedded stage-n tree.
+        """
         d = self.d
         self.extend_to(n + 2 * d - 2)
-        tree = self.it.tree_at(n)
+        arc, on = self.it.descent(n, n + 2 * d - 2)
+        first: dict[int, tuple[int, list[int]]] = {}   # edge -> (k, its centers at n + k)
+        for k in range(1, 2 * d - 1):
+            for c in self.it.centers[n + k]:
+                if on[c.vertex]:
+                    k0, centers = first.setdefault(arc[c.vertex], (k, []))
+                    if k0 == k:
+                        centers.append(c.vertex)
         arcs = []
-        for idx, (s, t, c) in enumerate(tree.edges):
-            found = None
-            for k in range(1, 2 * d - 1):
-                deeper = self.it.tree_at(n + k)
-                interior = [
-                    v
-                    for v, _ in path_steps(deeper.adjacency(), s, t)[:-1]
-                    if deeper.degree(v) == d
-                ]
-                if len(interior) == 1:
-                    found = (k, interior[0])
-                    break
-                if len(interior) > 1:
-                    break
-            if found is None:
+        for idx, (s, t, c) in enumerate(self.it.tree_at(n).edges):
+            k, centers = first.get(idx, (0, []))
+            if len(centers) != 1:
                 raise RuntimeError(f"edge {idx} at stage {n}: no single branch")
-            k, center = found
-            arcs.append(Arc(n, idx, s, t, c, k, center, self.labels[center]))
+            arcs.append(Arc(n, idx, s, t, c, k, centers[0], self.labels[centers[0]]))
         return arcs
 
     def check_initial_arcs(self) -> list[str]:
@@ -404,12 +390,11 @@ class CoreScan:
 
     def _arc_interiors(self, arcs: list[Arc], deep: int) -> list[set[int]]:
         self.extend_to(deep)
-        self.it.tree_at(deep)
-        n = arcs[0].stage
+        arc, _ = self.it.descent(arcs[0].stage, deep)
         owner: dict[int, set[int]] = {a.edge_index: set() for a in arcs}
-        for v, b in self.it.birth_stage.items():
-            if n < b <= deep:
-                owner[self.it.vertex_provenance(v, n)].add(v)
+        for v, e in enumerate(arc):
+            if e >= 0:
+                owner[e].add(v)
         return [owner[a.edge_index] for a in arcs]
 
     def check_arc_overlaps(self, n: int) -> list[str]:
@@ -454,10 +439,11 @@ class CoreScan:
             failures.append(f"stage {n}: suffixes miss some length-{m} factors")
         self.extend_to(deep)
         by_edge = {arc.edge_index: arc for arc in arcs}
+        born_in, _ = self.it.descent(n, deep)
         for v, stage in self.apparition.items():
             if not n < stage <= deep:
                 continue
-            arc = by_edge[self.it.vertex_provenance(v, n)]
+            arc = by_edge[born_in[v]]
             u = to_positive(invert(self.labels[v]))
             if u[-len(arc.word):] != arc.word:
                 failures.append(
@@ -565,25 +551,3 @@ class CoreScan:
 def shared_scan(d: int) -> CoreScan:
     """Process-wide scan reused by audits and the command line."""
     return CoreScan(d)
-
-
-def branch_inventory(d: int, m: int) -> set[GroupWord]:
-    return shared_scan(d).inventory(m)
-
-
-def partition_report(d: int, m: int, prefix_len: int | None = None) -> PartitionReport:
-    """Measure classes of the length-m cylinders and who determines them."""
-    kwargs = {} if prefix_len is None else {"prefix_len": prefix_len}
-    spectrum = measure_spectrum(d, m, **kwargs)
-    cylinders = [
-        (word_str(u), cylinder_measure(d, u, **kwargs))
-        for u in sorted(factors(d, m))
-    ]
-    determined_by: int | None
-    if m == 1:
-        determined_by = 0
-    else:
-        determined_by = next(
-            (n for n in range(1, m + 1) if len(l_word(d, n)) + 1 == m), None
-        )
-    return PartitionReport(m, cylinders, spectrum.class_count, determined_by, spectrum)

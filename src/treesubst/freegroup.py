@@ -14,8 +14,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-import numpy as np
-
 from .words import Word, family_substitution, power_image
 
 GroupWord = tuple[int, ...]
@@ -103,16 +101,6 @@ def family_inverse(d: int) -> Automorphism:
     for k in range(3, d + 1):
         images[k] = (k - 1,)
     return Automorphism(d, images)
-
-
-def abelianize(d: int, w: GroupWord) -> np.ndarray:
-    """Signed letter counts in Z^d."""
-    v = np.zeros(d, dtype=np.int64)
-    for x in w:
-        if not 1 <= abs(x) <= d:
-            raise ValueError(f"letter {x} outside +-1..{d}")
-        v[abs(x) - 1] += 1 if x > 0 else -1
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 States are the letters 1..d.  There is a transition a -> b labelled
 (p, a, s) whenever sigma(b) = p.a.s, so walking the automaton spells out
 how a letter sits inside iterated images.  A development is a finite
-admissible label sequence; the reconstruction identity turns it back
-into sigma^k(a_k).
+admissible label sequence; the development of a shifted fixed point
+spells out its tail.
 """
 
 from __future__ import annotations
@@ -42,9 +42,6 @@ class PrefixSuffixAutomaton:
                 self.transitions.append(Transition(a, b, img[:i], a, img[i + 1 :]))
         self.transitions.sort(key=lambda t: (t.src, t.dst, t.prefix, t.suffix))
 
-    def out_edges(self, state: int) -> list[Transition]:
-        return [t for t in self.transitions if t.src == state]
-
     def dst_of_label(self, label: tuple[Word, int, Word]) -> int:
         """Recover the target state: the letter whose image is p.a.s."""
         p, a, s = label
@@ -73,54 +70,6 @@ def is_admissible(d: int, dev: Development) -> bool:
         if auto.dst_of_label(cur) != nxt[1]:
             return False
     return True
-
-
-def reconstruct(d: int, dev: Development) -> Word:
-    """Assemble sigma^(k-1)(p_(k-1))...p_0 . a_0 . s_0 ... sigma^(k-1)(s_(k-1)).
-
-    For k labels the result equals sigma^k(a_k) where a_k is the final
-    state of the walk; that identity is checked before returning.
-    """
-    if not dev:
-        raise ValueError("empty development")
-    if not is_admissible(d, dev):
-        raise ValueError("development is not an admissible path")
-    sub = family_substitution(d)
-    auto = build_automaton(d)
-    k = len(dev)
-    left = EMPTY
-    right = EMPTY
-    for i in range(k - 1, 0, -1):
-        left += sub.iterate(dev[i][0], i)
-    left += dev[0][0]
-    middle = bytes([dev[0][1]])
-    right += dev[0][2]
-    for i in range(1, k):
-        right += sub.iterate(dev[i][2], i)
-    word = left + middle + right
-    final_state = auto.dst_of_label(dev[-1])
-    if word != sub.iterate(bytes([final_state]), k):
-        raise ValueError("reconstruction identity broke")
-    return word
-
-
-def all_paths(d: int, k: int) -> list[Development]:
-    """Every admissible development of exactly k labels."""
-    auto = build_automaton(d)
-    out: list[Development] = []
-
-    def walk(state: int, acc: list[tuple[Word, int, Word]]):
-        if len(acc) == k:
-            out.append(tuple(acc))
-            return
-        for t in auto.out_edges(state):
-            acc.append(t.label())
-            walk(t.dst, acc)
-            acc.pop()
-
-    for a in range(1, d + 1):
-        walk(a, [])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -153,11 +102,6 @@ def automatic_writing(d: int, u: Word) -> list[int]:
         rest = rest[len(top):]
     exps.reverse()
     return exps
-
-
-def writing_word(d: int, exps: list[int]) -> Word:
-    """Concatenation sigma^(a_p)(1)...sigma^(a_0)(1) for ascending exponents."""
-    return EMPTY.join(power_image(d, a) for a in reversed(exps))
 
 
 def shift_development(d: int, k: int, depth: int) -> Development:

@@ -137,15 +137,9 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     stage n has the label of its replaced edge's source extended by
     sigma^(n-1)(1^-1), as in `CoreScan._scan_stage`, so only lengths are
     kept; the center of label length i realizes the prefix of length i.
-    Its arc is its base-stage provenance.  It lies on the embedded base
-    tree when both ends of its replaced edge do: fresh leaves never do,
-    and a center inherits the status of the edge it splits.
+    Its arc and on-tree status are those of `TreeIteration.descent`.
     """
     it = shared_scan(3).it
-    arc_of = np.full(depth + 1, -1, dtype=np.int64)
-    on_tree = np.zeros(depth + 1, dtype=bool)
-    on_tree[: len(l_word(3, base)) + 1] = True
-    on = set(it.tree_at(base).vertices)
     length = {0: 0}
     stage = longest = 0   # longest label so far, the length of l_word(3, stage)
     while stage < base or longest < depth:
@@ -155,13 +149,14 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
         for c in it.centers[stage]:
             lab_len = length[c.vertex] = length[c.src] + step
             longest = max(longest, lab_len)
-            if stage <= base:
-                continue
-            if c.src in on and c.dst in on:
-                on.add(c.vertex)
-            if lab_len <= depth:
-                arc_of[lab_len] = it.vertex_provenance(c.vertex, base)
-                on_tree[lab_len] = c.vertex in on
+    arc, on = it.descent(base, stage)
+    arc_of = np.full(depth + 1, -1, dtype=np.int64)
+    on_tree = np.zeros(depth + 1, dtype=bool)
+    on_tree[: len(l_word(3, base)) + 1] = True
+    for v, lab_len in length.items():
+        if arc[v] >= 0 and lab_len <= depth:   # born after base
+            arc_of[lab_len] = arc[v]
+            on_tree[lab_len] = on[v]
     return arc_of, on_tree
 
 
@@ -305,24 +300,6 @@ def check_translate_congruence(
                     f"class lambda^-{j}: {a} vs {b} rms {rms / diam:.4f} of diameter"
                 )
     return failures
-
-
-def projection_collisions(depth: int, tol: float = 1e-9) -> list[tuple[int, int]]:
-    """Pairs of distinct prefix lengths landing on the same plane point.
-
-    Reported, not resolved: the planar picture is allowed to collapse
-    distinct tree points.
-    """
-    pts = _projected_prefix_orbit(depth)
-    keys = np.round(pts / tol).astype(np.int64)
-    seen: dict[tuple[int, int], int] = {}
-    out = []
-    for i, key in enumerate(map(tuple, keys)):
-        if key in seen:
-            out.append((seen[key], i))
-        else:
-            seen[key] = i
-    return out
 
 
 # -- artifacts --------------------------------------------------------------

@@ -102,10 +102,6 @@ def median(a: FreePoint, b: FreePoint, c: FreePoint) -> FreePoint:
     return a * common_prefix(ab, ac)
 
 
-def on_segment(x: FreePoint, a: FreePoint, b: FreePoint) -> bool:
-    return distance(a, x) + distance(x, b) == distance(a, b)
-
-
 def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLength:
     return distance(x, median(a, b, x))
 

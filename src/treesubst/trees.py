@@ -137,13 +137,6 @@ class ColoredTree:
             "edges": [list(e) for e in self.edges],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "ColoredTree":
-        t = cls(data["d"], [tuple(e) for e in data["edges"]], root=data.get("root"))
-        if sorted(data["vertices"]) != list(t.vertices):
-            raise ValueError("vertex list disagrees with edges")
-        return t
-
     def to_dot(self) -> str:
         palette = ["black", "red", "blue", "green3", "orange", "purple",
                    "brown", "cyan3", "magenta", "gray40"]
@@ -223,7 +216,6 @@ class ValidationReport:
 @dataclass
 class ApplyResult:
     tree: ColoredTree
-    edge_origin: tuple[int, ...]      # new edge index -> old edge index
     born: dict[int, int]              # fresh vertex -> old edge index it replaces
 
 
@@ -297,24 +289,21 @@ class TreeSubstitution:
     def apply(self, tree: ColoredTree) -> ApplyResult:
         """Replace every edge by its pattern; placeholders get fresh ids."""
         next_id = max(tree.vertices) + 1 if tree.vertices else 0
+        patterns = {c: (pat.placeholders(), pat.edges) for c, pat in self.rules.items()}
         new_edges: list[Edge] = []
-        origin: list[int] = []
         born: dict[int, int] = {}
         for idx, (s, t, c) in enumerate(tree.edges):
-            if c not in self.rules:
+            if c not in patterns:
                 raise ValueError(f"no rule for color {c}")
-            pat = self.rules[c]
+            places, edges = patterns[c]
             assign = {ANCHOR_SRC: s, ANCHOR_DST: t}
-            for p in pat.placeholders():
+            for p in places:
                 assign[p] = next_id
                 born[next_id] = idx
                 next_id += 1
-            for ps, pt, pc in pat.edges:
+            for ps, pt, pc in edges:
                 new_edges.append((assign[ps], assign[pt], pc))
-                origin.append(idx)
-        order = sorted(range(len(new_edges)), key=lambda i: new_edges[i])
-        result = ColoredTree(self.d, [new_edges[i] for i in order], root=tree.root)
-        return ApplyResult(result, tuple(origin[i] for i in order), born)
+        return ApplyResult(ColoredTree(self.d, new_edges, root=tree.root), born)
 
     def trunk_matrix(self) -> np.ndarray:
         """t[i,j] = edges of color i+1 on the anchor path of the pattern for j+1."""
@@ -393,19 +382,18 @@ class NewCenter(NamedTuple):
 
 
 class TreeIteration:
-    """Stage-indexed iteration T_0^s, T_1^s, ... with provenance maps.
+    """Stage-indexed iteration T_0^s, T_1^s, ... with a record of births.
 
-    Besides the trees it records, per stage, the vertices born there
-    (`born`) and the same births grouped into new centers (`centers`), so
-    stage loops need no adjacency to find them.
+    Besides the trees it records each vertex's birth stage and, per stage,
+    the births grouped into new centers (`centers`), so stage loops need no
+    adjacency to find them.  Fresh ids count up from the previous maximum,
+    so the vertices of T_n are 0, ..., |V_n| - 1.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.subst = family_tree_substitution(d)
         self.trees: list[ColoredTree] = [initial_tree(d)]
-        self.origins: list[tuple[int, ...]] = []   # stage n edge -> stage n-1 edge
-        self.born: list[dict[int, int]] = [{}]     # vertex -> replaced edge at birth
         self.centers: list[tuple[NewCenter, ...]] = [()]
         self.birth_stage: dict[int, int] = {v: 0 for v in self.trees[0].vertices}
 
@@ -416,8 +404,6 @@ class TreeIteration:
             prev = self.trees[-1]
             res = self.subst.apply(prev)
             self.trees.append(res.tree)
-            self.origins.append(res.edge_origin)
-            self.born.append(res.born)
             self.centers.append(self._new_centers(prev, res.born))
             stage = len(self.trees) - 1
             for v in res.born:
@@ -441,22 +427,32 @@ class TreeIteration:
             out.append(NewCenter(v, e, src, dst, tuple(w for w, _ in leaves)))
         return tuple(out)
 
-    def ancestor_edge(self, stage: int, edge_idx: int, base: int) -> int:
-        """Index in T_base^s of the edge that edge_idx at `stage` descends from."""
-        if base > stage:
-            raise ValueError(f"base stage {base} is after stage {stage}")
-        i = edge_idx
-        for k in range(stage, base, -1):
-            i = self.origins[k - 1][i]
-        return i
+    def descent(self, base: int, upto: int) -> tuple[list[int], list[bool]]:
+        """Per vertex of T_upto^s: the T_base^s edge it was born inside, and
+        whether it lies on the embedded T_base^s.
 
-    def vertex_provenance(self, v: int, base: int) -> int | None:
-        """Stage-base ancestor edge a later-born vertex descends from.
-
-        None for vertices that already exist in T_base^s.
+        The edge is -1 for the vertices of T_base^s, which all lie on it.
+        One forward pass over the new centers: every edge that a later-born
+        vertex touches descends from the base edge that vertex was born
+        inside, and an edge between two base vertices is a base edge
+        recolored.  A center lies on the embedded base tree iff both ends
+        of the edge it split do; fresh leaves never do.
         """
-        b = self.birth_stage[v]
-        if b <= base:
-            return None
-        replaced = self.born[b][v]          # edge index in T_(b-1)^s
-        return self.ancestor_edge(b - 1, replaced, base)
+        if base > upto:
+            raise ValueError(f"base stage {base} is after stage {upto}")
+        size = len(self.tree_at(upto).vertices)
+        base_tree = self.trees[base]
+        old = len(base_tree.vertices)
+        edge_of = {(s, t): i for i, (s, t, _) in enumerate(base_tree.edges)}
+        arc = [-1] * size
+        on = [True] * old + [False] * (size - old)
+        for stage in range(base + 1, upto + 1):
+            for c in self.centers[stage]:
+                e = max(arc[c.src], arc[c.dst])
+                if e < 0:
+                    e = edge_of[c.src, c.dst]
+                arc[c.vertex] = e
+                for z in c.leaves:
+                    arc[z] = e
+                on[c.vertex] = on[c.src] and on[c.dst]
+        return arc, on

@@ -29,10 +29,6 @@ def word_str(w: Word) -> str:
     return "".join(str(c) for c in w)
 
 
-def word_from_str(s: str) -> Word:
-    return bytes(int(c) for c in s)
-
-
 class Substitution:
     """A non-erasing substitution letter -> word on letters 1..d.
 
@@ -137,41 +133,6 @@ def growth_root(d: int) -> float:
     return trinomial_root(d, d - 1)
 
 
-def perron(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Dominant eigen-data (value, left, right) of a primitive matrix.
-
-    The right eigenvector is normalized to sum 1, the left one to first
-    entry 1.  Raises ValueError when the matrix is not primitive.
-    """
-    m = np.asarray(m)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise ValueError("square matrix required")
-    if (m < 0).any():
-        raise ValueError("nonnegative matrix required")
-    # Wielandt's bound: primitive iff m^(n^2-2n+2) is positive
-    power = np.identity(n, dtype=bool)
-    booleans = m > 0
-    for _ in range(n * n - 2 * n + 2):
-        power = power @ booleans
-    if not power.all():
-        raise ValueError("matrix is not primitive")
-    vals, vecs = np.linalg.eig(m.astype(float))
-    k = int(np.argmax(vals.real))
-    lam = vals[k].real
-    right = vecs[:, k].real
-    right = right / right.sum()
-    lvals, lvecs = np.linalg.eig(m.T.astype(float))
-    k2 = int(np.argmax(lvals.real))
-    left = lvecs[:, k2].real
-    left = left / left[0]
-    if not np.allclose(m @ right, lam * right, atol=1e-9):
-        raise ValueError("right Perron vector fails the eigen equation")
-    if not np.allclose(left @ m, lam * left, atol=1e-9):
-        raise ValueError("left Perron vector fails the eigen equation")
-    return lam, left, right
-
-
 # ---------------------------------------------------------------------------
 # language enumeration
 
@@ -258,13 +219,6 @@ def bispecials_by_generation(d: int, max_len: int) -> list[Word]:
 # cylinder measures
 
 DEFAULT_PREFIX_LEN = 10**6
-
-
-def cylinder_measure(d: int, u: Word, prefix_len: int = DEFAULT_PREFIX_LEN) -> float:
-    """Sliding-window frequency of u among the first prefix_len positions."""
-    if len(u) == 0:
-        return 1.0
-    return dict(_window_counts(d, len(u), prefix_len)).get(u, 0) / prefix_len
 
 
 _BLOCK = 1 << 16   # window positions coded per np.unique call

@@ -10,8 +10,6 @@ from treesubst.freegroup import cancellation_report, nielsen_probe, tribonacci_i
 from treesubst.words import (
     DEFAULT_PREFIX_LEN,
     bispecials_by_generation,
-    cylinder_measure,
-    growth_root,
     measure_spectrum,
 )
 from treesubst import core, rauzy, verify
@@ -94,11 +92,15 @@ def test_c09_partition_measures():
     seq = [core.determined_partition(3, n) for n in range(6)]
     if seq != [1, 2, 3, 5, 7, 11]:
         failures.append(f"determined lengths {seq} != [1, 2, 3, 5, 7, 11]")
-    lam = growth_root(3)
-    for a, j in zip((1, 2, 3), (2, 3, 4)):
-        est = cylinder_measure(3, bytes([a]))
-        if abs(est - lam**-j) > 1e-3:
-            failures.append(f"letter {a}: measure {est:.6f} not lambda^-{j}")
+    # lambda^-2, lambda^-3, lambda^-4 lie more than 0.09 apart, so a snap within
+    # 1e-3 is |estimate - lambda^-j| < 1e-3 for each letter
+    letters = measure_spectrum(3, 1)
+    want = {bytes([a]): j for a, j in zip((1, 2, 3), (2, 3, 4))}
+    if letters.snapped_exponents != want or not letters.ok(1e-3):
+        failures.append(
+            f"letter measures snap to {letters.snapped_exponents}, want {want} "
+            f"(residual {letters.max_residual:.2e})"
+        )
     for m, want in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 4), (7, 4), (11, 4)):
         failures += verify.measure_snapping(3, (m,), 1e-3, DEFAULT_PREFIX_LEN)
         spec = measure_spectrum(3, m)

@@ -1,4 +1,5 @@
-"""Checks in the package raise ValueError, so they survive python -O."""
+"""Static guards on the package: checks raise ValueError, so they survive
+python -O, and every public function or class has a caller in the package."""
 
 import ast
 import os
@@ -19,7 +20,7 @@ from treesubst.trees import TreeIteration
 
 for call in (
     lambda: FreePoint.syllable(3, 7, ExactLength.one(3)),
-    lambda: TreeIteration(3).ancestor_edge(1, 0, 2),
+    lambda: TreeIteration(3).descent(2, 1),
 ):
     try:
         call()
@@ -47,3 +48,26 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert vanishes under python -O: {found}"
+
+
+
+def test_every_public_definition_has_a_caller():
+    tops = [
+        node
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), str(path)).body
+    ]
+    # names each module-level statement refers to, by Name or Attribute
+    refs = [
+        {n.id for n in ast.walk(top) if isinstance(n, ast.Name)}
+        | {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+        for top in tops
+    ]
+    uncalled = [
+        node.name
+        for node in tops
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
+    ]
+    assert uncalled == [], f"public API with no caller in the package: {uncalled}"

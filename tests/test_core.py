@@ -4,15 +4,13 @@ import pytest
 
 from treesubst.algnum import ExactLength
 from treesubst.freegroup import invert, to_positive
-from treesubst.words import growth_root, word_str
+from treesubst.words import measure_spectrum, word_str
 from treesubst.core import (
     CoreScan,
     apparition_of_empty,
-    branch_inventory,
     determined_partition,
     l_word,
     legal_path_distance,
-    partition_report,
     shared_scan,
 )
 
@@ -67,7 +65,7 @@ def test_inventory_counts():
 
 
 def test_branch_inventory_is_suffix_set():
-    inv = branch_inventory(3, 4)
+    inv = shared_scan(3).inventory(4)
     l4 = l_word(3, 4)
     assert inv == {l4[i:] for i in range(len(l4) + 1)}
 
@@ -170,29 +168,35 @@ def test_path_distances():
         assert scan.check_path_distances(n) == []
 
 
+# The partition report of length m: its measure classes, and the stage
+# (if any) whose tree determines the length-m partition.
+
+
+def _determined_by(m):
+    return [n for n in range(m + 1) if determined_partition(3, n) == m]
+
+
 def test_partition_report_small():
-    rep = partition_report(3, 2, prefix_len=2 * 10**5)
-    assert rep.m == 2
-    assert rep.class_count == 4
-    assert rep.determined_by == 1
-    lam = growth_root(3)
-    values = sorted({v for _, v in rep.cylinders}, reverse=True)
-    assert len(values) == 4
-    for v, j in zip(values, (3, 4, 5, 6)):
-        assert abs(v - lam**-j) < 3e-3
+    spec = measure_spectrum(3, 2, prefix_len=2 * 10**5)
+    assert spec.m == 2
+    assert spec.class_count == 4
+    assert _determined_by(2) == [1]
+    # the five cylinders fall in four classes, lambda^-3 .. lambda^-6
+    assert sorted(set(spec.snapped_exponents.values())) == [3, 4, 5, 6]
+    assert spec.ok(3e-3)
 
 
 def test_partition_report_m4_undetermined():
-    rep = partition_report(3, 4, prefix_len=2 * 10**5)
-    assert rep.class_count == 5
-    assert rep.determined_by is None
+    spec = measure_spectrum(3, 4, prefix_len=2 * 10**5)
+    assert spec.class_count == 5
+    assert _determined_by(4) == []
 
 
 def test_partition_report_m7():
-    rep = partition_report(3, 7, prefix_len=2 * 10**5)
-    assert rep.class_count == 4
-    assert rep.determined_by == 4
-    assert len(rep.cylinders) == 15
+    spec = measure_spectrum(3, 7, prefix_len=2 * 10**5)
+    assert spec.class_count == 4
+    assert _determined_by(7) == [4]
+    assert len(spec.snapped_exponents) == 15
 
 
 def test_d4_scan_basics():

@@ -4,7 +4,6 @@ import pytest
 
 from treesubst.algnum import stretch_root
 from treesubst.freegroup import (
-    abelianize,
     cancellation_report,
     concat,
     family_auto,
@@ -60,12 +59,6 @@ def test_automorphism_on_inverses():
     auto = family_auto(3)
     assert auto((-1,)) == (-2, -1)
     assert auto.iterate((1,), 3) == (1, 2, 3, 1)
-
-
-def test_abelianize():
-    assert abelianize(3, (1, -2, 1)).tolist() == [2, -1, 0]
-    with pytest.raises(ValueError):
-        abelianize(3, (4,))
 
 
 def test_p_star_letters():

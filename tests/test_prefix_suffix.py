@@ -2,16 +2,13 @@
 
 import pytest
 
-from treesubst.words import family_substitution, fixed_point_prefix, word_str
+from treesubst.words import family_substitution, fixed_point_prefix, power_image
 from treesubst.prefix_suffix import (
-    all_paths,
     automatic_writing,
     build_automaton,
     development_tail_word,
     is_admissible,
-    reconstruct,
     shift_development,
-    writing_word,
 )
 
 
@@ -32,17 +29,18 @@ def test_transition_labels_decompose_images():
 
 
 def test_admissible_path_counts():
-    # paths of length k = walks in the automaton graph from any state
-    for k in (1, 2, 3, 5):
-        paths = all_paths(3, k)
-        assert all(is_admissible(3, p) for p in paths)
-        assert len(paths) == len({p for p in paths})
-
-
-def test_reconstruct_identity():
-    for dev in all_paths(3, 4):
-        w = reconstruct(3, dev)
-        assert len(w) > 0
+    # the admissible label sequences of length k are the k-step walks in the
+    # automaton graph; every other sequence of labels is rejected
+    auto = build_automaton(3)
+    labels = [t.label() for t in auto.transitions]
+    walks = [[t] for t in auto.transitions]
+    for k in range(1, 6):
+        admissible = {tuple(t.label() for t in w) for w in walks}
+        every = [()]
+        for _ in range(k):
+            every = [seq + (lab,) for seq in every for lab in labels]
+        assert {seq for seq in every if is_admissible(3, seq)} == admissible
+        walks = [w + [t] for w in walks for t in auto.transitions if t.src == w[-1].dst]
 
 
 def test_shift_development_tail():
@@ -57,7 +55,7 @@ def test_automatic_writing_round_trip():
         text = fixed_point_prefix(d, 250)
         for n in range(251):
             exps = automatic_writing(d, text[:n])
-            assert writing_word(d, exps) == text[:n]
+            assert b"".join(power_image(d, a) for a in reversed(exps)) == text[:n]
             # ascending with gaps at least d
             for a, b in zip(exps, exps[1:]):
                 assert b - a >= d
@@ -78,5 +76,5 @@ def test_automatic_writing_rejects_non_prefixes():
 
 
 def test_writing_word_of_empty():
-    assert writing_word(3, []) == b""
-    assert word_str(writing_word(3, [2])) == "123"
+    assert automatic_writing(3, b"") == []
+    assert automatic_writing(3, bytes([1, 2, 3])) == [2]

@@ -20,7 +20,6 @@ from treesubst.rauzy import (
     boundedness_profile,
     fractal_cloud,
     parse_coloring,
-    projection_collisions,
     render_svg,
     tag_palette,
     zeta_cloud,
@@ -120,12 +119,6 @@ def test_partition_match_small_depth():
 
 def test_translate_congruence():
     assert check_translate_congruence(8000) == []
-
-
-def test_projection_collisions():
-    assert projection_collisions(2000) == []
-    crowded = projection_collisions(200, tol=1.0)
-    assert crowded and all(i < j for i, j in crowded)
 
 
 def test_parse_coloring():

@@ -15,7 +15,6 @@ from treesubst.realization import (
     common_prefix,
     distance,
     median,
-    on_segment,
     point_segment_distance,
 )
 from treesubst.trees import TreeIteration
@@ -65,8 +64,9 @@ def test_common_prefix_and_median():
     cp = common_prefix(a, b)
     assert cp == FreePoint.syllable(3, 0, _t(2))
     assert median(o, a, b) == cp
-    assert on_segment(cp, o, a)
-    assert not on_segment(a, o, b)
+    # cp lies on the segment [o, a]; a does not lie on [o, b]
+    assert distance(o, cp) + distance(cp, a) == distance(o, a)
+    assert distance(o, a) + distance(a, b) != distance(o, b)
 
 
 def test_point_segment_distance():

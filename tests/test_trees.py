@@ -1,5 +1,7 @@
 """Colored trees, substitution rules, iteration, provenance."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from treesubst.trees import (
     TreeSubstitution,
     family_tree_substitution,
     initial_tree,
+    path_steps,
 )
 
 
@@ -91,14 +94,17 @@ def test_apply_preserves_root_and_discernment():
 
 def test_born_vertices_and_origins():
     it = TreeIteration(3)
-    t1 = it.tree_at(1)
-    born = it.born[1]
+    t0, t1 = it.tree_at(0), it.tree_at(1)
+    arc, _ = it.descent(0, 1)
+    born = [v for v, b in it.birth_stage.items() if b == 1]
     assert born, "stage 1 must create vertices"
-    for v, e in born.items():
-        assert v not in it.tree_at(0).vertices
-        assert 0 <= e < len(it.tree_at(0).edges)
+    for v in born:
+        assert v not in t0.vertices
+        assert 0 <= arc[v] < len(t0.edges)
     # every stage-1 edge descends from a stage-0 edge
-    assert len(it.origins[0]) == len(t1.edges)
+    pairs = {(s, t) for s, t, _ in t0.edges}
+    for s, t, _ in t1.edges:
+        assert max(arc[s], arc[t]) >= 0 or (s, t) in pairs
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
@@ -109,7 +115,7 @@ def test_new_center_record_matches_adjacency(d):
     assert all(t._adj is None for t in it.trees[1:])
     for n in range(1, 9):
         tree = it.tree_at(n)
-        born = it.born[n]
+        born = [v for v, b in it.birth_stage.items() if b == n]
         centers = [v for v in born if tree.degree(v) == d]
         leaves = {v for v in born if tree.degree(v) == 1}
         record = it.centers[n]
@@ -120,27 +126,67 @@ def test_new_center_record_matches_adjacency(d):
             assert (c.src, c.dst) == (nbr[d], nbr[1])
             assert c.leaves == tuple(nbr[d + h] for h in range(1, d - 1))
             assert it.tree_at(n - 1).edges[c.edge] == (c.src, c.dst, 2)
-            assert born[c.vertex] == c.edge
+
+
+def _base_edge(it, arc, base, edge):
+    """Index of the T_base edge that `edge` of a later tree descends from."""
+    s, t, _ = edge
+    e = max(arc[s], arc[t])
+    if e >= 0:
+        return e
+    return [(x, y) for x, y, _ in it.tree_at(base).edges].index((s, t))
 
 
 def test_ancestor_edge_chains():
+    # born inside a stage-2 edge = born inside that edge's stage-0 ancestor
     it = TreeIteration(3)
-    it.tree_at(4)
-    for idx in range(len(it.tree_at(4).edges)):
-        a = it.ancestor_edge(4, idx, 2)
-        b = it.ancestor_edge(2, a, 0)
-        assert b == it.ancestor_edge(4, idx, 0)
+    arc40, _ = it.descent(0, 4)
+    arc42, _ = it.descent(2, 4)
+    arc20, _ = it.descent(0, 2)
+    t2 = it.tree_at(2)
+    for v in it.tree_at(4).vertices:
+        if it.birth_stage[v] > 2:
+            assert arc40[v] == _base_edge(it, arc20, 0, t2.edges[arc42[v]])
+        else:
+            assert arc40[v] == arc20[v]
 
 
 def test_vertex_provenance():
     it = TreeIteration(3)
-    it.tree_at(3)
+    arc, on = it.descent(1, 3)
+    assert len(arc) == len(on) == len(it.tree_at(3).vertices)
     for v in it.tree_at(3).vertices:
-        prov = it.vertex_provenance(v, 1)
         if it.birth_stage[v] <= 1:
-            assert prov is None
+            assert arc[v] == -1 and on[v]
         else:
-            assert 0 <= prov < len(it.tree_at(1).edges)
+            assert 0 <= arc[v] < len(it.tree_at(1).edges)
+    with pytest.raises(ValueError, match="after stage"):
+        it.descent(2, 1)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_descent_matches_path_oracle(d):
+    it = TreeIteration(d)
+    for base in range(4):
+        upto = base + 2 * d - 2
+        arc, on = it.descent(base, upto)
+        deep = it.tree_at(upto)
+        adj = deep.adjacency()
+        # on the embedded edge (s, t) = strictly inside its path in the deep tree
+        for e, (s, t, _) in enumerate(it.tree_at(base).edges):
+            inside = {v for v, _ in path_steps(adj, s, t)[:-1]}
+            assert {v for v in deep.vertices if on[v] and arc[v] == e} == inside
+        # an edge touching a later vertex stays inside that vertex's base edge
+        old = set(it.tree_at(base).vertices)
+        base_edges = it.tree_at(base).edges
+        for s, t, _ in deep.edges:
+            if s in old and t in old:
+                continue
+            if s in old or t in old:
+                b, v = (s, t) if s in old else (t, s)
+                assert b in base_edges[arc[v]][:2]
+            else:
+                assert arc[s] == arc[t] >= 0
 
 
 def test_trunk_matrix_spectrum():
@@ -164,7 +210,9 @@ def test_edge_matrix_spectrum():
 
 def test_json_round_trip():
     t = initial_tree(3)
-    assert ColoredTree.from_json(t.to_json()) == t
+    data = json.loads(json.dumps(t.to_json()))
+    assert ColoredTree(data["d"], data["edges"], root=data["root"]) == t
+    assert data["vertices"] == list(t.vertices)
 
 
 def test_dot_output_lists_every_edge():
