@@ -1,9 +1,9 @@
 """Command-line front door: generate stage trees, run audits, plot projections.
 
 Exit codes: 0 all requested checks passed, 1 some check failed, 2 bad
-usage or configuration.  The environment variable ARBRE_SUBST_SEED is
-read but ignored: every output is deterministic; the name is reserved so
-callers can set it uniformly across tools.
+usage, configuration or output path.  The environment variable
+ARBRE_SUBST_SEED is read but ignored: every output is deterministic; the
+name is reserved so callers can set it uniformly across tools.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"gen": cmd_gen, "verify": cmd_verify, "plot": cmd_plot}
     try:
         return handlers[args.command](args)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -1,7 +1,8 @@
 """Branch-point labels of the iterated trees and the structures built on them.
 
 Every branch point of a stage-n tree carries a group-word label: the inverse
-of a prefix of the fixed point.  This module computes the labels two ways
+of a prefix of the fixed point.  A label is stored as that prefix, the
+positive word it inverts.  This module computes the labels two ways
 (incrementally stage by stage, and directly from root paths), derives the
 stage inventories, simple arcs and their cylinder words, the partitions the
 trees determine, the partial-isometry system on realized branch points, and
@@ -14,16 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .algnum import ExactLength, letter_length_exact
-from .freegroup import (
-    GroupWord,
-    concat,
-    family_auto,
-    from_positive,
-    invert,
-    p_star,
-    to_positive,
-    word_text,
-)
+from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .prefix_suffix import automatic_writing
 from .realization import FreePoint, Realization, distance
 from .trees import ColoredTree, TreeIteration
@@ -42,25 +34,23 @@ def apparition_of_empty(d: int) -> int:
     return -(d - 2)
 
 
-@lru_cache(maxsize=None)
-def _power_inverse(d: int, alpha: int) -> GroupWord:
-    """sigma^alpha(1) inverted, the building block of every label."""
-    return invert(from_positive(power_image(d, alpha)))
+def _label_text(word: Word) -> str:
+    """The group-word label that inverts `word`, as `word_text` renders it."""
+    return word_text(invert(from_positive(word)))
 
 
-def l_word(d: int, m: int) -> GroupWord:
-    """Longest branch label present after m substitution steps.
+def l_word(d: int, m: int) -> Word:
+    """The word inverted by the longest branch label present after m steps.
 
-    Built as the product of sigma^a(1^-1) over exponents a = a0, a0+(d-1),
-    ..., m-1 with a0 = (m-1) mod (d-1).  Its inverse is the m-th bispecial
+    The label is the product of sigma^a(1^-1) over exponents a = a0,
+    a0+(d-1), ..., m-1 with a0 = (m-1) mod (d-1), so the word is the
+    product of the sigma^a(1) in the reverse order: the m-th bispecial
     factor of the fixed point.
     """
     if m < 0:
         raise ValueError("m must be >= 0")
-    if m == 0:
-        return ()
     a0 = (m - 1) % (d - 1)
-    return concat(*(_power_inverse(d, a) for a in range(a0, m, d - 1)))
+    return b"".join(power_image(d, a) for a in reversed(range(a0, m, d - 1)))
 
 
 def determined_partition(d: int, n: int) -> int:
@@ -87,8 +77,8 @@ class Arc:
     """One edge of a stage-n tree together with its interior-branch data.
 
     Iterating the tree substitution k more times puts exactly one branch
-    point strictly inside the path [src, dst]; its label determines the
-    positive cylinder word of the arc.
+    point strictly inside the path [src, dst]; `word`, the word its label
+    inverts, determines the cylinder of the arc.
     """
 
     stage: int
@@ -98,11 +88,7 @@ class Arc:
     color: int
     k: int
     center: int
-    label: GroupWord
-
-    @property
-    def word(self) -> Word:
-        return to_positive(invert(self.label))
+    word: Word
 
 
 def _hull(tree: ColoredTree, vertices: set[int]) -> tuple[set[int], set[int]]:
@@ -135,7 +121,8 @@ class CoreScan:
 
     The label of a stage-n center is the label of the source anchor of the
     replaced edge extended by sigma^(n-1)(1^-1); no cancellation occurs, and
-    the result is always the inverse of a fixed-point prefix.
+    the result is always the inverse of a fixed-point prefix.  `labels`
+    keeps each label as that prefix.
     """
 
     def __init__(self, d: int):
@@ -143,10 +130,9 @@ class CoreScan:
         self.auto = family_auto(d)
         self.it = TreeIteration(d)
         self.real = Realization(self.it)
-        self.labels: dict[int, GroupWord] = {0: ()}
+        self.labels: dict[int, Word] = {0: b""}
         self.apparition: dict[int, int] = {0: apparition_of_empty(d)}
         self.parent: dict[int, int] = {}
-        self.by_word: dict[GroupWord, int] = {(): 0}
         self.by_length: dict[int, int] = {0: 0}
         self.scanned = 0
 
@@ -158,33 +144,31 @@ class CoreScan:
 
     def _scan_stage(self, n: int) -> None:
         self.it.tree_at(n)
-        step = _power_inverse(self.d, n - 1)
+        step = power_image(self.d, n - 1)
         for c in self.it.centers[n]:
-            self._register(c.vertex, self.labels[c.src] + step, n, c.src)
+            self._register(c.vertex, step + self.labels[c.src], n, c.src)
         self.scanned = n
 
-    def _register(self, v: int, lab: GroupWord, stage: int, src: int) -> None:
-        length = len(lab)   # to_positive rejects a label with a positive letter
-        if to_positive(invert(lab)) != fixed_point_prefix(self.d, length):
+    def _register(self, v: int, lab: Word, stage: int, src: int) -> None:
+        if lab != fixed_point_prefix(self.d, len(lab)):
             raise ValueError("label is not a prefix inverse")
-        if length in self.by_length:
+        if len(lab) in self.by_length:
             raise ValueError("duplicate label length")
         self.labels[v] = lab
         self.apparition[v] = stage
         self.parent[v] = src
-        self.by_word[lab] = v
-        self.by_length[length] = v
+        self.by_length[len(lab)] = v
 
-    def vertex_of_label(self, lab: GroupWord) -> int:
-        try:
-            return self.by_word[lab]
-        except KeyError:
+    def vertex_of_label(self, word: Word) -> int:
+        v = self.by_length.get(len(word))
+        if v is None or self.labels[v] != word:
             raise ValueError(
-                f"label {word_text(lab)} not seen up to stage {self.scanned}"
-            ) from None
+                f"label {_label_text(word)} not seen up to stage {self.scanned}"
+            )
+        return v
 
     def writing(self, v: int) -> list[int]:
-        return automatic_writing(self.d, to_positive(invert(self.labels[v])))
+        return automatic_writing(self.d, self.labels[v])
 
     # -- direct labeling route ---------------------------------------------
 
@@ -202,7 +186,7 @@ class CoreScan:
         nxt = self.it.tree_at(n + 1)
         for v in tree.branch_points():
             direct = self.f0(n, v)
-            if direct != self.labels[v]:
+            if direct != invert(from_positive(self.labels[v])):
                 failures.append(f"stage {n} vertex {v}: direct label differs")
             g_now = p_star(self.d, tree.path_word(tree.root, v))
             g_next = p_star(self.d, nxt.path_word(nxt.root, v))
@@ -212,33 +196,36 @@ class CoreScan:
 
     # -- inventories --------------------------------------------------------
 
-    def inventory(self, m: int) -> set[GroupWord]:
+    def inventory(self, m: int) -> set[Word]:
         self.extend_to(m)
         tree = self.it.tree_at(m)
         return {self.labels[v] for v in tree.branch_points()}
 
     def check_inventory(self, m: int) -> list[str]:
-        """Stage-m labels are exactly the suffixes of the longest one."""
+        """Stage-m labels are exactly the suffixes of the longest one.
+
+        Kept as the words they invert, those are the prefixes of l_word.
+        """
         failures = []
         got = self.inventory(m)
         lm = l_word(self.d, m)
-        suffixes = {lm[i:] for i in range(len(lm) + 1)}
-        if got != suffixes:
+        prefixes = {lm[:i] for i in range(len(lm) + 1)}
+        if got != prefixes:
             failures.append(f"m={m}: inventory is not the suffix set")
         if len(got) != len(lm) + 1:
             failures.append(f"m={m}: expected {len(lm) + 1} labels, got {len(got)}")
         if 1 <= m <= self.d - 1:
             new = got - self.inventory(m - 1)
-            if new != {_power_inverse(self.d, m - 1)}:
+            if new != {power_image(self.d, m - 1)}:
                 failures.append(f"m={m}: early stage should add exactly one label")
         return failures
 
     def check_bispecial_match(self, max_m: int) -> list[str]:
         """Inverted labels coincide with the bispecial chain, suffix-ordered."""
         failures = []
-        longest = to_positive(invert(l_word(self.d, max_m)))
+        longest = l_word(self.d, max_m)
         bis = [b for b in bispecials_by_generation(self.d, len(longest)) if b]
-        words = [to_positive(invert(l_word(self.d, m))) for m in range(1, max_m + 1)]
+        words = [l_word(self.d, m) for m in range(1, max_m + 1)]
         if words != bis[: len(words)]:
             failures.append("label chain disagrees with bispecial generation")
         # suffix order on the inverses = prefix order on the positive words
@@ -293,15 +280,15 @@ class CoreScan:
             if tree.degree(y) != self.d:
                 failures.append(f"vertex {v}: 1-neighbor {y} does not branch")
                 continue
-            stripped = concat(*(_power_inverse(self.d, a) for a in exps[:-1]))
+            stripped = b"".join(power_image(self.d, a) for a in reversed(exps[:-1]))
             if self.labels.get(y) != stripped:
                 failures.append(f"vertex {v}: 1-neighbor label mismatch")
         return failures
 
     # -- realized branch points --------------------------------------------
 
-    def point_of_label(self, lab: GroupWord) -> FreePoint:
-        v = self.vertex_of_label(lab)
+    def point_of_label(self, word: Word) -> FreePoint:
+        v = self.vertex_of_label(word)
         self.real.extend_to(max(self.apparition[v], 0))
         return self.real.point(v)
 
@@ -309,13 +296,13 @@ class CoreScan:
         """Distinct stage-m labels realize as distinct points."""
         self.extend_to(m)
         self.real.extend_to(m)
-        seen: dict[FreePoint, GroupWord] = {}
+        seen: dict[FreePoint, Word] = {}
         failures = []
         for lab in sorted(self.inventory(m), key=len):
-            pt = self.real.point(self.by_word[lab])
+            pt = self.real.point(self.vertex_of_label(lab))
             if pt in seen:
                 failures.append(
-                    f"labels {word_text(seen[pt])} and {word_text(lab)} collide"
+                    f"labels {_label_text(seen[pt])} and {_label_text(lab)} collide"
                 )
             seen[pt] = lab
         return failures
@@ -327,9 +314,9 @@ class CoreScan:
                 raise ValueError("exponent gaps must be at least d")
         self.extend_to(max(exponents) + 1)
         out = []
-        lab: GroupWord = ()
+        lab = b""
         for a in exponents:
-            lab = lab + _power_inverse(self.d, a)
+            lab = power_image(self.d, a) + lab
             out.append(self.point_of_label(lab))
         return out
 
@@ -380,11 +367,11 @@ class CoreScan:
         d = self.d
         for arc in self.simple_arcs(0):
             j = arc.color
-            want = _power_inverse(d, d - 1) if j == 1 else _power_inverse(d, j - 2)
-            if arc.label != want:
+            want = power_image(d, d - 1) if j == 1 else power_image(d, j - 2)
+            if arc.word != want:
                 failures.append(
-                    f"color {j}: arc label {word_text(arc.label)}, "
-                    f"want {word_text(want)}"
+                    f"color {j}: arc label {_label_text(arc.word)}, "
+                    f"want {_label_text(want)}"
                 )
         return failures
 
@@ -444,8 +431,7 @@ class CoreScan:
             if not n < stage <= deep:
                 continue
             arc = by_edge[born_in[v]]
-            u = to_positive(invert(self.labels[v]))
-            if u[-len(arc.word):] != arc.word:
+            if self.labels[v][-len(arc.word):] != arc.word:
                 failures.append(
                     f"vertex {v}: label does not extend arc {arc.edge_index}"
                 )
@@ -466,11 +452,11 @@ class CoreScan:
             if self.omega_letter(len(self.labels[v])) == a
         ]
 
-    def shift_image_label(self, a: int, v: int) -> GroupWord:
+    def shift_image_label(self, a: int, v: int) -> Word:
         lab = self.labels[v]
         if self.omega_letter(len(lab)) != a:
             raise ValueError(f"vertex {v} is not in the domain of letter {a}")
-        return (-a,) + lab
+        return lab + bytes([a])
 
     def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
         """Image labels are the one-step-longer prefix inverses."""
@@ -478,8 +464,7 @@ class CoreScan:
         failures = []
         for v in self.shift_domain(a, n):
             lab = self.shift_image_label(a, v)
-            want = invert(from_positive(fixed_point_prefix(self.d, len(lab))))
-            if lab != want:
+            if lab != fixed_point_prefix(self.d, len(lab)):
                 failures.append(f"vertex {v}: image label mismatch")
                 continue
             try:

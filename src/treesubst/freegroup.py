@@ -35,22 +35,9 @@ def invert(w: GroupWord) -> GroupWord:
     return tuple(-x for x in reversed(w))
 
 
-def concat(*parts: GroupWord) -> GroupWord:
-    merged: list[int] = []
-    for p in parts:
-        merged.extend(p)
-    return reduce_word(merged)
-
-
 def from_positive(w: Word) -> GroupWord:
     """Embed a word over 1..d letterwise."""
     return tuple(int(c) for c in w)
-
-
-def to_positive(w: GroupWord) -> Word:
-    if any(x < 0 for x in w):
-        raise ValueError("word has inverse letters")
-    return bytes(w)
 
 
 def word_text(w: GroupWord) -> str:

@@ -125,7 +125,11 @@ def parse_coloring(spec: str) -> tuple[str, int]:
     parts = spec.replace(":", " ").split()
     if len(parts) != 2 or parts[0] not in ("cylinder", "arc"):
         raise ValueError(f"coloring must be 'cylinder:<m>' or 'arc:<n>', got {spec!r}")
-    return parts[0], int(parts[1])
+    kind, k = parts[0], int(parts[1])
+    least = 1 if kind == "cylinder" else 0
+    if k < least:
+        raise ValueError(f"{kind} coloring needs a value >= {least}, got {k}")
+    return kind, k
 
 
 @lru_cache(maxsize=8)

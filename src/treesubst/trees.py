@@ -438,6 +438,8 @@ class TreeIteration:
         recolored.  A center lies on the embedded base tree iff both ends
         of the edge it split do; fresh leaves never do.
         """
+        if base < 0:
+            raise ValueError(f"base stage must be >= 0, got {base}")
         if base > upto:
             raise ValueError(f"base stage {base} is after stage {upto}")
         size = len(self.tree_at(upto).vertices)

@@ -179,11 +179,26 @@ def test_verify_rules_unusable_file_is_usage_error(tmp_path, capsys, content):
         ["verify", "--suite", "core", "--max-stage", "-1"],
         ["verify", "--suite", "words", "--prefix-len", "0"],
         ["plot", "--depth", "-1"],
+        ["plot", "--kind", "zeta", "--n", "-1"],
+        ["plot", "--color", "arc:-1"],
+        ["plot", "--color", "cylinder:0"],
     ],
     ids=["gen-negative-stage", "realization-negative-stage", "core-negative-stage",
-         "zero-prefix-len", "plot-negative-depth"],
+         "zero-prefix-len", "plot-negative-depth", "zeta-negative-stage",
+         "arc-negative-stage", "cylinder-zero-length"],
 )
 def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
     rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["gen"], ["verify", "--suite", "trees"], ["plot", "--depth", "100"]],
+    ids=["gen", "verify", "plot"],
+)
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    rc = cli.main(argv + ["--out", str(tmp_path / "missing" / "out")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """Branch labels, arcs, partial isometries, and the partition reports."""
 
+import hashlib
+
 import pytest
 
 from treesubst.algnum import ExactLength
-from treesubst.freegroup import invert, to_positive
 from treesubst.words import measure_spectrum, word_str
 from treesubst.core import (
     CoreScan,
@@ -15,14 +16,10 @@ from treesubst.core import (
 )
 
 
-def _word(lab):
-    return word_str(to_positive(invert(lab)))
-
-
 def test_l_word_fixtures():
     expected = ["", "1", "12", "1231", "123112", "1231121231"]
     for m, w in enumerate(expected):
-        assert _word(l_word(3, m)) == w
+        assert word_str(l_word(3, m)) == w
     lengths = [len(l_word(3, m)) for m in range(1, 9)]
     assert lengths == [1, 2, 4, 6, 10, 15, 23, 34]
 
@@ -31,8 +28,9 @@ def test_l_words_nest_as_suffixes():
     for d in (3, 4):
         for m in range(1, 10):
             a, b = l_word(d, m), l_word(d, m + 1)
-            # as prefix inverses: the older label is a suffix of the newer
-            assert b[-len(a):] == a
+            # l_word is the word a label inverts, so the older label being a
+            # suffix of the newer means the older word is a prefix of the newer
+            assert b[: len(a)] == a
 
 
 def test_determined_partition_sequence():
@@ -67,7 +65,9 @@ def test_inventory_counts():
 def test_branch_inventory_is_suffix_set():
     inv = shared_scan(3).inventory(4)
     l4 = l_word(3, 4)
-    assert inv == {l4[i:] for i in range(len(l4) + 1)}
+    # labels are kept as the words they invert: suffixes of the label l_4
+    # are the prefixes of its word
+    assert inv == {l4[:i] for i in range(len(l4) + 1)}
 
 
 def test_bispecial_chain():
@@ -100,9 +100,9 @@ def test_initial_arcs():
     scan = shared_scan(3)
     assert scan.check_initial_arcs() == []
     arcs = {a.color: a for a in scan.simple_arcs(0)}
-    assert _word(arcs[1].label) == "123"
-    assert _word(arcs[2].label) == "1"
-    assert _word(arcs[3].label) == "12"
+    assert word_str(arcs[1].word) == "123"
+    assert word_str(arcs[2].word) == "1"
+    assert word_str(arcs[3].word) == "12"
     assert {c: a.k for c, a in arcs.items()} == {1: 3, 2: 1, 3: 2}
 
 
@@ -130,7 +130,7 @@ class _LabelCorruptedAt12(CoreScan):
         if n == 12:
             v = min(v for v, stage in self.apparition.items() if stage == 10)
             lab = self.labels[v]
-            self.labels[v] = (-(-lab[0] % 3 + 1),) + lab[1:]
+            self.labels[v] = lab[:-1] + bytes([lab[-1] % 3 + 1])
 
 
 def test_arc_cylinders_cover_the_requested_depth():
@@ -142,14 +142,54 @@ def test_arc_cylinders_cover_the_requested_depth():
     assert extended.check_arc_cylinders(2, 6) == []
 
 
+class _GarbledAt3(CoreScan):
+    """A scan that feeds its label record one word that is not a
+    fixed-point prefix: the first stage-3 label with its last letter changed."""
+
+    garbled = False
+
+    def _register(self, v, lab, stage, src):
+        if stage == 3 and not self.garbled:
+            self.garbled = True
+            lab = lab[:-1] + bytes([lab[-1] % 3 + 1])
+        super()._register(v, lab, stage, src)
+
+
+def test_register_rejects_a_non_prefix():
+    with pytest.raises(ValueError, match="label is not a prefix inverse"):
+        _GarbledAt3(3).extend_to(3)
+
+
+def test_vertex_of_label_compares_letters():
+    scan = shared_scan(3)
+    scan.extend_to(2)
+    (v1,) = [v for v, lab in scan.labels.items() if lab == b"\x01"]
+    assert scan.vertex_of_label(b"\x01") == v1
+    # same length as the stored label, other letters
+    with pytest.raises(ValueError, match="not seen"):
+        scan.vertex_of_label(b"\x02")
+
+
+@pytest.mark.parametrize("d, digest", [
+    (3, "509b12051f976a9ef6d951a1a4baf8140a65800b6f164530cdba495c3cb8b510"),
+    (4, "645e5c525eef9f932b0f6a64d976b4ed244a3ac307673a318812811635269229"),
+    (5, "065f513ae582d678a34bfe0857edc5455aba1a88514f41276f2ec1bb7f42c5b3"),
+], ids=["3", "4", "5"])
+def test_stage12_labels_pinned(d, digest):
+    scan = CoreScan(d)
+    scan.extend_to(12)
+    pairs = repr(sorted(scan.labels.items())).encode()
+    assert hashlib.sha256(pairs).hexdigest() == digest
+
+
 def test_shift_image_fixture():
     scan = shared_scan(3)
     scan.extend_to(2)
-    root = scan.by_word[()]
+    root = scan.vertex_of_label(b"")
     # the origin shifts into the orbit point addressed by the length-1 prefix
-    assert scan.shift_image_label(1, root) == (-1,)
-    v1 = scan.by_word[(-1,)]
-    assert scan.shift_image_label(2, v1) == (-2, -1)
+    assert scan.shift_image_label(1, root) == b"\x01"
+    v1 = scan.vertex_of_label(b"\x01")
+    assert scan.shift_image_label(2, v1) == b"\x01\x02"
     with pytest.raises(ValueError):
         scan.shift_image_label(1, v1)     # second fixed-point letter is 2
 

@@ -124,7 +124,7 @@ def test_translate_congruence():
 def test_parse_coloring():
     assert parse_coloring("cylinder:7") == ("cylinder", 7)
     assert parse_coloring("arc 4") == ("arc", 4)
-    for bad in ("blob:3", "cylinder", "arc:x"):
+    for bad in ("blob:3", "cylinder", "arc:x", "cylinder:0", "cylinder:-2", "arc:-1"):
         with pytest.raises(ValueError):
             parse_coloring(bad)
 

@@ -162,6 +162,8 @@ def test_vertex_provenance():
             assert 0 <= arc[v] < len(it.tree_at(1).edges)
     with pytest.raises(ValueError, match="after stage"):
         it.descent(2, 1)
+    with pytest.raises(ValueError, match=">= 0"):
+        it.descent(-1, 3)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5])
