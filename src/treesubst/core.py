@@ -13,6 +13,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
+
+import numpy as np
 
 from .algnum import ExactLength, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
@@ -61,15 +64,111 @@ def determined_partition(d: int, n: int) -> int:
 
 
 def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
-    """Sum of per-letter lengths of a reduced word over the first d letters."""
-    lengths = letter_length_exact(d)
-    total = ExactLength.zero(d)
+    """Sum of per-letter lengths of a reduced word over the first d letters:
+    its letter counts times the letters' length coefficient vectors."""
+    counts = [0] * d
     for letter in w:
         k = abs(letter)
         if not 1 <= k <= d:
             raise ValueError(f"letter {letter} outside 1..{d}")
-        total = total + lengths[k]
-    return total
+        counts[k - 1] += 1
+    lengths = letter_length_exact(d)
+    rows = [lengths[k].coeffs for k in range(1, d + 1)]
+    return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in zip(*rows)))
+
+
+# every int64 operand of the path audit is a prefix sum below this bound, and a
+# pair formula adds at most six of them, so no sum it forms can wrap
+_AUDIT_BOUND = 1 << 60
+
+
+def _int64(rows, terms: int) -> np.ndarray:
+    """Integer rows as an int64 array whose prefix sums of `terms` entries stay
+    below the audit bound; raises OverflowError rather than wrap."""
+    a = np.array(rows, dtype=np.int64)   # refuses a Python int beyond int64
+    top = max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
+    if top * terms >= _AUDIT_BOUND:
+        raise OverflowError(f"path audit operand {top} times {terms} reaches 2^60")
+    return a
+
+
+def _prefix_len(a, b) -> int:
+    k = 0
+    for u, v in zip(a, b):
+        if u != v:
+            break
+        k += 1
+    return k
+
+
+def _root_paths(tree: ColoredTree, branch: list[int]) -> tuple[list, list, np.ndarray]:
+    """Per vertex of `branch`, from the tree's root: the reduced p* of its
+    path, its vertex path (root excluded), and the depth of the deepest edge
+    on it of color > d (0 if there is none)."""
+    d = tree.d
+    parent, up, depth = tree.rooted_index()
+    words, paths, deep = [], [], []
+    for x in branch:
+        colors, verts, v = [], [], x
+        while depth[v]:
+            colors.append(-up[v])
+            verts.append(v)
+            v = parent[v]
+        colors.reverse()
+        verts.reverse()
+        words.append(p_star(d, colors))
+        paths.append(tuple(verts))
+        deep.append(max((k for k, c in enumerate(colors, 1) if abs(c) > d), default=0))
+    return words, paths, np.array(deep, dtype=np.intp)
+
+
+def _syllable_table(d: int, points: list) -> tuple[list, np.ndarray, np.ndarray]:
+    """Syllable words of realized points as sort keys and padded arrays.
+
+    A key spells each syllable as (copy, t > 0, rank of |t|), ranked
+    exactly.  `code` holds 2 * copy + (t > 0) per syllable and -1 past the
+    end; `run` holds the coefficient vector of |t| and zeros past the end.
+    Both have one column more than the longest word.
+    """
+    width = max(map(len, points), default=0) + 1
+    size = {t: abs(t) for pt in points for _, t in pt}
+    rank = {a: r for r, a in enumerate(sorted(set(size.values())))}
+    keys = [tuple((c, size[t] == t, rank[size[t]]) for c, t in pt) for pt in points]
+    code = np.full((len(points), width), -1, dtype=np.intp)
+    runs = [[(0,) * d] * width for _ in points]
+    for i, (pt, key) in enumerate(zip(points, keys)):
+        for k, ((_, t), (c, positive, _)) in enumerate(zip(pt, key)):
+            code[i, k] = 2 * c + positive
+            runs[i][k] = size[t].coeffs
+    return keys, code, _int64(runs, width - 1).reshape(len(points), width, d)
+
+
+class _PrefixIndex:
+    """Common prefix lengths of any two of a list of sequences.
+
+    Sorted lexicographically, the common prefix of two sequences is the
+    least common prefix of the neighbours sorted between them (the LCP array
+    of a suffix array), so one sort and one minimum scan per row give all
+    pairs.
+    """
+
+    def __init__(self, keys: list):
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.rank = np.empty(len(keys), dtype=np.intp)
+        self.rank[order] = np.arange(len(keys))
+        self.lcp = np.array(
+            [_prefix_len(keys[a], keys[b]) for a, b in zip(order, order[1:])],
+            dtype=np.intp,
+        )
+
+    def row(self, i: int, others: np.ndarray) -> np.ndarray:
+        """Common prefix length of sequence i with each of the sequences `others`."""
+        p = self.rank[i]
+        out = np.empty(len(self.lcp) + 1, dtype=np.intp)
+        out[p] = -1   # i with itself is never asked for
+        out[p + 1:] = np.minimum.accumulate(self.lcp[p:])
+        out[:p] = np.minimum.accumulate(self.lcp[:p][::-1])[::-1]
+        return out[self.rank[others]]
 
 
 @dataclass(frozen=True)
@@ -511,24 +610,86 @@ class CoreScan:
     # -- distances ----------------------------------------------------------
 
     def check_path_distances(self, n: int) -> list[str]:
-        """Realized distance = rho^-n * coded path length, for all pairs."""
+        """Realized distance = rho^-n * coded path length, for all branch pairs.
+
+        All pairs come from per-point data, with no path search per pair:
+
+        - Tree side: R_x = p*(root -> x), reduced.  The reduced p*(x -> y)
+          is R_x[c:]^-1 R_y[c:] with c the common prefix length of R_x and
+          R_y, so its legal length is L_x + L_y - 2 PL_x[c], where PL_x
+          holds the legal lengths of the prefixes of R_x, already times
+          rho^-n.
+        - Realized side: the free product of lines is an R-tree, so
+          distance = |P_x| + |P_y| - 2|cp|.  cp is the full syllables the
+          two points share, plus the shorter of their next syllables when
+          those run along one copy with one sign.  With the syllables
+          sorted by (copy, sign, |t|), that shorter one belongs to the point
+          that sorts first.
+        - Core colors: the path x -> y leaves colors 1..d iff the deepest
+          edge of color > d on the root path of x or y lies below their
+          meeting vertex, whose depth is the common prefix length of their
+          root vertex paths.
+
+        Each common prefix length is a range minimum over one sorted order
+        (`_PrefixIndex`).  All lengths are integer coefficient vectors
+        (int64, refusing overflow), so no float decides a pair.  A failing
+        pair's witness is written from the per-pair routines, `distance`
+        and `legal_path_distance`, in (x, y) order.
+        """
         self.extend_to(n)
         self.real.extend_to(n)
+        d = self.d
         tree = self.it.tree_at(n)
         branch = sorted(tree.branch_points())
+        words, paths, deep = _root_paths(tree, branch)
+
+        # tree side: legal lengths of every root-word prefix, times rho^-n
+        lengths = letter_length_exact(d)
+        scaled = _int64(
+            [lengths[k].scaled(-n).coeffs for k in range(1, d + 1)],
+            max(map(len, words), default=0),
+        )
+        start = np.zeros((1, d), dtype=np.int64)
+        prefix = [
+            np.concatenate([start, np.cumsum(scaled[[abs(a) - 1 for a in w]], axis=0)])
+            for w in words
+        ]
+        total = np.array([pl[-1] for pl in prefix]).reshape(-1, d)
+
+        # realized side: prefix norms of the syllables, and each point's norm
+        points = [self.real.point(x).syllables for x in branch]
+        keys, code, run = _syllable_table(d, points)
+        cum = np.concatenate([np.zeros_like(run[:, :1]), np.cumsum(run, axis=1)], axis=1)
+        norm = cum[np.arange(len(branch)), [len(pt) for pt in points]]
+
+        by_word = _PrefixIndex(words)
+        by_path = _PrefixIndex(paths)
+        by_point = _PrefixIndex(keys)
         failures = []
         for i, x in enumerate(branch):
-            for y in branch[i + 1:]:
-                gamma = tree.path_word(x, y)
-                if any(abs(c) > self.d for c in gamma):
+            ys = np.arange(i + 1, len(branch))
+            meet = by_path.row(i, ys)
+            leaves = (deep[i] > meet) | (deep[ys] > meet)
+            c = by_word.row(i, ys)
+            want = total[i] + total[ys] - 2 * prefix[i][c]
+            k = by_point.row(i, ys)
+            first = by_point.rank[i] < by_point.rank[ys]
+            along = (code[i, k] == code[ys, k]) & (code[i, k] >= 0)
+            part = np.where(first[:, None], run[i, k], run[ys, k]) * along[:, None]
+            got = norm[i] + norm[ys] - 2 * (cum[i, k] + part)
+            bad = leaves | (got != want).any(axis=1)
+            for m in np.flatnonzero(bad):
+                j = i + 1 + m
+                y = branch[j]
+                if leaves[m]:
                     failures.append(f"pair ({x},{y}): path leaves the core colors")
                     continue
-                want = legal_path_distance(self.d, p_star(self.d, gamma)).scaled(-n)
-                got = distance(self.real.point(x), self.real.point(y))
-                if got != want:
-                    failures.append(
-                        f"pair ({x},{y}): {got.value():.6f} != {want.value():.6f}"
-                    )
+                word = invert(words[i][c[m]:]) + words[j][c[m]:]
+                want_j = legal_path_distance(d, word).scaled(-n)
+                got_j = distance(self.real.point(x), self.real.point(y))
+                failures.append(
+                    f"pair ({x},{y}): {got_j.value():.6f} != {want_j.value():.6f}"
+                )
         return failures
 
 

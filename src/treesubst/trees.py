@@ -62,6 +62,7 @@ class ColoredTree:
         self.edges: tuple[Edge, ...] = tuple(sorted(tuple(e) for e in edges))
         self.root = root
         self._adj: dict[int, list[tuple[int, int, int]]] | None = None
+        self._rooted = None
         verts: set[int] = set()
         for s, t, c in self.edges:
             if not 1 <= c <= 2 * d - 2:
@@ -110,9 +111,51 @@ class ColoredTree:
     def branch_points(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) >= 3]
 
+    def rooted_index(self):
+        """(parent, signed color of the step to the parent, depth) per vertex.
+
+        Rooted at `root`, or at the least vertex when there is none; the
+        root is its own parent with color 0.  Built by one breadth-first
+        pass on first use and kept on the tree, as flat lists indexed by
+        vertex when the ids are 0, ..., |V| - 1 and as dicts otherwise.
+        """
+        if self._rooted is None:
+            adj = self.adjacency()
+            size = len(self.vertices)
+            if size and self.vertices[0] == 0 and self.vertices[-1] == size - 1:
+                parent, up, depth = [0] * size, [0] * size, [-1] * size
+            else:
+                parent, up, depth = {}, {}, dict.fromkeys(self.vertices, -1)
+            root = self.root if self.root is not None else self.vertices[0]
+            parent[root], up[root], depth[root] = root, 0, 0
+            order = [root]
+            for v in order:
+                for w, sc, _ in adj[v]:
+                    if depth[w] < 0:
+                        parent[w], up[w], depth[w] = v, -sc, depth[v] + 1
+                        order.append(w)
+            self._rooted = parent, up, depth
+        return self._rooted
+
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
-        """Signed colors along the unique path x -> y (negative = against the arrow)."""
-        return tuple(sc for _, sc in path_steps(self.adjacency(), x, y))
+        """Signed colors along the unique path x -> y (negative = against the arrow).
+
+        Both ends climb the rooted index to the vertex where they meet, so
+        the cost is the length of the path.
+        """
+        for v in (x, y):
+            if v not in self.adjacency():
+                raise ValueError(f"{v!r} is not a vertex")
+        parent, up, depth = self.rooted_index()
+        rise, fall = [], []
+        while x != y:   # an end no shallower than the other lies below where they meet
+            if depth[x] >= depth[y]:
+                rise.append(up[x])
+                x = parent[x]
+            else:
+                fall.append(-up[y])
+                y = parent[y]
+        return tuple(rise + fall[::-1])
 
     def is_discerned(self) -> bool:
         """No path word contains a barred color next to its unbarred twin.

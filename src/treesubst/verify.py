@@ -14,6 +14,7 @@ renders these as a table and a versioned JSON report.
 
 from __future__ import annotations
 
+import math
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -369,8 +370,16 @@ def shift_isometries(d: int, max_stage: int) -> list[str]:
 
 
 def path_distances(d: int, max_stage: int) -> list[str]:
-    """Realized branch-point distances equal the coded path lengths."""
-    return _each_stage(core.shared_scan(d).check_path_distances, max_stage)
+    """Realized branch-point distances equal the coded path lengths.
+
+    Stages with fewer than two branch points compare nothing; if every
+    stage is like that, the check fails rather than pass empty.
+    """
+    scan = core.shared_scan(d)
+    fails = _each_stage(scan.check_path_distances, max_stage)
+    if all(len(scan.it.tree_at(n).branch_points()) < 2 for n in range(max_stage + 1)):
+        fails.append(f"no branch-point pair to compare at n<={max_stage}")
+    return fails
 
 
 def core_suite(d: int, max_stage: int = 12, geom_stage: int = 8) -> list[CheckResult]:
@@ -487,6 +496,8 @@ def run_suite(
         raise ValueError(f"max_stage must be >= 0, got {max_stage}")
     if prefix_len < 1:
         raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = max_stage if max_stage is not None else (12 if d == 3 else 10)
     out: list[CheckResult] = []
     if suite in ("words", "all"):

@@ -178,13 +178,17 @@ def test_verify_rules_unusable_file_is_usage_error(tmp_path, capsys, content):
         ["verify", "--suite", "realization", "--max-stage", "-1"],
         ["verify", "--suite", "core", "--max-stage", "-1"],
         ["verify", "--suite", "words", "--prefix-len", "0"],
+        ["verify", "--suite", "words", "--tol", "-1"],
+        ["verify", "--suite", "words", "--tol", "nan"],
+        ["verify", "--suite", "words", "--tol", "inf"],
         ["plot", "--depth", "-1"],
         ["plot", "--kind", "zeta", "--n", "-1"],
         ["plot", "--color", "arc:-1"],
         ["plot", "--color", "cylinder:0"],
     ],
     ids=["gen-negative-stage", "realization-negative-stage", "core-negative-stage",
-         "zero-prefix-len", "plot-negative-depth", "zeta-negative-stage",
+         "zero-prefix-len", "negative-tol", "nan-tol", "infinite-tol",
+         "plot-negative-depth", "zeta-negative-stage",
          "arc-negative-stage", "cylinder-zero-length"],
 )
 def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
@@ -202,3 +206,13 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     rc = cli.main(argv + ["--out", str(tmp_path / "missing" / "out")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_path_distances_without_a_pair_fails(capsys):
+    # the stage-0 star has one branch point, so there is no pair to compare
+    rc = cli.main(["verify", "--suite", "core", "--max-stage", "0", "--format", "json"])
+    assert rc == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["path-distances"]["status"] == "fail"
+    assert checks["path-distances"]["witnesses"] == ["no branch-point pair to compare at n<=0"]
+    assert [n for n, c in checks.items() if c["status"] == "fail"] == ["path-distances"]

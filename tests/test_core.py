@@ -4,7 +4,11 @@ import hashlib
 
 import pytest
 
+from treesubst import core
 from treesubst.algnum import ExactLength
+from treesubst.freegroup import p_star
+from treesubst.realization import FreePoint, distance
+from treesubst.trees import ColoredTree
 from treesubst.words import measure_spectrum, word_str
 from treesubst.core import (
     CoreScan,
@@ -206,6 +210,83 @@ def test_path_distances():
     scan = shared_scan(3)
     for n in range(6):
         assert scan.check_path_distances(n) == []
+
+
+def _pair_oracle(scan, n):
+    """The audit pair by pair: tree path, p*, legal length, realized distance."""
+    scan.extend_to(n)
+    scan.real.extend_to(n)
+    tree = scan.it.tree_at(n)
+    branch = sorted(tree.branch_points())
+    failures = []
+    for i, x in enumerate(branch):
+        for y in branch[i + 1:]:
+            gamma = tree.path_word(x, y)
+            if any(abs(c) > scan.d for c in gamma):
+                failures.append(f"pair ({x},{y}): path leaves the core colors")
+                continue
+            want = legal_path_distance(scan.d, p_star(scan.d, gamma)).scaled(-n)
+            got = distance(scan.real.point(x), scan.real.point(y))
+            if got != want:
+                failures.append(f"pair ({x},{y}): {got.value():.6f} != {want.value():.6f}")
+    return failures
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_path_audit_agrees_with_pair_oracle(d):
+    scan = CoreScan(d)
+    for n in range(11):
+        assert scan.check_path_distances(n) == _pair_oracle(scan, n) == []
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
+def test_path_audit_flags_a_displaced_point(n, along):
+    d = 3
+    scan = CoreScan(d)
+    scan.extend_to(n)
+    scan.real.extend_to(n)
+    branch = sorted(scan.it.tree_at(n).branch_points())
+    v = branch[len(branch) // 2]
+    point = scan.real.points[v]
+    copy, t = point.syllables[-1]
+    # along its last syllable the point moves outward; on another copy it branches off
+    step = ExactLength.rho_power(d, -(n + 3))
+    if along:
+        step = step if t.sign() > 0 else -step
+    else:
+        copy = (copy + 1) % d
+    scan.real.points[v] = point * FreePoint.syllable(d, copy, step)
+    failures = scan.check_path_distances(n)
+    assert failures == _pair_oracle(scan, n)
+    assert len(failures) == len(branch) - 1
+    assert all(str(v) in f.split(":")[0] for f in failures)
+
+
+def test_path_audit_reports_leaving_core_colors(monkeypatch):
+    d, n = 3, 6
+    scan = CoreScan(d)
+    scan.extend_to(n)
+    tree = scan.it.tree_at(n)
+    leaf = next(t for _, t, c in tree.edges if c == d + 1 and tree.degree(t) == 1)
+    branch = tree.branch_points()
+    monkeypatch.setattr(ColoredTree, "branch_points", lambda self: branch + [leaf])
+    failures = scan.check_path_distances(n)
+    assert failures == _pair_oracle(scan, n)
+    assert len(failures) == len(branch)
+    assert all(f.endswith("path leaves the core colors") for f in failures)
+
+
+def test_path_audit_reaches_stage_14():
+    assert shared_scan(3).check_path_distances(14) == []
+
+
+def test_path_audit_refuses_int64_overflow():
+    with pytest.raises(OverflowError):
+        core._int64([[1 << 58, 0, 0]], 8)
+    with pytest.raises(OverflowError):
+        core._int64([[1 << 70, 0, 0]], 1)
+    assert core._int64([[-(1 << 57), 3, 0]], 7).tolist() == [[-(1 << 57), 3, 0]]
 
 
 # The partition report of length m: its measure classes, and the stage

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from treesubst.freegroup import family_inverse, p_star
 from treesubst.trees import (
@@ -36,6 +38,43 @@ def test_path_word_signs():
     assert t.path_word(0, 2) == (1, 3)
     assert t.path_word(2, 0) == (-3, -1)
     assert t.path_word(1, 1) == ()
+
+
+def test_path_word_rejects_a_non_vertex():
+    t = ColoredTree(3, [(0, 1, 1), (1, 2, 3)], root=0)
+    with pytest.raises(ValueError, match="not a vertex"):
+        t.path_word(0, 3)
+    with pytest.raises(ValueError, match="not a vertex"):
+        t.path_word(-1, 2)      # a flat index would wrap to vertex 2
+
+
+@st.composite
+def _random_tree(draw):
+    """A tree of 2..60 vertices with random colors, arrows, root and ids."""
+    size = draw(st.integers(2, 60))
+    if draw(st.booleans()):
+        ids = list(range(size))
+    else:
+        ids = draw(st.lists(st.integers(-100, 10_000), min_size=size, max_size=size, unique=True))
+    edges = []
+    for k in range(1, size):
+        other = ids[draw(st.integers(0, k - 1))]
+        color = draw(st.integers(1, 4))
+        edges.append((ids[k], other, color) if draw(st.booleans()) else (other, ids[k], color))
+    root = draw(st.sampled_from([None, *ids]))
+    return ColoredTree(3, edges, root=root)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=_random_tree(), data=st.data())
+def test_rooted_path_word_matches_search(tree, data):
+    adj = tree.adjacency()
+    for _ in range(5):
+        x = data.draw(st.sampled_from(tree.vertices))
+        y = data.draw(st.sampled_from(tree.vertices))
+        word = tree.path_word(x, y)
+        assert word == tuple(sc for _, sc in path_steps(adj, x, y))
+        assert tree.path_word(y, x) == tuple(-c for c in reversed(word))
 
 
 def test_is_discerned_local_rule():
