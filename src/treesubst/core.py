@@ -103,13 +103,13 @@ def _prefix_len(a, b) -> int:
 
 def _root_paths(tree: ColoredTree, branch: list[int]) -> tuple[list, list, np.ndarray]:
     """Per vertex of `branch`, from the tree's root: the reduced p* of its
-    path, its vertex path (root excluded), and the depth of the deepest edge
-    on it of color > d (0 if there is none)."""
+    path, its vertex path as slots (root excluded), and the depth of the
+    deepest edge on it of color > d (0 if there is none)."""
     d = tree.d
     parent, up, depth = tree.rooted_index()
     words, paths, deep = [], [], []
     for x in branch:
-        colors, verts, v = [], [], x
+        colors, verts, v = [], [], tree.slot(x)
         while depth[v]:
             colors.append(-up[v])
             verts.append(v)

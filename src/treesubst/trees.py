@@ -15,6 +15,7 @@ fully deterministic and vertex sets are nested along the stages.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple
@@ -111,29 +112,33 @@ class ColoredTree:
     def branch_points(self) -> list[int]:
         return [v for v in self.vertices if self.degree(v) >= 3]
 
-    def rooted_index(self):
-        """(parent, signed color of the step to the parent, depth) per vertex.
+    def slot(self, v: int) -> int:
+        """Position of vertex v in `vertices`; the rooted index is kept by it."""
+        i = bisect_left(self.vertices, v)
+        if i == len(self.vertices) or self.vertices[i] != v:
+            raise ValueError(f"{v!r} is not a vertex")
+        return i
+
+    def rooted_index(self) -> tuple[list[int], list[int], list[int]]:
+        """(parent, signed color of the step to the parent, depth) per slot.
 
         Rooted at `root`, or at the least vertex when there is none; the
-        root is its own parent with color 0.  Built by one breadth-first
-        pass on first use and kept on the tree, as flat lists indexed by
-        vertex when the ids are 0, ..., |V| - 1 and as dicts otherwise.
+        root is its own parent with color 0, and parents are slots too.
+        Built by one breadth-first pass on first use and kept on the tree
+        as three flat lists.
         """
         if self._rooted is None:
-            adj = self.adjacency()
-            size = len(self.vertices)
-            if size and self.vertices[0] == 0 and self.vertices[-1] == size - 1:
-                parent, up, depth = [0] * size, [0] * size, [-1] * size
-            else:
-                parent, up, depth = {}, {}, dict.fromkeys(self.vertices, -1)
-            root = self.root if self.root is not None else self.vertices[0]
-            parent[root], up[root], depth[root] = root, 0, 0
+            verts, adj = self.vertices, self.adjacency()
+            parent, up, depth = [0] * len(verts), [0] * len(verts), [-1] * len(verts)
+            root = self.slot(self.root) if self.root is not None else 0
+            parent[root], depth[root] = root, 0
             order = [root]
-            for v in order:
-                for w, sc, _ in adj[v]:
-                    if depth[w] < 0:
-                        parent[w], up[w], depth[w] = v, -sc, depth[v] + 1
-                        order.append(w)
+            for i in order:
+                for w, sc, _ in adj[verts[i]]:
+                    j = bisect_left(verts, w)
+                    if depth[j] < 0:
+                        parent[j], up[j], depth[j] = i, -sc, depth[i] + 1
+                        order.append(j)
             self._rooted = parent, up, depth
         return self._rooted
 
@@ -143,10 +148,8 @@ class ColoredTree:
         Both ends climb the rooted index to the vertex where they meet, so
         the cost is the length of the path.
         """
-        for v in (x, y):
-            if v not in self.adjacency():
-                raise ValueError(f"{v!r} is not a vertex")
         parent, up, depth = self.rooted_index()
+        x, y = self.slot(x), self.slot(y)
         rise, fall = [], []
         while x != y:   # an end no shallower than the other lies below where they meet
             if depth[x] >= depth[y]:
