@@ -1,16 +1,13 @@
 """Command-line front door: generate stage trees, run audits, plot projections.
 
 Exit codes: 0 all requested checks passed, 1 some check failed, 2 bad
-usage, configuration or output path.  The environment variable
-ARBRE_SUBST_SEED is read but ignored: every output is deterministic; the
-name is reserved so callers can set it uniformly across tools.
+usage, configuration or output path.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -27,7 +24,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treesubst",
         description=__doc__.splitlines()[0],
-        epilog="ARBRE_SUBST_SEED is read but ignored (outputs are deterministic).",
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--d", type=int, default=3, help="alphabet size, at least 3")
@@ -91,7 +87,7 @@ def cmd_gen(args) -> int:
         for v in tree.vertices:
             pt = real.point(v)
             lines.append(
-                f"{v},{it.birth_stage[v]},{tree.degree(v)},"
+                f"{v},{it.birth_stage(v)},{tree.degree(v)},"
                 f"{pt.norm().value():.9f},{pt.text()}"
             )
         _write("\n".join(lines) + "\n", args.out)
@@ -208,7 +204,6 @@ def cmd_plot(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    os.environ.get("ARBRE_SUBST_SEED")  # reserved, deliberately unused
     args = build_parser().parse_args(argv)
     if args.command != "plot" and args.d < 3:
         print(f"--d must be at least 3, got {args.d}", file=sys.stderr)

@@ -103,22 +103,15 @@ def _prefix_len(a, b) -> int:
 
 def _root_paths(tree: ColoredTree, branch: list[int]) -> tuple[list, list, np.ndarray]:
     """Per vertex of `branch`, from the tree's root: the reduced p* of its
-    path, its vertex path as slots (root excluded), and the depth of the
-    deepest edge on it of color > d (0 if there is none)."""
+    path, its vertex path (root excluded), and the depth of the deepest edge
+    on it of color > d (0 if there is none)."""
     d = tree.d
-    parent, up, depth = tree.rooted_index()
     words, paths, deep = [], [], []
     for x in branch:
-        colors, verts, v = [], [], tree.slot(x)
-        while depth[v]:
-            colors.append(-up[v])
-            verts.append(v)
-            v = parent[v]
-        colors.reverse()
-        verts.reverse()
-        words.append(p_star(d, colors))
-        paths.append(tuple(verts))
-        deep.append(max((k for k, c in enumerate(colors, 1) if abs(c) > d), default=0))
+        steps = tree.path(tree.root, x)
+        words.append(p_star(d, [c for _, c in steps]))
+        paths.append(tuple(v for v, _ in steps))
+        deep.append(max((k for k, (_, c) in enumerate(steps, 1) if abs(c) > d), default=0))
     return words, paths, np.array(deep, dtype=np.intp)
 
 
@@ -190,29 +183,14 @@ class Arc:
     word: Word
 
 
-def _hull(tree: ColoredTree, vertices: set[int]) -> tuple[set[int], set[int]]:
-    """Vertex and edge sets of the smallest subtree containing `vertices`."""
-    if not vertices:
-        return set(), set()
-    adj = tree.adjacency()
-    keep = set(tree.vertices)
-    deg = {v: len(adj[v]) for v in keep}
-    # peel leaves that are not required until only the spanning subtree is left
-    leaves = [v for v in keep if deg[v] <= 1 and v not in vertices]
-    while leaves:
-        v = leaves.pop()
-        if v not in keep:
-            continue
-        keep.discard(v)
-        for w, _, _ in adj[v]:
-            if w in keep:
-                deg[w] -= 1
-                if deg[w] <= 1 and w not in vertices:
-                    leaves.append(w)
-    edges = {
-        i for i, (s, t, _) in enumerate(tree.edges) if s in keep and t in keep
-    }
-    return keep, edges
+def _hull(tree: ColoredTree, vertices: set[int]) -> set[int]:
+    """Vertex set of the smallest subtree containing `vertices`: the union of
+    the paths from one of them to the others."""
+    first = min(vertices, default=None)
+    keep = set(vertices)
+    for v in vertices:
+        keep.update(w for w, _ in tree.path(first, v))
+    return keep
 
 
 class CoreScan:
@@ -597,14 +575,9 @@ class CoreScan:
         failures = []
         for a in range(1, self.d + 1):
             for b in range(a + 1, self.d + 1):
-                va, ea = hulls[a]
-                vb, eb = hulls[b]
-                if ea & eb:
+                # two subtrees sharing two vertices share the path between them
+                if len(hulls[a] & hulls[b]) > 1:
                     failures.append(f"letters {a},{b}: domains share edges")
-                elif len(va & vb) > 1:
-                    failures.append(
-                        f"letters {a},{b}: domains share {sorted(va & vb)}"
-                    )
         return failures
 
     # -- distances ----------------------------------------------------------

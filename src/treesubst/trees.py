@@ -25,36 +25,6 @@ import numpy as np
 Edge = tuple[int, int, int]
 
 
-def path_steps(adj: dict, x, y) -> list[tuple[object, int]]:
-    """(vertex, signed color) steps along the unique path x -> y of a tree.
-
-    `adj` maps a vertex to its (neighbor, signed color, edge index)
-    entries.  Breadth-first search from x stops as soon as it discovers y;
-    the result excludes x and ends with y.
-    """
-    if x == y:
-        return []
-    parent = {x: (x, 0)}
-    frontier = [x]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w, sc, _ in adj[v]:
-                if w not in parent:
-                    parent[w] = (v, sc)
-                    if w == y:
-                        steps = []
-                        while w != x:
-                            v, sc = parent[w]
-                            steps.append((w, sc))
-                            w = v
-                        steps.reverse()
-                        return steps
-                    nxt.append(w)
-        frontier = nxt
-    raise ValueError(f"no path {x!r} -> {y!r}")
-
-
 class ColoredTree:
     """Finite directed colored tree; edges are stored sorted."""
 
@@ -142,23 +112,29 @@ class ColoredTree:
             self._rooted = parent, up, depth
         return self._rooted
 
-    def path_word(self, x: int, y: int) -> tuple[int, ...]:
-        """Signed colors along the unique path x -> y (negative = against the arrow).
+    def path(self, x: int, y: int) -> list[tuple[int, int]]:
+        """(vertex, signed color) steps along the unique path x -> y.
 
-        Both ends climb the rooted index to the vertex where they meet, so
-        the cost is the length of the path.
+        The steps exclude x and end with y; a color is negative against the
+        arrow.  Both ends climb the rooted index to the vertex where they
+        meet, so the cost is the length of the path.
         """
         parent, up, depth = self.rooted_index()
+        verts = self.vertices
         x, y = self.slot(x), self.slot(y)
         rise, fall = [], []
         while x != y:   # an end no shallower than the other lies below where they meet
             if depth[x] >= depth[y]:
-                rise.append(up[x])
-                x = parent[x]
+                sc, x = up[x], parent[x]
+                rise.append((verts[x], sc))
             else:
-                fall.append(-up[y])
+                fall.append((verts[y], -up[y]))
                 y = parent[y]
-        return tuple(rise + fall[::-1])
+        return rise + fall[::-1]
+
+    def path_word(self, x: int, y: int) -> tuple[int, ...]:
+        """Signed colors along the unique path x -> y (negative = against the arrow)."""
+        return tuple(sc for _, sc in self.path(x, y))
 
     def is_discerned(self) -> bool:
         """No path word contains a barred color next to its unbarred twin.
@@ -235,15 +211,6 @@ class RulePattern:
                 raise ValueError(f"bad placeholder symbol {p!r}")
         return sorted(ps, key=lambda p: int(p[1:]))
 
-    def trunk_word(self) -> tuple[int, ...]:
-        """Signed colors along the X -> Y path inside the pattern."""
-        # both anchors present, so a pattern missing one has no path rather than a KeyError
-        adj: dict[str, list[tuple[str, int, int]]] = {ANCHOR_SRC: [], ANCHOR_DST: []}
-        for i, (s, t, c) in enumerate(self.edges):
-            adj.setdefault(s, []).append((t, c, i))
-            adj.setdefault(t, []).append((s, -c, i))
-        return tuple(sc for _, sc in path_steps(adj, ANCHOR_SRC, ANCHOR_DST))
-
     def anchor_degrees(self) -> tuple[int, int]:
         deg = {ANCHOR_SRC: 0, ANCHOR_DST: 0}
         for s, t, _ in self.edges:
@@ -285,8 +252,7 @@ class TreeSubstitution:
                 failures.append(f"condition 1: pattern for color {c} misses an anchor")
                 continue
             try:
-                index = {sym: i for i, sym in enumerate(syms)}
-                ColoredTree(self.d, [(index[s], index[t], cc) for s, t, cc in pat.edges])
+                self._pattern_tree(pat)
             except ValueError as exc:
                 failures.append(f"condition 2: pattern for color {c} is not a tree ({exc})")
                 continue
@@ -297,6 +263,12 @@ class TreeSubstitution:
         if not failures:
             failures.extend(self._check_color_cycles())
         return ValidationReport(not failures, failures)
+
+    def _pattern_tree(self, pat: RulePattern) -> tuple[ColoredTree, dict[str, int]]:
+        """The pattern as a tree on the positions of its sorted symbols, and
+        that symbol -> vertex map."""
+        index = {sym: i for i, sym in enumerate(pat.symbols())}
+        return ColoredTree(self.d, [(index[s], index[t], c) for s, t, c in pat.edges]), index
 
     def _direct_anchor_color(self, pat: RulePattern) -> int | None:
         """Color of an X-Y edge of the pattern if there is one (either direction)."""
@@ -351,12 +323,19 @@ class TreeSubstitution:
                 new_edges.append((assign[ps], assign[pt], pc))
         return ApplyResult(ColoredTree(self.d, new_edges, root=tree.root), born)
 
+    def trunk_word(self, color: int) -> tuple[int, ...]:
+        """Signed colors along the X -> Y path inside the pattern for `color`."""
+        tree, index = self._pattern_tree(self.rules[color])
+        if ANCHOR_SRC not in index or ANCHOR_DST not in index:
+            raise ValueError(f"pattern for color {color} misses an anchor")
+        return tree.path_word(index[ANCHOR_SRC], index[ANCHOR_DST])
+
     def trunk_matrix(self) -> np.ndarray:
         """t[i,j] = edges of color i+1 on the anchor path of the pattern for j+1."""
         n = 2 * self.d - 2
         m = np.zeros((n, n), dtype=np.int64)
-        for c, pat in self.rules.items():
-            for sc in pat.trunk_word():
+        for c in self.rules:
+            for sc in self.trunk_word(c):
                 m[abs(sc) - 1, c - 1] += 1
         return m
 
@@ -430,10 +409,11 @@ class NewCenter(NamedTuple):
 class TreeIteration:
     """Stage-indexed iteration T_0^s, T_1^s, ... with a record of births.
 
-    Besides the trees it records each vertex's birth stage and, per stage,
-    the births grouped into new centers (`centers`), so stage loops need no
-    adjacency to find them.  Fresh ids count up from the previous maximum,
-    so the vertices of T_n are 0, ..., |V_n| - 1.
+    Besides the trees it records, per stage, the births grouped into new
+    centers (`centers`), so stage loops need no adjacency to find them.
+    Fresh ids count up from the previous maximum, so the vertices of T_n
+    are 0, ..., |V_n| - 1 and a vertex's birth stage follows from the stage
+    sizes.
     """
 
     def __init__(self, d: int):
@@ -441,7 +421,6 @@ class TreeIteration:
         self.subst = family_tree_substitution(d)
         self.trees: list[ColoredTree] = [initial_tree(d)]
         self.centers: list[tuple[NewCenter, ...]] = [()]
-        self.birth_stage: dict[int, int] = {v: 0 for v in self.trees[0].vertices}
 
     def tree_at(self, n: int) -> ColoredTree:
         if n < 0:
@@ -451,10 +430,17 @@ class TreeIteration:
             res = self.subst.apply(prev)
             self.trees.append(res.tree)
             self.centers.append(self._new_centers(prev, res.born))
-            stage = len(self.trees) - 1
-            for v in res.born:
-                self.birth_stage[v] = stage
         return self.trees[n]
+
+    def birth_stage(self, v: int) -> int:
+        """Stage at which vertex v was born, among the stages built so far.
+
+        Fresh ids count up, so that is the first stage n with v < |V_n|.
+        """
+        n = bisect_left(self.trees, v + 1, key=lambda t: len(t.vertices))
+        if v < 0 or n == len(self.trees):
+            raise ValueError(f"{v!r} is not a vertex of a stage built so far")
+        return n
 
     def _new_centers(self, prev: ColoredTree, born: dict[int, int]) -> tuple[NewCenter, ...]:
         """Group the births of one stage into the stars grown on 2-edges.

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import core, rauzy
-from .algnum import stretch_root
+from .algnum import ExactLength, stretch_root
 from .freegroup import (
     cancellation_report,
     family_inverse,
@@ -222,7 +222,7 @@ def trunk_determinism(d: int) -> list[str]:
     inv = family_inverse(d)
     fails = []
     for i in range(1, d + 1):
-        got = p_star(d, ts.rules[i].trunk_word())
+        got = p_star(d, ts.trunk_word(i))
         if got != inv.images[i]:
             fails.append(f"rule {i}: trunk projects to {got}, want {inv.images[i]}")
     return fails
@@ -272,14 +272,13 @@ def edge_length_law(d: int, max_stage: int) -> list[str]:
 
 
 def stage_convergence(d: int, max_stage: int) -> list[str]:
-    """The gap between realized stages n-1 and n is at most rho^-(n+1)."""
+    """The gap between realized stages n-1 and n is at most rho^-(n+1), exactly."""
     real = core.shared_scan(d).real
-    eta = stretch_root(d)
     fails = []
     for n in range(1, max_stage + 1):
-        gap = real.hausdorff_gap(n).value()
-        if gap > eta ** (-1 - n) + 1e-12:
-            fails.append(f"stage {n}: gap {gap:.6f} > {eta ** (-1 - n):.6f}")
+        gap, bound = real.hausdorff_gap(n), ExactLength.rho_power(d, -1 - n)
+        if bound < gap:
+            fails.append(f"stage {n}: gap {gap.value():.6f} > {bound.value():.6f}")
     return fails
 
 
@@ -359,13 +358,19 @@ def arc_cylinders(d: int, max_stage: int, deep: int) -> list[str]:
 
 
 def shift_isometries(d: int, max_stage: int) -> list[str]:
-    """Letter shifts are exact partial isometries with nearly disjoint domains."""
+    """Letter shifts are exact partial isometries with nearly disjoint domains.
+
+    A domain of fewer than two branch points compares no distance; if every
+    letter's domain is like that, the check fails rather than pass empty.
+    """
     scan = core.shared_scan(d)
     fails = []
     for a in range(1, d + 1):
         fails += scan.check_shift_isometry(a, max_stage)
         fails += scan.check_shift_conjugacy(a, max_stage)
     fails += scan.check_domain_overlaps(max_stage)
+    if all(len(scan.shift_domain(a, max_stage)) < 2 for a in range(1, d + 1)):
+        fails.append(f"no shift-domain pair to compare at n<={max_stage}")
     return fails
 
 

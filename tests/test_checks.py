@@ -16,11 +16,13 @@ SRC = Path(treesubst.__file__).parent
 PROBE = """
 from treesubst.algnum import ExactLength
 from treesubst.realization import FreePoint
-from treesubst.trees import TreeIteration
+from treesubst.trees import ColoredTree, RulePattern, TreeIteration, TreeSubstitution
 
 for call in (
     lambda: FreePoint.syllable(3, 7, ExactLength.one(3)),
     lambda: TreeIteration(3).descent(2, 1),
+    lambda: ColoredTree(3, [(0, 1, 1)]).path(0, 2),
+    lambda: TreeSubstitution(3, {1: RulePattern(1, (("X", "P1", 3),))}).trunk_word(1),
 ):
     try:
         call()

@@ -209,10 +209,13 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
 
 
 def test_path_distances_without_a_pair_fails(capsys):
-    # the stage-0 star has one branch point, so there is no pair to compare
+    # the stage-0 star has one branch point, so there is no pair to compare,
+    # and each letter's shift domain holds at most that one
     rc = cli.main(["verify", "--suite", "core", "--max-stage", "0", "--format", "json"])
     assert rc == 1
     checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
-    assert checks["path-distances"]["status"] == "fail"
     assert checks["path-distances"]["witnesses"] == ["no branch-point pair to compare at n<=0"]
-    assert [n for n, c in checks.items() if c["status"] == "fail"] == ["path-distances"]
+    assert checks["shift-isometries"]["witnesses"] == ["no shift-domain pair to compare at n<=0"]
+    assert [n for n, c in checks.items() if c["status"] == "fail"] == [
+        "shift-isometries", "path-distances",
+    ]

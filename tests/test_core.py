@@ -206,6 +206,16 @@ def test_shift_checks():
     assert scan.check_domain_overlaps(6) == []
 
 
+def test_domain_overlaps_allow_one_shared_vertex():
+    scan = CoreScan(3)
+    branch = sorted(scan.it.tree_at(4).branch_points())
+    domains = {1: [0], 2: [0, branch[-1]], 3: []}
+    scan.shift_domain = lambda a, n: domains[a]
+    assert scan.check_domain_overlaps(4) == []
+    domains[3] = [branch[1], branch[-1]]
+    assert scan.check_domain_overlaps(4) == ["letters 2,3: domains share edges"]
+
+
 def test_path_distances():
     scan = shared_scan(3)
     for n in range(6):

@@ -4,10 +4,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import treesubst
+from treesubst import core, verify
 from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import (
     FreePoint,
@@ -159,6 +161,20 @@ def test_hausdorff_gap_decays():
         if prev is not None:
             assert gap < prev
         prev = gap
+
+
+def test_stage_convergence_decides_the_bound_exactly(monkeypatch):
+    # the stage-5 gap exceeds rho^-6 by rho^-120, about 2e-15
+    real = Realization(TreeIteration(3))
+    over = ExactLength.rho_power(3, -6) + ExactLength.rho_power(3, -120)
+
+    def gap(n):
+        return over if n == 5 else real.hausdorff_gap(n)
+
+    fake = SimpleNamespace(real=SimpleNamespace(hausdorff_gap=gap))
+    monkeypatch.setattr(core, "shared_scan", lambda d: fake)
+    bound = ExactLength.rho_power(3, -6).value()
+    assert verify.stage_convergence(3, 6) == [f"stage 5: gap {over.value():.6f} > {bound:.6f}"]
 
 
 def test_realized_points_are_distinct():

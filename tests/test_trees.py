@@ -15,8 +15,8 @@ from treesubst.trees import (
     TreeSubstitution,
     family_tree_substitution,
     initial_tree,
-    path_steps,
 )
+from treesubst.core import _hull
 
 
 def test_tree_rejects_non_trees():
@@ -48,6 +48,54 @@ def test_path_word_rejects_a_non_vertex():
         t.path_word(-1, -1)
 
 
+def _path_oracle(adj: dict, x, y) -> list[tuple[object, int]]:
+    """(vertex, signed color) steps along the path x -> y by breadth-first
+    search from x; excludes x and ends with y."""
+    if x == y:
+        return []
+    parent = {x: (x, 0)}
+    frontier = [x]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w, sc, _ in adj[v]:
+                if w not in parent:
+                    parent[w] = (v, sc)
+                    if w == y:
+                        steps = []
+                        while w != x:
+                            v, sc = parent[w]
+                            steps.append((w, sc))
+                            w = v
+                        steps.reverse()
+                        return steps
+                    nxt.append(w)
+        frontier = nxt
+    raise ValueError(f"no path {x!r} -> {y!r}")
+
+
+def _hull_oracle(tree, vertices):
+    """Vertex set of the smallest subtree containing `vertices`, by peeling
+    every other leaf."""
+    if not vertices:
+        return set()
+    adj = tree.adjacency()
+    keep = set(tree.vertices)
+    deg = {v: len(adj[v]) for v in keep}
+    leaves = [v for v in keep if deg[v] <= 1 and v not in vertices]
+    while leaves:
+        v = leaves.pop()
+        if v not in keep:
+            continue
+        keep.discard(v)
+        for w, _, _ in adj[v]:
+            if w in keep:
+                deg[w] -= 1
+                if deg[w] <= 1 and w not in vertices:
+                    leaves.append(w)
+    return keep
+
+
 @st.composite
 def _random_tree(draw):
     """A tree of 2..60 vertices with random colors, arrows, root and ids."""
@@ -72,9 +120,18 @@ def test_rooted_path_word_matches_search(tree, data):
     for _ in range(5):
         x = data.draw(st.sampled_from(tree.vertices))
         y = data.draw(st.sampled_from(tree.vertices))
+        steps = tree.path(x, y)
+        assert steps == _path_oracle(adj, x, y)
         word = tree.path_word(x, y)
-        assert word == tuple(sc for _, sc in path_steps(adj, x, y))
+        assert word == tuple(sc for _, sc in steps)
         assert tree.path_word(y, x) == tuple(-c for c in reversed(word))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tree=_random_tree(), data=st.data())
+def test_hull_matches_leaf_peeling(tree, data):
+    vertices = data.draw(st.sets(st.sampled_from(tree.vertices)))
+    assert _hull(tree, vertices) == _hull_oracle(tree, vertices)
 
 
 def test_is_discerned_local_rule():
@@ -114,7 +171,7 @@ def test_trunk_words_project_to_inverse_images():
         ts = family_tree_substitution(d)
         inv = family_inverse(d)
         for i in range(1, d + 1):
-            assert p_star(d, ts.rules[i].trunk_word()) == inv.images[i]
+            assert p_star(d, ts.trunk_word(i)) == inv.images[i]
 
 
 def test_edge_growth():
@@ -135,7 +192,7 @@ def test_born_vertices_and_origins():
     it = TreeIteration(3)
     t0, t1 = it.tree_at(0), it.tree_at(1)
     arc, _ = it.descent(0, 1)
-    born = [v for v, b in it.birth_stage.items() if b == 1]
+    born = [v for v in t1.vertices if it.birth_stage(v) == 1]
     assert born, "stage 1 must create vertices"
     for v in born:
         assert v not in t0.vertices
@@ -154,7 +211,7 @@ def test_new_center_record_matches_adjacency(d):
     assert all(t._adj is None for t in it.trees[1:])
     for n in range(1, 9):
         tree = it.tree_at(n)
-        born = [v for v, b in it.birth_stage.items() if b == n]
+        born = [v for v in tree.vertices if it.birth_stage(v) == n]
         centers = [v for v in born if tree.degree(v) == d]
         leaves = {v for v in born if tree.degree(v) == 1}
         record = it.centers[n]
@@ -184,10 +241,22 @@ def test_ancestor_edge_chains():
     arc20, _ = it.descent(0, 2)
     t2 = it.tree_at(2)
     for v in it.tree_at(4).vertices:
-        if it.birth_stage[v] > 2:
+        if it.birth_stage(v) > 2:
             assert arc40[v] == _base_edge(it, arc20, 0, t2.edges[arc42[v]])
         else:
             assert arc40[v] == arc20[v]
+
+
+def test_birth_stage_is_first_stage_holding_the_vertex():
+    it = TreeIteration(4)
+    seen = set()
+    for n in range(7):
+        fresh = set(it.tree_at(n).vertices) - seen
+        assert {it.birth_stage(v) for v in fresh} == {n}
+        seen |= fresh
+    for v in (-1, len(it.tree_at(6).vertices)):
+        with pytest.raises(ValueError, match="not a vertex"):
+            it.birth_stage(v)
 
 
 def test_vertex_provenance():
@@ -195,7 +264,7 @@ def test_vertex_provenance():
     arc, on = it.descent(1, 3)
     assert len(arc) == len(on) == len(it.tree_at(3).vertices)
     for v in it.tree_at(3).vertices:
-        if it.birth_stage[v] <= 1:
+        if it.birth_stage(v) <= 1:
             assert arc[v] == -1 and on[v]
         else:
             assert 0 <= arc[v] < len(it.tree_at(1).edges)
@@ -215,7 +284,7 @@ def test_descent_matches_path_oracle(d):
         adj = deep.adjacency()
         # on the embedded edge (s, t) = strictly inside its path in the deep tree
         for e, (s, t, _) in enumerate(it.tree_at(base).edges):
-            inside = {v for v, _ in path_steps(adj, s, t)[:-1]}
+            inside = {v for v, _ in _path_oracle(adj, s, t)[:-1]}
             assert {v for v in deep.vertices if on[v] and arc[v] == e} == inside
         # an edge touching a later vertex stays inside that vertex's base edge
         old = set(it.tree_at(base).vertices)
