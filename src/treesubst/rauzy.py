@@ -10,10 +10,12 @@ an embedded stage tree, and renders deterministic SVG/CSV artifacts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import l_word, shared_scan
 from .words import (
@@ -27,6 +29,7 @@ from .words import (
 )
 
 MODULUS_TOL = 1e-9
+PAIR_BUDGET = 1 << 18   # candidate pairs the nearest-neighbour search holds at once
 
 
 @dataclass(frozen=True)
@@ -164,6 +167,38 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     return arc_of, on_tree
 
 
+def _cylinder_classes(depth: int, m: int) -> tuple[np.ndarray, list[str]]:
+    """Class of the length-m window ending at each prefix length 0..depth
+    (-1 below m), and the word of each class in lexicographic order.
+
+    Each window is one base-4 integer (letters are 1..3), so `np.unique`
+    groups integers and `word_str` runs only on the distinct windows, at
+    most 2m+1 of them.  Past 31 letters the code would overflow int64, and
+    the windows are grouped as raw bytes instead, in the same order.
+    """
+    cls = np.full(depth + 1, -1, dtype=np.int64)
+    if depth < m:
+        return cls, []
+    text = np.frombuffer(fixed_point_prefix(3, depth), dtype=np.uint8)
+    win = sliding_window_view(text, m)
+    if m <= 31:
+        keys = win @ (4 ** np.arange(m - 1, -1, -1, dtype=np.int64))
+    else:
+        keys = np.ascontiguousarray(win).view(f"V{m}").ravel()
+    _, first, cls[m:] = np.unique(keys, return_index=True, return_inverse=True)
+    return cls, [word_str(text[j : j + m].tobytes()) for j in first]
+
+
+def _tags(cls: np.ndarray, names: list[str]) -> list[str]:
+    """names[c] for each class index c, "-" for -1; equal tags share one str."""
+    lookup = ["-"] + names
+    return [lookup[c] for c in (cls + 1).tolist()]
+
+
+def _arc_tags(arc_of: np.ndarray) -> list[str]:
+    return _tags(arc_of, [f"a{a}" for a in range(int(arc_of.max(initial=-1)) + 1)])
+
+
 def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
     """Projected inverted prefixes up to `depth`, tagged by the coloring.
 
@@ -174,13 +209,9 @@ def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
     kind, k = parse_coloring(coloring)
     pts = _projected_prefix_orbit(depth)
     if kind == "cylinder":
-        text = fixed_point_prefix(3, depth)
-        tags = [
-            word_str(text[i - k : i]) if i >= k else "-" for i in range(depth + 1)
-        ]
+        tags = _tags(*_cylinder_classes(depth, k))
     else:
-        arc_of, _ = _orbit_index(k, depth)
-        tags = [f"a{a}" if a >= 0 else "-" for a in arc_of.tolist()]
+        tags = _arc_tags(_orbit_index(k, depth)[0])
     return PointCloud(pts[:, 0].copy(), pts[:, 1].copy(), tags)
 
 
@@ -189,8 +220,7 @@ def zeta_cloud(n: int, depth: int) -> PointCloud:
     pts = _projected_prefix_orbit(depth)
     arc_of, on_tree = _orbit_index(n, depth)
     keep = np.flatnonzero(on_tree)
-    tags = [f"a{a}" if a >= 0 else "-" for a in arc_of[keep].tolist()]
-    return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), tags)
+    return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), _arc_tags(arc_of[keep]))
 
 
 # -- audits -----------------------------------------------------------------
@@ -243,35 +273,99 @@ def check_contraction(kmax: int = 18) -> list[str]:
     return []
 
 
-def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> list[str]:
-    """Cylinder-m tags and arc-base tags cut the cloud identically."""
-    cyl = fractal_cloud(depth, f"cylinder:{m}")
-    arc = fractal_cloud(depth, f"arc:{base}")
-    boundary = max(m, len(l_word(3, base)) + 1)
-    fwd: dict[str, str] = {}
-    rev: dict[str, str] = {}
+def _first_split(key: np.ndarray, val: np.ndarray) -> int:
+    """First position whose val differs from val at the first position of
+    its key; len(key) if there is none."""
+    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    split = np.flatnonzero(val != val[first][inv])
+    return int(split[0]) if len(split) else len(key)
+
+
+def _partition_witnesses(cyl: np.ndarray, arc: np.ndarray, start: int) -> list[str]:
+    """Witnesses at the first prefix where the tag arrays cut the points
+    differently; cyl[i] and arc[i] tag prefix start + i.
+
+    Each cylinder is paired with the arc of its first point and each arc
+    with the cylinder of its first point; the first prefix that breaks
+    either pairing is reported, the cylinder side first.
+    """
+    fwd, rev = _first_split(cyl, arc), _first_split(arc, cyl)
+    i = min(fwd, rev)
     failures = []
-    for i in range(boundary, depth + 1):
-        a, b = cyl.tags[i], arc.tags[i]
-        if fwd.setdefault(a, b) != b:
-            failures.append(f"prefix {i}: cylinder {a} splits across arcs")
-        if rev.setdefault(b, a) != a:
-            failures.append(f"prefix {i}: arc {b} splits across cylinders")
-        if failures:
-            break
-    if not failures and len(fwd) != len(factors(3, m)):
-        failures.append(f"saw {len(fwd)} cylinder classes, want {len(factors(3, m))}")
+    if fwd == i < len(cyl):
+        failures.append(f"prefix {start + i}: cylinder {cyl[i]} splits across arcs")
+    if rev == i < len(cyl):
+        failures.append(f"prefix {start + i}: arc {arc[i]} splits across cylinders")
     return failures
 
 
-def _nearest_rms(a: np.ndarray, b: np.ndarray, chunk: int = 512) -> float:
+def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> list[str]:
+    """Cylinder-m tags and arc-base tags cut the cloud identically."""
+    boundary = max(m, len(l_word(3, base)) + 1)
+    cls, names = _cylinder_classes(depth, m)
+    cyl = np.array(_tags(cls[boundary:], names))
+    arc = np.array(_arc_tags(_orbit_index(base, depth)[0][boundary:]))
+    failures = _partition_witnesses(cyl, arc, boundary)
+    seen, want = len(np.unique(cyl)), len(factors(3, m))
+    if not failures and seen != want:
+        failures.append(f"saw {seen} cylinder classes, want {want}")
+    return failures
+
+
+def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Squared distance from each point of a to the nearest point of b.
+
+    Exact grid search: b is sorted into square cells of side
+    h = span / ceil(sqrt(|b|)), and each point of a looks in the 3x3 block
+    of cells around its own.  A point of b outside that block is at least
+    h away, so a best squared distance of at most h^2 found in the block is
+    the true minimum.  The threshold sits a hair below h^2 (1e-9 relative),
+    far more than rounding can move a point across a cell edge: about
+    (cells + 3) ulps of h.  Points above it, with no point of b nearby,
+    take the brute-force row.  Every distance is the same
+    ((a - b) ** 2).sum(axis=1), so the minima are those of the brute force
+    bit for bit.  Rows are taken in chunks of about PAIR_BUDGET pairs.
+    """
+    lo = b.min(axis=0)
+    span = float((b.max(axis=0) - lo).max())
+    h = span / (math.isqrt(len(b) - 1) + 1) if span > 0 else 1.0
+    cell_b = np.floor((b - lo) / h).astype(np.int64)
+    top = cell_b.max(axis=0)
+    # a cell beyond the margin of 2 sees no point of b in its block either
+    cell_a = np.clip(np.floor((a - lo) / h), -2, top + 2).astype(np.int64)
+    width = int(top[1]) + 7
+
+    def key(cell):
+        return (cell[:, 0] + 3) * width + cell[:, 1] + 3
+
+    keys_b = key(cell_b)
+    order = np.argsort(keys_b)
+    sorted_keys = keys_b[order]
+    step = np.array([-1, 0, 1])
+    query = key(cell_a)[:, None] + (step[:, None] * width + step).ravel()
+    first = np.searchsorted(sorted_keys, query, side="left")
+    count = np.searchsorted(sorted_keys, query, side="right") - first
+    best = np.full(len(a), np.inf)
+    ends = np.cumsum(count.sum(axis=1))
+    cuts = np.searchsorted(ends, np.arange(PAIR_BUDGET, ends[-1], PAIR_BUDGET), side="right")
+    bounds = np.unique(np.concatenate([[0], cuts, [len(a)]]))
+    for r0, r1 in zip(bounds[:-1], bounds[1:]):
+        cnt, fst = count[r0:r1].ravel(), first[r0:r1].ravel()
+        row = np.repeat(np.arange(r0, r1), count[r0:r1].sum(axis=1))
+        pos = np.repeat(fst - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
+        d2 = ((a[row] - b[order[pos]]) ** 2).sum(axis=1)
+        np.minimum.at(best, row, d2)
+    far = np.flatnonzero(~(best <= h * h * (1 - 1e-9)))
+    rows = max(1, PAIR_BUDGET // len(b))
+    for i in range(0, len(far), rows):
+        idx = far[i : i + rows]
+        best[idx] = ((a[idx][:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+    return best
+
+
+def _nearest_rms(a: np.ndarray, b: np.ndarray) -> float:
     """Root mean square over a of the distance to the nearest point of b."""
-    best = np.empty(len(a))
-    for i in range(0, len(a), chunk):
-        blk = a[i : i + chunk]
-        d2 = ((blk[:, None, :] - b[None, :, :]) ** 2).sum(axis=2)
-        best[i : i + chunk] = d2.min(axis=1)
-    return float(np.sqrt(best.mean()))
+    return float(np.sqrt(_nearest_sq(a, b).mean()))
 
 
 def check_translate_congruence(
@@ -280,29 +374,41 @@ def check_translate_congruence(
     """Equal-measure cylinder clouds agree up to translation, within tolerance.
 
     Centroids are aligned and the symmetric nearest-neighbor RMS is compared
-    to the cloud diameter.
+    to the cloud diameter.  A cylinder with no point in the cloud is a
+    witness, and a run that compares no pair fails.
     """
-    cloud = fractal_cloud(depth, f"cylinder:{m}")
-    pts = np.column_stack([cloud.xs, cloud.ys])
+    pts = _projected_prefix_orbit(depth)
     diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    cls, names = _cylinder_classes(depth, m)
+    order = np.argsort(cls, kind="stable")   # each class keeps its prefix order
+    bounds = np.searchsorted(cls[order], np.arange(len(names) + 1))
+    by_tag = {
+        name: pts[order[bounds[k] : bounds[k + 1]]] for k, name in enumerate(names)
+    }
     spectrum = measure_spectrum(3, m)
     groups: dict[int, list[str]] = {}
     for u, j in spectrum.snapped_exponents.items():
         groups.setdefault(j, []).append(word_str(u))
-    by_tag: dict[str, np.ndarray] = {}
-    for tag in set(cloud.tags) - {"-"}:
-        sel = [i for i, t in enumerate(cloud.tags) if t == tag]
-        by_tag[tag] = pts[sel]
     failures = []
+    compared = 0
     for j, members in sorted(groups.items()):
-        for a, b in zip(members, members[1:]):
+        present = [u for u in members if u in by_tag]
+        failures += [
+            f"cylinder {u} has no point at depth {depth}"
+            for u in members
+            if u not in by_tag
+        ]
+        for a, b in zip(present, present[1:]):
             pa = by_tag[a] - by_tag[a].mean(axis=0)
             pb = by_tag[b] - by_tag[b].mean(axis=0)
             rms = max(_nearest_rms(pa, pb), _nearest_rms(pb, pa))
+            compared += 1
             if rms / diam > rel_tol:
                 failures.append(
                     f"class lambda^-{j}: {a} vs {b} rms {rms / diam:.4f} of diameter"
                 )
+    if not compared:
+        failures.append(f"no equal-measure cylinder pair to compare at depth {depth}")
     return failures
 
 

@@ -390,9 +390,8 @@ def path_distances(d: int, max_stage: int) -> list[str]:
     return fails
 
 
-def core_suite(d: int, max_stage: int = 12, geom_stage: int = 8) -> list[CheckResult]:
-    geom_stage = min(geom_stage, max_stage)
-    arc_stage = min(6, geom_stage)
+def core_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
+    arc_stage = min(6, max_stage)
     scan = core.shared_scan(d)
     return [
         _result("label-inventory", f"d={d}, m<=5", label_inventory(d)),
@@ -410,8 +409,8 @@ def core_suite(d: int, max_stage: int = 12, geom_stage: int = 8) -> list[CheckRe
             scan.check_branching_neighbor(max_stage),
         ),
         _result(
-            "address-map-consistency", f"d={d}, n<={geom_stage}",
-            address_map_consistency(d, geom_stage),
+            "address-map-consistency", f"d={d}, n<={max_stage}",
+            address_map_consistency(d, max_stage),
         ),
         _result(
             "label-injectivity", f"d={d}, stage {min(10, max_stage)}",
@@ -426,10 +425,10 @@ def core_suite(d: int, max_stage: int = 12, geom_stage: int = 8) -> list[CheckRe
         _result("arc-overlaps", f"d={d}, n<={arc_stage}", arc_overlaps(d, arc_stage)),
         _result("arc-cylinders", f"d={d}, n<={arc_stage}", arc_cylinders(d, arc_stage, max_stage)),
         _result(
-            "shift-isometries", f"d={d}, letters 1..{d}, n<={geom_stage}",
-            shift_isometries(d, geom_stage),
+            "shift-isometries", f"d={d}, letters 1..{d}, n<={max_stage}",
+            shift_isometries(d, max_stage),
         ),
-        _result("path-distances", f"d={d}, n<={geom_stage}", path_distances(d, geom_stage)),
+        _result("path-distances", f"d={d}, n<={max_stage}", path_distances(d, max_stage)),
     ]
 
 
@@ -515,7 +514,7 @@ def run_suite(
     if suite in ("realization", "all"):
         out += realization_suite(d, min(cap, 10))
     if suite in ("core", "all"):
-        out += core_suite(d, cap, min(8, cap))
+        out += core_suite(d, cap)
     if suite == "rauzy" or (suite == "all" and d == 3):
         out += rauzy_suite(d)
     return out

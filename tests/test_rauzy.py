@@ -1,9 +1,12 @@
 """Planar projection, orbit clouds, and the plot artifacts."""
 
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treesubst import cli, core, rauzy
 from treesubst.trees import TreeIteration
@@ -23,6 +26,10 @@ from treesubst.rauzy import (
     render_svg,
     tag_palette,
     zeta_cloud,
+    _cylinder_classes,
+    _nearest_rms,
+    _nearest_sq,
+    _partition_witnesses,
     _projected_prefix_orbit,
 )
 
@@ -119,6 +126,137 @@ def test_partition_match_small_depth():
 
 def test_translate_congruence():
     assert check_translate_congruence(8000) == []
+
+
+@pytest.mark.parametrize("depth", [5, 10, 20])
+def test_translate_congruence_names_absent_cylinders(depth):
+    # these depths raised KeyError once: some length-7 cylinder has no point
+    failures = check_translate_congruence(depth)
+    absent = [f for f in failures if f.endswith(f"has no point at depth {depth}")]
+    assert absent
+    assert all(f.startswith("cylinder ") for f in absent)
+
+
+def test_translate_congruence_without_a_pair_fails():
+    # below depth 7 no point has a length-7 tag, so no pair is compared
+    failures = check_translate_congruence(5)
+    assert len(failures) == 16
+    assert failures[-1] == "no equal-measure cylinder pair to compare at depth 5"
+    assert "no equal-measure" not in " ".join(check_translate_congruence(10))
+
+
+# -- exact grid nearest-neighbour search ------------------------------------
+
+
+def _brute_sq(a, b):
+    """The quadratic search the grid replaces, kept as the oracle."""
+    return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1)
+
+
+_coord = st.one_of(
+    st.integers(-3, 3).map(float),        # small lattice: duplicates and ties
+    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
+)
+_cloud = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40).map(
+    lambda pts: np.array(pts, dtype=float)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    a=_cloud, b=_cloud,
+    shape=st.sampled_from(["plain", "collinear", "constant", "far"]),
+    budget=st.sampled_from([1, 5, rauzy.PAIR_BUDGET]),
+)
+@example(a=np.zeros((1, 2)), b=np.zeros((1, 2)), shape="plain", budget=rauzy.PAIR_BUDGET)
+@example(a=np.ones((3, 2)), b=np.ones((4, 2)), shape="plain", budget=1)
+@example(   # h = 2: the block holds a point 2.49 away, outside it one is 2.01 away
+    a=np.array([[1.99, 0.0]]), b=np.array([[0.0, 1.5], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]),
+    shape="plain", budget=rauzy.PAIR_BUDGET,
+)
+def test_grid_search_matches_brute_force(a, b, shape, budget):
+    if shape == "collinear":        # zero span on one axis
+        b[:, 1] = 0.25
+        a[: len(a) // 2, 1] = 0.25
+    elif shape == "constant":       # every point of b equal
+        b[:] = b[0]
+    elif shape == "far":            # a second cluster far away forces the fallback
+        a[::2] += (1e4, -3e3)
+    want = _brute_sq(a, b)
+    with mock.patch.object(rauzy, "PAIR_BUDGET", budget):   # small budgets: many chunks
+        got = _nearest_sq(a, b)
+    assert np.array_equal(got, want)
+    assert _nearest_rms(a, b) == float(np.sqrt(want.mean()))
+
+
+def test_grid_search_on_equal_measure_clouds():
+    pts = _projected_prefix_orbit(8000)
+    cls, names = _cylinder_classes(8000, 7)
+    a, b = (pts[cls == names.index(u)] for u in ("1121231", "1231121"))
+    a, b = a - a.mean(axis=0), b - b.mean(axis=0)
+    assert np.array_equal(_nearest_sq(a, b), _brute_sq(a, b))
+    assert np.array_equal(_nearest_sq(b, a), _brute_sq(b, a))
+
+
+# -- cylinder tags and the partition match -----------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(depth=st.integers(0, 400), m=st.one_of(st.integers(1, 12), st.sampled_from([31, 32, 40])))
+@example(depth=2, m=3)        # shorter than every window
+@example(depth=40, m=40)      # one window, past the int64 code
+def test_cylinder_tags_match_word_loop(depth, m):
+    text = fixed_point_prefix(3, depth)
+    want = [word_str(text[i - m : i]) if i >= m else "-" for i in range(depth + 1)]
+    assert fractal_cloud(depth, f"cylinder:{m}").tags == want
+
+
+def _loop_witnesses(cyl, arc, start):
+    """The per-prefix dictionary loop that `_partition_witnesses` replaces."""
+    fwd, rev, failures = {}, {}, []
+    for i, (a, b) in enumerate(zip(cyl, arc)):
+        if fwd.setdefault(a, b) != b:
+            failures.append(f"prefix {start + i}: cylinder {a} splits across arcs")
+        if rev.setdefault(b, a) != a:
+            failures.append(f"prefix {start + i}: arc {b} splits across cylinders")
+        if failures:
+            break
+    return failures
+
+
+_BOUNDARY = 26     # max(7, |l_4| + 1) for d = 3
+_CYL_TAGS = fractal_cloud(3000, "cylinder:7").tags[_BOUNDARY:]
+_ARC_TAGS = fractal_cloud(3000, "arc:4").tags[_BOUNDARY:]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    side=st.sampled_from(["cylinder", "arc"]),
+    i=st.integers(0, len(_CYL_TAGS) - 1),
+    j=st.integers(0, len(_CYL_TAGS) - 1),
+)
+def test_partition_witnesses_match_loop_after_one_swap(side, i, j):
+    cyl, arc = list(_CYL_TAGS), list(_ARC_TAGS)
+    tags = cyl if side == "cylinder" else arc
+    tags[i], tags[j] = tags[j], tags[i]
+    want = _loop_witnesses(cyl, arc, _BOUNDARY)
+    assert _partition_witnesses(np.array(cyl), np.array(arc), _BOUNDARY) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from("xyz"), st.sampled_from("abc")), max_size=30))
+def test_partition_witnesses_match_loop_on_random_tags(pairs):
+    cyl = [c for c, _ in pairs]
+    arc = [a for _, a in pairs]
+    got = _partition_witnesses(np.array(cyl, dtype=str), np.array(arc, dtype=str), 7)
+    assert got == _loop_witnesses(cyl, arc, 7)
+
+
+def test_partition_match_witnesses_pinned():
+    assert _partition_witnesses(np.array(_CYL_TAGS), np.array(_ARC_TAGS), _BOUNDARY) == []
+    assert check_partition_match(3000, 7, 5) == ["prefix 26: cylinder 1231121 splits across arcs"]
+    assert check_partition_match(3000, 7, 3) == ["prefix 18: arc a0 splits across cylinders"]
+    assert check_partition_match(5, 7, 4) == ["saw 0 cylinder classes, want 15"]
 
 
 def test_parse_coloring():
