@@ -224,23 +224,22 @@ def _loop_witnesses(cyl, arc, start):
     return failures
 
 
-_BOUNDARY = 26     # max(7, |l_4| + 1) for d = 3
-_CYL_TAGS = fractal_cloud(3000, "cylinder:7").tags[_BOUNDARY:]
-_ARC_TAGS = fractal_cloud(3000, "arc:4").tags[_BOUNDARY:]
+def _stage4_tags():
+    """Cylinder-7 and arc-4 tags at depth 3000 from the partition boundary on."""
+    start = max(7, len(core.l_word(3, 4)) + 1)
+    cyl = fractal_cloud(3000, "cylinder:7").tags[start:]
+    return cyl, fractal_cloud(3000, "arc:4").tags[start:], start
 
 
 @settings(max_examples=100, deadline=None)
-@given(
-    side=st.sampled_from(["cylinder", "arc"]),
-    i=st.integers(0, len(_CYL_TAGS) - 1),
-    j=st.integers(0, len(_CYL_TAGS) - 1),
-)
+@given(side=st.sampled_from(["cylinder", "arc"]), i=st.integers(0, 10**6), j=st.integers(0, 10**6))
 def test_partition_witnesses_match_loop_after_one_swap(side, i, j):
-    cyl, arc = list(_CYL_TAGS), list(_ARC_TAGS)
+    cyl, arc, start = _stage4_tags()
     tags = cyl if side == "cylinder" else arc
+    i, j = i % len(tags), j % len(tags)
     tags[i], tags[j] = tags[j], tags[i]
-    want = _loop_witnesses(cyl, arc, _BOUNDARY)
-    assert _partition_witnesses(np.array(cyl), np.array(arc), _BOUNDARY) == want
+    want = _loop_witnesses(cyl, arc, start)
+    assert _partition_witnesses(np.array(cyl), np.array(arc), start) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -253,7 +252,8 @@ def test_partition_witnesses_match_loop_on_random_tags(pairs):
 
 
 def test_partition_match_witnesses_pinned():
-    assert _partition_witnesses(np.array(_CYL_TAGS), np.array(_ARC_TAGS), _BOUNDARY) == []
+    cyl, arc, start = _stage4_tags()
+    assert _partition_witnesses(np.array(cyl), np.array(arc), start) == []
     assert check_partition_match(3000, 7, 5) == ["prefix 26: cylinder 1231121 splits across arcs"]
     assert check_partition_match(3000, 7, 3) == ["prefix 18: arc a0 splits across cylinders"]
     assert check_partition_match(5, 7, 4) == ["saw 0 cylinder classes, want 15"]
