@@ -46,17 +46,14 @@ class FreePoint:
         """Concatenate and reduce: merge touching syllables of one copy."""
         if self.d != other.d:
             raise ValueError(f"points of d={self.d} and d={other.d} do not mix")
-        left = list(self.syllables)
-        right = list(other.syllables)
-        while left and right and left[-1][0] == right[0][0]:
-            copy = left[-1][0]
-            t = left[-1][1] + right[0][1]
-            left.pop()
-            right.pop(0)
+        a, b = self.syllables, other.syllables
+        i, m = 0, min(len(a), len(b))
+        while i < m and a[-1 - i][0] == b[i][0]:
+            t = a[-1 - i][1] + b[i][1]
             if not t.is_zero():
-                left.append((copy, t))
-                break
-        return FreePoint(self.d, tuple(left) + tuple(right))
+                return FreePoint(self.d, a[: len(a) - 1 - i] + ((b[i][0], t),) + b[i + 1 :])
+            i += 1
+        return FreePoint(self.d, a[: len(a) - i] + b[i:])
 
     def inverse(self) -> "FreePoint":
         return FreePoint(self.d, tuple((c, -t) for c, t in reversed(self.syllables)))
@@ -73,37 +70,26 @@ class FreePoint:
         return ".".join(f"{c}^{t.value():.6g}" for c, t in self.syllables)
 
 
-def distance(p: FreePoint, q: FreePoint) -> ExactLength:
-    return (p.inverse() * q).norm()
-
-
-def common_prefix(p: FreePoint, q: FreePoint) -> FreePoint:
-    """Longest common initial segment of two reduced syllable words."""
+def quotient(p: FreePoint, q: FreePoint) -> tuple[Syllable, ...]:
+    """Syllables of the reduced p^-1 q: the common prefix cancels unseen
+    (compared by identity first, as points built from one another share
+    syllables), and only the junction after it is reduced."""
     if p.d != q.d:
         raise ValueError(f"points of d={p.d} and d={q.d} do not mix")
-    out: list[Syllable] = []
-    for (c1, t1), (c2, t2) in zip(p.syllables, q.syllables):
-        if c1 != c2:
-            break
-        if t1 == t2:
-            out.append((c1, t1))
-            continue
-        if t1.sign() == t2.sign():
-            shorter = t1 if abs(t1) < abs(t2) else t2
-            out.append((c1, shorter))
-        break
-    return FreePoint(p.d, tuple(out))
+    a, b = p.syllables, q.syllables
+    i, m = 0, min(len(a), len(b))
+    while i < m and (a[i] is b[i] or a[i] == b[i]):
+        i += 1
+    if i == len(a):
+        return b[i:]
+    back = tuple((c, -t) for c, t in reversed(a[i + 1:]))
+    if i < len(b) and a[i][0] == b[i][0]:
+        return back + ((b[i][0], b[i][1] - a[i][1]),) + b[i + 1:]
+    return back + ((a[i][0], -a[i][1]),) + b[i:]
 
 
-def median(a: FreePoint, b: FreePoint, c: FreePoint) -> FreePoint:
-    """The unique point on all three pairwise segments."""
-    ab = a.inverse() * b
-    ac = a.inverse() * c
-    return a * common_prefix(ab, ac)
-
-
-def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLength:
-    return distance(x, median(a, b, x))
+def distance(p: FreePoint, q: FreePoint) -> ExactLength:
+    return FreePoint(p.d, quotient(p, q)).norm()
 
 
 # ---------------------------------------------------------------------------
@@ -137,27 +123,26 @@ class Realization:
             self._extend_once()
 
     def _extend_once(self) -> None:
-        d = self.d
+        d, pts = self.d, self.points
         n = self.stage_done + 1
         tree = self.it.tree_at(n)
         step = ExactLength.rho_power(d, -n)
+        # the replaced 2-edge's syllable -> the center's syllable off dst
+        replaced = self.base_lengths[2].scaled(-(n - 1))
+        toward = {replaced: step, -replaced: -step}
+        leaf_ts = [ExactLength.rho_power(d, -(n + h)) for h in range(1, d - 1)]
         for c in self.it.centers[n]:
-            if c.dst not in self.points or c.src not in self.points:
-                raise ValueError("anchors must be old")
-            start = self.points[c.dst]       # the color-1 neighbor
-            diff = start.inverse() * self.points[c.src]
-            if len(diff.syllables) != 1:
+            start = pts[c.dst]       # the color-1 neighbor
+            diff = quotient(start, pts[c.src])
+            if len(diff) != 1:
                 raise ValueError("replaced edge was not a single syllable")
-            copy, p = diff.syllables[0]
-            if abs(p) != self.base_lengths[2].scaled(-(n - 1)):
+            copy, p = diff[0]
+            if p not in toward:
                 raise ValueError("replaced 2-edge has the wrong length")
-            alpha = p.sign()
-            t = step if alpha > 0 else -step
-            center = self.points[c.vertex] = start * FreePoint.syllable(d, copy, t)
+            center = pts[c.vertex] = start * FreePoint(d, ((copy, toward[p]),))
             for h, z in enumerate(c.leaves, start=1):
-                leaf_t = ExactLength.rho_power(d, -(n + h))
-                self.points[z] = center * FreePoint.syllable(d, (copy + h) % d, leaf_t)
-        missing = [v for v in tree.vertices if v not in self.points]
+                pts[z] = center * FreePoint(d, (((copy + h) % d, leaf_ts[h - 1]),))
+        missing = [v for v in tree.vertices if v not in pts]
         if missing:
             raise ValueError(f"unplaced vertices {missing}")
         self.stage_done = n
@@ -171,30 +156,36 @@ class Realization:
         Raises ValueError naming the first edge that does not.
         """
         self.extend_to(n)
-        tree = self.it.tree_at(n)
-        for s, t, c in tree.edges:
-            diff = self.points[s].inverse() * self.points[t]
-            if len(diff.syllables) != 1:
+        signed = {c: (b.scaled(-n), -b.scaled(-n)) for c, b in self.base_lengths.items()}
+        for s, t, c in self.it.tree_at(n).edges:
+            diff = quotient(self.points[s], self.points[t])
+            if len(diff) != 1:
                 raise ValueError((n, (s, t, c), "not a single syllable"))
-            got = abs(diff.syllables[0][1])
-            want = self.base_lengths[c].scaled(-n)
-            if got != want:
-                raise ValueError((n, (s, t, c), got, want))
+            if diff[0][1] not in signed[c]:
+                raise ValueError((n, (s, t, c), abs(diff[0][1]), signed[c][0]))
 
     def hausdorff_gap(self, n: int) -> ExactLength:
         """Largest distance from a stage-n vertex to the realized T_(n-1).
 
-        New centers sit on an old segment, so only the fresh leaves
-        contribute; the bound is rho^-(n+1) exactly.
+        Only the new stars leave T_(n-1).  Each center must be one syllable
+        from both ends of the 2-edge it replaced, on one copy with one sign,
+        so inside that edge; each fresh leaf must be one syllable off its
+        center on another copy, so its distance to T_(n-1) is that
+        syllable's length.  Raises ValueError naming the first new vertex
+        placed otherwise.
         """
         if n < 1:
             raise ValueError(f"stage must be >= 1, got {n}")
         self.extend_to(n)
-        gap = ExactLength.zero(self.d)
+        pts = self.points
+        legs: set[ExactLength] = set()
         for c in self.it.centers[n]:
-            a, b = self.points[c.dst], self.points[c.src]
-            for v in (c.vertex, *c.leaves):
-                dist = point_segment_distance(self.points[v], a, b)
-                if gap < dist:
-                    gap = dist
-        return gap
+            off, on = quotient(pts[c.dst], pts[c.vertex]), quotient(pts[c.vertex], pts[c.src])
+            if len(off) != 1 or [(k, t.sign()) for k, t in off] != [(k, t.sign()) for k, t in on]:
+                raise ValueError((n, c.vertex, "center off its replaced edge"))
+            for z in c.leaves:
+                leg = quotient(pts[c.vertex], pts[z])
+                if len(leg) != 1 or leg[0][0] == off[0][0]:
+                    raise ValueError((n, z, "leaf not one syllable off its edge"))
+                legs.add(leg[0][1])
+        return max(map(abs, legs), default=ExactLength.zero(self.d))

@@ -208,6 +208,19 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert "error:" in capsys.readouterr().err
 
 
+def test_stage_convergence_without_a_stage_fails(capsys):
+    # the first gap is between stages 0 and 1, so n<=0 compares nothing
+    rc = cli.main([
+        "verify", "--suite", "realization", "--d", "3", "--max-stage", "0",
+        "--format", "json",
+    ])
+    assert rc == 1
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    assert checks["stage-convergence"]["status"] == "fail"
+    assert checks["stage-convergence"]["witnesses"] == ["no stage to compare at n<=0"]
+    assert checks["edge-length-law"]["status"] == "pass"
+
+
 def test_path_distances_without_a_pair_fails(capsys):
     # the stage-0 star has one branch point, so there is no pair to compare,
     # and each letter's shift domain holds at most that one

@@ -7,19 +7,52 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import treesubst
 from treesubst import core, verify
 from treesubst.algnum import ExactLength, stretch_root
-from treesubst.realization import (
-    FreePoint,
-    Realization,
-    common_prefix,
-    distance,
-    median,
-    point_segment_distance,
-)
+from treesubst.realization import FreePoint, Realization, distance, quotient
 from treesubst.trees import TreeIteration
+
+# -- the general gap oracle: medians in the free product of lines -----------
+
+
+def common_prefix(p: FreePoint, q: FreePoint) -> FreePoint:
+    """Longest common initial segment of two reduced syllable words."""
+    out = []
+    for (c1, t1), (c2, t2) in zip(p.syllables, q.syllables):
+        if c1 != c2:
+            break
+        if t1 == t2:
+            out.append((c1, t1))
+            continue
+        if t1.sign() == t2.sign():
+            out.append((c1, t1 if abs(t1) < abs(t2) else t2))
+        break
+    return FreePoint(p.d, tuple(out))
+
+
+def median(a: FreePoint, b: FreePoint, c: FreePoint) -> FreePoint:
+    """The unique point on all three pairwise segments."""
+    return a * common_prefix(a.inverse() * b, a.inverse() * c)
+
+
+def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLength:
+    return distance(x, median(a, b, x))
+
+
+def oracle_gap(real: Realization, n: int) -> ExactLength:
+    """Largest distance from a stage-n new vertex to the edge its star replaced."""
+    gap = ExactLength.zero(real.d)
+    for c in real.it.centers[n]:
+        a, b = real.points[c.dst], real.points[c.src]
+        for v in (c.vertex, *c.leaves):
+            dist = point_segment_distance(real.points[v], a, b)
+            if gap < dist:
+                gap = dist
+    return gap
 
 
 def _t(num):
@@ -183,3 +216,105 @@ def test_realized_points_are_distinct():
     tree = real.it.tree_at(4)
     pts = [real.point(v) for v in tree.vertices]
     assert len(set(pts)) == len(pts)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_local_gap_matches_the_median_oracle(d):
+    real = Realization(TreeIteration(d))
+    real.extend_to(10)
+    for n in range(1, 11):
+        assert real.hausdorff_gap(n) == oracle_gap(real, n), n
+
+
+def test_stage_convergence_reaches_stage_20():
+    results = verify.realization_suite(3, 20)
+    assert [(r.name, r.scope, r.status) for r in results] == [
+        ("edge-length-law", "d=3, n<=20", "pass"),
+        ("stage-convergence", "d=3, n<=20", "pass"),
+    ]
+
+
+@pytest.mark.parametrize("check_stage", [5, 8])
+def test_edge_check_catches_a_corrupted_point(check_stage):
+    # rescale the last syllable of a stage-5 center by rho^-3
+    real = Realization(TreeIteration(3))
+    real.extend_to(check_stage)
+    v = real.it.centers[5][0].vertex
+    *head, (copy, t) = real.points[v].syllables
+    real.points[v] = FreePoint(3, (*head, (copy, t.scaled(-3))))
+    with pytest.raises(ValueError) as info:
+        real.edge_length_check(check_stage)
+    n, (s, t_, _), *_ = info.value.args[0]
+    assert n == check_stage and v in (s, t_)
+
+
+def test_gap_rejects_a_leaf_on_its_edge_copy(monkeypatch):
+    real = Realization(TreeIteration(3))
+    real.extend_to(6)
+    c = real.it.centers[6][0]
+    (copy, _), = quotient(real.points[c.dst], real.points[c.src])
+    center = real.points[c.vertex]
+    real.points[c.leaves[0]] = center * FreePoint.syllable(3, copy, ExactLength.rho_power(3, -7))
+    with pytest.raises(ValueError, match="leaf not one syllable off its edge"):
+        real.hausdorff_gap(6)
+    # the audit reports the misplaced leaf as the stage's witness
+    monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(real=real))
+    assert verify.stage_convergence(3, 6) == [
+        f"stage 6: {(6, c.leaves[0], 'leaf not one syllable off its edge')}"
+    ]
+
+
+
+def test_gap_rejects_a_center_past_its_edge():
+    # the center moves past the far end of the edge it replaced, by as much
+    # as it fell short of that end
+    real = Realization(TreeIteration(3))
+    real.extend_to(6)
+    c = real.it.centers[6][0]
+    (copy, p), = quotient(real.points[c.dst], real.points[c.src])
+    past = p + p - quotient(real.points[c.dst], real.points[c.vertex])[0][1]
+    real.points[c.vertex] = real.points[c.dst] * FreePoint.syllable(3, copy, past)
+    with pytest.raises(ValueError, match="center off its replaced edge"):
+        real.hausdorff_gap(6)
+
+# -- the quotient and the metric on random reduced words --------------------
+
+
+@st.composite
+def _word(draw, d, after=None):
+    """A reduced syllable word whose first copy differs from `after`."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        copy = draw(st.sampled_from([c for c in range(d) if c != after]))
+        coeffs = draw(st.tuples(*[st.integers(-2, 2)] * d).filter(any))
+        out.append((copy, ExactLength(d, coeffs)))
+        after = copy
+    return FreePoint(d, tuple(out))
+
+
+@st.composite
+def _points(draw):
+    """Three points of one d that share random prefixes, some by identity
+    and some as equal copies."""
+    d = draw(st.sampled_from([3, 4, 5]))
+    p = draw(_word(d))
+    pts = [p]
+    for _ in range(2):
+        k = draw(st.integers(0, len(p.syllables)))
+        head = p.syllables[:k]
+        if draw(st.booleans()):
+            head = tuple((c, ExactLength(d, t.coeffs)) for c, t in head)
+        pts.append(FreePoint(d, head) * draw(_word(d)))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(_points())
+def test_quotient_and_distance_properties(pts):
+    p, q, r = pts
+    for a, b in ((p, q), (q, r), (p, r), (p, p)):
+        assert quotient(a, b) == (a.inverse() * b).syllables
+    assert distance(p, q) == distance(q, p)
+    assert distance(p, q).is_zero() == (p == q)
+    assert distance(p, p).is_zero()
+    assert distance(p, r) <= distance(p, q) + distance(q, r)
