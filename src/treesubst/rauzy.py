@@ -135,35 +135,51 @@ def parse_coloring(spec: str) -> tuple[str, int]:
     return kind, k
 
 
+def orbit_stage(base: int, depth: int) -> int:
+    """First stage n >= base whose longest label, l_word(3, n), has at
+    least `depth` letters.
+
+    Counted by integer recursions, without building a word: |sigma^a(1)|
+    = |sigma^(a-1)(1)| + |sigma^(a-3)(1)|, from the characteristic
+    polynomial x^3 - x^2 - 1 of the incidence matrix, and
+    l_word(3, n) = sigma^(n-1)(1) l_word(3, n-2).
+    """
+    image, label, n = [1, 2, 3], [0, 1], 0   # |sigma^a(1)|, |l_word(3, m)|
+    while n < base or label[n] < depth:
+        n += 1
+        image.append(image[-1] + image[-3])
+        label.append(label[-2] + image[n])
+    return n
+
+
 @lru_cache(maxsize=8)
 def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     """Arc of the stage-`base` tree, and whether it lies on that embedded
     tree, for each prefix length 0..depth; arc -1 where no arc applies.
 
-    Walks the new centers of the shared d=3 iteration.  A center born at
-    stage n has the label of its replaced edge's source extended by
-    sigma^(n-1)(1^-1), as in `CoreScan._scan_stage`, so only lengths are
-    kept; the center of label length i realizes the prefix of length i.
-    Its arc and on-tree status are those of `TreeIteration.descent`.
+    Reads the new-center columns of the shared d=3 iteration, one gather
+    per stage.  A center born at stage n has the label of its replaced
+    edge's source extended by sigma^(n-1)(1^-1), as in
+    `CoreScan._scan_stage`, so only lengths are kept (-1 for the leaves,
+    which have no label); the center of label length i realizes the prefix
+    of length i.  Its arc and on-tree status are those of
+    `TreeIteration.descent`.
     """
     it = shared_scan(3).it
-    length = {0: 0}
-    stage = longest = 0   # longest label so far, the length of l_word(3, stage)
-    while stage < base or longest < depth:
-        stage += 1
-        it.tree_at(stage)
-        step = len(power_image(3, stage - 1))
-        for c in it.centers[stage]:
-            lab_len = length[c.vertex] = length[c.src] + step
-            longest = max(longest, lab_len)
+    stage = orbit_stage(base, depth)
+    it.tree_at(stage)
+    length = np.full(it.sizes[stage], -1, dtype=np.int64)
+    length[0] = 0
+    for n in range(1, stage + 1):
+        v, _, src, _ = it.centers[n].columns
+        length[v] = length[src] + len(power_image(3, n - 1))
     arc, on = it.descent(base, stage)
     arc_of = np.full(depth + 1, -1, dtype=np.int64)
     on_tree = np.zeros(depth + 1, dtype=bool)
     on_tree[: len(l_word(3, base)) + 1] = True
-    for v, lab_len in length.items():
-        if arc[v] >= 0 and lab_len <= depth:   # born after base
-            arc_of[lab_len] = arc[v]
-            on_tree[lab_len] = on[v]
+    born = (arc >= 0) & (length >= 0) & (length <= depth)   # labelled, born after base
+    arc_of[length[born]] = arc[born]
+    on_tree[length[born]] = on[born]
     return arc_of, on_tree
 
 
@@ -331,8 +347,10 @@ def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     h = span / (math.isqrt(len(b) - 1) + 1) if span > 0 else 1.0
     cell_b = np.floor((b - lo) / h).astype(np.int64)
     top = cell_b.max(axis=0)
-    # a cell beyond the margin of 2 sees no point of b in its block either
-    cell_a = np.clip(np.floor((a - lo) / h), -2, top + 2).astype(np.int64)
+    # a cell beyond the margin of 2 sees no point of b in its block either;
+    # clipping the offset first keeps the quotient finite for a tiny h
+    margin = np.clip(a - lo, -2 * h, (top + 3) * h)
+    cell_a = np.clip(np.floor(margin / h), -2, top + 2).astype(np.int64)
     width = int(top[1]) + 7
 
     def key(cell):

@@ -18,6 +18,7 @@ d-2 fresh leaves hanging off it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .algnum import ExactLength, edge_length_vector
 from .trees import TreeIteration
@@ -61,13 +62,20 @@ class FreePoint:
     def norm(self) -> ExactLength:
         total = ExactLength.zero(self.d)
         for _, t in self.syllables:
-            total = total + abs(t)
+            total = total + _magnitude(t)[0]
         return total
 
     def text(self) -> str:
         if not self.syllables:
             return "O"
-        return ".".join(f"{c}^{t.value():.6g}" for c, t in self.syllables)
+        return ".".join(f"{c}^{_magnitude(t)[1]:.6g}" for c, t in self.syllables)
+
+
+@lru_cache(maxsize=4096)
+def _magnitude(t: ExactLength) -> tuple[ExactLength, float]:
+    """abs(t) and t.value(), read once per distinct exponent: the points of
+    a stage share few syllable lengths."""
+    return abs(t), t.value()
 
 
 def quotient(p: FreePoint, q: FreePoint) -> tuple[Syllable, ...]:

@@ -16,58 +16,94 @@ fully deterministic and vertex sets are nested along the stages.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
 
-Edge = tuple[int, int, int]
+from .words import growth_root
+
+
+class _Rows(Sequence):
+    """Read-only sequence over equal-length int columns: row i is the tuple
+    of their i-th entries, or `make` of it, built when it is read."""
+
+    def __init__(self, columns: tuple[np.ndarray, ...], make=None):
+        self.columns, self._make = columns, make
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        row = tuple(int(c[i]) for c in self.columns)
+        return row if self._make is None else self._make(*row)
+
+    def __iter__(self):
+        rows = zip(*(c.tolist() for c in self.columns))
+        return rows if self._make is None else (self._make(*r) for r in rows)
 
 
 class ColoredTree:
-    """Finite directed colored tree; edges are stored sorted."""
+    """Finite directed colored tree, kept as three int32 columns (src, dst,
+    color) sorted by (src, dst), which `edges` reads as (s, t, c) tuples.
+    Vertices, adjacency and the rooted index are built on first use."""
 
     def __init__(self, d: int, edges, root: int | None = None):
         self.d = d
-        self.edges: tuple[Edge, ...] = tuple(sorted(tuple(e) for e in edges))
         self.root = root
+        cols = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
+        if (cols != cols.astype(np.int32)).any():
+            raise ValueError("vertex ids and colors must fit in int32")
+        if len(bad := cols[(cols[:, 2] < 1) | (cols[:, 2] > 2 * d - 2), 2]):
+            raise ValueError(f"color {bad[0]} outside 1..{2*d-2}")
+        if (cols[:, 0] == cols[:, 1]).any():
+            raise ValueError("loop edge")
+        # sorted by (src, dst) as one key; a tie is a double edge, which the union-find rejects
+        order = np.argsort(cols[:, 0] * (1 << 32) + (cols[:, 1] + (1 << 31)))
+        self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
+        self.edges = _Rows((self.src, self.dst, self.color))
         self._adj: dict[int, list[tuple[int, int, int]]] | None = None
         self._rooted = None
-        verts: set[int] = set()
-        for s, t, c in self.edges:
-            if not 1 <= c <= 2 * d - 2:
-                raise ValueError(f"color {c} outside 1..{2*d-2}")
-            if s == t:
-                raise ValueError("loop edge")
-            verts.add(s)
-            verts.add(t)
-        self.vertices: tuple[int, ...] = tuple(sorted(verts))
         self._check_tree()
+
+    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
+        """Distinct vertex ids in increasing order, and the degree of each."""
+        ends = np.sort(np.concatenate([self.src, self.dst]))
+        first = np.flatnonzero(np.diff(ends, prepend=ends[:1] - 1))
+        return ends[first], np.diff(np.append(first, len(ends)))
 
     def _check_tree(self) -> None:
         """|V| - 1 edges and no cycle, which together force connectedness.
 
-        Cycles are found by union-find with path halving, so checking keeps
-        no adjacency on the tree.
+        Union-find with path halving over the ranks of the ids (the id less
+        the least one when they are contiguous, as in every stage tree).
         """
-        if self.vertices and len(self.edges) != len(self.vertices) - 1:
+        ids, _ = self._degrees()
+        if len(ids) and len(self.src) != len(ids) - 1:
             raise ValueError("edge count is not vertex count - 1")
-        parent = {v: v for v in self.vertices}
-        for s, t, _ in self.edges:
+        dense = not len(ids) or ids[-1] - ids[0] == len(ids) - 1
+        rank = (lambda c: c - ids[0]) if dense else (lambda c: np.searchsorted(ids, c))
+        parent, step = list(range(len(ids))), 1 << 16   # int lists of bounded size
+        pairs = (zip(rank(self.src[i : i + step]).tolist(), rank(self.dst[i : i + step]).tolist())
+                 for i in range(0, len(self.src), step))
+        for s, t in chain.from_iterable(pairs):
             while parent[s] != s:
                 parent[s] = s = parent[parent[s]]
             while parent[t] != t:
                 parent[t] = t = parent[parent[t]]
             if s == t:
                 raise ValueError("tree is not connected")
-            parent[s] = t
+            parent[t] = s
+
+    @cached_property
+    def vertices(self) -> tuple[int, ...]:
+        return tuple(self._degrees()[0].tolist())
 
     def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
-        """v -> list of (neighbor, signed color, edge index); sign -1 on incoming.
-
-        Built on first use and kept on the tree.
-        """
+        """v -> list of (neighbor, signed color, edge index); sign -1 on incoming."""
         if self._adj is None:
             adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
             for i, (s, t, c) in enumerate(self.edges):
@@ -80,7 +116,8 @@ class ColoredTree:
         return len(self.adjacency()[v])
 
     def branch_points(self) -> list[int]:
-        return [v for v in self.vertices if self.degree(v) >= 3]
+        ids, deg = self._degrees()
+        return ids[deg >= 3].tolist()
 
     def slot(self, v: int) -> int:
         """Position of vertex v in `vertices`; the rooted index is kept by it."""
@@ -144,19 +181,16 @@ class ColoredTree:
         (An incoming and an outgoing edge may share a color: that spells
         c.c along a path, which is allowed.)
         """
-        for v in self.vertices:
-            outs = [c for _, c, _ in self.adjacency()[v] if c > 0]
-            ins = [c for _, c, _ in self.adjacency()[v] if c < 0]
-            if len(set(outs)) != len(outs) or len(set(ins)) != len(ins):
-                return False
-        return True
+        span = 2 * self.d - 1   # (vertex, color) as one key, colors being 1..2d-2
+        keys = [np.sort(end.astype(np.int64) * span + self.color) for end in (self.src, self.dst)]
+        return not any((k[1:] == k[:-1]).any() for k in keys)
 
     def to_json(self) -> dict:
         return {
             "d": self.d,
             "root": self.root,
             "vertices": list(self.vertices),
-            "edges": [list(e) for e in self.edges],
+            "edges": np.column_stack(self.edges.columns).tolist(),
         }
 
     def to_dot(self) -> str:
@@ -165,18 +199,15 @@ class ColoredTree:
         lines = [f"digraph stage_tree {{  // d={self.d}"]
         if self.root is not None:
             lines.append(f"  v{self.root} [shape=doublecircle];")
-        for s, t, c in self.edges:
-            col = palette[c % len(palette)]
-            lines.append(f'  v{s} -> v{t} [label="{c}", color={col}];')
+        lines += [f'  v{s} -> v{t} [label="{c}", color={palette[c % len(palette)]}];'
+                  for s, t, c in self.edges]
         lines.append("}")
         return "\n".join(lines) + "\n"
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredTree) and self.d == other.d
-                and self.edges == other.edges and self.root == other.root)
-
-    def __hash__(self):
-        return hash((self.d, self.edges, self.root))
+                and self.root == other.root
+                and all(map(np.array_equal, self.edges.columns, other.edges.columns)))
 
 
 # ---------------------------------------------------------------------------
@@ -198,26 +229,17 @@ class RulePattern:
     edges: tuple[tuple[str, str, int], ...]
 
     def symbols(self) -> list[str]:
-        syms: set[str] = set()
-        for s, t, _ in self.edges:
-            syms.add(s)
-            syms.add(t)
-        return sorted(syms)
+        return sorted({v for s, t, _ in self.edges for v in (s, t)})
 
     def placeholders(self) -> list[str]:
         ps = [s for s in self.symbols() if s not in (ANCHOR_SRC, ANCHOR_DST)]
-        for p in ps:
-            if not (p.startswith("P") and p[1:].isdigit()):
-                raise ValueError(f"bad placeholder symbol {p!r}")
+        if bad := [p for p in ps if not (p.startswith("P") and p[1:].isdigit())]:
+            raise ValueError(f"bad placeholder symbol {bad[0]!r}")
         return sorted(ps, key=lambda p: int(p[1:]))
 
     def anchor_degrees(self) -> tuple[int, int]:
-        deg = {ANCHOR_SRC: 0, ANCHOR_DST: 0}
-        for s, t, _ in self.edges:
-            for v in (s, t):
-                if v in deg:
-                    deg[v] += 1
-        return deg[ANCHOR_SRC], deg[ANCHOR_DST]
+        ends = [v for s, t, _ in self.edges for v in (s, t)]
+        return ends.count(ANCHOR_SRC), ends.count(ANCHOR_DST)
 
 
 @dataclass
@@ -229,7 +251,7 @@ class ValidationReport:
 @dataclass
 class ApplyResult:
     tree: ColoredTree
-    born: dict[int, int]              # fresh vertex -> old edge index it replaces
+    born: np.ndarray    # old edge index per fresh vertex, fresh ids in increasing order
 
 
 class TreeSubstitution:
@@ -272,18 +294,12 @@ class TreeSubstitution:
 
     def _direct_anchor_color(self, pat: RulePattern) -> int | None:
         """Color of an X-Y edge of the pattern if there is one (either direction)."""
-        for s, t, c in pat.edges:
-            if {s, t} == {ANCHOR_SRC, ANCHOR_DST}:
-                return c
-        return None
+        return next((c for s, t, c in pat.edges if {s, t} == {ANCHOR_SRC, ANCHOR_DST}), None)
 
     def _check_color_cycles(self) -> list[str]:
         """Condition 4: on any cycle of direct anchor edges, anchors have degree 1."""
-        succ: dict[int, int] = {}
-        for c, pat in self.rules.items():
-            b = self._direct_anchor_color(pat)
-            if b is not None:
-                succ[c] = b
+        succ = {c: b for c, pat in self.rules.items()
+                if (b := self._direct_anchor_color(pat)) is not None}
         on_cycle: set[int] = set()
         for start in succ:
             seen: list[int] = []
@@ -293,35 +309,39 @@ class TreeSubstitution:
                 c = succ[c]
             if c in seen:
                 on_cycle.update(seen[seen.index(c):])
-        failures = []
-        for c in sorted(on_cycle):
-            dx, dy = self.rules[c].anchor_degrees()
-            if dx != 1 or dy != 1:
-                failures.append(
-                    f"condition 4: color cycle through {c} but anchors have degree {dx},{dy}"
-                )
-        return failures
+        degrees = {c: self.rules[c].anchor_degrees() for c in sorted(on_cycle)}
+        return [f"condition 4: color cycle through {c} but anchors have degree {dx},{dy}"
+                for c, (dx, dy) in degrees.items() if (dx, dy) != (1, 1)]
 
     # -- application --------------------------------------------------------
 
     def apply(self, tree: ColoredTree) -> ApplyResult:
-        """Replace every edge by its pattern; placeholders get fresh ids."""
-        next_id = max(tree.vertices) + 1 if tree.vertices else 0
-        patterns = {c: (pat.placeholders(), pat.edges) for c, pat in self.rules.items()}
-        new_edges: list[Edge] = []
-        born: dict[int, int] = {}
-        for idx, (s, t, c) in enumerate(tree.edges):
-            if c not in patterns:
-                raise ValueError(f"no rule for color {c}")
-            places, edges = patterns[c]
-            assign = {ANCHOR_SRC: s, ANCHOR_DST: t}
-            for p in places:
-                assign[p] = next_id
-                born[next_id] = idx
-                next_id += 1
-            for ps, pt, pc in edges:
-                new_edges.append((assign[ps], assign[pt], pc))
-        return ApplyResult(ColoredTree(self.d, new_edges, root=tree.root), born)
+        """Replace every edge by its pattern; placeholders get fresh ids.
+
+        Fresh ids count up from the largest vertex + 1 along the sorted
+        edges, each edge taking one per placeholder of its pattern, in
+        placeholder order.  So an edge's first fresh id is that start plus
+        the placeholder count of the edges before it, and each pattern edge
+        is one gather over the edges of its color.
+        """
+        src, dst, color = tree.edges.columns
+        of_color = {c: np.flatnonzero(color == c) for c in np.flatnonzero(np.bincount(color))}
+        if missing := of_color.keys() - self.rules.keys():
+            raise ValueError(f"no rule for color {min(missing)}")
+        places = {c: pat.placeholders() for c, pat in self.rules.items()}
+        count = np.zeros(len(color), dtype=np.int64)
+        for c, idx in of_color.items():
+            count[idx] = len(places[c])
+        first = (int(max(src.max(), dst.max())) + 1 if len(src) else 0) + np.cumsum(count) - count
+        edges = [np.zeros((0, 3), dtype=np.int32)]
+        for c, idx in of_color.items():
+            at = {ANCHOR_SRC: src[idx], ANCHOR_DST: dst[idx]}
+            at.update((p, first[idx] + k) for k, p in enumerate(places[c]))
+            edges += [np.column_stack([at[ps], at[pt], np.full(len(idx), pc)])
+                      for ps, pt, pc in self.rules[c].edges]
+        edges = np.concatenate(edges)
+        born = np.repeat(np.arange(len(color)), count)
+        return ApplyResult(ColoredTree(self.d, edges, root=tree.root), born)
 
     def trunk_word(self, color: int) -> tuple[int, ...]:
         """Signed colors along the X -> Y path inside the pattern for `color`."""
@@ -354,17 +374,11 @@ def family_tree_substitution(d: int) -> TreeSubstitution:
     """The rule set paired with the d-letter word substitution."""
     if d < 3:
         raise ValueError("family needs d >= 3")
-    rules: dict[int, RulePattern] = {}
+    leaves = tuple(("P1", f"P{h + 1}", d + h) for h in range(1, d - 1))
+    rules = {i: RulePattern(i, (("X", "Y", i - 1),)) for i in range(3, 2 * d - 1)}
     rules[1] = RulePattern(1, (("X", "Y", d),))
-    star = [("P1", "X", d), ("P1", "Y", 1)]
-    for h in range(1, d - 1):
-        star.append(("P1", f"P{h + 1}", d + h))
-    rules[2] = RulePattern(2, tuple(star))
-    for i in range(3, d + 1):
-        rules[i] = RulePattern(i, (("X", "Y", i - 1),))
+    rules[2] = RulePattern(2, (("P1", "X", d), ("P1", "Y", 1)) + leaves)
     rules[d + 1] = RulePattern(d + 1, (("X", "Y", 1),))
-    for i in range(d + 2, 2 * d - 1):
-        rules[i] = RulePattern(i, (("X", "Y", i - 1),))
     return TreeSubstitution(d, rules)
 
 
@@ -380,20 +394,9 @@ def initial_tree(d: int) -> ColoredTree:
     t = ColoredTree(d, [(0, 1, 2)])
     for _ in range(d - 1):
         t = ts.apply(t).tree
-    centers = [v for v in t.vertices if t.degree(v) == d]
-    if len(centers) != 1:
-        raise ValueError("seed iteration did not produce a star")
-    center = centers[0]
-    colors = sorted(c for _, c, _ in t.adjacency()[center])
-    if colors != list(range(1, d + 1)):
-        raise ValueError("star colors are not 1..d")
-    relabel = {center: 0}
-    for w, sc, _ in t.adjacency()[center]:
-        if sc < 0:
-            raise ValueError("star edge pointing at the center")
-        relabel[w] = sc
-    edges = [(relabel[s], relabel[t_], c) for s, t_, c in t.edges]
-    return ColoredTree(d, edges, root=0)
+    if len(set(t.src.tolist())) != 1 or sorted(t.color.tolist()) != list(range(1, d + 1)):
+        raise ValueError("seed iteration did not produce a star of colors 1..d out of one center")
+    return ColoredTree(d, [(0, c, c) for c in range(1, d + 1)], root=0)
 
 
 class NewCenter(NamedTuple):
@@ -406,87 +409,84 @@ class NewCenter(NamedTuple):
     leaves: tuple[int, ...]    # its fresh leaves, on colors d+1, ..., 2d-2
 
 
+EDGE_BUDGET = 1_000_000   # edges a requested stage may hold, by the estimate below
+
+
+def check_budget(d: int, n: int) -> None:
+    """Refuse stage n when d * lambda^n, the stage-0 edge count grown by the
+    Perron root per stage, exceeds EDGE_BUDGET."""
+    if (estimate := d * growth_root(d) ** n) > EDGE_BUDGET:
+        raise ValueError(f"stage {n} would hold about {estimate:,.0f} edges "
+                         f"(d * lambda^n), over the budget of {EDGE_BUDGET:,}")
+
+
 class TreeIteration:
     """Stage-indexed iteration T_0^s, T_1^s, ... with a record of births.
 
-    Besides the trees it records, per stage, the births grouped into new
-    centers (`centers`), so stage loops need no adjacency to find them.
-    Fresh ids count up from the previous maximum, so the vertices of T_n
-    are 0, ..., |V_n| - 1 and a vertex's birth stage follows from the stage
-    sizes.
+    Per stage it keeps the tree, the vertex count |V_n| and the new centers
+    as columns (vertex, replaced edge, src, dst), which `centers[n]` reads
+    as `NewCenter`s.  Fresh ids count up from the previous maximum, so the
+    vertices of T_n are 0, ..., |V_n| - 1.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.subst = family_tree_substitution(d)
         self.trees: list[ColoredTree] = [initial_tree(d)]
-        self.centers: list[tuple[NewCenter, ...]] = [()]
+        self.sizes = [d + 1]
+        self._center = lambda v, e, s, t: NewCenter(v, e, s, t, tuple(range(v + 1, v + d - 1)))
+        self.centers = [_Rows((np.zeros(0, dtype=np.int64),) * 4, self._center)]
 
     def tree_at(self, n: int) -> ColoredTree:
         if n < 0:
             raise ValueError(f"stage must be >= 0, got {n}")
+        check_budget(self.d, n)
         while len(self.trees) <= n:
             prev = self.trees[-1]
             res = self.subst.apply(prev)
+            # the 2-rule numbers its center P1 first, then its leaves P2, ..., P(d-1)
+            e = res.born[:: self.d - 1]
+            if (prev.color[e] != 2).any() or not np.array_equal(res.born, e.repeat(self.d - 1)):
+                raise ValueError("centers can only replace 2-colored edges")
+            v = self.sizes[-1] + (self.d - 1) * np.arange(len(e))
+            self.centers.append(_Rows((v, e, prev.src[e], prev.dst[e]), self._center))
+            self.sizes.append(self.sizes[-1] + len(res.born))
             self.trees.append(res.tree)
-            self.centers.append(self._new_centers(prev, res.born))
         return self.trees[n]
 
     def birth_stage(self, v: int) -> int:
-        """Stage at which vertex v was born, among the stages built so far.
-
-        Fresh ids count up, so that is the first stage n with v < |V_n|.
-        """
-        n = bisect_left(self.trees, v + 1, key=lambda t: len(t.vertices))
-        if v < 0 or n == len(self.trees):
+        """Stage at which vertex v was born: the first built stage n with v < |V_n|."""
+        n = bisect_left(self.sizes, v + 1)
+        if v < 0 or n == len(self.sizes):
             raise ValueError(f"{v!r} is not a vertex of a stage built so far")
         return n
 
-    def _new_centers(self, prev: ColoredTree, born: dict[int, int]) -> tuple[NewCenter, ...]:
-        """Group the births of one stage into the stars grown on 2-edges.
-
-        The 2-rule gives its fresh ids first to P1, the center (X on color
-        d, Y on color 1), then to its leaves P2, ..., P(d-1); `born` lists
-        them in that order, d - 1 per replaced edge.
-        """
-        fresh = list(born.items())
-        out = []
-        for i in range(0, len(fresh), self.d - 1):
-            (v, e), *leaves = fresh[i : i + self.d - 1]
-            src, dst, color = prev.edges[e]
-            if color != 2 or any(f != e for _, f in leaves):
-                raise ValueError("centers can only replace 2-colored edges")
-            out.append(NewCenter(v, e, src, dst, tuple(w for w, _ in leaves)))
-        return tuple(out)
-
-    def descent(self, base: int, upto: int) -> tuple[list[int], list[bool]]:
+    def descent(self, base: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex of T_upto^s: the T_base^s edge it was born inside, and
         whether it lies on the embedded T_base^s.
 
         The edge is -1 for the vertices of T_base^s, which all lie on it.
-        One forward pass over the new centers: every edge that a later-born
+        One gather per stage over the new centers: an edge that a later-born
         vertex touches descends from the base edge that vertex was born
         inside, and an edge between two base vertices is a base edge
-        recolored.  A center lies on the embedded base tree iff both ends
-        of the edge it split do; fresh leaves never do.
+        recolored.  A center lies on the embedded base tree iff both ends of
+        the edge it split do; fresh leaves never do.
         """
         if base < 0:
             raise ValueError(f"base stage must be >= 0, got {base}")
         if base > upto:
             raise ValueError(f"base stage {base} is after stage {upto}")
-        size = len(self.tree_at(upto).vertices)
-        base_tree = self.trees[base]
-        old = len(base_tree.vertices)
-        edge_of = {(s, t): i for i, (s, t, _) in enumerate(base_tree.edges)}
-        arc = [-1] * size
-        on = [True] * old + [False] * (size - old)
+        self.tree_at(upto)
+        old, bt = self.sizes[base], self.trees[base]
+        keys = bt.src.astype(np.int64) * old + bt.dst   # increasing, as the edges are sorted
+        arc = np.full(self.sizes[upto], -1, dtype=np.int64)
+        on = np.arange(self.sizes[upto]) < old
         for stage in range(base + 1, upto + 1):
-            for c in self.centers[stage]:
-                e = max(arc[c.src], arc[c.dst])
-                if e < 0:
-                    e = edge_of[c.src, c.dst]
-                arc[c.vertex] = e
-                for z in c.leaves:
-                    arc[z] = e
-                on[c.vertex] = on[c.src] and on[c.dst]
+            v, _, s, t = self.centers[stage].columns
+            e = np.maximum(arc[s], arc[t])
+            fresh = e < 0
+            e[fresh] = np.searchsorted(keys, s[fresh].astype(np.int64) * old + t[fresh])
+            for h in range(self.d - 1):   # the center and its leaves
+                arc[v + h] = e
+            on[v] = on[s] & on[t]
         return arc, on

@@ -31,7 +31,7 @@ from .freegroup import (
     tribonacci_inverse,
 )
 from .prefix_suffix import development_tail_word, shift_development
-from .trees import family_tree_substitution, initial_tree
+from .trees import check_budget, family_tree_substitution, initial_tree
 from .words import (
     DEFAULT_PREFIX_LEN,
     bispecials_by_generation,
@@ -514,6 +514,7 @@ def run_suite(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = max_stage if max_stage is not None else (12 if d == 3 else 10)
+    check_budget(d, cap + 1)   # the address map reads one stage past the cap
     out: list[CheckResult] = []
     if suite in ("words", "all"):
         out += words_suite(d, tol, prefix_len)

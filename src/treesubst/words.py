@@ -128,6 +128,7 @@ def fixed_point_prefix(d: int, length: int) -> Word:
     return _fixed_point_cache(d, min_len)[:length]
 
 
+@lru_cache(maxsize=None)
 def growth_root(d: int) -> float:
     """Real root > 1 of x^d = x^(d-1) + 1, the Perron value of the substitution."""
     return trinomial_root(d, d - 1)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from treesubst import cli
+from treesubst import cli, rauzy, trees
 from treesubst.trees import family_tree_substitution
 
 
@@ -232,3 +232,39 @@ def test_path_distances_without_a_pair_fails(capsys):
     assert [n for n, c in checks.items() if c["status"] == "fail"] == [
         "shift-isometries", "path-distances",
     ]
+
+
+def test_gen_past_the_edge_budget_is_usage_error(capsys):
+    # stage 40 would hold about 13.1M edges; the guard refuses it unbuilt
+    assert cli.main(["gen", "--n", "40"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 40 would hold about 13,103,838 edges")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, stage",
+    [
+        (["gen", "--n", "12"], 12),
+        (["verify", "--suite", "trees", "--max-stage", "11"], 12),   # the audit reads n + 1
+        (["plot", "--kind", "zeta", "--n", "2", "--depth", "3000"], 20),
+        (["plot", "--color", "arc:4", "--depth", "3000"], 20),
+    ],
+    ids=["gen", "verify", "plot-zeta", "plot-arc"],
+)
+def test_requests_over_a_small_budget_are_refused(monkeypatch, tmp_path, capsys, argv, stage):
+    monkeypatch.setattr(trees, "EDGE_BUDGET", 250)   # 3 * lambda^n is 201 at n = 11, 295 at 12
+    rauzy._orbit_index.cache_clear()   # a cached walk would skip the guard
+    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: stage {stage} would hold about ")
+    assert err.rstrip().endswith("over the budget of 250")
+    rauzy._orbit_index.cache_clear()
+
+
+def test_requests_within_a_small_budget_run(monkeypatch, tmp_path):
+    monkeypatch.setattr(trees, "EDGE_BUDGET", 250)
+    assert cli.main(["gen", "--n", "11", "--out", str(tmp_path / "t.json")]) == 0
+    assert cli.main(["plot", "--kind", "zeta", "--n", "2", "--depth", "40",
+                     "--out", str(tmp_path / "z.svg")]) == 0

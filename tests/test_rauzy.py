@@ -1,6 +1,7 @@
 """Planar projection, orbit clouds, and the plot artifacts."""
 
 import hashlib
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 
 from treesubst import cli, core, rauzy
 from treesubst.trees import TreeIteration
-from treesubst.words import family_substitution, fixed_point_prefix, word_str
+from treesubst.core import l_word
+from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
 from treesubst.rauzy import (
     check_boundedness,
     check_contraction,
@@ -22,6 +24,7 @@ from treesubst.rauzy import (
     family_basis,
     boundedness_profile,
     fractal_cloud,
+    orbit_stage,
     parse_coloring,
     render_svg,
     tag_palette,
@@ -189,6 +192,15 @@ def test_grid_search_matches_brute_force(a, b, shape, budget):
     assert _nearest_rms(a, b) == float(np.sqrt(want.mean()))
 
 
+def test_grid_search_with_a_subnormal_cell_side():
+    # span 1e-322 gives a subnormal h, and (a - lo) / h used to overflow
+    a, b = np.array([[1e10, 3.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-322, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _nearest_sq(a, b)
+    assert np.array_equal(got, _brute_sq(a, b))
+
+
 def test_grid_search_on_equal_measure_clouds():
     pts = _projected_prefix_orbit(8000)
     cls, names = _cylinder_classes(8000, 7)
@@ -324,6 +336,59 @@ def test_zeta_csv_pinned(tmp_path):
         path = tmp_path / f"zeta{n}.csv"
         export_csv(zeta_cloud(n, 3000), str(path))
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, n
+
+
+def _orbit_index_oracle(base, depth):
+    """The orbit index by a walk over the materialized `NewCenter`s: label
+    lengths in a dict grown until the longest reaches depth, and arcs by the
+    per-center descent loop with a dict of base edges."""
+    it = core.shared_scan(3).it
+    length = {0: 0}
+    stage = longest = 0
+    while stage < base or longest < depth:
+        stage += 1
+        it.tree_at(stage)
+        step = len(power_image(3, stage - 1))
+        for c in it.centers[stage]:
+            length[c.vertex] = length[c.src] + step
+            longest = max(longest, length[c.vertex])
+    assert stage == orbit_stage(base, depth)
+    size = len(it.tree_at(stage).vertices)
+    base_tree = it.tree_at(base)
+    old = len(base_tree.vertices)
+    edge_of = {(s, t): i for i, (s, t, _) in enumerate(base_tree.edges)}
+    arc, on = [-1] * size, [True] * old + [False] * (size - old)
+    for n in range(base + 1, stage + 1):
+        for c in it.centers[n]:
+            e = max(arc[c.src], arc[c.dst])
+            arc[c.vertex] = e if e >= 0 else edge_of[c.src, c.dst]
+            for z in c.leaves:
+                arc[z] = arc[c.vertex]
+            on[c.vertex] = on[c.src] and on[c.dst]
+    arc_of = np.full(depth + 1, -1, dtype=np.int64)
+    on_tree = np.zeros(depth + 1, dtype=bool)
+    on_tree[: len(l_word(3, base)) + 1] = True
+    for v, lab_len in length.items():
+        if arc[v] >= 0 and lab_len <= depth:
+            arc_of[lab_len] = arc[v]
+            on_tree[lab_len] = on[v]
+    return arc_of, on_tree
+
+
+@pytest.mark.parametrize("base, depth", [(4, 20000), (2, 5000), (0, 3000), (6, 30000), (9, 10)])
+def test_orbit_index_matches_center_walk(base, depth):
+    arc_of, on_tree = rauzy._orbit_index(base, depth)
+    want_arc, want_on = _orbit_index_oracle(base, depth)
+    assert np.array_equal(arc_of, want_arc)
+    assert np.array_equal(on_tree, want_on)
+
+
+def test_orbit_stage_counts_label_lengths():
+    for base in range(8):
+        for depth in (0, 1, 2, 5, 6, 7, 100, 3000, 20000):
+            n = orbit_stage(base, depth)
+            assert n >= base and len(l_word(3, n)) >= depth
+            assert n == base or len(l_word(3, n - 1)) < depth
 
 
 def test_clouds_and_gen_build_no_private_iteration(monkeypatch, tmp_path):

@@ -8,11 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from treesubst.freegroup import family_inverse, p_star
+from treesubst import trees
 from treesubst.trees import (
     ColoredTree,
+    NewCenter,
     RulePattern,
     TreeIteration,
     TreeSubstitution,
+    check_budget,
     family_tree_substitution,
     initial_tree,
 )
@@ -329,3 +332,163 @@ def test_dot_output_lists_every_edge():
     t = initial_tree(3)
     dot = t.to_dot()
     assert dot.count("->") == len(t.edges)
+
+
+# -- the vectorized apply against the per-edge loop ---------------------------
+
+
+def _apply_oracle(ts, tree):
+    """Replace the edges one by one in sorted order, placeholders in
+    increasing k order taking ids from a counter: (sorted new edges, fresh
+    vertex -> index of the edge it replaced)."""
+    next_id = max(tree.vertices) + 1 if tree.vertices else 0
+    patterns = {c: (pat.placeholders(), pat.edges) for c, pat in ts.rules.items()}
+    new_edges, born = [], {}
+    for idx, (s, t, c) in enumerate(tree.edges):
+        if c not in patterns:
+            raise ValueError(f"no rule for color {c}")
+        places, edges = patterns[c]
+        assign = {"X": s, "Y": t}
+        for p in places:
+            assign[p] = next_id
+            born[next_id] = idx
+            next_id += 1
+        for ps, pt, pc in edges:
+            new_edges.append((assign[ps], assign[pt], pc))
+    return sorted(new_edges), born
+
+
+def _centers_oracle(d, prev_edges, born):
+    """The births of one stage grouped d - 1 at a time into new centers."""
+    fresh = list(born.items())
+    out = []
+    for i in range(0, len(fresh), d - 1):
+        (v, e), *leaves = fresh[i : i + d - 1]
+        src, dst, color = prev_edges[e]
+        assert color == 2 and all(f == e for _, f in leaves)
+        out.append(NewCenter(v, e, src, dst, tuple(w for w, _ in leaves)))
+    return out
+
+
+def _assert_apply_matches(ts, tree):
+    """apply(tree) equals the per-edge loop, edge for edge and birth for birth."""
+    got = ts.apply(tree)
+    edges, born = _apply_oracle(ts, tree)
+    assert list(got.tree.edges) == edges
+    assert got.tree.root == tree.root
+    first = max(tree.vertices) + 1 if tree.vertices else 0
+    assert {first + i: e for i, e in enumerate(got.born.tolist())} == born
+    return got, born
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_apply_and_centers_match_per_edge_loop(d):
+    ts = family_tree_substitution(d)
+    it = TreeIteration(d)
+    prev = it.tree_at(0)
+    for n in range(1, 13):
+        res, born = _assert_apply_matches(ts, prev)
+        tree = it.tree_at(n)
+        assert list(tree.edges) == list(res.tree.edges)
+        assert len(tree.vertices) == it.sizes[n]
+        assert list(it.centers[n]) == _centers_oracle(d, list(prev.edges), born)
+        prev = tree
+
+
+_SYMBOLS = ["X", "Y", "P1", "P2", "P3"]
+
+
+@st.composite
+def _rule_sets(draw):
+    """Small rule sets: pattern trees over X, Y and up to three
+    placeholders, and in half of the sets one rule broken (missing, an
+    extra edge, an edge dropped, a bad symbol, a color out of range)."""
+    d = draw(st.sampled_from([3, 4]))
+    broken = draw(st.none() | st.integers(1, 2 * d - 2))
+    flaw = draw(st.sampled_from(["missing", "extra", "drop", "symbol", "color"]))
+    rules = {}
+    for color in range(1, 2 * d - 1):
+        syms = draw(st.permutations(_SYMBOLS[: 2 + draw(st.integers(0, 3))]))
+        edges = []
+        for k in range(1, len(syms)):
+            a, b = syms[k], syms[draw(st.integers(0, k - 1))]
+            c = draw(st.integers(1, 2 * d - 2))
+            edges.append((a, b, c) if draw(st.booleans()) else (b, a, c))
+        if color == broken and flaw == "missing":
+            continue
+        if color == broken and flaw == "extra":
+            edges.append((draw(st.sampled_from(syms)), draw(st.sampled_from(syms)), 1))
+        elif color == broken and flaw == "drop":
+            edges.pop(draw(st.integers(0, len(edges) - 1)))
+        elif color == broken and flaw == "symbol":
+            edges[-1] = ("Q1", *edges[-1][1:])
+        elif color == broken and flaw == "color":
+            edges[0] = (*edges[0][:2], draw(st.sampled_from([0, 2 * d - 1])))
+        rules[color] = RulePattern(color, tuple(edges))
+    return TreeSubstitution(d, rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ts=_rule_sets())
+def test_random_rule_sets_validate_then_apply_like_the_loop(ts):
+    report = ts.validate()
+    tree = ColoredTree(ts.d, [(0, 1, 2)])
+    if report.ok:
+        for _ in range(3):
+            tree = _assert_apply_matches(ts, tree)[0].tree
+        return
+    assert report.failures
+    # a rejected set either gives the loop's tree or refuses like the loop
+    try:
+        edges, _ = _apply_oracle(ts, tree)
+        ColoredTree(ts.d, edges)
+    except ValueError:
+        with pytest.raises(ValueError):
+            ts.apply(tree)
+    else:
+        _assert_apply_matches(ts, tree)
+
+
+def test_union_find_rejects_an_edge_pointed_at_a_wrong_vertex():
+    tree = TreeIteration(3).tree_at(6)
+    adj = tree.adjacency()
+    cols = np.column_stack(tree.edges.columns)
+    ColoredTree(3, cols, root=0)   # the stage itself passes
+    # an edge s -> t whose ends both have other edges: pointing it at
+    # another neighbour w of s keeps every vertex, so |E| = |V| - 1 still
+    # holds and only the union-find sees the cycle s - w - s
+    i = next(i for i, (s, t, _) in enumerate(tree.edges) if len(adj[s]) > 1 and len(adj[t]) > 1)
+    s, t, _ = tree.edges[i]
+    cols[i, 1] = next(w for w, _, _ in adj[s] if w != t)
+    with pytest.raises(ValueError, match="not connected"):
+        ColoredTree(3, cols, root=0)
+
+
+def test_tree_rejects_ids_beyond_int32():
+    with pytest.raises(ValueError, match="int32"):
+        ColoredTree(3, [(0, 2**31, 1)])
+
+
+def test_edges_view_reads_the_columns():
+    t = initial_tree(3)
+    assert len(t.edges) == 3
+    assert t.edges[0] == (0, 1, 1) and t.edges[-1] == (0, 3, 3)
+    assert list(t.edges) == [(0, 1, 1), (0, 2, 2), (0, 3, 3)]
+    assert all(type(x) is int for e in t.edges for x in e)
+    with pytest.raises(IndexError):
+        t.edges[3]
+
+
+# -- size guard ---------------------------------------------------------------
+
+
+def test_budget_refuses_by_the_growth_estimate(monkeypatch):
+    monkeypatch.setattr(trees, "EDGE_BUDGET", 100)
+    check_budget(3, 9)   # 3 * lambda^9, about 94 edges
+    with pytest.raises(ValueError, match=r"stage 10 would hold about 137 edges .* of 100$"):
+        check_budget(3, 10)
+    it = TreeIteration(3)
+    it.tree_at(9)
+    with pytest.raises(ValueError, match="budget"):
+        it.tree_at(10)
+    assert len(it.trees) == 10 and len(it.centers) == 10   # nothing built past the budget
