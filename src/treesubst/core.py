@@ -136,6 +136,30 @@ def _syllable_table(d: int, points: list) -> tuple[list, np.ndarray, np.ndarray]
     return keys, code, _int64(runs, width - 1).reshape(len(points), width, d)
 
 
+def _distance_rows(d: int, points: list):
+    """Per point i of a list of syllable words, the int64 coefficient rows of
+    its realized distances to the points after it, in list order.
+
+    The free product of lines is an R-tree, so distance = |P_x| + |P_y| -
+    2|cp|.  cp is the full syllables the two points share, plus the shorter
+    of their next syllables when those run along one copy with one sign.
+    With the syllables sorted by (copy, sign, |t|), that shorter one
+    belongs to the point that sorts first, and the full syllables shared are
+    a range minimum over that order (`_PrefixIndex`).
+    """
+    keys, code, run = _syllable_table(d, points)
+    cum = np.concatenate([np.zeros_like(run[:, :1]), np.cumsum(run, axis=1)], axis=1)
+    norm = cum[np.arange(len(points)), np.array([len(pt) for pt in points], dtype=np.intp)]
+    index = _PrefixIndex(keys)
+    for i in range(len(points)):
+        ys = np.arange(i + 1, len(points))
+        k = index.row(i, ys)
+        first = index.rank[i] < index.rank[ys]
+        along = (code[i, k] == code[ys, k]) & (code[i, k] >= 0)
+        part = np.where(first[:, None], run[i, k], run[ys, k]) * along[:, None]
+        yield norm[i] + norm[ys] - 2 * (cum[i, k] + part)
+
+
 class _PrefixIndex:
     """Common prefix lengths of any two of a list of sequences.
 
@@ -249,23 +273,25 @@ class CoreScan:
 
     # -- direct labeling route ---------------------------------------------
 
-    def f0(self, stage: int, v: int) -> GroupWord:
-        """Label computed from scratch: sigma^stage of the coded root path."""
-        tree = self.it.tree_at(stage)
-        gamma = tree.path_word(tree.root, v)
-        return self.auto.iterate(p_star(self.d, gamma), stage)
-
     def check_f0(self, n: int) -> list[str]:
-        """Direct route equals the incremental labels, stage-independently."""
+        """Direct route equals the incremental label for the branch points born
+        at stage n, and every stage-n path code is sigma of the next one.
+
+        The direct route is sigma^n of the path code g_n(v) = p*(root -> v)
+        in T_n.  The path-code test runs for every branch point:
+        sigma(g_{n+1}(v)) = g_n(v).  Over a sweep of the stages from 0 it
+        gives sigma^n(g_n(v)) = sigma^b(g_b(v)) for a vertex born at stage
+        b, so the direct route is needed only at b.
+        """
         self.extend_to(n)
         failures = []
         tree = self.it.tree_at(n)
         nxt = self.it.tree_at(n + 1)
         for v in tree.branch_points():
-            direct = self.f0(n, v)
-            if direct != invert(from_positive(self.labels[v])):
-                failures.append(f"stage {n} vertex {v}: direct label differs")
             g_now = p_star(self.d, tree.path_word(tree.root, v))
+            if self.it.birth_stage(v) == n:
+                if self.auto.iterate(g_now, n) != invert(from_positive(self.labels[v])):
+                    failures.append(f"stage {n} vertex {v}: direct label differs")
             g_next = p_star(self.d, nxt.path_word(nxt.root, v))
             if self.auto(g_next) != g_now:
                 failures.append(f"stage {n} vertex {v}: path codes inconsistent")
@@ -551,17 +577,18 @@ class CoreScan:
         return failures
 
     def check_shift_isometry(self, a: int, n: int) -> list[str]:
-        """Pairwise distances survive the label shift exactly."""
+        """Pairwise distances survive the label shift exactly: the distance
+        rows of the domain equal those of the images, pair by pair."""
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
         dom = self.shift_domain(a, n)
-        pts = {v: self.real.point(v) for v in dom}
-        imgs = {v: self.point_of_label(self.shift_image_label(a, v)) for v in dom}
+        pts = [self.real.point(v).syllables for v in dom]
+        imgs = [self.point_of_label(self.shift_image_label(a, v)).syllables for v in dom]
         failures = []
-        for i, v in enumerate(dom):
-            for w in dom[i + 1:]:
-                if distance(pts[v], pts[w]) != distance(imgs[v], imgs[w]):
-                    failures.append(f"letter {a}: pair ({v},{w}) distorted")
+        rows = zip(_distance_rows(self.d, pts), _distance_rows(self.d, imgs))
+        for i, (before, after) in enumerate(rows):
+            for m in np.flatnonzero((before != after).any(axis=1)):
+                failures.append(f"letter {a}: pair ({dom[i]},{dom[i + 1 + m]}) distorted")
         return failures
 
     def check_domain_overlaps(self, n: int) -> list[str]:
@@ -592,12 +619,8 @@ class CoreScan:
           R_y, so its legal length is L_x + L_y - 2 PL_x[c], where PL_x
           holds the legal lengths of the prefixes of R_x, already times
           rho^-n.
-        - Realized side: the free product of lines is an R-tree, so
-          distance = |P_x| + |P_y| - 2|cp|.  cp is the full syllables the
-          two points share, plus the shorter of their next syllables when
-          those run along one copy with one sign.  With the syllables
-          sorted by (copy, sign, |t|), that shorter one belongs to the point
-          that sorts first.
+        - Realized side: `_distance_rows`, from the syllable words of the
+          points.
         - Core colors: the path x -> y leaves colors 1..d iff the deepest
           edge of color > d on the root path of x or y lies below their
           meeting vertex, whose depth is the common prefix length of their
@@ -629,27 +652,16 @@ class CoreScan:
         ]
         total = np.array([pl[-1] for pl in prefix]).reshape(-1, d)
 
-        # realized side: prefix norms of the syllables, and each point's norm
         points = [self.real.point(x).syllables for x in branch]
-        keys, code, run = _syllable_table(d, points)
-        cum = np.concatenate([np.zeros_like(run[:, :1]), np.cumsum(run, axis=1)], axis=1)
-        norm = cum[np.arange(len(branch)), [len(pt) for pt in points]]
-
         by_word = _PrefixIndex(words)
         by_path = _PrefixIndex(paths)
-        by_point = _PrefixIndex(keys)
         failures = []
-        for i, x in enumerate(branch):
+        for i, (x, got) in enumerate(zip(branch, _distance_rows(d, points))):
             ys = np.arange(i + 1, len(branch))
             meet = by_path.row(i, ys)
             leaves = (deep[i] > meet) | (deep[ys] > meet)
             c = by_word.row(i, ys)
             want = total[i] + total[ys] - 2 * prefix[i][c]
-            k = by_point.row(i, ys)
-            first = by_point.rank[i] < by_point.rank[ys]
-            along = (code[i, k] == code[ys, k]) & (code[i, k] >= 0)
-            part = np.where(first[:, None], run[i, k], run[ys, k]) * along[:, None]
-            got = norm[i] + norm[ys] - 2 * (cum[i, k] + part)
             bad = leaves | (got != want).any(axis=1)
             for m in np.flatnonzero(bad):
                 j = i + 1 + m

@@ -13,6 +13,8 @@ probes for iterated inverse automorphisms.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain
+from operator import neg
 
 from .words import Word, family_substitution, power_image
 
@@ -32,12 +34,12 @@ def reduce_word(letters) -> GroupWord:
 
 
 def invert(w: GroupWord) -> GroupWord:
-    return tuple(-x for x in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def from_positive(w: Word) -> GroupWord:
     """Embed a word over 1..d letterwise."""
-    return tuple(int(c) for c in w)
+    return tuple(w)   # bytes iterate as ints
 
 
 def word_text(w: GroupWord) -> str:
@@ -55,13 +57,11 @@ class Automorphism:
         if sorted(images) != list(range(1, d + 1)):
             raise ValueError(f"images must be given for the letters 1..{d}")
         self.images = {k: reduce_word(v) for k, v in images.items()}
+        self._signed = {**self.images, **{-k: invert(v) for k, v in self.images.items()}}
 
     def apply(self, w: GroupWord) -> tuple[GroupWord, bool]:
         """Image of w, plus a flag telling whether reduction cancelled anything."""
-        parts: list[int] = []
-        for x in w:
-            img = self.images[abs(x)]
-            parts.extend(img if x > 0 else invert(img))
+        parts = tuple(chain.from_iterable(map(self._signed.__getitem__, w)))
         out = reduce_word(parts)
         return out, len(out) < len(parts)
 
@@ -93,19 +93,27 @@ def family_inverse(d: int) -> Automorphism:
 # ---------------------------------------------------------------------------
 # tree letters and the projection p*
 
+@lru_cache(maxsize=None)
+def _color_images(d: int) -> dict[int, GroupWord]:
+    """p* of each signed tree color."""
+    table: dict[int, GroupWord] = {}
+    for c in range(1, 2 * d - 1):
+        img = (c,) if c <= d else from_positive(power_image(d, c - d))
+        table[c], table[-c] = img, invert(img)
+    return table
+
+
 def p_star(d: int, tree_word) -> GroupWord:
     """Project a tree path word (signed colors 1..2d-2) into F_d.
 
     Colors k <= d map to the generator k, color d+k to sigma^k(1), and a
     barred color (negative sign) to the inverse of its image.
     """
-    parts: list[int] = []
-    for x in tree_word:
-        c = abs(x)
-        if not 1 <= c <= 2 * d - 2:
-            raise ValueError(f"color {c} outside 1..{2*d-2}")
-        img = (c,) if c <= d else power_image(d, c - d)   # bytes iterate as ints
-        parts.extend(img if x > 0 else invert(img))
+    images = _color_images(d)
+    try:
+        parts = tuple(chain.from_iterable(map(images.__getitem__, tree_word)))
+    except KeyError as exc:
+        raise ValueError(f"color {abs(exc.args[0])} outside 1..{2*d-2}") from None
     return reduce_word(parts)
 
 

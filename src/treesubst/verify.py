@@ -34,6 +34,7 @@ from .prefix_suffix import development_tail_word, shift_development
 from .trees import check_budget, family_tree_substitution, initial_tree
 from .words import (
     DEFAULT_PREFIX_LEN,
+    MAX_PREFIX_LEN,
     bispecials_by_generation,
     complexity,
     expected_class_count,
@@ -323,7 +324,14 @@ def label_inventory(d: int) -> list[str]:
 
 
 def address_map_consistency(d: int, max_stage: int) -> list[str]:
-    """Direct and incremental labels agree at every stage up to max_stage."""
+    """Direct and incremental labels agree at every stage up to max_stage.
+
+    The sweep, not one `check_f0(n)`, proves it: each call runs the direct
+    route only for the vertices born at its stage, and the path-code tests
+    of the stages between carry that label forward.  So a direct route that
+    would differ only after a vertex's birth shows as inconsistent path
+    codes at the stage where the code changes.
+    """
     return _each_stage(core.shared_scan(d).check_f0, max_stage)
 
 
@@ -509,8 +517,10 @@ def run_suite(
         raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")
     if max_stage is not None and max_stage < 0:
         raise ValueError(f"max_stage must be >= 0, got {max_stage}")
-    if prefix_len < 1:
-        raise ValueError(f"prefix_len must be >= 1, got {prefix_len}")
+    if not 1 <= prefix_len <= MAX_PREFIX_LEN:
+        raise ValueError(
+            f"prefix_len must be in 1..{MAX_PREFIX_LEN:,} letters, got {prefix_len:,}"
+        )
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = max_stage if max_stage is not None else (12 if d == 3 else 10)

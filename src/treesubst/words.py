@@ -220,14 +220,36 @@ def bispecials_by_generation(d: int, max_len: int) -> list[Word]:
 # cylinder measures
 
 DEFAULT_PREFIX_LEN = 10**6
+# largest prefix a measure estimate may read: its fixed-point prefix rounds up
+# to 4^12 letters (16.8 MB), where 2 * 10**9 would round up to 4^16 (4.3 GB)
+MAX_PREFIX_LEN = 10**7
 
 
 _BLOCK = 1 << 16   # window positions coded per np.unique call
+_COUNT_STEP = 16   # window lengths are counted at multiples of this
 _CODE_MAX = np.iinfo(np.int64).max
 
 
 @lru_cache(maxsize=None)
 def _window_counts(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
+    """(window, count) over the length-m windows at positions < prefix_len, sorted.
+
+    The windows are counted once per length L, m rounded up to a multiple of
+    16, and a shorter m sums those counts by their length-m prefix: every
+    position has a length-L window, and its prefix is the length-m window
+    there.  So one count serves every m up to L.
+    """
+    length = -(-m // _COUNT_STEP) * _COUNT_STEP
+    if length == m:
+        return _count_windows(d, m, prefix_len)
+    counts: dict[Word, int] = {}
+    for window, c in _window_counts(d, length, prefix_len):
+        key = window[:m]
+        counts[key] = counts.get(key, 0) + c
+    return tuple(counts.items())   # sorted: the longer windows were
+
+
+def _count_windows(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
     """(window, count) over the length-m windows at positions < prefix_len, sorted.
 
     Each block of positions reads its windows as base-(d+1) integers, one

@@ -1,10 +1,12 @@
 """End-to-end runs of the command line, in process."""
 
+import hashlib
 import json
 
 import pytest
 
-from treesubst import cli, rauzy, trees
+from treesubst import cli, rauzy, trees, verify
+from treesubst.words import DEFAULT_PREFIX_LEN, MAX_PREFIX_LEN
 from treesubst.trees import family_tree_substitution
 
 
@@ -268,3 +270,34 @@ def test_requests_within_a_small_budget_run(monkeypatch, tmp_path):
     assert cli.main(["gen", "--n", "11", "--out", str(tmp_path / "t.json")]) == 0
     assert cli.main(["plot", "--kind", "zeta", "--n", "2", "--depth", "40",
                      "--out", str(tmp_path / "z.svg")]) == 0
+
+
+def test_prefix_len_over_the_limit_is_usage_error(monkeypatch, capsys):
+    # a small limit stands in for the real one, so no test builds a huge word
+    assert DEFAULT_PREFIX_LEN <= MAX_PREFIX_LEN
+    monkeypatch.setattr(verify, "MAX_PREFIX_LEN", 1000)
+    assert cli.main(["verify", "--suite", "words", "--prefix-len", "1001"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: prefix_len must be in 1..1,000 letters, got 1,001\n"
+    assert cli.main(["verify", "--suite", "words", "--prefix-len", "1000"]) != 2
+
+
+# SHA-256 of `verify --suite all --format json` for d = 3, 4, 5: the check
+# names, scopes, statuses and witnesses of the default audit, byte for byte
+_GOLDEN_REPORTS = {
+    3: "3d8ed143bbe8178e74d300698fdf979b960a2999391e46c91e3c98255bcf87c8",
+    4: "deea8a28559973554c1d216844a50f0c987dd6c16df2bcc9cdee330a0a9dcd22",
+    5: "75fc26df4f49a517e821624e0eca4937d3dddaf7320bd3459efbfa759a225303",
+}
+
+
+@pytest.mark.parametrize("d", sorted(_GOLDEN_REPORTS))
+def test_default_audit_report_is_pinned(d, capsys):
+    assert cli.main(["verify", "--suite", "all", "--d", str(d), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == _GOLDEN_REPORTS[d]
+
+
+def test_core_audit_reaches_stage_14():
+    results = verify.run_suite("core", 3, max_stage=14)
+    assert [r.name for r in results if r.status != "pass"] == []

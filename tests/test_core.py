@@ -6,7 +6,7 @@ import pytest
 
 from treesubst import core
 from treesubst.algnum import ExactLength
-from treesubst.freegroup import p_star
+from treesubst.freegroup import from_positive, invert, p_star
 from treesubst.realization import FreePoint, distance
 from treesubst.trees import ColoredTree
 from treesubst.words import measure_spectrum, word_str
@@ -90,6 +90,62 @@ def test_address_map():
     scan = shared_scan(3)
     for n in range(5):
         assert scan.check_f0(n) == []
+
+
+def _address_oracle(scan, n):
+    """The address map with the direct route sigma^n(p*(root -> v)) run for
+    every branch point at every stage, not only at its birth."""
+    scan.extend_to(n)
+    tree, nxt = scan.it.tree_at(n), scan.it.tree_at(n + 1)
+    failures = []
+    for v in tree.branch_points():
+        g_now = p_star(scan.d, tree.path_word(tree.root, v))
+        if scan.auto.iterate(g_now, n) != invert(from_positive(scan.labels[v])):
+            failures.append(f"stage {n} vertex {v}: direct label differs")
+        g_next = p_star(scan.d, nxt.path_word(nxt.root, v))
+        if scan.auto(g_next) != g_now:
+            failures.append(f"stage {n} vertex {v}: path codes inconsistent")
+    return failures
+
+
+def _sweep(check, upto):
+    return [f for n in range(upto + 1) for f in check(n)]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_address_map_agrees_with_direct_oracle(d):
+    scan = CoreScan(d)
+    for n in range(11):
+        assert scan.check_f0(n) == _address_oracle(scan, n) == []
+
+
+def test_address_map_flags_a_changed_label():
+    scan = CoreScan(3)
+    scan.extend_to(8)
+    v = min(v for v, stage in scan.apparition.items() if stage == 5)
+    lab = scan.labels[v]
+    scan.labels[v] = lab[:-1] + bytes([lab[-1] % 3 + 1])
+    # the fast sweep runs the direct route at the birth stage only
+    assert _sweep(scan.check_f0, 8) == [f"stage 5 vertex {v}: direct label differs"]
+    assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
+        f"stage {n} vertex {v}: direct label differs" for n in range(5, 9)
+    ]
+
+
+def test_address_map_reports_a_later_drift_as_path_codes():
+    # a path code that changes after the vertex's birth: the oracle also sees
+    # the direct route differ there, the fast sweep only the path codes
+    scan = CoreScan(3)
+    scan.extend_to(8)
+    v = min(v for v, stage in scan.apparition.items() if stage == 5)
+    tree = scan.it.tree_at(7)
+    path_word = tree.path_word
+    tree.path_word = lambda x, y: path_word(x, y) + ((1,) if y == v else ())
+    drift = [f"stage {n} vertex {v}: path codes inconsistent" for n in (6, 7)]
+    assert _sweep(scan.check_f0, 8) == drift
+    assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
+        drift[0], f"stage 7 vertex {v}: direct label differs", drift[1],
+    ]
 
 
 def test_injectivity_and_steps():
@@ -204,6 +260,54 @@ def test_shift_checks():
         assert scan.check_shift_isometry(a, 6) == []
         assert scan.check_shift_conjugacy(a, 6) == []
     assert scan.check_domain_overlaps(6) == []
+
+
+def _isometry_oracle(scan, a, n):
+    """The shift isometry pair by pair, with `distance` on both sides."""
+    scan.extend_to(n + 1)
+    scan.real.extend_to(n + 1)
+    dom = scan.shift_domain(a, n)
+    pts = {v: scan.real.point(v) for v in dom}
+    imgs = {v: scan.point_of_label(scan.shift_image_label(a, v)) for v in dom}
+    return [
+        f"letter {a}: pair ({v},{w}) distorted"
+        for i, v in enumerate(dom)
+        for w in dom[i + 1:]
+        if distance(pts[v], pts[w]) != distance(imgs[v], imgs[w])
+    ]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_shift_isometry_agrees_with_pair_oracle(d):
+    scan = CoreScan(d)
+    for n in range(11):
+        for a in range(1, d + 1):
+            assert scan.check_shift_isometry(a, n) == _isometry_oracle(scan, a, n) == []
+
+
+@pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
+def test_shift_isometry_flags_a_displaced_image(along):
+    d, n, a = 3, 8, 1
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    scan.real.extend_to(n + 1)
+    dom = scan.shift_domain(a, n)
+    image = {v: scan.vertex_of_label(scan.shift_image_label(a, v)) for v in dom}
+    v = next(v for v in dom[len(dom) // 2:] if image[v] not in dom)
+    point = scan.real.points[image[v]]
+    copy, t = point.syllables[-1]
+    # along its last syllable the image moves outward; on another copy it branches off
+    step = ExactLength.rho_power(d, -(n + 3))
+    if along:
+        step = step if t.sign() > 0 else -step
+    else:
+        copy = (copy + 1) % d
+    scan.real.points[image[v]] = point * FreePoint.syllable(d, copy, step)
+    failures = scan.check_shift_isometry(a, n)
+    assert failures == _isometry_oracle(scan, a, n)
+    assert failures == [
+        f"letter {a}: pair ({min(v, w)},{max(v, w)}) distorted" for w in dom if w != v
+    ]
 
 
 def test_domain_overlaps_allow_one_shared_vertex():

@@ -157,6 +157,13 @@ def test_substitution_validates_with_value_error():
 @settings(max_examples=60, deadline=None)
 @example(d=3, m=40, prefix_len=2 * _BLOCK)
 @example(d=6, m=30, prefix_len=_BLOCK + 1)
+# counted at m rounded up to a multiple of 16: both sides of the rounding
+@example(d=3, m=15, prefix_len=_BLOCK + 5)
+@example(d=4, m=16, prefix_len=2 * _BLOCK - 1)
+@example(d=5, m=17, prefix_len=_BLOCK)
+@example(d=3, m=33, prefix_len=3 * _BLOCK)
+# prefix_len + 5 stays below 4^8 letters, prefix_len + 16 does not
+@example(d=3, m=5, prefix_len=4**8 - 10)
 @given(
     d=st.integers(3, 6),
     m=st.integers(1, 40),
