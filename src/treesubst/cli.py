@@ -84,10 +84,11 @@ def cmd_gen(args) -> int:
         real = scan.real
         real.extend_to(args.n)
         lines = ["vertex,birth_stage,degree,norm,address"]
-        for v in tree.vertices:
+        ids, degrees = tree._degrees()
+        for v, degree in zip(ids.tolist(), degrees.tolist()):
             pt = real.point(v)
             lines.append(
-                f"{v},{it.birth_stage(v)},{tree.degree(v)},"
+                f"{v},{it.birth_stage(v)},{degree},"
                 f"{pt.norm().value():.9f},{pt.text()}"
             )
         _write("\n".join(lines) + "\n", args.out)

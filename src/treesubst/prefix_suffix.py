@@ -85,21 +85,23 @@ def automatic_writing(d: int, u: Word) -> list[int]:
     |sigma^(a+1)(1)| - |sigma^a(1)| = |sigma^(a-d+1)(1)| makes the gap
     condition automatic, so a mismatch means u is not a prefix.
     """
-    if any(not 1 <= c <= d for c in u):
+    if u.translate(None, bytes(range(1, d + 1))):   # what is left after deleting 1..d
         raise ValueError("letters outside 1..d")
     exps: list[int] = []
-    rest = u
-    while rest:
-        a = 0
-        while len(power_image(d, a + 1)) <= len(rest):
-            a += 1
+    pos, a = 0, 0
+    while len(power_image(d, a + 1)) <= len(u):
+        a += 1
+    while pos < len(u):
+        # what remains only shrinks, so the next exponent is at most this one
+        while len(power_image(d, a)) > len(u) - pos:
+            a -= 1
         top = power_image(d, a)
-        if not rest.startswith(top):
+        if not u.startswith(top, pos):
             raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
         if exps and not exps[-1] - a >= d:
             raise ValueError(f"{word_str(u)} breaks the exponent-gap rule")
         exps.append(a)
-        rest = rest[len(top):]
+        pos += len(top)
     exps.reverse()
     return exps
 

@@ -13,12 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import l_word, shared_scan
 from .words import (
+    MAX_PREFIX_LEN,
     factors,
     family_substitution,
     fixed_point_prefix,
@@ -30,6 +32,7 @@ from .words import (
 
 MODULUS_TOL = 1e-9
 PAIR_BUDGET = 1 << 18   # candidate pairs the nearest-neighbour search holds at once
+WRITE_CHUNK = 1 << 16   # points the artifact writers format per write
 
 
 @dataclass(frozen=True)
@@ -98,7 +101,13 @@ def family_basis(d: int) -> ContractingBasis:
 
 
 def _projected_prefix_orbit(depth: int) -> np.ndarray:
-    """(depth+1) x 2 array: projections of the inverted prefixes of length 0..depth."""
+    """(depth+1) x 2 array: projections of the inverted prefixes of length 0..depth.
+
+    A depth above MAX_PREFIX_LEN is refused before anything is allocated,
+    as `--prefix-len` is: the counts alone take 24 bytes per letter.
+    """
+    if not 0 <= depth <= MAX_PREFIX_LEN:
+        raise ValueError(f"depth must be in 0..{MAX_PREFIX_LEN:,} letters, got {depth:,}")
     basis = family_basis(3)
     text = np.frombuffer(fixed_point_prefix(3, depth), dtype=np.uint8)
     counts = np.zeros((depth + 1, 3))
@@ -445,12 +454,21 @@ def tag_palette(tags) -> dict[str, str]:
     return {t: PALETTE[i % len(PALETTE)] for i, t in enumerate(ordered)}
 
 
+def _write_rows(fh, row: str, xs: np.ndarray, ys: np.ndarray, labels: list[str]) -> None:
+    """Write `row` % (x, y, label) for every point, x and y as Python floats:
+    WRITE_CHUNK points per write, each chunk formatted by one % over the row
+    repeated."""
+    for i in range(0, len(labels), WRITE_CHUNK):
+        j = i + WRITE_CHUNK
+        x, y = xs[i:j].tolist(), ys[i:j].tolist()
+        fh.write(row * len(x) % tuple(chain.from_iterable(zip(x, y, labels[i:j]))))
+
+
 def export_csv(cloud: PointCloud, path: str) -> None:
-    lines = ["x,y,tag"]
-    for x, y, t in zip(cloud.xs, cloud.ys, cloud.tags):
-        lines.append(f"{x or 0.0:.9f},{y or 0.0:.9f},{t}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("x,y,tag\n")
+        # adding 0.0 turns -0.0 into 0.0, so an exact zero never reads "-0.000000000"
+        _write_rows(fh, "%.9f,%.9f,%s\n", cloud.xs + 0.0, cloud.ys + 0.0, cloud.tags)
 
 
 def render_svg(cloud: PointCloud, path: str, size: int = 800) -> None:
@@ -465,17 +483,14 @@ def render_svg(cloud: PointCloud, path: str, size: int = 800) -> None:
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-3)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     r = max(x1 - x0, y1 - y0) / 400
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
-        f'viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">',
-        f'<rect x="{x0:.6f}" y="{y0:.6f}" width="{x1 - x0:.6f}" '
-        f'height="{y1 - y0:.6f}" fill="white"/>',
-    ]
-    for x, y, t in zip(cloud.xs, cloud.ys, cloud.tags):
-        parts.append(
-            f'<circle cx="{x:.6f}" cy="{y:.6f}" r="{r:.6f}" fill="{colors[t]}"/>'
-        )
-    parts.append("</svg>")
     with open(path, "w") as fh:
-        fh.write("\n".join(parts) + "\n")
+        fh.write(
+            '<?xml version="1.0" encoding="UTF-8"?>\n'
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">\n'
+            f'<rect x="{x0:.6f}" y="{y0:.6f}" width="{x1 - x0:.6f}" '
+            f'height="{y1 - y0:.6f}" fill="white"/>\n'
+        )
+        _write_rows(fh, f'<circle cx="%.6f" cy="%.6f" r="{r:.6f}" fill="%s"/>\n',
+                    cloud.xs, cloud.ys, [colors[t] for t in cloud.tags])
+        fh.write("</svg>\n")

