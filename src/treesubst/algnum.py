@@ -19,6 +19,26 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
 
+import numpy as np
+
+
+# every int64 row of exact coefficients stays below this bound, and a caller
+# adds at most `terms` of them, so no sum it forms can wrap
+INT64_BOUND = 1 << 60
+
+
+def _int64(rows, terms: int) -> np.ndarray:
+    """Integer rows as an int64 array whose sums of `terms` entries stay below
+    INT64_BOUND; raises ValueError rather than wrap."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:   # a Python int beyond int64
+        raise ValueError("coefficient beyond int64") from None
+    top = max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
+    if top * terms >= INT64_BOUND:
+        raise ValueError(f"int64 operand {top} times {terms} reaches the bound 2^60")
+    return a
+
 
 def trinomial_root(d: int, k: int) -> float:
     """Real root > 1 of x^d = x^k + 1, 1 <= k < d (Newton from 1.5, double precision)."""

@@ -83,14 +83,11 @@ def cmd_gen(args) -> int:
     else:
         real = scan.real
         real.extend_to(args.n)
+        norms, texts = real.coordinates()
         lines = ["vertex,birth_stage,degree,norm,address"]
         ids, degrees = tree._degrees()
         for v, degree in zip(ids.tolist(), degrees.tolist()):
-            pt = real.point(v)
-            lines.append(
-                f"{v},{it.birth_stage(v)},{degree},"
-                f"{pt.norm().value():.9f},{pt.text()}"
-            )
+            lines.append(f"{v},{it.birth_stage(v)},{degree},{norms[v]:.9f},{texts[v]}")
         _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

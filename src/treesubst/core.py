@@ -17,7 +17,7 @@ from operator import mul
 
 import numpy as np
 
-from .algnum import ExactLength, letter_length_exact
+from .algnum import ExactLength, _int64, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .prefix_suffix import automatic_writing
 from .realization import FreePoint, Realization, distance
@@ -75,21 +75,6 @@ def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     lengths = letter_length_exact(d)
     rows = [lengths[k].coeffs for k in range(1, d + 1)]
     return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in zip(*rows)))
-
-
-# every int64 operand of the path audit is a prefix sum below this bound, and a
-# pair formula adds at most six of them, so no sum it forms can wrap
-_AUDIT_BOUND = 1 << 60
-
-
-def _int64(rows, terms: int) -> np.ndarray:
-    """Integer rows as an int64 array whose prefix sums of `terms` entries stay
-    below the audit bound; raises OverflowError rather than wrap."""
-    a = np.array(rows, dtype=np.int64)   # refuses a Python int beyond int64
-    top = max(abs(int(a.max())), abs(int(a.min()))) if a.size else 0
-    if top * terms >= _AUDIT_BOUND:
-        raise OverflowError(f"path audit operand {top} times {terms} reaches 2^60")
-    return a
 
 
 def _prefix_len(a, b) -> int:

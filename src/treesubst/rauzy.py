@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import l_word, shared_scan
 from .words import (
     MAX_PREFIX_LEN,
+    distinct,
     factors,
     family_substitution,
     fixed_point_prefix,
@@ -196,7 +197,7 @@ def _cylinder_classes(depth: int, m: int) -> tuple[np.ndarray, list[str]]:
     """Class of the length-m window ending at each prefix length 0..depth
     (-1 below m), and the word of each class in lexicographic order.
 
-    Each window is one base-4 integer (letters are 1..3), so `np.unique`
+    Each window is one base-4 integer (letters are 1..3), so `distinct`
     groups integers and `word_str` runs only on the distinct windows, at
     most 2m+1 of them.  Past 31 letters the code would overflow int64, and
     the windows are grouped as raw bytes instead, in the same order.
@@ -210,7 +211,7 @@ def _cylinder_classes(depth: int, m: int) -> tuple[np.ndarray, list[str]]:
         keys = win @ (4 ** np.arange(m - 1, -1, -1, dtype=np.int64))
     else:
         keys = np.ascontiguousarray(win).view(f"V{m}").ravel()
-    _, first, cls[m:] = np.unique(keys, return_index=True, return_inverse=True)
+    _, first, cls[m:] = distinct(keys)
     return cls, [word_str(text[j : j + m].tobytes()) for j in first]
 
 
@@ -293,15 +294,17 @@ def check_contraction(kmax: int = 18) -> list[str]:
     bad = [r for r in ratios if not r < 0.95]
     if bad:
         return [f"projected powers not contracting: ratios {bad}"]
-    if abs(np.median(ratios) - target) > 0.1:
-        return [f"contraction ratio {np.median(ratios):.4f} far from {target:.4f}"]
+    r = sorted(ratios)   # the median, as np.median gives it
+    median = (r[(len(r) - 1) // 2] + r[len(r) // 2]) / 2
+    if abs(median - target) > 0.1:
+        return [f"contraction ratio {median:.4f} far from {target:.4f}"]
     return []
 
 
 def _first_split(key: np.ndarray, val: np.ndarray) -> int:
     """First position whose val differs from val at the first position of
     its key; len(key) if there is none."""
-    _, first, inv = np.unique(key, return_index=True, return_inverse=True)
+    _, first, inv = distinct(key)
     split = np.flatnonzero(val != val[first][inv])
     return int(split[0]) if len(split) else len(key)
 
@@ -331,7 +334,7 @@ def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> lis
     cyl = np.array(_tags(cls[boundary:], names))
     arc = np.array(_arc_tags(_orbit_index(base, depth)[0][boundary:]))
     failures = _partition_witnesses(cyl, arc, boundary)
-    seen, want = len(np.unique(cyl)), len(factors(3, m))
+    seen, want = len(distinct(cyl)[0]), len(factors(3, m))
     if not failures and seen != want:
         failures.append(f"saw {seen} cylinder classes, want {want}")
     return failures
@@ -353,7 +356,8 @@ def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     lo = b.min(axis=0)
     span = float((b.max(axis=0) - lo).max())
-    h = span / (math.isqrt(len(b) - 1) + 1) if span > 0 else 1.0
+    # a subnormal span may divide to 0; any h > 0 keeps the search exact
+    h = (span / (math.isqrt(len(b) - 1) + 1) or span) if span > 0 else 1.0
     cell_b = np.floor((b - lo) / h).astype(np.int64)
     top = cell_b.max(axis=0)
     # a cell beyond the margin of 2 sees no point of b in its block either;
@@ -375,7 +379,7 @@ def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     best = np.full(len(a), np.inf)
     ends = np.cumsum(count.sum(axis=1))
     cuts = np.searchsorted(ends, np.arange(PAIR_BUDGET, ends[-1], PAIR_BUDGET), side="right")
-    bounds = np.unique(np.concatenate([[0], cuts, [len(a)]]))
+    bounds = distinct(np.concatenate([[0], cuts, [len(a)]]))[0]
     for r0, r1 in zip(bounds[:-1], bounds[1:]):
         cnt, fst = count[r0:r1].ravel(), first[r0:r1].ravel()
         row = np.repeat(np.arange(r0, r1), count[r0:r1].sum(axis=1))

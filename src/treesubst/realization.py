@@ -13,15 +13,26 @@ The stage-0 star is placed by
 and each later branch center goes on the segment between its color-1 and
 color-d neighbors, at distance rho^-n from the color-1 one, with the
 d-2 fresh leaves hanging off it.
+
+So each point is an older point times one syllable, and the realization
+is three columns by vertex id: `anchor`, the vertex whose point is this
+one less its last syllable (-1 at the origin), that syllable's `copy`, and
+`coef`, its exponent's int64 coefficient row.  The checks compare rows,
+and `quotient` on the points that `points[v]` builds decides the rest.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import reduce
+from operator import mul
 
-from .algnum import ExactLength, edge_length_vector
+import numpy as np
+
+from .algnum import ExactLength, _int64, edge_length_vector
 from .trees import TreeIteration
+from .words import distinct
 
 Syllable = tuple[int, ExactLength]
 
@@ -60,34 +71,17 @@ class FreePoint:
         return FreePoint(self.d, tuple((c, -t) for c, t in reversed(self.syllables)))
 
     def norm(self) -> ExactLength:
-        """Sum of the |t|, as one coefficient sum over the syllables."""
-        mags = [_syllable(s)[0] for s in self.syllables]
-        return ExactLength(self.d, tuple(map(sum, zip((0,) * self.d, *mags))))
-
-    def text(self) -> str:
-        if not self.syllables:
-            return "O"
-        return ".".join([_syllable(s)[1] for s in self.syllables])
-
-
-@lru_cache(maxsize=1 << 16)
-def _syllable(s: Syllable) -> tuple[tuple[int, ...], str]:
-    """Coefficients of |t| and the text c^t of a syllable (c, t), made once
-    per distinct syllable: the points of a stage share few (3,801 among the
-    47,394 points of stage 25 for d = 3, 11,443 among 218,646 at stage 29)."""
-    c, t = s
-    return abs(t).coeffs, f"{c}^{t.value():.6g}"
+        return sum((abs(t) for _, t in self.syllables), ExactLength.zero(self.d))
 
 
 def quotient(p: FreePoint, q: FreePoint) -> tuple[Syllable, ...]:
-    """Syllables of the reduced p^-1 q: the common prefix cancels unseen
-    (compared by identity first, as points built from one another share
-    syllables), and only the junction after it is reduced."""
+    """Syllables of the reduced p^-1 q: the common prefix cancels unseen,
+    and only the junction after it is reduced."""
     if p.d != q.d:
         raise ValueError(f"points of d={p.d} and d={q.d} do not mix")
     a, b = p.syllables, q.syllables
     i, m = 0, min(len(a), len(b))
-    while i < m and (a[i] is b[i] or a[i] == b[i]):
+    while i < m and a[i] == b[i]:
         i += 1
     if i == len(a):
         return b[i:]
@@ -105,55 +99,110 @@ def distance(p: FreePoint, q: FreePoint) -> ExactLength:
 # stage embedding
 
 
+class _Points(Mapping):
+    """Read-only view vertex -> FreePoint of a realization's rows: [v]
+    climbs the anchors and multiplies the syllables out."""
+
+    def __init__(self, real: "Realization"):
+        self.real = real
+
+    def __len__(self) -> int:
+        return len(self.real.anchor)
+
+    def __iter__(self):
+        return iter(range(len(self)))
+
+    def __getitem__(self, v: int) -> FreePoint:
+        r, d, word = self.real, self.real.d, []
+        if not 0 <= v < len(r.anchor):
+            raise KeyError(v)
+        while (up := r.anchor.item(v)) >= 0:
+            t = ExactLength(d, tuple(r.coef[v].tolist()))
+            word.append(FreePoint.syllable(d, r.copy.item(v), t))
+            v = up
+        return reduce(mul, reversed(word[:-1]), word[-1]) if word else FreePoint.origin(d)
+
+
 class Realization:
     """Embedding of the iterated trees, extended stage by stage."""
 
     def __init__(self, iteration: TreeIteration):
         self.it = iteration
-        self.d = iteration.d
-        self.base_lengths = edge_length_vector(self.d)
-        self.points: dict[int, FreePoint] = {}
-        self.stage_done = -1
-        self._place_initial()
-
-    def _place_initial(self) -> None:
-        d = self.d
+        self.d = d = iteration.d
+        self.base_lengths = edge_length_vector(d)
         if self.it.tree_at(0).root != 0:
             raise ValueError("the initial star must be rooted at vertex 0")
-        self.points[0] = FreePoint.origin(d)
-        self.points[1] = FreePoint.syllable(d, 0, ExactLength.one(d))
-        # the color-j edge of the initial star runs along copy j-1
-        for j in range(2, d + 1):
-            self.points[j] = FreePoint.syllable(d, j - 1, ExactLength.rho_power(d, d - j + 1))
+        # vertex 0 is the origin; the color-j edge of the star runs along copy j-1
+        self.anchor, self.copy = np.array([-1] + [0] * d), np.arange(-1, d)
+        self.coef = self._rows([ExactLength.zero(d)]
+                               + [self.base_lengths[j] for j in range(1, d + 1)])
+        self.points = _Points(self)
         self.stage_done = 0
+
+    def _rows(self, lengths: list[ExactLength]) -> np.ndarray:
+        # a stored row is below half the bound, so a sum or difference of two cannot wrap
+        return _int64([x.coeffs for x in lengths], 2).reshape(-1, self.d)
+
+    def _between(self, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Copy and coefficient rows of the one syllable p^-1 q, p and q the
+        points of s and t, where the rows show it: t anchored at s, s at t,
+        or both on one anchor and copy.  `ok` is False elsewhere and where
+        the syllable is zero."""
+        a, k, c = self.anchor, self.copy, self.coef
+        down, up = a[t] == s, a[s] == t
+        side = (a[s] == a[t]) & (k[s] == k[t]) & (a[s] >= 0)
+        coef = np.where(down[:, None], c[t], np.where(up[:, None], -c[s], c[t] - c[s]))
+        return np.where(up, k[s], k[t]), coef, (down | up | side) & coef.any(axis=1)
+
+    def _put(self, ids, base, copy, coef) -> None:
+        """Place ids[i] at the point of base[i] times the syllable (copy[i],
+        coef[i]): merged into base's last syllable on the same copy, and at
+        the row of base's anchor if the two cancel."""
+        a = self.anchor[base]
+        merge = self.copy[base] == copy   # never at the origin, whose copy is -1
+        coef = np.where(merge[:, None], self.coef[base] + coef, coef)
+        gone = merge & ~coef.any(axis=1)
+        self.anchor[ids] = np.where(gone, self.anchor[a], np.where(merge, a, base))
+        self.copy[ids] = np.where(gone, self.copy[a], copy)
+        self.coef[ids] = _int64(np.where(gone[:, None], self.coef[a], coef), 2)
 
     def extend_to(self, n: int) -> None:
         while self.stage_done < n:
             self._extend_once()
 
+    def _one(self, s: int, t: int, witness) -> Syllable:
+        """The syllable p^-1 q of the points of s and t, decided on the
+        points; ValueError(witness) if it is not one syllable."""
+        diff = quotient(self.points[int(s)], self.points[int(t)])
+        if len(diff) != 1:
+            raise ValueError(witness)
+        return diff[0]
+
     def _extend_once(self) -> None:
-        d, pts = self.d, self.points
-        n = self.stage_done + 1
-        tree = self.it.tree_at(n)
-        step = ExactLength.rho_power(d, -n)
-        # the replaced 2-edge's syllable -> the center's syllable off dst
+        """Place stage n: each center rho^-n from its color-1 neighbour
+        along the replaced 2-edge, its leaves off it on the next copies."""
+        d, n = self.d, self.stage_done + 1
+        self.it.tree_at(n)
+        v, _, src, dst = self.it.centers[n].columns
+        grow = self.it.sizes[n] - len(self.anchor)
+        self.anchor = np.append(self.anchor, np.full(grow, -2))   # -2: not placed
+        self.copy = np.append(self.copy, np.zeros(grow, dtype=np.int64))
+        self.coef = np.append(self.coef, np.zeros((grow, d), dtype=np.int64), axis=0)
         replaced = self.base_lengths[2].scaled(-(n - 1))
-        toward = {replaced: step, -replaced: -step}
-        leaf_ts = [ExactLength.rho_power(d, -(n + h)) for h in range(1, d - 1)]
-        for c in self.it.centers[n]:
-            start = pts[c.dst]       # the color-1 neighbor
-            diff = quotient(start, pts[c.src])
-            if len(diff) != 1:
-                raise ValueError("replaced edge was not a single syllable")
-            copy, p = diff[0]
-            if p not in toward:
+        legs = [ExactLength.rho_power(d, -(n + h)) for h in range(1, d - 1)]
+        step, want, *leaf = self._rows([ExactLength.rho_power(d, -n), replaced] + legs)
+        copy, p, ok = self._between(dst, src)
+        forward = (p == want).all(axis=1)
+        for i in np.flatnonzero(~(ok & (forward | (p == -want).all(axis=1)))).tolist():
+            copy[i], t = self._one(dst[i], src[i], "replaced edge was not a single syllable")
+            if t not in (replaced, -replaced):
                 raise ValueError("replaced 2-edge has the wrong length")
-            center = pts[c.vertex] = start * FreePoint(d, ((copy, toward[p]),))
-            for h, z in enumerate(c.leaves, start=1):
-                pts[z] = center * FreePoint(d, (((copy + h) % d, leaf_ts[h - 1]),))
-        missing = [v for v in tree.vertices if v not in pts]
-        if missing:
-            raise ValueError(f"unplaced vertices {missing}")
+            forward[i] = t == replaced
+        self._put(v, dst, copy, np.where(forward[:, None], step, -step))
+        for h in range(1, d - 1):
+            self._put(v + h, v, (copy + h) % d, leaf[h - 1])
+        if len(missing := np.flatnonzero(self.anchor == -2)):
+            raise ValueError(f"unplaced vertices {missing.tolist()}")
         self.stage_done = n
 
     def point(self, v: int) -> FreePoint:
@@ -165,13 +214,23 @@ class Realization:
         Raises ValueError naming the first edge that does not.
         """
         self.extend_to(n)
-        signed = {c: (b.scaled(-n), -b.scaled(-n)) for c, b in self.base_lengths.items()}
-        for s, t, c in self.it.tree_at(n).edges:
-            diff = quotient(self.points[s], self.points[t])
-            if len(diff) != 1:
-                raise ValueError((n, (s, t, c), "not a single syllable"))
-            if diff[0][1] not in signed[c]:
-                raise ValueError((n, (s, t, c), abs(diff[0][1]), signed[c][0]))
+        tree = self.it.tree_at(n)
+        want = np.zeros((2 * self.d - 1, self.d), dtype=np.int64)
+        colors, lengths = zip(*self.base_lengths.items())
+        want[list(colors)] = self._rows([b.scaled(-n) for b in lengths])
+        _, t, ok = self._between(tree.src, tree.dst)
+        w = want[tree.color]
+        for i in np.flatnonzero(~(ok & ((t == w).all(axis=1) | (t == -w).all(axis=1)))).tolist():
+            s, t, c = tree.edges[i]
+            b = self.base_lengths[c].scaled(-n)
+            if (x := self._one(s, t, (n, (s, t, c), "not a single syllable"))[1]) not in (b, -b):
+                raise ValueError((n, (s, t, c), abs(x), b))
+
+    def _signs(self, rows: np.ndarray) -> np.ndarray:
+        """Exact sign of each row's value, decided once per distinct row."""
+        values, _, inverse = distinct(rows)
+        signs = [ExactLength(self.d, tuple(r)).sign() for r in values.tolist()]
+        return np.array(signs, dtype=np.int64)[inverse]
 
     def hausdorff_gap(self, n: int) -> ExactLength:
         """Largest distance from a stage-n vertex to the realized T_(n-1).
@@ -186,15 +245,48 @@ class Realization:
         if n < 1:
             raise ValueError(f"stage must be >= 1, got {n}")
         self.extend_to(n)
-        pts = self.points
-        legs: set[ExactLength] = set()
-        for c in self.it.centers[n]:
-            off, on = quotient(pts[c.dst], pts[c.vertex]), quotient(pts[c.vertex], pts[c.src])
-            if len(off) != 1 or [(k, t.sign()) for k, t in off] != [(k, t.sign()) for k, t in on]:
-                raise ValueError((n, c.vertex, "center off its replaced edge"))
+        d, (v, _, src, dst) = self.d, self.it.centers[n].columns
+        k, off, ok = self._between(dst, v)
+        k_on, on, ok_on = self._between(v, src)
+        ok &= ok_on & (k == k_on) & (self._signs(off) == self._signs(on))
+        rows = []
+        for h in range(1, d - 1):
+            k_leg, leg, ok_leg = self._between(v, v + h)
+            ok &= ok_leg & (k_leg != k)
+            rows.append(leg)
+        rows = distinct(np.concatenate(rows)[np.tile(ok, d - 2)])[0]
+        legs = {ExactLength(d, tuple(r)) for r in rows.tolist()}
+        for c in map(self.it.centers[n].__getitem__, np.flatnonzero(~ok).tolist()):
+            where = (n, c.vertex, "center off its replaced edge")
+            k, off = self._one(c.dst, c.vertex, where)
+            k_on, on = self._one(c.vertex, c.src, where)
+            if (k, off.sign()) != (k_on, on.sign()):
+                raise ValueError(where)
             for z in c.leaves:
-                leg = quotient(pts[c.vertex], pts[z])
-                if len(leg) != 1 or leg[0][0] == off[0][0]:
-                    raise ValueError((n, z, "leaf not one syllable off its edge"))
-                legs.add(leg[0][1])
-        return max(map(abs, legs), default=ExactLength.zero(self.d))
+                where = (n, z, "leaf not one syllable off its edge")
+                if (leg := self._one(c.vertex, z, where))[0] == k:
+                    raise ValueError(where)
+                legs.add(leg[1])
+        return max(map(abs, legs), default=ExactLength.zero(d))
+
+    def coordinates(self) -> tuple[list[float], list[str]]:
+        """Per vertex, the value of its point's norm and its text c^t.c^t...
+        ("O" at the origin): a norm is its anchor's plus |syllable|, summed
+        along the anchors by pointer doubling, and a text is its anchor's
+        joined with the syllable's.  Each distinct syllable gets its sign
+        and text once, and each distinct norm its value()."""
+        d = self.d
+        syllables, _, which = distinct(np.column_stack([self.copy, self.coef]))
+        words = [f"{r[0]}^{ExactLength(d, tuple(r[1:])).value():.6g}" for r in syllables.tolist()]
+        norm = _int64(self.coef * self._signs(self.coef)[:, None], len(self.coef))
+        up = self.anchor.copy()
+        while (has := up >= 0).any():   # after k rounds, each row sums 2^k links of its chain
+            norm[has] += norm[up[has]]
+            up[has] = up[up[has]]
+        values, _, at = distinct(norm)
+        norms = [ExactLength(d, tuple(r)).value() for r in values.tolist()]
+        texts = ["O"] * len(self.anchor)
+        for v, (a, w) in enumerate(zip(self.anchor.tolist(), which.tolist())):
+            if a >= 0:   # anchors come first
+                texts[v] = words[w] if texts[a] == "O" else f"{texts[a]}.{words[w]}"
+        return [norms[i] for i in at.tolist()], texts

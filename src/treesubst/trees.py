@@ -156,22 +156,34 @@ class ColoredTree:
 
         Rooted at `root`, or at the least vertex when there is none; the
         root is its own parent with color 0, and parents are slots too.
-        Built by one breadth-first pass on first use and kept on the tree
-        as three flat lists.
+        Built on first use by a breadth-first pass, one numpy step per
+        level over the adjacency in CSR form (the edge ends sorted by
+        slot), and kept on the tree as three flat lists.  In a tree each
+        vertex has one parent, so the lists do not depend on the order in
+        which a level's neighbours are visited.
         """
         if self._rooted is None:
-            verts, adj = self.vertices, self.adjacency()
-            parent, up, depth = [0] * len(verts), [0] * len(verts), [-1] * len(verts)
+            ids, _ = self._degrees()
+            ends = np.searchsorted(ids, np.concatenate([self.src, self.dst]))
+            order = np.argsort(ends, kind="stable")
+            other = np.concatenate([ends[len(self.src):], ends[:len(self.src)]])[order]
+            step = np.concatenate([self.color, -self.color]).astype(np.int64)[order]
+            first = np.searchsorted(ends[order], np.arange(len(ids) + 1))
+            parent, up = np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64)
+            depth = np.full(len(ids), -1, dtype=np.int64)
             root = self.slot(self.root) if self.root is not None else 0
             parent[root], depth[root] = root, 0
-            order = [root]
-            for i in order:
-                for w, sc, _ in adj[verts[i]]:
-                    j = bisect_left(verts, w)
-                    if depth[j] < 0:
-                        parent[j], up[j], depth[j] = i, -sc, depth[i] + 1
-                        order.append(j)
-            self._rooted = parent, up, depth
+            level = np.array([root])
+            while len(level):
+                count = first[level + 1] - first[level]
+                at = np.repeat(first[level] - np.cumsum(count) + count, count)
+                at += np.arange(len(at))
+                w, i = other[at], np.repeat(level, count)
+                down = depth[w] < 0
+                level = w[down]
+                parent[level], up[level] = i[down], -step[at[down]]
+                depth[level] = depth[i[down]] + 1
+            self._rooted = parent.tolist(), up.tolist(), depth.tolist()
         return self._rooted
 
     def path(self, x: int, y: int) -> list[tuple[int, int]]:

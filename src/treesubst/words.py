@@ -8,8 +8,8 @@ cylinder measures by sliding-window frequencies.
 
 The estimates count the windows of a long fixed-point prefix at numpy
 speed: a window of length m is read as an m-digit integer in base d+1,
-so equal windows get equal codes and code order is word order, and
-``np.unique`` counts the codes block by block.
+so equal windows get equal codes and code order is word order, and one
+sort per block counts the codes.
 """
 
 from __future__ import annotations
@@ -22,6 +22,21 @@ import numpy as np
 from .algnum import trinomial_root
 
 Word = bytes
+
+
+def distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """np.unique of a 1-D array, or of the rows of a 2-D one, with the first
+    index and the inverse, from one sort and a compare of neighbours;
+    np.unique would import numpy.ma on its first call."""
+    order = np.argsort(a) if a.ndim == 1 else np.lexsort(a.T[::-1])
+    s = a[order]
+    new = np.ones(len(a), dtype=bool)
+    new[1:] = s[1:] != s[:-1] if a.ndim == 1 else (s[1:] != s[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    inverse = np.empty(len(a), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    first = np.minimum.reduceat(order, starts) if len(a) else starts   # the sort is not stable
+    return s[starts], first, inverse
 
 
 def word_str(w: Word) -> str:
@@ -225,7 +240,7 @@ DEFAULT_PREFIX_LEN = 10**6
 MAX_PREFIX_LEN = 10**7
 
 
-_BLOCK = 1 << 16   # window positions coded per np.unique call
+_BLOCK = 1 << 16   # window positions coded and sorted at once
 _COUNT_STEP = 16   # window lengths are counted at multiples of this
 _CODE_MAX = np.iinfo(np.int64).max
 
@@ -267,16 +282,17 @@ def _count_windows(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], .
         bound = 1   # codes < bound
         for k in range(start, start + m):
             if bound > _CODE_MAX // base:
-                codes[:] = np.unique(codes, return_inverse=True)[1]
+                codes[:] = distinct(codes)[2]
                 bound = n
             codes *= base
             codes += arr[k : k + n]
             bound *= base
-        uniq, hits = np.unique(codes, return_counts=True)
+        s = np.sort(codes)   # counted as np.unique(return_counts=True) does
+        runs = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
         # any position of each code will do; the first ones need a slower stable sort
-        where = np.empty(len(uniq), dtype=np.intp)
-        where[np.searchsorted(uniq, codes)] = np.arange(start, start + n)
-        for i, c in zip(where.tolist(), hits.tolist()):
+        where = np.empty(len(runs), dtype=np.intp)
+        where[np.searchsorted(s[runs], codes)] = np.arange(start, start + n)
+        for i, c in zip(where.tolist(), np.diff(runs, append=n).tolist()):
             key = text[i : i + m]
             counts[key] = counts.get(key, 0) + c
     return tuple(sorted(counts.items()))

@@ -73,3 +73,15 @@ def test_every_public_definition_has_a_caller():
         and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
     ]
     assert uncalled == [], f"public API with no caller in the package: {uncalled}"
+
+
+def test_audit_leaves_numpy_ma_unloaded():
+    # np.unique and np.median import numpy.ma on their first call, tens of ms
+    # of every audit and plot process
+    probe = ("import sys\nfrom treesubst import verify\n"
+             "verify.run_suite('all', 3)\nprint('numpy.ma' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert proc.stdout == "False\n", proc.stderr + proc.stdout

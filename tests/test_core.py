@@ -4,8 +4,8 @@ import hashlib
 
 import pytest
 
-from treesubst import core
-from treesubst.algnum import ExactLength
+from treesubst import algnum, core
+from treesubst.algnum import ExactLength, _int64
 from treesubst.freegroup import from_positive, invert, p_star
 from treesubst.realization import FreePoint, distance
 from treesubst.trees import ColoredTree
@@ -285,8 +285,15 @@ def test_shift_isometry_agrees_with_pair_oracle(d):
             assert scan.check_shift_isometry(a, n) == _isometry_oracle(scan, a, n) == []
 
 
+def _displace(monkeypatch, real, v, moved):
+    """Make `real.point` give v alone at `moved`: the points that the rows
+    anchor at v would move with it."""
+    point = real.point
+    monkeypatch.setattr(real, "point", lambda u: moved if u == v else point(u))
+
+
 @pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
-def test_shift_isometry_flags_a_displaced_image(along):
+def test_shift_isometry_flags_a_displaced_image(along, monkeypatch):
     d, n, a = 3, 8, 1
     scan = CoreScan(d)
     scan.extend_to(n + 1)
@@ -302,7 +309,7 @@ def test_shift_isometry_flags_a_displaced_image(along):
         step = step if t.sign() > 0 else -step
     else:
         copy = (copy + 1) % d
-    scan.real.points[image[v]] = point * FreePoint.syllable(d, copy, step)
+    _displace(monkeypatch, scan.real, image[v], point * FreePoint.syllable(d, copy, step))
     failures = scan.check_shift_isometry(a, n)
     assert failures == _isometry_oracle(scan, a, n)
     assert failures == [
@@ -355,7 +362,7 @@ def test_path_audit_agrees_with_pair_oracle(d):
 
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
-def test_path_audit_flags_a_displaced_point(n, along):
+def test_path_audit_flags_a_displaced_point(n, along, monkeypatch):
     d = 3
     scan = CoreScan(d)
     scan.extend_to(n)
@@ -370,7 +377,7 @@ def test_path_audit_flags_a_displaced_point(n, along):
         step = step if t.sign() > 0 else -step
     else:
         copy = (copy + 1) % d
-    scan.real.points[v] = point * FreePoint.syllable(d, copy, step)
+    _displace(monkeypatch, scan.real, v, point * FreePoint.syllable(d, copy, step))
     failures = scan.check_path_distances(n)
     assert failures == _pair_oracle(scan, n)
     assert len(failures) == len(branch) - 1
@@ -395,12 +402,18 @@ def test_path_audit_reaches_stage_14():
     assert shared_scan(3).check_path_distances(14) == []
 
 
-def test_path_audit_refuses_int64_overflow():
-    with pytest.raises(OverflowError):
-        core._int64([[1 << 58, 0, 0]], 8)
-    with pytest.raises(OverflowError):
-        core._int64([[1 << 70, 0, 0]], 1)
-    assert core._int64([[-(1 << 57), 3, 0]], 7).tolist() == [[-(1 << 57), 3, 0]]
+def test_path_audit_refuses_int64_overflow(monkeypatch):
+    with pytest.raises(ValueError, match="int64 operand"):
+        _int64([[1 << 58, 0, 0]], 8)
+    with pytest.raises(ValueError, match="beyond int64"):
+        _int64([[1 << 70, 0, 0]], 1)
+    assert _int64([[-(1 << 57), 3, 0]], 7).tolist() == [[-(1 << 57), 3, 0]]
+    # the audit's own operands, refused through the same routine
+    monkeypatch.setattr(algnum, "INT64_BOUND", 1 << 6)
+    scan = CoreScan(3)
+    scan.real.extend_to(10)
+    with pytest.raises(ValueError, match="int64 operand 4 times 20"):
+        scan.check_path_distances(10)
 
 
 # The partition report of length m: its measure classes, and the stage

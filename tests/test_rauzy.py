@@ -173,6 +173,9 @@ _cloud = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40).map(
 )
 @example(a=np.zeros((1, 2)), b=np.zeros((1, 2)), shape="plain", budget=rauzy.PAIR_BUDGET)
 @example(a=np.ones((3, 2)), b=np.ones((4, 2)), shape="plain", budget=1)
+@example(   # span 5e-324: the cell side span / 2 underflows to 0
+    a=np.zeros((1, 2)), b=np.array([[0.0, 0.0], [0.0, 5e-324]]), shape="plain", budget=1,
+)
 @example(   # h = 2: the block holds a point 2.49 away, outside it one is 2.01 away
     a=np.array([[1.99, 0.0]]), b=np.array([[0.0, 1.5], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]),
     shape="plain", budget=rauzy.PAIR_BUDGET,

@@ -6,12 +6,13 @@ import sys
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import treesubst
-from treesubst import core, verify
+from treesubst import algnum, cli, core, verify
 from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import FreePoint, Realization, distance, quotient
 from treesubst.trees import TreeIteration
@@ -130,7 +131,7 @@ def test_edge_lengths_d4():
 # whose colour-1 base length is wrong
 _BROKEN_LAW = """
 from types import SimpleNamespace
-from treesubst import core, verify
+from treesubst import algnum, cli, core, verify
 from treesubst.algnum import ExactLength
 from treesubst.realization import Realization
 from treesubst.trees import TreeIteration
@@ -240,12 +241,23 @@ def test_edge_check_catches_a_corrupted_point(check_stage):
     real = Realization(TreeIteration(3))
     real.extend_to(check_stage)
     v = real.it.centers[5][0].vertex
-    *head, (copy, t) = real.points[v].syllables
-    real.points[v] = FreePoint(3, (*head, (copy, t.scaled(-3))))
+    real.coef[v] = ExactLength(3, tuple(real.coef[v].tolist())).scaled(-3).coeffs
     with pytest.raises(ValueError) as info:
         real.edge_length_check(check_stage)
     n, (s, t_, _), *_ = info.value.args[0]
     assert n == check_stage and v in (s, t_)
+
+
+def test_edge_check_catches_a_corrupted_anchor():
+    # hang a stage-6 leaf off the center's color-1 neighbour instead of the center
+    real = Realization(TreeIteration(3))
+    real.extend_to(6)
+    c = real.it.centers[6][0]
+    real.anchor[c.leaves[0]] = c.dst
+    with pytest.raises(ValueError) as info:
+        real.edge_length_check(6)
+    n, (s, t, _), what = info.value.args[0]
+    assert (n, what) == (6, "not a single syllable") and c.leaves[0] in (s, t)
 
 
 def test_gap_rejects_a_leaf_on_its_edge_copy(monkeypatch):
@@ -253,8 +265,9 @@ def test_gap_rejects_a_leaf_on_its_edge_copy(monkeypatch):
     real.extend_to(6)
     c = real.it.centers[6][0]
     (copy, _), = quotient(real.points[c.dst], real.points[c.src])
-    center = real.points[c.vertex]
-    real.points[c.leaves[0]] = center * FreePoint.syllable(3, copy, ExactLength.rho_power(3, -7))
+    real.copy[c.leaves[0]] = copy
+    assert real.points[c.leaves[0]] == real.points[c.vertex] * FreePoint.syllable(
+        3, copy, ExactLength.rho_power(3, -7))
     with pytest.raises(ValueError, match="leaf not one syllable off its edge"):
         real.hausdorff_gap(6)
     # the audit reports the misplaced leaf as the stage's witness
@@ -264,18 +277,84 @@ def test_gap_rejects_a_leaf_on_its_edge_copy(monkeypatch):
     ]
 
 
-
 def test_gap_rejects_a_center_past_its_edge():
     # the center moves past the far end of the edge it replaced, by as much
-    # as it fell short of that end
+    # as it fell short of that end: its last syllable grows by 2 (p - off)
     real = Realization(TreeIteration(3))
     real.extend_to(6)
     c = real.it.centers[6][0]
     (copy, p), = quotient(real.points[c.dst], real.points[c.src])
-    past = p + p - quotient(real.points[c.dst], real.points[c.vertex])[0][1]
-    real.points[c.vertex] = real.points[c.dst] * FreePoint.syllable(3, copy, past)
+    (_, off), = quotient(real.points[c.dst], real.points[c.vertex])
+    real.coef[c.vertex] += np.array((p - off).coeffs) * 2
+    (_, past), = quotient(real.points[c.dst], real.points[c.vertex])
+    assert past == p + p - off
     with pytest.raises(ValueError, match="center off its replaced edge"):
         real.hausdorff_gap(6)
+
+
+def test_points_view():
+    real = Realization(TreeIteration(3))
+    real.extend_to(5)
+    assert len(real.points) == real.it.sizes[5] == len(list(real.points))
+    assert real.points[0] == FreePoint.origin(3) and 3 in real.points
+    assert real.it.sizes[5] not in real.points and -1 not in real.points
+    with pytest.raises(TypeError):
+        real.points[1] = FreePoint.origin(3)
+
+
+# -- the oracle: stages placed by FreePoint products --------------------------
+
+
+def oracle_points(it: TreeIteration, n: int) -> dict[int, FreePoint]:
+    """Every point up to stage n, each center placed as its color-1
+    neighbour's point times the syllable toward the replaced edge's far end,
+    and each leaf as the center's point times its own syllable."""
+    d = it.d
+    pts = {0: FreePoint.origin(d), 1: FreePoint.syllable(d, 0, ExactLength.one(d))}
+    for j in range(2, d + 1):
+        pts[j] = FreePoint.syllable(d, j - 1, ExactLength.rho_power(d, d - j + 1))
+    for m in range(1, n + 1):
+        it.tree_at(m)
+        step = ExactLength.rho_power(d, -m)
+        for c in it.centers[m]:
+            (copy, p), = quotient(pts[c.dst], pts[c.src])
+            toward = FreePoint.syllable(d, copy, step if p.sign() > 0 else -step)
+            center = pts[c.vertex] = pts[c.dst] * toward
+            for h, z in enumerate(c.leaves, start=1):
+                leg = ExactLength.rho_power(d, -(m + h))
+                pts[z] = center * FreePoint.syllable(d, (copy + h) % d, leg)
+    return pts
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_rows_give_the_oracle_points(d):
+    real = Realization(TreeIteration(d))
+    real.extend_to(12)
+    want = oracle_points(real.it, 12)
+    assert len(real.points) == len(want)
+    assert all(real.points[v] == pt for v, pt in want.items())
+
+
+def test_coordinates_match_the_points():
+    real = Realization(TreeIteration(4))
+    real.extend_to(9)
+    norms, texts = real.coordinates()
+    for v, pt in real.points.items():
+        text = ".".join(f"{c}^{t.value():.6g}" for c, t in pt.syllables) or "O"
+        assert (norms[v], texts[v]) == (pt.norm().value(), text), v
+
+
+def test_rows_refuse_int64_overflow(monkeypatch, tmp_path):
+    # a bound that the stage-0 rows meet but the coefficients of rho^-6 do not
+    monkeypatch.setattr(algnum, "INT64_BOUND", 6)
+    real = Realization(TreeIteration(3))
+    with pytest.raises(ValueError, match="int64 operand"):
+        real.extend_to(6)
+    monkeypatch.setattr(core, "shared_scan", lambda d: core.CoreScan(d))
+    out = tmp_path / "t.csv"
+    assert cli.main(["gen", "--n", "6", "--format", "csv", "--out", str(out)]) == 2
+    assert not out.exists()
+
 
 # -- the quotient and the metric on random reduced words --------------------
 

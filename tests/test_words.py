@@ -14,6 +14,7 @@ from treesubst.words import (
     _window_counts,
     bispecials_by_generation,
     complexity,
+    distinct,
     expected_class_count,
     factors,
     family_substitution,
@@ -214,3 +215,18 @@ def test_prefix_and_window_counts_are_pinned(d):
     assert hashlib.sha256(fixed_point_prefix(d, 10**6 + 11)).hexdigest() == prefix_sha
     counts = repr(_window_counts(d, 11, 10**6)).encode()
     assert hashlib.sha256(counts).hexdigest() == counts_sha
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=30),
+       st.sampled_from(["ints", "rows", "strings", "bytes"]))
+def test_distinct_is_np_unique(pairs, kind):
+    rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    a = {"ints": rows[:, 0], "rows": rows,
+         "strings": np.array([f"s{x}" for x in rows[:, 0]], dtype=str),
+         "bytes": np.ascontiguousarray(rows.astype(np.uint8)).view("V2").ravel()}[kind]
+    values, first, inverse = distinct(a)
+    want = np.unique(a, axis=0 if kind == "rows" else None,
+                     return_index=True, return_inverse=True)
+    assert np.array_equal(values, want[0]) and np.array_equal(first, want[1])
+    assert np.array_equal(inverse, want[2].ravel())
