@@ -21,7 +21,7 @@ from .algnum import ExactLength, _int64, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .prefix_suffix import automatic_writing
 from .realization import FreePoint, Realization, distance
-from .trees import ColoredTree, TreeIteration
+from .trees import ColoredTree, Lifting, TreeIteration
 from .words import (
     Word,
     bispecials_by_generation,
@@ -77,100 +77,15 @@ def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in zip(*rows)))
 
 
-def _prefix_len(a, b) -> int:
-    k = 0
-    for u, v in zip(a, b):
-        if u != v:
-            break
-        k += 1
-    return k
-
-
-def _root_paths(tree: ColoredTree, branch: list[int]) -> tuple[list, list, np.ndarray]:
-    """Per vertex of `branch`, from the tree's root: the reduced p* of its
-    path, its vertex path (root excluded), and the depth of the deepest edge
-    on it of color > d (0 if there is none)."""
-    d = tree.d
-    words, paths, deep = [], [], []
-    for x in branch:
-        steps = tree.path(tree.root, x)
-        words.append(p_star(d, [c for _, c in steps]))
-        paths.append(tuple(v for v, _ in steps))
-        deep.append(max((k for k, (_, c) in enumerate(steps, 1) if abs(c) > d), default=0))
-    return words, paths, np.array(deep, dtype=np.intp)
-
-
-def _syllable_table(d: int, points: list) -> tuple[list, np.ndarray, np.ndarray]:
-    """Syllable words of realized points as sort keys and padded arrays.
-
-    A key spells each syllable as (copy, t > 0, rank of |t|), ranked
-    exactly.  `code` holds 2 * copy + (t > 0) per syllable and -1 past the
-    end; `run` holds the coefficient vector of |t| and zeros past the end.
-    Both have one column more than the longest word.
-    """
-    width = max(map(len, points), default=0) + 1
-    size = {t: abs(t) for pt in points for _, t in pt}
-    rank = {a: r for r, a in enumerate(sorted(set(size.values())))}
-    keys = [tuple((c, size[t] == t, rank[size[t]]) for c, t in pt) for pt in points]
-    code = np.full((len(points), width), -1, dtype=np.intp)
-    runs = [[(0,) * d] * width for _ in points]
-    for i, (pt, key) in enumerate(zip(points, keys)):
-        for k, ((_, t), (c, positive, _)) in enumerate(zip(pt, key)):
-            code[i, k] = 2 * c + positive
-            runs[i][k] = size[t].coeffs
-    return keys, code, _int64(runs, width - 1).reshape(len(points), width, d)
-
-
-def _distance_rows(d: int, points: list):
-    """Per point i of a list of syllable words, the int64 coefficient rows of
-    its realized distances to the points after it, in list order.
-
-    The free product of lines is an R-tree, so distance = |P_x| + |P_y| -
-    2|cp|.  cp is the full syllables the two points share, plus the shorter
-    of their next syllables when those run along one copy with one sign.
-    With the syllables sorted by (copy, sign, |t|), that shorter one
-    belongs to the point that sorts first, and the full syllables shared are
-    a range minimum over that order (`_PrefixIndex`).
-    """
-    keys, code, run = _syllable_table(d, points)
-    cum = np.concatenate([np.zeros_like(run[:, :1]), np.cumsum(run, axis=1)], axis=1)
-    norm = cum[np.arange(len(points)), np.array([len(pt) for pt in points], dtype=np.intp)]
-    index = _PrefixIndex(keys)
-    for i in range(len(points)):
-        ys = np.arange(i + 1, len(points))
-        k = index.row(i, ys)
-        first = index.rank[i] < index.rank[ys]
-        along = (code[i, k] == code[ys, k]) & (code[i, k] >= 0)
-        part = np.where(first[:, None], run[i, k], run[ys, k]) * along[:, None]
-        yield norm[i] + norm[ys] - 2 * (cum[i, k] + part)
-
-
-class _PrefixIndex:
-    """Common prefix lengths of any two of a list of sequences.
-
-    Sorted lexicographically, the common prefix of two sequences is the
-    least common prefix of the neighbours sorted between them (the LCP array
-    of a suffix array), so one sort and one minimum scan per row give all
-    pairs.
-    """
-
-    def __init__(self, keys: list):
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        self.rank = np.empty(len(keys), dtype=np.intp)
-        self.rank[order] = np.arange(len(keys))
-        self.lcp = np.array(
-            [_prefix_len(keys[a], keys[b]) for a, b in zip(order, order[1:])],
-            dtype=np.intp,
-        )
-
-    def row(self, i: int, others: np.ndarray) -> np.ndarray:
-        """Common prefix length of sequence i with each of the sequences `others`."""
-        p = self.rank[i]
-        out = np.empty(len(self.lcp) + 1, dtype=np.intp)
-        out[p] = -1   # i with itself is never asked for
-        out[p + 1:] = np.minimum.accumulate(self.lcp[p:])
-        out[:p] = np.minimum.accumulate(self.lcp[:p][::-1])[::-1]
-        return out[self.rank[others]]
+def _pair_blocks(count: int):
+    """Index pairs i < j of range(count) in row order, as two arrays per
+    block of whole rows, about 2^14 pairs (at least one row)."""
+    start = 0
+    while start < count - 1:
+        rows = np.arange(start, min(count - 1, start + max(1, (1 << 14) // (count - 1 - start))))
+        i, j = np.nonzero(np.arange(count) > rows[:, None])
+        yield rows[i], j
+        start = int(rows[-1]) + 1
 
 
 @dataclass(frozen=True)
@@ -375,11 +290,6 @@ class CoreScan:
 
     # -- realized branch points --------------------------------------------
 
-    def point_of_label(self, word: Word) -> FreePoint:
-        v = self.vertex_of_label(word)
-        self.real.extend_to(max(self.apparition[v], 0))
-        return self.real.point(v)
-
     def check_injective(self, m: int) -> list[str]:
         """Distinct stage-m labels realize as distinct points."""
         self.extend_to(m)
@@ -395,32 +305,30 @@ class CoreScan:
             seen[pt] = lab
         return failures
 
-    def approx_points(self, exponents: list[int]) -> list[FreePoint]:
-        """Realized points of the truncations of an ascending writing."""
+    def approx_points(self, exponents: list[int]) -> list[int]:
+        """Vertices realizing the truncations of an ascending writing."""
         for a, b in zip(exponents, exponents[1:]):
             if b - a < self.d:
                 raise ValueError("exponent gaps must be at least d")
         self.extend_to(max(exponents) + 1)
+        self.real.extend_to(max(exponents) + 1)
         out = []
         lab = b""
         for a in exponents:
             lab = power_image(self.d, a) + lab
-            out.append(self.point_of_label(lab))
+            out.append(self.vertex_of_label(lab))
         return out
 
     def check_approx_steps(self, exponents: list[int]) -> list[str]:
         """Appending sigma^a(1^-1) moves the point by exactly rho^-a * V(1)."""
-        pts = self.approx_points(exponents)
+        vs = self.approx_points(exponents)
         failures = []
         base = self.real.base_lengths[1]
-        for i in range(1, len(pts)):
-            got = distance(pts[i - 1], pts[i])
-            want = base.scaled(-exponents[i])
+        for a, row in zip(exponents[1:], self.real.distances(vs[:-1], vs[1:]).tolist()):
+            got = ExactLength(self.d, tuple(row))
+            want = base.scaled(-a)
             if got != want:
-                failures.append(
-                    f"step {exponents[i]}: moved {got.value():.6f}, "
-                    f"want {want.value():.6f}"
-                )
+                failures.append(f"step {a}: moved {got.value():.6f}, want {want.value():.6f}")
         return failures
 
     # -- simple arcs --------------------------------------------------------
@@ -562,18 +470,18 @@ class CoreScan:
         return failures
 
     def check_shift_isometry(self, a: int, n: int) -> list[str]:
-        """Pairwise distances survive the label shift exactly: the distance
-        rows of the domain equal those of the images, pair by pair."""
+        """Pairwise distances survive the label shift exactly: the realized
+        distance rows of the domain pairs equal those of their images."""
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
-        dom = self.shift_domain(a, n)
-        pts = [self.real.point(v).syllables for v in dom]
-        imgs = [self.point_of_label(self.shift_image_label(a, v)).syllables for v in dom]
+        dom = np.array(self.shift_domain(a, n), dtype=np.int64)
+        img = np.array([self.vertex_of_label(self.shift_image_label(a, v)) for v in dom.tolist()])
         failures = []
-        rows = zip(_distance_rows(self.d, pts), _distance_rows(self.d, imgs))
-        for i, (before, after) in enumerate(rows):
-            for m in np.flatnonzero((before != after).any(axis=1)):
-                failures.append(f"letter {a}: pair ({dom[i]},{dom[i + 1 + m]}) distorted")
+        for i, j in _pair_blocks(len(dom)):
+            moved = (self.real.distances(dom[i], dom[j])
+                     != self.real.distances(img[i], img[j])).any(axis=1)
+            failures += [f"letter {a}: pair ({x},{y}) distorted"
+                         for x, y in zip(dom[i[moved]].tolist(), dom[j[moved]].tolist())]
         return failures
 
     def check_domain_overlaps(self, n: int) -> list[str]:
@@ -597,69 +505,42 @@ class CoreScan:
     def check_path_distances(self, n: int) -> list[str]:
         """Realized distance = rho^-n * coded path length, for all branch pairs.
 
-        All pairs come from per-point data, with no path search per pair:
-
-        - Tree side: R_x = p*(root -> x), reduced.  The reduced p*(x -> y)
-          is R_x[c:]^-1 R_y[c:] with c the common prefix length of R_x and
-          R_y, so its legal length is L_x + L_y - 2 PL_x[c], where PL_x
-          holds the legal lengths of the prefixes of R_x, already times
-          rho^-n.
-        - Realized side: `_distance_rows`, from the syllable words of the
-          points.
-        - Core colors: the path x -> y leaves colors 1..d iff the deepest
-          edge of color > d on the root path of x or y lies below their
-          meeting vertex, whose depth is the common prefix length of their
-          root vertex paths.
-
-        Each common prefix length is a range minimum over one sorted order
-        (`_PrefixIndex`).  All lengths are integer coefficient vectors
-        (int64, refusing overflow), so no float decides a pair.  A failing
-        pair's witness is written from the per-pair routines, `distance`
-        and `legal_path_distance`, in (x, y) order.
+        Lemma: in a discerned tree no path word holds a color next to its
+        barred twin, so a path word over colors 1..d is reduced: p* keeps
+        it, and its legal length is the sum over its edges.  So the coded
+        distance is W_x + W_y - 2 W_m, m where x and y meet in the rooted
+        index and W the depth weighted by rho^-n times the letter length per
+        edge of color <= d, with one column more counting the edges of color
+        > d (nonzero iff the path leaves the core colors).  A tree that is
+        not discerned fails.  The realized side is `Realization.distances`;
+        the pairs x < y go in row order, in blocks.  A failing pair's
+        witness comes from `distance` and `legal_path_distance`.
         """
         self.extend_to(n)
         self.real.extend_to(n)
-        d = self.d
-        tree = self.it.tree_at(n)
-        branch = sorted(tree.branch_points())
-        words, paths, deep = _root_paths(tree, branch)
-
-        # tree side: legal lengths of every root-word prefix, times rho^-n
-        lengths = letter_length_exact(d)
-        scaled = _int64(
-            [lengths[k].scaled(-n).coeffs for k in range(1, d + 1)],
-            max(map(len, words), default=0),
-        )
-        start = np.zeros((1, d), dtype=np.int64)
-        prefix = [
-            np.concatenate([start, np.cumsum(scaled[[abs(a) - 1 for a in w]], axis=0)])
-            for w in words
-        ]
-        total = np.array([pl[-1] for pl in prefix]).reshape(-1, d)
-
-        points = [self.real.point(x).syllables for x in branch]
-        by_word = _PrefixIndex(words)
-        by_path = _PrefixIndex(paths)
+        d, tree = self.d, self.it.tree_at(n)
+        if not tree.is_discerned():
+            return [f"stage {n}: tree not discerned, so its path words may cancel"]
+        parent, up, _ = tree.rooted_index()   # the vertices 0..|V_n|-1 are their own slots
+        lift = Lifting(np.array(parent))
+        lengths = [x.scaled(-n).coeffs for x in letter_length_exact(d).values()]
+        weight = [[0] * (d + 1)] + [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)
+        # a coded distance sums four weighted depths, each at most one weight per vertex
+        weighted = lift.sums(_int64(weight, 4 * len(parent))[np.abs(up)])
+        branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
         failures = []
-        for i, (x, got) in enumerate(zip(branch, _distance_rows(d, points))):
-            ys = np.arange(i + 1, len(branch))
-            meet = by_path.row(i, ys)
-            leaves = (deep[i] > meet) | (deep[ys] > meet)
-            c = by_word.row(i, ys)
-            want = total[i] + total[ys] - 2 * prefix[i][c]
-            bad = leaves | (got != want).any(axis=1)
-            for m in np.flatnonzero(bad):
-                j = i + 1 + m
-                y = branch[j]
-                if leaves[m]:
+        for i, j in _pair_blocks(len(branch)):
+            xs, ys = branch[i], branch[j]
+            want = weighted[xs] + weighted[ys] - 2 * weighted[lift.meet(xs, ys)[0]]
+            leaves = want[:, d] != 0
+            bad = leaves | (self.real.distances(xs, ys) != want[:, :d]).any(axis=1)
+            for x, y, out in zip(xs[bad].tolist(), ys[bad].tolist(), leaves[bad]):
+                if out:
                     failures.append(f"pair ({x},{y}): path leaves the core colors")
                     continue
-                word = invert(words[i][c[m]:]) + words[j][c[m]:]
-                want_j = legal_path_distance(d, word).scaled(-n)
-                got_j = distance(self.real.point(x), self.real.point(y))
-                failures.append(
-                    f"pair ({x},{y}): {got_j.value():.6f} != {want_j.value():.6f}"
-                )
+                want_xy = legal_path_distance(d, p_star(d, tree.path_word(x, y))).scaled(-n)
+                got_xy = distance(self.real.point(x), self.real.point(y))
+                failures.append(f"pair ({x},{y}): {got_xy.value():.6f} != {want_xy.value():.6f}")
         return failures
 
 

@@ -83,7 +83,9 @@ def automatic_writing(d: int, u: Word) -> list[int]:
     top factor is the largest sigma^a(1) no longer than what remains, and
     the remainder is again a fixed-point prefix.  The length recursion
     |sigma^(a+1)(1)| - |sigma^a(1)| = |sigma^(a-d+1)(1)| makes the gap
-    condition automatic, so a mismatch means u is not a prefix.
+    condition automatic: what remains after sigma^a(1) is shorter than
+    that, so the next exponent is at most a - d (and for a < d - 1 nothing
+    remains).  So only a mismatch can refuse u, as not a prefix.
     """
     if u.translate(None, bytes(range(1, d + 1))):   # what is left after deleting 1..d
         raise ValueError("letters outside 1..d")
@@ -98,8 +100,6 @@ def automatic_writing(d: int, u: Word) -> list[int]:
         top = power_image(d, a)
         if not u.startswith(top, pos):
             raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
-        if exps and not exps[-1] - a >= d:
-            raise ValueError(f"{word_str(u)} breaks the exponent-gap rule")
         exps.append(a)
         pos += len(top)
     exps.reverse()

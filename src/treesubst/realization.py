@@ -17,8 +17,9 @@ d-2 fresh leaves hanging off it.
 So each point is an older point times one syllable, and the realization
 is three columns by vertex id: `anchor`, the vertex whose point is this
 one less its last syllable (-1 at the origin), that syllable's `copy`, and
-`coef`, its exponent's int64 coefficient row.  The checks compare rows,
-and `quotient` on the points that `points[v]` builds decides the rest.
+`coef`, its exponent's int64 coefficient row.  The checks and the pair
+distances (`distances`, read off the anchor tree) compare rows, and
+`quotient` on the points that `points[v]` builds decides the rest.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from operator import mul
 import numpy as np
 
 from .algnum import ExactLength, _int64, edge_length_vector
-from .trees import TreeIteration
+from .trees import Lifting, TreeIteration
 from .words import distinct
 
 Syllable = tuple[int, ExactLength]
@@ -138,6 +139,7 @@ class Realization:
                                + [self.base_lengths[j] for j in range(1, d + 1)])
         self.points = _Points(self)
         self.stage_done = 0
+        self._metric = None
 
     def _rows(self, lengths: list[ExactLength]) -> np.ndarray:
         # a stored row is below half the bound, so a sum or difference of two cannot wrap
@@ -269,21 +271,50 @@ class Realization:
                 legs.add(leg[1])
         return max(map(abs, legs), default=ExactLength.zero(d))
 
+    def _norms(self) -> tuple[Lifting, np.ndarray, np.ndarray, np.ndarray]:
+        """The anchors as a lifting, and per vertex the exact sign of its
+        syllable, |syllable| as int64 rows and the norm |P_v|: its anchor's
+        plus |syllable|, summed along the anchors."""
+        lift = Lifting(np.where(self.anchor >= 0, self.anchor, np.arange(len(self.anchor))))
+        sign = self._signs(self.coef)
+        # a distance sums four norms (x, y, twice the meeting one), each at
+        # most one |syllable| per vertex
+        size = _int64(self.coef * sign[:, None], 4 * len(sign))
+        return lift, sign, size, lift.sums(size)
+
+    def distances(self, xs, ys) -> np.ndarray:
+        """Int64 coefficient rows of d(p_x, p_y), pair by pair, from the rows.
+
+        The free product of lines is an R-tree: d = |P_x| + |P_y| - 2(x|y).
+        The two syllable words share the anchor path to m, where x and y
+        meet, and the shorter of the next two syllables if those run along
+        one copy with one sign: (x|y) is the norm of m or of that child.  Two
+        children sharing a row (anchor, copy, coef) would sit at one point:
+        ValueError.  The anchors' lifting and the order of the |syllable|s
+        are built once per stage.
+        """
+        if self._metric is None or self._metric[0] != self.stage_done:
+            lift, sign, size, norm = self._norms()
+            values, _, which = distinct(size)
+            lengths = [ExactLength(self.d, tuple(r)) for r in values.tolist()]
+            rank = np.argsort(sorted(range(len(lengths)), key=lengths.__getitem__))
+            self._metric = self.stage_done, lift, sign, rank[which], norm
+        _, lift, sign, rank, norm = self._metric
+        m, x, y = lift.meet(xs, ys)
+        along = (x != y) & (self.copy[x] == self.copy[y]) & (sign[x] == sign[y])
+        if (along & (rank[x] == rank[y])).any():
+            raise ValueError("two vertices share a row (anchor, copy, coef), so one point")
+        return norm[xs] + norm[ys] - 2 * norm[np.where(along, np.where(rank[x] < rank[y], x, y), m)]
+
     def coordinates(self) -> tuple[list[float], list[str]]:
         """Per vertex, the value of its point's norm and its text c^t.c^t...
-        ("O" at the origin): a norm is its anchor's plus |syllable|, summed
-        along the anchors by pointer doubling, and a text is its anchor's
-        joined with the syllable's.  Each distinct syllable gets its sign
-        and text once, and each distinct norm its value()."""
+        ("O" at the origin): a norm is its anchor's plus |syllable|, and a
+        text is its anchor's joined with the syllable's.  Each distinct
+        syllable gets its text once, and each distinct norm its value()."""
         d = self.d
         syllables, _, which = distinct(np.column_stack([self.copy, self.coef]))
         words = [f"{r[0]}^{ExactLength(d, tuple(r[1:])).value():.6g}" for r in syllables.tolist()]
-        norm = _int64(self.coef * self._signs(self.coef)[:, None], len(self.coef))
-        up = self.anchor.copy()
-        while (has := up >= 0).any():   # after k rounds, each row sums 2^k links of its chain
-            norm[has] += norm[up[has]]
-            up[has] = up[up[has]]
-        values, _, at = distinct(norm)
+        values, _, at = distinct(self._norms()[-1])
         norms = [ExactLength(d, tuple(r)).value() for r in values.tolist()]
         texts = ["O"] * len(self.anchor)
         for v, (a, w) in enumerate(zip(self.anchor.tolist(), which.tolist())):

@@ -2,12 +2,13 @@
 
 import hashlib
 
+import numpy as np
 import pytest
 
 from treesubst import algnum, core
 from treesubst.algnum import ExactLength, _int64
 from treesubst.freegroup import from_positive, invert, p_star
-from treesubst.realization import FreePoint, distance
+from treesubst.realization import distance
 from treesubst.trees import ColoredTree
 from treesubst.words import measure_spectrum, word_str
 from treesubst.core import (
@@ -268,7 +269,7 @@ def _isometry_oracle(scan, a, n):
     scan.real.extend_to(n + 1)
     dom = scan.shift_domain(a, n)
     pts = {v: scan.real.point(v) for v in dom}
-    imgs = {v: scan.point_of_label(scan.shift_image_label(a, v)) for v in dom}
+    imgs = {v: scan.real.point(scan.vertex_of_label(scan.shift_image_label(a, v))) for v in dom}
     return [
         f"letter {a}: pair ({v},{w}) distorted"
         for i, v in enumerate(dom)
@@ -285,31 +286,46 @@ def test_shift_isometry_agrees_with_pair_oracle(d):
             assert scan.check_shift_isometry(a, n) == _isometry_oracle(scan, a, n) == []
 
 
-def _displace(monkeypatch, real, v, moved):
-    """Make `real.point` give v alone at `moved`: the points that the rows
-    anchor at v would move with it."""
-    point = real.point
-    monkeypatch.setattr(real, "point", lambda u: moved if u == v else point(u))
+def _below(real, v):
+    """Vertices whose anchor chain passes through v, v included."""
+    out = set()
+    for u in range(len(real.anchor)):
+        w = u
+        while w >= 0 and w != v:
+            w = int(real.anchor[w])
+        if w == v:
+            out.add(u)
+    return out
+
+
+def _displace(real, v, along):
+    """Move v, and with it only what the rows anchor below it, by rho^-(n+3),
+    n the placed stage: outward along its own syllable, or onto the next copy
+    (its first fresh leaf takes v's old row, and v hangs off that leaf)."""
+    d = real.d
+    step = np.array(ExactLength.rho_power(d, -(real.stage_done + 3)).coeffs)
+    if along:
+        real.coef[v] += step * ExactLength(d, tuple(real.coef[v].tolist())).sign()
+        return
+    z = v + 1
+    assert real.anchor[z] == v
+    real.anchor[z], real.copy[z], real.coef[z] = real.anchor[v], real.copy[v], real.coef[v]
+    real.anchor[v], real.copy[v], real.coef[v] = z, (real.copy[v] + 1) % d, step
 
 
 @pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
-def test_shift_isometry_flags_a_displaced_image(along, monkeypatch):
+def test_shift_isometry_flags_a_displaced_image(along):
     d, n, a = 3, 8, 1
     scan = CoreScan(d)
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
     dom = scan.shift_domain(a, n)
     image = {v: scan.vertex_of_label(scan.shift_image_label(a, v)) for v in dom}
-    v = next(v for v in dom[len(dom) // 2:] if image[v] not in dom)
-    point = scan.real.points[image[v]]
-    copy, t = point.syllables[-1]
-    # along its last syllable the image moves outward; on another copy it branches off
-    step = ExactLength.rho_power(d, -(n + 3))
-    if along:
-        step = step if t.sign() > 0 else -step
-    else:
-        copy = (copy + 1) % d
-    _displace(monkeypatch, scan.real, image[v], point * FreePoint.syllable(d, copy, step))
+    audited = set(dom) | set(image.values())
+    # an image with no other domain point or image anchored below it
+    v = next(v for v in dom[len(dom) // 2:]
+             if _below(scan.real, image[v]) & audited == {image[v]})
+    _displace(scan.real, image[v], along)
     failures = scan.check_shift_isometry(a, n)
     assert failures == _isometry_oracle(scan, a, n)
     assert failures == [
@@ -362,26 +378,61 @@ def test_path_audit_agrees_with_pair_oracle(d):
 
 @pytest.mark.parametrize("n", [8, 10])
 @pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
-def test_path_audit_flags_a_displaced_point(n, along, monkeypatch):
+def test_path_audit_flags_a_displaced_point(n, along):
     d = 3
     scan = CoreScan(d)
     scan.extend_to(n)
     scan.real.extend_to(n)
     branch = sorted(scan.it.tree_at(n).branch_points())
-    v = branch[len(branch) // 2]
-    point = scan.real.points[v]
-    copy, t = point.syllables[-1]
-    # along its last syllable the point moves outward; on another copy it branches off
-    step = ExactLength.rho_power(d, -(n + 3))
-    if along:
-        step = step if t.sign() > 0 else -step
-    else:
-        copy = (copy + 1) % d
-    _displace(monkeypatch, scan.real, v, point * FreePoint.syllable(d, copy, step))
+    # a center born at stage n: only its fresh leaves hang from it
+    centers = scan.it.centers[n]
+    v = centers[len(centers) // 2].vertex
+    assert _below(scan.real, v) & set(branch) == {v}
+    _displace(scan.real, v, along)
     failures = scan.check_path_distances(n)
     assert failures == _pair_oracle(scan, n)
     assert len(failures) == len(branch) - 1
     assert all(str(v) in f.split(":")[0] for f in failures)
+
+
+def test_approx_steps_flag_a_displaced_point():
+    d, exponents = 3, [0, 3, 6, 9]
+    scan = CoreScan(d)
+    vs = scan.approx_points(exponents)
+    _displace(scan.real, vs[2], along=True)
+    # the steps as the points give them, moved by rho^-a * V(1) = rho^-a
+    pts = [scan.real.point(v) for v in vs]
+    want = [
+        f"step {a}: moved {distance(p, q).value():.6f}, "
+        f"want {ExactLength.rho_power(d, -a).value():.6f}"
+        for a, p, q in zip(exponents[1:], pts, pts[1:])
+        if distance(p, q) != ExactLength.rho_power(d, -a)
+    ]
+    assert scan.check_approx_steps(exponents) == want != []
+
+
+def test_path_audit_refuses_a_shared_row():
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n)
+    scan.real.extend_to(n)
+    real = scan.real
+    # two centers born at stage n given one row, so both sit at one point
+    v, w = scan.it.centers[n][0].vertex, scan.it.centers[n][1].vertex
+    real.anchor[w], real.copy[w], real.coef[w] = real.anchor[v], real.copy[v], real.coef[v]
+    with pytest.raises(ValueError, match="share a row"):
+        scan.check_path_distances(n)
+    with pytest.raises(ValueError, match="share a row"):
+        real.distances([v], [w])
+
+
+def test_path_audit_needs_a_discerned_tree(monkeypatch):
+    scan = CoreScan(3)
+    assert scan.check_path_distances(6) == []
+    monkeypatch.setattr(ColoredTree, "is_discerned", lambda self: False)
+    assert scan.check_path_distances(6) == [
+        "stage 6: tree not discerned, so its path words may cancel"
+    ]
 
 
 def test_path_audit_reports_leaving_core_colors(monkeypatch):
@@ -412,7 +463,7 @@ def test_path_audit_refuses_int64_overflow(monkeypatch):
     monkeypatch.setattr(algnum, "INT64_BOUND", 1 << 6)
     scan = CoreScan(3)
     scan.real.extend_to(10)
-    with pytest.raises(ValueError, match="int64 operand 4 times 20"):
+    with pytest.raises(ValueError, match="int64 operand 4 times 616"):
         scan.check_path_distances(10)
 
 

@@ -335,6 +335,36 @@ def test_rows_give_the_oracle_points(d):
     assert all(real.points[v] == pt for v, pt in want.items())
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_distance_rows_match_the_points(d):
+    # every pair of vertices placed up to stage 10, the origin and leaves included
+    real = Realization(TreeIteration(d))
+    real.extend_to(10)
+    pts = list(real.points.values())
+    xs, ys = np.triu_indices(len(pts), 1)
+    rows = real.distances(xs, ys).tolist()
+    for x, y, row in zip(xs.tolist(), ys.tolist(), rows):
+        assert tuple(row) == distance(pts[x], pts[y]).coeffs, (x, y)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["same-sign", "opposite-sign"])
+def test_distance_rows_part_only_on_one_sign(sign):
+    # a center's leaf moved to hang from the center's anchor on the center's
+    # copy, rho times shorter: with one sign the two words share the leaf's
+    # syllable, with opposite signs they part at the anchor
+    d, n = 3, 6
+    real = Realization(TreeIteration(d))
+    real.extend_to(n)
+    v = real.it.centers[n][0].vertex
+    t = ExactLength(d, tuple(real.coef[v].tolist())).scaled(-1)
+    real.anchor[v + 1], real.copy[v + 1] = real.anchor[v], real.copy[v]
+    real.coef[v + 1] = (t if sign > 0 else -t).coeffs
+    pts = list(real.points.values())
+    xs, ys = np.triu_indices(len(pts), 1)
+    for x, y, row in zip(xs.tolist(), ys.tolist(), real.distances(xs, ys).tolist()):
+        assert tuple(row) == distance(pts[x], pts[y]).coeffs, (x, y)
+
+
 def test_coordinates_match_the_points():
     real = Realization(TreeIteration(4))
     real.extend_to(9)
