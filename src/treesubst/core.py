@@ -1,8 +1,9 @@
 """Branch-point labels of the iterated trees and the structures built on them.
 
 Every branch point of a stage-n tree carries a group-word label: the inverse
-of a prefix of the fixed point.  A label is stored as that prefix, the
-positive word it inverts.  This module computes the labels two ways
+of a prefix of the fixed point.  A label is stored as its length, which
+fixes the prefix; the words are built only where a check compares one or a
+witness prints one.  This module computes the labels two ways
 (incrementally stage by stage, and directly from root paths), derives the
 stage inventories, simple arcs and their cylinder words, the partitions the
 trees determine, the partial-isometry system on realized branch points, and
@@ -11,6 +12,7 @@ the exact path-length cross-check of realized distances.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
@@ -19,15 +21,17 @@ import numpy as np
 
 from .algnum import ExactLength, _int64, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
-from .prefix_suffix import automatic_writing
+from .prefix_suffix import length_writing
 from .realization import FreePoint, Realization, distance
 from .trees import ColoredTree, Lifting, TreeIteration
 from .words import (
     Word,
     bispecials_by_generation,
     factors,
+    fixed_point_letter,
     fixed_point_prefix,
     power_image,
+    shift_overlap,
     word_str,
 )
 
@@ -63,18 +67,22 @@ def determined_partition(d: int, n: int) -> int:
     return len(l_word(d, n)) + 1
 
 
+@lru_cache(maxsize=None)
+def _letter_columns(d: int) -> tuple[tuple[int, ...], ...]:
+    """The letters' length coefficient vectors, one tuple per coefficient."""
+    lengths = letter_length_exact(d)
+    return tuple(zip(*(lengths[k].coeffs for k in range(1, d + 1))))
+
+
 def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     """Sum of per-letter lengths of a reduced word over the first d letters:
-    its letter counts times the letters' length coefficient vectors."""
-    counts = [0] * d
-    for letter in w:
-        k = abs(letter)
-        if not 1 <= k <= d:
-            raise ValueError(f"letter {letter} outside 1..{d}")
-        counts[k - 1] += 1
-    lengths = letter_length_exact(d)
-    rows = [lengths[k].coeffs for k in range(1, d + 1)]
-    return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in zip(*rows)))
+    its letter counts (two `count`s per letter) times the letters' length
+    coefficient vectors."""
+    counts = [w.count(k) + w.count(-k) for k in range(1, d + 1)]
+    if sum(counts) != len(w):
+        bad = next(x for x in w if not 1 <= abs(x) <= d)
+        raise ValueError(f"letter {bad} outside 1..{d}")
+    return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in _letter_columns(d)))
 
 
 def _pair_blocks(count: int):
@@ -117,13 +125,43 @@ def _hull(tree: ColoredTree, vertices: set[int]) -> set[int]:
     return keep
 
 
+class _Labels(Mapping):
+    """Read-only view vertex -> label word of a scan's lengths: [v] builds
+    the fixed-point prefix of length `length[v]` on each read.  Keys, values
+    and items go in registration order, and `values()` also in reverse."""
+
+    def __init__(self, scan: "CoreScan"):
+        self.scan = scan
+
+    def __len__(self) -> int:
+        return len(self.scan.length)
+
+    def __iter__(self):
+        return iter(self.scan.length)
+
+    def __contains__(self, v) -> bool:
+        return v in self.scan.length
+
+    def __getitem__(self, v: int) -> Word:
+        return fixed_point_prefix(self.scan.d, self.scan.length[v])
+
+    def values(self) -> "_LabelValues":
+        return _LabelValues(self)
+
+
+class _LabelValues(ValuesView):
+    def __reversed__(self):
+        return map(self._mapping.__getitem__, reversed(self._mapping.scan.length))
+
+
 class CoreScan:
     """Stage-by-stage labeling of branch points with realization on demand.
 
     The label of a stage-n center is the label of the source anchor of the
     replaced edge extended by sigma^(n-1)(1^-1); no cancellation occurs, and
-    the result is always the inverse of a fixed-point prefix.  `labels`
-    keeps each label as that prefix.
+    the result is always the inverse of a fixed-point prefix.  So each label
+    is stored as its length, `length[v]` (inverse `by_length`), and
+    `labels` is a read-only view that builds the words.
     """
 
     def __init__(self, d: int):
@@ -131,7 +169,8 @@ class CoreScan:
         self.auto = family_auto(d)
         self.it = TreeIteration(d)
         self.real = Realization(self.it)
-        self.labels: dict[int, Word] = {0: b""}
+        self.length: dict[int, int] = {0: 0}
+        self.labels = _Labels(self)
         self.apparition: dict[int, int] = {0: apparition_of_empty(d)}
         self.parent: dict[int, int] = {}
         self.by_length: dict[int, int] = {0: 0}
@@ -144,32 +183,45 @@ class CoreScan:
             self._scan_stage(self.scanned + 1)
 
     def _scan_stage(self, n: int) -> None:
+        """Register the stage-n centers, L(v) = |sigma^(n-1)(1)| + L(src).
+
+        sigma^(n-1)(1) is a fixed-point prefix, so the label word is one iff
+        L(src) <= z, the overlap of the fixed point with its tail from
+        |sigma^(n-1)(1)|.  One compare on one letter more than the longest
+        source finds z where z is at most that source's length, as at every
+        stage checked (z equals it for d = 3..6, n <= 16), and shows every
+        source fits otherwise.
+        """
         self.it.tree_at(n)
-        step = power_image(self.d, n - 1)
-        for c in self.it.centers[n]:
-            self._register(c.vertex, step + self.labels[c.src], n, c.src)
+        centers = self.it.centers[n]
+        step = len(power_image(self.d, n - 1))
+        upto = max((self.length[c.src] for c in centers), default=0) + 1
+        reach = shift_overlap(self.d, step, upto)
+        for c in centers:
+            self._register(c.vertex, n, c.src, step, reach)
         self.scanned = n
 
-    def _register(self, v: int, lab: Word, stage: int, src: int) -> None:
-        if lab != fixed_point_prefix(self.d, len(lab)):
+    def _register(self, v: int, stage: int, src: int, step: int, reach: int) -> None:
+        if (tail := self.length[src]) > reach:
             raise ValueError("label is not a prefix inverse")
-        if len(lab) in self.by_length:
+        k = step + tail
+        if k in self.by_length:
             raise ValueError("duplicate label length")
-        self.labels[v] = lab
+        self.length[v] = k
         self.apparition[v] = stage
         self.parent[v] = src
-        self.by_length[len(lab)] = v
+        self.by_length[k] = v
 
     def vertex_of_label(self, word: Word) -> int:
         v = self.by_length.get(len(word))
-        if v is None or self.labels[v] != word:
+        if v is None or word != fixed_point_prefix(self.d, len(word)):
             raise ValueError(
                 f"label {_label_text(word)} not seen up to stage {self.scanned}"
             )
         return v
 
     def writing(self, v: int) -> list[int]:
-        return automatic_writing(self.d, self.labels[v])
+        return length_writing(self.d, self.length[v])
 
     # -- direct labeling route ---------------------------------------------
 
@@ -199,27 +251,30 @@ class CoreScan:
 
     # -- inventories --------------------------------------------------------
 
-    def inventory(self, m: int) -> set[Word]:
+    def inventory_lengths(self, m: int) -> set[int]:
+        """Label lengths of the stage-m branch points."""
         self.extend_to(m)
-        tree = self.it.tree_at(m)
-        return {self.labels[v] for v in tree.branch_points()}
+        return {self.length[v] for v in self.it.tree_at(m).branch_points()}
+
+    def inventory(self, m: int) -> set[Word]:
+        return {fixed_point_prefix(self.d, k) for k in self.inventory_lengths(m)}
 
     def check_inventory(self, m: int) -> list[str]:
         """Stage-m labels are exactly the suffixes of the longest one.
 
-        Kept as the words they invert, those are the prefixes of l_word.
+        Kept as the words they invert, those are the prefixes of l_word: as
+        lengths, 0..|l_word|, with l_word itself a fixed-point prefix.
         """
         failures = []
-        got = self.inventory(m)
+        got = self.inventory_lengths(m)
         lm = l_word(self.d, m)
-        prefixes = {lm[:i] for i in range(len(lm) + 1)}
-        if got != prefixes:
+        if got != set(range(len(lm) + 1)) or lm != fixed_point_prefix(self.d, len(lm)):
             failures.append(f"m={m}: inventory is not the suffix set")
         if len(got) != len(lm) + 1:
             failures.append(f"m={m}: expected {len(lm) + 1} labels, got {len(got)}")
         if 1 <= m <= self.d - 1:
-            new = got - self.inventory(m - 1)
-            if new != {power_image(self.d, m - 1)}:
+            new = got - self.inventory_lengths(m - 1)
+            if new != {len(power_image(self.d, m - 1))}:
                 failures.append(f"m={m}: early stage should add exactly one label")
         return failures
 
@@ -283,8 +338,8 @@ class CoreScan:
             if tree.degree(y) != self.d:
                 failures.append(f"vertex {v}: 1-neighbor {y} does not branch")
                 continue
-            stripped = b"".join(power_image(self.d, a) for a in reversed(exps[:-1]))
-            if self.labels.get(y) != stripped:
+            # the label less its top factor sigma^stage(1)
+            if self.length.get(y) != self.length[v] - len(power_image(self.d, stage)):
                 failures.append(f"vertex {v}: 1-neighbor label mismatch")
         return failures
 
@@ -292,17 +347,17 @@ class CoreScan:
 
     def check_injective(self, m: int) -> list[str]:
         """Distinct stage-m labels realize as distinct points."""
-        self.extend_to(m)
         self.real.extend_to(m)
-        seen: dict[FreePoint, Word] = {}
+        seen: dict[FreePoint, int] = {}
         failures = []
-        for lab in sorted(self.inventory(m), key=len):
-            pt = self.real.point(self.vertex_of_label(lab))
+        for k in sorted(self.inventory_lengths(m)):
+            pt = self.real.point(self.by_length[k])
             if pt in seen:
                 failures.append(
-                    f"labels {_label_text(seen[pt])} and {_label_text(lab)} collide"
+                    f"labels {_label_text(fixed_point_prefix(self.d, seen[pt]))} and "
+                    f"{_label_text(fixed_point_prefix(self.d, k))} collide"
                 )
-            seen[pt] = lab
+            seen[pt] = k
         return failures
 
     def approx_points(self, exponents: list[int]) -> list[int]:
@@ -400,7 +455,7 @@ class CoreScan:
                 if len(shared) > 1:
                     failures.append(f"arcs {i},{j} share {sorted(shared)}")
                 for v in shared:
-                    if v not in self.labels or tree.degree(v) != self.d:
+                    if v not in self.length or tree.degree(v) != self.d:
                         failures.append(f"arcs {i},{j}: shared {v} not a branch")
         return failures
 
@@ -423,11 +478,13 @@ class CoreScan:
         self.extend_to(deep)
         by_edge = {arc.edge_index: arc for arc in arcs}
         born_in, _ = self.it.descent(n, deep)
+        text = fixed_point_prefix(d, max(self.length.values()))
         for v, stage in self.apparition.items():
             if not n < stage <= deep:
                 continue
-            arc = by_edge[born_in[v]]
-            if self.labels[v][-len(arc.word):] != arc.word:
+            arc, k = by_edge[born_in[v]], self.length[v]
+            # the label's word text[:k] ends with the arc's word
+            if k < len(arc.word) or text[k - len(arc.word):k] != arc.word:
                 failures.append(
                     f"vertex {v}: label does not extend arc {arc.edge_index}"
                 )
@@ -435,37 +492,25 @@ class CoreScan:
 
     # -- partial isometries -------------------------------------------------
 
-    def omega_letter(self, i: int) -> int:
-        return fixed_point_prefix(self.d, i + 1)[i]
-
     def shift_domain(self, a: int, n: int) -> list[int]:
         """Branch points whose coded tail starts with the letter a."""
         self.extend_to(n)
         tree = self.it.tree_at(n)
         return [
-            v
-            for v in sorted(tree.branch_points())
-            if self.omega_letter(len(self.labels[v])) == a
+            v for v in sorted(tree.branch_points())
+            if fixed_point_letter(self.d, self.length[v]) == a
         ]
 
-    def shift_image_label(self, a: int, v: int) -> Word:
-        lab = self.labels[v]
-        if self.omega_letter(len(lab)) != a:
-            raise ValueError(f"vertex {v} is not in the domain of letter {a}")
-        return lab + bytes([a])
-
     def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
-        """Image labels are the one-step-longer prefix inverses."""
+        """Image labels are the one-step-longer prefix inverses: the label of
+        v with a appended is a prefix iff a is the next fixed-point letter."""
         self.extend_to(n + 1)
         failures = []
         for v in self.shift_domain(a, n):
-            lab = self.shift_image_label(a, v)
-            if lab != fixed_point_prefix(self.d, len(lab)):
+            k = self.length[v]
+            if fixed_point_letter(self.d, k) != a:
                 failures.append(f"vertex {v}: image label mismatch")
-                continue
-            try:
-                self.vertex_of_label(lab)
-            except ValueError:
+            elif k + 1 not in self.by_length:
                 failures.append(f"vertex {v}: image label unrealized")
         return failures
 
@@ -475,7 +520,7 @@ class CoreScan:
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
         dom = np.array(self.shift_domain(a, n), dtype=np.int64)
-        img = np.array([self.vertex_of_label(self.shift_image_label(a, v)) for v in dom.tolist()])
+        img = np.array([self.by_length[self.length[v] + 1] for v in dom.tolist()])
         failures = []
         for i, j in _pair_blocks(len(dom)):
             moved = (self.real.distances(dom[i], dom[j])

@@ -9,12 +9,11 @@ spells out its tail.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import (
-    Substitution, Word, family_substitution, fixed_point_prefix, power_image, word_str,
-)
+from .words import Substitution, Word, family_substitution
 
 EMPTY: Word = b""
 
@@ -76,32 +75,37 @@ def is_admissible(d: int, dev: Development) -> bool:
 # automatic writing of fixed-point prefixes
 
 
-def automatic_writing(d: int, u: Word) -> list[int]:
-    """Exponents (ascending) of the unique writing u = sigma^(a_p)(1)...sigma^(a_0)(1).
+@lru_cache(maxsize=None)
+def _power_lengths(d: int) -> tuple[int, ...]:
+    """|sigma^a(1)| for a = 0, 1, .. up to the first one past 2^63: a + 1
+    up to a = d - 1, then |sigma^(a+1)(1)| = |sigma^a(1)| + |sigma^(a-d+1)(1)|."""
+    out = list(range(1, d + 1))
+    while out[-1] <= 1 << 63:
+        out.append(out[-1] + out[-d])
+    return tuple(out)
 
-    Consecutive exponents differ by at least d.  Peel from the left: the
-    top factor is the largest sigma^a(1) no longer than what remains, and
-    the remainder is again a fixed-point prefix.  The length recursion
-    |sigma^(a+1)(1)| - |sigma^a(1)| = |sigma^(a-d+1)(1)| makes the gap
-    condition automatic: what remains after sigma^a(1) is shorter than
-    that, so the next exponent is at most a - d (and for a < d - 1 nothing
-    remains).  So only a mismatch can refuse u, as not a prefix.
+
+def length_writing(d: int, k: int) -> list[int]:
+    """Exponents (ascending) of the unique writing
+    u = sigma^(a_p)(1)...sigma^(a_0)(1) of the length-k fixed-point prefix u.
+
+    Consecutive exponents differ by at least d.  The writing is the greedy
+    expansion of k over the lengths |sigma^a(1)| (Dumont and Thomas, TCS 65,
+    1989): peeling the largest sigma^a(1) that fits off the front of u
+    leaves again a fixed-point prefix, so only its length matters.  The
+    recursion |sigma^(a+1)(1)| - |sigma^a(1)| = |sigma^(a-d+1)(1)| makes the
+    gap automatic: what remains is shorter than that, so the next exponent
+    is at most a - d (and for a < d - 1 nothing remains).
     """
-    if u.translate(None, bytes(range(1, d + 1))):   # what is left after deleting 1..d
-        raise ValueError("letters outside 1..d")
+    lengths = _power_lengths(d)
+    if not 0 <= k < lengths[-1]:
+        raise ValueError(f"prefix length must be in 0..{lengths[-1] - 1}, got {k}")
     exps: list[int] = []
-    pos, a = 0, 0
-    while len(power_image(d, a + 1)) <= len(u):
-        a += 1
-    while pos < len(u):
-        # what remains only shrinks, so the next exponent is at most this one
-        while len(power_image(d, a)) > len(u) - pos:
-            a -= 1
-        top = power_image(d, a)
-        if not u.startswith(top, pos):
-            raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
+    a = len(lengths)
+    while k:
+        a = bisect_right(lengths, k, 0, a) - 1   # what remains only shrinks
         exps.append(a)
-        pos += len(top)
+        k -= lengths[a]
     exps.reverse()
     return exps
 
@@ -114,8 +118,7 @@ def shift_development(d: int, k: int, depth: int) -> Development:
     states are then forced, ending in the loop (e,1,2) at state 1.
     """
     sub = family_substitution(d)
-    u = fixed_point_prefix(d, k)
-    exps = set(automatic_writing(d, u))
+    exps = set(length_writing(d, k))
     if exps and max(exps) >= depth:
         raise ValueError("depth too small for the requested shift")
     # fill states top-down: above the largest exponent the path loops at 1

@@ -158,15 +158,16 @@ class Realization:
 
     def _put(self, ids, base, copy, coef) -> None:
         """Place ids[i] at the point of base[i] times the syllable (copy[i],
-        coef[i]): merged into base's last syllable on the same copy, and at
-        the row of base's anchor if the two cancel."""
-        a = self.anchor[base]
+        coef[i]), merged into base's last syllable on the same copy.  If the
+        two cancel, ids[i] would sit at the point of base's anchor, whose
+        row another vertex holds: ValueError naming ids[i]."""
         merge = self.copy[base] == copy   # never at the origin, whose copy is -1
         coef = np.where(merge[:, None], self.coef[base] + coef, coef)
-        gone = merge & ~coef.any(axis=1)
-        self.anchor[ids] = np.where(gone, self.anchor[a], np.where(merge, a, base))
-        self.copy[ids] = np.where(gone, self.copy[a], copy)
-        self.coef[ids] = _int64(np.where(gone[:, None], self.coef[a], coef), 2)
+        if (gone := merge & ~coef.any(axis=1)).any():
+            raise ValueError(f"vertex {ids[gone][0]} cancels its base's last syllable")
+        self.anchor[ids] = np.where(merge, self.anchor[base], base)
+        self.copy[ids] = copy
+        self.coef[ids] = _int64(coef, 2)
 
     def extend_to(self, n: int) -> None:
         while self.stage_done < n:

@@ -20,6 +20,7 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -186,6 +187,25 @@ class ColoredTree:
             self._rooted = parent.tolist(), up.tolist(), depth.tolist()
         return self._rooted
 
+    def _climb(self, x: int, y: int) -> tuple[list[int], list[int]]:
+        """Slots that x and y climb from, in the rooted index, to where they
+        meet: the deeper end to the other's depth, then both in lockstep."""
+        parent, _, depth = self.rooted_index()
+        x, y = self.slot(x), self.slot(y)
+        rise, fall = [], []
+        while depth[x] > depth[y]:
+            rise.append(x)
+            x = parent[x]
+        while depth[y] > depth[x]:
+            fall.append(y)
+            y = parent[y]
+        while x != y:
+            rise.append(x)
+            fall.append(y)
+            x, y = parent[x], parent[y]
+        fall.reverse()
+        return rise, fall
+
     def path(self, x: int, y: int) -> list[tuple[int, int]]:
         """(vertex, signed color) steps along the unique path x -> y.
 
@@ -193,22 +213,16 @@ class ColoredTree:
         arrow.  Both ends climb the rooted index to the vertex where they
         meet, so the cost is the length of the path.
         """
-        parent, up, depth = self.rooted_index()
+        parent, up, _ = self.rooted_index()
         verts = self.vertices
-        x, y = self.slot(x), self.slot(y)
-        rise, fall = [], []
-        while x != y:   # an end no shallower than the other lies below where they meet
-            if depth[x] >= depth[y]:
-                sc, x = up[x], parent[x]
-                rise.append((verts[x], sc))
-            else:
-                fall.append((verts[y], -up[y]))
-                y = parent[y]
-        return rise + fall[::-1]
+        rise, fall = self._climb(x, y)
+        return [(verts[parent[s]], up[s]) for s in rise] + [(verts[s], -up[s]) for s in fall]
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
         """Signed colors along the unique path x -> y (negative = against the arrow)."""
-        return tuple(sc for _, sc in self.path(x, y))
+        up = self.rooted_index()[1]
+        rise, fall = self._climb(x, y)
+        return (*map(up.__getitem__, rise), *map(neg, map(up.__getitem__, fall)))
 
     def is_discerned(self) -> bool:
         """No path word contains a barred color next to its unbarred twin.

@@ -317,7 +317,7 @@ def label_inventory(d: int) -> list[str]:
     for m in range(1, 6):
         fails += scan.check_inventory(m)
     if d == 3:
-        counts = [len(scan.inventory(m)) for m in range(1, 6)]
+        counts = [len(scan.inventory_lengths(m)) for m in range(1, 6)]
         if counts != [2, 3, 5, 7, 11]:
             fails.append(f"label counts {counts} != [2, 3, 5, 7, 11]")
     return fails

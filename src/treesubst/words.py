@@ -132,15 +132,36 @@ def _fixed_point_cache(d: int, min_len: int) -> Word:
     return w
 
 
-def fixed_point_prefix(d: int, length: int) -> Word:
-    """Prefix of the fixed point lim sigma^n(1); 1 is a prefix of sigma(1)."""
+def _expansion(d: int, length: int) -> Word:
+    """A cached sigma^k(1) of at least `length` letters."""
     if length < 0:
         raise ValueError(f"prefix length must be >= 0, got {length}")
     # round the cache key up so repeated close requests share one expansion
     min_len = 1
     while min_len < length:
         min_len *= 4
-    return _fixed_point_cache(d, min_len)[:length]
+    return _fixed_point_cache(d, min_len)
+
+
+def fixed_point_prefix(d: int, length: int) -> Word:
+    """Prefix of the fixed point lim sigma^n(1); 1 is a prefix of sigma(1)."""
+    return _expansion(d, length)[:length]
+
+
+def fixed_point_letter(d: int, i: int) -> int:
+    """Letter i (from 0) of the fixed point, read without copying a prefix."""
+    if i < 0:
+        raise ValueError(f"letter index must be >= 0, got {i}")
+    return _expansion(d, i + 1)[i]
+
+
+def shift_overlap(d: int, shift: int, upto: int) -> int:
+    """Length of the common prefix of the fixed point and of its tail from
+    `shift`, read on at most `upto` letters (so exact when below `upto`):
+    the Z-value at `shift`, by one compare."""
+    text = np.frombuffer(_expansion(d, shift + upto), dtype=np.uint8)
+    differ = np.flatnonzero(text[shift:shift + upto] != text[:upto])
+    return int(differ[0]) if len(differ) else upto
 
 
 @lru_cache(maxsize=None)

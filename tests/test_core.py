@@ -1,6 +1,10 @@
 """Branch labels, arcs, partial isometries, and the partition reports."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,9 +12,10 @@ import pytest
 from treesubst import algnum, core
 from treesubst.algnum import ExactLength, _int64
 from treesubst.freegroup import from_positive, invert, p_star
+from treesubst.prefix_suffix import length_writing
 from treesubst.realization import distance
 from treesubst.trees import ColoredTree
-from treesubst.words import measure_spectrum, word_str
+from treesubst.words import fixed_point_prefix, measure_spectrum, power_image, word_str
 from treesubst.core import (
     CoreScan,
     apparition_of_empty,
@@ -19,6 +24,7 @@ from treesubst.core import (
     legal_path_distance,
     shared_scan,
 )
+from test_prefix_suffix import automatic_writing   # the writing read off the letters
 
 
 def test_l_word_fixtures():
@@ -124,8 +130,7 @@ def test_address_map_flags_a_changed_label():
     scan = CoreScan(3)
     scan.extend_to(8)
     v = min(v for v, stage in scan.apparition.items() if stage == 5)
-    lab = scan.labels[v]
-    scan.labels[v] = lab[:-1] + bytes([lab[-1] % 3 + 1])
+    scan.length[v] += 1     # the label of another prefix
     # the fast sweep runs the direct route at the birth stage only
     assert _sweep(scan.check_f0, 8) == [f"stage 5 vertex {v}: direct label differs"]
     assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
@@ -183,15 +188,14 @@ def test_arc_checks():
 
 
 class _LabelCorruptedAt12(CoreScan):
-    """A scan that garbles the last letter of one stage-10 label once stage 12
+    """A scan that lengthens one stage-10 label by a letter once stage 12
     is scanned (its children are born from stage 12 on, so the scan must stop there)."""
 
     def _scan_stage(self, n):
         super()._scan_stage(n)
         if n == 12:
             v = min(v for v, stage in self.apparition.items() if stage == 10)
-            lab = self.labels[v]
-            self.labels[v] = lab[:-1] + bytes([lab[-1] % 3 + 1])
+            self.length[v] += 1
 
 
 def test_arc_cylinders_cover_the_requested_depth():
@@ -205,20 +209,98 @@ def test_arc_cylinders_cover_the_requested_depth():
 
 class _GarbledAt3(CoreScan):
     """A scan that feeds its label record one word that is not a
-    fixed-point prefix: the first stage-3 label with its last letter changed."""
+    fixed-point prefix: the longest source of stage 3 is one letter longer
+    than it was registered, which sigma^2(1) does not extend to a prefix."""
 
-    garbled = False
-
-    def _register(self, v, lab, stage, src):
-        if stage == 3 and not self.garbled:
-            self.garbled = True
-            lab = lab[:-1] + bytes([lab[-1] % 3 + 1])
-        super()._register(v, lab, stage, src)
+    def _scan_stage(self, n):
+        if n == 3:
+            self.it.tree_at(3)
+            src = max((c.src for c in self.it.centers[3]), key=self.length.__getitem__)
+            self.length[src] += 1
+        super()._scan_stage(n)
 
 
 def test_register_rejects_a_non_prefix():
     with pytest.raises(ValueError, match="label is not a prefix inverse"):
         _GarbledAt3(3).extend_to(3)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_labels_match_the_bytes_recursion(d):
+    # the scan's words as bytes, sigma^(n-1)(1) + label(src), and their
+    # writings read off the letters, against the lengths the scan keeps
+    scan = CoreScan(d)
+    scan.extend_to(14)
+    words = {0: b""}
+    for n in range(1, 15):
+        step = power_image(d, n - 1)
+        for c in scan.it.centers[n]:
+            words[c.vertex] = step + words[c.src]
+    assert dict(scan.labels.items()) == words
+    assert list(scan.labels) == list(words) and len(scan.labels) == len(words)
+    assert list(reversed(scan.labels.values())) == list(reversed(words.values()))
+    for v, w in words.items():
+        assert w == fixed_point_prefix(d, len(w)) and scan.length[v] == len(w)
+        assert scan.writing(v) == length_writing(d, len(w)) == automatic_writing(d, w)
+        assert v in scan.labels and scan.labels.get(v) == w
+    assert -1 not in scan.labels and scan.labels.get(-1) is None
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_longest_source_reaches_the_overlap(d):
+    # z_(n-1), the overlap of the fixed point with its tail from
+    # |sigma^(n-1)(1)|, is the longest source length of stage n, so the
+    # prefix test of the scan has no slack on either side
+    scan = CoreScan(d)
+    scan.extend_to(16)
+    text = fixed_point_prefix(d, 4000)
+    for n in range(1, 17):
+        step = len(power_image(d, n - 1))
+        z = next(i for i in range(len(text) - step) if text[step + i] != text[i])
+        assert max(scan.length[c.src] for c in scan.it.centers[n]) == z
+        assert core.shift_overlap(d, step, z + 1) == z
+        assert core.shift_overlap(d, step, z) == z
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 6, 12])
+def test_register_rejects_an_overlap_one_short(monkeypatch, d, n):
+    scan = CoreScan(d)
+    scan.extend_to(n - 1)
+    overlap = core.shift_overlap
+    monkeypatch.setattr(core, "shift_overlap", lambda *a: overlap(*a) - 1)
+    with pytest.raises(ValueError, match="label is not a prefix inverse"):
+        scan.extend_to(n)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("delta, error", [
+    (1, "label is not a prefix inverse"), (-1, "duplicate label length"),
+], ids=["long", "short"])
+def test_register_rejects_a_source_length_off_by_one(d, delta, error):
+    # the longest source of stage n with its stored length one off: one
+    # letter longer, sigma^(n-1)(1) no longer extends it to a prefix; one
+    # letter shorter, it gives the label of its sibling source again
+    for n in (d + 2, 12):
+        scan = CoreScan(d)
+        scan.extend_to(n - 1)
+        scan.it.tree_at(n)
+        src = max((c.src for c in scan.it.centers[n]), key=scan.length.__getitem__)
+        scan.length[src] += delta
+        with pytest.raises(ValueError, match=error):
+            scan.extend_to(n)
+
+
+def test_core_scan_to_stage_26_in_linear_memory():
+    # the labels are kept as lengths; kept as bytes, N^2/2 letters, the
+    # same scan peaks at about 620 MB
+    code = ("import resource; from treesubst.core import CoreScan; CoreScan(3).extend_to(26); "
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+    src = str(Path(core.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True)
+    assert int(out.stdout) < 150 * 1024   # ru_maxrss is in KiB on Linux
 
 
 def test_vertex_of_label_compares_letters():
@@ -243,16 +325,28 @@ def test_stage12_labels_pinned(d, digest):
     assert hashlib.sha256(pairs).hexdigest() == digest
 
 
+def _shift_image_label(scan, a, v):
+    """The label of v times a^-1: the fixed-point prefix one letter longer,
+    for v in the domain of the letter a."""
+    w = scan.labels[v]
+    if fixed_point_prefix(scan.d, len(w) + 1) != w + bytes([a]):
+        raise ValueError(f"vertex {v} is not in the domain of letter {a}")
+    return w + bytes([a])
+
+
 def test_shift_image_fixture():
     scan = shared_scan(3)
     scan.extend_to(2)
     root = scan.vertex_of_label(b"")
     # the origin shifts into the orbit point addressed by the length-1 prefix
-    assert scan.shift_image_label(1, root) == b"\x01"
+    assert _shift_image_label(scan, 1, root) == b"\x01"
     v1 = scan.vertex_of_label(b"\x01")
-    assert scan.shift_image_label(2, v1) == b"\x01\x02"
+    assert _shift_image_label(scan, 2, v1) == b"\x01\x02"
     with pytest.raises(ValueError):
-        scan.shift_image_label(1, v1)     # second fixed-point letter is 2
+        _shift_image_label(scan, 1, v1)     # second fixed-point letter is 2
+    # the scan's own domains, read from the lengths, agree
+    assert root in scan.shift_domain(1, 2)
+    assert v1 in scan.shift_domain(2, 2) and v1 not in scan.shift_domain(1, 2)
 
 
 def test_shift_checks():
@@ -263,13 +357,25 @@ def test_shift_checks():
     assert scan.check_domain_overlaps(6) == []
 
 
+def test_shift_conjugacy_flags_a_missing_or_wrong_image():
+    scan = CoreScan(3)
+    scan.extend_to(7)
+    dom = scan.shift_domain(1, 6)
+    v, w = dom[len(dom) // 2], scan.shift_domain(2, 6)[0]
+    del scan.by_length[scan.length[v] + 1]     # v's image label is not seen
+    scan.shift_domain = lambda a, n: dom + [w]  # w's next letter is 2, not 1
+    assert scan.check_shift_conjugacy(1, 6) == [
+        f"vertex {v}: image label unrealized", f"vertex {w}: image label mismatch",
+    ]
+
+
 def _isometry_oracle(scan, a, n):
     """The shift isometry pair by pair, with `distance` on both sides."""
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
     dom = scan.shift_domain(a, n)
     pts = {v: scan.real.point(v) for v in dom}
-    imgs = {v: scan.real.point(scan.vertex_of_label(scan.shift_image_label(a, v))) for v in dom}
+    imgs = {v: scan.real.point(scan.vertex_of_label(_shift_image_label(scan, a, v))) for v in dom}
     return [
         f"letter {a}: pair ({v},{w}) distorted"
         for i, v in enumerate(dom)
@@ -320,7 +426,7 @@ def test_shift_isometry_flags_a_displaced_image(along):
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
     dom = scan.shift_domain(a, n)
-    image = {v: scan.vertex_of_label(scan.shift_image_label(a, v)) for v in dom}
+    image = {v: scan.vertex_of_label(_shift_image_label(scan, a, v)) for v in dom}
     audited = set(dom) | set(image.values())
     # an image with no other domain point or image anchored below it
     v = next(v for v in dom[len(dom) // 2:]

@@ -24,6 +24,15 @@ def test_reduction():
     assert reduce_word([2, -3, 3, -2, 1]) == (1,)
 
 
+def test_reduction_keeps_a_reduced_word_and_rejects_0():
+    assert reduce_word((1, 2, -3, 1)) == (1, 2, -3, 1)
+    assert reduce_word(iter([2, 2, -1])) == (2, 2, -1)
+    assert reduce_word(()) == ()
+    for w in ([0], [1, 0, 2], [1, -1, 0], [2, 0, -2]):
+        with pytest.raises(ValueError, match="0 is not a letter"):
+            reduce_word(w)
+
+
 def test_invert_and_concat():
     w = (1, -2, 3)
     assert invert(w) == (-3, 2, -1)

@@ -5,10 +5,11 @@ import pytest
 from treesubst.core import shared_scan
 from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
 from treesubst.prefix_suffix import (
-    automatic_writing,
+    _power_lengths,
     build_automaton,
     development_tail_word,
     is_admissible,
+    length_writing,
     shift_development,
 )
 
@@ -49,6 +50,29 @@ def test_shift_development_tail():
     for k in (0, 1, 5, 17, 40):
         dev = shift_development(3, k, 15)
         assert development_tail_word(3, dev, 60) == text[k : k + 60]
+
+
+def automatic_writing(d, u):
+    """The writing of `length_writing` read off the letters of u: peel from
+    the left the largest sigma^a(1) no longer than what remains, refusing u
+    at the first factor it does not start with, as not a prefix."""
+    if u.translate(None, bytes(range(1, d + 1))):   # what is left after deleting 1..d
+        raise ValueError("letters outside 1..d")
+    exps = []
+    pos, a = 0, 0
+    while len(power_image(d, a + 1)) <= len(u):
+        a += 1
+    while pos < len(u):
+        # what remains only shrinks, so the next exponent is at most this one
+        while len(power_image(d, a)) > len(u) - pos:
+            a -= 1
+        top = power_image(d, a)
+        if not u.startswith(top, pos):
+            raise ValueError(f"{word_str(u)} is not a prefix of the fixed point")
+        exps.append(a)
+        pos += len(top)
+    exps.reverse()
+    return exps
 
 
 def test_automatic_writing_round_trip():
@@ -126,3 +150,15 @@ def test_automatic_writing_matches_the_first_peel(d):
         assert (_writing_or_error(automatic_writing, d, u)
                 == _writing_or_error(_automatic_writing_oracle, d, u)), word_str(u)
     assert {type(_writing_or_error(automatic_writing, d, u)) for u in broken} == {list, str}
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_length_writing_matches_the_first_peel(d):
+    # the greedy expansion of each length over the table of |sigma^a(1)|,
+    # against the peel of the prefix's letters
+    assert _power_lengths(d)[:25] == tuple(len(power_image(d, a)) for a in range(25))
+    text = fixed_point_prefix(d, 2000)
+    for k in range(2001):
+        assert length_writing(d, k) == _automatic_writing_oracle(d, text[:k])
+    with pytest.raises(ValueError):
+        length_writing(d, -1)

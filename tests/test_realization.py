@@ -292,6 +292,16 @@ def test_gap_rejects_a_center_past_its_edge():
         real.hausdorff_gap(6)
 
 
+def test_put_refuses_a_cancelling_merge():
+    # vertex 1 is the syllable (0, base(1)); a syllable on copy 0 that
+    # undoes it would put vertex 2 back at the origin, vertex 0's row
+    real = Realization(TreeIteration(3))
+    rows = real.anchor.copy(), real.copy.copy(), real.coef.copy()
+    with pytest.raises(ValueError, match="vertex 2 cancels"):
+        real._put(np.array([2]), np.array([1]), np.array([0]), -real.coef[[1]])
+    assert all(map(np.array_equal, rows, (real.anchor, real.copy, real.coef)))
+
+
 def test_points_view():
     real = Realization(TreeIteration(3))
     real.extend_to(5)
