@@ -21,14 +21,14 @@ import numpy as np
 
 from .algnum import ExactLength, _int64, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
-from .prefix_suffix import length_writing
 from .realization import FreePoint, Realization, distance
 from .trees import ColoredTree, Lifting, TreeIteration
 from .words import (
     Word,
+    _power_lengths,
     bispecials_by_generation,
     factors,
-    fixed_point_letter,
+    fixed_point_letters,
     fixed_point_prefix,
     power_image,
     shift_overlap,
@@ -125,25 +125,36 @@ def _hull(tree: ColoredTree, vertices: set[int]) -> set[int]:
     return keep
 
 
+def _top_exponents(d: int, lengths: np.ndarray) -> np.ndarray:
+    """Per label length k >= 1, the top exponent of its writing (the first
+    peel of `length_writing`): the largest a with |sigma^a(1)| <= k."""
+    return np.searchsorted(_power_lengths(d)[:-1], lengths, side="right") - 1
+
+
 class _Labels(Mapping):
     """Read-only view vertex -> label word of a scan's lengths: [v] builds
     the fixed-point prefix of length `length[v]` on each read.  Keys, values
-    and items go in registration order, and `values()` also in reverse."""
+    and items go in vertex-id order, and `values()` also in reverse."""
 
     def __init__(self, scan: "CoreScan"):
         self.scan = scan
 
+    def _keys(self) -> list[int]:
+        return np.flatnonzero(self.scan.length >= 0).tolist()
+
     def __len__(self) -> int:
-        return len(self.scan.length)
+        return int(np.count_nonzero(self.scan.length >= 0))
 
     def __iter__(self):
-        return iter(self.scan.length)
+        return iter(self._keys())
 
     def __contains__(self, v) -> bool:
-        return v in self.scan.length
+        return 0 <= v < len(self.scan.length) and self.scan.length[v] >= 0
 
     def __getitem__(self, v: int) -> Word:
-        return fixed_point_prefix(self.scan.d, self.scan.length[v])
+        if v not in self:
+            raise KeyError(v)
+        return fixed_point_prefix(self.scan.d, int(self.scan.length[v]))
 
     def values(self) -> "_LabelValues":
         return _LabelValues(self)
@@ -151,7 +162,7 @@ class _Labels(Mapping):
 
 class _LabelValues(ValuesView):
     def __reversed__(self):
-        return map(self._mapping.__getitem__, reversed(self._mapping.scan.length))
+        return map(self._mapping.__getitem__, reversed(self._mapping._keys()))
 
 
 class CoreScan:
@@ -160,8 +171,11 @@ class CoreScan:
     The label of a stage-n center is the label of the source anchor of the
     replaced edge extended by sigma^(n-1)(1^-1); no cancellation occurs, and
     the result is always the inverse of a fixed-point prefix.  So each label
-    is stored as its length, `length[v]` (inverse `by_length`), and
-    `labels` is a read-only view that builds the words.
+    is stored as its length: `length` is an int64 array by vertex id (-1 on
+    the leaves), `by_length` its inverse (-1 where no label has that
+    length), and `labels` is a read-only view that builds the words.  The
+    rest of the record (birth stage, parent, neighbours) is read from the
+    columns of the shared tree iteration.
     """
 
     def __init__(self, d: int):
@@ -169,11 +183,9 @@ class CoreScan:
         self.auto = family_auto(d)
         self.it = TreeIteration(d)
         self.real = Realization(self.it)
-        self.length: dict[int, int] = {0: 0}
+        self.length = np.array([0] + [-1] * d, dtype=np.int64)   # T_0: the root, d leaves
+        self.by_length = np.zeros(1, dtype=np.int64)
         self.labels = _Labels(self)
-        self.apparition: dict[int, int] = {0: apparition_of_empty(d)}
-        self.parent: dict[int, int] = {}
-        self.by_length: dict[int, int] = {0: 0}
         self.scanned = 0
 
     # -- label scan ---------------------------------------------------------
@@ -183,45 +195,45 @@ class CoreScan:
             self._scan_stage(self.scanned + 1)
 
     def _scan_stage(self, n: int) -> None:
-        """Register the stage-n centers, L(v) = |sigma^(n-1)(1)| + L(src).
+        """Label the stage-n centers by one gather over their sources,
+        L(v) = |sigma^(n-1)(1)| + L(src).
 
         sigma^(n-1)(1) is a fixed-point prefix, so the label word is one iff
         L(src) <= z, the overlap of the fixed point with its tail from
         |sigma^(n-1)(1)|.  One compare on one letter more than the longest
         source finds z where z is at most that source's length, as at every
         stage checked (z equals it for d = 3..6, n <= 16), and shows every
-        source fits otherwise.
+        source fits otherwise.  A source without a label fits no prefix.
         """
         self.it.tree_at(n)
-        centers = self.it.centers[n]
-        step = len(power_image(self.d, n - 1))
-        upto = max((self.length[c.src] for c in centers), default=0) + 1
-        reach = shift_overlap(self.d, step, upto)
-        for c in centers:
-            self._register(c.vertex, n, c.src, step, reach)
-        self.scanned = n
-
-    def _register(self, v: int, stage: int, src: int, step: int, reach: int) -> None:
-        if (tail := self.length[src]) > reach:
+        v, _, src, _ = self.it.centers[n].columns
+        step = _power_lengths(self.d)[n - 1]
+        tails = self.length[src]
+        upto = int(tails.max(initial=0)) + 1
+        if (tails < 0).any() or (tails > shift_overlap(self.d, step, upto)).any():
             raise ValueError("label is not a prefix inverse")
-        k = step + tail
-        if k in self.by_length:
+        k = step + tails
+        by_length = np.pad(self.by_length, (0, max(0, step + upto - len(self.by_length))),
+                           constant_values=-1)
+        taken = (by_length[k] >= 0).any()
+        by_length[k] = v
+        if taken or (by_length[k] != v).any():   # a length seen before, or twice now
             raise ValueError("duplicate label length")
-        self.length[v] = k
-        self.apparition[v] = stage
-        self.parent[v] = src
-        self.by_length[k] = v
+        length = np.pad(self.length, (0, self.it.sizes[n] - len(self.length)), constant_values=-1)
+        length[v] = k
+        self.length, self.by_length, self.scanned = length, by_length, n
+
+    def _vertex_of_length(self, k: int) -> int:
+        """The vertex whose label has length k, or -1."""
+        return int(self.by_length[k]) if 0 <= k < len(self.by_length) else -1
 
     def vertex_of_label(self, word: Word) -> int:
-        v = self.by_length.get(len(word))
-        if v is None or word != fixed_point_prefix(self.d, len(word)):
+        v = self._vertex_of_length(len(word))
+        if v < 0 or word != fixed_point_prefix(self.d, len(word)):
             raise ValueError(
                 f"label {_label_text(word)} not seen up to stage {self.scanned}"
             )
         return v
-
-    def writing(self, v: int) -> list[int]:
-        return length_writing(self.d, self.length[v])
 
     # -- direct labeling route ---------------------------------------------
 
@@ -254,7 +266,7 @@ class CoreScan:
     def inventory_lengths(self, m: int) -> set[int]:
         """Label lengths of the stage-m branch points."""
         self.extend_to(m)
-        return {self.length[v] for v in self.it.tree_at(m).branch_points()}
+        return set(self.length[self.it.tree_at(m).branch_points()].tolist())
 
     def inventory(self, m: int) -> set[Word]:
         return {fixed_point_prefix(self.d, k) for k in self.inventory_lengths(m)}
@@ -274,7 +286,7 @@ class CoreScan:
             failures.append(f"m={m}: expected {len(lm) + 1} labels, got {len(got)}")
         if 1 <= m <= self.d - 1:
             new = got - self.inventory_lengths(m - 1)
-            if new != {len(power_image(self.d, m - 1))}:
+            if new != {_power_lengths(self.d)[m - 1]}:
                 failures.append(f"m={m}: early stage should add exactly one label")
         return failures
 
@@ -295,52 +307,54 @@ class CoreScan:
     # -- apparition structure ----------------------------------------------
 
     def check_apparition_chain(self, n: int) -> list[str]:
-        """Each stage-n label extends a label from d-1 to 2d-2 stages back."""
+        """Each stage-n label extends a label from d-1 to 2d-2 stages back: its
+        parent `src` was born at the first stage whose size exceeds it."""
         self.extend_to(n)
         failures = []
-        d = self.d
-        for v, stage in self.apparition.items():
-            if not 1 <= stage <= n:
-                continue
-            prev = self.apparition[self.parent[v]]
-            if not stage - (2 * d - 2) <= prev <= stage - (d - 1):
-                failures.append(
-                    f"vertex {v}: parent step {prev} outside "
-                    f"[{stage - (2 * d - 2)}, {stage - (d - 1)}]"
-                )
+        lo, hi = 2 * self.d - 2, self.d - 1
+        for stage in range(1, n + 1):
+            v, _, src, _ = self.it.centers[stage].columns
+            prev = np.searchsorted(self.it.sizes, src, side="right")
+            prev[src == 0] = apparition_of_empty(self.d)
+            bad = (prev < stage - lo) | (prev > stage - hi)
+            failures += [f"vertex {x}: parent step {p} outside [{stage - lo}, {stage - hi}]"
+                         for x, p in zip(v[bad].tolist(), prev[bad].tolist())]
         return failures
 
     def check_writing_exponents(self, n: int) -> list[str]:
         """Max writing exponent of a stage-n label is n-1 or n."""
         self.extend_to(n)
         failures = []
-        for v, stage in self.apparition.items():
-            if not 1 <= stage <= n:
-                continue
-            top = max(self.writing(v))
-            if top not in (stage - 1, stage):
-                failures.append(f"vertex {v}: max exponent {top} at step {stage}")
+        for stage in range(1, n + 1):
+            v = self.it.centers[stage].columns[0]
+            top = _top_exponents(self.d, self.length[v])
+            bad = (top != stage - 1) & (top != stage)
+            failures += [f"vertex {x}: max exponent {t} at step {stage}"
+                         for x, t in zip(v[bad].tolist(), top[bad].tolist())]
         return failures
 
     def check_branching_neighbor(self, n: int) -> list[str]:
-        """When the max exponent reaches the step, the 1-neighbor branches."""
+        """When the max exponent reaches the step, the 1-neighbor y (the head
+        of v's color-1 out-edge) branches and has the label less sigma^stage(1)."""
         self.extend_to(n)
         failures = []
-        for v, stage in self.apparition.items():
-            if not 1 <= stage <= n:
-                continue
-            exps = self.writing(v)
-            if max(exps) != stage:
-                continue
+        for stage in range(1, n + 1):
+            v = self.it.centers[stage].columns[0]
+            v = v[_top_exponents(self.d, self.length[v]) == stage]
             tree = self.it.tree_at(stage)
-            nbr = {sc: w for w, sc, _ in tree.adjacency()[v]}
-            y = nbr[1]
-            if tree.degree(y) != self.d:
-                failures.append(f"vertex {v}: 1-neighbor {y} does not branch")
-                continue
-            # the label less its top factor sigma^stage(1)
-            if self.length.get(y) != self.length[v] - len(power_image(self.d, stage)):
-                failures.append(f"vertex {v}: 1-neighbor label mismatch")
+            one = tree.color == 1
+            src, dst = tree.src[one], tree.dst[one]
+            at = np.searchsorted(src, v, side="right") - 1
+            if (src[at] != v).any():   # at = -1 reads src[-1] > v
+                raise ValueError(f"stage {stage}: a center has no color-1 out-edge")
+            y = dst[at]
+            ids, deg = tree._degrees()
+            flat = deg[np.searchsorted(ids, y)] != self.d
+            want = self.length[v] - _power_lengths(self.d)[stage]
+            bad = flat | (self.length[y] != want)
+            for x, w, out in zip(v[bad].tolist(), y[bad].tolist(), flat[bad]):
+                failures.append(f"vertex {x}: 1-neighbor {w} does not branch" if out
+                                else f"vertex {x}: 1-neighbor label mismatch")
         return failures
 
     # -- realized branch points --------------------------------------------
@@ -351,7 +365,7 @@ class CoreScan:
         seen: dict[FreePoint, int] = {}
         failures = []
         for k in sorted(self.inventory_lengths(m)):
-            pt = self.real.point(self.by_length[k])
+            pt = self.real.point(self._vertex_of_length(k))
             if pt in seen:
                 failures.append(
                     f"labels {_label_text(fixed_point_prefix(self.d, seen[pt]))} and "
@@ -455,7 +469,7 @@ class CoreScan:
                 if len(shared) > 1:
                     failures.append(f"arcs {i},{j} share {sorted(shared)}")
                 for v in shared:
-                    if v not in self.length or tree.degree(v) != self.d:
+                    if v not in self.labels or tree.degree(v) != self.d:
                         failures.append(f"arcs {i},{j}: shared {v} not a branch")
         return failures
 
@@ -478,16 +492,14 @@ class CoreScan:
         self.extend_to(deep)
         by_edge = {arc.edge_index: arc for arc in arcs}
         born_in, _ = self.it.descent(n, deep)
-        text = fixed_point_prefix(d, max(self.length.values()))
-        for v, stage in self.apparition.items():
-            if not n < stage <= deep:
-                continue
-            arc, k = by_edge[born_in[v]], self.length[v]
-            # the label's word text[:k] ends with the arc's word
-            if k < len(arc.word) or text[k - len(arc.word):k] != arc.word:
-                failures.append(
-                    f"vertex {v}: label does not extend arc {arc.edge_index}"
-                )
+        text = fixed_point_prefix(d, int(self.length.max()))
+        for stage in range(n + 1, deep + 1):
+            v = self.it.centers[stage].columns[0]
+            for x, e, k in zip(v.tolist(), born_in[v].tolist(), self.length[v].tolist()):
+                word = by_edge[e].word
+                # the label's word text[:k] ends with the arc's word
+                if k < len(word) or text[k - len(word):k] != word:
+                    failures.append(f"vertex {x}: label does not extend arc {e}")
         return failures
 
     # -- partial isometries -------------------------------------------------
@@ -495,24 +507,19 @@ class CoreScan:
     def shift_domain(self, a: int, n: int) -> list[int]:
         """Branch points whose coded tail starts with the letter a."""
         self.extend_to(n)
-        tree = self.it.tree_at(n)
-        return [
-            v for v in sorted(tree.branch_points())
-            if fixed_point_letter(self.d, self.length[v]) == a
-        ]
+        branch = np.array(self.it.tree_at(n).branch_points(), dtype=np.int64)
+        return branch[fixed_point_letters(self.d, self.length[branch]) == a].tolist()
 
     def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
         """Image labels are the one-step-longer prefix inverses: the label of
         v with a appended is a prefix iff a is the next fixed-point letter."""
         self.extend_to(n + 1)
-        failures = []
-        for v in self.shift_domain(a, n):
-            k = self.length[v]
-            if fixed_point_letter(self.d, k) != a:
-                failures.append(f"vertex {v}: image label mismatch")
-            elif k + 1 not in self.by_length:
-                failures.append(f"vertex {v}: image label unrealized")
-        return failures
+        dom = self.shift_domain(a, n)
+        k = self.length[dom]
+        wrong = (fixed_point_letters(self.d, k) != a).tolist()
+        return [f"vertex {v}: image label {'mismatch' if off else 'unrealized'}"
+                for v, off, kv in zip(dom, wrong, k.tolist())
+                if off or self._vertex_of_length(kv + 1) < 0]
 
     def check_shift_isometry(self, a: int, n: int) -> list[str]:
         """Pairwise distances survive the label shift exactly: the realized
@@ -520,7 +527,9 @@ class CoreScan:
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
         dom = np.array(self.shift_domain(a, n), dtype=np.int64)
-        img = np.array([self.by_length[self.length[v] + 1] for v in dom.tolist()])
+        img = self.by_length[self.length[dom] + 1]
+        if (img < 0).any():
+            raise ValueError(f"letter {a}: a domain point's image label is unrealized")
         failures = []
         for i, j in _pair_blocks(len(dom)):
             moved = (self.real.distances(dom[i], dom[j])

@@ -13,7 +13,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import Substitution, Word, family_substitution
+from .words import Substitution, Word, _power_lengths, family_substitution
 
 EMPTY: Word = b""
 
@@ -73,16 +73,6 @@ def is_admissible(d: int, dev: Development) -> bool:
 
 # ---------------------------------------------------------------------------
 # automatic writing of fixed-point prefixes
-
-
-@lru_cache(maxsize=None)
-def _power_lengths(d: int) -> tuple[int, ...]:
-    """|sigma^a(1)| for a = 0, 1, .. up to the first one past 2^63: a + 1
-    up to a = d - 1, then |sigma^(a+1)(1)| = |sigma^a(1)| + |sigma^(a-d+1)(1)|."""
-    out = list(range(1, d + 1))
-    while out[-1] <= 1 << 63:
-        out.append(out[-1] + out[-d])
-    return tuple(out)
 
 
 def length_writing(d: int, k: int) -> list[int]:

@@ -21,6 +21,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .core import l_word, shared_scan
 from .words import (
     MAX_PREFIX_LEN,
+    _power_lengths,
     distinct,
     factors,
     family_substitution,
@@ -149,15 +150,12 @@ def orbit_stage(base: int, depth: int) -> int:
     """First stage n >= base whose longest label, l_word(3, n), has at
     least `depth` letters.
 
-    Counted by integer recursions, without building a word: |sigma^a(1)|
-    = |sigma^(a-1)(1)| + |sigma^(a-3)(1)|, from the characteristic
-    polynomial x^3 - x^2 - 1 of the incidence matrix, and
-    l_word(3, n) = sigma^(n-1)(1) l_word(3, n-2).
+    Counted without building a word, by l_word(3, n) = sigma^(n-1)(1)
+    l_word(3, n-2) over the table of |sigma^a(1)|.
     """
-    image, label, n = [1, 2, 3], [0, 1], 0   # |sigma^a(1)|, |l_word(3, m)|
+    image, label, n = _power_lengths(3), [0, 1], 0   # |sigma^a(1)|, |l_word(3, m)|
     while n < base or label[n] < depth:
         n += 1
-        image.append(image[-1] + image[-3])
         label.append(label[-2] + image[n])
     return n
 
@@ -176,13 +174,14 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     `TreeIteration.descent`.
     """
     it = shared_scan(3).it
+    it.tree_at(base)   # refused over the edge budget before the table of |sigma^a(1)| runs out
     stage = orbit_stage(base, depth)
     it.tree_at(stage)
     length = np.full(it.sizes[stage], -1, dtype=np.int64)
     length[0] = 0
     for n in range(1, stage + 1):
         v, _, src, _ = it.centers[n].columns
-        length[v] = length[src] + len(power_image(3, n - 1))
+        length[v] = length[src] + _power_lengths(3)[n - 1]
     arc, on = it.descent(base, stage)
     arc_of = np.full(depth + 1, -1, dtype=np.int64)
     on_tree = np.zeros(depth + 1, dtype=bool)

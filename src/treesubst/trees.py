@@ -50,7 +50,7 @@ class _Rows(Sequence):
 class ColoredTree:
     """Finite directed colored tree, kept as three int32 columns (src, dst,
     color) sorted by (src, dst), which `edges` reads as (s, t, c) tuples.
-    Vertices, adjacency and the rooted index are built on first use.
+    Vertices and the rooted index are built on first use.
 
     A tree built from an edge list is checked by the union-find; a stage
     grown by `TreeSubstitution.apply` is a tree by the lemma there."""
@@ -92,7 +92,6 @@ class ColoredTree:
         order = np.argsort(cols[:, 0] * (1 << 32) + (cols[:, 1] + (1 << 31)))
         self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
         self.edges = _Rows((self.src, self.dst, self.color))
-        self._adj: dict[int, list[tuple[int, int, int]]] | None = None
         self._rooted = None
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
@@ -128,18 +127,8 @@ class ColoredTree:
     def vertices(self) -> tuple[int, ...]:
         return tuple(self._degrees()[0].tolist())
 
-    def adjacency(self) -> dict[int, list[tuple[int, int, int]]]:
-        """v -> list of (neighbor, signed color, edge index); sign -1 on incoming."""
-        if self._adj is None:
-            adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in self.vertices}
-            for i, (s, t, c) in enumerate(self.edges):
-                adj[s].append((t, c, i))
-                adj[t].append((s, -c, i))
-            self._adj = adj
-        return self._adj
-
     def degree(self, v: int) -> int:
-        return len(self.adjacency()[v])
+        return int(self._degrees()[1][self.slot(v)])
 
     def branch_points(self) -> list[int]:
         ids, deg = self._degrees()

@@ -123,6 +123,16 @@ def power_image(d: int, k: int) -> Word:
     return family_substitution(d)(power_image(d, k - 1)) if k else bytes([1])
 
 
+@lru_cache(maxsize=None)
+def _power_lengths(d: int) -> tuple[int, ...]:
+    """|sigma^a(1)| for a = 0, 1, .. up to the first one past 2^63: a + 1
+    up to a = d - 1, then |sigma^(a+1)(1)| = |sigma^a(1)| + |sigma^(a-d+1)(1)|."""
+    out = list(range(1, d + 1))
+    while out[-1] <= 1 << 63:
+        out.append(out[-1] + out[-d])
+    return tuple(out)
+
+
 @lru_cache(maxsize=8)
 def _fixed_point_cache(d: int, min_len: int) -> Word:
     sub = family_substitution(d)
@@ -148,11 +158,12 @@ def fixed_point_prefix(d: int, length: int) -> Word:
     return _expansion(d, length)[:length]
 
 
-def fixed_point_letter(d: int, i: int) -> int:
-    """Letter i (from 0) of the fixed point, read without copying a prefix."""
-    if i < 0:
-        raise ValueError(f"letter index must be >= 0, got {i}")
-    return _expansion(d, i + 1)[i]
+def fixed_point_letters(d: int, at: np.ndarray) -> np.ndarray:
+    """The fixed point's letters at the indices `at` (from 0), read without
+    copying a prefix."""
+    if (at < 0).any():
+        raise ValueError(f"letter index must be >= 0, got {at.min()}")
+    return np.frombuffer(_expansion(d, int(at.max(initial=-1)) + 1), dtype=np.uint8)[at]
 
 
 def shift_overlap(d: int, shift: int, upto: int) -> int:

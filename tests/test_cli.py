@@ -244,6 +244,16 @@ def test_gen_past_the_edge_budget_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_arc_coloring_past_the_length_table_is_usage_error(tmp_path, capsys):
+    # stage 200 is over the budget, and past the table of |sigma^a(1)| that
+    # counts the stage a depth needs: the budget refuses it first
+    rauzy._orbit_index.cache_clear()
+    argv = ["plot", "--color", "arc:200", "--depth", "10", "--out", str(tmp_path / "a.svg")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 200 would hold about ") and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [

@@ -15,7 +15,9 @@ from treesubst.freegroup import from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
 from treesubst.realization import distance
 from treesubst.trees import ColoredTree
-from treesubst.words import fixed_point_prefix, measure_spectrum, power_image, word_str
+from treesubst.words import (
+    _power_lengths, fixed_point_prefix, measure_spectrum, power_image, word_str,
+)
 from treesubst.core import (
     CoreScan,
     apparition_of_empty,
@@ -25,6 +27,7 @@ from treesubst.core import (
     shared_scan,
 )
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
+from test_trees import adjacency
 
 
 def test_l_word_fixtures():
@@ -93,6 +96,142 @@ def test_writings_and_chains():
         assert scan.check_branching_neighbor(n) == []
 
 
+def _label_check_oracles(scan, n):
+    """The per-vertex loops of writing-exponents, apparition-chain and
+    branching-neighbor over dicts keyed by vertex: birth stages from
+    `birth_stage` (the empty label at `apparition_of_empty`), parents from
+    the centers' sources, writings from `length_writing` and neighbours and
+    degrees from the adjacency helper."""
+    scan.extend_to(n)
+    d, it = scan.d, scan.it
+    apparition, parent = {0: apparition_of_empty(d)}, {}
+    for stage in range(1, scan.scanned + 1):
+        for c in it.centers[stage]:
+            apparition[c.vertex], parent[c.vertex] = it.birth_stage(c.vertex), c.src
+    length = {v: int(scan.length[v]) for v in apparition}
+    writing, chain, neighbor, adj = [], [], [], {}
+    for v, stage in apparition.items():
+        if not 1 <= stage <= n:
+            continue
+        p = parent[v]
+        prev = apparition_of_empty(d) if p == 0 else it.birth_stage(p)
+        if not stage - (2 * d - 2) <= prev <= stage - (d - 1):
+            chain.append(f"vertex {v}: parent step {prev} outside "
+                         f"[{stage - (2 * d - 2)}, {stage - (d - 1)}]")
+        top = max(length_writing(d, length[v]))
+        if top not in (stage - 1, stage):
+            writing.append(f"vertex {v}: max exponent {top} at step {stage}")
+        if top != stage:
+            continue
+        if stage not in adj:
+            adj[stage] = adjacency(it.tree_at(stage))
+        y = {sc: w for w, sc, _ in adj[stage][v]}[1]
+        if len(adj[stage][y]) != d:
+            neighbor.append(f"vertex {v}: 1-neighbor {y} does not branch")
+        elif length.get(y) != length[v] - len(power_image(d, stage)):
+            neighbor.append(f"vertex {v}: 1-neighbor label mismatch")
+    return writing, chain, neighbor
+
+
+def _label_checks(scan, n):
+    return (scan.check_writing_exponents(n), scan.check_apparition_chain(n),
+            scan.check_branching_neighbor(n))
+
+
+def _top_at(scan, stage):
+    """The least vertex born at `stage` whose top writing exponent is `stage`."""
+    return next(c.vertex for c in scan.it.centers[stage]
+                if max(length_writing(scan.d, scan.length[c.vertex])) == stage)
+
+
+def _corrupt(scan, kind, stage=10):
+    """Change one datum the label checks read at `stage`; return the one
+    failure it gives (from the check named first) and the vertex."""
+    d, c = scan.d, scan.it.centers[stage][0]
+    if kind == "length":    # a length whose top exponent is one stage late
+        scan.length[c.vertex] = _power_lengths(d)[stage + 1]
+        return f"vertex {c.vertex}: max exponent {stage + 1} at step {stage}"
+    if kind == "length+1":  # a length one past the neighbour's plus sigma^stage(1)
+        v = _top_at(scan, stage)
+        scan.length[v] += 1
+        return f"vertex {v}: 1-neighbor label mismatch"
+    if kind == "src":       # a parent born at the empty label's stage
+        scan.it.centers[stage].columns[2][0] = 0
+        return (f"vertex {c.vertex}: parent step {apparition_of_empty(d)} outside "
+                f"[{stage - (2 * d - 2)}, {stage - (d - 1)}]")
+    # kind == "edge": the color-1 out-edge of v redirected to another center's leaf
+    v = _top_at(scan, stage)
+    tree = scan.it.tree_at(stage)
+    i = next(i for i, (s, _, col) in enumerate(tree.edges) if s == v and col == 1)
+    leaf = next(z for other in scan.it.centers[stage] if other.vertex != v for z in other.leaves)
+    tree.dst[i] = leaf
+    return f"vertex {v}: 1-neighbor {leaf} does not branch"
+
+
+def test_apparition_chain_bounds_are_inclusive():
+    # a parent born 2d-2 or d-1 stages back passes, one stage further out fails
+    d, stage = 3, 10
+    scan = CoreScan(d)
+    scan.extend_to(12)
+    v, _, src, _ = scan.it.centers[stage].columns
+    for back, ok in [(2 * d - 1, False), (2 * d - 2, True), (d - 1, True), (d - 2, False)]:
+        src[0] = scan.it.centers[stage - back][0].vertex
+        assert scan.check_apparition_chain(12) == (
+            [] if ok else [f"vertex {v[0]}: parent step {stage - back} outside [6, 8]"])
+
+
+def test_writing_exponents_flag_a_changed_length():
+    scan = CoreScan(3)
+    scan.extend_to(12)
+    want = _corrupt(scan, "length")
+    assert scan.check_writing_exponents(12) == [want]
+    assert scan.check_writing_exponents(9) == []
+
+
+def test_apparition_chain_flags_a_changed_source():
+    scan = CoreScan(3)
+    scan.extend_to(12)
+    want = _corrupt(scan, "src")
+    assert want.endswith("parent step -1 outside [6, 8]")
+    assert scan.check_apparition_chain(12) == [want]
+
+
+@pytest.mark.parametrize("kind", ["edge", "length+1"])
+def test_branching_neighbor_flags_a_changed_neighbor(kind):
+    scan = CoreScan(3)
+    scan.extend_to(12)
+    want = _corrupt(scan, kind)
+    assert want in scan.check_branching_neighbor(12)
+    if kind == "edge":
+        assert scan.check_branching_neighbor(12) == [want]
+    assert scan.check_branching_neighbor(9) == []
+
+
+def test_branching_neighbor_refuses_a_center_without_a_1_edge():
+    scan = CoreScan(3)
+    scan.extend_to(12)
+    v, tree = _top_at(scan, 10), scan.it.tree_at(10)
+    i = next(i for i, (s, _, col) in enumerate(tree.edges) if s == v and col == 1)
+    tree.color[i] = 4
+    with pytest.raises(ValueError, match="stage 10: a center has no color-1 out-edge"):
+        scan.check_branching_neighbor(12)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("kind", [None, "length", "length+1", "src", "edge"])
+def test_label_checks_agree_with_vertex_oracles(d, kind):
+    scan = CoreScan(d)
+    scan.extend_to(14)
+    if kind is not None:
+        want = _corrupt(scan, kind)
+    for n in range(1, 15):
+        got = _label_checks(scan, n)
+        assert got == _label_check_oracles(scan, n)
+        assert (kind is None or n < 10) == (got == ([], [], []))
+    if kind is not None:
+        assert want in sum(_label_checks(scan, 14), [])
+
+
 def test_address_map():
     scan = shared_scan(3)
     for n in range(5):
@@ -129,7 +268,7 @@ def test_address_map_agrees_with_direct_oracle(d):
 def test_address_map_flags_a_changed_label():
     scan = CoreScan(3)
     scan.extend_to(8)
-    v = min(v for v, stage in scan.apparition.items() if stage == 5)
+    v = scan.it.centers[5][0].vertex    # the least vertex born at stage 5
     scan.length[v] += 1     # the label of another prefix
     # the fast sweep runs the direct route at the birth stage only
     assert _sweep(scan.check_f0, 8) == [f"stage 5 vertex {v}: direct label differs"]
@@ -143,7 +282,7 @@ def test_address_map_reports_a_later_drift_as_path_codes():
     # the direct route differ there, the fast sweep only the path codes
     scan = CoreScan(3)
     scan.extend_to(8)
-    v = min(v for v, stage in scan.apparition.items() if stage == 5)
+    v = scan.it.centers[5][0].vertex    # the least vertex born at stage 5
     tree = scan.it.tree_at(7)
     path_word = tree.path_word
     tree.path_word = lambda x, y: path_word(x, y) + ((1,) if y == v else ())
@@ -194,8 +333,16 @@ class _LabelCorruptedAt12(CoreScan):
     def _scan_stage(self, n):
         super()._scan_stage(n)
         if n == 12:
-            v = min(v for v, stage in self.apparition.items() if stage == 10)
+            v = self.it.centers[10][0].vertex
             self.length[v] += 1
+
+
+def test_arc_cylinders_read_the_deepest_stage():
+    scan = CoreScan(3)
+    scan.extend_to(8)
+    v = scan.it.centers[8][-1].vertex
+    scan.length[v] += 1
+    assert scan.check_arc_cylinders(2, 8) == [f"vertex {v}: label does not extend arc 4"]
 
 
 def test_arc_cylinders_cover_the_requested_depth():
@@ -241,7 +388,7 @@ def test_labels_match_the_bytes_recursion(d):
     assert list(reversed(scan.labels.values())) == list(reversed(words.values()))
     for v, w in words.items():
         assert w == fixed_point_prefix(d, len(w)) and scan.length[v] == len(w)
-        assert scan.writing(v) == length_writing(d, len(w)) == automatic_writing(d, w)
+        assert length_writing(d, scan.length[v]) == length_writing(d, len(w)) == automatic_writing(d, w)
         assert v in scan.labels and scan.labels.get(v) == w
     assert -1 not in scan.labels and scan.labels.get(-1) is None
 
@@ -291,16 +438,56 @@ def test_register_rejects_a_source_length_off_by_one(d, delta, error):
             scan.extend_to(n)
 
 
-def test_core_scan_to_stage_26_in_linear_memory():
-    # the labels are kept as lengths; kept as bytes, N^2/2 letters, the
-    # same scan peaks at about 620 MB
-    code = ("import resource; from treesubst.core import CoreScan; CoreScan(3).extend_to(26); "
-            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)")
+def _fresh_process_output(code):
+    """The output of `code` in a fresh interpreter that imports this package."""
     src = str(Path(core.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True)
-    assert int(out.stdout) < 150 * 1024   # ru_maxrss is in KiB on Linux
+    return out.stdout.split()
+
+
+# The child's own peak RSS in KiB, VmHWM of Linux.  Not its ru_maxrss: that
+# keeps across exec the high-water mark of the process that spawned it, here
+# the test run itself.
+_PEAK = "print(open('/proc/self/status').read().split('VmHWM:')[1].split()[0])"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+@pytest.mark.parametrize("tail, error", [
+    ("earlier", "duplicate label length"), ("none", "label is not a prefix inverse"),
+])
+def test_register_rejects_an_earlier_length_or_no_label(d, tail, error):
+    # a source whose stored length makes its center's label the longest
+    # label of stage n - 1 again, or a source without a label
+    for n in (d + 2, 12):
+        scan = CoreScan(d)
+        scan.extend_to(n - 1)
+        scan.it.tree_at(n)
+        src = scan.it.centers[n][0].src
+        step = _power_lengths(d)[n - 1]
+        scan.length[src] = int(scan.length.max()) - step if tail == "earlier" else -1
+        with pytest.raises(ValueError, match=error):
+            scan.extend_to(n)
+
+
+def test_core_scan_to_stage_26_in_linear_memory():
+    # the labels are kept as lengths; kept as bytes, N^2/2 letters, the
+    # same scan peaks at about 620 MB
+    code = f"from treesubst.core import CoreScan; CoreScan(3).extend_to(26); {_PEAK}"
+    (peak,) = _fresh_process_output(code)
+    assert int(peak) < 150 * 1024
+
+
+def test_label_checks_at_stage_26_in_linear_memory():
+    # the three label checks read the scan's columns; with per-vertex dicts
+    # and a Python adjacency per stage tree they peaked at about 128 MB
+    code = ("from treesubst.core import CoreScan; s = CoreScan(3); "
+            "s.extend_to(26); print(len(s.check_writing_exponents(26) + "
+            "s.check_apparition_chain(26) + s.check_branching_neighbor(26))); " + _PEAK)
+    failures, peak = _fresh_process_output(code)
+    assert failures == "0"
+    assert int(peak) < 80 * 1024
 
 
 def test_vertex_of_label_compares_letters():
@@ -362,11 +549,13 @@ def test_shift_conjugacy_flags_a_missing_or_wrong_image():
     scan.extend_to(7)
     dom = scan.shift_domain(1, 6)
     v, w = dom[len(dom) // 2], scan.shift_domain(2, 6)[0]
-    del scan.by_length[scan.length[v] + 1]     # v's image label is not seen
+    scan.by_length[scan.length[v] + 1] = -1    # v's image label is not seen
     scan.shift_domain = lambda a, n: dom + [w]  # w's next letter is 2, not 1
     assert scan.check_shift_conjugacy(1, 6) == [
         f"vertex {v}: image label unrealized", f"vertex {w}: image label mismatch",
     ]
+    with pytest.raises(ValueError, match="letter 1: a domain point's image label is unrealized"):
+        scan.check_shift_isometry(1, 6)
 
 
 def _isometry_oracle(scan, a, n):

@@ -3,9 +3,10 @@
 import pytest
 
 from treesubst.core import shared_scan
-from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
+from treesubst.words import (
+    _power_lengths, family_substitution, fixed_point_prefix, power_image, word_str,
+)
 from treesubst.prefix_suffix import (
-    _power_lengths,
     build_automaton,
     development_tail_word,
     is_admissible,

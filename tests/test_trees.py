@@ -51,6 +51,17 @@ def test_path_word_rejects_a_non_vertex():
         t.path_word(-1, -1)
 
 
+def adjacency(tree) -> dict[int, list[tuple[int, int, int]]]:
+    """v -> list of (neighbor, signed color, edge index) in edge order; sign
+    -1 on incoming.  The oracles' search structure, which the package keeps
+    none of."""
+    adj: dict[int, list[tuple[int, int, int]]] = {v: [] for v in tree.vertices}
+    for i, (s, t, c) in enumerate(tree.edges):
+        adj[s].append((t, c, i))
+        adj[t].append((s, -c, i))
+    return adj
+
+
 def _path_oracle(adj: dict, x, y) -> list[tuple[object, int]]:
     """(vertex, signed color) steps along the path x -> y by breadth-first
     search from x; excludes x and ends with y."""
@@ -82,7 +93,7 @@ def _hull_oracle(tree, vertices):
     every other leaf."""
     if not vertices:
         return set()
-    adj = tree.adjacency()
+    adj = adjacency(tree)
     keep = set(tree.vertices)
     deg = {v: len(adj[v]) for v in keep}
     leaves = [v for v in keep if deg[v] <= 1 and v not in vertices]
@@ -119,7 +130,7 @@ def _random_tree(draw):
 @settings(max_examples=80, deadline=None)
 @given(tree=_random_tree(), data=st.data())
 def test_rooted_path_word_matches_search(tree, data):
-    adj = tree.adjacency()
+    adj = adjacency(tree)
     for _ in range(5):
         x = data.draw(st.sampled_from(tree.vertices))
         y = data.draw(st.sampled_from(tree.vertices))
@@ -210,8 +221,6 @@ def test_born_vertices_and_origins():
 def test_new_center_record_matches_adjacency(d):
     it = TreeIteration(d)
     it.tree_at(8)
-    # the record is built without adjacency, and none is left on the new trees
-    assert all(t._adj is None for t in it.trees[1:])
     for n in range(1, 9):
         tree = it.tree_at(n)
         born = [v for v in tree.vertices if it.birth_stage(v) == n]
@@ -221,7 +230,7 @@ def test_new_center_record_matches_adjacency(d):
         assert [c.vertex for c in record] == sorted(centers)
         assert {z for c in record for z in c.leaves} == leaves
         for c in record:
-            nbr = {sc: w for w, sc, _ in tree.adjacency()[c.vertex]}
+            nbr = {sc: w for w, sc, _ in adjacency(tree)[c.vertex]}
             assert (c.src, c.dst) == (nbr[d], nbr[1])
             assert c.leaves == tuple(nbr[d + h] for h in range(1, d - 1))
             assert it.tree_at(n - 1).edges[c.edge] == (c.src, c.dst, 2)
@@ -284,7 +293,7 @@ def test_descent_matches_path_oracle(d):
         upto = base + 2 * d - 2
         arc, on = it.descent(base, upto)
         deep = it.tree_at(upto)
-        adj = deep.adjacency()
+        adj = adjacency(deep)
         # on the embedded edge (s, t) = strictly inside its path in the deep tree
         for e, (s, t, _) in enumerate(it.tree_at(base).edges):
             inside = {v for v, _ in _path_oracle(adj, s, t)[:-1]}
@@ -451,7 +460,7 @@ def test_random_rule_sets_validate_then_apply_like_the_loop(ts):
 
 def test_union_find_rejects_an_edge_pointed_at_a_wrong_vertex():
     tree = TreeIteration(3).tree_at(6)
-    adj = tree.adjacency()
+    adj = adjacency(tree)
     cols = np.column_stack(tree.edges.columns)
     ColoredTree(3, cols, root=0)   # the stage itself passes
     # an edge s -> t whose ends both have other edges: pointing it at

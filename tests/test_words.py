@@ -18,6 +18,7 @@ from treesubst.words import (
     expected_class_count,
     factors,
     family_substitution,
+    fixed_point_letters,
     fixed_point_prefix,
     growth_root,
     measure_recursion_gap,
@@ -41,6 +42,16 @@ def test_power_image_iterates_the_substitution():
             assert power_image(d, k) == sub.iterate(b"\x01", k)
     with pytest.raises(ValueError):
         power_image(3, -1)
+
+
+def test_fixed_point_letters_read_the_prefix():
+    for d in (3, 4):
+        text = fixed_point_prefix(d, 500)
+        at = np.array([0, 7, 499, 3, 3], dtype=np.int64)
+        assert fixed_point_letters(d, at).tolist() == [text[i] for i in at.tolist()]
+        assert fixed_point_letters(d, at[:0]).tolist() == []
+    with pytest.raises(ValueError, match="letter index must be >= 0, got -1"):
+        fixed_point_letters(3, np.array([4, -1]))
 
 
 def test_family_rejects_small_d():
