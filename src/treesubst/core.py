@@ -3,8 +3,8 @@
 Every branch point of a stage-n tree carries a group-word label: the inverse
 of a prefix of the fixed point.  A label is stored as its length, which
 fixes the prefix; the words are built only where a check compares one or a
-witness prints one.  This module computes the labels two ways
-(incrementally stage by stage, and directly from root paths), derives the
+witness prints one.  This module scans the labels stage by stage,
+certifies them against the root-path codes (the address map), derives the
 stage inventories, simple arcs and their cylinder words, the partitions the
 trees determine, the partial-isometry system on realized branch points, and
 the exact path-length cross-check of realized distances.
@@ -22,7 +22,7 @@ import numpy as np
 from .algnum import ExactLength, _int64, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .realization import FreePoint, Realization, distance
-from .trees import ColoredTree, Lifting, TreeIteration
+from .trees import Lifting, TreeIteration
 from .words import (
     Word,
     _power_lengths,
@@ -115,16 +115,6 @@ class Arc:
     word: Word
 
 
-def _hull(tree: ColoredTree, vertices: set[int]) -> set[int]:
-    """Vertex set of the smallest subtree containing `vertices`: the union of
-    the paths from one of them to the others."""
-    first = min(vertices, default=None)
-    keep = set(vertices)
-    for v in vertices:
-        keep.update(w for w, _ in tree.path(first, v))
-    return keep
-
-
 def _top_exponents(d: int, lengths: np.ndarray) -> np.ndarray:
     """Per label length k >= 1, the top exponent of its writing (the first
     peel of `length_writing`): the largest a with |sigma^a(1)| <= k."""
@@ -180,7 +170,6 @@ class CoreScan:
 
     def __init__(self, d: int):
         self.d = d
-        self.auto = family_auto(d)
         self.it = TreeIteration(d)
         self.real = Realization(self.it)
         self.length = np.array([0] + [-1] * d, dtype=np.int64)   # T_0: the root, d leaves
@@ -195,8 +184,22 @@ class CoreScan:
             self._scan_stage(self.scanned + 1)
 
     def _scan_stage(self, n: int) -> None:
-        """Label the stage-n centers by one gather over their sources,
-        L(v) = |sigma^(n-1)(1)| + L(src).
+        """Label the stage-n centers, refusing a length already taken."""
+        self.it.tree_at(n)
+        v, k = self._stage_lengths(n)
+        grow = max(0, int(k.max(initial=0)) + 1 - len(self.by_length))
+        by_length = np.pad(self.by_length, (0, grow), constant_values=-1)
+        taken = (by_length[k] >= 0).any()
+        by_length[k] = v
+        if taken or (by_length[k] != v).any():   # a length seen before, or twice now
+            raise ValueError("duplicate label length")
+        length = np.pad(self.length, (0, self.it.sizes[n] - len(self.length)), constant_values=-1)
+        length[v] = k
+        self.length, self.by_length, self.scanned = length, by_length, n
+
+    def _stage_lengths(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stage-n centers v and their label lengths L(v) =
+        |sigma^(n-1)(1)| + L(src), by one gather over the stored lengths.
 
         sigma^(n-1)(1) is a fixed-point prefix, so the label word is one iff
         L(src) <= z, the overlap of the fixed point with its tail from
@@ -205,23 +208,13 @@ class CoreScan:
         stage checked (z equals it for d = 3..6, n <= 16), and shows every
         source fits otherwise.  A source without a label fits no prefix.
         """
-        self.it.tree_at(n)
         v, _, src, _ = self.it.centers[n].columns
         step = _power_lengths(self.d)[n - 1]
         tails = self.length[src]
         upto = int(tails.max(initial=0)) + 1
         if (tails < 0).any() or (tails > shift_overlap(self.d, step, upto)).any():
             raise ValueError("label is not a prefix inverse")
-        k = step + tails
-        by_length = np.pad(self.by_length, (0, max(0, step + upto - len(self.by_length))),
-                           constant_values=-1)
-        taken = (by_length[k] >= 0).any()
-        by_length[k] = v
-        if taken or (by_length[k] != v).any():   # a length seen before, or twice now
-            raise ValueError("duplicate label length")
-        length = np.pad(self.length, (0, self.it.sizes[n] - len(self.length)), constant_values=-1)
-        length[v] = k
-        self.length, self.by_length, self.scanned = length, by_length, n
+        return v, step + tails
 
     def _vertex_of_length(self, k: int) -> int:
         """The vertex whose label has length k, or -1."""
@@ -235,30 +228,50 @@ class CoreScan:
             )
         return v
 
-    # -- direct labeling route ---------------------------------------------
+    # -- the address map ---------------------------------------------------
 
-    def check_f0(self, n: int) -> list[str]:
-        """Direct route equals the incremental label for the branch points born
-        at stage n, and every stage-n path code is sigma of the next one.
-
-        The direct route is sigma^n of the path code g_n(v) = p*(root -> v)
-        in T_n.  The path-code test runs for every branch point:
-        sigma(g_{n+1}(v)) = g_n(v).  Over a sweep of the stages from 0 it
-        gives sigma^n(g_n(v)) = sigma^b(g_b(v)) for a vertex born at stage
-        b, so the direct route is needed only at b.
+    def check_address_map(self, n: int) -> list[str]:
+        """sigma^n(g_n(v)) = label(v) for each branch point v of T_n, g_n(v) =
+        p*(root -> v in T_n), by induction over the stages from three facts:
+        (1) sigma(p*(trunk_word(c))) = p*(c) for each color c, and sigma(p*(t))
+            = 1^-1 for t = trunk_word(2)[0], the step from a source to its center;
+        (2) each T_m edge (s, t, c), m <= n, spells trunk_word(c) in T_(m+1):
+            recolored, or through its center in `centers[m + 1]`;
+        (3) the stored length of the root is 0, of each center what `_stage_lengths` gives.
+        By (2) a root path of T_m spells a walk of T_(m+1) with the path's code,
+        so by (1) sigma(g_(m+1)(v)) = g_m(v); at v's birth stage b from src,
+        sigma^b(g_b(src).p*(t)) = label(src).sigma^(b-1)(1)^-1, as (3) says.
         """
         self.extend_to(n)
-        failures = []
-        tree = self.it.tree_at(n)
-        nxt = self.it.tree_at(n + 1)
-        for v in tree.branch_points():
-            g_now = p_star(self.d, tree.path_word(tree.root, v))
-            if self.it.birth_stage(v) == n:
-                if self.auto.iterate(g_now, n) != invert(from_positive(self.labels[v])):
-                    failures.append(f"stage {n} vertex {v}: direct label differs")
-            g_next = p_star(self.d, nxt.path_word(nxt.root, v))
-            if self.auto(g_next) != g_now:
-                failures.append(f"stage {n} vertex {v}: path codes inconsistent")
+        d, auto = self.d, family_auto(self.d)
+        trunks = {c: self.it.subst.trunk_word(c) for c in range(1, 2 * d - 1)}
+        codes = [(f"trunk of color {c}", w, p_star(d, (c,))) for c, w in trunks.items()]
+        codes.append(("step source -> center", trunks[2][:1], (-1,)))
+        failures = [f"{what}: sigma of its code is {word_text(got)}, want {word_text(want)}"
+                    for what, w, want in codes if (got := auto(p_star(d, w))) != want]
+        width = max(2, *map(len, trunks.values()))   # a trunk padded with 0s
+        table = np.array([(*trunks.get(c, ()), *[0] * width)[:width] for c in range(2 * d - 1)])
+        for m in range(n + 1):
+            tree, nxt = self.it.tree_at(m), self.it.tree_at(m + 1)
+            v, e, _, _ = self.it.centers[m + 1].columns
+            spelled = np.zeros((len(tree.src), width), dtype=np.int64)
+            spelled[:, 0] = nxt.edge_colors(tree.src, tree.dst)
+            spelled[e, 0] = -nxt.edge_colors(v, tree.src[e])
+            spelled[e, 1] = nxt.edge_colors(v, tree.dst[e])
+            bad = np.flatnonzero((spelled != table[tree.color]).any(axis=1))
+            failures += [f"stage {m} edge ({s},{t},{c}): trunk is not {trunks[c]} in stage {m + 1}"
+                         for s, t, c in map(tree.edges.__getitem__, bad.tolist())]
+        if self.length[0] != 0:
+            failures.append(f"stage 0 vertex 0: label length {self.length[0]}, want 0")
+        for b in range(1, n + 1):
+            try:
+                v, want = self._stage_lengths(b)
+            except ValueError as exc:
+                failures.append(f"stage {b}: {exc}")
+                continue
+            bad = np.flatnonzero(self.length[v] != want)
+            failures += [f"stage {b} vertex {x}: label length {k}, want {w}" for x, k, w
+                         in zip(v[bad].tolist(), self.length[v[bad]].tolist(), want[bad].tolist())]
         return failures
 
     # -- inventories --------------------------------------------------------
@@ -267,9 +280,6 @@ class CoreScan:
         """Label lengths of the stage-m branch points."""
         self.extend_to(m)
         return set(self.length[self.it.tree_at(m).branch_points()].tolist())
-
-    def inventory(self, m: int) -> set[Word]:
-        return {fixed_point_prefix(self.d, k) for k in self.inventory_lengths(m)}
 
     def check_inventory(self, m: int) -> list[str]:
         """Stage-m labels are exactly the suffixes of the longest one.
@@ -539,20 +549,20 @@ class CoreScan:
         return failures
 
     def check_domain_overlaps(self, n: int) -> list[str]:
-        """Spanned domains of distinct letters share at most one vertex."""
+        """Spanned domains of distinct letters share at most one vertex.
+
+        Two subtrees sharing two vertices share the path between them, so
+        the claim is that no edge spans two domains.  The edge from v to its
+        parent spans a domain iff some but not all of its points lie under
+        v (`ColoredTree.spans`, every letter in one pass).
+        """
         self.extend_to(n)
-        tree = self.it.tree_at(n)
-        hulls = {
-            a: _hull(tree, set(self.shift_domain(a, n)))
-            for a in range(1, self.d + 1)
-        }
-        failures = []
+        marks = np.zeros((self.it.sizes[n], self.d), dtype=bool)   # vertex ids are the slots
         for a in range(1, self.d + 1):
-            for b in range(a + 1, self.d + 1):
-                # two subtrees sharing two vertices share the path between them
-                if len(hulls[a] & hulls[b]) > 1:
-                    failures.append(f"letters {a},{b}: domains share edges")
-        return failures
+            marks[self.shift_domain(a, n), a - 1] = True
+        span = self.it.tree_at(n).spans(marks).astype(np.int64)
+        shared = np.triu(span.T @ span, 1)   # per letter pair, the edges spanning both
+        return [f"letters {a + 1},{b + 1}: domains share edges" for a, b in np.argwhere(shared)]
 
     # -- distances ----------------------------------------------------------
 

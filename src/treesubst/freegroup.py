@@ -68,11 +68,6 @@ class Automorphism:
     def __call__(self, w: GroupWord) -> GroupWord:
         return self.apply(w)[0]
 
-    def iterate(self, w: GroupWord, n: int) -> GroupWord:
-        for _ in range(n):
-            w = self(w)
-        return w
-
 
 @lru_cache(maxsize=None)
 def family_auto(d: int) -> Automorphism:

@@ -18,8 +18,9 @@ So each point is an older point times one syllable, and the realization
 is three columns by vertex id: `anchor`, the vertex whose point is this
 one less its last syllable (-1 at the origin), that syllable's `copy`, and
 `coef`, its exponent's int64 coefficient row.  The checks and the pair
-distances (`distances`, read off the anchor tree) compare rows, and
-`quotient` on the points that `points[v]` builds decides the rest.
+distances (`distances`, read off the anchor tree) decide on the rows alone
+(the lemma at `_between`); `points[v]` builds a point, and `quotient` and
+`distance` on points serve single pair queries and witness texts.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ class FreePoint:
                 return FreePoint(self.d, a[: len(a) - 1 - i] + ((b[i][0], t),) + b[i + 1 :])
             i += 1
         return FreePoint(self.d, a[: len(a) - i] + b[i:])
-
-    def inverse(self) -> "FreePoint":
-        return FreePoint(self.d, tuple((c, -t) for c, t in reversed(self.syllables)))
 
     def norm(self) -> ExactLength:
         return sum((abs(t) for _, t in self.syllables), ExactLength.zero(self.d))
@@ -149,7 +147,13 @@ class Realization:
         """Copy and coefficient rows of the one syllable p^-1 q, p and q the
         points of s and t, where the rows show it: t anchored at s, s at t,
         or both on one anchor and copy.  `ok` is False elsewhere and where
-        the syllable is zero."""
+        the syllable is zero.
+
+        Lemma: the rows show every stage edge, so `ok` False is a failure.
+        By induction over `_put`, a vertex's copy differs from its anchor's,
+        and a center goes onto the end dst of its replaced edge as its child
+        or, merged, sibling: so it is src's sibling, child or sibling where
+        src is dst's child, anchor or sibling.  A leaf is its center's child."""
         a, k, c = self.anchor, self.copy, self.coef
         down, up = a[t] == s, a[s] == t
         side = (a[s] == a[t]) & (k[s] == k[t]) & (a[s] >= 0)
@@ -173,14 +177,6 @@ class Realization:
         while self.stage_done < n:
             self._extend_once()
 
-    def _one(self, s: int, t: int, witness) -> Syllable:
-        """The syllable p^-1 q of the points of s and t, decided on the
-        points; ValueError(witness) if it is not one syllable."""
-        diff = quotient(self.points[int(s)], self.points[int(t)])
-        if len(diff) != 1:
-            raise ValueError(witness)
-        return diff[0]
-
     def _extend_once(self) -> None:
         """Place stage n: each center rho^-n from its color-1 neighbour
         along the replaced 2-edge, its leaves off it on the next copies."""
@@ -196,11 +192,9 @@ class Realization:
         step, want, *leaf = self._rows([ExactLength.rho_power(d, -n), replaced] + legs)
         copy, p, ok = self._between(dst, src)
         forward = (p == want).all(axis=1)
-        for i in np.flatnonzero(~(ok & (forward | (p == -want).all(axis=1)))).tolist():
-            copy[i], t = self._one(dst[i], src[i], "replaced edge was not a single syllable")
-            if t not in (replaced, -replaced):
-                raise ValueError("replaced 2-edge has the wrong length")
-            forward[i] = t == replaced
+        if not (good := ok & (forward | (p == -want).all(axis=1))).all():
+            raise ValueError("replaced edge was not a single syllable" if not ok[np.argmin(good)]
+                             else "replaced 2-edge has the wrong length")
         self._put(v, dst, copy, np.where(forward[:, None], step, -step))
         for h in range(1, d - 1):
             self._put(v + h, v, (copy + h) % d, leaf[h - 1])
@@ -221,13 +215,15 @@ class Realization:
         want = np.zeros((2 * self.d - 1, self.d), dtype=np.int64)
         colors, lengths = zip(*self.base_lengths.items())
         want[list(colors)] = self._rows([b.scaled(-n) for b in lengths])
-        _, t, ok = self._between(tree.src, tree.dst)
+        _, coef, ok = self._between(tree.src, tree.dst)
         w = want[tree.color]
-        for i in np.flatnonzero(~(ok & ((t == w).all(axis=1) | (t == -w).all(axis=1)))).tolist():
+        if not (good := ok & ((coef == w).all(axis=1) | (coef == -w).all(axis=1))).all():
+            i = int(np.argmin(good))
             s, t, c = tree.edges[i]
-            b = self.base_lengths[c].scaled(-n)
-            if (x := self._one(s, t, (n, (s, t, c), "not a single syllable"))[1]) not in (b, -b):
-                raise ValueError((n, (s, t, c), abs(x), b))
+            if not ok[i]:
+                raise ValueError((n, (s, t, c), "not a single syllable"))
+            raise ValueError((n, (s, t, c), abs(ExactLength(self.d, tuple(coef[i].tolist()))),
+                              self.base_lengths[c].scaled(-n)))
 
     def _signs(self, rows: np.ndarray) -> np.ndarray:
         """Exact sign of each row's value, decided once per distinct row."""
@@ -252,25 +248,17 @@ class Realization:
         k, off, ok = self._between(dst, v)
         k_on, on, ok_on = self._between(v, src)
         ok &= ok_on & (k == k_on) & (self._signs(off) == self._signs(on))
-        rows = []
-        for h in range(1, d - 1):
-            k_leg, leg, ok_leg = self._between(v, v + h)
-            ok &= ok_leg & (k_leg != k)
-            rows.append(leg)
-        rows = distinct(np.concatenate(rows)[np.tile(ok, d - 2)])[0]
-        legs = {ExactLength(d, tuple(r)) for r in rows.tolist()}
-        for c in map(self.it.centers[n].__getitem__, np.flatnonzero(~ok).tolist()):
-            where = (n, c.vertex, "center off its replaced edge")
-            k, off = self._one(c.dst, c.vertex, where)
-            k_on, on = self._one(c.vertex, c.src, where)
-            if (k, off.sign()) != (k_on, on.sign()):
-                raise ValueError(where)
-            for z in c.leaves:
-                where = (n, z, "leaf not one syllable off its edge")
-                if (leg := self._one(c.vertex, z, where))[0] == k:
-                    raise ValueError(where)
-                legs.add(leg[1])
-        return max(map(abs, legs), default=ExactLength.zero(d))
+        leaves = np.add.outer(np.arange(1, d - 1), v)   # row h - 1: each center's leaf h
+        k_leg, legs, ok_leg = self._between(np.tile(v, d - 2), leaves.ravel())
+        on_leg = (ok_leg & (k_leg != np.tile(k, d - 2))).reshape(leaves.shape)
+        if (bad := ~(ok & on_leg.all(axis=0))).any():
+            i = int(np.argmax(bad))   # the first center that fails, itself before its leaves
+            if not ok[i]:
+                raise ValueError((n, int(v[i]), "center off its replaced edge"))
+            raise ValueError((n, int(leaves[np.argmin(on_leg[:, i]), i]),
+                              "leaf not one syllable off its edge"))
+        lengths = [abs(ExactLength(d, tuple(r))) for r in distinct(legs)[0].tolist()]
+        return max(lengths, default=ExactLength.zero(d))
 
     def _norms(self) -> tuple[Lifting, np.ndarray, np.ndarray, np.ndarray]:
         """The anchors as a lifting, and per vertex the exact sign of its

@@ -20,7 +20,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -45,6 +44,11 @@ class _Rows(Sequence):
     def __iter__(self):
         rows = zip(*(c.tolist() for c in self.columns))
         return rows if self._make is None else (self._make(*r) for r in rows)
+
+
+def _key(s, t) -> np.ndarray:
+    """(src, dst) as one int64 that orders like the pair."""
+    return np.asarray(s, dtype=np.int64) * (1 << 32) + (np.asarray(t, dtype=np.int64) + (1 << 31))
 
 
 class ColoredTree:
@@ -89,7 +93,7 @@ class ColoredTree:
         self.root = root
         # sorted by (src, dst) as one key; a tie would be a double edge, which the
         # union-find rejects and `TreeSubstitution.apply`'s lemma rules out
-        order = np.argsort(cols[:, 0] * (1 << 32) + (cols[:, 1] + (1 << 31)))
+        order = np.argsort(_key(cols[:, 0], cols[:, 1]))
         self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
         self.edges = _Rows((self.src, self.dst, self.color))
         self._rooted = None
@@ -176,42 +180,37 @@ class ColoredTree:
             self._rooted = parent.tolist(), up.tolist(), depth.tolist()
         return self._rooted
 
-    def _climb(self, x: int, y: int) -> tuple[list[int], list[int]]:
-        """Slots that x and y climb from, in the rooted index, to where they
-        meet: the deeper end to the other's depth, then both in lockstep."""
-        parent, _, depth = self.rooted_index()
+    def path_word(self, x: int, y: int) -> tuple[int, ...]:
+        """Signed colors along the unique path x -> y (negative = against the
+        arrow): the deeper end climbs the rooted index until the two meet."""
+        parent, up, depth = self.rooted_index()
         x, y = self.slot(x), self.slot(y)
         rise, fall = [], []
-        while depth[x] > depth[y]:
-            rise.append(x)
-            x = parent[x]
-        while depth[y] > depth[x]:
-            fall.append(y)
-            y = parent[y]
         while x != y:
-            rise.append(x)
-            fall.append(y)
-            x, y = parent[x], parent[y]
-        fall.reverse()
-        return rise, fall
+            if depth[x] >= depth[y]:
+                rise.append(up[x])
+                x = parent[x]
+            else:
+                fall.append(-up[y])
+                y = parent[y]
+        return (*rise, *reversed(fall))
 
-    def path(self, x: int, y: int) -> list[tuple[int, int]]:
-        """(vertex, signed color) steps along the unique path x -> y.
+    def edge_colors(self, s, t) -> np.ndarray:
+        """Per pair, the color of the edge s -> t, or 0 where there is none."""
+        keys, want = np.append(_key(self.src, self.dst), np.iinfo(np.int64).max), _key(s, t)
+        at = np.searchsorted(keys, want)
+        return np.where(keys[at] == want, np.append(self.color, 0)[at], 0)
 
-        The steps exclude x and end with y; a color is negative against the
-        arrow.  Both ends climb the rooted index to the vertex where they
-        meet, so the cost is the length of the path.
-        """
-        parent, up, _ = self.rooted_index()
-        verts = self.vertices
-        rise, fall = self._climb(x, y)
-        return [(verts[parent[s]], up[s]) for s in rise] + [(verts[s], -up[s]) for s in fall]
-
-    def path_word(self, x: int, y: int) -> tuple[int, ...]:
-        """Signed colors along the unique path x -> y (negative = against the arrow)."""
-        up = self.rooted_index()[1]
-        rise, fall = self._climb(x, y)
-        return (*map(up.__getitem__, rise), *map(neg, map(up.__getitem__, fall)))
+    def spans(self, marks: np.ndarray) -> np.ndarray:
+        """Per slot and column of `marks` (bool, by slot), whether the edge to
+        the slot's parent lies on the least subtree holding the column's
+        marked vertices: iff some, not all, lie under it (summed by level)."""
+        parent, _, depth = map(np.array, self.rooted_index())
+        under = marks.astype(np.int64)
+        order = np.argsort(depth, kind="stable")[::-1]   # deepest first, the root last
+        for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)[:-1]:
+            np.add.at(under, parent[level], under[level])
+        return (under > 0) & (under < marks.sum(axis=0))
 
     def is_discerned(self) -> bool:
         """No path word contains a barred color next to its unbarred twin.
@@ -584,14 +583,14 @@ class TreeIteration:
             raise ValueError(f"base stage {base} is after stage {upto}")
         self.tree_at(upto)
         old, bt = self.sizes[base], self.trees[base]
-        keys = bt.src.astype(np.int64) * old + bt.dst   # increasing, as the edges are sorted
+        keys = _key(bt.src, bt.dst)   # increasing, as the edges are sorted
         arc = np.full(self.sizes[upto], -1, dtype=np.int64)
         on = np.arange(self.sizes[upto]) < old
         for stage in range(base + 1, upto + 1):
             v, _, s, t = self.centers[stage].columns
             e = np.maximum(arc[s], arc[t])
             fresh = e < 0
-            e[fresh] = np.searchsorted(keys, s[fresh].astype(np.int64) * old + t[fresh])
+            e[fresh] = np.searchsorted(keys, _key(s[fresh], t[fresh]))
             for h in range(self.d - 1):   # the center and its leaves
                 arc[v + h] = e
             on[v] = on[s] & on[t]

@@ -35,6 +35,7 @@ from .trees import check_budget, family_tree_substitution, initial_tree
 from .words import (
     DEFAULT_PREFIX_LEN,
     MAX_PREFIX_LEN,
+    _power_lengths,
     bispecials_by_generation,
     complexity,
     expected_class_count,
@@ -100,11 +101,13 @@ def bispecial_oracle(d: int, max_len: int) -> list[str]:
 
 
 def development_tails(d: int, max_shift: int) -> list[str]:
-    """The development of the k-shifted fixed point spells its tail, k <= max_shift."""
+    """The development of the k-shifted fixed point spells its tail, k <= max_shift;
+    it runs one level past the first sigma^a(1) longer than the tail's end."""
     text = fixed_point_prefix(d, max_shift + 50)
+    depth = next(a for a, k in enumerate(_power_lengths(d)) if k > max_shift + 50) + 1
     fails = []
     for k in range(max_shift + 1):
-        dev = shift_development(d, k, 20)
+        dev = shift_development(d, k, depth)
         got = development_tail_word(d, dev, 50)
         if got != text[k : k + 50]:
             fails.append(f"shift {k}: tail {word_str(got[:12])}... wrong")
@@ -323,18 +326,6 @@ def label_inventory(d: int) -> list[str]:
     return fails
 
 
-def address_map_consistency(d: int, max_stage: int) -> list[str]:
-    """Direct and incremental labels agree at every stage up to max_stage.
-
-    The sweep, not one `check_f0(n)`, proves it: each call runs the direct
-    route only for the vertices born at its stage, and the path-code tests
-    of the stages between carry that label forward.  So a direct route that
-    would differ only after a vertex's birth shows as inconsistent path
-    codes at the stage where the code changes.
-    """
-    return _each_stage(core.shared_scan(d).check_f0, max_stage)
-
-
 def approximation_steps(d: int) -> list[str]:
     """Appending sigma^a(1^-1) to a label moves its point by rho^-a exactly."""
     scan = core.shared_scan(d)
@@ -426,7 +417,7 @@ def core_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
         ),
         _result(
             "address-map-consistency", f"d={d}, n<={max_stage}",
-            address_map_consistency(d, max_stage),
+            scan.check_address_map(max_stage),
         ),
         _result(
             "label-injectivity", f"d={d}, stage {min(10, max_stage)}",

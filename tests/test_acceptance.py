@@ -73,10 +73,10 @@ def test_c07_label_inventories():
         failures += verify.label_inventory(d)
         scan = core.shared_scan(d)
         for m in range(1, d):
-            fresh = scan.inventory(m) - scan.inventory(m - 1)
+            fresh = scan.inventory_lengths(m) - scan.inventory_lengths(m - 1)
             if len(fresh) != 1:
                 failures.append(f"d={d} m={m}: {len(fresh)} new labels, want 1")
-    counts = [len(core.shared_scan(3).inventory(m)) for m in range(1, 6)]
+    counts = [len(core.shared_scan(3).inventory_lengths(m)) for m in range(1, 6)]
     if counts != [2, 3, 5, 7, 11]:
         failures.append(f"d=3 counts {counts} != [2, 3, 5, 7, 11]")
     _report(7, "branch labels are the suffixes of l_m", failures)

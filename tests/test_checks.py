@@ -21,7 +21,7 @@ from treesubst.trees import ColoredTree, RulePattern, TreeIteration, TreeSubstit
 for call in (
     lambda: FreePoint.syllable(3, 7, ExactLength.one(3)),
     lambda: TreeIteration(3).descent(2, 1),
-    lambda: ColoredTree(3, [(0, 1, 1)]).path(0, 2),
+    lambda: ColoredTree(3, [(0, 1, 1)]).path_word(0, 2),
     lambda: TreeSubstitution(3, {1: RulePattern(1, (("X", "P1", 3),))}).trunk_word(1),
 ):
     try:
@@ -71,6 +71,17 @@ def test_every_public_definition_has_a_caller():
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
         and not node.name.startswith("_")
         and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
+    ]
+    # a public method must be read as an attribute somewhere in the package
+    attributes = {n.attr for top in tops for n in ast.walk(top) if isinstance(n, ast.Attribute)}
+    uncalled += [
+        f"{node.name}.{method.name}"
+        for node in tops
+        if isinstance(node, ast.ClassDef)
+        for method in node.body
+        if isinstance(method, ast.FunctionDef)
+        and not method.name.startswith("_")
+        and method.name not in attributes
     ]
     assert uncalled == [], f"public API with no caller in the package: {uncalled}"
 

@@ -223,6 +223,14 @@ def test_stage_convergence_without_a_stage_fails(capsys):
     assert checks["edge-length-law"]["status"] == "pass"
 
 
+def test_words_suite_runs_past_d_15(capsys):
+    # the development depth grows with d; measure-snapping may still fail
+    rc = cli.main(["verify", "--suite", "words", "--d", "16", "--format", "json"])
+    report = json.loads(capsys.readouterr().out)
+    assert rc in (0, 1)
+    assert {c["name"]: c["status"] for c in report["checks"]}["development-tails"] == "pass"
+
+
 def test_path_distances_without_a_pair_fails(capsys):
     # the stage-0 star has one branch point, so there is no pair to compare,
     # and each letter's shift domain holds at most that one

@@ -11,7 +11,7 @@ import pytest
 
 from treesubst import algnum, core
 from treesubst.algnum import ExactLength, _int64
-from treesubst.freegroup import from_positive, invert, p_star
+from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
 from treesubst.realization import distance
 from treesubst.trees import ColoredTree
@@ -26,8 +26,9 @@ from treesubst.core import (
     legal_path_distance,
     shared_scan,
 )
+from test_freegroup import iterate
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
-from test_trees import adjacency
+from test_trees import _hull, adjacency
 
 
 def test_l_word_fixtures():
@@ -71,13 +72,13 @@ def test_legal_path_distance():
 
 def test_inventory_counts():
     scan = shared_scan(3)
-    assert [len(scan.inventory(m)) for m in range(1, 6)] == [2, 3, 5, 7, 11]
+    assert [len(scan.inventory_lengths(m)) for m in range(1, 6)] == [2, 3, 5, 7, 11]
     for m in range(1, 6):
         assert scan.check_inventory(m) == []
 
 
 def test_branch_inventory_is_suffix_set():
-    inv = shared_scan(3).inventory(4)
+    inv = {fixed_point_prefix(3, k) for k in shared_scan(3).inventory_lengths(4)}
     l4 = l_word(3, 4)
     # labels are kept as the words they invert: suffixes of the label l_4
     # are the prefixes of its word
@@ -233,23 +234,24 @@ def test_label_checks_agree_with_vertex_oracles(d, kind):
 
 
 def test_address_map():
-    scan = shared_scan(3)
-    for n in range(5):
-        assert scan.check_f0(n) == []
+    assert shared_scan(3).check_address_map(4) == []
 
 
 def _address_oracle(scan, n):
     """The address map with the direct route sigma^n(p*(root -> v)) run for
-    every branch point at every stage, not only at its birth."""
+    every branch point at stage n, and the path codes of stages n and n + 1
+    compared under sigma: the route a certificate replaces, over root
+    paths and F_d words."""
     scan.extend_to(n)
+    auto = family_auto(scan.d)
     tree, nxt = scan.it.tree_at(n), scan.it.tree_at(n + 1)
     failures = []
     for v in tree.branch_points():
         g_now = p_star(scan.d, tree.path_word(tree.root, v))
-        if scan.auto.iterate(g_now, n) != invert(from_positive(scan.labels[v])):
+        if iterate(auto, g_now, n) != invert(from_positive(scan.labels[v])):
             failures.append(f"stage {n} vertex {v}: direct label differs")
         g_next = p_star(scan.d, nxt.path_word(nxt.root, v))
-        if scan.auto(g_next) != g_now:
+        if auto(g_next) != g_now:
             failures.append(f"stage {n} vertex {v}: path codes inconsistent")
     return failures
 
@@ -260,37 +262,89 @@ def _sweep(check, upto):
 
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_address_map_agrees_with_direct_oracle(d):
+    upto = 14 if d == 3 else 10
     scan = CoreScan(d)
-    for n in range(11):
-        assert scan.check_f0(n) == _address_oracle(scan, n) == []
+    assert scan.check_address_map(upto) == _sweep(lambda n: _address_oracle(scan, n), upto) == []
 
 
 def test_address_map_flags_a_changed_label():
     scan = CoreScan(3)
     scan.extend_to(8)
     v = scan.it.centers[5][0].vertex    # the least vertex born at stage 5
+    k = int(scan.length[v])
     scan.length[v] += 1     # the label of another prefix
-    # the fast sweep runs the direct route at the birth stage only
-    assert _sweep(scan.check_f0, 8) == [f"stage 5 vertex {v}: direct label differs"]
+    # the centers with source v were stored from its true length, one less
+    # than what the changed one gives them
+    children = [f"stage {n} vertex {c.vertex}: label length {scan.length[c.vertex]}, "
+                f"want {scan.length[c.vertex] + 1}"
+                for n in range(6, 9) for c in scan.it.centers[n] if c.src == v]
+    assert children
+    assert scan.check_address_map(8) == [
+        f"stage 5 vertex {v}: label length {k + 1}, want {k}", *children,
+    ]
     assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
         f"stage {n} vertex {v}: direct label differs" for n in range(5, 9)
     ]
 
 
-def test_address_map_reports_a_later_drift_as_path_codes():
-    # a path code that changes after the vertex's birth: the oracle also sees
-    # the direct route differ there, the fast sweep only the path codes
+def _on_root_path(tree, v):
+    """Index of the edge from v to its parent in the rooted index."""
+    parent = tree.rooted_index()[0][tree.slot(v)]
+    pair = {v, tree.vertices[parent]}
+    return next(i for i, (s, t, _) in enumerate(tree.edges) if {s, t} == pair)
+
+
+def test_address_map_flags_a_recolored_edge_on_a_root_path():
     scan = CoreScan(3)
     scan.extend_to(8)
-    v = scan.it.centers[5][0].vertex    # the least vertex born at stage 5
     tree = scan.it.tree_at(7)
-    path_word = tree.path_word
-    tree.path_word = lambda x, y: path_word(x, y) + ((1,) if y == v else ())
-    drift = [f"stage {n} vertex {v}: path codes inconsistent" for n in (6, 7)]
-    assert _sweep(scan.check_f0, 8) == drift
-    assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
-        drift[0], f"stage 7 vertex {v}: direct label differs", drift[1],
+    v = scan.it.centers[5][0].vertex
+    i = _on_root_path(tree, v)
+    s, t, c = tree.edges[i]
+    tree.color[i] = new = c % 4 + 1
+    tree._rooted = None     # the rooted index keeps the colors it was built with
+    failures = scan.check_address_map(8)
+    trunk = scan.it.subst.trunk_word(new)
+    assert f"stage 7 edge ({s},{t},{new}): trunk is not {trunk} in stage 8" in failures
+    assert any(f.startswith("stage 6 edge ") for f in failures)
+    oracle = _sweep(lambda n: _address_oracle(scan, n), 8)
+    assert f"stage 6 vertex {v}: path codes inconsistent" in oracle
+    assert f"stage 7 vertex {v}: direct label differs" in oracle
+
+
+def test_address_map_flags_a_changed_trunk_word(monkeypatch):
+    scan = CoreScan(3)
+    trunk_word = scan.it.subst.trunk_word
+    monkeypatch.setattr(scan.it.subst, "trunk_word", lambda c: (1,) if c == 3 else trunk_word(c))
+    failures = scan.check_address_map(6)
+    assert failures[0] == "trunk of color 3: sigma of its code is 1.2, want 3"
+    # every color-3 edge of the stages spells (2,), not (1,)
+    assert failures[1:] == [
+        f"stage {m} edge ({s},{t},3): trunk is not (1,) in stage {m + 1}"
+        for m in range(7) for s, t, c in scan.it.tree_at(m).edges if c == 3
     ]
+
+
+def test_address_map_reports_a_later_drift_as_an_edge_trunk():
+    # a color-1 edge to a leaf recolored at stage 7, long after the vertices
+    # around it were born: no branch point's root path crosses it, so the
+    # sweep over root paths sees nothing, while the edge's trunks show it
+    # on both sides (its stage-6 edge and its own stage-8 trunk)
+    scan = CoreScan(3)
+    scan.extend_to(8)
+    tree = scan.it.tree_at(7)
+    ids, deg = tree._degrees()
+    leaf = (tree.color == 1) & (deg[np.searchsorted(ids, tree.dst)] == 1)
+    i = int(np.flatnonzero(leaf)[0])
+    s, t, _ = tree.edges[i]
+    prev = scan.it.tree_at(6)
+    c = prev.edge_colors([s], [t])[0]   # the stage-6 edge it recolors
+    tree.color[i] = 2
+    assert scan.check_address_map(8) == [
+        f"stage 6 edge ({s},{t},{c}): trunk is not (1,) in stage 7",
+        f"stage 7 edge ({s},{t},2): trunk is not (-3, 1) in stage 8",
+    ]
+    assert _sweep(lambda n: _address_oracle(scan, n), 8) == []
 
 
 def test_injectivity_and_steps():
@@ -626,6 +680,28 @@ def test_shift_isometry_flags_a_displaced_image(along):
     assert failures == [
         f"letter {a}: pair ({min(v, w)},{max(v, w)}) distorted" for w in dom if w != v
     ]
+
+
+def _overlaps_oracle(scan, n):
+    """Domain overlaps from vertex sets: the hull of each domain as the
+    union of root-index paths, compared as Python sets."""
+    tree = scan.it.tree_at(n)
+    hulls = {a: _hull(tree, set(scan.shift_domain(a, n))) for a in range(1, scan.d + 1)}
+    return [f"letters {a},{b}: domains share edges"
+            for a in range(1, scan.d + 1) for b in range(a + 1, scan.d + 1)
+            if len(hulls[a] & hulls[b]) > 1]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_domain_overlaps_agree_with_the_hull_oracle(d):
+    scan = CoreScan(d)
+    for n in range(11):
+        assert scan.check_domain_overlaps(n) == _overlaps_oracle(scan, n) == []
+    # every domain widened by the root: all of them then meet around it
+    branch = scan.it.tree_at(6).branch_points()
+    domain = scan.shift_domain
+    scan.shift_domain = lambda a, n: sorted({0, branch[a], *domain(a, n)})
+    assert scan.check_domain_overlaps(6) == _overlaps_oracle(scan, 6) != []
 
 
 def test_domain_overlaps_allow_one_shared_vertex():

@@ -17,6 +17,14 @@ from treesubst.freegroup import (
 )
 
 
+def iterate(auto, w, n):
+    """The automorphism applied n times: the direct route of the address
+    map's oracle."""
+    for _ in range(n):
+        w = auto(w)
+    return w
+
+
 def test_reduction():
     assert reduce_word([1, -1]) == ()
     assert reduce_word([1, 2, -2, -1]) == ()
@@ -62,7 +70,7 @@ def test_family_auto_matches_substitution():
 def test_automorphism_on_inverses():
     auto = family_auto(3)
     assert auto((-1,)) == (-2, -1)
-    assert auto.iterate((1,), 3) == (1, 2, 3, 1)
+    assert iterate(auto, (1,), 3) == (1, 2, 3, 1)
 
 
 def test_p_star_letters():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from treesubst import verify
 from treesubst.core import shared_scan
 from treesubst.words import (
     _power_lengths, family_substitution, fixed_point_prefix, power_image, word_str,
@@ -74,6 +75,13 @@ def automatic_writing(d, u):
         pos += len(top)
     exps.reverse()
     return exps
+
+
+@pytest.mark.parametrize("d", [3, 10, 14, 16, 20])
+def test_development_tails_for_large_d(d):
+    # a fixed depth of 20 levels spelled too few letters from d = 10 and
+    # held no writing past sigma^19(1) from d = 15
+    assert verify.development_tails(d, 40) == []
 
 
 def test_automatic_writing_round_trip():

@@ -20,6 +20,10 @@ from treesubst.trees import TreeIteration
 # -- the general gap oracle: medians in the free product of lines -----------
 
 
+def inverse(p: FreePoint) -> FreePoint:
+    return FreePoint(p.d, tuple((c, -t) for c, t in reversed(p.syllables)))
+
+
 def common_prefix(p: FreePoint, q: FreePoint) -> FreePoint:
     """Longest common initial segment of two reduced syllable words."""
     out = []
@@ -37,7 +41,7 @@ def common_prefix(p: FreePoint, q: FreePoint) -> FreePoint:
 
 def median(a: FreePoint, b: FreePoint, c: FreePoint) -> FreePoint:
     """The unique point on all three pairwise segments."""
-    return a * common_prefix(a.inverse() * b, a.inverse() * c)
+    return a * common_prefix(inverse(a) * b, inverse(a) * c)
 
 
 def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLength:
@@ -67,7 +71,7 @@ def _t(num):
 def test_free_point_group_laws():
     a = FreePoint.syllable(3, 0, _t(2))
     b = FreePoint.syllable(3, 1, _t(1))
-    assert (a * b) * (a * b).inverse() == FreePoint.origin(3)
+    assert (a * b) * inverse(a * b) == FreePoint.origin(3)
     assert a * FreePoint.origin(3) == a
 
 
@@ -233,6 +237,21 @@ def test_stage_convergence_reaches_stage_20():
         ("edge-length-law", "d=3, n<=20", "pass"),
         ("stage-convergence", "d=3, n<=20", "pass"),
     ]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_rows_show_every_stage_edge(d):
+    # the lemma at `_between`: the two rows of each edge are anchor and
+    # child or siblings on one anchor and copy, so no check needs the points
+    real = Realization(TreeIteration(d))
+    for n in range(13):
+        real.extend_to(n)
+        tree = real.it.tree_at(n)
+        a, k = real.anchor, real.copy
+        s, t = tree.src, tree.dst
+        sibling = (a[s] == a[t]) & (k[s] == k[t])
+        assert ((a[t] == s) | (a[s] == t) | sibling).all(), n
+        assert real._between(s, t)[2].all(), n
 
 
 @pytest.mark.parametrize("check_stage", [5, 8])
@@ -432,7 +451,7 @@ def _points(draw):
 def test_quotient_and_distance_properties(pts):
     p, q, r = pts
     for a, b in ((p, q), (q, r), (p, r), (p, p)):
-        assert quotient(a, b) == (a.inverse() * b).syllables
+        assert quotient(a, b) == (inverse(a) * b).syllables
     assert distance(p, q) == distance(q, p)
     assert distance(p, q).is_zero() == (p == q)
     assert distance(p, p).is_zero()
