@@ -12,9 +12,11 @@ the exact path-length cross-check of realized distances.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from operator import mul
 
 import numpy as np
@@ -76,9 +78,10 @@ def _letter_columns(d: int) -> tuple[tuple[int, ...], ...]:
 
 def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     """Sum of per-letter lengths of a reduced word over the first d letters:
-    its letter counts (two `count`s per letter) times the letters' length
+    its letter counts (one `Counter` pass) times the letters' length
     coefficient vectors."""
-    counts = [w.count(k) + w.count(-k) for k in range(1, d + 1)]
+    seen = Counter(w)
+    counts = [seen[k] + seen[-k] for k in range(1, d + 1)]
     if sum(counts) != len(w):
         bad = next(x for x in w if not 1 <= abs(x) <= d)
         raise ValueError(f"letter {bad} outside 1..{d}")
@@ -450,37 +453,39 @@ class CoreScan:
                 )
         return failures
 
-    def _arc_interiors(self, arcs: list[Arc], deep: int) -> list[set[int]]:
-        self.extend_to(deep)
-        arc, _ = self.it.descent(arcs[0].stage, deep)
-        owner: dict[int, set[int]] = {a.edge_index: set() for a in arcs}
-        for v, e in enumerate(arc):
-            if e >= 0:
-                owner[e].add(v)
-        return [owner[a.edge_index] for a in arcs]
-
     def check_arc_overlaps(self, n: int) -> list[str]:
         """Deep shadows of distinct arcs meet in at most one vertex.
 
         Shared vertices must be labeled branch points: the only points lying
-        in two arc closures are realized orbit points.
+        in two arc closures are realized orbit points.  A shadow is its
+        edge's two ends and the vertices born inside the edge, and `descent`
+        gives each later-born vertex one edge, its owner.  So only an end can
+        lie in two shadows: those of the arcs it ends, and of its owner's arc
+        if it has one.
         """
         arcs = self.simple_arcs(n)
         deep = n + 2 * self.d - 2
-        tree = self.it.tree_at(deep)
-        interiors = self._arc_interiors(arcs, deep)
-        sets = [
-            {arc.src, arc.dst} | inner for arc, inner in zip(arcs, interiors)
-        ]
+        self.extend_to(deep)
+        ids, deg = self.it.tree_at(deep)._degrees()
+        owner, _ = self.it.descent(n, deep)
+        arc_of = {arc.edge_index: i for i, arc in enumerate(arcs)}
+        holders: dict[int, list[int]] = {}   # end -> the arcs whose shadows hold it
+        for i, arc in enumerate(arcs):
+            for v in (arc.src, arc.dst):
+                holders.setdefault(v, []).append(i)
+        shared: dict[tuple[int, int], list[int]] = {}
+        for v, held in holders.items():
+            if owner[v] >= 0:
+                held.append(arc_of[int(owner[v])])
+            for pair in combinations(sorted(set(held)), 2):
+                shared.setdefault(pair, []).append(v)
         failures = []
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                shared = sets[i] & sets[j]
-                if len(shared) > 1:
-                    failures.append(f"arcs {i},{j} share {sorted(shared)}")
-                for v in shared:
-                    if v not in self.labels or tree.degree(v) != self.d:
-                        failures.append(f"arcs {i},{j}: shared {v} not a branch")
+        for (i, j), common in sorted(shared.items()):
+            if len(common) > 1:
+                failures.append(f"arcs {i},{j} share {sorted(common)}")
+            for v in sorted(common):
+                if v not in self.labels or deg[np.searchsorted(ids, v)] != self.d:
+                    failures.append(f"arcs {i},{j}: shared {v} not a branch")
         return failures
 
     def check_arc_cylinders(self, n: int, deep: int) -> list[str]:
@@ -585,12 +590,12 @@ class CoreScan:
         d, tree = self.d, self.it.tree_at(n)
         if not tree.is_discerned():
             return [f"stage {n}: tree not discerned, so its path words may cancel"]
-        parent, up, _ = tree.rooted_index()   # the vertices 0..|V_n|-1 are their own slots
-        lift = Lifting(np.array(parent))
+        index = tree.rooted_index()   # the vertices 0..|V_n|-1 are their own slots
+        lift = Lifting(index.parent)
         lengths = [x.scaled(-n).coeffs for x in letter_length_exact(d).values()]
-        weight = [[0] * (d + 1)] + [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)
+        weight = [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)   # per color
         # a coded distance sums four weighted depths, each at most one weight per vertex
-        weighted = lift.sums(_int64(weight, 4 * len(parent))[np.abs(up)])
+        weighted = index.counts @ _int64(weight, 4 * len(index.parent))
         branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
         failures = []
         for i, j in _pair_blocks(len(branch)):

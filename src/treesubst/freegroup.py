@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain
-from operator import neg
+from operator import add, indexOf, neg
 
 from .words import Word, family_substitution, power_image
 
@@ -22,10 +22,17 @@ GroupWord = tuple[int, ...]
 
 
 def reduce_word(letters) -> GroupWord:
-    stack: list[int] = []
-    for x in letters:
-        if x == 0:
-            raise ValueError("0 is not a letter")
+    """Cancel adjacent x, -x pairs by a stack, which starts past the
+    longest prefix that holds no such pair (found by one C-level pass)."""
+    word = tuple(letters)
+    if 0 in word:
+        raise ValueError("0 is not a letter")
+    try:
+        cut = indexOf(map(add, word, word[1:]), 0)   # the first x, -x pair
+    except ValueError:
+        return word
+    stack = list(word[:cut])
+    for x in word[cut:]:
         if stack and stack[-1] == -x:
             stack.pop()
         else:
@@ -98,12 +105,22 @@ def _color_images(d: int) -> dict[int, GroupWord]:
     return table
 
 
+@lru_cache(maxsize=None)
+def _core_letters(d: int) -> frozenset[int]:
+    return frozenset(range(-d, d + 1)) - {0}
+
+
 def p_star(d: int, tree_word) -> GroupWord:
     """Project a tree path word (signed colors 1..2d-2) into F_d.
 
     Colors k <= d map to the generator k, color d+k to sigma^k(1), and a
-    barred color (negative sign) to the inverse of its image.
+    barred color (negative sign) to the inverse of its image.  A core color
+    is its own image, so a word over the core colors only is reduced as it
+    stands (and kept whole when it has no x, -x pair).
     """
+    tree_word = tuple(tree_word)
+    if _core_letters(d).issuperset(tree_word):
+        return reduce_word(tree_word)
     images = _color_images(d)
     try:
         parts = tuple(chain.from_iterable(map(images.__getitem__, tree_word)))

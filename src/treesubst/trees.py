@@ -18,8 +18,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
+from operator import neg
 from typing import NamedTuple
 
 import numpy as np
@@ -49,6 +50,35 @@ class _Rows(Sequence):
 def _key(s, t) -> np.ndarray:
     """(src, dst) as one int64 that orders like the pair."""
     return np.asarray(s, dtype=np.int64) * (1 << 32) + (np.asarray(t, dtype=np.int64) + (1 << 31))
+
+
+@lru_cache(maxsize=None)
+def _one_hot(d: int) -> np.ndarray:
+    """Row c: the color counts of one edge of color c (row 0, no edge: zeros)."""
+    rows = np.eye(2 * d - 1, dtype=np.int32)[:, 1:]
+    rows.flags.writeable = False
+    return rows
+
+
+@dataclass(frozen=True, eq=False)
+class RootedIndex:
+    """A tree hung from its root, as int32 columns by slot: `parent` (the
+    root is its own), `up`, the signed color of the step to the parent (0
+    at the root), and `counts`, per color 1..2d-2 the edges on the root
+    path, a (V, 2d-2) block whose row sums are the depths."""
+
+    parent: np.ndarray
+    up: np.ndarray
+    counts: np.ndarray
+
+    @cached_property
+    def depth(self) -> np.ndarray:
+        return self.counts.sum(axis=1)
+
+    @cached_property
+    def climb(self) -> tuple[list[int], list[int]]:
+        """`parent` and `up` as flat lists, which `path_word` reads step by step."""
+        return self.parent.tolist(), self.up.tolist()
 
 
 class ColoredTree:
@@ -97,6 +127,7 @@ class ColoredTree:
         self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
         self.edges = _Rows((self.src, self.dst, self.color))
         self._rooted = None
+        self._prior = None   # set by `TreeIteration`: the index carried up from the stage before
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct vertex ids in increasing order, and the degree of each."""
@@ -145,55 +176,95 @@ class ColoredTree:
             raise ValueError(f"{v!r} is not a vertex")
         return i
 
-    def rooted_index(self) -> tuple[list[int], list[int], list[int]]:
-        """(parent, signed color of the step to the parent, depth) per slot.
+    def rooted_index(self) -> RootedIndex:
+        """The tree hung from `root`, or from the least vertex when there is
+        none, indexed by slot; built on first use and kept on the tree.
 
-        Rooted at `root`, or at the least vertex when there is none; the
-        root is its own parent with color 0, and parents are slots too.
-        Built on first use by a breadth-first pass, one numpy step per
-        level over the adjacency in CSR form (the edge ends sorted by
-        slot), and kept on the tree as three flat lists.  In a tree each
-        vertex has one parent, so the lists do not depend on the order in
-        which a level's neighbours are visited.
+        A stage of `TreeIteration` carries it up from the stage before
+        (`_prior`), and keeps what it gets only when `_certifies` proves it
+        the rooted index of this tree's own columns.  Every other tree, or
+        a stage that fails the proof, gets it by a breadth-first pass, one
+        numpy step per level over the adjacency in CSR form (the edge ends
+        sorted by slot).  In a tree each vertex has one parent, so the
+        index does not depend on the order in which a level's neighbours
+        are visited.
         """
         if self._rooted is None:
-            ids, _ = self._degrees()
-            ends = np.searchsorted(ids, np.concatenate([self.src, self.dst]))
-            order = np.argsort(ends, kind="stable")
-            other = np.concatenate([ends[len(self.src):], ends[:len(self.src)]])[order]
-            step = np.concatenate([self.color, -self.color]).astype(np.int64)[order]
-            first = np.searchsorted(ends[order], np.arange(len(ids) + 1))
-            parent, up = np.zeros(len(ids), dtype=np.int64), np.zeros(len(ids), dtype=np.int64)
-            depth = np.full(len(ids), -1, dtype=np.int64)
-            root = self.slot(self.root) if self.root is not None else 0
-            parent[root], depth[root] = root, 0
-            level = np.array([root])
-            while len(level):
-                count = first[level + 1] - first[level]
-                at = np.repeat(first[level] - np.cumsum(count) + count, count)
-                at += np.arange(len(at))
-                w, i = other[at], np.repeat(level, count)
-                down = depth[w] < 0
-                level = w[down]
-                parent[level], up[level] = i[down], -step[at[down]]
-                depth[level] = depth[i[down]] + 1
-            self._rooted = parent.tolist(), up.tolist(), depth.tolist()
+            index = self._prior() if self._prior is not None else None
+            self._rooted = index if index is not None and self._certifies(index) else self._search()
         return self._rooted
+
+    def _root_slot(self) -> int:
+        return self.slot(self.root) if self.root is not None else 0
+
+    def _search(self) -> RootedIndex:
+        """The rooted index by a breadth-first pass from the root."""
+        ids, _ = self._degrees()
+        ends = np.searchsorted(ids, np.concatenate([self.src, self.dst]))
+        order = np.argsort(ends, kind="stable")
+        other = np.concatenate([ends[len(self.src):], ends[:len(self.src)]])[order]
+        step = np.concatenate([self.color, -self.color])[order]
+        first = np.searchsorted(ends[order], np.arange(len(ids) + 1))
+        parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
+        counts = np.zeros((len(ids), 2 * self.d - 2), dtype=np.int32)
+        seen = np.zeros(len(ids), dtype=bool)
+        root = self._root_slot()
+        parent[root], seen[root] = root, True
+        level = np.array([root])
+        while len(level):
+            count = first[level + 1] - first[level]
+            at = np.repeat(first[level] - np.cumsum(count) + count, count)
+            at += np.arange(len(at))
+            w, i = other[at], np.repeat(level, count)
+            down = ~seen[w]
+            level = w[down]
+            seen[level] = True
+            parent[level], up[level] = i[down], -step[at[down]]
+            counts[level] = counts[i[down]] + _one_hot(self.d)[np.abs(up[level])]
+        return RootedIndex(parent, up, counts)
+
+    def _certifies(self, index: RootedIndex) -> bool:
+        """Whether `index` is the rooted index of this tree's columns.
+
+        It is when |V| = |E| + 1, the root is its own parent with color 0
+        and no counts, and every other v steps to parent[v] along an edge of
+        color |up[v]| != 0 in the direction the sign states, with its counts
+        those of its parent plus that color.  Then the depth (the counts'
+        row sum) rises by one per step, so the steps make no cycle: they are
+        |V| - 1 distinct edges of the tree, so all of them.
+        """
+        ids, _ = self._degrees()
+        parent, up, counts = index.parent, index.up, index.counts
+        root = self._root_slot()
+        if not len(parent) == len(ids) == len(self.src) + 1 or parent[root] != root or up[root]:
+            return False
+        v, out = np.arange(len(ids)), up > 0
+        colors = self.edge_colors(ids[np.where(out, v, parent)], ids[np.where(out, parent, v)])
+        return (np.count_nonzero(up) == len(ids) - 1 and np.array_equal(colors, np.abs(up))
+                and not counts[root].any()
+                and np.array_equal(counts - counts[parent], _one_hot(self.d)[colors]))
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
         """Signed colors along the unique path x -> y (negative = against the
-        arrow): the deeper end climbs the rooted index until the two meet."""
-        parent, up, depth = self.rooted_index()
+        arrow): the deeper end climbs the rooted index to the other's depth,
+        then both climb in step until they meet."""
+        index = self.rooted_index()
+        parent, up = index.climb
         x, y = self.slot(x), self.slot(y)
+        gap = int(index.depth[x]) - int(index.depth[y])
         rise, fall = [], []
+        for _ in range(gap):
+            rise.append(up[x])
+            x = parent[x]
+        for _ in range(-gap):
+            fall.append(up[y])
+            y = parent[y]
         while x != y:
-            if depth[x] >= depth[y]:
-                rise.append(up[x])
-                x = parent[x]
-            else:
-                fall.append(-up[y])
-                y = parent[y]
-        return (*rise, *reversed(fall))
+            rise.append(up[x])
+            x = parent[x]
+            fall.append(up[y])
+            y = parent[y]
+        return (*rise, *map(neg, reversed(fall)))
 
     def edge_colors(self, s, t) -> np.ndarray:
         """Per pair, the color of the edge s -> t, or 0 where there is none."""
@@ -205,7 +276,8 @@ class ColoredTree:
         """Per slot and column of `marks` (bool, by slot), whether the edge to
         the slot's parent lies on the least subtree holding the column's
         marked vertices: iff some, not all, lie under it (summed by level)."""
-        parent, _, depth = map(np.array, self.rooted_index())
+        index = self.rooted_index()
+        parent, depth = index.parent, index.depth
         under = marks.astype(np.int64)
         order = np.argsort(depth, kind="stable")[::-1]   # deepest first, the root last
         for level in np.split(order, np.flatnonzero(np.diff(depth[order])) + 1)[:-1]:
@@ -504,6 +576,35 @@ def initial_tree(d: int) -> ColoredTree:
     return ColoredTree(d, [(0, c, c) for c in range(1, d + 1)], root=0)
 
 
+@lru_cache(maxsize=None)
+def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What the family's rules do to a rooted index, read from their patterns.
+
+    A vertex whose step to its parent was u climbs, one stage later, the
+    trunk word of |u| (reversed and barred when u < 0): `first[u]` and
+    `last[u]` are its first and last letters, offset by 2d - 2 so u
+    indexes them.  On a one-letter trunk the vertex keeps its parent; on
+    the 2-rule's trunk it hangs from the new center, which takes the last
+    letter to the old parent.  `fresh` holds 0 for the center and then the
+    steps of its leaves to it, and `matrix` maps old color counts to new
+    ones.
+    """
+    subst, ncol = family_tree_substitution(d), 2 * d - 2
+    signed = {0: (0,)}
+    for c in range(1, ncol + 1):
+        word = subst.trunk_word(c)
+        signed[c], signed[-c] = word, tuple(map(neg, reversed(word)))
+    first, last = (np.array([signed[u][k] for u in range(-ncol, ncol + 1)], dtype=np.int32)
+                   for k in (0, -1))
+    pattern, index = _pattern_tree(d, subst.rules[2])
+    hub, *leaves = (index[p] for p in subst.rules[2].placeholders())
+    fresh = np.array([0, *(pattern.path_word(leaf, hub)[0] for leaf in leaves)], dtype=np.int32)
+    tables = first, last, fresh, subst.trunk_matrix().T.astype(np.int32)
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 class NewCenter(NamedTuple):
     """A branch point born at one stage on the 2-edge src -> dst it replaced."""
 
@@ -556,8 +657,45 @@ class TreeIteration:
             v = self.sizes[-1] + (self.d - 1) * np.arange(len(e))
             self.centers.append(_Rows((v, e, prev.src[e], prev.dst[e]), self._center))
             self.sizes.append(self.sizes[-1] + len(res.born))
+            res.tree._prior = partial(self._induced_index, len(self.trees))
             self.trees.append(res.tree)
         return self.trees[n]
+
+    def _induced_index(self, n: int) -> RootedIndex:
+        """The rooted index of stage n, carried up stage by stage from the
+        nearest one below that has one (stage 0 at worst), keeping only the
+        columns the next stage needs.
+
+        Per stage: an old vertex takes the first letter of its step's trunk
+        (`_index_steps`), and its color counts times the trunk matrix.  Each
+        center hangs from the old parent of the end of its replaced edge
+        that hung from the other end, and that end hangs from the center;
+        the center's leaves hang from it.  A new vertex's counts are its
+        parent's plus its step's color.  `ColoredTree._certifies` checks the
+        result against the stage's columns before it is used.
+        """
+        d, ncol = self.d, 2 * self.d - 2
+        first, last, fresh, matrix = _index_steps(d)
+        below = n - 1
+        while below and self.trees[below]._rooted is None:
+            below -= 1
+        base = self.trees[below].rooted_index()
+        parent, up, counts = base.parent, base.up, base.counts
+        for stage in range(below + 1, n + 1):
+            v, _, s, t = self.centers[stage].columns   # the center's new vertices are v, v + 1, ...
+            child = np.where(parent[t] == s, t, s)
+            hubs = np.repeat(v.astype(np.int32), d - 1).reshape(-1, d - 1)
+            hubs[:, 0] = parent[child]
+            steps = np.tile(fresh, (len(v), 1))
+            steps[:, 0] = last[up[child] + ncol]
+            counts = counts @ matrix
+            born = counts[hubs[:, 0]] + _one_hot(d)[np.abs(steps[:, 0])]
+            born = born[:, None, :] + _one_hot(d)[np.abs(fresh)]
+            parent = np.concatenate([parent, hubs.ravel()])
+            parent[child] = v
+            up = np.concatenate([first[up + ncol], steps.ravel()])
+            counts = np.concatenate([counts, born.reshape(-1, ncol)])
+        return RootedIndex(parent, up, counts)
 
     def birth_stage(self, v: int) -> int:
         """Stage at which vertex v was born: the first built stage n with v < |V_n|."""

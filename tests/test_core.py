@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -13,8 +14,8 @@ from treesubst import algnum, core
 from treesubst.algnum import ExactLength, _int64
 from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
-from treesubst.realization import distance
-from treesubst.trees import ColoredTree
+from treesubst.realization import Realization, distance
+from treesubst.trees import ColoredTree, TreeIteration
 from treesubst.words import (
     _power_lengths, fixed_point_prefix, measure_spectrum, power_image, word_str,
 )
@@ -289,7 +290,7 @@ def test_address_map_flags_a_changed_label():
 
 def _on_root_path(tree, v):
     """Index of the edge from v to its parent in the rooted index."""
-    parent = tree.rooted_index()[0][tree.slot(v)]
+    parent = tree.rooted_index().parent[tree.slot(v)]
     pair = {v, tree.vertices[parent]}
     return next(i for i, (s, t, _) in enumerate(tree.edges) if {s, t} == pair)
 
@@ -378,6 +379,63 @@ def test_arc_checks():
     for n in range(5):
         assert scan.check_arc_overlaps(n) == []
         assert scan.check_arc_cylinders(n, 12) == []
+
+
+def _arc_overlaps_oracle(scan, n):
+    """The arc-overlap audit by intersecting the vertex sets of every pair
+    of shadows (each arc's ends and the vertices born inside its edge)."""
+    arcs = scan.simple_arcs(n)
+    deep = n + 2 * scan.d - 2
+    scan.extend_to(deep)
+    tree = scan.it.tree_at(deep)
+    owner, _ = scan.it.descent(n, deep)
+    inner = {a.edge_index: set() for a in arcs}
+    for v, e in enumerate(owner.tolist()):
+        if e >= 0:
+            inner[e].add(v)
+    sets = [{a.src, a.dst} | inner[a.edge_index] for a in arcs]
+    failures = []
+    for i in range(len(arcs)):
+        for j in range(i + 1, len(arcs)):
+            shared = sets[i] & sets[j]
+            if len(shared) > 1:
+                failures.append(f"arcs {i},{j} share {sorted(shared)}")
+            for v in sorted(shared):
+                if v not in scan.labels or tree.degree(v) != scan.d:
+                    failures.append(f"arcs {i},{j}: shared {v} not a branch")
+    return failures
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_arc_overlaps_agree_with_the_pairwise_oracle(d):
+    scan = shared_scan(d)
+    for n in range(11):
+        assert scan.check_arc_overlaps(n) == _arc_overlaps_oracle(scan, n) == []
+
+
+def test_arc_overlaps_flag_a_vertex_in_a_third_shadow(monkeypatch):
+    scan = CoreScan(3)
+    n = 3
+    arcs = scan.simple_arcs(n)
+    a = arcs[0]
+    j, b = next((j, b) for j, b in enumerate(arcs) if j and {b.src, b.dst} & {a.src, a.dst})
+    u = ({b.src, b.dst} - {a.src, a.dst}).pop()   # an end of b, claimed born inside a's edge
+    descent = scan.it.descent
+
+    def moved(base, upto):
+        owner, on = descent(base, upto)
+        owner = owner.copy()
+        owner[u] = a.edge_index
+        return owner, on
+
+    monkeypatch.setattr(scan.it, "descent", moved)
+    failures = scan.check_arc_overlaps(n)
+    assert failures == _arc_overlaps_oracle(scan, n)
+    assert f"arcs 0,{j} share {sorted({a.src, a.dst} & {b.src, b.dst} | {u})}" in failures
+    scan.length[u] = -1   # and unlabeled: not a branch point either
+    failures = scan.check_arc_overlaps(n)
+    assert failures == _arc_overlaps_oracle(scan, n)
+    assert f"arcs 0,{j}: shared {u} not a branch" in failures
 
 
 class _LabelCorruptedAt12(CoreScan):
@@ -822,6 +880,20 @@ def test_path_audit_reports_leaving_core_colors(monkeypatch):
 
 def test_path_audit_reaches_stage_14():
     assert shared_scan(3).check_path_distances(14) == []
+
+
+def test_pair_route_at_depth():
+    """Pair by pair at stage 18: realized distance = rho^-18 times the legal
+    length of p* of the tree path, through the library's own calls."""
+    it = TreeIteration(3)
+    tree = it.tree_at(18)
+    real = Realization(it)
+    real.extend_to(18)
+    branch = sorted(tree.branch_points())
+    rng = random.Random(18)
+    for x, y in (rng.sample(branch, 2) for _ in range(50)):
+        want = legal_path_distance(3, p_star(3, tree.path_word(x, y))).scaled(-18)
+        assert distance(real.point(x), real.point(y)) == want
 
 
 def test_path_audit_refuses_int64_overflow(monkeypatch):

@@ -1,9 +1,16 @@
 """Reduced words, automorphisms, the p* projection, cancellation probes."""
 
-import pytest
+from itertools import chain
+from operator import mul
 
-from treesubst.algnum import stretch_root
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from treesubst.algnum import ExactLength, stretch_root
+from treesubst.core import _letter_columns, legal_path_distance
 from treesubst.freegroup import (
+    _color_images,
     cancellation_report,
     family_auto,
     family_inverse,
@@ -83,6 +90,74 @@ def test_p_star_letters():
     assert p_star(4, (6,)) == (1, 2, 3)
     with pytest.raises(ValueError):
         p_star(3, (5,))
+
+
+def _stack_reduce(letters):
+    """The plain stack reduction, letter by letter."""
+    stack = []
+    for x in letters:
+        if x == 0:
+            raise ValueError("0 is not a letter")
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    return tuple(stack)
+
+
+def _plain_p_star(d, tree_word):
+    """p* by its definition: the images of the colors, stack-reduced."""
+    images = _color_images(d)
+    if bad := [c for c in tree_word if c not in images]:
+        raise ValueError(f"color {abs(bad[0])} outside 1..{2 * d - 2}")
+    return _stack_reduce(chain.from_iterable(images[c] for c in tree_word))
+
+
+def _count_sums(d, w):
+    """The legal length by two `tuple.count`s per letter."""
+    counts = [w.count(k) + w.count(-k) for k in range(1, d + 1)]
+    if sum(counts) != len(w):
+        bad = next(x for x in w if not 1 <= abs(x) <= d)
+        raise ValueError(f"letter {bad} outside 1..{d}")
+    return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in _letter_columns(d)))
+
+
+def _outcome(f, *args):
+    """f's value, or the text of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+# words over colors -6..6, 0 included, with cancelling pairs planted
+_words = st.lists(st.one_of(st.tuples(st.integers(-6, 6)),
+                            st.integers(1, 6).map(lambda x: (x, -x)),
+                            st.integers(1, 6).map(lambda x: (-x, x))),
+                  max_size=12).map(lambda parts: tuple(chain.from_iterable(parts)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(d=st.integers(3, 5), w=_words)
+def test_fast_routes_agree_with_the_plain_ones(d, w):
+    assert _outcome(reduce_word, w) == _outcome(reduce_word, iter(w)) == _outcome(_stack_reduce, w)
+    assert _outcome(p_star, d, w) == _outcome(_plain_p_star, d, w)
+    assert _outcome(legal_path_distance, d, w) == _outcome(_count_sums, d, w)
+    core = tuple(x for x in w if 0 < abs(x) <= d)   # the words p* reads as their own images
+    assert _outcome(p_star, d, core) == _outcome(_plain_p_star, d, core)
+
+
+def test_fast_routes_keep_their_error_texts():
+    with pytest.raises(ValueError, match="^0 is not a letter$"):
+        reduce_word((1, 2, 0))
+    with pytest.raises(ValueError, match=r"^color 0 outside 1\.\.4$"):
+        p_star(3, (1, 0, 2))
+    with pytest.raises(ValueError, match=r"^color 5 outside 1\.\.4$"):
+        p_star(3, (1, -5))
+    with pytest.raises(ValueError, match=r"^letter -4 outside 1\.\.3$"):
+        legal_path_distance(3, (1, 2, -4))
+    with pytest.raises(ValueError, match=r"^letter 0 outside 1\.\.3$"):
+        legal_path_distance(3, (0,))
 
 
 def test_inverse_growth_root():

@@ -11,7 +11,9 @@ from treesubst.freegroup import family_inverse, p_star
 from treesubst import trees
 from treesubst.trees import (
     ColoredTree,
+    Lifting,
     NewCenter,
+    RootedIndex,
     RulePattern,
     TreeIteration,
     TreeSubstitution,
@@ -90,7 +92,8 @@ def _path_oracle(adj: dict, x, y) -> list[tuple[object, int]]:
 def path(tree, x, y) -> list[tuple[int, int]]:
     """(vertex, signed color) steps along the path x -> y, without x and
     ending with y: the deeper end climbs the rooted index until they meet."""
-    parent, up, depth = tree.rooted_index()
+    index = tree.rooted_index()
+    parent, up, depth = index.parent.tolist(), index.up.tolist(), index.depth.tolist()
     verts, x, y = tree.vertices, tree.slot(x), tree.slot(y)
     rise, fall = [], []
     while x != y:
@@ -119,7 +122,7 @@ def _span_hull(tree, vertices: set) -> set:
     marks = np.zeros((len(tree.vertices), 1), dtype=bool)
     marks[[tree.slot(v) for v in vertices], 0] = True
     span = tree.spans(marks)[:, 0]
-    parent, verts = np.array(tree.rooted_index()[0]), np.array(tree.vertices)
+    parent, verts = tree.rooted_index().parent, np.array(tree.vertices)
     return set(vertices) | set(verts[span].tolist()) | set(verts[parent[span]].tolist())
 
 
@@ -174,6 +177,91 @@ def test_rooted_path_word_matches_search(tree, data):
         word = tree.path_word(x, y)
         assert word == tuple(sc for _, sc in steps)
         assert tree.path_word(y, x) == tuple(-c for c in reversed(word))
+
+
+def _searched(tree):
+    """The rooted index of a tree's columns by the breadth-first pass: the
+    same tree built from its edge list."""
+    return ColoredTree(tree.d, np.column_stack(tree.edges.columns), root=tree.root).rooted_index()
+
+
+def _same_index(a, b) -> bool:
+    return all(np.array_equal(getattr(a, f), getattr(b, f))
+               for f in ("parent", "up", "depth", "counts"))
+
+
+def _lifted_counts(tree):
+    """Per vertex the color counts on its root path, as `Lifting.sums` of
+    the one-hot rows of the steps' colors."""
+    index = tree.rooted_index()
+    one_hot = np.eye(2 * tree.d - 1, dtype=np.int64)[:, 1:]
+    return Lifting(index.parent).sums(one_hot[np.abs(index.up)])
+
+
+@pytest.mark.parametrize("d, top", [(3, 20), (4, 14), (5, 14), (6, 14)])
+def test_induced_index_is_the_searched_index(d, top, monkeypatch):
+    it, fresh = TreeIteration(d), TreeIteration(d)
+    stages = [it.tree_at(n) for n in range(top + 1)]
+    want = [_searched(t) for t in stages]
+    fresh.tree_at(top)
+    searched, search = [], ColoredTree._search
+    monkeypatch.setattr(ColoredTree, "_search", lambda self: searched.append(self) or search(self))
+    for tree, index in zip(stages, want):   # each from the stage before
+        assert _same_index(tree.rooted_index(), index)
+        assert np.array_equal(index.counts, _lifted_counts(tree))
+    assert _same_index(fresh.tree_at(top).rooted_index(), want[-1])   # from stage 0
+    # only stage 0, which has no stage before it, and the rules' patterns are searched
+    assert not [t for t in searched if any(t is s for s in stages[1:] + fresh.trees[1:])]
+
+
+def test_a_recolored_stage_fails_the_certificate():
+    it = TreeIteration(3)
+    tree = it.tree_at(7)
+    v = it.centers[5][0].vertex
+    p = int(tree.rooted_index().parent[v])
+    i = next(i for i, (s, t, _) in enumerate(tree.edges) if {s, t} == {v, p})
+    s, t, c = tree.edges[i]
+    tree.color[i] = new = c % 4 + 1
+    tree._rooted = None     # the index keeps the colors it was built with
+    assert not tree._certifies(tree._prior())
+    assert _same_index(tree.rooted_index(), _searched(tree))
+    assert tree.path_word(v, p) == ((new,) if s == v else (-new,))
+    steps = _path_oracle(adjacency(tree), tree.root, v)
+    assert tree.path_word(tree.root, v) == tuple(sc for _, sc in steps)
+    # the next stage, carried up from the recolored one, fails in turn
+    nxt = it.tree_at(8)
+    assert _same_index(nxt.rooted_index(), _searched(nxt))
+
+
+def test_certificate_refuses_a_wrong_index():
+    tree = TreeIteration(3).tree_at(6)
+    good = tree.rooted_index()
+    assert tree._certifies(good)
+    v = int(np.flatnonzero(good.parent != np.arange(len(good.parent)))[-1])
+
+    def changed(**at_v):
+        columns = {f: getattr(good, f).copy() for f in ("parent", "up", "counts")}
+        for f, value in at_v.items():
+            columns[f][v] = value
+        return RootedIndex(**columns)
+
+    root_moved = changed()
+    root_moved.parent[0] = v
+    wrong = [
+        changed(up=-good.up[v]),            # the step against its arrow
+        changed(up=np.sign(good.up[v]) * (abs(good.up[v]) % 4 + 1)),   # another color
+        changed(counts=good.counts[v] + 1),  # a count off by one
+        changed(parent=v, up=0),            # a second root
+        root_moved,                          # the root not its own parent
+    ]
+    assert not any(map(tree._certifies, wrong))
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=_random_tree())
+def test_counts_are_lifted_sums_of_one_hot_colors(tree):
+    assert np.array_equal(tree.rooted_index().counts, _lifted_counts(tree))
+
 
 
 @settings(max_examples=80, deadline=None)
