@@ -43,13 +43,16 @@ def _int64(rows, terms: int) -> np.ndarray:
 def trinomial_root(d: int, k: int) -> float:
     """Real root > 1 of x^d = x^k + 1, 1 <= k < d (Newton from 1.5, double precision)."""
     x = 1.5
-    for _ in range(80):
-        f = x**d - x**k - 1.0
-        fp = d * x ** (d - 1) - k * x ** (k - 1)
-        step = f / fp
-        x -= step
-        if abs(step) < 1e-16:
-            break
+    try:
+        for _ in range(80):
+            f = x**d - x**k - 1.0
+            fp = d * x ** (d - 1) - k * x ** (k - 1)
+            step = f / fp
+            x -= step
+            if abs(step) < 1e-16:
+                break
+    except OverflowError:   # 1.5^d leaves double range from d = 1751
+        raise ValueError(f"Newton for x^{d} = x^{k} + 1 overflows at d = {d}") from None
     if abs(x**d - x**k - 1.0) >= 1e-12:
         raise ValueError(f"Newton did not converge for x^{d} = x^{k} + 1")
     return x

@@ -6,14 +6,16 @@ how to iterate the substitution, enumerate the language of the fixed point
 with certified stabilization, classify special factors, and estimate
 cylinder measures by sliding-window frequencies.
 
-The estimates count the windows of a long fixed-point prefix at numpy
-speed: a window of length m is read as an m-digit integer in base d+1,
-so equal windows get equal codes and code order is word order, and one
-sort per block counts the codes.
+Every read of the fixed point slices one buffer per d, grown by copying its
+own prefix: sigma^(a+1)(1) = sigma^a(1) sigma^(a-d+1)(1) for a >= d - 1, as
+sigma^a(2) = sigma^(a-d+1)(1).  The same identity counts the windows of a
+prefix by recursion on its length (`_window_counts`).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,14 +118,6 @@ def family_substitution(d: int) -> Substitution:
 
 
 @lru_cache(maxsize=None)
-def power_image(d: int, k: int) -> Word:
-    """sigma^k(1), the building block of fixed-point prefixes and branch labels."""
-    if k < 0:
-        raise ValueError(f"power must be >= 0, got {k}")
-    return family_substitution(d)(power_image(d, k - 1)) if k else bytes([1])
-
-
-@lru_cache(maxsize=None)
 def _power_lengths(d: int) -> tuple[int, ...]:
     """|sigma^a(1)| for a = 0, 1, .. up to the first one past 2^63: a + 1
     up to a = d - 1, then |sigma^(a+1)(1)| = |sigma^a(1)| + |sigma^(a-d+1)(1)|."""
@@ -133,29 +127,42 @@ def _power_lengths(d: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=8)
-def _fixed_point_cache(d: int, min_len: int) -> Word:
-    sub = family_substitution(d)
-    w = bytes([1])
-    while len(w) < min_len:
-        w = sub(w)
+# d -> (a, sigma^a(1)): the buffer every read of the fixed point slices
+_fixed_points: dict[int, tuple[int, Word]] = {}
+
+
+def _fixed_point(d: int, length: int) -> Word:
+    """sigma^a(1) for the least a >= d - 1 that covers every request so far
+    of d, so at most about lambda times the longest; it grows by appending
+    its own prefix of |sigma^(a-d+1)(1)| letters."""
+    if length < 0:
+        raise ValueError(f"prefix length must be >= 0, got {length}")
+    if d not in _fixed_points:
+        family_substitution(d)   # refuses d < 3
+        _fixed_points[d] = d - 1, bytes(range(1, d + 1))
+    a, w = _fixed_points[d]
+    if len(w) < length:
+        lengths = _power_lengths(d)
+        grown = bytearray(w)
+        while len(grown) < length:
+            grown += grown[: lengths[a - d + 1]]
+            a += 1
+        w = bytes(grown)
+        _fixed_points[d] = a, w
     return w
 
 
-def _expansion(d: int, length: int) -> Word:
-    """A cached sigma^k(1) of at least `length` letters."""
-    if length < 0:
-        raise ValueError(f"prefix length must be >= 0, got {length}")
-    # round the cache key up so repeated close requests share one expansion
-    min_len = 1
-    while min_len < length:
-        min_len *= 4
-    return _fixed_point_cache(d, min_len)
+def power_image(d: int, k: int) -> Word:
+    """sigma^k(1), the building block of fixed-point prefixes and branch labels."""
+    if k < 0:
+        raise ValueError(f"power must be >= 0, got {k}")
+    n = _power_lengths(d)[k]
+    return _fixed_point(d, n)[:n]
 
 
 def fixed_point_prefix(d: int, length: int) -> Word:
     """Prefix of the fixed point lim sigma^n(1); 1 is a prefix of sigma(1)."""
-    return _expansion(d, length)[:length]
+    return _fixed_point(d, length)[:length]
 
 
 def fixed_point_letters(d: int, at: np.ndarray) -> np.ndarray:
@@ -163,14 +170,14 @@ def fixed_point_letters(d: int, at: np.ndarray) -> np.ndarray:
     copying a prefix."""
     if (at < 0).any():
         raise ValueError(f"letter index must be >= 0, got {at.min()}")
-    return np.frombuffer(_expansion(d, int(at.max(initial=-1)) + 1), dtype=np.uint8)[at]
+    return np.frombuffer(_fixed_point(d, int(at.max(initial=-1)) + 1), dtype=np.uint8)[at]
 
 
 def shift_overlap(d: int, shift: int, upto: int) -> int:
     """Length of the common prefix of the fixed point and of its tail from
     `shift`, read on at most `upto` letters (so exact when below `upto`):
     the Z-value at `shift`, by one compare."""
-    text = np.frombuffer(_expansion(d, shift + upto), dtype=np.uint8)
+    text = np.frombuffer(_fixed_point(d, shift + upto), dtype=np.uint8)
     differ = np.flatnonzero(text[shift:shift + upto] != text[:upto])
     return int(differ[0]) if len(differ) else upto
 
@@ -189,25 +196,24 @@ def growth_root(d: int) -> float:
 def _stable_factors(d: int, n: int) -> frozenset[Word]:
     """All length-n factors of the fixed point, by double stabilization.
 
-    Iterate sigma^N(1) until the window set of length n agrees for two
-    consecutive N; factors of shorter length are prefixes of these.
+    Read sigma^N(1) off the buffer until the window set of length n agrees
+    for two consecutive N (only windows past sigma^(N-1)(1)'s can be new);
+    factors of shorter length are prefixes of these.
     """
-    sub = family_substitution(d)
-    w = bytes([1])
-    prev: set[Word] | None = None
-    while True:
-        w = sub(w)
-        if len(w) < n:
-            continue
-        cur = {w[i : i + n] for i in range(len(w) - n + 1)}
-        if cur == prev:
-            return frozenset(cur)
-        prev = cur
+    lengths = _power_lengths(d)
+    found: set[Word] = set()
+    start = 0   # the windows starting before it are in `found`
+    for a in range(max(bisect_left(lengths, n), 1), len(lengths)):
+        end = lengths[a] - n + 1
+        w = _fixed_point(d, lengths[a])
+        before = len(found)
+        found.update(w[i : i + n] for i in range(start, end))
+        if len(found) == before:
+            return frozenset(found)
+        start = end
 
 
 def factors(d: int, n: int) -> set[Word]:
-    if n == 0:
-        return {b""}
     return set(_stable_factors(d, n))
 
 
@@ -228,18 +234,19 @@ class LanguageTable:
 
 
 def language(d: int, n: int) -> LanguageTable:
-    """Factors of length n classified by extendability inside the language."""
+    """Factors of length n classified by extendability inside the language:
+    each factor w of length n+1 extends w[1:] on the left and w[:-1] on the right."""
     if n < 1:
         raise ValueError("n >= 1 required")
-    fac = sorted(factors(d, n))
-    ext = factors(d, n + 1)
-    left, right = [], []
-    for u in fac:
-        if sum(1 for a in range(1, d + 1) if bytes([a]) + u in ext) >= 2:
-            left.append(u)
-        if sum(1 for b in range(1, d + 1) if u + bytes([b]) in ext) >= 2:
-            right.append(u)
-    bis = [u for u in left if u in set(right)]
+    lefts: Counter[Word] = Counter()
+    rights: Counter[Word] = Counter()
+    for w in _stable_factors(d, n + 1):
+        lefts[w[1:]] += 1
+        rights[w[:-1]] += 1
+    fac = sorted(_stable_factors(d, n))
+    left = [u for u in fac if lefts[u] >= 2]
+    right = [u for u in fac if rights[u] >= 2]
+    bis = [u for u in left if rights[u] >= 2]
     return LanguageTable(d, n, fac, left, right, bis)
 
 
@@ -267,67 +274,54 @@ def bispecials_by_generation(d: int, max_len: int) -> list[Word]:
 # cylinder measures
 
 DEFAULT_PREFIX_LEN = 10**6
-# largest prefix a measure estimate may read: its fixed-point prefix rounds up
-# to 4^12 letters (16.8 MB), where 2 * 10**9 would round up to 4^16 (4.3 GB)
+# largest prefix a measure estimate may read: its buffer holds at most about
+# lambda times as many letters (14.7 MB at d = 3)
 MAX_PREFIX_LEN = 10**7
-
-
-_BLOCK = 1 << 16   # window positions coded and sorted at once
-_COUNT_STEP = 16   # window lengths are counted at multiples of this
-_CODE_MAX = np.iinfo(np.int64).max
 
 
 @lru_cache(maxsize=None)
 def _window_counts(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
     """(window, count) over the length-m windows at positions < prefix_len, sorted.
 
-    The windows are counted once per length L, m rounded up to a multiple of
-    16, and a shorter m sums those counts by their length-m prefix: every
-    position has a length-L window, and its prefix is the length-m window
-    there.  So one count serves every m up to L.
+    Lemma.  With T the fixed point, l_a = |sigma^a(1)| and C(N) the windows
+    T[i : i+m], i < N: if a >= d - 1 and 0 < r <= l_(a-d+1), then T[l_a :
+    l_a + r] = T[0 : r], so C(l_a + r) is C(l_a) + C(r) with only the
+    windows at l_a + i, r - m < i < r, differing from those at i.
+
+    So N splits greedily over the largest l_a < N (its Dumont-Thomas
+    decomposition) down to a rest n <= d, whose C(n) is C(l_(n-1)).  Below
+    d, C(l_a) is the windows at 0..a; above, l_a = l_(a-1) + l_(a-d)
+    unfolds it by the lemma.  So each level a counts how often C(l_a) is
+    used, hands that down to a - 1 and a - d, and fixes at most m - 1
+    windows that many times.
     """
-    length = -(-m // _COUNT_STEP) * _COUNT_STEP
-    if length == m:
-        return _count_windows(d, m, prefix_len)
-    counts: dict[Word, int] = {}
-    for window, c in _window_counts(d, length, prefix_len):
-        key = window[:m]
-        counts[key] = counts.get(key, 0) + c
-    return tuple(counts.items())   # sorted: the longer windows were
+    text = _fixed_point(d, prefix_len + m)
+    lengths = _power_lengths(d)
+    counts: Counter[Word] = Counter()
 
+    def fix(copy_at: int, r: int, times: int) -> None:
+        for i in range(max(r - m + 1, 0), r):
+            counts[text[i : i + m]] -= times
+            counts[text[copy_at + i : copy_at + i + m]] += times
 
-def _count_windows(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
-    """(window, count) over the length-m windows at positions < prefix_len, sorted.
-
-    Each block of positions reads its windows as base-(d+1) integers, one
-    digit per letter, so equal windows get equal codes and code order is
-    word order.  Before a code could overflow int64 it is replaced by its
-    rank among the block's codes, which keeps both.
-    """
-    text = fixed_point_prefix(d, prefix_len + m)
-    arr = np.frombuffer(text, dtype=np.uint8)
-    base = d + 1
-    counts: dict[Word, int] = {}
-    for start in range(0, prefix_len, _BLOCK):
-        n = min(_BLOCK, prefix_len - start)
-        codes = np.zeros(n, dtype=np.int64)
-        bound = 1   # codes < bound
-        for k in range(start, start + m):
-            if bound > _CODE_MAX // base:
-                codes[:] = distinct(codes)[2]
-                bound = n
-            codes *= base
-            codes += arr[k : k + n]
-            bound *= base
-        s = np.sort(codes)   # counted as np.unique(return_counts=True) does
-        runs = np.flatnonzero(np.concatenate([[True], s[1:] != s[:-1]]))
-        # any position of each code will do; the first ones need a slower stable sort
-        where = np.empty(len(runs), dtype=np.intp)
-        where[np.searchsorted(s[runs], codes)] = np.arange(start, start + n)
-        for i, c in zip(where.tolist(), np.diff(runs, append=n).tolist()):
-            key = text[i : i + m]
-            counts[key] = counts.get(key, 0) + c
-    return tuple(sorted(counts.items()))
+    times = [0] * max(bisect_left(lengths, prefix_len), d)
+    n = prefix_len
+    while n > d:
+        a = bisect_left(lengths, n) - 1
+        n -= lengths[a]
+        fix(lengths[a], n, 1)
+        times[a] += 1
+    if n:
+        times[n - 1] += 1
+    for a in reversed(range(d, len(times))):
+        fix(lengths[a - 1], lengths[a - d], times[a])
+        times[a - 1] += times[a]
+        times[a - d] += times[a]
+    total = 0
+    for i in reversed(range(d)):   # the window at i is in C(l_a) for i <= a < d
+        total += times[i]
+        counts[text[i : i + m]] += total
+    return tuple(sorted((+counts).items()))
 
 
 @dataclass

@@ -13,6 +13,7 @@ from treesubst.algnum import (
     edge_length_vector,
     letter_length_exact,
     stretch_root,
+    trinomial_root,
 )
 
 
@@ -21,6 +22,12 @@ def test_stretch_root_matches_newton():
         roots = np.roots([1] + [0] * (d - 2) + [-1, -1])
         real = max(r.real for r in roots if abs(r.imag) < 1e-12)
         assert abs(stretch_root(d) - real) < 1e-12
+
+
+def test_trinomial_root_past_double_range_is_a_value_error():
+    for d, k in ((1751, 1750), (1751, 1), (5000, 4999)):
+        with pytest.raises(ValueError, match=f"x\\^{d} = x\\^{k} \\+ 1 overflows at d = {d}"):
+            trinomial_root(d, k)
 
 
 def test_defining_relation():

@@ -252,6 +252,17 @@ def test_gen_past_the_edge_budget_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("suite, d", [
+    ("words", 3000), ("trees", 3000), ("all", 3000), ("realization", 2000),
+])
+def test_growth_root_past_double_range_is_usage_error(capsys, suite, d):
+    # Newton's start 1.5^d leaves double range from d = 1751
+    assert cli.main(["verify", "--suite", suite, "--d", str(d)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton for x^") and f"overflows at d = {d}" in err
+    assert "Traceback" not in err
+
+
 def test_arc_coloring_past_the_length_table_is_usage_error(tmp_path, capsys):
     # stage 200 is over the budget, and past the table of |sigma^a(1)| that
     # counts the stage a depth needs: the budget refuses it first

@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesubst.words import (
-    _BLOCK,
     Substitution,
+    _power_lengths,
     _window_counts,
     bispecials_by_generation,
     complexity,
@@ -21,11 +21,42 @@ from treesubst.words import (
     fixed_point_letters,
     fixed_point_prefix,
     growth_root,
+    language,
     measure_recursion_gap,
     measure_spectrum,
     power_image,
     word_str,
 )
+
+_BLOCK = 1 << 16   # window positions coded and sorted at once by _block_scan
+_CODE_MAX = np.iinfo(np.int64).max
+
+
+def _block_scan(d, m, prefix_len):
+    """(window, count) over the length-m windows at positions < prefix_len,
+    sorted, by the numpy scan the recursion replaced: each block of positions
+    reads its windows as base-(d+1) integers, one digit per letter, so equal
+    windows get equal codes and code order is word order.  Before a code
+    could overflow int64 it is replaced by its rank among the block's codes."""
+    text = fixed_point_prefix(d, prefix_len + m)
+    arr = np.frombuffer(text, dtype=np.uint8)
+    base = d + 1
+    counts = Counter()
+    for start in range(0, prefix_len, _BLOCK):
+        n = min(_BLOCK, prefix_len - start)
+        codes = np.zeros(n, dtype=np.int64)
+        bound = 1   # codes < bound
+        for k in range(start, start + m):
+            if bound > _CODE_MAX // base:
+                codes[:] = distinct(codes)[2]
+                bound = n
+            codes *= base
+            codes += arr[k : k + n]
+            bound *= base
+        _, first, inverse = distinct(codes)
+        for i, c in zip(first.tolist(), np.bincount(inverse).tolist()):
+            counts[text[start + i : start + i + m]] += c
+    return tuple(sorted(counts.items()))
 
 
 def test_family_images():
@@ -169,12 +200,13 @@ def test_substitution_validates_with_value_error():
 @settings(max_examples=60, deadline=None)
 @example(d=3, m=40, prefix_len=2 * _BLOCK)
 @example(d=6, m=30, prefix_len=_BLOCK + 1)
-# counted at m rounded up to a multiple of 16: both sides of the rounding
+# both sides of where the block scan rounded m up to a multiple of 16
 @example(d=3, m=15, prefix_len=_BLOCK + 5)
 @example(d=4, m=16, prefix_len=2 * _BLOCK - 1)
 @example(d=5, m=17, prefix_len=_BLOCK)
 @example(d=3, m=33, prefix_len=3 * _BLOCK)
-# prefix_len + 5 stays below 4^8 letters, prefix_len + 16 does not
+# prefix_len + 5 stays below 4^8 letters, where the expansion used to round
+# up, and prefix_len + 16 does not
 @example(d=3, m=5, prefix_len=4**8 - 10)
 @given(
     d=st.integers(3, 6),
@@ -185,6 +217,65 @@ def test_window_counts_match_counter(d, m, prefix_len):
     text = fixed_point_prefix(d, prefix_len + m)
     want = Counter(text[i : i + m] for i in range(prefix_len))
     assert _window_counts(d, m, prefix_len) == tuple(sorted(want.items()))
+
+
+def _seams(d, m, top):
+    """Prefix lengths N <= top at the seams of the recursion: l_a - 1, l_a,
+    l_a + 1 and the last N = l_a + l_(a-d+1) - m whose windows all fit in
+    the copy of sigma^(a-d+1)(1)."""
+    lengths = _power_lengths(d)
+    out = set()
+    for a in range(d - 1, len(lengths)):
+        if lengths[a] - 1 > top:
+            break
+        out |= {lengths[a] - 1, lengths[a], lengths[a] + 1, lengths[a + 1] - m}
+    return sorted(n for n in out if 0 <= n <= top)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_window_counts_at_the_seams(d):
+    top = 2 * 10**5
+    for m in (1, 11, 16, 17, 40):
+        seams = _seams(d, m, top)
+        text = fixed_point_prefix(d, top + m)
+        want, at = Counter(), 0   # the windows at positions < at
+        for n in seams:
+            want.update(text[i : i + m] for i in range(at, n))
+            at = n
+            got = _window_counts(d, m, n)
+            assert got == tuple(sorted(want.items())), (d, m, n)
+            if n < 2000 or n == seams[-1]:
+                assert got == _block_scan(d, m, n), (d, m, n)
+
+
+def test_fixed_point_buffer_holds_every_power_image():
+    for d in range(3, 11):
+        sub = family_substitution(d)
+        w = b"\x01"
+        for a, n in enumerate(_power_lengths(d)):
+            if n > 10**5:
+                break
+            assert fixed_point_prefix(d, n) == power_image(d, a) == w, (d, a)
+            w = sub(w)
+    with pytest.raises(ValueError, match="family needs d >= 3"):
+        fixed_point_prefix(2, 5)
+
+
+def _language_by_membership(d, n):
+    """The special factors of length n by testing each letter extension."""
+    fac = sorted(factors(d, n))
+    ext = factors(d, n + 1)
+    left = [u for u in fac if sum(bytes([a]) + u in ext for a in range(1, d + 1)) >= 2]
+    right = [u for u in fac if sum(u + bytes([b]) in ext for b in range(1, d + 1)) >= 2]
+    return fac, left, right, [u for u in left if u in set(right)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 6), n=st.integers(1, 40))
+def test_language_matches_membership_tests(d, n):
+    table = language(d, n)
+    got = (table.factors, table.left_special, table.right_special, table.bispecial)
+    assert got == _language_by_membership(d, n)
 
 
 @st.composite
