@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from operator import mul
 
@@ -233,49 +233,56 @@ class CoreScan:
 
     # -- the address map ---------------------------------------------------
 
+    @cached_property
+    def _trunks(self) -> tuple[dict[int, tuple[int, ...]], np.ndarray]:
+        """Each color's trunk word, and the words as rows by color padded with 0s."""
+        colors = range(2 * self.d - 1)
+        trunks = {c: self.it.subst.trunk_word(c) for c in colors[1:]}
+        width = max(2, *map(len, trunks.values()))
+        return trunks, np.array([(*trunks.get(c, ()), *[0] * width)[:width] for c in colors])
+
     def check_address_map(self, n: int) -> list[str]:
-        """sigma^n(g_n(v)) = label(v) for each branch point v of T_n, g_n(v) =
-        p*(root -> v in T_n), by induction over the stages from three facts:
+        """Stage n's part of sigma^m(g_m(v)) = label(v) for each branch point v
+        of T_m, g_m(v) = p*(root -> v in T_m), proved over the stages from three facts:
         (1) sigma(p*(trunk_word(c))) = p*(c) for each color c, and sigma(p*(t))
             = 1^-1 for t = trunk_word(2)[0], the step from a source to its center;
-        (2) each T_m edge (s, t, c), m <= n, spells trunk_word(c) in T_(m+1):
+        (2) each T_m edge (s, t, c) spells trunk_word(c) in T_(m+1):
             recolored, or through its center in `centers[m + 1]`;
         (3) the stored length of the root is 0, of each center what `_stage_lengths` gives.
         By (2) a root path of T_m spells a walk of T_(m+1) with the path's code,
         so by (1) sigma(g_(m+1)(v)) = g_m(v); at v's birth stage b from src,
         sigma^b(g_b(src).p*(t)) = label(src).sigma^(b-1)(1)^-1, as (3) says.
+        Stage 0 checks (1), (2) for T_0 and the root; stage n >= 1, (2) for
+        T_n and (3) for the stage-n centers.  The facts of stages 0..n prove
+        the map for every branch point of T_n.
         """
         self.extend_to(n)
-        d, auto = self.d, family_auto(self.d)
-        trunks = {c: self.it.subst.trunk_word(c) for c in range(1, 2 * d - 1)}
-        codes = [(f"trunk of color {c}", w, p_star(d, (c,))) for c, w in trunks.items()]
-        codes.append(("step source -> center", trunks[2][:1], (-1,)))
-        failures = [f"{what}: sigma of its code is {word_text(got)}, want {word_text(want)}"
-                    for what, w, want in codes if (got := auto(p_star(d, w))) != want]
-        width = max(2, *map(len, trunks.values()))   # a trunk padded with 0s
-        table = np.array([(*trunks.get(c, ()), *[0] * width)[:width] for c in range(2 * d - 1)])
-        for m in range(n + 1):
-            tree, nxt = self.it.tree_at(m), self.it.tree_at(m + 1)
-            v, e, _, _ = self.it.centers[m + 1].columns
-            spelled = np.zeros((len(tree.src), width), dtype=np.int64)
-            spelled[:, 0] = nxt.edge_colors(tree.src, tree.dst)
-            spelled[e, 0] = -nxt.edge_colors(v, tree.src[e])
-            spelled[e, 1] = nxt.edge_colors(v, tree.dst[e])
-            bad = np.flatnonzero((spelled != table[tree.color]).any(axis=1))
-            failures += [f"stage {m} edge ({s},{t},{c}): trunk is not {trunks[c]} in stage {m + 1}"
-                         for s, t, c in map(tree.edges.__getitem__, bad.tolist())]
-        if self.length[0] != 0:
-            failures.append(f"stage 0 vertex 0: label length {self.length[0]}, want 0")
-        for b in range(1, n + 1):
-            try:
-                v, want = self._stage_lengths(b)
-            except ValueError as exc:
-                failures.append(f"stage {b}: {exc}")
-                continue
-            bad = np.flatnonzero(self.length[v] != want)
-            failures += [f"stage {b} vertex {x}: label length {k}, want {w}" for x, k, w
-                         in zip(v[bad].tolist(), self.length[v[bad]].tolist(), want[bad].tolist())]
-        return failures
+        d, (trunks, table) = self.d, self._trunks
+        failures = []
+        if n == 0:
+            auto = family_auto(d)
+            codes = [(f"trunk of color {c}", w, p_star(d, (c,))) for c, w in trunks.items()]
+            codes.append(("step source -> center", trunks[2][:1], (-1,)))
+            failures = [f"{what}: sigma of its code is {word_text(got)}, want {word_text(want)}"
+                        for what, w, want in codes if (got := auto(p_star(d, w))) != want]
+        tree, nxt = self.it.tree_at(n), self.it.tree_at(n + 1)
+        v, e, _, _ = self.it.centers[n + 1].columns
+        spelled = np.zeros((len(tree.src), table.shape[1]), dtype=np.int64)
+        spelled[:, 0] = nxt.edge_colors(tree.src, tree.dst)
+        spelled[e, 0] = -nxt.edge_colors(v, tree.src[e])
+        spelled[e, 1] = nxt.edge_colors(v, tree.dst[e])
+        bad = np.flatnonzero((spelled != table[tree.color]).any(axis=1))
+        failures += [f"stage {n} edge ({s},{t},{c}): trunk is not {trunks[c]} in stage {n + 1}"
+                     for s, t, c in map(tree.edges.__getitem__, bad.tolist())]
+        try:   # stage 0 has the root, of length 0, for its centers
+            v, want = (np.zeros(1, dtype=np.int64),) * 2 if n == 0 else self._stage_lengths(n)
+        except ValueError as exc:
+            return failures + [f"stage {n}: {exc}"]
+        bad = np.flatnonzero(self.length[v] != want)
+        return failures + [
+            f"stage {n} vertex {x}: label length {k}, want {w}"
+            for x, k, w in zip(v[bad].tolist(), self.length[v[bad]].tolist(), want[bad].tolist())
+        ]
 
     # -- inventories --------------------------------------------------------
 
@@ -323,52 +330,43 @@ class CoreScan:
         """Each stage-n label extends a label from d-1 to 2d-2 stages back: its
         parent `src` was born at the first stage whose size exceeds it."""
         self.extend_to(n)
-        failures = []
-        lo, hi = 2 * self.d - 2, self.d - 1
-        for stage in range(1, n + 1):
-            v, _, src, _ = self.it.centers[stage].columns
-            prev = np.searchsorted(self.it.sizes, src, side="right")
-            prev[src == 0] = apparition_of_empty(self.d)
-            bad = (prev < stage - lo) | (prev > stage - hi)
-            failures += [f"vertex {x}: parent step {p} outside [{stage - lo}, {stage - hi}]"
-                         for x, p in zip(v[bad].tolist(), prev[bad].tolist())]
-        return failures
+        lo, hi = n - (2 * self.d - 2), n - (self.d - 1)
+        v, _, src, _ = self.it.centers[n].columns
+        prev = np.searchsorted(self.it.sizes, src, side="right")
+        prev[src == 0] = apparition_of_empty(self.d)
+        bad = (prev < lo) | (prev > hi)
+        return [f"vertex {x}: parent step {p} outside [{lo}, {hi}]"
+                for x, p in zip(v[bad].tolist(), prev[bad].tolist())]
 
     def check_writing_exponents(self, n: int) -> list[str]:
         """Max writing exponent of a stage-n label is n-1 or n."""
         self.extend_to(n)
-        failures = []
-        for stage in range(1, n + 1):
-            v = self.it.centers[stage].columns[0]
-            top = _top_exponents(self.d, self.length[v])
-            bad = (top != stage - 1) & (top != stage)
-            failures += [f"vertex {x}: max exponent {t} at step {stage}"
-                         for x, t in zip(v[bad].tolist(), top[bad].tolist())]
-        return failures
+        v = self.it.centers[n].columns[0]
+        top = _top_exponents(self.d, self.length[v])
+        bad = (top != n - 1) & (top != n)
+        return [f"vertex {x}: max exponent {t} at step {n}"
+                for x, t in zip(v[bad].tolist(), top[bad].tolist())]
 
     def check_branching_neighbor(self, n: int) -> list[str]:
-        """When the max exponent reaches the step, the 1-neighbor y (the head
-        of v's color-1 out-edge) branches and has the label less sigma^stage(1)."""
+        """When the max exponent of a stage-n label reaches n, the 1-neighbor y
+        (the head of v's color-1 out-edge) branches and has the label less sigma^n(1)."""
         self.extend_to(n)
-        failures = []
-        for stage in range(1, n + 1):
-            v = self.it.centers[stage].columns[0]
-            v = v[_top_exponents(self.d, self.length[v]) == stage]
-            tree = self.it.tree_at(stage)
-            one = tree.color == 1
-            src, dst = tree.src[one], tree.dst[one]
-            at = np.searchsorted(src, v, side="right") - 1
-            if (src[at] != v).any():   # at = -1 reads src[-1] > v
-                raise ValueError(f"stage {stage}: a center has no color-1 out-edge")
-            y = dst[at]
-            ids, deg = tree._degrees()
-            flat = deg[np.searchsorted(ids, y)] != self.d
-            want = self.length[v] - _power_lengths(self.d)[stage]
-            bad = flat | (self.length[y] != want)
-            for x, w, out in zip(v[bad].tolist(), y[bad].tolist(), flat[bad]):
-                failures.append(f"vertex {x}: 1-neighbor {w} does not branch" if out
-                                else f"vertex {x}: 1-neighbor label mismatch")
-        return failures
+        v = self.it.centers[n].columns[0]
+        v = v[_top_exponents(self.d, self.length[v]) == n]
+        tree = self.it.tree_at(n)
+        one = tree.color == 1
+        src, dst = tree.src[one], tree.dst[one]
+        at = np.searchsorted(src, v, side="right") - 1
+        if (src[at] != v).any():   # at = -1 reads src[-1] > v
+            raise ValueError(f"stage {n}: a center has no color-1 out-edge")
+        y = dst[at]
+        ids, deg = tree._degrees()
+        flat = deg[np.searchsorted(ids, y)] != self.d
+        want = self.length[v] - _power_lengths(self.d)[n]
+        bad = flat | (self.length[y] != want)
+        return [f"vertex {x}: 1-neighbor {w} does not branch" if out
+                else f"vertex {x}: 1-neighbor label mismatch"
+                for x, w, out in zip(v[bad].tolist(), y[bad].tolist(), flat[bad])]
 
     # -- realized branch points --------------------------------------------
 

@@ -35,6 +35,7 @@ from .words import (
 MODULUS_TOL = 1e-9
 PAIR_BUDGET = 1 << 18   # candidate pairs the nearest-neighbour search holds at once
 WRITE_CHUNK = 1 << 16   # points the artifact writers format per write
+SVG_SIZE = 800          # pixels on a side of the rendered SVG
 
 
 @dataclass(frozen=True)
@@ -474,7 +475,7 @@ def export_csv(cloud: PointCloud, path: str) -> None:
         _write_rows(fh, "%.9f,%.9f,%s\n", cloud.xs + 0.0, cloud.ys + 0.0, cloud.tags)
 
 
-def render_svg(cloud: PointCloud, path: str, size: int = 800) -> None:
+def render_svg(cloud: PointCloud, path: str) -> None:
     """Fixed-viewBox scatter plot; byte-identical for identical clouds."""
     colors = tag_palette(cloud.tags)
     if len(cloud):
@@ -489,7 +490,7 @@ def render_svg(cloud: PointCloud, path: str, size: int = 800) -> None:
     with open(path, "w") as fh:
         fh.write(
             '<?xml version="1.0" encoding="UTF-8"?>\n'
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}" '
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
             f'viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">\n'
             f'<rect x="{x0:.6f}" y="{y0:.6f}" width="{x1 - x0:.6f}" '
             f'height="{y1 - y0:.6f}" fill="white"/>\n'

@@ -3,7 +3,8 @@
 Each claim is one function that takes d and its scope and returns failure
 strings; the acceptance tests call the same functions at their own scope.
 A claim that is already a single library call (a CoreScan.check_* method,
-a rauzy.check_* function) is called directly by both.  The geometric
+a rauzy.check_* function) is called directly by both.  A staged check
+reads one stage n; `_each_stage` runs it over the stages of a scope.  The geometric
 claims for one d share the process-wide scan of `core.shared_scan`, so its
 tree iteration and realization are built once.
 
@@ -48,6 +49,9 @@ from .words import (
 )
 
 SUITES = ("words", "trees", "realization", "core", "rauzy", "all")
+_WITNESS_CAP = 5          # witnesses a check shows before "... and k more"
+_SPECTRUM_TOL = 1e-6      # how far an eigenvalue may lie from its root
+_RAUZY_DEPTH = 20_000     # orbit points of the rauzy suite's clouds
 
 
 @dataclass
@@ -66,11 +70,16 @@ class CheckResult:
         }
 
 
-def _result(name: str, scope: str, failures: list[str], cap: int = 5) -> CheckResult:
-    shown = failures[:cap]
-    if len(failures) > cap:
-        shown.append(f"... and {len(failures) - cap} more")
+def _result(name: str, scope: str, failures: list[str]) -> CheckResult:
+    shown = failures[:_WITNESS_CAP]
+    if len(failures) > _WITNESS_CAP:
+        shown.append(f"... and {len(failures) - _WITNESS_CAP} more")
     return CheckResult(name, scope, "fail" if failures else "pass", shown)
+
+
+def _each_stage(check, stages: range) -> list[str]:
+    """Failures of check(n) for every stage n in `stages`, in stage order."""
+    return [f for n in stages for f in check(n)]
 
 
 # -- words ------------------------------------------------------------------
@@ -183,13 +192,13 @@ def words_suite(
 # -- trees ------------------------------------------------------------------
 
 
-def _match_spectrum(observed, expected, extras_test, tol=1e-6) -> list[str]:
+def _match_spectrum(observed, expected, extras_test) -> list[str]:
     """Greedily pair expected roots with eigenvalues; test the leftovers."""
     pool = list(observed)
     fails = []
     for r in expected:
         best = min(range(len(pool)), key=lambda i: abs(pool[i] - r))
-        if abs(pool[best] - r) > tol:
+        if abs(pool[best] - r) > _SPECTRUM_TOL:
             fails.append(f"no eigenvalue near {r:.6f}")
         pool.pop(best)
     for z in pool:
@@ -213,11 +222,10 @@ def initial_star(d: int) -> list[str]:
 def discerned_stages(d: int, max_stage: int) -> list[str]:
     """Every stage tree up to max_stage is discerned."""
     it = core.shared_scan(d).it
-    return [
-        f"stage {n} not discerned"
-        for n in range(max_stage + 1)
-        if not it.tree_at(n).is_discerned()
-    ]
+    return _each_stage(
+        lambda n: [] if it.tree_at(n).is_discerned() else [f"stage {n} not discerned"],
+        range(max_stage + 1),
+    )
 
 
 def trunk_determinism(d: int) -> list[str]:
@@ -250,7 +258,7 @@ def matrix_spectra(d: int) -> list[str]:
     return fails
 
 
-def trees_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
+def trees_suite(d: int, max_stage: int) -> list[CheckResult]:
     return [
         _result("rule-validation", f"d={d}", family_tree_substitution(d).validate().failures),
         _result("initial-star", f"d={d}", initial_star(d)),
@@ -266,35 +274,37 @@ def trees_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
 def edge_length_law(d: int, max_stage: int) -> list[str]:
     """Every stage-n edge realizes with length base(color) * rho^-n exactly."""
     real = core.shared_scan(d).real
-    fails = []
-    for n in range(max_stage + 1):
+
+    def law(n: int) -> list[str]:
         try:
             real.edge_length_check(n)
         except ValueError as exc:
-            fails.append(f"stage {n}: {exc}")
-    return fails
+            return [f"stage {n}: {exc}"]
+        return []
+
+    return _each_stage(law, range(max_stage + 1))
 
 
 def stage_convergence(d: int, max_stage: int) -> list[str]:
     """The gap between realized stages n-1 and n is at most rho^-(n+1), exactly;
     with no stage n >= 1 to compare, the check fails rather than pass empty."""
     real = core.shared_scan(d).real
-    fails = []
-    for n in range(1, max_stage + 1):
+
+    def gap(n: int) -> list[str]:
         bound = ExactLength.rho_power(d, -1 - n)
         try:
-            gap = real.hausdorff_gap(n)
+            got = real.hausdorff_gap(n)
         except ValueError as exc:
-            fails.append(f"stage {n}: {exc}")
-            continue
-        if bound < gap:
-            fails.append(f"stage {n}: gap {gap.value():.6f} > {bound.value():.6f}")
+            return [f"stage {n}: {exc}"]
+        return [f"stage {n}: gap {got.value():.6f} > {bound.value():.6f}"] if bound < got else []
+
+    fails = _each_stage(gap, range(1, max_stage + 1))
     if max_stage < 1:
         fails.append(f"no stage to compare at n<={max_stage}")
     return fails
 
 
-def realization_suite(d: int, max_stage: int = 10) -> list[CheckResult]:
+def realization_suite(d: int, max_stage: int) -> list[CheckResult]:
     scope = f"d={d}, n<={max_stage}"
     return [
         _result("edge-length-law", scope, edge_length_law(d, max_stage)),
@@ -305,20 +315,10 @@ def realization_suite(d: int, max_stage: int = 10) -> list[CheckResult]:
 # -- core -------------------------------------------------------------------
 
 
-def _each_stage(check, max_stage: int) -> list[str]:
-    """Failures of check(n) for every stage n <= max_stage."""
-    fails = []
-    for n in range(max_stage + 1):
-        fails += check(n)
-    return fails
-
-
 def label_inventory(d: int) -> list[str]:
     """Stage-m branch labels are the suffixes of l_m, for m <= 5."""
     scan = core.shared_scan(d)
-    fails = []
-    for m in range(1, 6):
-        fails += scan.check_inventory(m)
+    fails = _each_stage(scan.check_inventory, range(1, 6))
     if d == 3:
         counts = [len(scan.inventory_lengths(m)) for m in range(1, 6)]
         if counts != [2, 3, 5, 7, 11]:
@@ -344,24 +344,13 @@ def partition_sequence(d: int, max_stage: int) -> list[str]:
         fails.append(f"partition sizes {mseq} != {want}")
     if d == 3 and mseq != [1, 2, 3, 5, 7, 11]:
         fails.append(f"partition sizes {mseq} != [1, 2, 3, 5, 7, 11]")
-    for n in range(max_stage + 1):
+
+    def edge_count(n: int) -> list[str]:
         edges = len(scan.it.tree_at(n).edges)
-        expected = (d - 1) * core.determined_partition(d, n) + 1
-        if edges != expected:
-            fails.append(f"stage {n}: {edges} edges != {expected}")
-    return fails
+        want = (d - 1) * core.determined_partition(d, n) + 1
+        return [] if edges == want else [f"stage {n}: {edges} edges != {want}"]
 
-
-def arc_overlaps(d: int, max_stage: int) -> list[str]:
-    """Deep shadows of distinct simple arcs meet in at most one branch point."""
-    return _each_stage(core.shared_scan(d).check_arc_overlaps, max_stage)
-
-
-def arc_cylinders(d: int, max_stage: int, deep: int) -> list[str]:
-    """Simple arcs match the length-m cylinders their stage determines and
-    absorb every label born up to stage deep."""
-    scan = core.shared_scan(d)
-    return _each_stage(lambda n: scan.check_arc_cylinders(n, deep), max_stage)
+    return fails + _each_stage(edge_count, range(max_stage + 1))
 
 
 def shift_isometries(d: int, max_stage: int) -> list[str]:
@@ -391,51 +380,43 @@ def path_distances(d: int, max_stage: int) -> list[str]:
     last stage decides.
     """
     scan = core.shared_scan(d)
-    fails = _each_stage(scan.check_path_distances, max_stage)
+    fails = _each_stage(scan.check_path_distances, range(max_stage + 1))
     if len(scan.it.tree_at(max_stage).branch_points()) < 2:
         fails.append(f"no branch-point pair to compare at n<={max_stage}")
     return fails
 
 
-def core_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
+def core_suite(d: int, max_stage: int) -> list[CheckResult]:
     arc_stage = min(6, max_stage)
     scan = core.shared_scan(d)
+    scope, stages = f"d={d}, n<={max_stage}", range(max_stage + 1)
     return [
         _result("label-inventory", f"d={d}, m<=5", label_inventory(d)),
         _result("bispecial-chain", f"d={d}, m<=6", scan.check_bispecial_match(6)),
-        _result(
-            "writing-exponents", f"d={d}, n<={max_stage}",
-            scan.check_writing_exponents(max_stage),
-        ),
-        _result(
-            "apparition-chain", f"d={d}, n<={max_stage}",
-            scan.check_apparition_chain(max_stage),
-        ),
-        _result(
-            "branching-neighbor", f"d={d}, n<={max_stage}",
-            scan.check_branching_neighbor(max_stage),
-        ),
-        _result(
-            "address-map-consistency", f"d={d}, n<={max_stage}",
-            scan.check_address_map(max_stage),
-        ),
+        _result("writing-exponents", scope, _each_stage(scan.check_writing_exponents, stages)),
+        _result("apparition-chain", scope, _each_stage(scan.check_apparition_chain, stages)),
+        _result("branching-neighbor", scope, _each_stage(scan.check_branching_neighbor, stages)),
+        _result("address-map-consistency", scope, _each_stage(scan.check_address_map, stages)),
         _result(
             "label-injectivity", f"d={d}, stage {min(10, max_stage)}",
             scan.check_injective(min(10, max_stage)),
         ),
         _result("approximation-steps", f"d={d}", approximation_steps(d)),
-        _result(
-            "partition-sequence", f"d={d}, n<={max_stage}",
-            partition_sequence(d, max_stage),
-        ),
+        _result("partition-sequence", scope, partition_sequence(d, max_stage)),
         _result("initial-arcs", f"d={d}", scan.check_initial_arcs()),
-        _result("arc-overlaps", f"d={d}, n<={arc_stage}", arc_overlaps(d, arc_stage)),
-        _result("arc-cylinders", f"d={d}, n<={arc_stage}", arc_cylinders(d, arc_stage, max_stage)),
+        _result(
+            "arc-overlaps", f"d={d}, n<={arc_stage}",
+            _each_stage(scan.check_arc_overlaps, range(arc_stage + 1)),
+        ),
+        _result(
+            "arc-cylinders", f"d={d}, n<={arc_stage}",
+            _each_stage(lambda n: scan.check_arc_cylinders(n, max_stage), range(arc_stage + 1)),
+        ),
         _result(
             "shift-isometries", f"d={d}, letters 1..{d}, n<={max_stage}",
             shift_isometries(d, max_stage),
         ),
-        _result("path-distances", f"d={d}, n<={max_stage}", path_distances(d, max_stage)),
+        _result("path-distances", scope, path_distances(d, max_stage)),
     ]
 
 
@@ -444,14 +425,13 @@ def core_suite(d: int, max_stage: int = 12) -> list[CheckResult]:
 
 def tree_image_arcs(max_stage: int, depth: int) -> list[str]:
     """Orbit points on the embedded stage-n tree fall in 2m+1 arc classes."""
-    fails = []
-    for n in range(max_stage + 1):
-        cloud = rauzy.zeta_cloud(n, depth)
-        arcs = {t for t in cloud.tags if t != "-"}
+
+    def classes(n: int) -> list[str]:
+        arcs = {t for t in rauzy.zeta_cloud(n, depth).tags if t != "-"}
         want = 2 * core.determined_partition(3, n) + 1
-        if len(arcs) != want:
-            fails.append(f"stage {n}: {len(arcs)} arc classes != {want}")
-    return fails
+        return [] if len(arcs) == want else [f"stage {n}: {len(arcs)} arc classes != {want}"]
+
+    return _each_stage(classes, range(max_stage + 1))
 
 
 def artifact_determinism(depth: int) -> list[str]:
@@ -470,7 +450,7 @@ def artifact_determinism(depth: int) -> list[str]:
     return fails
 
 
-def rauzy_suite(d: int, depth: int = 20_000) -> list[CheckResult]:
+def rauzy_suite(d: int) -> list[CheckResult]:
     if d != 3:
         return [
             CheckResult(
@@ -482,13 +462,13 @@ def rauzy_suite(d: int, depth: int = 20_000) -> list[CheckResult]:
         _result("projection-bounded", "depths 50k/100k", rauzy.check_boundedness()),
         _result("projection-contraction", "k<=18", rauzy.check_contraction()),
         _result(
-            "cylinder-arc-partition", f"depth {depth}, m=7 vs stage 4",
-            rauzy.check_partition_match(depth),
+            "cylinder-arc-partition", f"depth {_RAUZY_DEPTH}, m=7 vs stage 4",
+            rauzy.check_partition_match(_RAUZY_DEPTH),
         ),
         _result("tree-image-arcs", "n<=2, depth 3000", tree_image_arcs(2, 3000)),
         _result(
-            "translate-congruence", f"depth {depth}, m=7",
-            rauzy.check_translate_congruence(depth),
+            "translate-congruence", f"depth {_RAUZY_DEPTH}, m=7",
+            rauzy.check_translate_congruence(_RAUZY_DEPTH),
         ),
         _result("artifact-determinism", "depth 2000", artifact_determinism(2000)),
     ]
@@ -514,7 +494,7 @@ def run_suite(
         )
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
-    cap = max_stage if max_stage is not None else (12 if d == 3 else 10)
+    cap = max_stage if max_stage is not None else max(12 if d == 3 else 10, 2 * d)
     check_budget(d, cap + 1)   # the address map reads one stage past the cap
     out: list[CheckResult] = []
     if suite in ("words", "all"):

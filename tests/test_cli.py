@@ -361,6 +361,25 @@ def test_default_audit_report_is_pinned(d, capsys):
     assert hashlib.sha256(out).hexdigest() == _GOLDEN_REPORTS[d]
 
 
+# SHA-256 of `verify --suite core --d 3 --max-stage 16 --format json`: the
+# staged checks past the default scope, byte for byte
+_GOLDEN_DEEP_CORE = "d2cab67599a35fd23dd0f4549662fde9d67d1892c62c1205c6cb73018c651d67"
+
+
+def test_deep_core_report_is_pinned(capsys):
+    argv = ["verify", "--suite", "core", "--d", "3", "--max-stage", "16", "--format", "json"]
+    assert cli.main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _GOLDEN_DEEP_CORE
+
+
+@pytest.mark.parametrize("d", [6, 11, 13])
+def test_default_scope_passes_every_suite(d):
+    # the default cap is at least 2d: the first two-point shift domain is at n = d
+    results = verify.run_suite("all", d)
+    assert [r.name for r in results if r.status != "pass"] == []
+    assert {r.scope for r in results if r.name == "path-distances"} == {f"d={d}, n<={2 * d}"}
+
+
 def test_core_audit_reaches_stage_14():
     results = verify.run_suite("core", 3, max_stage=14)
     assert [r.name for r in results if r.status != "pass"] == []

@@ -6,11 +6,12 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from treesubst import algnum, core
+from treesubst import algnum, core, verify
 from treesubst.algnum import ExactLength, _int64
 from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
@@ -90,6 +91,11 @@ def test_bispecial_chain():
     assert shared_scan(3).check_bispecial_match(6) == []
 
 
+def _sweep(check, upto):
+    """The failures of a one-stage check over the stages 0..upto, in stage order."""
+    return [f for n in range(upto + 1) for f in check(n)]
+
+
 def test_writings_and_chains():
     scan = shared_scan(3)
     for n in range(1, 9):
@@ -136,8 +142,9 @@ def _label_check_oracles(scan, n):
 
 
 def _label_checks(scan, n):
-    return (scan.check_writing_exponents(n), scan.check_apparition_chain(n),
-            scan.check_branching_neighbor(n))
+    """The three label checks over the stages 0..n."""
+    return (_sweep(scan.check_writing_exponents, n), _sweep(scan.check_apparition_chain, n),
+            _sweep(scan.check_branching_neighbor, n))
 
 
 def _top_at(scan, stage):
@@ -178,7 +185,7 @@ def test_apparition_chain_bounds_are_inclusive():
     v, _, src, _ = scan.it.centers[stage].columns
     for back, ok in [(2 * d - 1, False), (2 * d - 2, True), (d - 1, True), (d - 2, False)]:
         src[0] = scan.it.centers[stage - back][0].vertex
-        assert scan.check_apparition_chain(12) == (
+        assert _sweep(scan.check_apparition_chain, 12) == (
             [] if ok else [f"vertex {v[0]}: parent step {stage - back} outside [6, 8]"])
 
 
@@ -186,8 +193,11 @@ def test_writing_exponents_flag_a_changed_length():
     scan = CoreScan(3)
     scan.extend_to(12)
     want = _corrupt(scan, "length")
-    assert scan.check_writing_exponents(12) == [want]
-    assert scan.check_writing_exponents(9) == []
+    assert _sweep(scan.check_writing_exponents, 12) == [want]
+    assert _sweep(scan.check_writing_exponents, 9) == []
+    # each call reads its own stage: the stage-10 change shows at 10 alone
+    assert scan.check_writing_exponents(10) == [want]
+    assert scan.check_writing_exponents(12) == []
 
 
 def test_apparition_chain_flags_a_changed_source():
@@ -195,7 +205,7 @@ def test_apparition_chain_flags_a_changed_source():
     scan.extend_to(12)
     want = _corrupt(scan, "src")
     assert want.endswith("parent step -1 outside [6, 8]")
-    assert scan.check_apparition_chain(12) == [want]
+    assert _sweep(scan.check_apparition_chain, 12) == [want]
 
 
 @pytest.mark.parametrize("kind", ["edge", "length+1"])
@@ -203,10 +213,10 @@ def test_branching_neighbor_flags_a_changed_neighbor(kind):
     scan = CoreScan(3)
     scan.extend_to(12)
     want = _corrupt(scan, kind)
-    assert want in scan.check_branching_neighbor(12)
+    assert want in _sweep(scan.check_branching_neighbor, 12)
     if kind == "edge":
-        assert scan.check_branching_neighbor(12) == [want]
-    assert scan.check_branching_neighbor(9) == []
+        assert _sweep(scan.check_branching_neighbor, 12) == [want]
+    assert _sweep(scan.check_branching_neighbor, 9) == []
 
 
 def test_branching_neighbor_refuses_a_center_without_a_1_edge():
@@ -216,7 +226,7 @@ def test_branching_neighbor_refuses_a_center_without_a_1_edge():
     i = next(i for i, (s, _, col) in enumerate(tree.edges) if s == v and col == 1)
     tree.color[i] = 4
     with pytest.raises(ValueError, match="stage 10: a center has no color-1 out-edge"):
-        scan.check_branching_neighbor(12)
+        _sweep(scan.check_branching_neighbor, 12)
 
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
@@ -235,7 +245,7 @@ def test_label_checks_agree_with_vertex_oracles(d, kind):
 
 
 def test_address_map():
-    assert shared_scan(3).check_address_map(4) == []
+    assert _sweep(shared_scan(3).check_address_map, 4) == []
 
 
 def _address_oracle(scan, n):
@@ -257,15 +267,12 @@ def _address_oracle(scan, n):
     return failures
 
 
-def _sweep(check, upto):
-    return [f for n in range(upto + 1) for f in check(n)]
-
-
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_address_map_agrees_with_direct_oracle(d):
     upto = 14 if d == 3 else 10
     scan = CoreScan(d)
-    assert scan.check_address_map(upto) == _sweep(lambda n: _address_oracle(scan, n), upto) == []
+    oracle = _sweep(lambda n: _address_oracle(scan, n), upto)
+    assert _sweep(scan.check_address_map, upto) == oracle == []
 
 
 def test_address_map_flags_a_changed_label():
@@ -280,9 +287,10 @@ def test_address_map_flags_a_changed_label():
                 f"want {scan.length[c.vertex] + 1}"
                 for n in range(6, 9) for c in scan.it.centers[n] if c.src == v]
     assert children
-    assert scan.check_address_map(8) == [
+    assert _sweep(scan.check_address_map, 8) == [
         f"stage 5 vertex {v}: label length {k + 1}, want {k}", *children,
     ]
+    assert scan.check_address_map(5) == [f"stage 5 vertex {v}: label length {k + 1}, want {k}"]
     assert _sweep(lambda n: _address_oracle(scan, n), 8) == [
         f"stage {n} vertex {v}: direct label differs" for n in range(5, 9)
     ]
@@ -304,7 +312,7 @@ def test_address_map_flags_a_recolored_edge_on_a_root_path():
     s, t, c = tree.edges[i]
     tree.color[i] = new = c % 4 + 1
     tree._rooted = None     # the rooted index keeps the colors it was built with
-    failures = scan.check_address_map(8)
+    failures = _sweep(scan.check_address_map, 8)
     trunk = scan.it.subst.trunk_word(new)
     assert f"stage 7 edge ({s},{t},{new}): trunk is not {trunk} in stage 8" in failures
     assert any(f.startswith("stage 6 edge ") for f in failures)
@@ -317,7 +325,7 @@ def test_address_map_flags_a_changed_trunk_word(monkeypatch):
     scan = CoreScan(3)
     trunk_word = scan.it.subst.trunk_word
     monkeypatch.setattr(scan.it.subst, "trunk_word", lambda c: (1,) if c == 3 else trunk_word(c))
-    failures = scan.check_address_map(6)
+    failures = _sweep(scan.check_address_map, 6)
     assert failures[0] == "trunk of color 3: sigma of its code is 1.2, want 3"
     # every color-3 edge of the stages spells (2,), not (1,)
     assert failures[1:] == [
@@ -341,7 +349,7 @@ def test_address_map_reports_a_later_drift_as_an_edge_trunk():
     prev = scan.it.tree_at(6)
     c = prev.edge_colors([s], [t])[0]   # the stage-6 edge it recolors
     tree.color[i] = 2
-    assert scan.check_address_map(8) == [
+    assert _sweep(scan.check_address_map, 8) == [
         f"stage 6 edge ({s},{t},{c}): trunk is not (1,) in stage 7",
         f"stage 7 edge ({s},{t},2): trunk is not (-3, 1) in stage 8",
     ]
@@ -364,6 +372,19 @@ def test_initial_arcs():
     assert word_str(arcs[2].word) == "1"
     assert word_str(arcs[3].word) == "12"
     assert {c: a.k for c, a in arcs.items()} == {1: 3, 2: 1, 3: 2}
+
+
+def test_partition_sequence_flags_a_stage_missing_an_edge(monkeypatch):
+    # the stage-3 tree loses the edge to one leaf: 10 edges where m = 5 wants 11
+    it = TreeIteration(3)
+    it.tree_at(4)
+    tree = it.trees[3]
+    ids, deg = tree._degrees()
+    leaf = next(i for i, t in enumerate(tree.dst) if deg[np.searchsorted(ids, t)] == 1)
+    it.trees[3] = ColoredTree(3, [e for i, e in enumerate(tree.edges) if i != leaf], root=0)
+    monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(it=it))
+    assert verify.partition_sequence(3, 4) == ["stage 3: 10 edges != 11"]
+    assert verify.partition_sequence(3, 2) == []
 
 
 def test_arc_counts_match_edge_counts():
@@ -595,8 +616,9 @@ def test_label_checks_at_stage_26_in_linear_memory():
     # the three label checks read the scan's columns; with per-vertex dicts
     # and a Python adjacency per stage tree they peaked at about 128 MB
     code = ("from treesubst.core import CoreScan; s = CoreScan(3); "
-            "s.extend_to(26); print(len(s.check_writing_exponents(26) + "
-            "s.check_apparition_chain(26) + s.check_branching_neighbor(26))); " + _PEAK)
+            "s.extend_to(26); print(sum(len(s.check_writing_exponents(n) + "
+            "s.check_apparition_chain(n) + s.check_branching_neighbor(n)) for n in range(27))); "
+            + _PEAK)
     failures, peak = _fresh_process_output(code)
     assert failures == "0"
     assert int(peak) < 80 * 1024

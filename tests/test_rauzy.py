@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treesubst import cli, core, rauzy
+from treesubst import cli, core, rauzy, verify
 from treesubst.trees import TreeIteration
 from treesubst.core import l_word
 from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
@@ -35,6 +35,20 @@ from treesubst.rauzy import (
     _partition_witnesses,
     _projected_prefix_orbit,
 )
+
+
+def test_tree_image_arcs_flag_a_merged_arc_class(monkeypatch):
+    # the stage-1 cloud loses one of its 2m + 1 = 5 arc classes to another
+    def merged(n, depth):
+        cloud = zeta_cloud(n, depth)
+        if n != 1:
+            return cloud
+        a, b = sorted({t for t in cloud.tags if t != "-"})[:2]
+        return rauzy.PointCloud(cloud.xs, cloud.ys, [a if t == b else t for t in cloud.tags])
+
+    monkeypatch.setattr(rauzy, "zeta_cloud", merged)
+    assert verify.tree_image_arcs(2, 3000) == ["stage 1: 4 arc classes != 5"]
+    assert verify.tree_image_arcs(0, 3000) == []
 
 
 def test_basis_rejects_other_dimensions():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from types import SimpleNamespace
+
 from treesubst.freegroup import family_inverse, p_star
-from treesubst import trees
+from treesubst import core, trees, verify
 from treesubst.trees import (
     ColoredTree,
     Lifting,
@@ -693,3 +695,26 @@ def test_budget_refuses_by_the_growth_estimate(monkeypatch):
     with pytest.raises(ValueError, match="budget"):
         it.tree_at(10)
     assert len(it.trees) == 10 and len(it.centers) == 10   # nothing built past the budget
+
+
+@pytest.mark.parametrize("edges, want", [
+    ([(0, 1, 1), (0, 2, 1), (0, 3, 3)], ["colors [1, 1, 3]"]),
+    ([(0, 1, 1), (0, 2, 2), (2, 3, 3)], ["root degree 2"]),
+])
+def test_initial_star_flags_a_changed_star(monkeypatch, edges, want):
+    assert verify.initial_star(3) == []
+    monkeypatch.setattr(verify, "initial_tree", lambda d: ColoredTree(d, edges, root=0))
+    assert verify.initial_star(3) == want
+
+
+def test_discerned_stages_flag_a_recolored_stage(monkeypatch):
+    # two out-edges of one stage-2 vertex given one color: that stage alone fails
+    it = TreeIteration(3)
+    tree = it.tree_at(2)
+    it.tree_at(4)
+    i, j = next((i, j) for i in range(len(tree.src)) for j in range(i + 1, len(tree.src))
+                if tree.src[i] == tree.src[j])
+    tree.color[j] = tree.color[i]
+    monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(it=it))
+    assert verify.discerned_stages(3, 4) == ["stage 2 not discerned"]
+    assert verify.discerned_stages(3, 1) == []
