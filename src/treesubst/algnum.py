@@ -41,19 +41,29 @@ def _int64(rows, terms: int) -> np.ndarray:
 
 
 def trinomial_root(d: int, k: int) -> float:
-    """Real root > 1 of x^d = x^k + 1, 1 <= k < d (Newton from 1.5, double precision)."""
-    x = 1.5
+    """Real root > 1 of x^d = x^k + 1, 1 <= k < d, in double precision.
+
+    f(x) = x^d - x^k - 1 is increasing and convex past 1, with f(1) < 0 <
+    f(2), so t is halved from 1 while f(1 + t/2) > 0 and Newton starts at
+    the upper bound 1 + t, from where it falls monotonically to the root.
+    """
+
+    def f(x: float) -> float:
+        return x**d - x**k - 1.0
+
     try:
+        t = 1.0
+        while f(1.0 + t / 2) > 0:
+            t /= 2
+        x = 1.0 + t
         for _ in range(80):
-            f = x**d - x**k - 1.0
-            fp = d * x ** (d - 1) - k * x ** (k - 1)
-            step = f / fp
+            step = f(x) / (d * x ** (d - 1) - k * x ** (k - 1))
             x -= step
             if abs(step) < 1e-16:
                 break
     except OverflowError:   # 1.5^d leaves double range from d = 1751
         raise ValueError(f"Newton for x^{d} = x^{k} + 1 overflows at d = {d}") from None
-    if abs(x**d - x**k - 1.0) >= 1e-12:
+    if not abs(f(x)) < 1e-12:
         raise ValueError(f"Newton did not converge for x^{d} = x^{k} + 1")
     return x
 

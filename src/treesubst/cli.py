@@ -11,6 +11,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import core, rauzy, verify
 from .trees import ColoredTree, RulePattern, TreeSubstitution
 from .words import DEFAULT_PREFIX_LEN
@@ -70,14 +72,26 @@ def _write(text: str, out: Path | None) -> None:
 # -- gen --------------------------------------------------------------------
 
 
+def _tree_json(tree: ColoredTree, stage: int) -> str:
+    """json.dumps(tree.to_json() | {"stage": stage}, indent=2) + "\n", byte for
+    byte: each list is one '%d' row template, a vertex or an edge triple,
+    repeated, and "[]" when empty."""
+    lists = []
+    for row, values in (("    %d", tree.vertices),
+                        ("    [\n      %d,\n      %d,\n      %d\n    ]",
+                         np.column_stack(tree.edges.columns).ravel().tolist())):
+        rows = len(values) // row.count("%d")
+        lists.append("[\n" + ((row + ",\n") * rows)[:-2] % tuple(values) + "\n  ]" if rows else "[]")
+    return ('{\n  "d": %d,\n  "root": %s,\n  "vertices": %s,\n  "edges": %s,\n  "stage": %d\n}\n'
+            % (tree.d, json.dumps(tree.root), *lists, stage))
+
+
 def cmd_gen(args) -> int:
     scan = core.shared_scan(args.d)
     it = scan.it
     tree = it.tree_at(args.n)
     if args.format == "json":
-        payload = tree.to_json()
-        payload["stage"] = args.n
-        _write(json.dumps(payload, indent=2) + "\n", args.out)
+        _write(_tree_json(tree, args.n), args.out)
     elif args.format == "dot":
         _write(tree.to_dot(), args.out)
     else:

@@ -121,12 +121,19 @@ def _projected_prefix_orbit(depth: int) -> np.ndarray:
 
 @dataclass
 class PointCloud:
+    """Points, the class code of each (-1: untagged) and the tag of each class."""
+
     xs: np.ndarray
     ys: np.ndarray
-    tags: list[str]
+    cls: np.ndarray
+    names: list[str]
 
     def __len__(self) -> int:
-        return len(self.tags)
+        return len(self.xs)
+
+    @property
+    def tags(self) -> list[str]:
+        return _tags(self.cls, self.names)
 
     @property
     def points(self) -> list[tuple[float, float, str]]:
@@ -221,8 +228,8 @@ def _tags(cls: np.ndarray, names: list[str]) -> list[str]:
     return [lookup[c] for c in (cls + 1).tolist()]
 
 
-def _arc_tags(arc_of: np.ndarray) -> list[str]:
-    return _tags(arc_of, [f"a{a}" for a in range(int(arc_of.max(initial=-1)) + 1)])
+def _arc_names(arc_of: np.ndarray) -> list[str]:
+    return [f"a{a}" for a in range(int(arc_of.max(initial=-1)) + 1)]
 
 
 def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
@@ -235,10 +242,11 @@ def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
     kind, k = parse_coloring(coloring)
     pts = _projected_prefix_orbit(depth)
     if kind == "cylinder":
-        tags = _tags(*_cylinder_classes(depth, k))
+        cls, names = _cylinder_classes(depth, k)
     else:
-        tags = _arc_tags(_orbit_index(k, depth)[0])
-    return PointCloud(pts[:, 0].copy(), pts[:, 1].copy(), tags)
+        cls = _orbit_index(k, depth)[0]
+        names = _arc_names(cls)
+    return PointCloud(pts[:, 0].copy(), pts[:, 1].copy(), cls, names)
 
 
 def zeta_cloud(n: int, depth: int) -> PointCloud:
@@ -246,7 +254,7 @@ def zeta_cloud(n: int, depth: int) -> PointCloud:
     pts = _projected_prefix_orbit(depth)
     arc_of, on_tree = _orbit_index(n, depth)
     keep = np.flatnonzero(on_tree)
-    return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), _arc_tags(arc_of[keep]))
+    return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), arc_of[keep], _arc_names(arc_of))
 
 
 # -- audits -----------------------------------------------------------------
@@ -332,7 +340,8 @@ def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> lis
     boundary = max(m, len(l_word(3, base)) + 1)
     cls, names = _cylinder_classes(depth, m)
     cyl = np.array(_tags(cls[boundary:], names))
-    arc = np.array(_arc_tags(_orbit_index(base, depth)[0][boundary:]))
+    arc_of = _orbit_index(base, depth)[0]
+    arc = np.array(_tags(arc_of[boundary:], _arc_names(arc_of)))
     failures = _partition_witnesses(cyl, arc, boundary)
     seen, want = len(distinct(cyl)[0]), len(factors(3, m))
     if not failures and seen != want:
@@ -458,26 +467,76 @@ def tag_palette(tags) -> dict[str, str]:
     return {t: PALETTE[i % len(PALETTE)] for i, t in enumerate(ordered)}
 
 
-def _write_rows(fh, row: str, xs: np.ndarray, ys: np.ndarray, labels: list[str]) -> None:
-    """Write `row` % (x, y, label) for every point, x and y as Python floats:
-    WRITE_CHUNK points per write, each chunk formatted by one % over the row
-    repeated."""
-    for i in range(0, len(labels), WRITE_CHUNK):
-        j = i + WRITE_CHUNK
-        x, y = xs[i:j].tolist(), ys[i:j].tolist()
-        fh.write(row * len(x) % tuple(chain.from_iterable(zip(x, y, labels[i:j]))))
+def _float_text(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows of '%.kf' % v for v in x, right-aligned in a uint8 block, NUL-padded.
+
+    The digits are those of q = rint(p), p = |v| 10^k, by divmod.  While
+    p < 2^32 - 1 the float p is within p 2^-53 < 2^-21 < 1e-6 of the exact
+    product, so where also |frac(p) - 1/2| > 1e-6 rint rounds as the
+    correctly rounded '%.kf' does.  Every other value (a tie such as 1/128
+    at k = 6, a larger p, inf, nan) is formatted by Python into its row.
+    The "-" comes from signbit, as Python's does for -0.0 and -1e-300.
+    """
+    a = np.abs(x)
+    p = np.where(a < 2.0**32, a, 0.0) * 10.0**k   # inf and nan leave the float path here
+    ok = (p < 2.0**32 - 1) & (np.abs(p - np.floor(p) - 0.5) > 1e-6) & (a < 2.0**32)
+    bad = np.flatnonzero(~ok)
+    texts = [b"%.*f" % (k, v) for v in x[bad].tolist()]
+    ints = max(1, 10 - k)   # q < 2^32 has at most 10 digits
+    width = max([ints + k + 2, *map(len, texts)])
+    block = np.zeros((width, len(x)), np.uint8)   # transposed: each store is contiguous
+    block[-ints - k - 2] = np.signbit(x) * ord("-")
+    q = np.where(ok, np.rint(p), 0.0).astype(np.uint32)
+    for row in chain(range(-1, -k - 1, -1), range(-k - 2, -ints - k - 2, -1)):
+        div = q // 10
+        block[row] = q - div * 10 + ord("0")
+        if row < -k - 2:   # a leading zero of the integer part stays NUL
+            block[row] *= q > 0
+        q = div
+    block[-k - 1] = ord(".")
+    for r, text in zip(bad, texts):
+        block[:, r] = 0
+        block[width - len(text) :, r] = np.frombuffer(text, np.uint8)
+    return block.T
+
+
+def _write_rows(fh, n: int, fields: list) -> None:
+    """Write n rows, each the concatenation of `fields`, WRITE_CHUNK rows at a time.
+
+    A field is constant bytes, a float column (values, k) as `_float_text`
+    lays it out, or a label column (codes, labels).  A chunk is one uint8
+    block of the fields side by side; no text holds a NUL, so the nonzero
+    bytes are the rows.
+    """
+    for i in range(0, n, WRITE_CHUNK):
+        rows = slice(i, min(n, i + WRITE_CHUNK))
+        blocks = []
+        for field in fields:
+            if isinstance(field, bytes):
+                const = np.frombuffer(field, np.uint8)
+                blocks.append(np.broadcast_to(const, (rows.stop - i, len(const))))
+            elif isinstance(field[1], int):
+                blocks.append(_float_text(field[0][rows], field[1]))
+            else:
+                table = np.array(field[1], dtype=bytes)
+                blocks.append(table.view(np.uint8).reshape(len(table), -1).take(field[0][rows], 0))
+        out = np.hstack(blocks).ravel()
+        fh.write(out[out != 0])
 
 
 def export_csv(cloud: PointCloud, path: str) -> None:
-    with open(path, "w") as fh:
-        fh.write("x,y,tag\n")
+    with open(path, "wb") as fh:
+        fh.write(b"x,y,tag\n")
         # adding 0.0 turns -0.0 into 0.0, so an exact zero never reads "-0.000000000"
-        _write_rows(fh, "%.9f,%.9f,%s\n", cloud.xs + 0.0, cloud.ys + 0.0, cloud.tags)
+        labels = [t.encode() for t in ["-", *cloud.names]]
+        _write_rows(fh, len(cloud), [(cloud.xs + 0.0, 9), b",", (cloud.ys + 0.0, 9), b",",
+                                     (cloud.cls + 1, labels), b"\n"])
 
 
 def render_svg(cloud: PointCloud, path: str) -> None:
     """Fixed-viewBox scatter plot; byte-identical for identical clouds."""
-    colors = tag_palette(cloud.tags)
+    lookup = ["-", *cloud.names]
+    colors = tag_palette(lookup[c] for c in np.flatnonzero(np.bincount(cloud.cls + 1)))
     if len(cloud):
         x0, x1 = float(cloud.xs.min()), float(cloud.xs.max())
         y0, y1 = float(cloud.ys.min()), float(cloud.ys.max())
@@ -487,14 +546,16 @@ def render_svg(cloud: PointCloud, path: str) -> None:
     pad = 0.05 * max(x1 - x0, y1 - y0, 1e-3)
     x0, x1, y0, y1 = x0 - pad, x1 + pad, y0 - pad, y1 + pad
     r = max(x1 - x0, y1 - y0) / 400
-    with open(path, "w") as fh:
-        fh.write(
+    with open(path, "wb") as fh:
+        fh.write((
             '<?xml version="1.0" encoding="UTF-8"?>\n'
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{SVG_SIZE}" height="{SVG_SIZE}" '
             f'viewBox="{x0:.6f} {y0:.6f} {x1 - x0:.6f} {y1 - y0:.6f}">\n'
             f'<rect x="{x0:.6f}" y="{y0:.6f}" width="{x1 - x0:.6f}" '
             f'height="{y1 - y0:.6f}" fill="white"/>\n'
-        )
-        _write_rows(fh, f'<circle cx="%.6f" cy="%.6f" r="{r:.6f}" fill="%s"/>\n',
-                    cloud.xs, cloud.ys, [colors[t] for t in cloud.tags])
-        fh.write("</svg>\n")
+        ).encode())
+        labels = [colors.get(t, "").encode() for t in lookup]
+        _write_rows(fh, len(cloud), [b'<circle cx="', (cloud.xs, 6), b'" cy="', (cloud.ys, 6),
+                                     f'" r="{r:.6f}" fill="'.encode(), (cloud.cls + 1, labels),
+                                     b'"/>\n'])
+        fh.write(b"</svg>\n")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treesubst import verify
 from treesubst.algnum import (
     ExactLength,
     edge_length_vector,
@@ -28,6 +29,15 @@ def test_trinomial_root_past_double_range_is_a_value_error():
     for d, k in ((1751, 1750), (1751, 1), (5000, 4999)):
         with pytest.raises(ValueError, match=f"x\\^{d} = x\\^{k} \\+ 1 overflows at d = {d}"):
             trinomial_root(d, k)
+
+
+@pytest.mark.parametrize("d", [189, 191, 200, 1000, 1750])
+def test_trinomial_root_converges_at_large_d(d):
+    # Newton from 1.5 stopped converging at d = 189 (k = 1) and d = 191 (k = d - 1)
+    for k in (1, d - 1):
+        x = trinomial_root(d, k)
+        assert 1 < x < 2 and abs(x**d - x**k - 1) < 1e-12
+    assert verify.growth_roots(d) == []
 
 
 def test_defining_relation():

@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from treesubst import cli, rauzy, trees, verify
+from treesubst import cli, core, rauzy, trees, verify
 from treesubst.words import DEFAULT_PREFIX_LEN, MAX_PREFIX_LEN
 from treesubst.trees import family_tree_substitution
 
@@ -328,6 +329,40 @@ def test_gen_output_is_pinned(d, fmt, tmp_path):
     out = tmp_path / f"t.{fmt}"
     assert cli.main(["gen", "--d", str(d), "--n", "14", "--format", fmt, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == _GOLDEN_GEN[d, fmt]
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_gen_json_matches_the_json_encoder(d, tmp_path):
+    out = tmp_path / "t.json"
+    for n in range(9):
+        assert cli.main(["gen", "--d", str(d), "--n", str(n), "--out", str(out)]) == 0
+        payload = core.shared_scan(d).it.tree_at(n).to_json() | {"stage": n}
+        assert out.read_text() == json.dumps(payload, indent=2) + "\n", n
+    empty = trees.ColoredTree(d, [])   # no root, and empty lists stay "[]"
+    assert cli._tree_json(empty, 0) == json.dumps(empty.to_json() | {"stage": 0}, indent=2) + "\n"
+
+
+# the five full-size artifact calls of the benchmark (`artifact_commands` in
+# perfbench/run.py), whose output digests perfbench/expected.json pins
+_ARTIFACT_ARGV = {
+    "gen-json": ["gen", "--d", "3", "--n", "22", "--format", "json"],
+    "gen-dot": ["gen", "--d", "3", "--n", "22", "--format", "dot"],
+    "gen-csv": ["gen", "--d", "3", "--n", "22", "--format", "csv"],
+    "plot-rauzy": ["plot", "--kind", "rauzy", "--depth", "200000", "--color", "cylinder:7",
+                   "--format", "svg"],
+    "plot-zeta": ["plot", "--kind", "zeta", "--n", "4", "--depth", "100000", "--format", "csv"],
+}
+
+
+def test_benchmark_artifacts_match_their_pinned_digests(tmp_path):
+    expected = json.loads((Path(__file__).parents[1] / "perfbench" / "expected.json").read_text())
+    want = expected["full"]["artifacts"]
+    assert sorted(want) == sorted(_ARTIFACT_ARGV)
+    for name, argv in _ARTIFACT_ARGV.items():
+        out = tmp_path / f"{name}.{argv[-1]}"
+        assert cli.main(argv + ["--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want[name], name
+        out.unlink()
 
 
 @pytest.mark.parametrize("kind", ["rauzy", "zeta"])

@@ -387,6 +387,17 @@ def test_partition_sequence_flags_a_stage_missing_an_edge(monkeypatch):
     assert verify.partition_sequence(3, 2) == []
 
 
+def test_partition_sequence_flags_a_wrong_partition_size(monkeypatch):
+    # one more cylinder at every stage: the d = 3 sizes and every edge count disagree
+    true_size = core.determined_partition
+    monkeypatch.setattr(core, "determined_partition", lambda d, n: true_size(d, n) + 1)
+    assert verify.partition_sequence(3, 1) == [
+        "partition sizes [2, 3, 4, 6, 8, 12] != [1, 2, 3, 5, 7, 11]",
+        "stage 0: 3 edges != 5",
+        "stage 1: 5 edges != 7",
+    ]
+
+
 def test_arc_counts_match_edge_counts():
     scan = shared_scan(3)
     for n in range(5):

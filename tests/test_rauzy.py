@@ -1,6 +1,7 @@
 """Planar projection, orbit clouds, and the plot artifacts."""
 
 import hashlib
+import io
 import warnings
 from unittest import mock
 
@@ -44,7 +45,9 @@ def test_tree_image_arcs_flag_a_merged_arc_class(monkeypatch):
         if n != 1:
             return cloud
         a, b = sorted({t for t in cloud.tags if t != "-"})[:2]
-        return rauzy.PointCloud(cloud.xs, cloud.ys, [a if t == b else t for t in cloud.tags])
+        cls = cloud.cls.copy()
+        cls[cls == cloud.names.index(b)] = cloud.names.index(a)
+        return rauzy.PointCloud(cloud.xs, cloud.ys, cls, cloud.names)
 
     monkeypatch.setattr(rauzy, "zeta_cloud", merged)
     assert verify.tree_image_arcs(2, 3000) == ["stage 1: 4 arc classes != 5"]
@@ -380,13 +383,46 @@ def test_svg_pinned_across_a_write_chunk(tmp_path):
 
 def test_writers_pinned_on_signed_zeros(tmp_path):
     cloud = rauzy.PointCloud(np.array([-0.0, 1.5, -2.25e-10]), np.array([0.0, -0.0, 3.0]),
-                             ["a", "b", "-"])
+                             np.array([0, 1, -1]), ["a", "b"])
     export_csv(cloud, str(tmp_path / "z.csv"))
     assert (tmp_path / "z.csv").read_text().splitlines()[1:3] == [
         "0.000000000,0.000000000,a", "1.500000000,0.000000000,b"]
     assert _sha256(tmp_path / "z.csv") == SIGNED_ZERO_CSV_SHA256
     render_svg(cloud, str(tmp_path / "z.svg"))
     assert _sha256(tmp_path / "z.svg") == SIGNED_ZERO_SVG_SHA256
+
+
+def _half_neighbours(n, k):
+    """(n + 1/2) / 10^k and the doubles on either side of it."""
+    v = (n + 0.5) / 10**k
+    return [np.nextafter(v, -np.inf), v, np.nextafter(v, np.inf)]
+
+
+_signed = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(1e-12, 1e12)).map(
+    lambda t: t[0] * t[1])
+_dyadic = st.tuples(st.integers(-(2**40), 2**40), st.integers(0, 60)).map(
+    lambda t: t[0] / 2 ** t[1])
+_past_float_path = st.floats(4294.967295, 1e300)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    k=st.sampled_from([6, 9]),
+    values=st.lists(st.one_of(_signed, _dyadic, _past_float_path, st.floats()), max_size=40),
+    ties=st.lists(st.integers(0, 10**10), max_size=5),
+    chunk=st.sampled_from([1, 3, rauzy.WRITE_CHUNK]),
+)
+@example(k=6, values=[0.0, -0.0, -1e-300, 1 / 128, -1 / 128, 0.5e-6, np.inf, -np.inf, np.nan],
+         ties=[0, 4294967294], chunk=rauzy.WRITE_CHUNK)
+@example(k=9, values=[-0.0, -1e-300, 2.0**-10, 4.294967295, 4.2949672955, 1e300, np.nan],
+         ties=[0, 123456789], chunk=3)
+def test_float_column_matches_percent_format(k, values, ties, chunk):
+    values = values + [v for n in ties for v in _half_neighbours(n, k)]
+    values = values + [-v for v in values]
+    buf = io.BytesIO()
+    with mock.patch.object(rauzy, "WRITE_CHUNK", chunk):
+        rauzy._write_rows(buf, len(values), [(np.array(values, dtype=float), k), b"\n"])
+    assert buf.getvalue() == b"".join(b"%.*f\n" % (k, v) for v in values)
 
 
 def _orbit_index_oracle(base, depth):
