@@ -73,9 +73,9 @@ def _write(text: str, out: Path | None) -> None:
 
 
 def _tree_json(tree: ColoredTree, stage: int) -> str:
-    """json.dumps(tree.to_json() | {"stage": stage}, indent=2) + "\n", byte for
-    byte: each list is one '%d' row template, a vertex or an edge triple,
-    repeated, and "[]" when empty."""
+    """json.dumps({d, root, vertices, edges as [s, t, c], stage}, indent=2)
+    + "\n", byte for byte: each list is one '%d' row template, a vertex or
+    an edge triple, repeated, and "[]" when empty."""
     lists = []
     for row, values in (("    %d", tree.vertices),
                         ("    [\n      %d,\n      %d,\n      %d\n    ]",

@@ -21,10 +21,10 @@ from operator import mul
 
 import numpy as np
 
-from .algnum import ExactLength, _int64, letter_length_exact
+from .algnum import ExactLength, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .realization import FreePoint, Realization, distance
-from .trees import Lifting, TreeIteration
+from .trees import TreeIteration
 from .words import (
     Word,
     _power_lengths,
@@ -574,14 +574,16 @@ class CoreScan:
 
         Lemma: in a discerned tree no path word holds a color next to its
         barred twin, so a path word over colors 1..d is reduced: p* keeps
-        it, and its legal length is the sum over its edges.  So the coded
-        distance is W_x + W_y - 2 W_m, m where x and y meet in the rooted
-        index and W the depth weighted by rho^-n times the letter length per
-        edge of color <= d, with one column more counting the edges of color
-        > d (nonzero iff the path leaves the core colors).  A tree that is
-        not discerned fails.  The realized side is `Realization.distances`;
-        the pairs x < y go in row order, in blocks.  A failing pair's
-        witness comes from `distance` and `legal_path_distance`.
+        it, and its legal length is the sum over its edges.  A branch path
+        runs in the span, the least subtree holding the branch points, and
+        in an R-tree such as the free product of lines a local geodesic is
+        a geodesic (Chiswell, Introduction to Lambda-trees, ch. 2).  So the
+        claim holds when each span edge has a color <= d and realizes as one
+        syllable of length rho^-n * base(color), and no two span edges leave
+        one vertex in one direction (copy, sign).  A tree that is not
+        discerned fails.  Each witness is a failing pair, from `distance`
+        and `legal_path_distance`: a bad span edge's ends, or the far ends
+        of two span edges leaving a vertex alike.
         """
         self.extend_to(n)
         self.real.extend_to(n)
@@ -589,25 +591,29 @@ class CoreScan:
         if not tree.is_discerned():
             return [f"stage {n}: tree not discerned, so its path words may cancel"]
         index = tree.rooted_index()   # the vertices 0..|V_n|-1 are their own slots
-        lift = Lifting(index.parent)
-        lengths = [x.scaled(-n).coeffs for x in letter_length_exact(d).values()]
-        weight = [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)   # per color
-        # a coded distance sums four weighted depths, each at most one weight per vertex
-        weighted = index.counts @ _int64(weight, 4 * len(index.parent))
-        branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
+        marks = np.zeros((len(index.parent), 1), dtype=bool)
+        marks[tree.branch_points()] = True
+        v = np.flatnonzero(tree.spans(marks)[:, 0])
+        out, color, parent = index.up[v] > 0, np.abs(index.up[v]), index.parent[v]
+        s, t = np.where(out, v, parent), np.where(out, parent, v)
+        copy, sign = self.real.edge_syllables(n, s, t, color)
+        good = (color <= d) & (sign != 0)
+        pairs = [*zip(s[~good].tolist(), t[~good].tolist())]
+        # a good edge leaves s along (copy, sign) and t along (copy, -sign)
+        s, t, copy, up = s[good], t[good], copy[good], sign[good] > 0
+        key = np.concatenate([(s * d + copy) * 2 + up, (t * d + copy) * 2 + ~up])
+        order = np.argsort(key, kind="stable")
+        far, alike = np.concatenate([t, s])[order], np.flatnonzero(np.diff(key[order]) == 0)
+        pairs += zip(far[alike].tolist(), far[alike + 1].tolist())
         failures = []
-        for i, j in _pair_blocks(len(branch)):
-            xs, ys = branch[i], branch[j]
-            want = weighted[xs] + weighted[ys] - 2 * weighted[lift.meet(xs, ys)[0]]
-            leaves = want[:, d] != 0
-            bad = leaves | (self.real.distances(xs, ys) != want[:, :d]).any(axis=1)
-            for x, y, out in zip(xs[bad].tolist(), ys[bad].tolist(), leaves[bad]):
-                if out:
-                    failures.append(f"pair ({x},{y}): path leaves the core colors")
-                    continue
-                want_xy = legal_path_distance(d, p_star(d, tree.path_word(x, y))).scaled(-n)
-                got_xy = distance(self.real.point(x), self.real.point(y))
-                failures.append(f"pair ({x},{y}): {got_xy.value():.6f} != {want_xy.value():.6f}")
+        for x, y in sorted({(min(p), max(p)) for p in pairs}):
+            word = tree.path_word(x, y)
+            if any(abs(c) > d for c in word):
+                failures.append(f"pair ({x},{y}): path leaves the core colors")
+                continue
+            want = legal_path_distance(d, p_star(d, word)).scaled(-n)
+            got = distance(self.real.point(x), self.real.point(y))
+            failures.append(f"pair ({x},{y}): {got.value():.6f} != {want.value():.6f}")
         return failures
 
 

@@ -36,6 +36,9 @@ MODULUS_TOL = 1e-9
 PAIR_BUDGET = 1 << 18   # candidate pairs the nearest-neighbour search holds at once
 WRITE_CHUNK = 1 << 16   # points the artifact writers format per write
 SVG_SIZE = 800          # pixels on a side of the rendered SVG
+BOUNDED_DRIFT = 0.01    # share the orbit's sup norm may grow from depth 50k to 100k
+CONGRUENCE_M = 7        # cylinder length whose equal-measure clouds are compared
+CONGRUENCE_TOL = 0.02   # nearest-neighbour RMS allowed, as a share of the diameter
 
 
 @dataclass(frozen=True)
@@ -43,7 +46,6 @@ class ContractingBasis:
     d: int
     expanding_value: float
     expanding: tuple[float, float, float]
-    plane: tuple[tuple[float, float, float], tuple[float, float, float]]
     # rows map an integer vector to its plane coordinates, expanding part removed
     to_plane: tuple[tuple[float, float, float], tuple[float, float, float]]
 
@@ -88,7 +90,6 @@ def contracting_basis(matrix: np.ndarray) -> ContractingBasis:
         3,
         float(top.real),
         tuple(exp_vec),
-        (tuple(pair.real), tuple(pair.imag)),
         tuple(map(tuple, to_plane)),
     )
 
@@ -134,12 +135,6 @@ class PointCloud:
     @property
     def tags(self) -> list[str]:
         return _tags(self.cls, self.names)
-
-    @property
-    def points(self) -> list[tuple[float, float, str]]:
-        return [
-            (float(x), float(y), t) for x, y, t in zip(self.xs, self.ys, self.tags)
-        ]
 
 
 def parse_coloring(spec: str) -> tuple[str, int]:
@@ -269,13 +264,13 @@ def boundedness_profile(checkpoints=(50_000, 100_000)) -> dict[int, float]:
     return {c: float(running[c]) for c in checkpoints}
 
 
-def check_boundedness(ratio_tol: float = 0.01) -> list[str]:
+def check_boundedness() -> list[str]:
     """The orbit's sup norm moves less than 1% between 50k and 100k."""
     profile = boundedness_profile()
     lo, hi = profile[50_000], profile[100_000]
     if not hi < float("inf"):
         return ["projected orbit unbounded"]
-    if (hi - lo) / hi > ratio_tol:
+    if (hi - lo) / hi > BOUNDED_DRIFT:
         return [f"sup norm still drifting: {lo:.6f} -> {hi:.6f}"]
     return []
 
@@ -408,9 +403,7 @@ def _nearest_rms(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(_nearest_sq(a, b).mean()))
 
 
-def check_translate_congruence(
-    depth: int = 20_000, m: int = 7, rel_tol: float = 0.02
-) -> list[str]:
+def check_translate_congruence(depth: int = 20_000) -> list[str]:
     """Equal-measure cylinder clouds agree up to translation, within tolerance.
 
     Centroids are aligned and the symmetric nearest-neighbor RMS is compared
@@ -419,13 +412,13 @@ def check_translate_congruence(
     """
     pts = _projected_prefix_orbit(depth)
     diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
-    cls, names = _cylinder_classes(depth, m)
+    cls, names = _cylinder_classes(depth, CONGRUENCE_M)
     order = np.argsort(cls, kind="stable")   # each class keeps its prefix order
     bounds = np.searchsorted(cls[order], np.arange(len(names) + 1))
     by_tag = {
         name: pts[order[bounds[k] : bounds[k + 1]]] for k, name in enumerate(names)
     }
-    spectrum = measure_spectrum(3, m)
+    spectrum = measure_spectrum(3, CONGRUENCE_M)
     groups: dict[int, list[str]] = {}
     for u, j in spectrum.snapped_exponents.items():
         groups.setdefault(j, []).append(word_str(u))
@@ -443,7 +436,7 @@ def check_translate_congruence(
             pb = by_tag[b] - by_tag[b].mean(axis=0)
             rms = max(_nearest_rms(pa, pb), _nearest_rms(pb, pa))
             compared += 1
-            if rms / diam > rel_tol:
+            if rms / diam > CONGRUENCE_TOL:
                 failures.append(
                     f"class lambda^-{j}: {a} vs {b} rms {rms / diam:.4f} of diameter"
                 )

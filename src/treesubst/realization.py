@@ -205,6 +205,18 @@ class Realization:
     def point(self, v: int) -> FreePoint:
         return self.points[v]
 
+    def edge_syllables(self, n: int, s, t, color) -> tuple[np.ndarray, np.ndarray]:
+        """Per stage-n edge (s, t, color), the copy of the syllable p^-1 q, p
+        and q the points of s and t, and its sign where the rows show one
+        syllable of length rho^-n * base(color); the sign is 0 elsewhere."""
+        want = np.zeros((2 * self.d - 1, self.d), dtype=np.int64)
+        colors, lengths = zip(*self.base_lengths.items())
+        want[list(colors)] = self._rows([b.scaled(-n) for b in lengths])
+        copy, coef, ok = self._between(s, t)
+        w = want[color]
+        sign = (coef == w).all(axis=1).astype(np.int64) - (coef == -w).all(axis=1)
+        return copy, np.where(ok, sign, 0)
+
     def edge_length_check(self, n: int) -> None:
         """Every stage-n edge realizes as one syllable of length rho^-n * base(color).
 
@@ -212,17 +224,14 @@ class Realization:
         """
         self.extend_to(n)
         tree = self.it.tree_at(n)
-        want = np.zeros((2 * self.d - 1, self.d), dtype=np.int64)
-        colors, lengths = zip(*self.base_lengths.items())
-        want[list(colors)] = self._rows([b.scaled(-n) for b in lengths])
-        _, coef, ok = self._between(tree.src, tree.dst)
-        w = want[tree.color]
-        if not (good := ok & ((coef == w).all(axis=1) | (coef == -w).all(axis=1))).all():
-            i = int(np.argmin(good))
+        _, sign = self.edge_syllables(n, tree.src, tree.dst, tree.color)
+        if (bad := np.flatnonzero(sign == 0)).size:
+            i = int(bad[0])
             s, t, c = tree.edges[i]
-            if not ok[i]:
+            _, coef, ok = self._between(tree.src[i:i + 1], tree.dst[i:i + 1])
+            if not ok[0]:
                 raise ValueError((n, (s, t, c), "not a single syllable"))
-            raise ValueError((n, (s, t, c), abs(ExactLength(self.d, tuple(coef[i].tolist()))),
+            raise ValueError((n, (s, t, c), abs(ExactLength(self.d, tuple(coef[0].tolist()))),
                               self.base_lengths[c].scaled(-n)))
 
     def _signs(self, rows: np.ndarray) -> np.ndarray:

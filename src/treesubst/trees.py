@@ -296,14 +296,6 @@ class ColoredTree:
         keys = [np.sort(end.astype(np.int64) * span + self.color) for end in (self.src, self.dst)]
         return not any((k[1:] == k[:-1]).any() for k in keys)
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.d,
-            "root": self.root,
-            "vertices": list(self.vertices),
-            "edges": np.column_stack(self.edges.columns).tolist(),
-        }
-
     def to_dot(self) -> str:
         palette = ["black", "red", "blue", "green3", "orange", "purple",
                    "brown", "cyan3", "magenta", "gray40"]

@@ -277,6 +277,7 @@ DEFAULT_PREFIX_LEN = 10**6
 # largest prefix a measure estimate may read: its buffer holds at most about
 # lambda times as many letters (14.7 MB at d = 3)
 MAX_PREFIX_LEN = 10**7
+MAX_EXPONENT = 40   # deepest power lambda^-j a measure estimate snaps to
 
 
 @lru_cache(maxsize=None)
@@ -337,20 +338,19 @@ class MeasureSpectrum:
         return self.max_residual < tol
 
 
-def measure_spectrum(d: int, m: int, prefix_len: int = DEFAULT_PREFIX_LEN,
-                     max_exponent: int = 40) -> MeasureSpectrum:
+def measure_spectrum(d: int, m: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> MeasureSpectrum:
     """Estimated measures of all length-m cylinders, snapped to powers of lambda.
 
-    Snapping picks the nearest lambda^-j with j <= max_exponent; the worst
+    Snapping picks the nearest lambda^-j with j <= MAX_EXPONENT; the worst
     residual is reported so callers can reject a failed snap.
     """
     lam = growth_root(d)
-    powers = [lam**-j for j in range(max_exponent + 1)]
+    powers = [lam**-j for j in range(MAX_EXPONENT + 1)]
     snapped: dict[Word, int] = {}
     worst = 0.0
     for u, count in _window_counts(d, m, prefix_len):
         est = count / prefix_len
-        j = min(range(max_exponent + 1), key=lambda k: abs(powers[k] - est))
+        j = min(range(MAX_EXPONENT + 1), key=lambda k: abs(powers[k] - est))
         snapped[u] = j
         worst = max(worst, abs(powers[j] - est))
     values = sorted({powers[j] for j in snapped.values()}, reverse=True)

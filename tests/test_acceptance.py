@@ -150,7 +150,7 @@ def test_c14_cancellation_probes():
 
 def test_c15_planar_projection():
     failures = []
-    failures += rauzy.check_boundedness(0.01)
+    failures += rauzy.check_boundedness()
     failures += rauzy.check_partition_match(20_000, 7, 4)
     failures += verify.artifact_determinism(20_000)
     _report(15, "planar projection bounded, partitioned, deterministic", failures)

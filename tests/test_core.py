@@ -12,11 +12,11 @@ import numpy as np
 import pytest
 
 from treesubst import algnum, core, verify
-from treesubst.algnum import ExactLength, _int64
+from treesubst.algnum import ExactLength, _int64, letter_length_exact
 from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
 from treesubst.realization import Realization, distance
-from treesubst.trees import ColoredTree, TreeIteration
+from treesubst.trees import ColoredTree, Lifting, TreeIteration
 from treesubst.words import (
     _power_lengths, fixed_point_prefix, measure_spectrum, power_image, word_str,
 )
@@ -831,11 +831,55 @@ def _pair_oracle(scan, n):
     return failures
 
 
+def _blocked_oracle(scan, n):
+    """The audit over all branch pairs x < y in row order, in blocks: the
+    coded distance from the rooted index's weighted depths (rho^-n times
+    the letter length per edge of color <= d, one column more counting the
+    edges of color > d) met by `Lifting.meet`, the realized one from
+    `Realization.distances`; witnesses worded as `_pair_oracle` words them."""
+    scan.extend_to(n)
+    scan.real.extend_to(n)
+    d, tree = scan.d, scan.it.tree_at(n)
+    index = tree.rooted_index()
+    lift = Lifting(index.parent)
+    lengths = [x.scaled(-n).coeffs for x in letter_length_exact(d).values()]
+    weight = [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)   # per color
+    weighted = index.counts @ _int64(weight, 4 * len(index.parent))
+    branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
+    failures = []
+    for i, j in core._pair_blocks(len(branch)):
+        xs, ys = branch[i], branch[j]
+        want = weighted[xs] + weighted[ys] - 2 * weighted[lift.meet(xs, ys)[0]]
+        leaves = want[:, d] != 0
+        bad = leaves | (scan.real.distances(xs, ys) != want[:, :d]).any(axis=1)
+        for x, y, out in zip(xs[bad].tolist(), ys[bad].tolist(), leaves[bad]):
+            if out:
+                failures.append(f"pair ({x},{y}): path leaves the core colors")
+                continue
+            want_xy = legal_path_distance(d, p_star(d, tree.path_word(x, y))).scaled(-n)
+            got_xy = distance(scan.real.point(x), scan.real.point(y))
+            failures.append(f"pair ({x},{y}): {got_xy.value():.6f} != {want_xy.value():.6f}")
+    return failures
+
+
+def _within(failures, oracle):
+    """Whether `failures` is a non-empty sub-list of `oracle`, in its order."""
+    rest = iter(oracle)
+    return bool(failures) and all(f in rest for f in failures)
+
+
+def _pair(failure):
+    """The two vertices a pair witness names."""
+    return tuple(map(int, failure[failure.index("(") + 1 : failure.index(")")].split(",")))
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_path_audit_agrees_with_pair_oracle(d):
     scan = CoreScan(d)
-    for n in range(11):
-        assert scan.check_path_distances(n) == _pair_oracle(scan, n) == []
+    for n in range({3: 16, 4: 12, 5: 10}[d] + 1):
+        assert scan.check_path_distances(n) == _blocked_oracle(scan, n) == []
+        if n <= 10:
+            assert _pair_oracle(scan, n) == []
 
 
 @pytest.mark.parametrize("n", [8, 10])
@@ -852,9 +896,43 @@ def test_path_audit_flags_a_displaced_point(n, along):
     assert _below(scan.real, v) & set(branch) == {v}
     _displace(scan.real, v, along)
     failures = scan.check_path_distances(n)
-    assert failures == _pair_oracle(scan, n)
-    assert len(failures) == len(branch) - 1
-    assert all(str(v) in f.split(":")[0] for f in failures)
+    assert _within(failures, _pair_oracle(scan, n))
+    assert all(v in _pair(f) for f in failures)
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+def test_path_audit_flags_a_folded_ray(n):
+    """The root's color-2 ray folded onto copy 0, the color-1 one: every
+    edge keeps one syllable of its length and each center stays inside its
+    replaced edge, so the edge law and the gap pass; the path audit sees
+    two edges leave the root in one direction."""
+    scan = CoreScan(3)
+    scan.extend_to(n)
+    real = scan.real
+    real.extend_to(n)
+    real.copy[(real.anchor == 0) & (real.copy == 1)] = 0
+    real.edge_length_check(n)
+    real.hausdorff_gap(n)
+    assert _within(scan.check_path_distances(n), _pair_oracle(scan, n))
+
+
+def test_path_audit_reads_a_syllable_only_where_the_rows_show_one():
+    """Two sibling ends of a span edge, one re-anchored at the origin with
+    its row kept: the rows still differ by the right syllable, but no longer
+    show one (neither end is the other's anchor or sibling), so it fails."""
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n)
+    real = scan.real
+    real.extend_to(n)
+    tree = scan.it.tree_at(n)
+    branch = set(tree.branch_points())
+    s, t = next((s, t) for s, t, _ in tree.edges
+                if {s, t} <= branch and real.anchor[s] == real.anchor[t] > 0)
+    real.anchor[t] = 0
+    failures = scan.check_path_distances(n)
+    assert _within(failures, _pair_oracle(scan, n))
+    assert (min(s, t), max(s, t)) in map(_pair, failures)
 
 
 def test_approx_steps_flag_a_displaced_point():
@@ -882,8 +960,9 @@ def test_path_audit_refuses_a_shared_row():
     # two centers born at stage n given one row, so both sit at one point
     v, w = scan.it.centers[n][0].vertex, scan.it.centers[n][1].vertex
     real.anchor[w], real.copy[w], real.coef[w] = real.anchor[v], real.copy[v], real.coef[v]
-    with pytest.raises(ValueError, match="share a row"):
-        scan.check_path_distances(n)
+    failures = scan.check_path_distances(n)
+    assert _within(failures, _pair_oracle(scan, n))
+    assert all(w in _pair(f) for f in failures)
     with pytest.raises(ValueError, match="share a row"):
         real.distances([v], [w])
 
@@ -902,17 +981,19 @@ def test_path_audit_reports_leaving_core_colors(monkeypatch):
     scan = CoreScan(d)
     scan.extend_to(n)
     tree = scan.it.tree_at(n)
-    leaf = next(t for _, t, c in tree.edges if c == d + 1 and tree.degree(t) == 1)
+    s, leaf = next((s, t) for s, t, c in tree.edges if c == d + 1 and tree.degree(t) == 1)
     branch = tree.branch_points()
     monkeypatch.setattr(ColoredTree, "branch_points", lambda self: branch + [leaf])
     failures = scan.check_path_distances(n)
-    assert failures == _pair_oracle(scan, n)
-    assert len(failures) == len(branch)
-    assert all(f.endswith("path leaves the core colors") for f in failures)
+    # the leaf's own edge, the one span edge off the core colors
+    assert failures == [f"pair ({min(s, leaf)},{max(s, leaf)}): path leaves the core colors"]
+    assert _within(failures, _pair_oracle(scan, n))
 
 
-def test_path_audit_reaches_stage_14():
-    assert shared_scan(3).check_path_distances(14) == []
+def test_path_audit_reaches_stage_28():
+    scan = CoreScan(3)
+    for n in range(29):
+        assert scan.check_path_distances(n) == []
 
 
 def test_pair_route_at_depth():
@@ -935,11 +1016,11 @@ def test_path_audit_refuses_int64_overflow(monkeypatch):
     with pytest.raises(ValueError, match="beyond int64"):
         _int64([[1 << 70, 0, 0]], 1)
     assert _int64([[-(1 << 57), 3, 0]], 7).tolist() == [[-(1 << 57), 3, 0]]
-    # the audit's own operands, refused through the same routine
-    monkeypatch.setattr(algnum, "INT64_BOUND", 1 << 6)
+    # the audit's own operand, its per-color length table, refused through the same routine
     scan = CoreScan(3)
     scan.real.extend_to(10)
-    with pytest.raises(ValueError, match="int64 operand 4 times 616"):
+    monkeypatch.setattr(algnum, "INT64_BOUND", 1 << 3)
+    with pytest.raises(ValueError, match="int64 operand 4 times 2 "):
         scan.check_path_distances(10)
 
 

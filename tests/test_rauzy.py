@@ -115,7 +115,7 @@ def test_boundedness():
 def test_depth_zero_cloud():
     cloud = fractal_cloud(0)
     assert len(cloud) == 1
-    assert cloud.points == [(0.0, 0.0, "-")]
+    assert (cloud.xs.tolist(), cloud.ys.tolist(), cloud.tags) == ([0.0], [0.0], ["-"])
 
 
 def test_cylinder_tags():

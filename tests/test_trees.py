@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from treesubst.freegroup import family_inverse, p_star
-from treesubst import core, trees, verify
+from treesubst import cli, core, trees, verify
 from treesubst.trees import (
     ColoredTree,
     Lifting,
@@ -457,7 +457,7 @@ def test_edge_matrix_spectrum():
 
 def test_json_round_trip():
     t = initial_tree(3)
-    data = json.loads(json.dumps(t.to_json()))
+    data = json.loads(cli._tree_json(t, 0))
     assert ColoredTree(data["d"], data["edges"], root=data["root"]) == t
     assert data["vertices"] == list(t.vertices)
 
