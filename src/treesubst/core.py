@@ -88,17 +88,6 @@ def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in _letter_columns(d)))
 
 
-def _pair_blocks(count: int):
-    """Index pairs i < j of range(count) in row order, as two arrays per
-    block of whole rows, about 2^14 pairs (at least one row)."""
-    start = 0
-    while start < count - 1:
-        rows = np.arange(start, min(count - 1, start + max(1, (1 << 14) // (count - 1 - start))))
-        i, j = np.nonzero(np.arange(count) > rows[:, None])
-        yield rows[i], j
-        start = int(rows[-1]) + 1
-
-
 @dataclass(frozen=True)
 class Arc:
     """One edge of a stage-n tree together with its interior-branch data.
@@ -179,6 +168,7 @@ class CoreScan:
         self.by_length = np.zeros(1, dtype=np.int64)
         self.labels = _Labels(self)
         self.scanned = 0
+        self._premised: tuple[int, list[str]] = (-1, [])   # premises of the shift isometry
 
     # -- label scan ---------------------------------------------------------
 
@@ -274,12 +264,17 @@ class CoreScan:
         bad = np.flatnonzero((spelled != table[tree.color]).any(axis=1))
         failures += [f"stage {n} edge ({s},{t},{c}): trunk is not {trunks[c]} in stage {n + 1}"
                      for s, t, c in map(tree.edges.__getitem__, bad.tolist())]
+        return failures + self._length_fact(n)
+
+    def _length_fact(self, n: int) -> list[str]:
+        """Fact (3) of the address map at stage n: the stored length of the
+        root (n = 0) or of each stage-n center is what `_stage_lengths` gives."""
         try:   # stage 0 has the root, of length 0, for its centers
             v, want = (np.zeros(1, dtype=np.int64),) * 2 if n == 0 else self._stage_lengths(n)
         except ValueError as exc:
-            return failures + [f"stage {n}: {exc}"]
+            return [f"stage {n}: {exc}"]
         bad = np.flatnonzero(self.length[v] != want)
-        return failures + [
+        return [
             f"stage {n} vertex {x}: label length {k}, want {w}"
             for x, k, w in zip(v[bad].tolist(), self.length[v[bad]].tolist(), want[bad].tolist())
         ]
@@ -404,9 +399,9 @@ class CoreScan:
         vs = self.approx_points(exponents)
         failures = []
         base = self.real.base_lengths[1]
-        for a, row in zip(exponents[1:], self.real.distances(vs[:-1], vs[1:]).tolist()):
-            got = ExactLength(self.d, tuple(row))
-            want = base.scaled(-a)
+        pts = [self.real.point(v) for v in vs]
+        for a, p, q in zip(exponents[1:], pts, pts[1:]):
+            got, want = distance(p, q), base.scaled(-a)
             if got != want:
                 failures.append(f"step {a}: moved {got.value():.6f}, want {want.value():.6f}")
         return failures
@@ -535,21 +530,42 @@ class CoreScan:
                 if off or self._vertex_of_length(kv + 1) < 0]
 
     def check_shift_isometry(self, a: int, n: int) -> list[str]:
-        """Pairwise distances survive the label shift exactly: the realized
-        distance rows of the domain pairs equal those of their images."""
+        """The shift of letter a keeps realized distances on its stage-n domain,
+        as a certificate over two others.
+
+        Lemma: let g(v) = p*(root -> v in T_(n+1)).  The address map gives
+        sigma^(n+1)(g(v)) = label(v) for every branch point of T_(n+1).  A
+        domain point v has its image f(v) of label a^-1.label(v), one letter
+        longer with a at position length[v]; so g(f(v)) = h_a.g(v), h_a =
+        sigma^-(n+1)(a^-1) one element per letter, and g(f(x))^-1 g(f(y)) =
+        g(x)^-1 g(y).  Path distances at stage n+1 make the realized distance
+        of two branch points of T_(n+1), which domain points and images are,
+        rho^-(n+1) times the legal length of that reduced word.  So the shift
+        is an isometry when (a) each image's stored length is its point's
+        plus one, (b) the address-map facts hold through stage n+1, and (c)
+        path distances hold at stage n+1.  (b) and (c) do not depend on the
+        letter and are decided once per stage, their failures in their own
+        texts.  A domain point without an image raises ValueError.  The
+        certificate reads the stored lengths, and the pairs do not: a wrong
+        length fails it though every distance survives.
+        """
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
         dom = np.array(self.shift_domain(a, n), dtype=np.int64)
-        img = self.by_length[self.length[dom] + 1]
+        want = self.length[dom] + 1
+        img = self.by_length[want]
         if (img < 0).any():
             raise ValueError(f"letter {a}: a domain point's image label is unrealized")
-        failures = []
-        for i, j in _pair_blocks(len(dom)):
-            moved = (self.real.distances(dom[i], dom[j])
-                     != self.real.distances(img[i], img[j])).any(axis=1)
-            failures += [f"letter {a}: pair ({x},{y}) distorted"
-                         for x, y in zip(dom[i[moved]].tolist(), dom[j[moved]].tolist())]
-        return failures
+        bad = self.length[img] != want
+        failures = [f"letter {a}: image {w} of vertex {v} has label length {k}, want {kv}"
+                    for v, w, k, kv in zip(dom[bad].tolist(), img[bad].tolist(),
+                                           self.length[img[bad]].tolist(), want[bad].tolist())]
+        if self._premised[0] != n:   # a built stage's columns do not change
+            premises = [f for m in range(n + 1) for f in self.check_address_map(m)]
+            # fact (3) alone at stage n+1: fact (2) there would read T_(n+2)
+            premises += self._length_fact(n + 1) + self.check_path_distances(n + 1)
+            self._premised = n, premises
+        return failures + self._premised[1]
 
     def check_domain_overlaps(self, n: int) -> list[str]:
         """Spanned domains of distinct letters share at most one vertex.

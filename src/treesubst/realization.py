@@ -17,10 +17,10 @@ d-2 fresh leaves hanging off it.
 So each point is an older point times one syllable, and the realization
 is three columns by vertex id: `anchor`, the vertex whose point is this
 one less its last syllable (-1 at the origin), that syllable's `copy`, and
-`coef`, its exponent's int64 coefficient row.  The checks and the pair
-distances (`distances`, read off the anchor tree) decide on the rows alone
-(the lemma at `_between`); `points[v]` builds a point, and `quotient` and
-`distance` on points serve single pair queries and witness texts.
+`coef`, its exponent's int64 coefficient row.  The checks decide on the
+rows alone (the lemma at `_between`); `points[v]` builds a point, and
+`quotient` and `distance` on points serve single pair queries and witness
+texts.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from .algnum import ExactLength, _int64, edge_length_vector
-from .trees import Lifting, TreeIteration
+from .trees import TreeIteration
 from .words import distinct
 
 Syllable = tuple[int, ExactLength]
@@ -137,7 +137,6 @@ class Realization:
                                + [self.base_lengths[j] for j in range(1, d + 1)])
         self.points = _Points(self)
         self.stage_done = 0
-        self._metric = None
 
     def _rows(self, lengths: list[ExactLength]) -> np.ndarray:
         # a stored row is below half the bound, so a sum or difference of two cannot wrap
@@ -269,40 +268,17 @@ class Realization:
         lengths = [abs(ExactLength(d, tuple(r))) for r in distinct(legs)[0].tolist()]
         return max(lengths, default=ExactLength.zero(d))
 
-    def _norms(self) -> tuple[Lifting, np.ndarray, np.ndarray, np.ndarray]:
-        """The anchors as a lifting, and per vertex the exact sign of its
-        syllable, |syllable| as int64 rows and the norm |P_v|: its anchor's
-        plus |syllable|, summed along the anchors."""
-        lift = Lifting(np.where(self.anchor >= 0, self.anchor, np.arange(len(self.anchor))))
-        sign = self._signs(self.coef)
-        # a distance sums four norms (x, y, twice the meeting one), each at
-        # most one |syllable| per vertex
-        size = _int64(self.coef * sign[:, None], 4 * len(sign))
-        return lift, sign, size, lift.sums(size)
-
-    def distances(self, xs, ys) -> np.ndarray:
-        """Int64 coefficient rows of d(p_x, p_y), pair by pair, from the rows.
-
-        The free product of lines is an R-tree: d = |P_x| + |P_y| - 2(x|y).
-        The two syllable words share the anchor path to m, where x and y
-        meet, and the shorter of the next two syllables if those run along
-        one copy with one sign: (x|y) is the norm of m or of that child.  Two
-        children sharing a row (anchor, copy, coef) would sit at one point:
-        ValueError.  The anchors' lifting and the order of the |syllable|s
-        are built once per stage.
-        """
-        if self._metric is None or self._metric[0] != self.stage_done:
-            lift, sign, size, norm = self._norms()
-            values, _, which = distinct(size)
-            lengths = [ExactLength(self.d, tuple(r)) for r in values.tolist()]
-            rank = np.argsort(sorted(range(len(lengths)), key=lengths.__getitem__))
-            self._metric = self.stage_done, lift, sign, rank[which], norm
-        _, lift, sign, rank, norm = self._metric
-        m, x, y = lift.meet(xs, ys)
-        along = (x != y) & (self.copy[x] == self.copy[y]) & (sign[x] == sign[y])
-        if (along & (rank[x] == rank[y])).any():
-            raise ValueError("two vertices share a row (anchor, copy, coef), so one point")
-        return norm[xs] + norm[ys] - 2 * norm[np.where(along, np.where(rank[x] < rank[y], x, y), m)]
+    def _norms(self) -> np.ndarray:
+        """Per vertex the norm |P_v| as int64 rows: its anchor's plus
+        |syllable|, summed along the anchors by pointer doubling (a row sums
+        the syllables from its vertex up to, not including, `up`, which
+        doubles its reach each round; the origin's syllable is zero)."""
+        # a norm sums at most one |syllable| per vertex on its anchor path
+        rows = _int64(self.coef * self._signs(self.coef)[:, None], len(self.anchor))
+        up = np.where(self.anchor >= 0, self.anchor, 0)
+        while (up[up] != up).any():
+            rows, up = rows + rows[up], up[up]
+        return rows
 
     def coordinates(self) -> tuple[list[float], list[str]]:
         """Per vertex, the value of its point's norm and its text c^t.c^t...
@@ -312,7 +288,7 @@ class Realization:
         d = self.d
         syllables, _, which = distinct(np.column_stack([self.copy, self.coef]))
         words = [f"{r[0]}^{ExactLength(d, tuple(r[1:])).value():.6g}" for r in syllables.tolist()]
-        values, _, at = distinct(self._norms()[-1])
+        values, _, at = distinct(self._norms())
         norms = [ExactLength(d, tuple(r)).value() for r in values.tolist()]
         texts = ["O"] * len(self.anchor)
         for v, (a, w) in enumerate(zip(self.anchor.tolist(), which.tolist())):

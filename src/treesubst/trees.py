@@ -313,44 +313,6 @@ class ColoredTree:
                 and all(map(np.array_equal, self.edges.columns, other.edges.columns)))
 
 
-class Lifting:
-    """Binary lifting over a parent array whose roots are their own parents
-    (M. A. Bender and M. Farach-Colton, "The LCA problem revisited", 2000):
-    `jumps[k][v]` is the 2^k-th ancestor of v, or its root past that, up to
-    the level that maps every vertex to its root."""
-
-    def __init__(self, parent: np.ndarray):
-        self.jumps = [parent]
-        while (parent[self.jumps[-1]] != self.jumps[-1]).any():
-            self.jumps.append(self.jumps[-1][self.jumps[-1]])
-        self.depth = self.sums((parent != np.arange(len(parent))).astype(np.int64))
-
-    def sums(self, rows: np.ndarray) -> np.ndarray:
-        """Per vertex, the sum of `rows` (zero at the roots) over it and its
-        ancestors, by pointer doubling: after level k a row holds 2^(k+1)."""
-        for up in self.jumps:
-            rows = rows + rows[up]
-        return rows
-
-    def meet(self, x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pair by pair, the lowest common ancestor m of x and y, and x and y
-        lifted to the two children of m toward them; both ends are m where
-        x or y is m."""
-        parent, depth = self.jumps[0], self.depth
-        swap = depth[x] < depth[y]
-        x, y = np.where(swap, y, x), np.where(swap, x, y)   # x no shallower than y
-        steps = depth[x] - depth[y]
-        for k, up in enumerate(self.jumps):   # x level with y
-            x = np.where(steps >> k & 1, up[x], x)
-        at = np.flatnonzero(x != y)   # these rise to just below m
-        a, b = x[at], y[at]
-        for up in reversed(self.jumps):
-            ua, ub = up[a], up[b]
-            a, b = np.where(ua != ub, ua, a), np.where(ua != ub, ub, b)
-        x[at], y[at] = a, b
-        return np.where(x == y, x, parent[x]), np.where(swap, y, x), np.where(swap, x, y)
-
-
 # ---------------------------------------------------------------------------
 # substitution rules
 

@@ -356,6 +356,8 @@ def shift_isometries(d: int, max_stage: int) -> list[str]:
 
     A domain of fewer than two branch points compares no distance; if every
     letter's domain is like that, the check fails rather than pass empty.
+    Each letter's certificate repeats the failures of the premises it
+    shares with the others, and each is reported once.
     """
     scan = core.shared_scan(d)
     fails = []
@@ -365,7 +367,7 @@ def shift_isometries(d: int, max_stage: int) -> list[str]:
     fails += scan.check_domain_overlaps(max_stage)
     if all(len(scan.shift_domain(a, max_stage)) < 2 for a in range(1, d + 1)):
         fails.append(f"no shift-domain pair to compare at n<={max_stage}")
-    return fails
+    return list(dict.fromkeys(fails))
 
 
 def path_distances(d: int, max_stage: int) -> list[str]:

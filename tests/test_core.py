@@ -16,7 +16,7 @@ from treesubst.algnum import ExactLength, _int64, letter_length_exact
 from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
 from treesubst.realization import Realization, distance
-from treesubst.trees import ColoredTree, Lifting, TreeIteration
+from treesubst.trees import ColoredTree, TreeIteration
 from treesubst.words import (
     _power_lengths, fixed_point_prefix, measure_spectrum, power_image, word_str,
 )
@@ -31,6 +31,7 @@ from treesubst.core import (
 from test_freegroup import iterate
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
 from test_trees import _hull, adjacency
+from pair_oracles import AnchorMetric, Lifting, pair_blocks
 
 
 def test_l_word_fixtures():
@@ -718,12 +719,31 @@ def _isometry_oracle(scan, a, n):
     ]
 
 
+def _blocked_shift_oracle(scan, a, n):
+    """The shift isometry over all domain pairs in row order, in blocks: the
+    realized distance rows of each pair against those of its images, from
+    `AnchorMetric`; witnesses worded as `_isometry_oracle` words them."""
+    scan.extend_to(n + 1)
+    scan.real.extend_to(n + 1)
+    dom = np.array(scan.shift_domain(a, n), dtype=np.int64)
+    img = scan.by_length[scan.length[dom] + 1]
+    metric = AnchorMetric(scan.real)
+    failures = []
+    for i, j in pair_blocks(len(dom)):
+        moved = (metric(dom[i], dom[j]) != metric(img[i], img[j])).any(axis=1)
+        failures += [f"letter {a}: pair ({x},{y}) distorted"
+                     for x, y in zip(dom[i[moved]].tolist(), dom[j[moved]].tolist())]
+    return failures
+
+
 @pytest.mark.parametrize("d", [3, 4, 5])
 def test_shift_isometry_agrees_with_pair_oracle(d):
     scan = CoreScan(d)
-    for n in range(11):
+    for n in range({3: 16, 4: 12, 5: 10}[d] + 1):
         for a in range(1, d + 1):
-            assert scan.check_shift_isometry(a, n) == _isometry_oracle(scan, a, n) == []
+            assert scan.check_shift_isometry(a, n) == _blocked_shift_oracle(scan, a, n) == []
+            if n <= 10:
+                assert _isometry_oracle(scan, a, n) == []
 
 
 def _below(real, v):
@@ -755,22 +775,68 @@ def _displace(real, v, along):
 
 @pytest.mark.parametrize("along", [False, True], ids=["new-copy", "same-copy"])
 def test_shift_isometry_flags_a_displaced_image(along):
+    """The image's move breaks path distances one stage up, premise (c):
+    each failing pair holds the image."""
     d, n, a = 3, 8, 1
     scan = CoreScan(d)
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
     dom = scan.shift_domain(a, n)
-    image = {v: scan.vertex_of_label(_shift_image_label(scan, a, v)) for v in dom}
-    audited = set(dom) | set(image.values())
-    # an image with no other domain point or image anchored below it
-    v = next(v for v in dom[len(dom) // 2:]
-             if _below(scan.real, image[v]) & audited == {image[v]})
-    _displace(scan.real, image[v], along)
+    images = [scan.vertex_of_label(_shift_image_label(scan, a, v)) for v in dom]
+    branch = set(scan.it.tree_at(n + 1).branch_points())
+    # an image with no other branch point of T_(n+1) anchored below it
+    w = next(w for w in images[len(images) // 2:] if _below(scan.real, w) & branch == {w})
+    _displace(scan.real, w, along)
     failures = scan.check_shift_isometry(a, n)
-    assert failures == _isometry_oracle(scan, a, n)
-    assert failures == [
-        f"letter {a}: pair ({min(v, w)},{max(v, w)}) distorted" for w in dom if w != v
+    assert failures == scan.check_path_distances(n + 1) != []
+    assert all(w in _pair(f) for f in failures)
+    assert _isometry_oracle(scan, a, n) != [] and _blocked_shift_oracle(scan, a, n) != []
+
+
+def test_shift_isometry_flags_a_redirected_image():
+    """One domain point's image length pointed at the next point's image:
+    premise (a) names it, and the oracles see two images at one point."""
+    d, n, a = 3, 8, 1
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    dom = scan.shift_domain(a, n)
+    v, u = dom[len(dom) // 2], dom[len(dom) // 2 + 1]
+    k, w = int(scan.length[v]) + 1, int(scan.by_length[scan.length[u] + 1])
+    scan.by_length[k] = w
+    assert scan.check_shift_isometry(a, n) == [
+        f"letter {a}: image {w} of vertex {v} has label length {scan.length[w]}, want {k}"
     ]
+    assert _isometry_oracle(scan, a, n) != [] and _blocked_shift_oracle(scan, a, n) != []
+
+
+def test_shift_isometry_flags_a_changed_center_length(monkeypatch):
+    """A stage-(n+1) center that is no image, its stored length changed:
+    premise (b), the address map's fact (3) one stage up, fails for every
+    letter, and the audit reports it once.  The oracles read only
+    `by_length` and the points, which did not change, so they pass: the
+    certificate also asks that the stored lengths be the labels', and is
+    stricter by design."""
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    images = {int(scan.by_length[k + 1]) for a in range(1, d + 1)
+              for k in scan.length[scan.shift_domain(a, n)].tolist()}
+    c = next(c.vertex for c in scan.it.centers[n + 1] if c.vertex not in images)
+    k = int(scan.length[c])
+    scan.length[c] += 1
+    want = f"stage {n + 1} vertex {c}: label length {k + 1}, want {k}"
+    for a in range(1, d + 1):
+        assert scan.check_shift_isometry(a, n) == [want]
+        assert _isometry_oracle(scan, a, n) == _blocked_shift_oracle(scan, a, n) == []
+    monkeypatch.setattr(core, "shared_scan", lambda d: scan)
+    assert verify.shift_isometries(d, n) == [want]
+
+
+def test_shift_isometry_reaches_stage_28():
+    scan = CoreScan(3)
+    for n in range(29):
+        for a in (1, 2, 3):
+            assert scan.check_shift_isometry(a, n) == []
 
 
 def _overlaps_oracle(scan, n):
@@ -836,7 +902,7 @@ def _blocked_oracle(scan, n):
     coded distance from the rooted index's weighted depths (rho^-n times
     the letter length per edge of color <= d, one column more counting the
     edges of color > d) met by `Lifting.meet`, the realized one from
-    `Realization.distances`; witnesses worded as `_pair_oracle` words them."""
+    `AnchorMetric`; witnesses worded as `_pair_oracle` words them."""
     scan.extend_to(n)
     scan.real.extend_to(n)
     d, tree = scan.d, scan.it.tree_at(n)
@@ -846,12 +912,13 @@ def _blocked_oracle(scan, n):
     weight = [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)   # per color
     weighted = index.counts @ _int64(weight, 4 * len(index.parent))
     branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
+    metric = AnchorMetric(scan.real)
     failures = []
-    for i, j in core._pair_blocks(len(branch)):
+    for i, j in pair_blocks(len(branch)):
         xs, ys = branch[i], branch[j]
         want = weighted[xs] + weighted[ys] - 2 * weighted[lift.meet(xs, ys)[0]]
         leaves = want[:, d] != 0
-        bad = leaves | (scan.real.distances(xs, ys) != want[:, :d]).any(axis=1)
+        bad = leaves | (metric(xs, ys) != want[:, :d]).any(axis=1)
         for x, y, out in zip(xs[bad].tolist(), ys[bad].tolist(), leaves[bad]):
             if out:
                 failures.append(f"pair ({x},{y}): path leaves the core colors")
@@ -964,7 +1031,7 @@ def test_path_audit_refuses_a_shared_row():
     assert _within(failures, _pair_oracle(scan, n))
     assert all(w in _pair(f) for f in failures)
     with pytest.raises(ValueError, match="share a row"):
-        real.distances([v], [w])
+        AnchorMetric(real)([v], [w])
 
 
 def test_path_audit_needs_a_discerned_tree(monkeypatch):

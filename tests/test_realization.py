@@ -16,6 +16,7 @@ from treesubst import algnum, cli, core, verify
 from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import FreePoint, Realization, distance, quotient
 from treesubst.trees import TreeIteration
+from pair_oracles import AnchorMetric
 
 # -- the general gap oracle: medians in the free product of lines -----------
 
@@ -366,12 +367,13 @@ def test_rows_give_the_oracle_points(d):
 
 @pytest.mark.parametrize("d", [3, 4, 5, 6])
 def test_distance_rows_match_the_points(d):
-    # every pair of vertices placed up to stage 10, the origin and leaves included
+    # the oracle's rows on every pair of vertices placed up to stage 10, the
+    # origin and leaves included
     real = Realization(TreeIteration(d))
     real.extend_to(10)
     pts = list(real.points.values())
     xs, ys = np.triu_indices(len(pts), 1)
-    rows = real.distances(xs, ys).tolist()
+    rows = AnchorMetric(real)(xs, ys).tolist()
     for x, y, row in zip(xs.tolist(), ys.tolist(), rows):
         assert tuple(row) == distance(pts[x], pts[y]).coeffs, (x, y)
 
@@ -390,7 +392,7 @@ def test_distance_rows_part_only_on_one_sign(sign):
     real.coef[v + 1] = (t if sign > 0 else -t).coeffs
     pts = list(real.points.values())
     xs, ys = np.triu_indices(len(pts), 1)
-    for x, y, row in zip(xs.tolist(), ys.tolist(), real.distances(xs, ys).tolist()):
+    for x, y, row in zip(xs.tolist(), ys.tolist(), AnchorMetric(real)(xs, ys).tolist()):
         assert tuple(row) == distance(pts[x], pts[y]).coeffs, (x, y)
 
 

@@ -13,7 +13,6 @@ from treesubst.freegroup import family_inverse, p_star
 from treesubst import cli, core, trees, verify
 from treesubst.trees import (
     ColoredTree,
-    Lifting,
     NewCenter,
     RootedIndex,
     RulePattern,
@@ -23,6 +22,7 @@ from treesubst.trees import (
     family_tree_substitution,
     initial_tree,
 )
+from pair_oracles import Lifting
 
 
 def test_tree_rejects_non_trees():
