@@ -2,38 +2,39 @@
 
 Every branch point of a stage-n tree carries a group-word label: the inverse
 of a prefix of the fixed point.  A label is stored as its length, which
-fixes the prefix; the words are built only where a check compares one or a
-witness prints one.  This module scans the labels stage by stage,
-certifies them against the root-path codes (the address map), derives the
-stage inventories, simple arcs and their cylinder words, the partitions the
-trees determine, the partial-isometry system on realized branch points, and
-the exact path-length cross-check of realized distances.
+fixes the prefix, and so is the arc of an edge, by its center's label; the
+words are built only where a check compares one or a witness prints one.
+This module scans the labels stage by stage, certifies them against the
+root-path codes (the address map), derives the stage inventories, the
+simple arcs and the cylinders their words end in, the partitions the trees
+determine, the partial-isometry system on realized branch points, and the
+exact path-length cross-check of realized distances.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, ValuesView
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from itertools import combinations
+from functools import cached_property, lru_cache, partial
 from operator import mul
+from typing import NamedTuple
 
 import numpy as np
 
 from .algnum import ExactLength, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
-from .realization import FreePoint, Realization, distance
-from .trees import TreeIteration
+from .realization import Realization, distance
+from .trees import TreeIteration, _Rows
 from .words import (
     Word,
     _power_lengths,
     bispecials_by_generation,
-    factors,
+    distinct,
     fixed_point_letters,
     fixed_point_prefix,
     power_image,
     shift_overlap,
+    window_classes,
     word_str,
 )
 
@@ -88,13 +89,12 @@ def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
     return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in _letter_columns(d)))
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """One edge of a stage-n tree together with its interior-branch data.
 
     Iterating the tree substitution k more times puts exactly one branch
-    point strictly inside the path [src, dst]; `word`, the word its label
-    inverts, determines the cylinder of the arc.
+    point strictly inside the path [src, dst]; the `length` of its label
+    fixes the word that determines the cylinder of the arc.
     """
 
     stage: int
@@ -104,7 +104,7 @@ class Arc:
     color: int
     k: int
     center: int
-    word: Word
+    length: int
 
 
 def _top_exponents(d: int, lengths: np.ndarray) -> np.ndarray:
@@ -168,7 +168,8 @@ class CoreScan:
         self.by_length = np.zeros(1, dtype=np.int64)
         self.labels = _Labels(self)
         self.scanned = 0
-        self._premised: tuple[int, list[str]] = (-1, [])   # premises of the shift isometry
+        self._decided: dict[tuple[str, int], list[str]] = {}
+        self._branch: dict[int, np.ndarray] = {}   # stage -> its branch points
 
     # -- label scan ---------------------------------------------------------
 
@@ -209,17 +210,20 @@ class CoreScan:
             raise ValueError("label is not a prefix inverse")
         return v, step + tails
 
-    def _vertex_of_length(self, k: int) -> int:
-        """The vertex whose label has length k, or -1."""
-        return int(self.by_length[k]) if 0 <= k < len(self.by_length) else -1
-
     def vertex_of_label(self, word: Word) -> int:
-        v = self._vertex_of_length(len(word))
+        v = int(self.by_length[len(word)]) if len(word) < len(self.by_length) else -1
         if v < 0 or word != fixed_point_prefix(self.d, len(word)):
             raise ValueError(
                 f"label {_label_text(word)} not seen up to stage {self.scanned}"
             )
         return v
+
+    def decided(self, check, n: int) -> list[str]:
+        """check(n), a staged check, run once: a built stage does not change."""
+        key = check.__name__, n
+        if key not in self._decided:
+            self._decided[key] = check(n)
+        return self._decided[key]
 
     # -- the address map ---------------------------------------------------
 
@@ -281,10 +285,16 @@ class CoreScan:
 
     # -- inventories --------------------------------------------------------
 
+    def branch_points(self, n: int) -> np.ndarray:
+        """T_n's branch points, kept, as the tree's sort their edge ends."""
+        if n not in self._branch:
+            self._branch[n] = np.array(self.it.tree_at(n).branch_points(), dtype=np.int64)
+        return self._branch[n]
+
     def inventory_lengths(self, m: int) -> set[int]:
         """Label lengths of the stage-m branch points."""
         self.extend_to(m)
-        return set(self.length[self.it.tree_at(m).branch_points()].tolist())
+        return set(self.length[self.branch_points(m)].tolist())
 
     def check_inventory(self, m: int) -> list[str]:
         """Stage-m labels are exactly the suffixes of the longest one.
@@ -300,7 +310,7 @@ class CoreScan:
         if len(got) != len(lm) + 1:
             failures.append(f"m={m}: expected {len(lm) + 1} labels, got {len(got)}")
         if 1 <= m <= self.d - 1:
-            new = got - self.inventory_lengths(m - 1)
+            new = self.inventory_lengths(m) - self.inventory_lengths(m - 1)
             if new != {_power_lengths(self.d)[m - 1]}:
                 failures.append(f"m={m}: early stage should add exactly one label")
         return failures
@@ -365,21 +375,6 @@ class CoreScan:
 
     # -- realized branch points --------------------------------------------
 
-    def check_injective(self, m: int) -> list[str]:
-        """Distinct stage-m labels realize as distinct points."""
-        self.real.extend_to(m)
-        seen: dict[FreePoint, int] = {}
-        failures = []
-        for k in sorted(self.inventory_lengths(m)):
-            pt = self.real.point(self._vertex_of_length(k))
-            if pt in seen:
-                failures.append(
-                    f"labels {_label_text(fixed_point_prefix(self.d, seen[pt]))} and "
-                    f"{_label_text(fixed_point_prefix(self.d, k))} collide"
-                )
-            seen[pt] = k
-        return failures
-
     def approx_points(self, exponents: list[int]) -> list[int]:
         """Vertices realizing the truncations of an ascending writing."""
         for a, b in zip(exponents, exponents[1:]):
@@ -408,43 +403,44 @@ class CoreScan:
 
     # -- simple arcs --------------------------------------------------------
 
-    def simple_arcs(self, n: int) -> list[Arc]:
-        """Each stage-n edge with its first strictly interior branch point.
+    def simple_arcs(self, n: int) -> _Rows:
+        """Each stage-n edge with its first strictly interior branch point, as
+        columns (edge index, src, dst, color, k, center, length) read as `Arc`s."""
+        return _Rows(self._arcs(n, n + 2 * self.d - 2)[0], partial(Arc, n))
 
-        The branch points strictly inside the path of edge e in a deeper
-        tree are the centers born inside e on the embedded stage-n tree.
-        """
-        d = self.d
-        self.extend_to(n + 2 * d - 2)
-        arc, on = self.it.descent(n, n + 2 * d - 2)
-        first: dict[int, tuple[int, list[int]]] = {}   # edge -> (k, its centers at n + k)
-        for k in range(1, 2 * d - 1):
-            for c in self.it.centers[n + k]:
-                if on[c.vertex]:
-                    k0, centers = first.setdefault(arc[c.vertex], (k, []))
-                    if k0 == k:
-                        centers.append(c.vertex)
-        arcs = []
-        for idx, (s, t, c) in enumerate(self.it.tree_at(n).edges):
-            k, centers = first.get(idx, (0, []))
-            if len(centers) != 1:
-                raise RuntimeError(f"edge {idx} at stage {n}: no single branch")
-            arcs.append(Arc(n, idx, s, t, c, k, centers[0], self.labels[centers[0]]))
-        return arcs
+    def _arcs(self, n: int, upto: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+        """`simple_arcs`' columns, and per vertex to stage upto >= n + 2d - 2
+        the stage-n edge it was born inside (`descent`).  The branch points
+        strictly inside edge e's path later are the centers born inside e
+        on the embedded stage-n tree: one gather over stages n+1..n+2d-2
+        finds e's first such stage n+k and its centers there."""
+        d, tree = self.d, self.it.tree_at(n)
+        self.extend_to(upto)
+        arc, on = self.it.descent(n, upto)
+        born = [self.it.centers[n + k].columns[0] for k in range(1, 2 * d - 1)]
+        v = np.concatenate(born)
+        k = np.repeat(np.arange(1, 2 * d - 1), [len(b) for b in born])
+        v, k = v[on[v]], k[on[v]]
+        first = np.full(len(tree.src), 2 * d - 1)
+        np.minimum.at(first, arc[v], k)
+        v = v[k == first[arc[v]]]
+        single = np.bincount(arc[v], minlength=len(first)) == 1
+        if not single.all():
+            raise RuntimeError(f"edge {int(np.argmin(single))} at stage {n}: no single branch")
+        center = np.empty(len(first), dtype=np.int64)
+        center[arc[v]] = v
+        edge = np.arange(len(first))
+        return (edge, tree.src, tree.dst, tree.color, first, center, self.length[center]), arc
 
     def check_initial_arcs(self) -> list[str]:
-        """Stage-0 arc words around the star follow the two closed forms."""
-        failures = []
+        """Stage-0 arc words around the star are sigma^(d-1)(1) for color 1,
+        sigma^(j-2)(1) for color j >= 2: fixed-point prefixes, so lengths decide."""
         d = self.d
-        for arc in self.simple_arcs(0):
-            j = arc.color
-            want = power_image(d, d - 1) if j == 1 else power_image(d, j - 2)
-            if arc.word != want:
-                failures.append(
-                    f"color {j}: arc label {_label_text(arc.word)}, "
-                    f"want {_label_text(want)}"
-                )
-        return failures
+        _, _, _, color, _, _, length = self.simple_arcs(0).columns
+        want = np.array(_power_lengths(d)[:d])[np.where(color == 1, d - 1, color - 2)]
+        return [f"color {j}: arc label {_label_text(fixed_point_prefix(d, k))}, "
+                f"want {_label_text(fixed_point_prefix(d, w))}"
+                for j, k, w in zip(color.tolist(), length.tolist(), want.tolist()) if k != w]
 
     def check_arc_overlaps(self, n: int) -> list[str]:
         """Deep shadows of distinct arcs meet in at most one vertex.
@@ -454,60 +450,78 @@ class CoreScan:
         edge's two ends and the vertices born inside the edge, and `descent`
         gives each later-born vertex one edge, its owner.  So only an end can
         lie in two shadows: those of the arcs it ends, and of its owner's arc
-        if it has one.
+        if it has one; the sorted (end, arc) rows pair up at each end.
         """
-        arcs = self.simple_arcs(n)
-        deep = n + 2 * self.d - 2
-        self.extend_to(deep)
-        ids, deg = self.it.tree_at(deep)._degrees()
-        owner, _ = self.it.descent(n, deep)
-        arc_of = {arc.edge_index: i for i, arc in enumerate(arcs)}
-        holders: dict[int, list[int]] = {}   # end -> the arcs whose shadows hold it
-        for i, arc in enumerate(arcs):
-            for v in (arc.src, arc.dst):
-                holders.setdefault(v, []).append(i)
-        shared: dict[tuple[int, int], list[int]] = {}
-        for v, held in holders.items():
-            if owner[v] >= 0:
-                held.append(arc_of[int(owner[v])])
-            for pair in combinations(sorted(set(held)), 2):
-                shared.setdefault(pair, []).append(v)
+        (edge, src, dst, *_), owner = self._arcs(n, n + 2 * self.d - 2)
+        ids, deg = self.it.tree_at(n + 2 * self.d - 2)._degrees()
+        ends = np.concatenate([src, dst]).astype(np.int64)
+        held = ends[owner[ends] >= 0]
+        end, arc = np.divmod(distinct(np.concatenate([ends, held]) * len(edge)
+                                      + np.concatenate([edge, edge, owner[held]]))[0], len(edge))
+        shared = [(np.zeros(0, dtype=np.int64),) * 2]   # (i * |E| + j, v): arcs i < j share v
+        for g in range(1, len(end)):
+            if not (same := end[g:] == end[:-g]).any():
+                break
+            shared.append((arc[:-g][same] * len(edge) + arc[g:][same], end[g:][same]))
+        pair, v = (np.concatenate(c) for c in zip(*shared))
+        pairs, _, which = distinct(pair)
+        many = np.bincount(which)[which] > 1
+        flat = (self.length[v] < 0) | (deg[np.searchsorted(ids, v)] != self.d)
         failures = []
-        for (i, j), common in sorted(shared.items()):
-            if len(common) > 1:
-                failures.append(f"arcs {i},{j} share {sorted(common)}")
-            for v in sorted(common):
-                if v not in self.labels or deg[np.searchsorted(ids, v)] != self.d:
-                    failures.append(f"arcs {i},{j}: shared {v} not a branch")
+        for p in sorted(set(which[many | flat].tolist())):
+            (i, j), at = divmod(int(pairs[p]), len(edge)), which == p
+            if many[at].any():
+                failures.append(f"arcs {i},{j} share {sorted(v[at].tolist())}")
+            failures += [f"arcs {i},{j}: shared {x} not a branch"
+                         for x in sorted(v[at & flat].tolist())]
         return failures
 
+    def _off_chain(self, n: int, deep: int, born_in: np.ndarray, center: np.ndarray) -> np.ndarray:
+        """The centers born after stage n up to deep that the src chain does
+        not certify to end with the word of the arc they are born in: one
+        is certified if it is its edge's arc center (the first center born
+        inside the edge), or the address map holds at its birth stage and
+        its src is a certified center born inside the same edge, as fact
+        (3) there makes its label sigma^(b-1)(1) label(src) as a word."""
+        certified = np.zeros(len(self.length), dtype=bool)
+        certified[center] = True
+        off = [np.zeros(0, dtype=np.int64)]
+        for stage in range(n + 1, deep + 1):
+            v, _, src, _ = self.it.centers[stage].columns
+            if not self.decided(self.check_address_map, stage):
+                certified[v] |= (born_in[src] == born_in[v]) & certified[src]
+            off.append(v[~certified[v]])
+        return np.concatenate(off)
+
     def check_arc_cylinders(self, n: int, deep: int) -> list[str]:
-        """Arcs match length-m cylinders and absorb the labels born after n, up to deep."""
+        """Arcs match length-m cylinders and absorb the labels born after n, up to deep.
+
+        The arc words' last m letters are windows of the fixed point, so they
+        are its length-m factors when `window_classes` finds them distinct and
+        as many.  A label born inside an arc's edge ends with the arc's word
+        by the src-chain certificate; a center off the chain is compared.
+        """
         d = self.d
         m = determined_partition(d, n)
-        arcs = self.simple_arcs(n)
+        (*_, center, length), born_in = self._arcs(n, max(deep, n + 2 * d - 2))
         failures = []
-        if len(arcs) != (d - 1) * m + 1:
-            failures.append(f"stage {n}: {len(arcs)} arcs, want {(d - 1) * m + 1}")
-        tags = [arc.word[-m:] for arc in arcs]
-        for arc, tag in zip(arcs, tags):
-            if len(arc.word) < m:
-                failures.append(f"arc {arc.edge_index}: word shorter than {m}")
-        if len(set(tags)) != len(arcs):
+        if len(length) != (d - 1) * m + 1:
+            failures.append(f"stage {n}: {len(length)} arcs, want {(d - 1) * m + 1}")
+        short = length < m
+        failures += [f"arc {e}: word shorter than {m}" for e in np.flatnonzero(short).tolist()]
+        factor_at, tags = window_classes(d, m, np.maximum(length - m, 0))
+        tags[short] = -1   # a shorter word is no length-m factor
+        seen = distinct(tags)[0]
+        if len(seen) != len(length):
             failures.append(f"stage {n}: arc suffixes of length {m} collide")
-        if set(tags) != factors(d, m):
+        if not np.array_equal(seen, factor_at):
             failures.append(f"stage {n}: suffixes miss some length-{m} factors")
-        self.extend_to(deep)
-        by_edge = {arc.edge_index: arc for arc in arcs}
-        born_in, _ = self.it.descent(n, deep)
-        text = fixed_point_prefix(d, int(self.length.max()))
-        for stage in range(n + 1, deep + 1):
-            v = self.it.centers[stage].columns[0]
-            for x, e, k in zip(v.tolist(), born_in[v].tolist(), self.length[v].tolist()):
-                word = by_edge[e].word
-                # the label's word text[:k] ends with the arc's word
-                if k < len(word) or text[k - len(word):k] != word:
-                    failures.append(f"vertex {x}: label does not extend arc {e}")
+        off = self._off_chain(n, deep, born_in, center)
+        text = fixed_point_prefix(d, int(self.length.max())) if len(off) else b""
+        for x, ex in zip(off.tolist(), born_in[off].tolist()):
+            k, word = int(self.length[x]), text[: int(length[ex])]
+            if k < len(word) or text[k - len(word):k] != word:
+                failures.append(f"vertex {x}: label does not extend arc {ex}")
         return failures
 
     # -- partial isometries -------------------------------------------------
@@ -515,19 +529,20 @@ class CoreScan:
     def shift_domain(self, a: int, n: int) -> list[int]:
         """Branch points whose coded tail starts with the letter a."""
         self.extend_to(n)
-        branch = np.array(self.it.tree_at(n).branch_points(), dtype=np.int64)
+        branch = self.branch_points(n)
         return branch[fixed_point_letters(self.d, self.length[branch]) == a].tolist()
 
     def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
         """Image labels are the one-step-longer prefix inverses: the label of
         v with a appended is a prefix iff a is the next fixed-point letter."""
         self.extend_to(n + 1)
-        dom = self.shift_domain(a, n)
-        k = self.length[dom]
-        wrong = (fixed_point_letters(self.d, k) != a).tolist()
+        dom = np.array(self.shift_domain(a, n), dtype=np.int64)
+        k = self.length[dom] + 1
+        wrong = fixed_point_letters(self.d, k - 1) != a
+        bad = wrong | (k >= len(self.by_length))
+        bad[~bad] = self.by_length[k[~bad]] < 0
         return [f"vertex {v}: image label {'mismatch' if off else 'unrealized'}"
-                for v, off, kv in zip(dom, wrong, k.tolist())
-                if off or self._vertex_of_length(kv + 1) < 0]
+                for v, off in zip(dom[bad].tolist(), wrong[bad].tolist())]
 
     def check_shift_isometry(self, a: int, n: int) -> list[str]:
         """The shift of letter a keeps realized distances on its stage-n domain,
@@ -560,12 +575,10 @@ class CoreScan:
         failures = [f"letter {a}: image {w} of vertex {v} has label length {k}, want {kv}"
                     for v, w, k, kv in zip(dom[bad].tolist(), img[bad].tolist(),
                                            self.length[img[bad]].tolist(), want[bad].tolist())]
-        if self._premised[0] != n:   # a built stage's columns do not change
-            premises = [f for m in range(n + 1) for f in self.check_address_map(m)]
-            # fact (3) alone at stage n+1: fact (2) there would read T_(n+2)
-            premises += self._length_fact(n + 1) + self.check_path_distances(n + 1)
-            self._premised = n, premises
-        return failures + self._premised[1]
+        failures += [f for m in range(n + 1) for f in self.decided(self.check_address_map, m)]
+        # fact (3) alone at stage n+1: fact (2) there would read T_(n+2)
+        failures += self.decided(self._length_fact, n + 1)
+        return failures + self.decided(self.check_path_distances, n + 1)
 
     def check_domain_overlaps(self, n: int) -> list[str]:
         """Spanned domains of distinct letters share at most one vertex.
@@ -608,7 +621,7 @@ class CoreScan:
             return [f"stage {n}: tree not discerned, so its path words may cancel"]
         index = tree.rooted_index()   # the vertices 0..|V_n|-1 are their own slots
         marks = np.zeros((len(index.parent), 1), dtype=bool)
-        marks[tree.branch_points()] = True
+        marks[self.branch_points(n)] = True
         v = np.flatnonzero(tree.spans(marks)[:, 0])
         out, color, parent = index.up[v] > 0, np.abs(index.up[v]), index.parent[v]
         s, t = np.where(out, v, parent), np.where(out, parent, v)

@@ -194,8 +194,13 @@ class ColoredTree:
             self._rooted = index if index is not None and self._certifies(index) else self._search()
         return self._rooted
 
-    def _root_slot(self) -> int:
-        return self.slot(self.root) if self.root is not None else 0
+    def _root_slot(self, ids: np.ndarray) -> int:
+        """The root's slot among the sorted vertex `ids`, found without
+        `vertices`, whose tuple of ints a deep stage would keep."""
+        i = int(np.searchsorted(ids, self.root)) if self.root is not None else 0
+        if self.root is not None and (i == len(ids) or ids[i] != self.root):
+            raise ValueError(f"{self.root!r} is not a vertex")
+        return i
 
     def _search(self) -> RootedIndex:
         """The rooted index by a breadth-first pass from the root."""
@@ -208,7 +213,7 @@ class ColoredTree:
         parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
         counts = np.zeros((len(ids), 2 * self.d - 2), dtype=np.int32)
         seen = np.zeros(len(ids), dtype=bool)
-        root = self._root_slot()
+        root = self._root_slot(ids)
         parent[root], seen[root] = root, True
         level = np.array([root])
         while len(level):
@@ -235,7 +240,7 @@ class ColoredTree:
         """
         ids, _ = self._degrees()
         parent, up, counts = index.parent, index.up, index.counts
-        root = self._root_slot()
+        root = self._root_slot(ids)
         if not len(parent) == len(ids) == len(self.src) + 1 or parent[root] != root or up[root]:
             return False
         v, out = np.arange(len(ids)), up > 0

@@ -6,7 +6,10 @@ A claim that is already a single library call (a CoreScan.check_* method,
 a rauzy.check_* function) is called directly by both.  A staged check
 reads one stage n; `_each_stage` runs it over the stages of a scope.  The geometric
 claims for one d share the process-wide scan of `core.shared_scan`, so its
-tree iteration and realization are built once.
+tree iteration and realization are built once, and the per-stage verdicts
+that several claims read (the address map, path distances) are decided
+once.  The core suite runs every claim to its max_stage; the arcs of stage
+n read stage n + 2d - 2, so the arc checks stop where that is one past it.
 
 Each suite returns a list of CheckResult records with descriptive names,
 the scanned scope, and witness strings for anything that failed.  The CLI
@@ -315,23 +318,31 @@ def realization_suite(d: int, max_stage: int) -> list[CheckResult]:
 # -- core -------------------------------------------------------------------
 
 
-def label_inventory(d: int) -> list[str]:
-    """Stage-m branch labels are the suffixes of l_m, for m <= 5."""
+def label_inventory(d: int, max_stage: int) -> list[str]:
+    """Stage-m branch labels are the suffixes of l_m, for m <= max_stage."""
     scan = core.shared_scan(d)
-    fails = _each_stage(scan.check_inventory, range(1, 6))
+    fails = _each_stage(scan.check_inventory, range(max_stage + 1))
     if d == 3:
-        counts = [len(scan.inventory_lengths(m)) for m in range(1, 6)]
-        if counts != [2, 3, 5, 7, 11]:
-            fails.append(f"label counts {counts} != [2, 3, 5, 7, 11]")
+        want = [2, 3, 5, 7, 11][:max_stage]
+        counts = [len(scan.inventory_lengths(m)) for m in range(1, len(want) + 1)]
+        if counts != want:
+            fails.append(f"label counts {counts} != {want}")
     return fails
 
 
-def approximation_steps(d: int) -> list[str]:
-    """Appending sigma^a(1^-1) to a label moves its point by rho^-a exactly."""
+def label_injectivity(d: int, max_stage: int) -> list[str]:
+    """Distinct stage-n labels realize as distinct points: `_scan_stage`
+    refuses a label length twice, and path distances at n give distinct
+    branch points a path of positive exact length, and their witnesses."""
     scan = core.shared_scan(d)
-    fails = scan.check_approx_steps([0, d, 2 * d])
-    fails += scan.check_approx_steps([1, d + 1, 2 * d + 2])
-    return fails
+    return _each_stage(lambda n: scan.decided(scan.check_path_distances, n), range(max_stage + 1))
+
+
+def approximation_steps(d: int, top: int) -> list[str]:
+    """Appending sigma^a(1^-1) to a label moves its point by rho^-a exactly,
+    along the writings 0, d, 2d, ... and 1, d + 1, ... up to a <= top."""
+    scan = core.shared_scan(d)
+    return [f for start in (0, 1) for f in scan.check_approx_steps(list(range(start, top + 1, d)))]
 
 
 def partition_sequence(d: int, max_stage: int) -> list[str]:
@@ -380,37 +391,37 @@ def path_distances(d: int, max_stage: int) -> list[str]:
     last stage decides.
     """
     scan = core.shared_scan(d)
-    fails = _each_stage(scan.check_path_distances, range(max_stage + 1))
-    if len(scan.it.tree_at(max_stage).branch_points()) < 2:
+    fails = _each_stage(lambda n: scan.decided(scan.check_path_distances, n), range(max_stage + 1))
+    if len(scan.branch_points(max_stage)) < 2:
         fails.append(f"no branch-point pair to compare at n<={max_stage}")
     return fails
 
 
 def core_suite(d: int, max_stage: int) -> list[CheckResult]:
-    arc_stage = min(6, max_stage)
+    arc_stage = max(0, max_stage + 3 - 2 * d)   # the arcs of n are read at n + 2d - 2
+    top = max(max_stage, 2 * d)   # the approximation steps' largest exponent
     scan = core.shared_scan(d)
     scope, stages = f"d={d}, n<={max_stage}", range(max_stage + 1)
+    arc_scope = f"d={d}, n<={arc_stage}, stages<={arc_stage + 2 * d - 2}"
+    arc_stages = range(arc_stage + 1)
     return [
-        _result("label-inventory", f"d={d}, m<=5", label_inventory(d)),
-        _result("bispecial-chain", f"d={d}, m<=6", scan.check_bispecial_match(6)),
+        _result("label-inventory", f"d={d}, m<={max_stage}", label_inventory(d, max_stage)),
+        _result("bispecial-chain", f"d={d}, m<={max_stage}", scan.check_bispecial_match(max_stage)),
         _result("writing-exponents", scope, _each_stage(scan.check_writing_exponents, stages)),
         _result("apparition-chain", scope, _each_stage(scan.check_apparition_chain, stages)),
         _result("branching-neighbor", scope, _each_stage(scan.check_branching_neighbor, stages)),
-        _result("address-map-consistency", scope, _each_stage(scan.check_address_map, stages)),
         _result(
-            "label-injectivity", f"d={d}, stage {min(10, max_stage)}",
-            scan.check_injective(min(10, max_stage)),
+            "address-map-consistency", scope,
+            _each_stage(lambda n: scan.decided(scan.check_address_map, n), stages),
         ),
-        _result("approximation-steps", f"d={d}", approximation_steps(d)),
+        _result("label-injectivity", scope, label_injectivity(d, max_stage)),
+        _result("approximation-steps", f"d={d}, a<={top}", approximation_steps(d, top)),
         _result("partition-sequence", scope, partition_sequence(d, max_stage)),
         _result("initial-arcs", f"d={d}", scan.check_initial_arcs()),
+        _result("arc-overlaps", arc_scope, _each_stage(scan.check_arc_overlaps, arc_stages)),
         _result(
-            "arc-overlaps", f"d={d}, n<={arc_stage}",
-            _each_stage(scan.check_arc_overlaps, range(arc_stage + 1)),
-        ),
-        _result(
-            "arc-cylinders", f"d={d}, n<={arc_stage}",
-            _each_stage(lambda n: scan.check_arc_cylinders(n, max_stage), range(arc_stage + 1)),
+            "arc-cylinders", arc_scope,
+            _each_stage(lambda n: scan.check_arc_cylinders(n, max_stage), arc_stages),
         ),
         _result(
             "shift-isometries", f"d={d}, letters 1..{d}, n<={max_stage}",
@@ -495,7 +506,10 @@ def run_suite(
     if not 0 < tol < math.inf:
         raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = max_stage if max_stage is not None else max(12 if d == 3 else 10, 2 * d)
-    check_budget(d, cap + 1)   # the address map reads one stage past the cap
+    # the deepest stage an audit builds: the address map, the shift isometry
+    # and the arcs read one past the cap, the approximation steps one past
+    # stage 2d at least, and the stage-0 arcs stage 2d - 2
+    check_budget(d, max(cap, 2 * d) + 1)
     out: list[CheckResult] = []
     if suite in ("words", "all"):
         out += words_suite(d, tol, prefix_len)

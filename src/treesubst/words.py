@@ -29,8 +29,13 @@ Word = bytes
 def distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.unique of a 1-D array, or of the rows of a 2-D one, with the first
     index and the inverse, from one sort and a compare of neighbours;
-    np.unique would import numpy.ma on its first call."""
-    order = np.argsort(a) if a.ndim == 1 else np.lexsort(a.T[::-1])
+    np.unique would import numpy.ma on its first call.  Small non-negative
+    ints are sorted with the index packed below: faster than an argsort."""
+    n = len(a)
+    if a.ndim == 1 and a.dtype.kind in "iu" and n and 0 <= a.min() and a.max() < (1 << 63) // n - 1:
+        order = np.sort(a.astype(np.int64) * n + np.arange(n)) % n
+    else:
+        order = np.argsort(a) if a.ndim == 1 else np.lexsort(a.T[::-1])
     s = a[order]
     new = np.ones(len(a), dtype=bool)
     new[1:] = s[1:] != s[:-1] if a.ndim == 1 else (s[1:] != s[:-1]).any(axis=1)
@@ -192,33 +197,66 @@ def growth_root(d: int) -> float:
 # language enumeration
 
 
-@lru_cache(maxsize=None)
-def _stable_factors(d: int, n: int) -> frozenset[Word]:
-    """All length-n factors of the fixed point, by double stabilization.
+def _window_firsts(text: np.ndarray, m: int) -> np.ndarray:
+    """Per length-m window of `text`, where its word first occurs, by rank
+    doubling (Karp, Miller and Rosenberg, STOC 1972): a window of length
+    s + t, t <= s, is the pair of its s-blocks at 0 and t, packed letter by
+    letter while it fits an int64, then ranked by a round of `distinct`."""
+    if m == 0:
+        return np.zeros(len(text) + 1, dtype=np.int64)
+    rank, span = text.astype(np.int64), 1
+    bits = int(text.max()).bit_length()
+    while span < min(m, 62 // bits):   # 62 // bits letters fit in an int64
+        step = min(span, m - span, 62 // bits - span)
+        rank = rank[: len(rank) - step] << (bits * step) | rank[step:] & ((1 << bits * step) - 1)
+        span += step
+    _, first, inverse = distinct(rank)
+    rank = first[inverse]
+    while span < m:
+        step = min(span, m - span)
+        _, first, inverse = distinct(rank[: len(rank) - step] * len(text) + rank[step:])
+        rank, span = first[inverse], span + step
+    return rank
 
-    Read sigma^N(1) off the buffer until the window set of length n agrees
-    for two consecutive N (only windows past sigma^(N-1)(1)'s can be new);
-    factors of shorter length are prefixes of these.
+
+def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each length-m factor of the fixed point first occurs, ascending,
+    and where the window at each position in `at` does.
+
+    The windows of sigma^a(1) are ranked until those before |sigma^a(1)| -
+    m + 1 show no factor that those before |sigma^(a-1)(1)| - m + 1 do not.
+    The first a read is one past the least that holds `at`, where the rule
+    stops if `at` shows every factor, or with no `at`, b + 2d - 1 for the
+    least |sigma^b(1)| >= m, where it stopped for d = 3..13, m <= 3000.
     """
+    _fixed_point(d, 0)   # refuses d < 3
     lengths = _power_lengths(d)
-    found: set[Word] = set()
-    start = 0   # the windows starting before it are in `found`
-    for a in range(max(bisect_left(lengths, n), 1), len(lengths)):
-        end = lengths[a] - n + 1
-        w = _fixed_point(d, lengths[a])
-        before = len(found)
-        found.update(w[i : i + n] for i in range(start, end))
-        if len(found) == before:
-            return frozenset(found)
-        start = end
+    lo = max(bisect_left(lengths, m), 1)
+    hi = max(lo + 1, bisect_left(lengths, int(at.max()) + m) + 1) if len(at) else lo + 2 * d - 1
+    while True:
+        text = np.frombuffer(_fixed_point(d, lengths[hi]), dtype=np.uint8)[: lengths[hi]]
+        firsts = _window_firsts(text, m)
+        starts = np.flatnonzero(firsts == np.arange(len(firsts)))
+        found = np.searchsorted(starts, [lengths[a] - m + 1 for a in range(lo, hi + 1)])
+        stable = np.flatnonzero(found[1:] == found[:-1])
+        if len(stable):
+            return starts[: found[stable[0]]], firsts[at]
+        hi = bisect_left(lengths, 2 * lengths[hi])
+
+
+@lru_cache(maxsize=None)
+def _factor_starts(d: int, n: int) -> tuple[int, ...]:
+    return tuple(window_classes(d, n, np.zeros(0, dtype=np.int64))[0].tolist())
 
 
 def factors(d: int, n: int) -> set[Word]:
-    return set(_stable_factors(d, n))
+    starts = _factor_starts(d, n)
+    text = _fixed_point(d, starts[-1] + n)
+    return {text[i : i + n] for i in starts}
 
 
 def complexity(d: int, n: int) -> int:
-    return len(factors(d, n))
+    return len(_factor_starts(d, n))
 
 
 @dataclass
@@ -240,10 +278,10 @@ def language(d: int, n: int) -> LanguageTable:
         raise ValueError("n >= 1 required")
     lefts: Counter[Word] = Counter()
     rights: Counter[Word] = Counter()
-    for w in _stable_factors(d, n + 1):
+    for w in factors(d, n + 1):
         lefts[w[1:]] += 1
         rights[w[:-1]] += 1
-    fac = sorted(_stable_factors(d, n))
+    fac = sorted(factors(d, n))
     left = [u for u in fac if lefts[u] >= 2]
     right = [u for u in fac if rights[u] >= 2]
     bis = [u for u in left if rights[u] >= 2]

@@ -70,7 +70,7 @@ def test_c06_hausdorff_convergence():
 def test_c07_label_inventories():
     failures = []
     for d in (3, 4):
-        failures += verify.label_inventory(d)
+        failures += verify.label_inventory(d, 5)
         scan = core.shared_scan(d)
         for m in range(1, d):
             fresh = scan.inventory_lengths(m) - scan.inventory_lengths(m - 1)

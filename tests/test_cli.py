@@ -395,9 +395,9 @@ def test_plot_depth_over_the_limit_is_usage_error(monkeypatch, tmp_path, capsys,
 # SHA-256 of `verify --suite all --format json` for d = 3, 4, 5: the check
 # names, scopes, statuses and witnesses of the default audit, byte for byte
 _GOLDEN_REPORTS = {
-    3: "3d8ed143bbe8178e74d300698fdf979b960a2999391e46c91e3c98255bcf87c8",
-    4: "deea8a28559973554c1d216844a50f0c987dd6c16df2bcc9cdee330a0a9dcd22",
-    5: "75fc26df4f49a517e821624e0eca4937d3dddaf7320bd3459efbfa759a225303",
+    3: "41a29f46f6ecd7693a1a408ae0fecd6cc339b3f998fbe805284ec6b350136a23",
+    4: "5844d9078c822e3fec0d30ce13083c6f7dd63b97e1c68529e996084b9835f627",
+    5: "38f0a2ee18b25d3b079c0dd8dcd5a284cdcd3baeba94fe02f5579a7a0dde5cca",
 }
 
 
@@ -410,7 +410,7 @@ def test_default_audit_report_is_pinned(d, capsys):
 
 # SHA-256 of `verify --suite core --d 3 --max-stage 16 --format json`: the
 # staged checks past the default scope, byte for byte
-_GOLDEN_DEEP_CORE = "d2cab67599a35fd23dd0f4549662fde9d67d1892c62c1205c6cb73018c651d67"
+_GOLDEN_DEEP_CORE = "6070231ba5459fd54693c0f5116b9c0164f39b8291aea07632fdd735948f5b1c"
 
 
 def test_deep_core_report_is_pinned(capsys):

@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from treesubst import algnum, core, verify
+from treesubst import algnum, core, verify, words
 from treesubst.algnum import ExactLength, _int64, letter_length_exact
 from treesubst.freegroup import family_auto, from_positive, invert, p_star
 from treesubst.prefix_suffix import length_writing
@@ -31,6 +32,7 @@ from treesubst.core import (
 from test_freegroup import iterate
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
 from test_trees import _hull, adjacency
+from test_words import stable_factors
 from pair_oracles import AnchorMetric, Lifting, pair_blocks
 
 
@@ -359,7 +361,7 @@ def test_address_map_reports_a_later_drift_as_an_edge_trunk():
 
 def test_injectivity_and_steps():
     scan = shared_scan(3)
-    assert scan.check_injective(8) == []
+    assert verify.label_injectivity(3, 8) == []
     assert scan.check_approx_steps([0, 3, 6, 9]) == []
     with pytest.raises(ValueError):
         scan.approx_points([0, 2])
@@ -369,9 +371,9 @@ def test_initial_arcs():
     scan = shared_scan(3)
     assert scan.check_initial_arcs() == []
     arcs = {a.color: a for a in scan.simple_arcs(0)}
-    assert word_str(arcs[1].word) == "123"
-    assert word_str(arcs[2].word) == "1"
-    assert word_str(arcs[3].word) == "12"
+    assert word_str(fixed_point_prefix(3, arcs[1].length)) == "123"
+    assert word_str(fixed_point_prefix(3, arcs[2].length)) == "1"
+    assert word_str(fixed_point_prefix(3, arcs[3].length)) == "12"
     assert {c: a.k for c, a in arcs.items()} == {1: 3, 2: 1, 3: 2}
 
 
@@ -469,6 +471,168 @@ def test_arc_overlaps_flag_a_vertex_in_a_third_shadow(monkeypatch):
     failures = scan.check_arc_overlaps(n)
     assert failures == _arc_overlaps_oracle(scan, n)
     assert f"arcs 0,{j}: shared {u} not a branch" in failures
+
+
+def _arc_cylinders_oracle(scan, n, deep):
+    """The arc-cylinder audit on words: the arcs' last m letters as bytes
+    against the set-of-slices factors, and every center born after n up to
+    deep sliced against its arc's word."""
+    d = scan.d
+    m = determined_partition(d, n)
+    arcs = scan.simple_arcs(n)
+    words = [fixed_point_prefix(d, a.length) for a in arcs]
+    failures = []
+    if len(arcs) != (d - 1) * m + 1:
+        failures.append(f"stage {n}: {len(arcs)} arcs, want {(d - 1) * m + 1}")
+    tags = [w[-m:] for w in words]
+    failures += [f"arc {a.edge_index}: word shorter than {m}" for a, w in zip(arcs, words)
+                 if len(w) < m]
+    if len(set(tags)) != len(arcs):
+        failures.append(f"stage {n}: arc suffixes of length {m} collide")
+    if set(tags) != stable_factors(d, m):
+        failures.append(f"stage {n}: suffixes miss some length-{m} factors")
+    scan.extend_to(deep)
+    born_in, _ = scan.it.descent(n, deep)
+    text = fixed_point_prefix(d, int(scan.length.max()))
+    for stage in range(n + 1, deep + 1):
+        v = scan.it.centers[stage].columns[0]
+        for x, e, k in zip(v.tolist(), born_in[v].tolist(), scan.length[v].tolist()):
+            if k < len(words[e]) or text[k - len(words[e]):k] != words[e]:
+                failures.append(f"vertex {x}: label does not extend arc {e}")
+    return failures
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_arc_cylinders_agree_with_the_slice_oracle(d):
+    scan = shared_scan(d)
+    for n in range(7):
+        assert scan.check_arc_cylinders(n, 12) == _arc_cylinders_oracle(scan, n, 12) == []
+        # the src chain alone certifies every center: none is compared directly
+        born_in = scan.it.descent(n, max(12, n + 2 * d - 2))[0]
+        assert len(scan._off_chain(n, 12, born_in, scan.simple_arcs(n).columns[5])) == 0
+
+
+def test_arc_certificate_needs_each_src_link(monkeypatch):
+    """A source reported born inside another edge breaks the links to it,
+    though the address map holds: its children born inside its old edge are
+    compared directly, and it fails against the other arc, as in the oracle."""
+    d, n, deep = 3, 2, 10
+    scan = CoreScan(d)
+    scan.extend_to(deep)
+    born_in = scan.it.descent(n, deep)[0]
+    center = scan.simple_arcs(n).columns[5]
+    # a center x whose source u is born inside x's edge past the stages the
+    # arcs are read at, so moving u leaves the arcs as they are
+    x, u = next((x, u) for stage in range(n + 2 * d - 1, deep + 1)
+                for x, u in zip(*(c.tolist() for c in scan.it.centers[stage].columns[::2]))
+                if born_in[u] == born_in[x] and u >= scan.it.sizes[n + 2 * d - 2])
+    other = (int(born_in[u]) + 1) % len(center)
+    descent = scan.it.descent
+
+    def moved(base, upto):
+        owner, on = descent(base, upto)
+        owner = owner.copy()
+        if u < len(owner):
+            owner[u] = other
+        return owner, on
+
+    monkeypatch.setattr(scan.it, "descent", moved)
+    assert {x, u} <= set(scan._off_chain(n, deep, moved(n, deep)[0], center).tolist())
+    assert all(scan.decided(scan.check_address_map, m) == [] for m in range(deep + 1))
+    failures = scan.check_arc_cylinders(n, deep)
+    assert failures == _arc_cylinders_oracle(scan, n, deep)
+    assert f"vertex {u}: label does not extend arc {other}" in failures
+    assert not any(f.startswith(f"vertex {x}:") for f in failures)
+
+
+def test_simple_arcs_at_stage_24_in_linear_memory():
+    # arcs keep their label lengths; with the label bytes of each arc the
+    # same call peaked at about 1.35 GB
+    code = f"from treesubst.core import CoreScan; CoreScan(3).simple_arcs(24); {_PEAK}"
+    (peak,) = _fresh_process_output(code)
+    assert int(peak) < 100 * 1024
+
+
+def _core_failures(monkeypatch, scan, max_stage):
+    """The witnesses of each failing check of the core suite run on `scan`."""
+    monkeypatch.setattr(core, "shared_scan", lambda d: scan)
+    results = verify.run_suite("core", scan.d, max_stage=max_stage)
+    return {r.name: r.witnesses for r in results if r.status == "fail"}
+
+
+def test_core_suite_decides_the_address_map_once_per_stage(monkeypatch):
+    # address-map-consistency, shift-isometries and arc-cylinders all read it
+    check, calls = CoreScan.check_address_map, Counter()
+
+    def counted(self, n):
+        calls[n] += 1
+        return check(self, n)
+
+    monkeypatch.setattr(CoreScan, "check_address_map", counted)
+    assert _core_failures(monkeypatch, CoreScan(3), 14) == {}
+    assert calls == Counter(range(15))
+
+
+@pytest.mark.parametrize("d, cap", [(3, 12), (4, 10), (5, 10), (8, 16)])
+def test_core_suite_builds_no_stage_past_its_cap(monkeypatch, d, cap):
+    # the arcs of stage n are read at n + 2d - 2 <= cap + 1, as the address
+    # map and the shift isometry read cap + 1, which `run_suite` budgets
+    scan = CoreScan(d)
+    assert _core_failures(monkeypatch, scan, None) == {}
+    assert len(scan.it.trees) - 1 == scan.scanned == cap + 1
+
+
+def test_core_suite_flags_two_labels_at_one_point(monkeypatch):
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    scan.real.extend_to(n + 1)
+    real = scan.real
+    v, w = scan.it.centers[n][0].vertex, scan.it.centers[n][1].vertex
+    real.anchor[w], real.copy[w], real.coef[w] = real.anchor[v], real.copy[v], real.coef[v]
+    failed = _core_failures(monkeypatch, scan, n)
+    assert failed["label-injectivity"] == failed["path-distances"]
+    assert all(w in _pair(f) for f in failed["label-injectivity"] if f.startswith("pair"))
+
+
+def test_core_suite_flags_a_label_missing_from_the_inventory(monkeypatch):
+    # a stage-8 center relabeled with the root's empty label: its own
+    # length no longer occurs at stage 8
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    scan.length[scan.it.centers[n][0].vertex] = 0
+    failed = _core_failures(monkeypatch, scan, n)
+    want = len(l_word(d, n)) + 1   # 35 labels
+    assert failed["label-inventory"] == [
+        f"m={n}: inventory is not the suffix set", f"m={n}: expected {want} labels, got {want - 1}",
+    ]
+
+
+def test_core_suite_flags_a_label_chain_off_the_bispecials(monkeypatch):
+    # the fixed point's last letter of sigma^9(1), the first factor of l_10,
+    # changed: l_10 is no longer the bispecial factor the generation rule
+    # grows (no label the approximation steps build reads that letter)
+    d, n = 3, 10
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    k = _power_lengths(d)[n - 1] - 1
+    a, w = words._fixed_points[d]
+    monkeypatch.setitem(words._fixed_points, d, (a, w[:k] + bytes([w[k] % d + 1]) + w[k + 1:]))
+    failed = _core_failures(monkeypatch, scan, n)
+    assert failed["bispecial-chain"][0] == "label chain disagrees with bispecial generation"
+
+
+def test_core_suite_flags_a_changed_initial_arc(monkeypatch):
+    # the center of the stage-0 arc of color 2, label 1^-1, given the
+    # root's empty label
+    d = 3
+    scan = CoreScan(d)
+    scan.extend_to(2 * d - 1)
+    arc = next(a for a in scan.simple_arcs(0) if a.color == 2)
+    scan.length[arc.center] = 0
+    failed = _core_failures(monkeypatch, scan, 2 * d - 2)
+    assert failed["initial-arcs"] == ["color 2: arc label e, want 1⁻"]
 
 
 class _LabelCorruptedAt12(CoreScan):

@@ -1,6 +1,7 @@
 """Word-level facts: fixed point, language, bispecials, cylinder measures."""
 
 import hashlib
+from bisect import bisect_left
 from collections import Counter
 
 import numpy as np
@@ -25,6 +26,7 @@ from treesubst.words import (
     measure_recursion_gap,
     measure_spectrum,
     power_image,
+    window_classes,
     word_str,
 )
 
@@ -321,10 +323,10 @@ def test_prefix_and_window_counts_are_pinned(d):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=30),
-       st.sampled_from(["ints", "rows", "strings", "bytes"]))
+       st.sampled_from(["ints", "naturals", "rows", "strings", "bytes"]))
 def test_distinct_is_np_unique(pairs, kind):
     rows = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-    a = {"ints": rows[:, 0], "rows": rows,
+    a = {"ints": rows[:, 0], "naturals": (rows[:, 0] + 2).astype(np.uint8), "rows": rows,
          "strings": np.array([f"s{x}" for x in rows[:, 0]], dtype=str),
          "bytes": np.ascontiguousarray(rows.astype(np.uint8)).view("V2").ravel()}[kind]
     values, first, inverse = distinct(a)
@@ -332,3 +334,50 @@ def test_distinct_is_np_unique(pairs, kind):
                      return_index=True, return_inverse=True)
     assert np.array_equal(values, want[0]) and np.array_equal(first, want[1])
     assert np.array_equal(inverse, want[2].ravel())
+
+
+def test_distinct_packs_only_what_fits():
+    # values times the length reach past int64 only on the argsort path
+    for a in (np.array([2**62, 3, 2**62, 0], dtype=np.int64),
+              np.array([2**40, 7, 2**40, 7, 1], dtype=np.int64)):
+        values, first, inverse = distinct(a)
+        want = np.unique(a, return_index=True, return_inverse=True)
+        assert all(np.array_equal(x, y) for x, y in zip((values, first, inverse), want))
+
+
+def stable_factors(d, n):
+    """The length-n factors by the set-of-slices enumeration that
+    `window_classes` replaced: read sigma^a(1) for growing a until the window
+    set agrees for two consecutive a (only windows past sigma^(a-1)(1)'s
+    can be new)."""
+    lengths = _power_lengths(d)
+    found, start = set(), 0
+    for a in range(max(bisect_left(lengths, n), 1), len(lengths)):
+        end = lengths[a] - n + 1
+        w = fixed_point_prefix(d, lengths[a])
+        before = len(found)
+        found.update(w[i : i + n] for i in range(start, end))
+        if len(found) == before:
+            return found
+        start = end
+
+
+@pytest.mark.parametrize("d", range(3, 14))
+def test_factors_match_the_set_of_slices(d):
+    # every length bispecial-oracle reads, up to 61 for language(d, 60)
+    for n in range(62):
+        assert factors(d, n) == stable_factors(d, n)
+        assert complexity(d, n) == len(stable_factors(d, n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(3, 6), m=st.integers(1, 80),
+       at=st.lists(st.integers(0, 3000), min_size=1, max_size=40))
+def test_window_classes_group_windows_as_their_bytes(d, m, at):
+    starts, firsts = window_classes(d, m, np.array(at, dtype=np.int64))
+    text = fixed_point_prefix(d, max(at + starts.tolist()) + m)
+    words = [text[i : i + m] for i in at]
+    # each window's class is where its word first occurs, so classes are
+    # equal iff the words are, and the factors' first occurrences hold them
+    assert firsts.tolist() == [text.find(w) for w in words]
+    assert starts.tolist() == sorted(text.find(w) for w in stable_factors(d, m))
