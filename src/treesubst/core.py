@@ -210,8 +210,14 @@ class CoreScan:
             raise ValueError("label is not a prefix inverse")
         return v, step + tails
 
+    def _vertex_of_length(self, k):
+        """The vertex whose label has length k, or -1, for each k of an array."""
+        k = np.asarray(k, dtype=np.int64)
+        held = (0 <= k) & (k < len(self.by_length))
+        return np.where(held, self.by_length[np.where(held, k, 0)], -1)
+
     def vertex_of_label(self, word: Word) -> int:
-        v = int(self.by_length[len(word)]) if len(word) < len(self.by_length) else -1
+        v = int(self._vertex_of_length(len(word)))
         if v < 0 or word != fixed_point_prefix(self.d, len(word)):
             raise ValueError(
                 f"label {_label_text(word)} not seen up to stage {self.scanned}"
@@ -310,7 +316,7 @@ class CoreScan:
         if len(got) != len(lm) + 1:
             failures.append(f"m={m}: expected {len(lm) + 1} labels, got {len(got)}")
         if 1 <= m <= self.d - 1:
-            new = self.inventory_lengths(m) - self.inventory_lengths(m - 1)
+            new = got - self.inventory_lengths(m - 1)
             if new != {_power_lengths(self.d)[m - 1]}:
                 failures.append(f"m={m}: early stage should add exactly one label")
         return failures
@@ -537,10 +543,8 @@ class CoreScan:
         v with a appended is a prefix iff a is the next fixed-point letter."""
         self.extend_to(n + 1)
         dom = np.array(self.shift_domain(a, n), dtype=np.int64)
-        k = self.length[dom] + 1
-        wrong = fixed_point_letters(self.d, k - 1) != a
-        bad = wrong | (k >= len(self.by_length))
-        bad[~bad] = self.by_length[k[~bad]] < 0
+        wrong = fixed_point_letters(self.d, self.length[dom]) != a
+        bad = wrong | (self._vertex_of_length(self.length[dom] + 1) < 0)
         return [f"vertex {v}: image label {'mismatch' if off else 'unrealized'}"
                 for v, off in zip(dom[bad].tolist(), wrong[bad].tolist())]
 
@@ -568,7 +572,7 @@ class CoreScan:
         self.real.extend_to(n + 1)
         dom = np.array(self.shift_domain(a, n), dtype=np.int64)
         want = self.length[dom] + 1
-        img = self.by_length[want]
+        img = self._vertex_of_length(want)
         if (img < 0).any():
             raise ValueError(f"letter {a}: a domain point's image label is unrealized")
         bad = self.length[img] != want

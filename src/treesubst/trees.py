@@ -159,8 +159,12 @@ class ColoredTree:
             parent[t] = s
 
     @cached_property
+    def _ids(self) -> np.ndarray:
+        return self._degrees()[0]
+
+    @cached_property
     def vertices(self) -> tuple[int, ...]:
-        return tuple(self._degrees()[0].tolist())
+        return tuple(self._ids.tolist())
 
     def degree(self, v: int) -> int:
         return int(self._degrees()[1][self.slot(v)])
@@ -171,8 +175,8 @@ class ColoredTree:
 
     def slot(self, v: int) -> int:
         """Position of vertex v in `vertices`; the rooted index is kept by it."""
-        i = bisect_left(self.vertices, v)
-        if i == len(self.vertices) or self.vertices[i] != v:
+        i = int(np.searchsorted(self._ids, v))
+        if i == len(self._ids) or self._ids[i] != v:
             raise ValueError(f"{v!r} is not a vertex")
         return i
 
@@ -194,13 +198,8 @@ class ColoredTree:
             self._rooted = index if index is not None and self._certifies(index) else self._search()
         return self._rooted
 
-    def _root_slot(self, ids: np.ndarray) -> int:
-        """The root's slot among the sorted vertex `ids`, found without
-        `vertices`, whose tuple of ints a deep stage would keep."""
-        i = int(np.searchsorted(ids, self.root)) if self.root is not None else 0
-        if self.root is not None and (i == len(ids) or ids[i] != self.root):
-            raise ValueError(f"{self.root!r} is not a vertex")
-        return i
+    def _root_slot(self) -> int:
+        return self.slot(self.root) if self.root is not None else 0
 
     def _search(self) -> RootedIndex:
         """The rooted index by a breadth-first pass from the root."""
@@ -213,7 +212,7 @@ class ColoredTree:
         parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
         counts = np.zeros((len(ids), 2 * self.d - 2), dtype=np.int32)
         seen = np.zeros(len(ids), dtype=bool)
-        root = self._root_slot(ids)
+        root = self._root_slot()
         parent[root], seen[root] = root, True
         level = np.array([root])
         while len(level):
@@ -240,7 +239,7 @@ class ColoredTree:
         """
         ids, _ = self._degrees()
         parent, up, counts = index.parent, index.up, index.counts
-        root = self._root_slot(ids)
+        root = self._root_slot()
         if not len(parent) == len(ids) == len(self.src) + 1 or parent[root] != root or up[root]:
             return False
         v, out = np.arange(len(ids)), up > 0

@@ -368,12 +368,16 @@ def shift_isometries(d: int, max_stage: int) -> list[str]:
     A domain of fewer than two branch points compares no distance; if every
     letter's domain is like that, the check fails rather than pass empty.
     Each letter's certificate repeats the failures of the premises it
-    shares with the others, and each is reported once.
+    shares with the others, and each is reported once; a domain point
+    without an image is reported as the certificate raises it.
     """
     scan = core.shared_scan(d)
     fails = []
     for a in range(1, d + 1):
-        fails += scan.check_shift_isometry(a, max_stage)
+        try:
+            fails += scan.check_shift_isometry(a, max_stage)
+        except ValueError as exc:
+            fails.append(str(exc))
         fails += scan.check_shift_conjugacy(a, max_stage)
     fails += scan.check_domain_overlaps(max_stage)
     if all(len(scan.shift_domain(a, max_stage)) < 2 for a in range(1, d + 1)):
@@ -390,9 +394,8 @@ def path_distances(d: int, max_stage: int) -> list[str]:
     edges or puts a star on them, and an anchor keeps its degree), so the
     last stage decides.
     """
-    scan = core.shared_scan(d)
-    fails = _each_stage(lambda n: scan.decided(scan.check_path_distances, n), range(max_stage + 1))
-    if len(scan.branch_points(max_stage)) < 2:
+    fails = label_injectivity(d, max_stage)   # the same per-stage verdicts
+    if len(core.shared_scan(d).branch_points(max_stage)) < 2:
         fails.append(f"no branch-point pair to compare at n<={max_stage}")
     return fails
 

@@ -29,13 +29,8 @@ Word = bytes
 def distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """np.unique of a 1-D array, or of the rows of a 2-D one, with the first
     index and the inverse, from one sort and a compare of neighbours;
-    np.unique would import numpy.ma on its first call.  Small non-negative
-    ints are sorted with the index packed below: faster than an argsort."""
-    n = len(a)
-    if a.ndim == 1 and a.dtype.kind in "iu" and n and 0 <= a.min() and a.max() < (1 << 63) // n - 1:
-        order = np.sort(a.astype(np.int64) * n + np.arange(n)) % n
-    else:
-        order = np.argsort(a) if a.ndim == 1 else np.lexsort(a.T[::-1])
+    np.unique would import numpy.ma on its first call."""
+    order = np.argsort(a) if a.ndim == 1 else np.lexsort(a.T[::-1])
     s = a[order]
     new = np.ones(len(a), dtype=bool)
     new[1:] = s[1:] != s[:-1] if a.ndim == 1 else (s[1:] != s[:-1]).any(axis=1)

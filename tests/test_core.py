@@ -635,6 +635,19 @@ def test_core_suite_flags_a_changed_initial_arc(monkeypatch):
     assert failed["initial-arcs"] == ["color 2: arc label e, want 1⁻"]
 
 
+def test_core_suite_flags_an_image_past_the_longest_label(monkeypatch):
+    # a stage-8 center given the longest registered length: its shift
+    # image would have a label one letter longer than any seen
+    d, n = 3, 8
+    scan = CoreScan(d)
+    scan.extend_to(n + 1)
+    v = scan.it.centers[n][0].vertex
+    scan.length[v] = len(scan.by_length) - 1
+    failed = _core_failures(monkeypatch, scan, n)
+    assert "letter 2: a domain point's image label is unrealized" in failed["shift-isometries"]
+    assert f"vertex {v}: image label unrealized" in failed["shift-isometries"]
+
+
 class _LabelCorruptedAt12(CoreScan):
     """A scan that lengthens one stage-10 label by a letter once stage 12
     is scanned (its children are born from stage 12 on, so the scan must stop there)."""
