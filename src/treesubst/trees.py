@@ -175,8 +175,9 @@ class ColoredTree:
 
     def slot(self, v: int) -> int:
         """Position of vertex v in `vertices`; the rooted index is kept by it."""
-        i = int(np.searchsorted(self._ids, v))
-        if i == len(self._ids) or self._ids[i] != v:
+        ids = self._ids   # int32: an int key would cast it whole to int64 on each search
+        i = int(ids.searchsorted(np.int32(v))) if -(1 << 31) <= v < 1 << 31 else len(ids)
+        if i == len(ids) or ids.item(i) != v:
             raise ValueError(f"{v!r} is not a vertex")
         return i
 
