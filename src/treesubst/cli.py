@@ -13,8 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core, rauzy, verify
-from .trees import ColoredTree, RulePattern, TreeSubstitution
+from . import core, rauzy, trees, verify
+from .trees import ColoredTree, RulePattern, TreeSubstitution, check_budget
 from .words import DEFAULT_PREFIX_LEN
 
 EXIT_OK = 0
@@ -87,6 +87,7 @@ def _tree_json(tree: ColoredTree, stage: int) -> str:
 
 
 def cmd_gen(args) -> int:
+    check_budget(args.d, args.n)
     scan = core.shared_scan(args.d)
     it = scan.it
     tree = it.tree_at(args.n)
@@ -140,19 +141,21 @@ def _is_edge(edge) -> bool:
 
 
 def _rules_audit(ts: TreeSubstitution) -> list[verify.CheckResult]:
-    """Structural audit of a custom rule set: iterate from one 2-edge."""
-    results = []
+    """Structural audit of a custom rule set: three iterates from one 2-edge,
+    each refused over EDGE_BUDGET by its exact size before it is built."""
     tree = ColoredTree(ts.d, [(0, 1, 2)])
+    size = np.array([0] + [len(ts.rules[c].edges) for c in range(1, 2 * ts.d - 1)])
     fails = []
     for step in range(1, 4):
+        edges = int(np.bincount(tree.color, minlength=len(size)) @ size)
+        if edges > trees.EDGE_BUDGET:
+            raise ValueError(f"iterate {step} would hold {edges:,} edges, "
+                             f"over the budget of {trees.EDGE_BUDGET:,}")
         tree = ts.apply(tree).tree
         if not tree.is_discerned():
             fails.append(f"iterate {step} is not discerned")
-    results.append(verify.CheckResult(
-        "rule-iteration", f"d={ts.d}, 3 steps from a 2-edge",
-        "fail" if fails else "pass", fails,
-    ))
-    return results
+    return [verify.CheckResult("rule-iteration", f"d={ts.d}, 3 steps from a 2-edge",
+                               "fail" if fails else "pass", fails)]
 
 
 def _emit_report(report: dict, fmt: str, out: Path | None) -> None:

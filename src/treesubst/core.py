@@ -64,10 +64,30 @@ def l_word(d: int, m: int) -> Word:
 
 
 def determined_partition(d: int, n: int) -> int:
-    """Cylinder length m whose partition the stage-n tree determines."""
-    if n == 0:
-        return 1
-    return len(l_word(d, n)) + 1
+    """Cylinder length m whose partition the stage-n tree determines:
+    |l_word(d, n)| + 1, summed over the table of |sigma^a(1)|."""
+    lengths = _power_lengths(d)
+    return 1 + sum(lengths[a] for a in range((n - 1) % (d - 1), n, d - 1))
+
+
+def stage_lengths(it: TreeIteration, length: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The stage-n centers v of `it` and their label lengths L(v) = |sigma^(n-1)(1)|
+    + L(src), by one gather over `length`, the lengths by vertex id (-1: no label).
+
+    sigma^(n-1)(1) is a fixed-point prefix, so the label word is one iff
+    L(src) <= z, the overlap of the fixed point with its tail from
+    |sigma^(n-1)(1)|.  One compare on one letter more than the longest
+    source finds z where z is at most that source's length, as at every
+    stage checked (z equals it for d = 3..6, n <= 16), and shows every
+    source fits otherwise.  A source without a label fits no prefix.
+    """
+    v, _, src, _ = it.centers[n].columns
+    step = _power_lengths(it.d)[n - 1]
+    tails = length[src]
+    upto = int(tails.max(initial=0)) + 1
+    if (tails < 0).any() or (tails > shift_overlap(it.d, step, upto)).any():
+        raise ValueError("label is not a prefix inverse")
+    return v, step + tails
 
 
 @lru_cache(maxsize=None)
@@ -180,7 +200,7 @@ class CoreScan:
     def _scan_stage(self, n: int) -> None:
         """Label the stage-n centers, refusing a length already taken."""
         self.it.tree_at(n)
-        v, k = self._stage_lengths(n)
+        v, k = stage_lengths(self.it, self.length, n)
         grow = max(0, int(k.max(initial=0)) + 1 - len(self.by_length))
         by_length = np.pad(self.by_length, (0, grow), constant_values=-1)
         taken = (by_length[k] >= 0).any()
@@ -190,25 +210,6 @@ class CoreScan:
         length = np.pad(self.length, (0, self.it.sizes[n] - len(self.length)), constant_values=-1)
         length[v] = k
         self.length, self.by_length, self.scanned = length, by_length, n
-
-    def _stage_lengths(self, n: int) -> tuple[np.ndarray, np.ndarray]:
-        """The stage-n centers v and their label lengths L(v) =
-        |sigma^(n-1)(1)| + L(src), by one gather over the stored lengths.
-
-        sigma^(n-1)(1) is a fixed-point prefix, so the label word is one iff
-        L(src) <= z, the overlap of the fixed point with its tail from
-        |sigma^(n-1)(1)|.  One compare on one letter more than the longest
-        source finds z where z is at most that source's length, as at every
-        stage checked (z equals it for d = 3..6, n <= 16), and shows every
-        source fits otherwise.  A source without a label fits no prefix.
-        """
-        v, _, src, _ = self.it.centers[n].columns
-        step = _power_lengths(self.d)[n - 1]
-        tails = self.length[src]
-        upto = int(tails.max(initial=0)) + 1
-        if (tails < 0).any() or (tails > shift_overlap(self.d, step, upto)).any():
-            raise ValueError("label is not a prefix inverse")
-        return v, step + tails
 
     def _vertex_of_length(self, k):
         """The vertex whose label has length k, or -1, for each k of an array."""
@@ -248,7 +249,7 @@ class CoreScan:
             = 1^-1 for t = trunk_word(2)[0], the step from a source to its center;
         (2) each T_m edge (s, t, c) spells trunk_word(c) in T_(m+1):
             recolored, or through its center in `centers[m + 1]`;
-        (3) the stored length of the root is 0, of each center what `_stage_lengths` gives.
+        (3) the stored length of the root is 0, of each center what `stage_lengths` gives.
         By (2) a root path of T_m spells a walk of T_(m+1) with the path's code,
         so by (1) sigma(g_(m+1)(v)) = g_m(v); at v's birth stage b from src,
         sigma^b(g_b(src).p*(t)) = label(src).sigma^(b-1)(1)^-1, as (3) says.
@@ -278,9 +279,9 @@ class CoreScan:
 
     def _length_fact(self, n: int) -> list[str]:
         """Fact (3) of the address map at stage n: the stored length of the
-        root (n = 0) or of each stage-n center is what `_stage_lengths` gives."""
+        root (n = 0) or of each stage-n center is what `stage_lengths` gives."""
         try:   # stage 0 has the root, of length 0, for its centers
-            v, want = (np.zeros(1, dtype=np.int64),) * 2 if n == 0 else self._stage_lengths(n)
+            v, want = stage_lengths(self.it, self.length, n) if n else (np.zeros(1, np.int64),) * 2
         except ValueError as exc:
             return [f"stage {n}: {exc}"]
         bad = np.flatnonzero(self.length[v] != want)

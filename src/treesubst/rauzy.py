@@ -13,15 +13,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, count
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import l_word, shared_scan
+from .core import determined_partition, shared_scan, stage_lengths
 from .words import (
     MAX_PREFIX_LEN,
-    _power_lengths,
+    _window_firsts,
     distinct,
     factors,
     family_substitution,
@@ -151,16 +150,8 @@ def parse_coloring(spec: str) -> tuple[str, int]:
 
 def orbit_stage(base: int, depth: int) -> int:
     """First stage n >= base whose longest label, l_word(3, n), has at
-    least `depth` letters.
-
-    Counted without building a word, by l_word(3, n) = sigma^(n-1)(1)
-    l_word(3, n-2) over the table of |sigma^a(1)|.
-    """
-    image, label, n = _power_lengths(3), [0, 1], 0   # |sigma^a(1)|, |l_word(3, m)|
-    while n < base or label[n] < depth:
-        n += 1
-        label.append(label[-2] + image[n])
-    return n
+    least `depth` letters, counted without building a word."""
+    return next(n for n in count(base) if determined_partition(3, n) > depth)
 
 
 @lru_cache(maxsize=8)
@@ -169,12 +160,10 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     tree, for each prefix length 0..depth; arc -1 where no arc applies.
 
     Reads the new-center columns of the shared d=3 iteration, one gather
-    per stage.  A center born at stage n has the label of its replaced
-    edge's source extended by sigma^(n-1)(1^-1), as in
-    `CoreScan._scan_stage`, so only lengths are kept (-1 for the leaves,
-    which have no label); the center of label length i realizes the prefix
-    of length i.  Its arc and on-tree status are those of
-    `TreeIteration.descent`.
+    per stage: label lengths by `core.stage_lengths` into a column of its
+    own, so each is a certified prefix inverse, and the center of label
+    length i realizes the prefix of length i.  Its arc and on-tree status
+    are those of `TreeIteration.descent`.
     """
     it = shared_scan(3).it
     it.tree_at(base)   # refused over the edge budget before the table of |sigma^a(1)| runs out
@@ -183,12 +172,12 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     length = np.full(it.sizes[stage], -1, dtype=np.int64)
     length[0] = 0
     for n in range(1, stage + 1):
-        v, _, src, _ = it.centers[n].columns
-        length[v] = length[src] + _power_lengths(3)[n - 1]
+        v, k = stage_lengths(it, length, n)
+        length[v] = k
     arc, on = it.descent(base, stage)
     arc_of = np.full(depth + 1, -1, dtype=np.int64)
     on_tree = np.zeros(depth + 1, dtype=bool)
-    on_tree[: len(l_word(3, base)) + 1] = True
+    on_tree[: determined_partition(3, base)] = True
     born = (arc >= 0) & (length >= 0) & (length <= depth)   # labelled, born after base
     arc_of[length[born]] = arc[born]
     on_tree[length[born]] = on[born]
@@ -197,23 +186,16 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _cylinder_classes(depth: int, m: int) -> tuple[np.ndarray, list[str]]:
     """Class of the length-m window ending at each prefix length 0..depth
-    (-1 below m), and the word of each class in lexicographic order.
+    (-1 below m), and the word of each class.
 
-    Each window is one base-4 integer (letters are 1..3), so `distinct`
-    groups integers and `word_str` runs only on the distinct windows, at
-    most 2m+1 of them.  Past 31 letters the code would overflow int64, and
-    the windows are grouped as raw bytes instead, in the same order.
+    The classes are `words._window_firsts`' ranks of the windows, so
+    `word_str` runs only on the distinct windows, at most 2m+1 of them.
     """
     cls = np.full(depth + 1, -1, dtype=np.int64)
     if depth < m:
         return cls, []
     text = np.frombuffer(fixed_point_prefix(3, depth), dtype=np.uint8)
-    win = sliding_window_view(text, m)
-    if m <= 31:
-        keys = win @ (4 ** np.arange(m - 1, -1, -1, dtype=np.int64))
-    else:
-        keys = np.ascontiguousarray(win).view(f"V{m}").ravel()
-    _, first, cls[m:] = distinct(keys)
+    first, cls[m:] = _window_firsts(text, m)
     return cls, [word_str(text[j : j + m].tobytes()) for j in first]
 
 
@@ -332,7 +314,7 @@ def _partition_witnesses(cyl: np.ndarray, arc: np.ndarray, start: int) -> list[s
 
 def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> list[str]:
     """Cylinder-m tags and arc-base tags cut the cloud identically."""
-    boundary = max(m, len(l_word(3, base)) + 1)
+    boundary = max(m, determined_partition(3, base))
     cls, names = _cylinder_classes(depth, m)
     cyl = np.array(_tags(cls[boundary:], names))
     arc_of = _orbit_index(base, depth)[0]

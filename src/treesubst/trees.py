@@ -19,7 +19,6 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
-from itertools import chain
 from operator import neg
 from typing import NamedTuple
 
@@ -84,10 +83,10 @@ class RootedIndex:
 class ColoredTree:
     """Finite directed colored tree, kept as three int32 columns (src, dst,
     color) sorted by (src, dst), which `edges` reads as (s, t, c) tuples.
-    Vertices and the rooted index are built on first use.
+    Vertices, and a grown stage's rooted index, are built on first use.
 
-    A tree built from an edge list is checked by the union-find; a stage
-    grown by `TreeSubstitution.apply` is a tree by the lemma there."""
+    A tree built from an edge list is checked by `_check_tree`, which keeps its
+    rooted index; a stage grown by `TreeSubstitution.apply` is a tree by the lemma there."""
 
     def __init__(self, d: int, edges, root: int | None = None):
         cols = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
@@ -105,7 +104,7 @@ class ColoredTree:
                fresh: range) -> "ColoredTree":
         """A stage that `TreeSubstitution.apply` proved a tree, from a tree of
         `prior` vertices and the `fresh` ids: stored as the constructor does,
-        with the union-find replaced by two vectorized invariants, |E| =
+        with the breadth-first pass replaced by two invariants, |E| =
         |V| - 1 and the fresh ids contiguous from the old maximum + 1."""
         if fresh.stop > 1 << 31:
             raise ValueError("vertex ids and colors must fit in int32")
@@ -122,7 +121,7 @@ class ColoredTree:
         self.d = d
         self.root = root
         # sorted by (src, dst) as one key; a tie would be a double edge, which the
-        # union-find rejects and `TreeSubstitution.apply`'s lemma rules out
+        # tree check rejects and `TreeSubstitution.apply`'s lemma rules out
         order = np.argsort(_key(cols[:, 0], cols[:, 1]))
         self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
         self.edges = _Rows((self.src, self.dst, self.color))
@@ -136,27 +135,13 @@ class ColoredTree:
         return ends[first], np.diff(np.append(first, len(ends)))
 
     def _check_tree(self) -> None:
-        """|V| - 1 edges and no cycle, which together force connectedness.
-
-        Union-find with path halving over the ranks of the ids (the id less
-        the least one when they are contiguous).
-        """
-        ids, _ = self._degrees()
-        if len(ids) and len(self.src) != len(ids) - 1:
-            raise ValueError("edge count is not vertex count - 1")
-        dense = not len(ids) or ids[-1] - ids[0] == len(ids) - 1
-        rank = (lambda c: c - ids[0]) if dense else (lambda c: np.searchsorted(ids, c))
-        parent, step = list(range(len(ids))), 1 << 16   # int lists of bounded size
-        pairs = (zip(rank(self.src[i : i + step]).tolist(), rank(self.dst[i : i + step]).tolist())
-                 for i in range(0, len(self.src), step))
-        for s, t in chain.from_iterable(pairs):
-            while parent[s] != s:
-                parent[s] = s = parent[parent[s]]
-            while parent[t] != t:
-                parent[t] = t = parent[parent[t]]
-            if s == t:
-                raise ValueError("tree is not connected")
-            parent[t] = s
+        """|E| = |V| - 1 and a breadth-first pass from the root that reaches
+        every vertex (`_search`): a connected graph with |V| - 1 edges is a
+        tree.  The pass is kept as the rooted index."""
+        if len(self._ids):
+            if len(self.src) != len(self._ids) - 1:
+                raise ValueError("edge count is not vertex count - 1")
+            self._rooted = self._search()
 
     @cached_property
     def _ids(self) -> np.ndarray:
@@ -187,12 +172,12 @@ class ColoredTree:
 
         A stage of `TreeIteration` carries it up from the stage before
         (`_prior`), and keeps what it gets only when `_certifies` proves it
-        the rooted index of this tree's own columns.  Every other tree, or
-        a stage that fails the proof, gets it by a breadth-first pass, one
-        numpy step per level over the adjacency in CSR form (the edge ends
-        sorted by slot).  In a tree each vertex has one parent, so the
-        index does not depend on the order in which a level's neighbours
-        are visited.
+        the rooted index of this tree's own columns.  A tree built from an
+        edge list keeps the pass of its tree check, and a stage that fails
+        the proof gets one: a breadth-first pass, one numpy step per level
+        over the adjacency in CSR form (the edge ends sorted by slot).  In a
+        tree each vertex has one parent, so the index does not depend on
+        the order in which a level's neighbours are visited.
         """
         if self._rooted is None:
             index = self._prior() if self._prior is not None else None
@@ -203,29 +188,32 @@ class ColoredTree:
         return self.slot(self.root) if self.root is not None else 0
 
     def _search(self) -> RootedIndex:
-        """The rooted index by a breadth-first pass from the root."""
-        ids, _ = self._degrees()
+        """The rooted index by a breadth-first pass from the root, one step into
+        each new vertex per level; a vertex it does not reach raises ValueError."""
+        ids = self._ids
         ends = np.searchsorted(ids, np.concatenate([self.src, self.dst]))
         order = np.argsort(ends, kind="stable")
+        near = ends[order]
         other = np.concatenate([ends[len(self.src):], ends[:len(self.src)]])[order]
         step = np.concatenate([self.color, -self.color])[order]
-        first = np.searchsorted(ends[order], np.arange(len(ids) + 1))
+        first = np.searchsorted(near, np.arange(len(ids) + 1))
         parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
         counts = np.zeros((len(ids), 2 * self.d - 2), dtype=np.int32)
-        seen = np.zeros(len(ids), dtype=bool)
+        entry = np.full(len(ids), -1)   # per vertex, the edge end that reached it; -1 unseen
         root = self._root_slot()
-        parent[root], seen[root] = root, True
+        parent[root], entry[root] = root, len(near)
         level = np.array([root])
         while len(level):
             count = first[level + 1] - first[level]
-            at = np.repeat(first[level] - np.cumsum(count) + count, count)
-            at += np.arange(len(at))
-            w, i = other[at], np.repeat(level, count)
-            down = ~seen[w]
-            level = w[down]
-            seen[level] = True
-            parent[level], up[level] = i[down], -step[at[down]]
-            counts[level] = counts[i[down]] + _one_hot(self.d)[np.abs(up[level])]
+            at = np.repeat(first[level] - np.cumsum(count) + count, count) + np.arange(count.sum())
+            at = at[entry[other[at]] < 0]
+            entry[other[at]] = at
+            at = at[entry[other[at]] == at]   # a cycle may reach a vertex twice
+            level = other[at]
+            parent[level], up[level], counts[level] = near[at], -step[at], counts[near[at]]
+            counts[level, np.abs(up[level]) - 1] += 1   # a level holds each vertex once
+        if (entry < 0).any():
+            raise ValueError("tree is not connected")
         return RootedIndex(parent, up, counts)
 
     def _certifies(self, index: RootedIndex) -> bool:
@@ -350,22 +338,21 @@ class RulePattern:
         return ends.count(ANCHOR_SRC), ends.count(ANCHOR_DST)
 
 
+@lru_cache(maxsize=None)
 def _pattern_tree(d: int, pat: RulePattern) -> tuple[ColoredTree, dict[str, int]]:
     """The pattern as a tree on the positions of its sorted symbols, and
-    that symbol -> vertex map."""
+    that symbol -> vertex map; built once per pattern."""
     index = {sym: i for i, sym in enumerate(pat.symbols())}
     return ColoredTree(d, [(index[s], index[t], c) for s, t, c in pat.edges]), index
 
 
-@lru_cache(maxsize=256)
 def _anchored_tree(d: int, pat: RulePattern) -> bool:
     """The premise of `TreeSubstitution.apply`'s lemma for one pattern: a
-    tree (by the union-find) that holds both anchors."""
+    tree (by the tree check) that holds both anchors."""
     try:
-        _, index = _pattern_tree(d, pat)
+        return {ANCHOR_SRC, ANCHOR_DST} <= _pattern_tree(d, pat)[1].keys()
     except ValueError:
         return False
-    return ANCHOR_SRC in index and ANCHOR_DST in index
 
 
 @dataclass
@@ -444,7 +431,7 @@ class TreeSubstitution:
         the placeholder count of the edges before it, and each pattern edge
         is one gather over the edges of its color.
 
-        The result is a tree by a lemma, with no union-find: if the pattern
+        The result is a tree by a lemma, with no search: if the pattern
         of every color present is a tree holding both anchors, and each old
         edge gets its own fresh ids, then substituting into a tree gives a
         tree.  Each pattern joins its edge's two ends and its own fresh
@@ -452,7 +439,7 @@ class TreeSubstitution:
         has k + 1 edges, so |E| grows by exactly the fresh count, as |V|
         does, and |E| = |V| - 1 still holds.  The stage is checked by those
         two counts (`ColoredTree._grown`).  When a present pattern fails
-        the premise, the result goes through the constructor's union-find.
+        the premise, the result goes through the constructor's tree check.
         """
         src, dst, color = tree.edges.columns
         of_color = {c: np.flatnonzero(color == c) for c in np.flatnonzero(np.bincount(color))}

@@ -176,10 +176,10 @@ def fixed_point_letters(d: int, at: np.ndarray) -> np.ndarray:
 def shift_overlap(d: int, shift: int, upto: int) -> int:
     """Length of the common prefix of the fixed point and of its tail from
     `shift`, read on at most `upto` letters (so exact when below `upto`):
-    the Z-value at `shift`, by one compare."""
+    the Z-value at `shift`, by one compare and an argmax past a sentinel."""
     text = np.frombuffer(_fixed_point(d, shift + upto), dtype=np.uint8)
-    differ = np.flatnonzero(text[shift:shift + upto] != text[:upto])
-    return int(differ[0]) if len(differ) else upto
+    differ = np.append(text[shift:shift + upto] != text[:upto], True)
+    return int(differ.argmax())
 
 
 @lru_cache(maxsize=None)
@@ -192,13 +192,14 @@ def growth_root(d: int) -> float:
 # language enumeration
 
 
-def _window_firsts(text: np.ndarray, m: int) -> np.ndarray:
-    """Per length-m window of `text`, where its word first occurs, by rank
-    doubling (Karp, Miller and Rosenberg, STOC 1972): a window of length
+def _window_firsts(text: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank doubling (Karp, Miller and Rosenberg, STOC 1972) of the length-m
+    windows of `text`, as the (first, inverse) of its last round of `distinct`:
+    window i's word first occurs at first[inverse[i]].  A window of length
     s + t, t <= s, is the pair of its s-blocks at 0 and t, packed letter by
     letter while it fits an int64, then ranked by a round of `distinct`."""
     if m == 0:
-        return np.zeros(len(text) + 1, dtype=np.int64)
+        return np.zeros(1, dtype=np.intp), np.zeros(len(text) + 1, dtype=np.intp)
     rank, span = text.astype(np.int64), 1
     bits = int(text.max()).bit_length()
     while span < min(m, 62 // bits):   # 62 // bits letters fit in an int64
@@ -206,12 +207,12 @@ def _window_firsts(text: np.ndarray, m: int) -> np.ndarray:
         rank = rank[: len(rank) - step] << (bits * step) | rank[step:] & ((1 << bits * step) - 1)
         span += step
     _, first, inverse = distinct(rank)
-    rank = first[inverse]
     while span < m:
         step = min(span, m - span)
+        rank = first[inverse]
         _, first, inverse = distinct(rank[: len(rank) - step] * len(text) + rank[step:])
-        rank, span = first[inverse], span + step
-    return rank
+        span += step
+    return first, inverse
 
 
 def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -230,12 +231,12 @@ def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarr
     hi = max(lo + 1, bisect_left(lengths, int(at.max()) + m) + 1) if len(at) else lo + 2 * d - 1
     while True:
         text = np.frombuffer(_fixed_point(d, lengths[hi]), dtype=np.uint8)[: lengths[hi]]
-        firsts = _window_firsts(text, m)
-        starts = np.flatnonzero(firsts == np.arange(len(firsts)))
+        first, inverse = _window_firsts(text, m)
+        starts = np.sort(first)
         found = np.searchsorted(starts, [lengths[a] - m + 1 for a in range(lo, hi + 1)])
         stable = np.flatnonzero(found[1:] == found[:-1])
         if len(stable):
-            return starts[: found[stable[0]]], firsts[at]
+            return starts[: found[stable[0]]], first[inverse[at]]
         hi = bisect_left(lengths, 2 * lengths[hi])
 
 

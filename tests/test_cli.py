@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -251,6 +252,29 @@ def test_gen_past_the_edge_budget_is_usage_error(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: stage 40 would hold about 13,103,838 edges")
     assert "Traceback" not in err
+
+
+def test_gen_refuses_a_large_d_before_building(capsys):
+    # the budget's Newton step overflows from d = 1751; the stage-0 star of
+    # d = 100000 took minutes to build before the budget was read
+    start = time.perf_counter()
+    assert cli.main(["gen", "--d", "100000", "--n", "0"]) == 2
+    assert time.perf_counter() - start < 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: Newton for x^100000") and "Traceback" not in err
+
+
+def test_verify_rules_refuses_an_iterate_over_the_budget(tmp_path, capsys):
+    # four stars of 250 edges, all of color 2: iterates of 250, 62,500 and
+    # 15,625,000 edges, the last refused before it is built
+    star = [["P1", "X", 2], ["P1", "Y", 2]] + [["P1", f"P{k}", 2] for k in range(2, 250)]
+    assert 4 * len(star) == 1000
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"d": 3, "rules": {str(c): star for c in range(1, 5)}}))
+    assert cli.main(["verify", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: iterate 3 would hold 15,625,000 edges, "
+                          "over the budget of 1,000,000") and "Traceback" not in err
 
 
 @pytest.mark.parametrize("suite, d", [

@@ -3,6 +3,7 @@
 import hashlib
 import io
 import warnings
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesubst import cli, core, rauzy, verify
-from treesubst.trees import TreeIteration
+from treesubst.trees import TreeIteration, _Rows
 from treesubst.core import l_word
 from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
 from treesubst.rauzy import (
@@ -237,10 +238,31 @@ def test_grid_search_on_equal_measure_clouds():
 @given(depth=st.integers(0, 400), m=st.one_of(st.integers(1, 12), st.sampled_from([31, 32, 40])))
 @example(depth=2, m=3)        # shorter than every window
 @example(depth=40, m=40)      # one window, past the int64 code
+@example(depth=400, m=1)
+@example(depth=400, m=7)
+@example(depth=400, m=31)     # the longest window packed into one int64
+@example(depth=400, m=32)
+@example(depth=400, m=40)
 def test_cylinder_tags_match_word_loop(depth, m):
     text = fixed_point_prefix(3, depth)
     want = [word_str(text[i - m : i]) if i >= m else "-" for i in range(depth + 1)]
-    assert fractal_cloud(depth, f"cylinder:{m}").tags == want
+    cloud = fractal_cloud(depth, f"cylinder:{m}")
+    assert cloud.tags == want
+    # distinct names: two windows share a class iff they share their bytes
+    assert len(set(cloud.names)) == len(cloud.names)
+
+
+def test_orbit_index_refuses_a_garbled_source_length(monkeypatch):
+    # a stage-5 center whose src is a leaf: a source without a label
+    it = TreeIteration(3)
+    it.tree_at(8)
+    v, e, src, dst = it.centers[5].columns
+    src = src.copy()
+    src[0] = 1   # a leaf of the stage-0 star
+    it.centers[5] = _Rows((v, e, src, dst), it._center)
+    monkeypatch.setattr(rauzy, "shared_scan", lambda d: SimpleNamespace(it=it))
+    with pytest.raises(ValueError, match="not a prefix inverse"):
+        rauzy._orbit_index.__wrapped__(2, 50)
 
 
 def _loop_witnesses(cyl, arc, start):

@@ -37,6 +37,11 @@ def test_tree_rejects_non_trees():
     with pytest.raises(ValueError, match="not connected"):
         # |V| - 1 edges, so only the connectivity check can catch it
         ColoredTree(3, [(0, 1, 1), (1, 2, 1), (2, 0, 1), (3, 4, 1)])
+    with pytest.raises(ValueError, match="not connected"):
+        ColoredTree(3, [(0, 1, 1), (1, 0, 2), (2, 3, 1)])   # a double edge, |V| - 1 edges
+    with pytest.raises(ValueError, match="5 is not a vertex"):
+        ColoredTree(3, [(0, 1, 1), (0, 2, 2)], root=5)
+    assert len(ColoredTree(3, []).edges) == 0   # the empty tree still builds
 
 
 def test_path_word_signs():
@@ -590,12 +595,39 @@ def test_union_find_rejects_an_edge_pointed_at_a_wrong_vertex():
     ColoredTree(3, cols, root=0)   # the stage itself passes
     # an edge s -> t whose ends both have other edges: pointing it at
     # another neighbour w of s keeps every vertex, so |E| = |V| - 1 still
-    # holds and only the union-find sees the cycle s - w - s
+    # holds and only the search sees the cycle s - w - s
     i = next(i for i, (s, t, _) in enumerate(tree.edges) if len(adj[s]) > 1 and len(adj[t]) > 1)
     s, t, _ = tree.edges[i]
     cols[i, 1] = next(w for w, _, _ in adj[s] if w != t)
     with pytest.raises(ValueError, match="not connected"):
         ColoredTree(3, cols, root=0)
+
+
+def test_tree_check_visits_a_vertex_once_per_search():
+    # a chain of 40 squares, each square one edge over a tree on its vertices,
+    # and 40 apart edges: |E| = |V| - 1, and a search that kept every way into
+    # a vertex would hold 2^40 copies of the last corner
+    edges, v = [], 0
+    for _ in range(40):
+        edges += [(v, v + 1, 1), (v, v + 2, 2), (v + 1, v + 3, 2), (v + 2, v + 3, 1)]
+        v += 3
+    edges += [(v + 1 + 2 * k, v + 2 + 2 * k, 1) for k in range(40)]
+    with pytest.raises(ValueError, match="not connected"):
+        ColoredTree(3, edges)
+
+
+def test_tree_check_keeps_its_search_as_the_rooted_index():
+    tree = ColoredTree(3, [(0, 1, 1), (2, 0, 2), (2, 3, 3)], root=2)
+    assert tree._rooted is not None
+    assert tree.path_word(1, 3) == (-1, -2, 3)
+
+
+def test_initial_tree_builds_each_pattern_once():
+    # 2d - 2 = 278 patterns: a cache of 256 rebuilt every pattern on each of
+    # the d - 1 applications
+    trees._pattern_tree.cache_clear()
+    trees.initial_tree.__wrapped__(140)
+    assert trees._pattern_tree.cache_info().misses <= 2 * 140 - 2
 
 
 # -- generated stages: trees by the lemma in `TreeSubstitution.apply` ----------
@@ -605,7 +637,7 @@ def test_union_find_rejects_an_edge_pointed_at_a_wrong_vertex():
 def test_generated_stages_pass_the_union_find(d):
     it = TreeIteration(d)
     for n in range(13):
-        it.tree_at(n)._check_tree()   # the union-find stays the oracle
+        it.tree_at(n)._check_tree()   # the constructor's tree check stays the oracle
 
 
 def test_generated_stages_skip_the_union_find(monkeypatch):
