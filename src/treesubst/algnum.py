@@ -98,13 +98,18 @@ def _times_rho(c: tuple[int, ...]) -> tuple[int, ...]:
     return (c[-1], c[0] + c[-1]) + c[1:-1]
 
 
-@lru_cache(maxsize=None)
+# (d, k < 0) -> the coefficient vectors of rho^0, rho^s, rho^2s, ... for s = +1 or -1
+_powers: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+
+
 def _power_coeffs(d: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector of rho^k, cached per (d, k)."""
-    c = (1,) + (0,) * (d - 1)
-    for _ in range(abs(k)):   # rho^-1 = rho^(d-1) - 1 undoes _times_rho
-        c = _times_rho(c) if k > 0 else (c[1] - c[0],) + c[2:] + (c[0],)
-    return c
+    """Coefficient vector of rho^k, one step from rho^(k -+ 1) in the kept
+    list of its d and sign, grown in a loop rather than by recursion."""
+    seq = _powers.setdefault((d, k < 0), [(1,) + (0,) * (d - 1)])
+    while len(seq) <= abs(k):   # rho^-1 = rho^(d-1) - 1 undoes _times_rho
+        c = seq[-1]
+        seq.append(_times_rho(c) if k > 0 else (c[1] - c[0],) + c[2:] + (c[0],))
+    return seq[abs(k)]
 
 
 @dataclass(frozen=True)

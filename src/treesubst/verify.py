@@ -10,6 +10,9 @@ tree iteration and realization are built once, and the per-stage verdicts
 that several claims read (the address map, path distances) are decided
 once.  The core suite runs every claim to its max_stage; the arcs of stage
 n read stage n + 2d - 2, so the arc checks stop where that is one past it.
+The two planar claims of the rauzy suite are proofs from the integer
+characteristic polynomial of the incidence matrix (`rauzy.pisot_failures`);
+translate-congruence stays a sampled claim under a tolerance.
 
 Each suite returns a list of CheckResult records with descriptive names,
 the scanned scope, and witness strings for anything that failed.  The CLI
@@ -35,17 +38,17 @@ from .freegroup import (
     tribonacci_inverse,
 )
 from .prefix_suffix import development_tail_word, shift_development
-from .trees import check_budget, family_tree_substitution, initial_tree
+from .trees import ColoredTree, check_budget, family_tree_substitution
 from .words import (
     DEFAULT_PREFIX_LEN,
     MAX_PREFIX_LEN,
     _power_lengths,
+    bispecials,
     bispecials_by_generation,
     complexity,
     expected_class_count,
     fixed_point_prefix,
     growth_root,
-    language,
     measure_recursion_gap,
     measure_spectrum,
     word_str,
@@ -98,9 +101,10 @@ def factor_complexity(d: int, max_n: int) -> list[str]:
 
 
 def bispecial_oracle(d: int, max_len: int) -> list[str]:
-    """The generation rule lists exactly the bispecial factors up to max_len."""
+    """The generation rule lists exactly the bispecial factors up to max_len,
+    which `words.bispecials` finds from the window classes of each length."""
     gen = bispecials_by_generation(d, max_len)
-    brute = [w for n in range(1, max_len + 1) for w in language(d, n).bispecial]
+    brute = [w for n in range(1, max_len + 1) for w in bispecials(d, n)]
     fails = []
     if sorted(gen) != sorted(brute):
         fails.append(
@@ -212,13 +216,18 @@ def _match_spectrum(observed, expected, extras_test) -> list[str]:
 
 
 def initial_star(d: int) -> list[str]:
-    """T_0 is a star of d edges colored 1..d around the root."""
-    t0 = initial_tree(d)
+    """The rules applied d - 1 times to one 2-colored edge give T_0, a star
+    of d edges colored 1..d out of one root (`trees.initial_tree` builds it
+    directly)."""
+    ts = family_tree_substitution(d)
+    t = ColoredTree(d, [(0, 1, 2)])
+    for _ in range(d - 1):
+        t = ts.apply(t).tree
     fails = []
-    if sorted(c for _, _, c in t0.edges) != list(range(1, d + 1)):
-        fails.append(f"colors {sorted(c for _, _, c in t0.edges)}")
-    if t0.degree(t0.root) != d:
-        fails.append(f"root degree {t0.degree(t0.root)}")
+    if sorted(t.color.tolist()) != list(range(1, d + 1)):
+        fails.append(f"colors {sorted(t.color.tolist())}")
+    if (out := int(np.bincount(t.src).max())) != d:
+        fails.append(f"root degree {out}")
     return fails
 
 
@@ -466,15 +475,10 @@ def artifact_determinism(depth: int) -> list[str]:
 
 def rauzy_suite(d: int) -> list[CheckResult]:
     if d != 3:
-        return [
-            CheckResult(
-                "planar-projection", f"d={d}", "fail",
-                ["planar projection requires d=3"],
-            )
-        ]
+        return [_result("planar-projection", f"d={d}", ["planar projection requires d=3"])]
     return [
-        _result("projection-bounded", "depths 50k/100k", rauzy.check_boundedness()),
-        _result("projection-contraction", "k<=18", rauzy.check_contraction()),
+        _result("projection-bounded", "every prefix; depth 20000", rauzy.check_boundedness()),
+        _result("projection-contraction", "every k; integer spectrum", rauzy.check_contraction()),
         _result(
             "cylinder-arc-partition", f"depth {_RAUZY_DEPTH}, m=7 vs stage 4",
             rauzy.check_partition_match(_RAUZY_DEPTH),

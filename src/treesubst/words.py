@@ -2,9 +2,9 @@
 
 Words over the alphabet {1, .., d} are stored as ``bytes`` whose entries are
 the letters themselves (so b"\\x01\\x02" is the word 12).  The module knows
-how to iterate the substitution, enumerate the language of the fixed point
-with certified stabilization, classify special factors, and estimate
-cylinder measures by sliding-window frequencies.
+how to iterate the substitution, rank the factors of the fixed point with
+certified stabilization, find its bispecial factors, and estimate cylinder
+measures by sliding-window frequencies.
 
 Every read of the fixed point slices one buffer per d, grown by copying its
 own prefix: sigma^(a+1)(1) = sigma^a(1) sigma^(a-d+1)(1) for a >= d - 1, as
@@ -189,7 +189,7 @@ def growth_root(d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# language enumeration
+# factors
 
 
 def _window_firsts(text: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,43 +245,23 @@ def _factor_starts(d: int, n: int) -> tuple[int, ...]:
     return tuple(window_classes(d, n, np.zeros(0, dtype=np.int64))[0].tolist())
 
 
-def factors(d: int, n: int) -> set[Word]:
-    starts = _factor_starts(d, n)
-    text = _fixed_point(d, starts[-1] + n)
-    return {text[i : i + n] for i in starts}
-
-
 def complexity(d: int, n: int) -> int:
     return len(_factor_starts(d, n))
 
 
-@dataclass
-class LanguageTable:
-    """Length-n slice of the language with its special factors."""
+def bispecials(d: int, n: int) -> list[Word]:
+    """The bispecial factors of length n, in increasing order.
 
-    d: int
-    n: int
-    factors: list[Word]
-    left_special: list[Word]
-    right_special: list[Word]
-    bispecial: list[Word]
-
-
-def language(d: int, n: int) -> LanguageTable:
-    """Factors of length n classified by extendability inside the language:
-    each factor w of length n+1 extends w[1:] on the left and w[:-1] on the right."""
-    if n < 1:
-        raise ValueError("n >= 1 required")
-    lefts: Counter[Word] = Counter()
-    rights: Counter[Word] = Counter()
-    for w in factors(d, n + 1):
-        lefts[w[1:]] += 1
-        rights[w[:-1]] += 1
-    fac = sorted(factors(d, n))
-    left = [u for u in fac if lefts[u] >= 2]
-    right = [u for u in fac if rights[u] >= 2]
-    bis = [u for u in left if rights[u] >= 2]
-    return LanguageTable(d, n, fac, left, right, bis)
+    The length-n windows at the starts S of the length-(n+1) factors, and
+    at S + 1, are ranked by `window_classes`: a class begins as many
+    length-(n+1) factors as it has right extensions, and ends as many as
+    it has left ones.  Only a class with two of each is spelled out.
+    """
+    starts = np.array(_factor_starts(d, n + 1))
+    _, cls = window_classes(d, n, np.concatenate([starts, starts + 1]))
+    right, left = (np.bincount(c, minlength=int(cls.max()) + 1) for c in np.split(cls, 2))
+    text = _fixed_point(d, int(starts[-1]) + n + 1)
+    return sorted(text[c : c + n] for c in np.flatnonzero((right >= 2) & (left >= 2)).tolist())
 
 
 def bispecials_by_generation(d: int, max_len: int) -> list[Word]:

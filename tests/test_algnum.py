@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treesubst import verify
+from treesubst import algnum, verify
 from treesubst.algnum import (
     ExactLength,
     edge_length_vector,
@@ -181,6 +181,18 @@ def test_edge_length_vector():
             assert abs(lengths[k].value() - eta ** (d - k + 1)) < 1e-12
         for h in range(1, d - 1):
             assert abs(lengths[d + h].value() - eta**-h) < 1e-12
+
+
+def test_powers_grow_from_an_empty_list_at_the_largest_d():
+    # d reaches 1,750: rho^1749 and rho^-1748 are asked for first, so a
+    # recursion down to rho^0 would pass the interpreter's limit
+    d = 1750
+    algnum._powers.pop((d, False), None)
+    algnum._powers.pop((d, True), None)
+    assert algnum._power_coeffs(d, 1749) == (0,) * 1749 + (1,)
+    assert len(algnum._power_coeffs(d, -1748)) == d
+    for k in range(-1748, 1749):   # each one rho step from the next
+        assert algnum._times_rho(algnum._power_coeffs(d, k)) == algnum._power_coeffs(d, k + 1)
 
 
 def test_letter_lengths_agree_with_edges():

@@ -419,7 +419,7 @@ def test_plot_depth_over_the_limit_is_usage_error(monkeypatch, tmp_path, capsys,
 # SHA-256 of `verify --suite all --format json` for d = 3, 4, 5: the check
 # names, scopes, statuses and witnesses of the default audit, byte for byte
 _GOLDEN_REPORTS = {
-    3: "41a29f46f6ecd7693a1a408ae0fecd6cc339b3f998fbe805284ec6b350136a23",
+    3: "8fabfbcaf9374366068ba3ee8a5e136e4cbd3eb41b60717734037aa06f6feacb",
     4: "5844d9078c822e3fec0d30ce13083c6f7dd63b97e1c68529e996084b9835f627",
     5: "38f0a2ee18b25d3b079c0dd8dcd5a284cdcd3baeba94fe02f5579a7a0dde5cca",
 }

@@ -31,7 +31,7 @@ from treesubst.core import (
 )
 from test_freegroup import iterate
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
-from test_trees import _hull, adjacency
+from test_trees import _hull, adjacency, degree
 from test_words import stable_factors
 from pair_oracles import AnchorMetric, Lifting, pair_blocks
 
@@ -436,7 +436,7 @@ def _arc_overlaps_oracle(scan, n):
             if len(shared) > 1:
                 failures.append(f"arcs {i},{j} share {sorted(shared)}")
             for v in sorted(shared):
-                if v not in scan.labels or tree.degree(v) != scan.d:
+                if v not in scan.labels or degree(tree, v) != scan.d:
                     failures.append(f"arcs {i},{j}: shared {v} not a branch")
     return failures
 
@@ -1225,7 +1225,7 @@ def test_path_audit_reports_leaving_core_colors(monkeypatch):
     scan = CoreScan(d)
     scan.extend_to(n)
     tree = scan.it.tree_at(n)
-    s, leaf = next((s, t) for s, t, c in tree.edges if c == d + 1 and tree.degree(t) == 1)
+    s, leaf = next((s, t) for s, t, c in tree.edges if c == d + 1 and degree(tree, t) == 1)
     branch = tree.branch_points()
     monkeypatch.setattr(ColoredTree, "branch_points", lambda self: branch + [leaf])
     failures = scan.check_path_distances(n)

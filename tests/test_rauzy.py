@@ -2,7 +2,9 @@
 
 import hashlib
 import io
+import re
 import warnings
+from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
 
@@ -21,13 +23,12 @@ from treesubst.rauzy import (
     check_partition_match,
     check_translate_congruence,
     contracting_basis,
-    contraction_decay,
     export_csv,
     family_basis,
-    boundedness_profile,
     fractal_cloud,
     orbit_stage,
     parse_coloring,
+    pisot_failures,
     render_svg,
     tag_palette,
     zeta_cloud,
@@ -98,19 +99,80 @@ def test_substitution_matrix_generates_basis():
 
 
 def test_contraction_decay():
-    norms = contraction_decay(15)
-    lam = 1.4655712318767682
-    ratio = (norms[13] / norms[10]) ** (1 / 3)
-    assert abs(ratio - lam**-0.5) < 0.05
-    assert norms[12] < norms[4]
-    assert check_contraction(15) == []
+    # M acts on the plane as multiplication by lambda_2, |lambda_2| = lambda^-1/2:
+    # the projected sigma^k(1) shrink by exactly that factor per step
+    basis = family_basis(3)
+    m = family_substitution(3).incidence_matrix()
+    vec, rate = np.array([1, 0, 0]), basis.expanding_value**-0.5
+    norm1 = np.hypot(*basis.project(vec))
+    for k in range(19):
+        assert np.hypot(*basis.project(vec)) == pytest.approx(norm1 * rate**k, rel=1e-9)
+        assert vec.tolist() == [power_image(3, k).count(j) for j in (1, 2, 3)]
+        vec = m @ vec
+    assert check_contraction() == []
 
 
 def test_boundedness():
-    profile = boundedness_profile((1_000, 2_000))
-    assert set(profile) == {1_000, 2_000}
-    assert profile[2_000] >= profile[1_000] > 1.0
+    # the proved bound |pi(1)| / (1 - lambda^-1/2) holds past the drawn depth
+    basis = family_basis(3)
+    bound = np.hypot(*basis.project((1, 0, 0))) / (1 - basis.expanding_value**-0.5)
+    pts = _projected_prefix_orbit(100_000)
+    assert 1.3 < np.hypot(pts[:, 0], pts[:, 1]).max() < bound == pytest.approx(3.8698, abs=1e-4)
     assert check_boundedness() == []
+
+
+@pytest.mark.parametrize("matrix", [
+    family_substitution(3).incidence_matrix(),
+    [[1, 1, 1], [1, 0, 0], [0, 1, 0]],   # tribonacci: x^3 - x^2 - x - 1
+])
+def test_spectrum_test_accepts_unit_pisot_matrices(matrix):
+    assert pisot_failures(matrix) == []
+
+
+@pytest.mark.parametrize("matrix, want", [
+    # (x^2 - x - 1)(x - 1): three real roots, and their product is -1
+    ([[1, 1, 0], [1, 0, 0], [0, 0, 1]], [
+        "discriminant 5 >= 0: no complex pair of eigenvalues",
+        "constant term 1 != -1: the eigenvalues multiply to -1, not 1",
+    ]),
+    # x^3 - 2: one real root 2^(1/3) and a pair of modulus 2^(1/3)
+    ([[0, 0, 2], [1, 0, 0], [0, 1, 0]], [
+        "constant term -2 != -1: the eigenvalues multiply to 2, not 1",
+    ]),
+    # x^3 + x^2 - 1: its one real root is 0.755
+    ([[-1, 0, 1], [1, 0, 0], [0, 1, 0]], [
+        "p(1) = 1 >= 0: the real eigenvalue is not past 1",
+    ]),
+])
+def test_spectrum_test_rejects_the_rest(matrix, want):
+    assert pisot_failures(matrix) == want
+    with pytest.raises(ValueError) as exc:
+        contracting_basis(matrix)
+    assert str(exc.value) == "; ".join(want)
+
+
+def test_a_non_pisot_matrix_fails_both_planar_checks(monkeypatch):
+    bad = np.array([[1, 1, 0], [1, 0, 0], [0, 0, 1]])
+    want = pisot_failures(bad)
+    family_basis(3)   # the drawn clouds keep the cached basis
+    monkeypatch.setattr(rauzy, "family_substitution",
+                        lambda d: SimpleNamespace(incidence_matrix=lambda: bad))
+    got = {r.name: r for r in verify.run_suite("rauzy", 3)}
+    for name in ("projection-bounded", "projection-contraction"):
+        assert (got[name].status, got[name].witnesses) == ("fail", want)
+    assert [n for n, r in got.items() if r.status == "fail"] == [
+        "projection-bounded", "projection-contraction"]
+    with pytest.raises(ValueError, match=re.escape("; ".join(want))):
+        contracting_basis(bad)
+
+
+def test_a_scaled_plane_fails_the_bound(monkeypatch):
+    basis = family_basis(3)
+    scaled = tuple(tuple(4 * x for x in row) for row in basis.to_plane)
+    monkeypatch.setattr(rauzy, "family_basis", lambda d: replace(basis, to_plane=scaled))
+    failures = check_boundedness()
+    assert failures and all(" past the bound 3.869811" in f for f in failures)
+    assert failures[0].startswith("prefix ")
 
 
 def test_depth_zero_cloud():

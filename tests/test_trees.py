@@ -25,6 +25,11 @@ from treesubst.trees import (
 from pair_oracles import Lifting
 
 
+def degree(tree, v):
+    """Edges at vertex v of the tree."""
+    return int(np.count_nonzero(tree.src == v) + np.count_nonzero(tree.dst == v))
+
+
 def test_tree_rejects_non_trees():
     with pytest.raises(ValueError):
         ColoredTree(3, [(0, 1, 1), (1, 0, 2)])        # cycle
@@ -290,7 +295,7 @@ def test_initial_tree_is_star():
         t0 = initial_tree(d)
         assert len(t0.edges) == d
         assert sorted(c for _, _, c in t0.edges) == list(range(1, d + 1))
-        assert t0.degree(t0.root) == d
+        assert degree(t0, t0.root) == d
         # the color-j neighbor is vertex j
         for _, j, c in t0.edges:
             assert j == c
@@ -354,8 +359,8 @@ def test_new_center_record_matches_adjacency(d):
     for n in range(1, 9):
         tree = it.tree_at(n)
         born = [v for v in tree.vertices if it.birth_stage(v) == n]
-        centers = [v for v in born if tree.degree(v) == d]
-        leaves = {v for v in born if tree.degree(v) == 1}
+        centers = [v for v in born if degree(tree, v) == d]
+        leaves = {v for v in born if degree(tree, v) == 1}
         record = it.centers[n]
         assert [c.vertex for c in record] == sorted(centers)
         assert {z for c in record for z in c.leaves} == leaves
@@ -624,10 +629,19 @@ def test_tree_check_keeps_its_search_as_the_rooted_index():
 
 def test_initial_tree_builds_each_pattern_once():
     # 2d - 2 = 278 patterns: a cache of 256 rebuilt every pattern on each of
-    # the d - 1 applications
+    # the d - 1 applications of the initial-star claim
     trees._pattern_tree.cache_clear()
-    trees.initial_tree.__wrapped__(140)
+    assert verify.initial_star(140) == []
     assert trees._pattern_tree.cache_info().misses <= 2 * 140 - 2
+
+
+def test_initial_tree_applies_no_rule(monkeypatch):
+    def refuse(self, tree):
+        raise AssertionError("initial_tree applied a rule")
+
+    monkeypatch.setattr(TreeSubstitution, "apply", refuse)
+    t = initial_tree(600)
+    assert t.root == 0 and list(t.edges) == [(0, c, c) for c in range(1, 601)]
 
 
 # -- generated stages: trees by the lemma in `TreeSubstitution.apply` ----------
@@ -730,12 +744,16 @@ def test_budget_refuses_by_the_growth_estimate(monkeypatch):
 
 
 @pytest.mark.parametrize("edges, want", [
-    ([(0, 1, 1), (0, 2, 1), (0, 3, 3)], ["colors [1, 1, 3]"]),
-    ([(0, 1, 1), (0, 2, 2), (2, 3, 3)], ["root degree 2"]),
+    # the leaf edge takes color 1, so two steps give colors 2, 3, 3
+    ((("P1", "X", 3), ("P1", "Y", 1), ("P1", "P2", 1)), ["colors [2, 3, 3]"]),
+    # the leaf hangs from Y: the colors hold, the star does not
+    ((("P1", "X", 3), ("P1", "Y", 1), ("Y", "P2", 4)), ["root degree 2"]),
 ])
 def test_initial_star_flags_a_changed_star(monkeypatch, edges, want):
+    # d = 3: the 2-rule is P1 -> X (3), P1 -> Y (1) and P1 -> P2 (4)
     assert verify.initial_star(3) == []
-    monkeypatch.setattr(verify, "initial_tree", lambda d: ColoredTree(d, edges, root=0))
+    rules = {**family_tree_substitution(3).rules, 2: RulePattern(2, edges)}
+    monkeypatch.setattr(verify, "family_tree_substitution", lambda d: TreeSubstitution(d, rules))
     assert verify.initial_star(3) == want
 
 

@@ -11,18 +11,19 @@ from hypothesis import strategies as st
 
 from treesubst.words import (
     Substitution,
+    _factor_starts,
+    _fixed_point,
     _power_lengths,
     _window_counts,
+    bispecials,
     bispecials_by_generation,
     complexity,
     distinct,
     expected_class_count,
-    factors,
     family_substitution,
     fixed_point_letters,
     fixed_point_prefix,
     growth_root,
-    language,
     measure_recursion_gap,
     measure_spectrum,
     power_image,
@@ -32,6 +33,14 @@ from treesubst.words import (
 
 _BLOCK = 1 << 16   # window positions coded and sorted at once by _block_scan
 _CODE_MAX = np.iinfo(np.int64).max
+
+
+def factors(d, n):
+    """The length-n factors spelled out from the first occurrences that
+    `window_classes` ranks."""
+    starts = _factor_starts(d, n)
+    text = _fixed_point(d, starts[-1] + n)
+    return {text[i : i + n] for i in starts}
 
 
 def _block_scan(d, m, prefix_len):
@@ -273,11 +282,11 @@ def _language_by_membership(d, n):
 
 
 @settings(max_examples=40, deadline=None)
-@given(d=st.integers(3, 6), n=st.integers(1, 40))
-def test_language_matches_membership_tests(d, n):
-    table = language(d, n)
-    got = (table.factors, table.left_special, table.right_special, table.bispecial)
-    assert got == _language_by_membership(d, n)
+@given(d=st.integers(3, 8), n=st.integers(0, 60))
+@example(d=3, n=60)
+@example(d=8, n=1)
+def test_bispecials_match_membership_tests(d, n):
+    assert bispecials(d, n) == _language_by_membership(d, n)[3]
 
 
 @st.composite
@@ -355,7 +364,7 @@ def stable_factors(d, n):
 
 @pytest.mark.parametrize("d", range(3, 14))
 def test_factors_match_the_set_of_slices(d):
-    # every length bispecial-oracle reads, up to 61 for language(d, 60)
+    # every length bispecial-oracle reads, up to 61 for bispecials(d, 60)
     for n in range(62):
         assert factors(d, n) == stable_factors(d, n)
         assert complexity(d, n) == len(stable_factors(d, n))
