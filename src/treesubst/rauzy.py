@@ -7,7 +7,9 @@ builds that projection, colors the resulting point cloud by cylinder class
 or by the arcs of a chosen stage tree, restricts it to the points lying on
 an embedded stage tree, and renders deterministic SVG/CSV artifacts.
 Whether the picture exists, and the contraction and boundedness it gives,
-is decided in integers from the characteristic polynomial (`pisot_failures`).
+is decided in integers from the characteristic polynomial (`pisot_failures`),
+and that equal-measure cylinders draw translated clouds from the positions
+they tag (`check_translate_congruence`).
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from itertools import chain, count
 import numpy as np
 
 from .core import determined_partition, shared_scan, stage_lengths
+from .trees import check_budget
 from .words import (
     MAX_PREFIX_LEN,
     _window_firsts,
@@ -31,11 +34,9 @@ from .words import (
     word_str,
 )
 
-PAIR_BUDGET = 1 << 18   # candidate pairs the nearest-neighbour search holds at once
-WRITE_CHUNK = 1 << 16   # points the artifact writers format per write
+WRITE_CHUNK = 1 << 22   # bytes the artifact writers format per write: 2^16 rows of 64
 SVG_SIZE = 800          # pixels on a side of the rendered SVG
 CONGRUENCE_M = 7        # cylinder length whose equal-measure clouds are compared
-CONGRUENCE_TOL = 0.02   # nearest-neighbour RMS allowed, as a share of the diameter
 
 
 @dataclass(frozen=True)
@@ -178,9 +179,9 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     length i realizes the prefix of length i.  Its arc and on-tree status
     are those of `TreeIteration.descent`.
     """
-    it = shared_scan(3).it
-    it.tree_at(base)   # refused over the edge budget before the table of |sigma^a(1)| runs out
+    check_budget(3, base)   # refused before the table of |sigma^a(1)| runs out
     stage = orbit_stage(base, depth)
+    it = shared_scan(3).it
     it.tree_at(stage)
     length = np.full(it.sizes[stage], -1, dtype=np.int64)
     length[0] = 0
@@ -230,19 +231,19 @@ def fractal_cloud(depth: int, coloring: str = "cylinder:1") -> PointCloud:
     Points too short to be tagged get "-".
     """
     kind, k = parse_coloring(coloring)
+    if kind == "arc":   # over the edge budget, refused before the projection
+        cls = _orbit_index(k, depth)[0]
+        names = _arc_names(cls)
     pts = _projected_prefix_orbit(depth)
     if kind == "cylinder":
         cls, names = _cylinder_classes(depth, k)
-    else:
-        cls = _orbit_index(k, depth)[0]
-        names = _arc_names(cls)
     return PointCloud(pts[:, 0].copy(), pts[:, 1].copy(), cls, names)
 
 
 def zeta_cloud(n: int, depth: int) -> PointCloud:
     """Projection of the orbit points that lie on the embedded stage-n tree."""
+    arc_of, on_tree = _orbit_index(n, depth)   # refused over the edge budget first
     pts = _projected_prefix_orbit(depth)
-    arc_of, on_tree = _orbit_index(n, depth)
     keep = np.flatnonzero(on_tree)
     return PointCloud(pts[keep, 0].copy(), pts[keep, 1].copy(), arc_of[keep], _arc_names(arc_of))
 
@@ -314,103 +315,50 @@ def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> lis
     return failures
 
 
-def _nearest_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared distance from each point of a to the nearest point of b.
-
-    Exact grid search: b is sorted into square cells of side
-    h = span / ceil(sqrt(|b|)), and each point of a looks in the 3x3 block
-    of cells around its own.  A point of b outside that block is at least
-    h away, so a best squared distance of at most h^2 found in the block is
-    the true minimum.  The threshold sits a hair below h^2 (1e-9 relative),
-    far more than rounding can move a point across a cell edge: about
-    (cells + 3) ulps of h.  Points above it, with no point of b nearby,
-    take the brute-force row.  Every distance is the same
-    ((a - b) ** 2).sum(axis=1), so the minima are those of the brute force
-    bit for bit.  Rows are taken in chunks of about PAIR_BUDGET pairs.
-    """
-    lo = b.min(axis=0)
-    span = float((b.max(axis=0) - lo).max())
-    # a subnormal span may divide to 0; any h > 0 keeps the search exact
-    h = (span / (math.isqrt(len(b) - 1) + 1) or span) if span > 0 else 1.0
-    cell_b = np.floor((b - lo) / h).astype(np.int64)
-    top = cell_b.max(axis=0)
-    # a cell beyond the margin of 2 sees no point of b in its block either;
-    # clipping the offset first keeps the quotient finite for a tiny h
-    margin = np.clip(a - lo, -2 * h, (top + 3) * h)
-    cell_a = np.clip(np.floor(margin / h), -2, top + 2).astype(np.int64)
-    width = int(top[1]) + 7
-
-    def key(cell):
-        return (cell[:, 0] + 3) * width + cell[:, 1] + 3
-
-    keys_b = key(cell_b)
-    order = np.argsort(keys_b)
-    sorted_keys = keys_b[order]
-    step = np.array([-1, 0, 1])
-    query = key(cell_a)[:, None] + (step[:, None] * width + step).ravel()
-    first = np.searchsorted(sorted_keys, query, side="left")
-    count = np.searchsorted(sorted_keys, query, side="right") - first
-    best = np.full(len(a), np.inf)
-    ends = np.cumsum(count.sum(axis=1))
-    cuts = np.searchsorted(ends, np.arange(PAIR_BUDGET, ends[-1], PAIR_BUDGET), side="right")
-    bounds = distinct(np.concatenate([[0], cuts, [len(a)]]))[0]
-    for r0, r1 in zip(bounds[:-1], bounds[1:]):
-        cnt, fst = count[r0:r1].ravel(), first[r0:r1].ravel()
-        row = np.repeat(np.arange(r0, r1), count[r0:r1].sum(axis=1))
-        pos = np.repeat(fst - (np.cumsum(cnt) - cnt), cnt) + np.arange(cnt.sum())
-        d2 = ((a[row] - b[order[pos]]) ** 2).sum(axis=1)
-        np.minimum.at(best, row, d2)
-    far = np.flatnonzero(~(best <= h * h * (1 - 1e-9)))
-    rows = max(1, PAIR_BUDGET // len(b))
-    for i in range(0, len(far), rows):
-        idx = far[i : i + rows]
-        best[idx] = ((a[idx][:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    return best
-
-
-def _nearest_rms(a: np.ndarray, b: np.ndarray) -> float:
-    """Root mean square over a of the distance to the nearest point of b."""
-    return float(np.sqrt(_nearest_sq(a, b).mean()))
+def _shift(a: np.ndarray, b: np.ndarray, m: int) -> int | None:
+    """The k, 0 < |k| <= m, least |k| first, with b[i] == a[i - k] at every i
+    |k| or more from either end of the flag arrays a and b; None if none."""
+    for k in (s * j for j in range(1, m + 1) for s in (-1, 1)):
+        lo, hi = abs(k), len(a) - abs(k)
+        if np.array_equal(b[lo:hi], a[lo - k : hi - k]):
+            return k
+    return None
 
 
 def check_translate_congruence(depth: int = 20_000) -> list[str]:
-    """Equal-measure cylinder clouds agree up to translation, within tolerance.
+    """Equal-measure cylinders draw translated clouds, exactly on the prefix.
 
-    Centroids are aligned and the symmetric nearest-neighbor RMS is compared
-    to the cloud diameter.  A cylinder with no point in the cloud is a
-    witness, and a run that compares no pair fails.  Unlike the two planar
-    claims above, this one stays a sampled claim under CONGRUENCE_TOL: it
-    reads the clouds to `depth`, not a proof.
+    For consecutive cylinders u, v of one measure class, the prefix lengths
+    in m..depth that v tags are those that u tags shifted by one k,
+    0 < |k| <= m, leaving out the |k| lengths at either end.  The k letters
+    between the two are then the last |k| letters of v (k > 0) or of u
+    (k < 0), so the two clouds differ by that word's projection: on the
+    prefix they are translates, with no tolerance.  A factor that is not
+    right special, followed by one that is not left special, occurs at the
+    same positions shifted by one (J. Cassaigne, Bull. Belg. Math. Soc. 4,
+    1997), which is why such a k exists.  A pair with no such k is a
+    witness, as is a cylinder with no point, and a run that compares no
+    pair fails.  Only positions are read, no coordinate.
     """
-    pts = _projected_prefix_orbit(depth)
-    diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
     cls, names = _cylinder_classes(depth, CONGRUENCE_M)
-    order = np.argsort(cls, kind="stable")   # each class keeps its prefix order
-    bounds = np.searchsorted(cls[order], np.arange(len(names) + 1))
-    by_tag = {
-        name: pts[order[bounds[k] : bounds[k + 1]]] for k, name in enumerate(names)
-    }
-    spectrum = measure_spectrum(3, CONGRUENCE_M)
+    code = {name: c for c, name in enumerate(names)}
+    tagged = cls[CONGRUENCE_M:]
     groups: dict[int, list[str]] = {}
-    for u, j in spectrum.snapped_exponents.items():
+    for u, j in measure_spectrum(3, CONGRUENCE_M).snapped_exponents.items():
         groups.setdefault(j, []).append(word_str(u))
     failures = []
     compared = 0
     for j, members in sorted(groups.items()):
-        present = [u for u in members if u in by_tag]
+        present = [u for u in members if u in code]
         failures += [
-            f"cylinder {u} has no point at depth {depth}"
-            for u in members
-            if u not in by_tag
+            f"cylinder {u} has no point at depth {depth}" for u in members if u not in code
         ]
         for a, b in zip(present, present[1:]):
-            pa = by_tag[a] - by_tag[a].mean(axis=0)
-            pb = by_tag[b] - by_tag[b].mean(axis=0)
-            rms = max(_nearest_rms(pa, pb), _nearest_rms(pb, pa))
             compared += 1
-            if rms / diam > CONGRUENCE_TOL:
+            if _shift(tagged == code[a], tagged == code[b], CONGRUENCE_M) is None:
                 failures.append(
-                    f"class lambda^-{j}: {a} vs {b} rms {rms / diam:.4f} of diameter"
+                    f"class lambda^-{j}: {a} vs {b}: no shift 0 < |k| <= {CONGRUENCE_M} "
+                    f"carries the prefix lengths of {a} onto those of {b}"
                 )
     if not compared:
         failures.append(f"no equal-measure cylinder pair to compare at depth {depth}")
@@ -466,26 +414,31 @@ def _float_text(x: np.ndarray, k: int) -> np.ndarray:
 
 
 def _write_rows(fh, n: int, fields: list) -> None:
-    """Write n rows, each the concatenation of `fields`, WRITE_CHUNK rows at a time.
+    """Write n rows, each the concatenation of `fields`, about WRITE_CHUNK bytes at a time.
 
     A field is constant bytes, a float column (values, k) as `_float_text`
-    lays it out, or a label column (codes, labels).  A chunk is one uint8
-    block of the fields side by side; no text holds a NUL, so the nonzero
-    bytes are the rows.
+    lays it out, or a label column (codes, ASCII labels) gathered from one
+    byte table per call.  A chunk is one uint8 block of the fields side by
+    side, as many rows as WRITE_CHUNK bytes hold at the width of the first
+    (at least one); no text holds a NUL, so the nonzero bytes are the rows.
     """
-    for i in range(0, n, WRITE_CHUNK):
-        rows = slice(i, min(n, i + WRITE_CHUNK))
-        blocks = []
-        for field in fields:
-            if isinstance(field, bytes):
-                const = np.frombuffer(field, np.uint8)
-                blocks.append(np.broadcast_to(const, (rows.stop - i, len(const))))
-            elif isinstance(field[1], int):
-                blocks.append(_float_text(field[0][rows], field[1]))
-            else:
-                table = np.array(field[1], dtype=bytes)
-                blocks.append(table.view(np.uint8).reshape(len(table), -1).take(field[0][rows], 0))
-        out = np.hstack(blocks).ravel()
+
+    def column(field):
+        if isinstance(field, bytes):
+            const = np.frombuffer(field, np.uint8)
+            return lambda rows: np.broadcast_to(const, (rows.stop - rows.start, len(const)))
+        values, spec = field
+        if isinstance(spec, int):
+            return lambda rows: _float_text(values[rows], spec)
+        table = np.array(spec, dtype=bytes)
+        table = table.view(np.uint8).reshape(len(table), -1)
+        return lambda rows: table.take(values[rows], 0)
+
+    columns = [column(field) for field in fields]
+    step = max(1, WRITE_CHUNK // sum(col(slice(0, 1)).shape[1] for col in columns))
+    for i in range(0, n, step):
+        rows = slice(i, min(n, i + step))
+        out = np.hstack([col(rows) for col in columns]).ravel()
         fh.write(out[out != 0])
 
 
@@ -493,7 +446,7 @@ def export_csv(cloud: PointCloud, path: str) -> None:
     with open(path, "wb") as fh:
         fh.write(b"x,y,tag\n")
         # adding 0.0 turns -0.0 into 0.0, so an exact zero never reads "-0.000000000"
-        labels = [t.encode() for t in ["-", *cloud.names]]
+        labels = ["-", *cloud.names]
         _write_rows(fh, len(cloud), [(cloud.xs + 0.0, 9), b",", (cloud.ys + 0.0, 9), b",",
                                      (cloud.cls + 1, labels), b"\n"])
 
@@ -519,7 +472,7 @@ def render_svg(cloud: PointCloud, path: str) -> None:
             f'<rect x="{x0:.6f}" y="{y0:.6f}" width="{x1 - x0:.6f}" '
             f'height="{y1 - y0:.6f}" fill="white"/>\n'
         ).encode())
-        labels = [colors.get(t, "").encode() for t in lookup]
+        labels = [colors.get(t, "") for t in lookup]
         _write_rows(fh, len(cloud), [b'<circle cx="', (cloud.xs, 6), b'" cy="', (cloud.ys, 6),
                                      f'" r="{r:.6f}" fill="'.encode(), (cloud.cls + 1, labels),
                                      b'"/>\n'])

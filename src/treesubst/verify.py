@@ -11,8 +11,10 @@ that several claims read (the address map, path distances) are decided
 once.  The core suite runs every claim to its max_stage; the arcs of stage
 n read stage n + 2d - 2, so the arc checks stop where that is one past it.
 The two planar claims of the rauzy suite are proofs from the integer
-characteristic polynomial of the incidence matrix (`rauzy.pisot_failures`);
-translate-congruence stays a sampled claim under a tolerance.
+characteristic polynomial of the incidence matrix (`rauzy.pisot_failures`),
+and translate-congruence is a certificate on the prefix: the positions that
+one equal-measure cylinder tags are those of the next shifted by a few
+letters.  No rauzy claim is decided by a tolerance.
 
 Each suite returns a list of CheckResult records with descriptive names,
 the scanned scope, and witness strings for anything that failed.  The CLI

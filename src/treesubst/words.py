@@ -41,9 +41,12 @@ def distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s[starts], first, inverse
 
 
+_DIGITS = [str(c) for c in range(256)]
+
+
 def word_str(w: Word) -> str:
     """Digit string for reports, e.g. b"\\x01\\x02" -> "12"."""
-    return "".join(str(c) for c in w)
+    return "".join(map(_DIGITS.__getitem__, w))
 
 
 class Substitution:

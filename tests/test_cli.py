@@ -298,6 +298,22 @@ def test_arc_coloring_past_the_length_table_is_usage_error(tmp_path, capsys):
     assert err.startswith("error: stage 200 would hold about ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["--color", "arc:2"], ["--kind", "zeta", "--n", "30"]],
+                         ids=["arc", "zeta"])
+def test_plot_over_the_budget_is_refused_before_the_projection(monkeypatch, tmp_path, capsys,
+                                                              argv):
+    # the projection of 10^7 prefixes takes 444 MB; the budget must refuse first
+    def projection(depth):
+        raise AssertionError(f"projected {depth:,} prefixes before the budget refused")
+
+    monkeypatch.setattr(rauzy, "_projected_prefix_orbit", projection)
+    rauzy._orbit_index.cache_clear()
+    argv = ["plot", *argv, "--depth", "10000000", "--out", str(tmp_path / "p.svg")]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: stage 41 would hold about 19,204,608 edges")
+
+
 @pytest.mark.parametrize(
     "argv, stage",
     [

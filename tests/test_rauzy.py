@@ -3,7 +3,6 @@
 import hashlib
 import io
 import re
-import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 from unittest import mock
@@ -16,7 +15,9 @@ from hypothesis import strategies as st
 from treesubst import cli, core, rauzy, verify
 from treesubst.trees import TreeIteration, _Rows
 from treesubst.core import l_word
-from treesubst.words import family_substitution, fixed_point_prefix, power_image, word_str
+from treesubst.words import (
+    family_substitution, fixed_point_prefix, measure_spectrum, power_image, word_str,
+)
 from treesubst.rauzy import (
     check_boundedness,
     check_contraction,
@@ -33,8 +34,6 @@ from treesubst.rauzy import (
     tag_palette,
     zeta_cloud,
     _cylinder_classes,
-    _nearest_rms,
-    _nearest_sq,
     _partition_witnesses,
     _projected_prefix_orbit,
 )
@@ -228,69 +227,83 @@ def test_translate_congruence_without_a_pair_fails():
     assert "no equal-measure" not in " ".join(check_translate_congruence(10))
 
 
-# -- exact grid nearest-neighbour search ------------------------------------
+# -- the shift certificate and the translates it stands for ----------------
+
+
+def _measure_pairs():
+    """Consecutive cylinders of each measure class, as the check pairs them."""
+    groups = {}
+    for u, j in measure_spectrum(3, rauzy.CONGRUENCE_M).snapped_exponents.items():
+        groups.setdefault(j, []).append(word_str(u))
+    return [(j, a, b) for j, members in sorted(groups.items())
+            for a, b in zip(members, members[1:])]
+
+
+@pytest.mark.parametrize("last", ["3112123", "3123112", "3112311", "2123112"])
+def test_translate_congruence_flags_a_moved_position(monkeypatch, last):
+    # one position of the last cylinder of a measure class moves below m,
+    # where no window ends: only the pair that compares it loses its shift
+    real = rauzy._cylinder_classes
+
+    def moved(depth, m):
+        cls, names = real(depth, m)
+        at = np.flatnonzero(cls == names.index(last))
+        cls[at[len(at) // 2]], cls[0] = -1, names.index(last)
+        return cls, names
+
+    monkeypatch.setattr(rauzy, "_cylinder_classes", moved)
+    (j, a, b), = [p for p in _measure_pairs() if p[2] == last]
+    assert check_translate_congruence(8000) == [
+        f"class lambda^-{j}: {a} vs {b}: no shift 0 < |k| <= 7 carries the prefix "
+        f"lengths of {a} onto those of {b}"
+    ]
 
 
 def _brute_sq(a, b):
-    """The quadratic search the grid replaces, kept as the oracle."""
+    """Squared distance from each point of a to the nearest point of b."""
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1)
 
 
-_coord = st.one_of(
-    st.integers(-3, 3).map(float),        # small lattice: duplicates and ties
-    st.floats(-50, 50, allow_nan=False, allow_infinity=False),
-)
-_cloud = st.lists(st.tuples(_coord, _coord), min_size=1, max_size=40).map(
-    lambda pts: np.array(pts, dtype=float)
-)
+def test_certified_pairs_are_translates():
+    # the sampled claim the certificate replaced, kept as its oracle: the
+    # matched points differ by one vector, the projection of the k letters
+    # between them, and the centred clouds lie within 2 % of the diameter
+    depth, m = 8000, rauzy.CONGRUENCE_M
+    pts = _projected_prefix_orbit(depth)
+    diam = float(np.hypot(*(pts.max(axis=0) - pts.min(axis=0))))
+    to_plane = np.asarray(family_basis(3).to_plane)
+    cls, names = _cylinder_classes(depth, m)
+    pairs = _measure_pairs()
+    assert len(pairs) == 11
+    shifts = set()
+    for _, a, b in pairs:
+        ca, cb = names.index(a), names.index(b)
+        k = rauzy._shift(cls[m:] == ca, cls[m:] == cb, m)
+        shifts.add(k)
+        at_b = np.flatnonzero(cls == cb)
+        at_b = at_b[(at_b >= m + abs(k)) & (at_b <= depth - abs(k))]
+        assert (cls[at_b - k] == ca).all()
+        word = b[m - k :] if k > 0 else a[m + k :]   # the letters from the a point to the b point
+        step = to_plane @ np.bincount([int(c) for c in word], minlength=4)[1:]
+        want = -step if k > 0 else step   # the cloud projects inverted prefixes
+        assert np.abs(pts[at_b] - pts[at_b - k] - want).max() <= 1e-12 * diam
+        pa, pb = pts[cls == ca], pts[cls == cb]
+        pa, pb = pa - pa.mean(axis=0), pb - pb.mean(axis=0)
+        rms = max(np.sqrt(_brute_sq(pa, pb).mean()), np.sqrt(_brute_sq(pb, pa).mean()))
+        assert rms < 0.02 * diam, (a, b)
+    assert shifts == {-3, -1, 1, 2}
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    a=_cloud, b=_cloud,
-    shape=st.sampled_from(["plain", "collinear", "constant", "far"]),
-    budget=st.sampled_from([1, 5, rauzy.PAIR_BUDGET]),
-)
-@example(a=np.zeros((1, 2)), b=np.zeros((1, 2)), shape="plain", budget=rauzy.PAIR_BUDGET)
-@example(a=np.ones((3, 2)), b=np.ones((4, 2)), shape="plain", budget=1)
-@example(   # span 5e-324: the cell side span / 2 underflows to 0
-    a=np.zeros((1, 2)), b=np.array([[0.0, 0.0], [0.0, 5e-324]]), shape="plain", budget=1,
-)
-@example(   # h = 2: the block holds a point 2.49 away, outside it one is 2.01 away
-    a=np.array([[1.99, 0.0]]), b=np.array([[0.0, 1.5], [4.0, 0.0], [0.0, 4.0], [4.0, 4.0]]),
-    shape="plain", budget=rauzy.PAIR_BUDGET,
-)
-def test_grid_search_matches_brute_force(a, b, shape, budget):
-    if shape == "collinear":        # zero span on one axis
-        b[:, 1] = 0.25
-        a[: len(a) // 2, 1] = 0.25
-    elif shape == "constant":       # every point of b equal
-        b[:] = b[0]
-    elif shape == "far":            # a second cluster far away forces the fallback
-        a[::2] += (1e4, -3e3)
-    want = _brute_sq(a, b)
-    with mock.patch.object(rauzy, "PAIR_BUDGET", budget):   # small budgets: many chunks
-        got = _nearest_sq(a, b)
-    assert np.array_equal(got, want)
-    assert _nearest_rms(a, b) == float(np.sqrt(want.mean()))
-
-
-def test_grid_search_with_a_subnormal_cell_side():
-    # span 1e-322 gives a subnormal h, and (a - lo) / h used to overflow
-    a, b = np.array([[1e10, 3.0], [0.0, 0.0]]), np.array([[0.0, 0.0], [1e-322, 0.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = _nearest_sq(a, b)
-    assert np.array_equal(got, _brute_sq(a, b))
-
-
-def test_grid_search_on_equal_measure_clouds():
-    pts = _projected_prefix_orbit(8000)
-    cls, names = _cylinder_classes(8000, 7)
-    a, b = (pts[cls == names.index(u)] for u in ("1121231", "1231121"))
-    a, b = a - a.mean(axis=0), b - b.mean(axis=0)
-    assert np.array_equal(_nearest_sq(a, b), _brute_sq(a, b))
-    assert np.array_equal(_nearest_sq(b, a), _brute_sq(b, a))
+def test_shift_leaves_out_the_ends():
+    a, b = np.zeros(12, dtype=bool), np.zeros(12, dtype=bool)
+    a[[2, 3, 7, 10]] = True
+    b[[1, 4, 5, 9]] = True   # a shifted by 2, and one more point in the 2 left out
+    assert rauzy._shift(a, b, 3) == 2
+    assert rauzy._shift(b, a, 3) == -2
+    assert rauzy._shift(a, b, 1) is None
+    b[6] = True   # inside the compared range
+    assert rauzy._shift(a, b, 3) is None
+    assert rauzy._shift(a[:2], b[:2], 1) == -1   # nothing left to compare
 
 
 # -- cylinder tags and the partition match -----------------------------------
@@ -409,6 +422,22 @@ def test_artifacts_deterministic(tmp_path):
     assert b"-0.000000000" not in ca
 
 
+@pytest.mark.parametrize("name, ext", [("render_svg", "svg"), ("export_csv", "csv")])
+def test_artifact_determinism_names_a_changed_format(monkeypatch, name, ext):
+    real, calls = getattr(rauzy, name), []
+
+    def drifting(cloud, path):   # the second rendering gains one byte
+        real(cloud, path)
+        calls.append(path)
+        if len(calls) == 2:
+            with open(path, "ab") as fh:
+                fh.write(b" ")
+
+    monkeypatch.setattr(rauzy, name, drifting)
+    assert verify.artifact_determinism(300) == [f"{ext} output differs between runs"]
+    assert len(calls) == 2
+
+
 def test_tiny_cloud_svg(tmp_path):
     cloud = zeta_cloud(0, 2)     # origin plus the first two trunk points
     p = tmp_path / "tiny.svg"
@@ -458,8 +487,8 @@ def _sha256(path):
 
 def test_svg_pinned_across_a_write_chunk(tmp_path):
     cloud = fractal_cloud(70_000, "cylinder:7")
-    assert len(cloud) > rauzy.WRITE_CHUNK
     render_svg(cloud, str(tmp_path / "a.svg"))
+    assert (tmp_path / "a.svg").stat().st_size > rauzy.WRITE_CHUNK   # more than one chunk
     assert _sha256(tmp_path / "a.svg") == SVG_70K_SHA256
     render_svg(fractal_cloud(0), str(tmp_path / "b.svg"))
     assert _sha256(tmp_path / "b.svg") == SVG_ONE_POINT_SHA256
@@ -494,12 +523,12 @@ _past_float_path = st.floats(4294.967295, 1e300)
     k=st.sampled_from([6, 9]),
     values=st.lists(st.one_of(_signed, _dyadic, _past_float_path, st.floats()), max_size=40),
     ties=st.lists(st.integers(0, 10**10), max_size=5),
-    chunk=st.sampled_from([1, 3, rauzy.WRITE_CHUNK]),
+    chunk=st.sampled_from([1, 40, rauzy.WRITE_CHUNK]),   # bytes: 1 row, 3 rows of 13, all
 )
 @example(k=6, values=[0.0, -0.0, -1e-300, 1 / 128, -1 / 128, 0.5e-6, np.inf, -np.inf, np.nan],
          ties=[0, 4294967294], chunk=rauzy.WRITE_CHUNK)
 @example(k=9, values=[-0.0, -1e-300, 2.0**-10, 4.294967295, 4.2949672955, 1e300, np.nan],
-         ties=[0, 123456789], chunk=3)
+         ties=[0, 123456789], chunk=40)
 def test_float_column_matches_percent_format(k, values, ties, chunk):
     values = values + [v for n in ties for v in _half_neighbours(n, k)]
     values = values + [-v for v in values]
@@ -507,6 +536,16 @@ def test_float_column_matches_percent_format(k, values, ties, chunk):
     with mock.patch.object(rauzy, "WRITE_CHUNK", chunk):
         rauzy._write_rows(buf, len(values), [(np.array(values, dtype=float), k), b"\n"])
     assert buf.getvalue() == b"".join(b"%.*f\n" % (k, v) for v in values)
+
+
+def test_long_tags_are_written_in_chunks_of_bytes(tmp_path, monkeypatch):
+    # rows of about 1,500 bytes: a 100 kB chunk holds 64 of them
+    cloud = fractal_cloud(3000, "cylinder:1500")
+    monkeypatch.setattr(rauzy, "WRITE_CHUNK", 100_000)
+    export_csv(cloud, str(tmp_path / "long.csv"))
+    rows = zip(cloud.xs.tolist(), cloud.ys.tolist(), cloud.tags)
+    want = "x,y,tag\n" + "".join(f"{x + 0.0:.9f},{y + 0.0:.9f},{t}\n" for x, y, t in rows)
+    assert (tmp_path / "long.csv").read_text() == want
 
 
 def _orbit_index_oracle(base, depth):
