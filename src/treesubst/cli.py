@@ -15,7 +15,6 @@ import numpy as np
 
 from . import core, rauzy, trees, verify
 from .trees import ColoredTree, RulePattern, TreeSubstitution, check_budget
-from .words import DEFAULT_PREFIX_LEN
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -43,9 +42,6 @@ def build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", parents=[common], help="run audit suites")
     ver.add_argument("--suite", choices=verify.SUITES, default="all")
     ver.add_argument("--max-stage", type=int, default=None, help="deepest stage to scan")
-    ver.add_argument("--tol", type=float, default=1e-3, help="measure snap tolerance")
-    ver.add_argument("--prefix-len", type=int, default=DEFAULT_PREFIX_LEN,
-                     help="fixed-point prefix length for measure estimates")
     ver.add_argument("--format", choices=("table", "json"), default="table")
     ver.add_argument("--rules", type=Path, default=None,
                      help="audit a rule-set JSON file instead of the built-in family")
@@ -185,9 +181,7 @@ def cmd_verify(args) -> int:
         _emit_report(verify.to_report("rules", ts.d, results), args.format, args.out)
         return EXIT_OK if all(r.status == "pass" for r in results) else EXIT_CHECK
 
-    results = verify.run_suite(
-        args.suite, args.d, args.max_stage, args.tol, args.prefix_len
-    )
+    results = verify.run_suite(args.suite, args.d, args.max_stage)
     _emit_report(verify.to_report(args.suite, args.d, results), args.format, args.out)
     return EXIT_OK if all(r.status == "pass" for r in results) else EXIT_CHECK
 

@@ -24,7 +24,6 @@ import numpy as np
 from .core import determined_partition, shared_scan, stage_lengths
 from .trees import check_budget
 from .words import (
-    MAX_PREFIX_LEN,
     _window_firsts,
     complexity,
     distinct,
@@ -37,6 +36,7 @@ from .words import (
 WRITE_CHUNK = 1 << 22   # bytes the artifact writers format per write: 2^16 rows of 64
 SVG_SIZE = 800          # pixels on a side of the rendered SVG
 CONGRUENCE_M = 7        # cylinder length whose equal-measure clouds are compared
+MAX_PREFIX_LEN = 10**7  # deepest prefix a cloud projects: 24 bytes of counts per letter
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ def family_basis(d: int) -> ContractingBasis:
 def _projected_prefix_orbit(depth: int) -> np.ndarray:
     """(depth+1) x 2 array: projections of the inverted prefixes of length 0..depth.
 
-    A depth above MAX_PREFIX_LEN is refused before anything is allocated,
-    as `--prefix-len` is: the counts alone take 24 bytes per letter.
+    A depth above MAX_PREFIX_LEN is refused before anything is allocated:
+    the counts alone take 24 bytes per letter.
     """
     if not 0 <= depth <= MAX_PREFIX_LEN:
         raise ValueError(f"depth must be in 0..{MAX_PREFIX_LEN:,} letters, got {depth:,}")
@@ -338,14 +338,19 @@ def check_translate_congruence(depth: int = 20_000) -> list[str]:
     same positions shifted by one (J. Cassaigne, Bull. Belg. Math. Soc. 4,
     1997), which is why such a k exists.  A pair with no such k is a
     witness, as is a cylinder with no point, and a run that compares no
-    pair fails.  Only positions are read, no coordinate.
+    pair fails.  The classes are the exponents `words.measure_spectrum`
+    certifies; if its certificate fails, its failures are the witnesses.
+    Only positions are read, no coordinate.
     """
+    exponents, failures = measure_spectrum(3, CONGRUENCE_M)
+    if failures:
+        return list(failures)
+    groups: dict[int, list[str]] = {}
+    for u, j in exponents.items():
+        groups.setdefault(j, []).append(word_str(u))
     cls, names = _cylinder_classes(depth, CONGRUENCE_M)
     code = {name: c for c, name in enumerate(names)}
     tagged = cls[CONGRUENCE_M:]
-    groups: dict[int, list[str]] = {}
-    for u, j in measure_spectrum(3, CONGRUENCE_M).snapped_exponents.items():
-        groups.setdefault(j, []).append(word_str(u))
     failures = []
     compared = 0
     for j, members in sorted(groups.items()):

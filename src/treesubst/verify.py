@@ -10,11 +10,13 @@ tree iteration and realization are built once, and the per-stage verdicts
 that several claims read (the address map, path distances) are decided
 once.  The core suite runs every claim to its max_stage; the arcs of stage
 n read stage n + 2d - 2, so the arc checks stop where that is one past it.
-The two planar claims of the rauzy suite are proofs from the integer
-characteristic polynomial of the incidence matrix (`rauzy.pisot_failures`),
-and translate-congruence is a certificate on the prefix: the positions that
-one equal-measure cylinder tags are those of the next shifted by a few
-letters.  No rauzy claim is decided by a tolerance.
+The cylinder measures of the words suite are powers of lambda certified in
+integers (`words.measure_spectrum`).  The two planar claims of the rauzy
+suite are proofs from the integer characteristic polynomial of the
+incidence matrix (`rauzy.pisot_failures`), and translate-congruence is a
+certificate on the prefix: the positions that one equal-measure cylinder
+tags are those of the next shifted by a few letters.  No measure or rauzy
+claim is decided by a tolerance.
 
 Each suite returns a list of CheckResult records with descriptive names,
 the scanned scope, and witness strings for anything that failed.  The CLI
@@ -23,7 +25,6 @@ renders these as a table and a versioned JSON report.
 
 from __future__ import annotations
 
-import math
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -42,16 +43,14 @@ from .freegroup import (
 from .prefix_suffix import development_tail_word, shift_development
 from .trees import ColoredTree, check_budget, family_tree_substitution
 from .words import (
-    DEFAULT_PREFIX_LEN,
-    MAX_PREFIX_LEN,
     _power_lengths,
     bispecials,
     bispecials_by_generation,
     complexity,
     expected_class_count,
+    family_substitution,
     fixed_point_prefix,
     growth_root,
-    measure_recursion_gap,
     measure_spectrum,
     word_str,
 )
@@ -132,24 +131,35 @@ def development_tails(d: int, max_shift: int) -> list[str]:
     return fails
 
 
-def measure_snapping(d: int, ms, tol: float, prefix_len: int) -> list[str]:
-    """Length-m cylinder measures snap to powers of lambda in the predicted classes."""
+def measure_snapping(d: int, ms) -> list[str]:
+    """Length-m cylinder measures are powers of lambda, certified in integers
+    (`words.measure_spectrum`), in the predicted number of classes."""
     fails = []
     for m in ms:
-        spec = measure_spectrum(d, m, prefix_len)
-        if not spec.ok(tol):
-            fails.append(f"m={m}: snap residual {spec.max_residual:.2e} > {tol}")
-        if spec.class_count != expected_class_count(d, m):
-            fails.append(
-                f"m={m}: {spec.class_count} classes != {expected_class_count(d, m)}"
-            )
+        exponents, failures = measure_spectrum(d, m)
+        fails += failures
+        classes = len(set(exponents.values()))
+        if classes != expected_class_count(d, m):
+            fails.append(f"m={m}: {classes} classes != {expected_class_count(d, m)}")
     return fails
 
 
-def measure_recursion(d: int, max_len: int, prefix_len: int) -> list[str]:
-    """mu(C_u) = lambda * mu(C_sigma(u)) within 2e-3 for |u| <= max_len."""
-    gap = measure_recursion_gap(d, max_len, prefix_len)
-    return [] if gap < 2e-3 else [f"recursion gap {gap:.2e} >= 2e-3"]
+def measure_recursion(d: int, max_len: int) -> list[str]:
+    """mu(C_u) = lambda * mu(C_sigma(u)) for |u| <= max_len with u not ending
+    in d, where sigma maps the occurrences of u exactly onto those of
+    sigma(u): on certified exponents, j(sigma(u)) = j(u) + 1."""
+    sub = family_substitution(d)
+    pairs = [(u, sub(u)) for m in range(1, max_len + 1)
+             for u in measure_spectrum(d, m)[0] if u[-1] != d]
+    spectra = {n: measure_spectrum(d, n) for n in sorted({len(w) for p in pairs for w in p})}
+    fails = [f for _, failures in spectra.values() for f in failures]
+    if fails:   # the exponents are not proven
+        return fails
+    for u, v in pairs:
+        ju, jv = spectra[len(u)][0][u], spectra[len(v)][0].get(v)
+        if jv != ju + 1:
+            fails.append(f"{word_str(u)}: sigma(u) has exponent {jv}, not {ju + 1}")
+    return fails
 
 
 def cancellation_probes(d: int, depth: int) -> list[str]:
@@ -180,19 +190,14 @@ def growth_roots(d: int) -> list[str]:
     return fails
 
 
-def words_suite(
-    d: int, tol: float = 1e-3, prefix_len: int = DEFAULT_PREFIX_LEN
-) -> list[CheckResult]:
+def words_suite(d: int) -> list[CheckResult]:
     ms = (1, 2, 3, 4, 5, 7, 11) if d == 3 else (1, 2, 3, 4, 5)
     return [
         _result("factor-complexity", f"d={d}, n<=30", factor_complexity(d, 30)),
         _result("bispecial-oracle", f"d={d}, lengths<=60", bispecial_oracle(d, 60)),
         _result("development-tails", f"d={d}, shifts<=40", development_tails(d, 40)),
-        _result(
-            "measure-snapping", f"d={d}, m in {ms}",
-            measure_snapping(d, ms, tol, prefix_len),
-        ),
-        _result("measure-recursion", f"d={d}, |u|<=4", measure_recursion(d, 4, prefix_len)),
+        _result("measure-snapping", f"d={d}, m in {ms}", measure_snapping(d, ms)),
+        _result("measure-recursion", f"d={d}, |u|<=4", measure_recursion(d, 4)),
         _result("cancellation-probes", f"d={d}, depth<=12", cancellation_probes(d, 12)),
         _result("growth-roots", f"d={d}", growth_roots(d)),
     ]
@@ -497,23 +502,11 @@ def rauzy_suite(d: int) -> list[CheckResult]:
 # -- entry ------------------------------------------------------------------
 
 
-def run_suite(
-    suite: str,
-    d: int,
-    max_stage: int | None = None,
-    tol: float = 1e-3,
-    prefix_len: int = DEFAULT_PREFIX_LEN,
-) -> list[CheckResult]:
+def run_suite(suite: str, d: int, max_stage: int | None = None) -> list[CheckResult]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, choose from {SUITES}")
     if max_stage is not None and max_stage < 0:
         raise ValueError(f"max_stage must be >= 0, got {max_stage}")
-    if not 1 <= prefix_len <= MAX_PREFIX_LEN:
-        raise ValueError(
-            f"prefix_len must be in 1..{MAX_PREFIX_LEN:,} letters, got {prefix_len:,}"
-        )
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tol must be finite and > 0, got {tol}")
     cap = max_stage if max_stage is not None else max(12 if d == 3 else 10, 2 * d)
     # the deepest stage an audit builds: the address map, the shift isometry
     # and the arcs read one past the cap, the approximation steps one past
@@ -521,7 +514,7 @@ def run_suite(
     check_budget(d, max(cap, 2 * d) + 1)
     out: list[CheckResult] = []
     if suite in ("words", "all"):
-        out += words_suite(d, tol, prefix_len)
+        out += words_suite(d)
     if suite in ("trees", "all"):
         out += trees_suite(d, cap)
     if suite in ("realization", "all"):

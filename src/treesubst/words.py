@@ -3,25 +3,26 @@
 Words over the alphabet {1, .., d} are stored as ``bytes`` whose entries are
 the letters themselves (so b"\\x01\\x02" is the word 12).  The module knows
 how to iterate the substitution, rank the factors of the fixed point with
-certified stabilization, find its bispecial factors, and estimate cylinder
-measures by sliding-window frequencies.
+certified stabilization, find its bispecial factors, and decide the
+cylinder measures exactly: each is a power lambda^-j, proposed by the float
+Perron vector of the induced substitution sigma_m on the length-m factors
+and proved an eigenvector of its integer matrix in integer coefficients on
+1, lambda, .., lambda^(d-1) (`measure_spectrum`).
 
 Every read of the fixed point slices one buffer per d, grown by copying its
 own prefix: sigma^(a+1)(1) = sigma^a(1) sigma^(a-d+1)(1) for a >= d - 1, as
-sigma^a(2) = sigma^(a-d+1)(1).  The same identity counts the windows of a
-prefix by recursion on its length (`_window_counts`).
+sigma^a(2) = sigma^(a-d+1)(1).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 import numpy as np
 
-from .algnum import trinomial_root
+from .algnum import _int64, trinomial_root
 
 Word = bytes
 
@@ -290,88 +291,63 @@ def bispecials_by_generation(d: int, max_len: int) -> list[Word]:
 # ---------------------------------------------------------------------------
 # cylinder measures
 
-DEFAULT_PREFIX_LEN = 10**6
-# largest prefix a measure estimate may read: its buffer holds at most about
-# lambda times as many letters (14.7 MB at d = 3)
-MAX_PREFIX_LEN = 10**7
-MAX_EXPONENT = 40   # deepest power lambda^-j a measure estimate snaps to
+
+def _induced_matrix(d: int, m: int) -> tuple[list[Word], np.ndarray]:
+    """The length-m factors, sorted, and the matrix of the induced
+    substitution sigma_m on them: column w counts the length-m factors of
+    sigma(w) that start inside sigma(w[0])."""
+    starts = _factor_starts(d, m)
+    text = _fixed_point(d, starts[-1] + m)
+    factors = sorted(text[i : i + m] for i in starts)
+    index = {w: k for k, w in enumerate(factors)}
+    sub = family_substitution(d)
+    matrix = np.zeros((len(factors), len(factors)), dtype=np.int64)
+    for k, w in enumerate(factors):
+        image = sub(w)
+        for i in range(len(sub.images[w[0]])):
+            matrix[index[image[i : i + m]], k] += 1
+    return factors, matrix
+
+
+def _lambda_powers(d: int, top: int, terms: int) -> np.ndarray:
+    """Row k, k <= top: lambda^k on 1, lambda, .., lambda^(d-1), folded by
+    lambda^d = lambda^(d-1) + 1; refused before a sum of `terms` could wrap."""
+    rows = [(1,) + (0,) * (d - 1)]
+    for _ in range(top):
+        c = rows[-1]
+        rows.append((c[-1],) + c[:-2] + (c[-2] + c[-1],))
+    return _int64(rows, terms)
 
 
 @lru_cache(maxsize=None)
-def _window_counts(d: int, m: int, prefix_len: int) -> tuple[tuple[Word, int], ...]:
-    """(window, count) over the length-m windows at positions < prefix_len, sorted.
+def measure_spectrum(d: int, m: int) -> tuple[MappingProxyType, tuple[str, ...]]:
+    """The exponent j with mu(C_u) = lambda^-j of each length-m factor u,
+    in word order and read-only (every caller shares the cached result),
+    and the texts of the certificate's failures.
 
-    Lemma.  With T the fixed point, l_a = |sigma^a(1)| and C(N) the windows
-    T[i : i+m], i < N: if a >= d - 1 and 0 < r <= l_(a-d+1), then T[l_a :
-    l_a + r] = T[0 : r], so C(l_a + r) is C(l_a) + C(r) with only the
-    windows at l_a + i, r - m < i < r, differing from those at i.
-
-    So N splits greedily over the largest l_a < N (its Dumont-Thomas
-    decomposition) down to a rest n <= d, whose C(n) is C(l_(n-1)).  Below
-    d, C(l_a) is the windows at 0..a; above, l_a = l_(a-1) + l_(a-d)
-    unfolds it by the lemma.  So each level a counts how often C(l_a) is
-    used, hands that down to a - 1 and a - d, and fixes at most m - 1
-    windows that many times.
+    The frequencies of the length-m factors are the Perron vector of
+    sigma_m (M. Queffelec, Substitution Dynamical Systems, LNM 1294, ch. 5).
+    numpy's Perron vector only proposes each j.  With J the largest and
+    P[k] the row of lambda^k, the proof is in integers: M P[J - j] =
+    P[J + 1 - j] is M v = lambda v for v = lambda^-j, and the rows P[J - j]
+    summing to P[J] is sum v = 1.  Both hold modulo x^d - x^(d-1) - 1, so
+    at lambda, even where that trinomial is reducible (d = 5 mod 6).  A
+    positive eigenvector of a nonnegative matrix belongs to its spectral
+    radius, and sigma_m is primitive, so a pass proves that the lambda^-j
+    are the measures.
     """
-    text = _fixed_point(d, prefix_len + m)
-    lengths = _power_lengths(d)
-    counts: Counter[Word] = Counter()
-
-    def fix(copy_at: int, r: int, times: int) -> None:
-        for i in range(max(r - m + 1, 0), r):
-            counts[text[i : i + m]] -= times
-            counts[text[copy_at + i : copy_at + i + m]] += times
-
-    times = [0] * max(bisect_left(lengths, prefix_len), d)
-    n = prefix_len
-    while n > d:
-        a = bisect_left(lengths, n) - 1
-        n -= lengths[a]
-        fix(lengths[a], n, 1)
-        times[a] += 1
-    if n:
-        times[n - 1] += 1
-    for a in reversed(range(d, len(times))):
-        fix(lengths[a - 1], lengths[a - d], times[a])
-        times[a - 1] += times[a]
-        times[a - d] += times[a]
-    total = 0
-    for i in reversed(range(d)):   # the window at i is in C(l_a) for i <= a < d
-        total += times[i]
-        counts[text[i : i + m]] += total
-    return tuple(sorted((+counts).items()))
-
-
-@dataclass
-class MeasureSpectrum:
-    d: int
-    m: int
-    values: list[float]          # distinct snapped measures, descending
-    class_count: int
-    snapped_exponents: dict[Word, int]   # cylinder word -> j with measure ~ lambda^-j
-    max_residual: float          # worst |estimate - lambda^-j|
-
-    def ok(self, tol: float) -> bool:
-        return self.max_residual < tol
-
-
-def measure_spectrum(d: int, m: int, prefix_len: int = DEFAULT_PREFIX_LEN) -> MeasureSpectrum:
-    """Estimated measures of all length-m cylinders, snapped to powers of lambda.
-
-    Snapping picks the nearest lambda^-j with j <= MAX_EXPONENT; the worst
-    residual is reported so callers can reject a failed snap.
-    """
-    lam = growth_root(d)
-    powers = [lam**-j for j in range(MAX_EXPONENT + 1)]
-    snapped: dict[Word, int] = {}
-    worst = 0.0
-    for u, count in _window_counts(d, m, prefix_len):
-        est = count / prefix_len
-        j = min(range(MAX_EXPONENT + 1), key=lambda k: abs(powers[k] - est))
-        snapped[u] = j
-        worst = max(worst, abs(powers[j] - est))
-    values = sorted({powers[j] for j in snapped.values()}, reverse=True)
-    return MeasureSpectrum(d, m, values, len(values), snapped, worst)
+    factors, matrix = _induced_matrix(d, m)
+    vals, vecs = np.linalg.eig(matrix.astype(float))
+    v = np.abs(vecs[:, np.argmax(vals.real)].real)
+    j = np.rint(np.log(v.sum() / v) / np.log(growth_root(d))).astype(np.int64)
+    top = int(j.max())
+    powers = _lambda_powers(d, top + 1, int(matrix.sum()))
+    wrong = (matrix @ powers[top - j] != powers[top + 1 - j]).any(axis=1)
+    failures = [f"m={m}: (M v)_u != lambda v_u at u = {word_str(factors[k])}"
+                for k in np.flatnonzero(wrong).tolist()]
+    if (powers[top - j].sum(axis=0) != powers[top]).any():
+        failures.append(f"m={m}: the {len(factors)} measures lambda^-j do not sum to 1")
+    return MappingProxyType(dict(zip(factors, j.tolist()))), tuple(failures)
 
 
 def expected_class_count(d: int, m: int) -> int:
@@ -380,26 +356,3 @@ def expected_class_count(d: int, m: int) -> int:
         return d
     lens = {len(b) for b in bispecials_by_generation(d, m - 1)}
     return 2 * d - 2 if (m - 1) in lens else 2 * d - 1
-
-
-def measure_recursion_gap(d: int, max_len: int = 4,
-                          prefix_len: int = DEFAULT_PREFIX_LEN) -> float:
-    """Worst |mu(C_u) - lambda * mu(C_sigma(u))| over short cylinders.
-
-    Only factors whose last letter is not d qualify: sigma maps exactly the
-    occurrences of u onto the occurrences of sigma(u) in that case.
-    """
-    sub = family_substitution(d)
-    lam = growth_root(d)
-    worst = 0.0
-    for m in range(1, max_len + 1):
-        counts = dict(_window_counts(d, m, prefix_len))
-        for u in sorted(counts):
-            if u[-1] == d:
-                continue
-            v = sub(u)
-            image_counts = dict(_window_counts(d, len(v), prefix_len))
-            a = counts[u] / prefix_len
-            b = image_counts.get(v, 0) / prefix_len
-            worst = max(worst, abs(a - lam * b))
-    return worst

@@ -7,11 +7,7 @@ its own "criterion NN" line so the gate reads the same under -s.
 import time
 
 from treesubst.freegroup import cancellation_report, nielsen_probe, tribonacci_inverse
-from treesubst.words import (
-    DEFAULT_PREFIX_LEN,
-    bispecials_by_generation,
-    measure_spectrum,
-)
+from treesubst.words import bispecials_by_generation, measure_spectrum
 from treesubst import core, rauzy, verify
 
 
@@ -93,27 +89,24 @@ def test_c09_partition_measures():
     seq = [core.determined_partition(3, n) for n in range(6)]
     if seq != [1, 2, 3, 5, 7, 11]:
         failures.append(f"determined lengths {seq} != [1, 2, 3, 5, 7, 11]")
-    # lambda^-2, lambda^-3, lambda^-4 lie more than 0.09 apart, so a snap within
-    # 1e-3 is |estimate - lambda^-j| < 1e-3 for each letter
-    letters = measure_spectrum(3, 1)
+    # the letter measures are lambda^-2, lambda^-3, lambda^-4, certified in integers
+    letters, proof = measure_spectrum(3, 1)
     want = {bytes([a]): j for a, j in zip((1, 2, 3), (2, 3, 4))}
-    if letters.snapped_exponents != want or not letters.ok(1e-3):
-        failures.append(
-            f"letter measures snap to {letters.snapped_exponents}, want {want} "
-            f"(residual {letters.max_residual:.2e})"
-        )
+    if letters != want:
+        failures.append(f"letter measures are {letters}, want {want}")
+    failures += proof
     for m, want in ((1, 3), (2, 4), (3, 4), (4, 5), (5, 4), (7, 4), (11, 4)):
-        failures += verify.measure_snapping(3, (m,), 1e-3, DEFAULT_PREFIX_LEN)
-        spec = measure_spectrum(3, m)
-        if spec.class_count != want:
-            failures.append(f"m={m}: {spec.class_count} classes, want {want}")
-    _report(9, "cylinder measures snap to powers of lambda", failures)
+        failures += verify.measure_snapping(3, (m,))
+        classes = len(set(measure_spectrum(3, m)[0].values()))
+        if classes != want:
+            failures.append(f"m={m}: {classes} classes, want {want}")
+    _report(9, "cylinder measures are powers of lambda", failures)
 
 
 def test_c10_measure_recursion():
     failures = []
     for d in (3, 4):
-        failures += verify.measure_recursion(d, 4, DEFAULT_PREFIX_LEN)
+        failures += verify.measure_recursion(d, 4)
     _report(10, "measure of C_u vs lambda * C_sigma(u)", failures)
 
 

@@ -8,7 +8,6 @@ from pathlib import Path
 import pytest
 
 from treesubst import cli, core, rauzy, trees, verify
-from treesubst.words import DEFAULT_PREFIX_LEN, MAX_PREFIX_LEN
 from treesubst.trees import family_tree_substitution
 
 
@@ -196,9 +195,15 @@ def test_verify_rules_unusable_file_is_usage_error(tmp_path, capsys, content):
          "arc-negative-stage", "cylinder-zero-length"],
 )
 def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
-    rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    # --tol and --prefix-len are gone, so argparse refuses them as unknown flags
+    try:
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:
+        rc = exc.code
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert ("unrecognized arguments" in err) == ("--tol" in argv or "--prefix-len" in argv)
 
 
 @pytest.mark.parametrize(
@@ -342,16 +347,6 @@ def test_requests_within_a_small_budget_run(monkeypatch, tmp_path):
                      "--out", str(tmp_path / "z.svg")]) == 0
 
 
-def test_prefix_len_over_the_limit_is_usage_error(monkeypatch, capsys):
-    # a small limit stands in for the real one, so no test builds a huge word
-    assert DEFAULT_PREFIX_LEN <= MAX_PREFIX_LEN
-    monkeypatch.setattr(verify, "MAX_PREFIX_LEN", 1000)
-    assert cli.main(["verify", "--suite", "words", "--prefix-len", "1001"]) == 2
-    err = capsys.readouterr().err
-    assert err == "error: prefix_len must be in 1..1,000 letters, got 1,001\n"
-    assert cli.main(["verify", "--suite", "words", "--prefix-len", "1000"]) != 2
-
-
 # SHA-256 of `gen --n 14` per d and format: the stage tree as JSON and DOT,
 # and the realized coordinates as CSV
 _GOLDEN_GEN = {
@@ -459,7 +454,7 @@ def test_deep_core_report_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _GOLDEN_DEEP_CORE
 
 
-@pytest.mark.parametrize("d", [6, 11, 13])
+@pytest.mark.parametrize("d", [6, 11, 13, 14, 23])
 def test_default_scope_passes_every_suite(d):
     # the default cap is at least 2d: the first two-point shift domain is at n = d
     results = verify.run_suite("all", d)

@@ -1,0 +1,100 @@
+"""Checks shown to fail: each row corrupts the data a check reads, never the
+check itself, and `run_suite` must then report that check as failing."""
+
+import pytest
+
+from treesubst import rauzy, verify, words
+from treesubst.words import measure_spectrum
+
+
+@pytest.fixture(autouse=True)
+def fresh_measures():
+    """No certificate computed from patched data outlives its test."""
+    yield
+    measure_spectrum.cache_clear()
+
+
+def _bumped(d0, m0):
+    """_induced_matrix with one more count at the first entry for (d0, m0)."""
+    real = words._induced_matrix
+
+    def bumped(d, m):
+        factors, matrix = real(d, m)
+        if (d, m) == (d0, m0):
+            matrix = matrix.copy()
+            matrix[0, 0] += 1
+        return factors, matrix
+
+    return bumped
+
+
+def _measure_input(name, value):
+    """Patch an input of the measure certificate and drop what it cached."""
+    def corrupt(monkeypatch):
+        monkeypatch.setattr(words, name, value)
+        measure_spectrum.cache_clear()
+    return corrupt
+
+
+def _drop_last(module, name):
+    """Patch module.name to return its real result without the last entry."""
+    real = getattr(module, name)
+    return lambda monkeypatch: monkeypatch.setattr(module, name, lambda *a: real(*a)[:-1])
+
+
+def _nudge_root(monkeypatch):
+    real = verify.growth_root
+    monkeypatch.setattr(verify, "growth_root", lambda d: real(d) + 1e-9)
+
+
+# row -> (corruption, the checks of run_suite("words", 3) that then fail)
+_ROWS = {
+    # m = 2 is read by both measure checks, m = 6 only by the recursion
+    "bumped-sigma-2": (_measure_input("_induced_matrix", _bumped(3, 2)),
+                       ["measure-snapping", "measure-recursion"]),
+    "bumped-sigma-6": (_measure_input("_induced_matrix", _bumped(3, 6)),
+                       ["measure-recursion"]),
+    "wrong-lambda": (_measure_input("growth_root", lambda d: 2.0),
+                     ["measure-snapping", "measure-recursion"]),
+    "dropped-factor-start": (_drop_last(words, "_factor_starts"), ["factor-complexity"]),
+    "dropped-bispecial": (_drop_last(verify, "bispecials_by_generation"),
+                          ["bispecial-oracle"]),
+    "nudged-root": (_nudge_root, ["growth-roots"]),
+}
+
+
+def _failing():
+    return [r.name for r in verify.run_suite("words", 3) if r.status != "pass"]
+
+
+@pytest.mark.parametrize("row", sorted(_ROWS))
+def test_words_check_fails_on_corrupted_data(monkeypatch, row):
+    corrupt, want = _ROWS[row]
+    assert _failing() == []   # and the certificates are cached from true data
+    corrupt(monkeypatch)
+    assert _failing() == want
+
+
+def test_certificate_refuses_a_bumped_matrix_entry(monkeypatch):
+    _measure_input("_induced_matrix", _bumped(3, 2))(monkeypatch)
+    failures = measure_spectrum(3, 2)[1]
+    assert failures and all(f.startswith("m=2: ") for f in failures)
+    assert measure_spectrum(3, 3)[1] == ()
+
+
+def test_certificate_refuses_a_wrong_lambda(monkeypatch):
+    # base 2 proposes lambda^-1, lambda^-2, lambda^-2 for the letters, not
+    # lambda^-2, lambda^-3, lambda^-4: the rows of 1 and 3 and the sum fail
+    _measure_input("growth_root", lambda d: 2.0)(monkeypatch)
+    assert measure_spectrum(3, 1) == ({b"\x01": 1, b"\x02": 2, b"\x03": 2}, (
+        "m=1: (M v)_u != lambda v_u at u = 1",
+        "m=1: (M v)_u != lambda v_u at u = 3",
+        "m=1: the 3 measures lambda^-j do not sum to 1",
+    ))
+
+
+def test_translate_congruence_reports_a_failed_certificate(monkeypatch):
+    # unproven classes are not paired: the m = 7 failures are the witnesses
+    _measure_input("_induced_matrix", _bumped(3, rauzy.CONGRUENCE_M))(monkeypatch)
+    failures = rauzy.check_translate_congruence(2000)
+    assert failures and failures == list(measure_spectrum(3, rauzy.CONGRUENCE_M)[1])

@@ -233,7 +233,7 @@ def test_translate_congruence_without_a_pair_fails():
 def _measure_pairs():
     """Consecutive cylinders of each measure class, as the check pairs them."""
     groups = {}
-    for u, j in measure_spectrum(3, rauzy.CONGRUENCE_M).snapped_exponents.items():
+    for u, j in measure_spectrum(3, rauzy.CONGRUENCE_M)[0].items():
         groups.setdefault(j, []).append(word_str(u))
     return [(j, a, b) for j, members in sorted(groups.items())
             for a, b in zip(members, members[1:])]

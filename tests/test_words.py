@@ -9,12 +9,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from treesubst import verify
 from treesubst.words import (
     Substitution,
     _factor_starts,
     _fixed_point,
+    _induced_matrix,
     _power_lengths,
-    _window_counts,
     bispecials,
     bispecials_by_generation,
     complexity,
@@ -24,7 +25,6 @@ from treesubst.words import (
     fixed_point_letters,
     fixed_point_prefix,
     growth_root,
-    measure_recursion_gap,
     measure_spectrum,
     power_image,
     window_classes,
@@ -45,10 +45,12 @@ def factors(d, n):
 
 def _block_scan(d, m, prefix_len):
     """(window, count) over the length-m windows at positions < prefix_len,
-    sorted, by the numpy scan the recursion replaced: each block of positions
-    reads its windows as base-(d+1) integers, one digit per letter, so equal
-    windows get equal codes and code order is word order.  Before a code
-    could overflow int64 it is replaced by its rank among the block's codes."""
+    sorted, by a numpy scan: the counts of the prefix estimate that the
+    measure certificate replaced, kept as its oracle.  Each block of
+    positions reads its windows as base-(d+1) integers, one digit per
+    letter, so equal windows get equal codes and code order is word order.
+    Before a code could overflow int64 it is replaced by its rank among the
+    block's codes."""
     text = fixed_point_prefix(d, prefix_len + m)
     arr = np.frombuffer(text, dtype=np.uint8)
     base = d + 1
@@ -160,29 +162,51 @@ def test_bispecials_are_actually_bispecial():
 
 
 def test_cylinder_measures_sum_to_one():
+    lam = growth_root(3)
     for m in (1, 2, 3):
-        counts = dict(_window_counts(3, m, 10**5))
-        total = sum(counts.get(u, 0) / 10**5 for u in factors(3, m))
-        assert abs(total - 1.0) < 1e-9
+        exponents, failures = measure_spectrum(3, m)
+        assert failures == () and set(exponents) == factors(3, m)
+        assert abs(sum(lam ** -j for j in exponents.values()) - 1.0) < 1e-12
 
 
 def test_measure_spectrum_snaps():
-    spec = measure_spectrum(3, 2, 10**6)
-    assert spec.class_count == 4 == expected_class_count(3, 2)
-    assert spec.ok(1e-3)
-    lam = growth_root(3)
-    # the snapped values are clean powers of the growth root
-    for v in spec.values:
-        assert min(abs(v - lam**-j) for j in range(20)) < 1e-12
+    exponents, failures = measure_spectrum(3, 2)
+    assert failures == ()
+    # the five cylinders fall in four classes, lambda^-3 .. lambda^-6
+    assert sorted(set(exponents.values())) == [3, 4, 5, 6] and expected_class_count(3, 2) == 4
+    assert list(exponents) == sorted(exponents)   # word order
 
 
 def test_class_count_m4_not_determined():
-    spec = measure_spectrum(3, 4, 10**6)
-    assert spec.class_count == 5 == expected_class_count(3, 4)
+    assert len(set(measure_spectrum(3, 4)[0].values())) == 5 == expected_class_count(3, 4)
 
 
 def test_measure_recursion():
-    assert measure_recursion_gap(3, 3, 2 * 10**5) < 2e-3
+    assert verify.measure_recursion(3, 3) == []
+    sub = family_substitution(3)
+    exponents, images = measure_spectrum(3, 2)[0], measure_spectrum(3, 3)[0]
+    assert images[sub(b"\x01\x02")] == exponents[b"\x01\x02"] + 1
+
+
+@pytest.mark.parametrize("d, m", [(d, m) for d in (3, 4, 5) for m in range(1, 6)]
+                         + [(3, 7), (3, 11)])
+def test_certified_exponents_are_the_nearest_prefix_estimates(d, m):
+    # the float estimate the certificate replaced, kept as its oracle: the
+    # window frequency over a 10^6-letter prefix is nearest lambda^-j
+    lam, n = growth_root(d), 10**6
+    exponents, failures = measure_spectrum(d, m)
+    assert failures == ()
+    top = max(exponents.values()) + 5
+    nearest = {u: min(range(top), key=lambda j: abs(lam**-j - c / n))
+               for u, c in _block_scan(d, m, n)}
+    assert nearest == exponents
+
+
+@pytest.mark.parametrize("d", range(3, 25))
+def test_words_suite_passes_across_the_family(d):
+    # 23 (and 5, 11, 17) make x^d - x^(d-1) - 1 reducible, and from 14 on the
+    # exponents pass the old snap's cap of 40
+    assert [r.name for r in verify.run_suite("words", d) if r.status != "pass"] == []
 
 
 def test_word_round_trip():
@@ -225,38 +249,31 @@ def test_substitution_validates_with_value_error():
     prefix_len=st.integers(1, 3 * _BLOCK),
 )
 def test_window_counts_match_counter(d, m, prefix_len):
+    # the block scan is the prefix-estimate oracle of the measure tests
     text = fixed_point_prefix(d, prefix_len + m)
     want = Counter(text[i : i + m] for i in range(prefix_len))
-    assert _window_counts(d, m, prefix_len) == tuple(sorted(want.items()))
-
-
-def _seams(d, m, top):
-    """Prefix lengths N <= top at the seams of the recursion: l_a - 1, l_a,
-    l_a + 1 and the last N = l_a + l_(a-d+1) - m whose windows all fit in
-    the copy of sigma^(a-d+1)(1)."""
-    lengths = _power_lengths(d)
-    out = set()
-    for a in range(d - 1, len(lengths)):
-        if lengths[a] - 1 > top:
-            break
-        out |= {lengths[a] - 1, lengths[a], lengths[a] + 1, lengths[a + 1] - m}
-    return sorted(n for n in out if 0 <= n <= top)
+    assert _block_scan(d, m, prefix_len) == tuple(sorted(want.items()))
 
 
 @pytest.mark.parametrize("d", range(3, 9))
 def test_window_counts_at_the_seams(d):
+    # the windows starting in sigma^a(1) = sigma^a(x[0]) are sigma_m^a of the
+    # fixed point's first length-m factor, so at each seam l_a = |sigma^a(1)|
+    # their counts are M_m^a applied to that factor's column
     top = 2 * 10**5
     for m in (1, 11, 16, 17, 40):
-        seams = _seams(d, m, top)
+        facs, matrix = _induced_matrix(d, m)
         text = fixed_point_prefix(d, top + m)
+        col = np.zeros(len(facs), dtype=np.int64)
+        col[facs.index(text[:m])] = 1
         want, at = Counter(), 0   # the windows at positions < at
-        for n in seams:
+        for n in _power_lengths(d):
+            if n > top:
+                break
             want.update(text[i : i + m] for i in range(at, n))
             at = n
-            got = _window_counts(d, m, n)
-            assert got == tuple(sorted(want.items())), (d, m, n)
-            if n < 2000 or n == seams[-1]:
-                assert got == _block_scan(d, m, n), (d, m, n)
+            assert dict(zip(facs, col.tolist())) == {u: want[u] for u in facs}, (d, m, n)
+            col = matrix @ col
 
 
 def test_fixed_point_buffer_holds_every_power_image():
@@ -309,9 +326,10 @@ def test_substitution_matches_letterwise_join(sub, data):
     assert sub.iterate(w, 3) == sub(sub(sub(w)))
 
 
-# SHA-256 of fixed_point_prefix(d, 10**6 + 11) and of
-# repr(_window_counts(d, 11, 10**6)), as produced by the letter-by-letter
-# expansion and the pure-Python window count they replace
+# SHA-256 of fixed_point_prefix(d, 10**6 + 11) and of the repr of the
+# (window, count) pairs of its length-11 windows at positions < 10**6, as
+# produced by the letter-by-letter expansion and the pure-Python window count
+# that the buffer and the block scan replaced
 _PINNED = {
     3: ("7adfb710e0bcc9fbf1b20c9a1777ced7e701b362b2e163eab281d869ac74b0fa",
         "832e35ae1740005d91e7def9baf383659949b645df306379c78954c8a99ceb92"),
@@ -326,7 +344,7 @@ _PINNED = {
 def test_prefix_and_window_counts_are_pinned(d):
     prefix_sha, counts_sha = _PINNED[d]
     assert hashlib.sha256(fixed_point_prefix(d, 10**6 + 11)).hexdigest() == prefix_sha
-    counts = repr(_window_counts(d, 11, 10**6)).encode()
+    counts = repr(_block_scan(d, 11, 10**6)).encode()
     assert hashlib.sha256(counts).hexdigest() == counts_sha
 
 
