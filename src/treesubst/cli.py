@@ -97,8 +97,8 @@ def cmd_gen(args) -> int:
         norms, texts = real.coordinates()
         lines = ["vertex,birth_stage,degree,norm,address"]
         ids, degrees = tree._degrees()
-        for v, degree in zip(ids.tolist(), degrees.tolist()):
-            lines.append(f"{v},{it.birth_stage(v)},{degree},{norms[v]:.9f},{texts[v]}")
+        for v, born, degree in zip(ids.tolist(), it.birth_stage(ids).tolist(), degrees.tolist()):
+            lines.append(f"{v},{born},{degree},{norms[v]:.9f},{texts[v]}")
         _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -199,7 +199,7 @@ class CoreScan:
 
     def _scan_stage(self, n: int) -> None:
         """Label the stage-n centers, refusing a length already taken."""
-        self.it.tree_at(n)
+        self.it.extend_to(n)
         v, k = stage_lengths(self.it, self.length, n)
         grow = max(0, int(k.max(initial=0)) + 1 - len(self.by_length))
         by_length = np.pad(self.by_length, (0, grow), constant_values=-1)

@@ -182,7 +182,7 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     check_budget(3, base)   # refused before the table of |sigma^a(1)| runs out
     stage = orbit_stage(base, depth)
     it = shared_scan(3).it
-    it.tree_at(stage)
+    it.extend_to(stage)
     length = np.full(it.sizes[stage], -1, dtype=np.int64)
     length[0] = 0
     for n in range(1, stage + 1):

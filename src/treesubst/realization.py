@@ -180,7 +180,7 @@ class Realization:
         """Place stage n: each center rho^-n from its color-1 neighbour
         along the replaced 2-edge, its leaves off it on the next copies."""
         d, n = self.d, self.stage_done + 1
-        self.it.tree_at(n)
+        self.it.extend_to(n)
         v, _, src, dst = self.it.centers[n].columns
         grow = self.it.sizes[n] - len(self.anchor)
         self.anchor = np.append(self.anchor, np.full(grow, -2))   # -2: not placed

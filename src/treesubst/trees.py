@@ -15,7 +15,6 @@ fully deterministic and vertex sets are nested along the stages.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
@@ -49,6 +48,14 @@ class _Rows(Sequence):
 def _key(s, t) -> np.ndarray:
     """(src, dst) as one int64 that orders like the pair."""
     return np.asarray(s, dtype=np.int64) * (1 << 32) + (np.asarray(t, dtype=np.int64) + (1 << 31))
+
+
+def _sorted(cols: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The int32 (src, dst, color) columns of an (E, 3) edge block, sorted by
+    (src, dst) as one key; a tie would be a double edge, which the tree
+    check rejects and `TreeSubstitution.apply`'s lemma rules out."""
+    order = np.argsort(_key(cols[:, 0], cols[:, 1]))
+    return tuple(cols[order, k].astype(np.int32) for k in range(3))
 
 
 @lru_cache(maxsize=None)
@@ -86,7 +93,8 @@ class ColoredTree:
     Vertices, and a grown stage's rooted index, are built on first use.
 
     A tree built from an edge list is checked by `_check_tree`, which keeps its
-    rooted index; a stage grown by `TreeSubstitution.apply` is a tree by the lemma there."""
+    rooted index; a stage grown by `TreeSubstitution.apply` is a tree by the lemma there,
+    and a stage `TreeIteration` reads from its edge log is the one `apply` grows."""
 
     def __init__(self, d: int, edges, root: int | None = None):
         cols = np.asarray(edges, dtype=np.int64).reshape(-1, 3)
@@ -96,7 +104,7 @@ class ColoredTree:
             raise ValueError(f"color {bad[0]} outside 1..{2*d-2}")
         if (cols[:, 0] == cols[:, 1]).any():
             raise ValueError("loop edge")
-        self._store(d, cols, root)
+        self._store(d, _sorted(cols), root)
         self._check_tree()
 
     @classmethod
@@ -109,7 +117,7 @@ class ColoredTree:
         if fresh.stop > 1 << 31:
             raise ValueError("vertex ids and colors must fit in int32")
         tree = cls.__new__(cls)
-        tree._store(d, cols, root)
+        tree._store(d, _sorted(cols), root)
         ids, _ = tree._degrees()
         if (len(ids) != prior + len(fresh) or len(tree.src) != len(ids) - 1
                 or np.searchsorted(ids, fresh.start) != prior
@@ -117,19 +125,30 @@ class ColoredTree:
             raise ValueError("substituted stage breaks |E| = |V| - 1 or the fresh ids")
         return tree
 
-    def _store(self, d: int, cols: np.ndarray, root: int | None) -> None:
+    @classmethod
+    def _stage(cls, d: int, columns: tuple[np.ndarray, ...], size: int) -> "ColoredTree":
+        """A stage of `TreeIteration`, rooted at 0, from its int32 (src, dst,
+        color) columns, already in (src, dst) order, on the ids 0..size-1."""
+        tree = cls.__new__(cls)
+        tree._store(d, columns, 0, size)
+        return tree
+
+    def _store(self, d: int, columns: tuple[np.ndarray, ...], root: int | None,
+               size: int | None = None) -> None:
         self.d = d
         self.root = root
-        # sorted by (src, dst) as one key; a tie would be a double edge, which the
-        # tree check rejects and `TreeSubstitution.apply`'s lemma rules out
-        order = np.argsort(_key(cols[:, 0], cols[:, 1]))
-        self.src, self.dst, self.color = (cols[order, k].astype(np.int32) for k in range(3))
-        self.edges = _Rows((self.src, self.dst, self.color))
+        self.src, self.dst, self.color = columns
+        self.edges = _Rows(columns)
+        self._size = size    # set on a stage, whose ids are 0..size-1
         self._rooted = None
         self._prior = None   # set by `TreeIteration`: the index carried up from the stage before
 
     def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
         """Distinct vertex ids in increasing order, and the degree of each."""
+        if self._size is not None:
+            return (np.arange(self._size, dtype=np.int32),
+                    np.bincount(self.src, minlength=self._size)
+                    + np.bincount(self.dst, minlength=self._size))
         ends = np.sort(np.concatenate([self.src, self.dst]))
         first = np.flatnonzero(np.diff(ends, prepend=ends[:1] - 1))
         return ends[first], np.diff(np.append(first, len(ends)))
@@ -156,7 +175,10 @@ class ColoredTree:
         return ids[deg >= 3].tolist()
 
     def slot(self, v: int) -> int:
-        """Position of vertex v in `vertices`; the rooted index is kept by it."""
+        """Position of vertex v in `vertices`; the rooted index is kept by it.
+        A stage's ids are 0..size-1, so there each is its own slot."""
+        if self._size is not None and isinstance(v, (int, np.integer)) and 0 <= v < self._size:
+            return int(v)
         ids = self._ids   # int32: an int key would cast it whole to int64 on each search
         i = int(ids.searchsorted(np.int32(v))) if -(1 << 31) <= v < 1 << 31 else len(ids)
         if i == len(ids) or ids.item(i) != v:
@@ -560,39 +582,132 @@ def check_budget(d: int, n: int) -> None:
                          f"(d * lambda^n), over the budget of {EDGE_BUDGET:,}")
 
 
-class TreeIteration:
-    """Stage-indexed iteration T_0^s, T_1^s, ... with a record of births.
+def _edge_life(subst: TreeSubstitution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What the rules do to one edge, for rules that recolor every color
+    but 2 and send 2 to a star on a fresh hub.
 
-    Per stage it keeps the tree, the vertex count |V_n| and the new centers
-    as columns (vertex, replaced edge, src, dst), which `centers[n]` reads
-    as `NewCenter`s.  Fresh ids count up from the previous maximum, so the
-    vertices of T_n are 0, ..., |V_n| - 1.
+    An edge born with color c lives `span[c]` stages and then splits, and
+    `life[c, j]` is its color j stages before it splits: 2 at j = 1, c at
+    j = span[c], and 0 past it.  `star` holds the colors of the hub's
+    edges to X, to Y and to each leaf, the hub being the first placeholder
+    and the leaves the other d - 2.  A rule set of another shape raises
+    ValueError.
+    """
+    d, colors = subst.d, range(1, 2 * subst.d - 1)
+    step = {c: pat.edges[0][2] for c, pat in subst.rules.items()
+            if len(pat.edges) == 1 and pat.edges[0][:2] == (ANCHOR_SRC, ANCHOR_DST)}
+    pat = subst.rules.get(2, RulePattern(2, ()))
+    hub, *leaves = pat.placeholders() or [None]
+    color = {t: c for s, t, c in pat.edges if s == hub}
+    ends = [ANCHOR_SRC, ANCHOR_DST, *leaves]
+    if (step.keys() != set(colors) - {2} or len(leaves) != d - 2 or len(color) != len(pat.edges)
+            or sorted(color) != sorted(ends) or not set(color.values()) <= set(colors)):
+        raise ValueError("the edge log needs every color but 2 recolored, "
+                         "and 2 sent to a star on its first placeholder")
+    lives = {c: [c] for c in colors}
+    for c, chain in lives.items():
+        while chain[-1] != 2:
+            if len(chain) == len(colors) or chain[-1] not in step:
+                raise ValueError(f"color {c} never turns 2")
+            chain.append(step[chain[-1]])
+    span = np.array([0] + [len(lives[c]) for c in colors], dtype=np.int32)
+    life = np.zeros((len(span), span.max() + 1), dtype=np.int32)
+    for c, chain in lives.items():
+        life[c, len(chain):0:-1] = chain
+    return life, span, np.array([color[t] for t in ends], dtype=np.int32)
+
+
+class TreeIteration:
+    """Stage-indexed iteration T_0^s, T_1^s, ... kept as an append-only edge log.
+
+    The family's rules recolor every edge but the 2-edges, and each
+    2-edge becomes a star on a fresh center.  So an edge is logged once,
+    as (src, dst, color at birth) in the batch of the stage it is born
+    at, and `_edge_life` gives its color at each later stage until it
+    splits.  A stage's new edges all leave its new centers, whose ids are
+    above every old one, and each center's edges are logged in dst order:
+    so the log, and each stage read from it, are in (src, dst) order, the
+    order `TreeSubstitution.apply` sorts a stage into, with no sort.  An
+    edge lives at most 2d - 2 stages, so stage n lies in the last 2d - 2
+    batches up to n.
+
+    Per stage it keeps the vertex count |V_n| and the new centers as
+    columns (vertex, replaced edge, src, dst), which `centers[n]` reads as
+    `NewCenter`s; `extend_to` grows them.  `trees` holds, by stage, the
+    trees that `tree_at` was asked for.  Fresh ids count up from the
+    previous maximum, so the vertices of T_n are 0, ..., |V_n| - 1.
     """
 
     def __init__(self, d: int):
         self.d = d
         self.subst = family_tree_substitution(d)
-        self.trees: list[ColoredTree] = [initial_tree(d)]
+        self._life, self._span, self._star = _edge_life(self.subst)
+        self.trees: dict[int, ColoredTree] = {0: initial_tree(d)}
+        # the log, one column per edge: (src, dst, color at birth, stage it splits at)
+        self._log = np.empty((4, 1024), dtype=np.int32)
+        self._batch = [0]   # stage n's edges are the columns _batch[n]:_batch[n + 1]
+        self._room(d)[:] = [*self.trees[0].edges.columns, self._span[self.trees[0].color]]
         self.sizes = [d + 1]
         self._center = lambda v, e, s, t: NewCenter(v, e, s, t, tuple(range(v + 1, v + d - 1)))
         self.centers = [_Rows((np.zeros(0, dtype=np.int64),) * 4, self._center)]
 
-    def tree_at(self, n: int) -> ColoredTree:
+    def _room(self, size: int) -> np.ndarray:
+        """The log's columns for the next stage's `size` edges, to be filled;
+        the log's room doubles when it is full."""
+        start, end = self._batch[-1], self._batch[-1] + size
+        if end > self._log.shape[1]:
+            grown = np.empty((4, 2 * end), dtype=np.int32)
+            grown[:, :start] = self._log[:, :start]
+            self._log = grown
+        self._batch.append(end)
+        return self._log[:, start:end]
+
+    def _window(self, n: int) -> np.ndarray:
+        """The log's batches that can hold a stage-n edge: the last 2d - 2 up to n."""
+        return self._log[:, self._batch[max(0, n - 2 * self.d + 3)]:self._batch[n + 1]]
+
+    def extend_to(self, n: int) -> None:
+        """Grow the log, the sizes and the new centers through stage n."""
         if n < 0:
             raise ValueError(f"stage must be >= 0, got {n}")
         check_budget(self.d, n)
-        while len(self.trees) <= n:
-            prev = self.trees[-1]
-            res = self.subst.apply(prev)
-            # the 2-rule numbers its center P1 first, then its leaves P2, ..., P(d-1)
-            e = res.born[:: self.d - 1]
-            if (prev.color[e] != 2).any() or not np.array_equal(res.born, e.repeat(self.d - 1)):
-                raise ValueError("centers can only replace 2-colored edges")
-            v = self.sizes[-1] + (self.d - 1) * np.arange(len(e))
-            self.centers.append(_Rows((v, e, prev.src[e], prev.dst[e]), self._center))
-            self.sizes.append(self.sizes[-1] + len(res.born))
-            res.tree._prior = partial(self._induced_index, len(self.trees))
-            self.trees.append(res.tree)
+        while len(self.sizes) <= n:
+            self._grow()
+
+    def _grow(self) -> None:
+        """Log stage n = len(sizes).  Its centers split the stage-(n-1)
+        edges whose life ends at n, the 2-edges there, in log order: the
+        k-th takes the ids from |V_(n-1)| + (d-1)k on, itself first (the
+        2-rule numbers its hub P1 first, then its leaves)."""
+        d, n = self.d, len(self.sizes)
+        src, dst, _, death = self._window(n - 1)
+        at = np.flatnonzero(death == n)
+        e = np.flatnonzero(death[death >= n] == n)   # their ranks among the stage-(n-1) edges
+        s, t = src[at], dst[at]
+        v = self.sizes[-1] + (d - 1) * np.arange(len(e))
+        # each center's d edges in dst order: to the lower, then the higher end of
+        # its split edge (X, Y; swapped where Y's is the lower id), then to its leaves
+        swap = (s > t).astype(np.int32)
+        colors, spans = self._star, self._span[self._star]
+        rows = self._room(d * len(v)).reshape(4, -1, d)
+        for j, end in enumerate([np.minimum(s, t), np.maximum(s, t), *(v + h for h in range(1, d - 1))]):
+            k = 1 - j if j < 2 else j   # the slot whose color this one takes where swapped
+            rows[0, :, j], rows[1, :, j] = v, end
+            rows[2, :, j] = colors[j] + (colors[k] - colors[j]) * swap
+            rows[3, :, j] = n + spans[j] + (spans[k] - spans[j]) * swap
+        self.centers.append(_Rows((v, e, s, t), self._center))
+        self.sizes.append(self.sizes[-1] + (d - 1) * len(e))
+
+    def tree_at(self, n: int) -> ColoredTree:
+        """Stage n, built from the log on the first request and kept."""
+        self.extend_to(n)
+        if n not in self.trees:
+            src, dst, born, death = self._window(n)
+            alive = death > n
+            columns = src[alive], dst[alive], self._life[born[alive], death[alive] - n]
+            tree = ColoredTree._stage(self.d, columns, self.sizes[n])
+            tree._prior = partial(self._induced_index, n)
+            self.trees[n] = tree
         return self.trees[n]
 
     def _induced_index(self, n: int) -> RootedIndex:
@@ -610,9 +725,7 @@ class TreeIteration:
         """
         d, ncol = self.d, 2 * self.d - 2
         first, last, fresh, matrix = _index_steps(d)
-        below = n - 1
-        while below and self.trees[below]._rooted is None:
-            below -= 1
+        below = max(m for m, tree in self.trees.items() if m < n and tree._rooted is not None)
         base = self.trees[below].rooted_index()
         parent, up, counts = base.parent, base.up, base.counts
         for stage in range(below + 1, n + 1):
@@ -631,12 +744,14 @@ class TreeIteration:
             counts = np.concatenate([counts, born.reshape(-1, ncol)])
         return RootedIndex(parent, up, counts)
 
-    def birth_stage(self, v: int) -> int:
-        """Stage at which vertex v was born: the first built stage n with v < |V_n|."""
-        n = bisect_left(self.sizes, v + 1)
-        if v < 0 or n == len(self.sizes):
-            raise ValueError(f"{v!r} is not a vertex of a stage built so far")
-        return n
+    def birth_stage(self, v):
+        """Stage at which vertex v was born, the first built stage n with v < |V_n|;
+        for an array of ids, an array of stages."""
+        ids = np.asarray(v)
+        n = np.searchsorted(self.sizes, ids, side="right")
+        if (bad := (ids < 0) | (n == len(self.sizes))).any():
+            raise ValueError(f"{ids[bad].flat[0].item()!r} is not a vertex of a stage built so far")
+        return n if n.ndim else int(n)
 
     def descent(self, base: int, upto: int) -> tuple[np.ndarray, np.ndarray]:
         """Per vertex of T_upto^s: the T_base^s edge it was born inside, and
@@ -653,8 +768,8 @@ class TreeIteration:
             raise ValueError(f"base stage must be >= 0, got {base}")
         if base > upto:
             raise ValueError(f"base stage {base} is after stage {upto}")
-        self.tree_at(upto)
-        old, bt = self.sizes[base], self.trees[base]
+        self.extend_to(upto)
+        old, bt = self.sizes[base], self.tree_at(base)
         keys = _key(bt.src, bt.dst)   # increasing, as the edges are sorted
         arc = np.full(self.sizes[upto], -1, dtype=np.int64)
         on = np.arange(self.sizes[upto]) < old

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from types import SimpleNamespace
 
 from treesubst.freegroup import family_inverse, p_star
-from treesubst import cli, core, trees, verify
+from treesubst import cli, core, rauzy, trees, verify
+from treesubst.realization import Realization
 from treesubst.trees import (
     ColoredTree,
     NewCenter,
@@ -222,8 +223,10 @@ def test_induced_index_is_the_searched_index(d, top, monkeypatch):
         assert _same_index(tree.rooted_index(), index)
         assert np.array_equal(index.counts, _lifted_counts(tree))
     assert _same_index(fresh.tree_at(top).rooted_index(), want[-1])   # from stage 0
+    assert sorted(fresh.trees) == [0, top]   # no stage between was built to carry it up
     # only stage 0, which has no stage before it, and the rules' patterns are searched
-    assert not [t for t in searched if any(t is s for s in stages[1:] + fresh.trees[1:])]
+    grown = stages[1:] + [fresh.trees[top]]
+    assert not [t for t in searched if any(t is s for s in grown)]
 
 
 def test_a_recolored_stage_fails_the_certificate():
@@ -400,10 +403,13 @@ def test_birth_stage_is_first_stage_holding_the_vertex():
     for n in range(7):
         fresh = set(it.tree_at(n).vertices) - seen
         assert {it.birth_stage(v) for v in fresh} == {n}
+        assert (it.birth_stage(np.array(sorted(fresh))) == n).all()
         seen |= fresh
     for v in (-1, len(it.tree_at(6).vertices)):
-        with pytest.raises(ValueError, match="not a vertex"):
+        with pytest.raises(ValueError, match=f"^{v} is not a vertex"):
             it.birth_stage(v)
+        with pytest.raises(ValueError, match=f"^{v} is not a vertex"):
+            it.birth_stage(np.array([0, v, 1]))
 
 
 def test_vertex_provenance():
@@ -525,18 +531,67 @@ def _assert_apply_matches(ts, tree):
     return got, born
 
 
-@pytest.mark.parametrize("d", [3, 4, 5])
+@pytest.mark.parametrize("d", range(3, 9))
 def test_apply_and_centers_match_per_edge_loop(d):
+    # the edge log against repeated `apply`, itself checked against the per-edge loop
     ts = family_tree_substitution(d)
     it = TreeIteration(d)
-    prev = it.tree_at(0)
-    for n in range(1, 13):
+    prev = initial_tree(d)
+    assert it.tree_at(0) == prev and it.sizes == [d + 1]
+    for n in range(1, 19 if d == 3 else 13):
         res, born = _assert_apply_matches(ts, prev)
-        tree = it.tree_at(n)
-        assert list(tree.edges) == list(res.tree.edges)
-        assert len(tree.vertices) == it.sizes[n]
+        it.extend_to(n)
         assert list(it.centers[n]) == _centers_oracle(d, list(prev.edges), born)
-        prev = tree
+        assert it.sizes[n] == len(res.tree.vertices)
+        tree = it.tree_at(n)
+        assert tree == res.tree
+        assert all(map(np.array_equal, tree._degrees(), res.tree._degrees()))
+        prev = res.tree
+
+
+@pytest.mark.parametrize("d", [3, 5])
+def test_stages_built_out_of_order_are_the_same_trees(d):
+    ordered, shuffled = TreeIteration(d), TreeIteration(d)
+    stages = [ordered.tree_at(n) for n in range(13)]
+    for n in (9, 4, 12):
+        tree = shuffled.tree_at(n)
+        assert tree == stages[n]
+        assert _same_index(tree.rooted_index(), _searched(stages[n]))
+    assert sorted(shuffled.trees) == [0, 4, 9, 12]
+    assert shuffled.sizes == ordered.sizes
+    assert [list(c) for c in shuffled.centers] == [list(c) for c in ordered.centers]
+
+
+def test_edge_log_refuses_rules_it_cannot_express():
+    rules = family_tree_substitution(3).rules
+    assert trees._edge_life(TreeSubstitution(3, rules))[2].tolist() == [3, 1, 4]
+    for changed, match in [
+        ({3: RulePattern(3, (("X", "P1", 2), ("P1", "Y", 1)))}, "every color but 2 recolored"),
+        ({2: RulePattern(2, (("P1", "X", 3), ("P1", "Y", 1), ("Y", "P2", 4)))}, "star"),
+        ({2: RulePattern(2, (("P1", "X", 3), ("P1", "Y", 1)))}, "star"),
+        ({3: RulePattern(3, (("X", "Y", 4),)), 4: RulePattern(4, (("X", "Y", 3),))}, "never turns 2"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            trees._edge_life(TreeSubstitution(3, {**rules, **changed}))
+
+
+def test_growth_builds_only_the_stage_trees_it_reads(monkeypatch):
+    built, stage = [], ColoredTree._stage
+    monkeypatch.setattr(ColoredTree, "_stage", classmethod(
+        lambda cls, d, columns, size: built.append(size) or stage.__func__(cls, d, columns, size)))
+    it = TreeIteration(3)
+    monkeypatch.setattr(rauzy, "shared_scan", lambda d: SimpleNamespace(it=it))
+    rauzy._orbit_index.__wrapped__(4, 20000)   # reads the stage-4 tree and the centers
+    assert sorted(it.trees) == [0, 4] and built == [it.sizes[4]]
+    assert len(it.sizes) - 1 == rauzy.orbit_stage(4, 20000)
+    assert it.tree_at(4) is it.tree_at(4) and built == [it.sizes[4]]
+    real = Realization(TreeIteration(3))
+    real.extend_to(20)
+    scan = core.CoreScan(3)
+    scan.extend_to(20)
+    for grown in (real.it, scan.it):
+        assert sorted(grown.trees) == [0] and len(grown.sizes) == 21
+    assert built == [it.sizes[4]]
 
 
 _SYMBOLS = ["X", "Y", "P1", "P2", "P3"]
@@ -740,7 +795,10 @@ def test_budget_refuses_by_the_growth_estimate(monkeypatch):
     it.tree_at(9)
     with pytest.raises(ValueError, match="budget"):
         it.tree_at(10)
-    assert len(it.trees) == 10 and len(it.centers) == 10   # nothing built past the budget
+    with pytest.raises(ValueError, match="budget"):
+        it.extend_to(10)
+    # nothing built or grown past the budget
+    assert max(it.trees) == 9 and len(it.sizes) == len(it.centers) == len(it._batch) - 1 == 10
 
 
 @pytest.mark.parametrize("edges, want", [
