@@ -165,8 +165,12 @@ class ExactLength:
         return ExactLength(self.d, acc)
 
     def scaled(self, k: int) -> "ExactLength":
-        """self * rho^k."""
-        return self * ExactLength.rho_power(self.d, k)
+        """self * rho^k: the sum of a_i * rho^(i + k), read from the kept power lists."""
+        acc = (0,) * self.d
+        for i, a in enumerate(self.coeffs):
+            if a:
+                acc = tuple(x + a * y for x, y in zip(acc, _power_coeffs(self.d, i + k)))
+        return ExactLength(self.d, acc)
 
     # -- comparisons --------------------------------------------------------
 

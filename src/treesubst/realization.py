@@ -33,7 +33,7 @@ from operator import mul
 import numpy as np
 
 from .algnum import ExactLength, _int64, edge_length_vector
-from .trees import TreeIteration
+from .trees import TreeIteration, ancestor_sums
 from .words import distinct
 
 Syllable = tuple[int, ExactLength]
@@ -269,16 +269,11 @@ class Realization:
         return max(lengths, default=ExactLength.zero(d))
 
     def _norms(self) -> np.ndarray:
-        """Per vertex the norm |P_v| as int64 rows: its anchor's plus
-        |syllable|, summed along the anchors by pointer doubling (a row sums
-        the syllables from its vertex up to, not including, `up`, which
-        doubles its reach each round; the origin's syllable is zero)."""
+        """Per vertex the norm |P_v| as int64 rows: its anchor's plus |syllable|,
+        summed along the anchors by `ancestor_sums` (the origin's is zero)."""
         # a norm sums at most one |syllable| per vertex on its anchor path
         rows = _int64(self.coef * self._signs(self.coef)[:, None], len(self.anchor))
-        up = np.where(self.anchor >= 0, self.anchor, 0)
-        while (up[up] != up).any():
-            rows, up = rows + rows[up], up[up]
-        return rows
+        return ancestor_sums(np.where(self.anchor >= 0, self.anchor, 0), rows)[0]
 
     def coordinates(self) -> tuple[list[float], list[str]]:
         """Per vertex, the value of its point's norm and its text c^t.c^t...

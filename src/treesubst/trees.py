@@ -58,28 +58,35 @@ def _sorted(cols: np.ndarray) -> tuple[np.ndarray, ...]:
     return tuple(cols[order, k].astype(np.int32) for k in range(3))
 
 
-@lru_cache(maxsize=None)
-def _one_hot(d: int) -> np.ndarray:
-    """Row c: the color counts of one edge of color c (row 0, no edge: zeros)."""
-    rows = np.eye(2 * d - 1, dtype=np.int32)[:, 1:]
-    rows.flags.writeable = False
-    return rows
+def ancestor_sums(parent: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pointer doubling (J. C. Wyllie, Cornell TR 79-387, 1979): per slot, the
+    sum of `rows` over it and its ancestors below the slot its climb ends
+    at, and that end.  Each round a slot adds the row of the slot it has
+    reached and takes over its reach; the climb stops at a fixed point or
+    after len(parent).bit_length() + 1 rounds, when every climb in a tree
+    has reached the root (whose row should be zero).  A slot on a cycle
+    ends on it, a self-loop where the cycle's length is a power of 2."""
+    up = parent
+    for _ in range(len(parent).bit_length() + 1):
+        jump = up[up]
+        if np.array_equal(jump, up):
+            break
+        rows, up = rows + rows[up], jump
+    return rows, up
 
 
 @dataclass(frozen=True, eq=False)
 class RootedIndex:
     """A tree hung from its root, as int32 columns by slot: `parent` (the
-    root is its own), `up`, the signed color of the step to the parent (0
-    at the root), and `counts`, per color 1..2d-2 the edges on the root
-    path, a (V, 2d-2) block whose row sums are the depths."""
+    root is its own) and `up`, the signed color of the step to the parent
+    (0 at the root)."""
 
     parent: np.ndarray
     up: np.ndarray
-    counts: np.ndarray
 
     @cached_property
     def depth(self) -> np.ndarray:
-        return self.counts.sum(axis=1)
+        return ancestor_sums(self.parent, (self.up != 0).astype(np.int32))[0]
 
     @cached_property
     def climb(self) -> tuple[list[int], list[int]]:
@@ -217,7 +224,6 @@ class ColoredTree:
         step = np.concatenate([self.color, -self.color])[order]
         first = np.searchsorted(near, np.arange(len(ids) + 1))
         parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
-        counts = np.zeros((len(ids), 2 * self.d - 2), dtype=np.int32)
         entry = np.full(len(ids), -1)   # per vertex, the edge end that reached it; -1 unseen
         root = self._root_slot()
         parent[root], entry[root] = root, len(near)
@@ -229,32 +235,31 @@ class ColoredTree:
             entry[other[at]] = at
             at = at[entry[other[at]] == at]   # a cycle may reach a vertex twice
             level = other[at]
-            parent[level], up[level], counts[level] = near[at], -step[at], counts[near[at]]
-            counts[level, np.abs(up[level]) - 1] += 1   # a level holds each vertex once
+            parent[level], up[level] = near[at], -step[at]
         if (entry < 0).any():
             raise ValueError("tree is not connected")
-        return RootedIndex(parent, up, counts)
+        return RootedIndex(parent, up)
 
     def _certifies(self, index: RootedIndex) -> bool:
         """Whether `index` is the rooted index of this tree's columns.
 
-        It is when |V| = |E| + 1, the root is its own parent with color 0
-        and no counts, and every other v steps to parent[v] along an edge of
-        color |up[v]| != 0 in the direction the sign states, with its counts
-        those of its parent plus that color.  Then the depth (the counts'
-        row sum) rises by one per step, so the steps make no cycle: they are
-        |V| - 1 distinct edges of the tree, so all of them.
+        It is when |V| = |E| + 1, the root is its own parent with color 0,
+        every other v steps to parent[v] along an edge of color |up[v]| != 0
+        in the direction the sign states, and every climb ends at the root
+        (`ancestor_sums`, whose sums are the depths).  So the steps make no
+        cycle: they are |V| - 1 distinct edges of the tree, so all of them.
         """
         ids, _ = self._degrees()
-        parent, up, counts = index.parent, index.up, index.counts
+        parent, up = index.parent, index.up
         root = self._root_slot()
         if not len(parent) == len(ids) == len(self.src) + 1 or parent[root] != root or up[root]:
             return False
         v, out = np.arange(len(ids)), up > 0
         colors = self.edge_colors(ids[np.where(out, v, parent)], ids[np.where(out, parent, v)])
+        depth, end = ancestor_sums(parent, (up != 0).astype(np.int32))
+        vars(index).setdefault("depth", depth)   # what the cached `RootedIndex.depth` computes
         return (np.count_nonzero(up) == len(ids) - 1 and np.array_equal(colors, np.abs(up))
-                and not counts[root].any()
-                and np.array_equal(counts - counts[parent], _one_hot(self.d)[colors]))
+                and bool((end == root).all()))
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
         """Signed colors along the unique path x -> y (negative = against the
@@ -533,7 +538,7 @@ def initial_tree(d: int) -> ColoredTree:
 
 
 @lru_cache(maxsize=None)
-def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What the family's rules do to a rooted index, read from their patterns.
 
     A vertex whose step to its parent was u climbs, one stage later, the
@@ -542,8 +547,7 @@ def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     indexes them.  On a one-letter trunk the vertex keeps its parent; on
     the 2-rule's trunk it hangs from the new center, which takes the last
     letter to the old parent.  `fresh` holds 0 for the center and then the
-    steps of its leaves to it, and `matrix` maps old color counts to new
-    ones.
+    steps of its leaves to it.
     """
     subst, ncol = family_tree_substitution(d), 2 * d - 2
     signed = {0: (0,)}
@@ -555,7 +559,7 @@ def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray
     pattern, index = _pattern_tree(d, subst.rules[2])
     hub, *leaves = (index[p] for p in subst.rules[2].placeholders())
     fresh = np.array([0, *(pattern.path_word(leaf, hub)[0] for leaf in leaves)], dtype=np.int32)
-    tables = first, last, fresh, subst.trunk_matrix().T.astype(np.int32)
+    tables = first, last, fresh
     for table in tables:
         table.flags.writeable = False
     return tables
@@ -716,18 +720,17 @@ class TreeIteration:
         columns the next stage needs.
 
         Per stage: an old vertex takes the first letter of its step's trunk
-        (`_index_steps`), and its color counts times the trunk matrix.  Each
-        center hangs from the old parent of the end of its replaced edge
-        that hung from the other end, and that end hangs from the center;
-        the center's leaves hang from it.  A new vertex's counts are its
-        parent's plus its step's color.  `ColoredTree._certifies` checks the
-        result against the stage's columns before it is used.
+        (`_index_steps`).  Each center hangs from the old parent of the end
+        of its replaced edge that hung from the other end, and that end
+        hangs from the center; the center's leaves hang from it.
+        `ColoredTree._certifies` checks the result against the stage's
+        columns before it is used.
         """
         d, ncol = self.d, 2 * self.d - 2
-        first, last, fresh, matrix = _index_steps(d)
+        first, last, fresh = _index_steps(d)
         below = max(m for m, tree in self.trees.items() if m < n and tree._rooted is not None)
         base = self.trees[below].rooted_index()
-        parent, up, counts = base.parent, base.up, base.counts
+        parent, up = base.parent, base.up
         for stage in range(below + 1, n + 1):
             v, _, s, t = self.centers[stage].columns   # the center's new vertices are v, v + 1, ...
             child = np.where(parent[t] == s, t, s)
@@ -735,14 +738,10 @@ class TreeIteration:
             hubs[:, 0] = parent[child]
             steps = np.tile(fresh, (len(v), 1))
             steps[:, 0] = last[up[child] + ncol]
-            counts = counts @ matrix
-            born = counts[hubs[:, 0]] + _one_hot(d)[np.abs(steps[:, 0])]
-            born = born[:, None, :] + _one_hot(d)[np.abs(fresh)]
             parent = np.concatenate([parent, hubs.ravel()])
             parent[child] = v
             up = np.concatenate([first[up + ncol], steps.ravel()])
-            counts = np.concatenate([counts, born.reshape(-1, ncol)])
-        return RootedIndex(parent, up, counts)
+        return RootedIndex(parent, up)
 
     def birth_stage(self, v):
         """Stage at which vertex v was born, the first built stage n with v < |V_n|;

@@ -67,6 +67,14 @@ def test_scaling_shifts_exponents():
     assert x.scaled(-2) == ExactLength.rho_power(d, -2) + ExactLength.one(d)
 
 
+@settings(max_examples=80, deadline=None)
+@given(d=st.sampled_from([3, 4, 5, 40]), data=st.data(), k=st.integers(-60, 60))
+def test_scaled_is_the_product_with_a_power(d, data, k):
+    x = ExactLength(d, tuple(data.draw(st.lists(st.integers(-10**12, 10**12) | st.just(0),
+                                                min_size=d, max_size=d))))
+    assert x.scaled(k) == x * ExactLength.rho_power(d, k)
+
+
 def test_ordering_and_sign():
     d = 3
     zero = ExactLength.zero(d)

@@ -454,7 +454,7 @@ def test_deep_core_report_is_pinned(capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == _GOLDEN_DEEP_CORE
 
 
-@pytest.mark.parametrize("d", [6, 11, 13, 14, 23])
+@pytest.mark.parametrize("d", [6, 11, 13, 14, 23, 30])
 def test_default_scope_passes_every_suite(d):
     # the default cap is at least 2d: the first two-point shift domain is at n = d
     results = verify.run_suite("all", d)

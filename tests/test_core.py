@@ -801,6 +801,17 @@ def test_core_scan_to_stage_26_in_linear_memory():
     assert int(peak) < 150 * 1024
 
 
+def test_rooted_indexes_at_d_40_in_memory_independent_of_d():
+    # a rooted index is two int32 columns; with a (V, 2d - 2) block of color
+    # counts beside them the same loop peaked at about 260 MB
+    code = ("from treesubst.trees import TreeIteration; it = TreeIteration(40); "
+            "print(sum(int(it.tree_at(n).rooted_index().depth.max()) for n in range(81))); "
+            + _PEAK)
+    depth, peak = _fresh_process_output(code)
+    assert depth == "246"
+    assert int(peak) < 100 * 1024
+
+
 def test_label_checks_at_stage_26_in_linear_memory():
     # the three label checks read the scan's columns; with per-vertex dicts
     # and a Python adjacency per stage tree they peaked at about 128 MB
@@ -1087,7 +1098,8 @@ def _blocked_oracle(scan, n):
     lift = Lifting(index.parent)
     lengths = [x.scaled(-n).coeffs for x in letter_length_exact(d).values()]
     weight = [[*x, 0] for x in lengths] + [[0] * d + [1]] * (d - 2)   # per color
-    weighted = index.counts @ _int64(weight, 4 * len(index.parent))
+    counts = lift.sums(np.eye(2 * d - 1, dtype=np.int64)[np.abs(index.up), 1:])   # one-hot steps
+    weighted = counts @ _int64(weight, 4 * len(index.parent))
     branch = np.array(sorted(tree.branch_points()), dtype=np.int64)
     metric = AnchorMetric(scan.real)
     failures = []

@@ -199,16 +199,7 @@ def _searched(tree):
 
 
 def _same_index(a, b) -> bool:
-    return all(np.array_equal(getattr(a, f), getattr(b, f))
-               for f in ("parent", "up", "depth", "counts"))
-
-
-def _lifted_counts(tree):
-    """Per vertex the color counts on its root path, as `Lifting.sums` of
-    the one-hot rows of the steps' colors."""
-    index = tree.rooted_index()
-    one_hot = np.eye(2 * tree.d - 1, dtype=np.int64)[:, 1:]
-    return Lifting(index.parent).sums(one_hot[np.abs(index.up)])
+    return all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("parent", "up", "depth"))
 
 
 @pytest.mark.parametrize("d, top", [(3, 20), (4, 14), (5, 14), (6, 14)])
@@ -221,7 +212,7 @@ def test_induced_index_is_the_searched_index(d, top, monkeypatch):
     monkeypatch.setattr(ColoredTree, "_search", lambda self: searched.append(self) or search(self))
     for tree, index in zip(stages, want):   # each from the stage before
         assert _same_index(tree.rooted_index(), index)
-        assert np.array_equal(index.counts, _lifted_counts(tree))
+        assert np.array_equal(index.depth, Lifting(index.parent).depth)
     assert _same_index(fresh.tree_at(top).rooted_index(), want[-1])   # from stage 0
     assert sorted(fresh.trees) == [0, top]   # no stage between was built to carry it up
     # only stage 0, which has no stage before it, and the rules' patterns are searched
@@ -252,30 +243,56 @@ def test_certificate_refuses_a_wrong_index():
     tree = TreeIteration(3).tree_at(6)
     good = tree.rooted_index()
     assert tree._certifies(good)
-    v = int(np.flatnonzero(good.parent != np.arange(len(good.parent)))[-1])
+    v = int(np.flatnonzero(good.depth > 3)[-1])   # the cycles below leave the root out
 
     def changed(**at_v):
-        columns = {f: getattr(good, f).copy() for f in ("parent", "up", "counts")}
+        columns = {f: getattr(good, f).copy() for f in ("parent", "up")}
         for f, value in at_v.items():
             columns[f][v] = value
         return RootedIndex(**columns)
 
     root_moved = changed()
     root_moved.parent[0] = v
+    # a 2-cycle on a real edge: v's parent p steps back down to v, against v's
+    # step, so every step is an edge of its color in its direction
+    p = int(good.parent[v])
+    two_cycle = changed()
+    two_cycle.parent[p], two_cycle.up[p] = v, -good.up[v]
+    # a 4-cycle: p, its parent g and g's parent climb back to v; a tree has
+    # no longer cycle along its edges, so the step g's parent -> v is none
+    g = int(good.parent[p])
+    four_cycle = changed()
+    four_cycle.parent[[v, p, g, good.parent[g]]] = [p, g, good.parent[g], v]
     wrong = [
         changed(up=-good.up[v]),            # the step against its arrow
         changed(up=np.sign(good.up[v]) * (abs(good.up[v]) % 4 + 1)),   # another color
-        changed(counts=good.counts[v] + 1),  # a count off by one
         changed(parent=v, up=0),            # a second root
         root_moved,                          # the root not its own parent
+        two_cycle,
+        four_cycle,
     ]
     assert not any(map(tree._certifies, wrong))
 
 
 @settings(max_examples=40, deadline=None)
 @given(tree=_random_tree())
-def test_counts_are_lifted_sums_of_one_hot_colors(tree):
-    assert np.array_equal(tree.rooted_index().counts, _lifted_counts(tree))
+def test_depth_is_the_lifted_depth(tree):
+    index = tree.rooted_index()
+    assert np.array_equal(index.depth, Lifting(index.parent).depth)
+
+
+@pytest.mark.parametrize("cycle", [[1, 2], [1, 2, 3], [1, 2, 3, 4], [1, 2, 3, 4, 5, 6, 7, 8]])
+def test_ancestor_sums_end_off_the_root_on_a_cycle(cycle):
+    # slot 0 is the root, slots 1.. the cycle, each cycle slot with a child
+    # below it; doubling turns a 2^k-cycle into self-loops, which are no
+    # root, and keeps any other cycle moving until the rounds run out
+    parent = np.arange(2 * len(cycle) + 1)
+    parent[cycle] = np.roll(cycle, -1)
+    parent[len(cycle) + 1:] = cycle
+    rows = np.ones(len(parent), dtype=np.int64)
+    rows[0] = 0
+    _, end = trees.ancestor_sums(parent, rows)
+    assert end[0] == 0 and (end[1:] != 0).all()
 
 
 
