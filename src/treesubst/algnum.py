@@ -10,7 +10,8 @@ and equality and hashing are those of the vector.  Signs and values are
 exact: the vector is evaluated in integers at floor(rho * 2^p) / 2^p, with
 rho's bits found by exact bisection, and p doubles until the error bound
 fixes the sign or the leading bits (x^d - x - 1 is irreducible, so a
-nonzero vector never vanishes at rho).
+nonzero vector never vanishes at rho).  Powers of rho (x^d = x + 1) and of
+lambda (x^d = x^(d-1) + 1) come from one routine, `trinomial_step`.
 """
 
 from __future__ import annotations
@@ -93,23 +94,32 @@ def _rho_weights(d: int, p: int) -> tuple[int, ...]:
     return tuple(m**i << p * (d - 1 - i) for i in range(d))
 
 
-def _times_rho(c: tuple[int, ...]) -> tuple[int, ...]:
-    """Coefficients times rho: the top one folds by rho^d = rho + 1."""
-    return (c[-1], c[0] + c[-1]) + c[1:-1]
+def trinomial_step(c: tuple[int, ...], k: int, sign: int) -> tuple[int, ...]:
+    """Coefficients on 1, x, .., x^(d-1) times x^sign, sign = +1 or -1,
+    modulo x^d - x^k - 1, in Python ints."""
+    if sign > 0:   # x^d = x^k + 1 folds the top coefficient up
+        out = [c[-1], *c[:-1]]
+        out[k] += c[-1]
+    else:          # x^-1 = x^(d-1) - x^(k-1) folds the bottom one down
+        out = [*c[1:], c[0]]
+        out[k - 1] -= c[0]
+    return tuple(out)
 
 
-# (d, k < 0) -> the coefficient vectors of rho^0, rho^s, rho^2s, ... for s = +1 or -1
-_powers: dict[tuple[int, bool], list[tuple[int, ...]]] = {}
+# (d, k, sign) -> coefficient tuples of x^0, x^sign, x^2sign, .. modulo x^d - x^k - 1
+_powers: dict[tuple[int, int, int], list[tuple[int, ...]]] = {}
 
 
-def _power_coeffs(d: int, k: int) -> tuple[int, ...]:
-    """Coefficient vector of rho^k, one step from rho^(k -+ 1) in the kept
-    list of its d and sign, grown in a loop rather than by recursion."""
-    seq = _powers.setdefault((d, k < 0), [(1,) + (0,) * (d - 1)])
-    while len(seq) <= abs(k):   # rho^-1 = rho^(d-1) - 1 undoes _times_rho
-        c = seq[-1]
-        seq.append(_times_rho(c) if k > 0 else (c[1] - c[0],) + c[2:] + (c[0],))
-    return seq[abs(k)]
+def trinomial_powers(d: int, k: int, e: int) -> list[tuple[int, ...]]:
+    """The kept coefficient list of x^0, x^s, .., x^e modulo x^d - x^k - 1,
+    s the sign of e, each entry one `trinomial_step` from the one before
+    (grown in a loop rather than by recursion).  Item j is x^(s j); the
+    list may run past x^e, and callers must not change it."""
+    s = -1 if e < 0 else 1
+    seq = _powers.setdefault((d, k, s), [(1,) + (0,) * (d - 1)])
+    while len(seq) <= abs(e):
+        seq.append(trinomial_step(seq[-1], k, s))
+    return seq
 
 
 @dataclass(frozen=True)
@@ -131,12 +141,12 @@ class ExactLength:
 
     @staticmethod
     def one(d: int) -> "ExactLength":
-        return ExactLength(d, _power_coeffs(d, 0))
+        return ExactLength.rho_power(d, 0)
 
     @staticmethod
     def rho_power(d: int, k: int) -> "ExactLength":
         """rho^k for any integer k."""
-        return ExactLength(d, _power_coeffs(d, k))
+        return ExactLength(d, trinomial_powers(d, 1, k)[abs(k)])
 
     # -- ring operations ----------------------------------------------------
 
@@ -155,22 +165,10 @@ class ExactLength:
     def __neg__(self) -> "ExactLength":
         return ExactLength(self.d, tuple(-x for x in self.coeffs))
 
-    def __mul__(self, other: "ExactLength") -> "ExactLength":
-        self._same_ring(other)
-        acc, b = (0,) * self.d, other.coeffs
-        for a in self.coeffs:       # sum of a_i * (other * rho^i)
-            if a:
-                acc = tuple(x + a * y for x, y in zip(acc, b))
-            b = _times_rho(b)
-        return ExactLength(self.d, acc)
-
     def scaled(self, k: int) -> "ExactLength":
         """self * rho^k: the sum of a_i * rho^(i + k), read from the kept power lists."""
-        acc = (0,) * self.d
-        for i, a in enumerate(self.coeffs):
-            if a:
-                acc = tuple(x + a * y for x, y in zip(acc, _power_coeffs(self.d, i + k)))
-        return ExactLength(self.d, acc)
+        powers = [ExactLength.rho_power(self.d, i + k).coeffs for i in range(self.d)]
+        return ExactLength(self.d, tuple(sum(map(mul, self.coeffs, col)) for col in zip(*powers)))
 
     # -- comparisons --------------------------------------------------------
 

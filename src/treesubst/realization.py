@@ -32,7 +32,7 @@ from operator import mul
 
 import numpy as np
 
-from .algnum import ExactLength, _int64, edge_length_vector
+from .algnum import ExactLength, _int64, edge_length_vector, trinomial_powers, trinomial_step
 from .trees import TreeIteration, ancestor_sums
 from .words import distinct
 
@@ -133,14 +133,28 @@ class Realization:
             raise ValueError("the initial star must be rooted at vertex 0")
         # vertex 0 is the origin; the color-j edge of the star runs along copy j-1
         self.anchor, self.copy = np.array([-1] + [0] * d), np.arange(-1, d)
-        self.coef = self._rows([ExactLength.zero(d)]
-                               + [self.base_lengths[j] for j in range(1, d + 1)])
+        self.coef = self._base_rows(d)
         self.points = _Points(self)
         self.stage_done = 0
+        self._tables: list[np.ndarray] = []   # per stage n, the rows rho^-n * base(c)
 
-    def _rows(self, lengths: list[ExactLength]) -> np.ndarray:
+    def _base_rows(self, top: int) -> np.ndarray:
+        """Rows 0..top: zero, then the base lengths of colors 1..top."""
+        lengths = [ExactLength.zero(self.d)] + [self.base_lengths[c] for c in range(1, top + 1)]
         # a stored row is below half the bound, so a sum or difference of two cannot wrap
-        return _int64([x.coeffs for x in lengths], 2).reshape(-1, self.d)
+        return _int64([x.coeffs for x in lengths], 2)
+
+    def length_table(self, n: int) -> np.ndarray:
+        """The stage-n length table: row c holds rho^-n * base(c) for each
+        color c (row 0 is zero).  Stage 0 is read from `base_lengths` on
+        first use, and stage n is stage n - 1 times rho^-1, a `trinomial_step`
+        per row; ValueError where a row would pass the int64 bound."""
+        if not self._tables:
+            self._tables.append(self._base_rows(2 * self.d - 2))
+        while len(self._tables) <= n:
+            rows = self._tables[-1].tolist()
+            self._tables.append(_int64([trinomial_step(r, 1, -1) for r in rows], 2))
+        return self._tables[n]
 
     def _between(self, s, t) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Copy and coefficient rows of the one syllable p^-1 q, p and q the
@@ -186,15 +200,14 @@ class Realization:
         self.anchor = np.append(self.anchor, np.full(grow, -2))   # -2: not placed
         self.copy = np.append(self.copy, np.zeros(grow, dtype=np.int64))
         self.coef = np.append(self.coef, np.zeros((grow, d), dtype=np.int64), axis=0)
-        replaced = self.base_lengths[2].scaled(-(n - 1))
-        legs = [ExactLength.rho_power(d, -(n + h)) for h in range(1, d - 1)]
-        step, want, *leaf = self._rows([ExactLength.rho_power(d, -n), replaced] + legs)
-        copy, p, ok = self._between(dst, src)
-        forward = (p == want).all(axis=1)
-        if not (good := ok & (forward | (p == -want).all(axis=1))).all():
+        # rho^-n and the legs rho^-(n+h), h = 1..d-2, from rho's power list
+        step, *leaf = _int64(trinomial_powers(d, 1, -(n + d - 2))[n:n + d - 1], 2)
+        copy, sign = self.edge_syllables(n - 1, dst, src, 2)
+        if not (good := sign != 0).all():
+            ok = self._between(dst, src)[2]
             raise ValueError("replaced edge was not a single syllable" if not ok[np.argmin(good)]
                              else "replaced 2-edge has the wrong length")
-        self._put(v, dst, copy, np.where(forward[:, None], step, -step))
+        self._put(v, dst, copy, sign[:, None] * step)
         for h in range(1, d - 1):
             self._put(v + h, v, (copy + h) % d, leaf[h - 1])
         if len(missing := np.flatnonzero(self.anchor == -2)):
@@ -208,11 +221,8 @@ class Realization:
         """Per stage-n edge (s, t, color), the copy of the syllable p^-1 q, p
         and q the points of s and t, and its sign where the rows show one
         syllable of length rho^-n * base(color); the sign is 0 elsewhere."""
-        want = np.zeros((2 * self.d - 1, self.d), dtype=np.int64)
-        colors, lengths = zip(*self.base_lengths.items())
-        want[list(colors)] = self._rows([b.scaled(-n) for b in lengths])
         copy, coef, ok = self._between(s, t)
-        w = want[color]
+        w = self.length_table(n)[color]
         sign = (coef == w).all(axis=1).astype(np.int64) - (coef == -w).all(axis=1)
         return copy, np.where(ok, sign, 0)
 
@@ -231,7 +241,7 @@ class Realization:
             if not ok[0]:
                 raise ValueError((n, (s, t, c), "not a single syllable"))
             raise ValueError((n, (s, t, c), abs(ExactLength(self.d, tuple(coef[0].tolist()))),
-                              self.base_lengths[c].scaled(-n)))
+                              ExactLength(self.d, tuple(self.length_table(n)[c].tolist()))))
 
     def _signs(self, rows: np.ndarray) -> np.ndarray:
         """Exact sign of each row's value, decided once per distinct row."""

@@ -388,7 +388,6 @@ class ValidationReport:
 @dataclass
 class ApplyResult:
     tree: ColoredTree
-    born: np.ndarray    # old edge index per fresh vertex, fresh ids in increasing order
 
 
 class TreeSubstitution:
@@ -482,13 +481,12 @@ class TreeSubstitution:
             edges += [np.column_stack([at[ps], at[pt], np.full(len(idx), pc)])
                       for ps, pt, pc in self.rules[c].edges]
         edges = np.concatenate(edges)
-        born = np.repeat(np.arange(len(color)), count)
         if len(src) and all(_anchored_tree(self.d, self.rules[c]) for c in of_color):
-            fresh = range(start, start + len(born))
+            fresh = range(start, start + int(count.sum()))
             out = ColoredTree._grown(self.d, edges, tree.root, len(src) + 1, fresh)
         else:
             out = ColoredTree(self.d, edges, root=tree.root)
-        return ApplyResult(out, born)
+        return ApplyResult(out)
 
     def trunk_word(self, color: int) -> tuple[int, ...]:
         """Signed colors along the X -> Y path inside the pattern for `color`."""

@@ -22,7 +22,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algnum import _int64, trinomial_root
+from .algnum import _int64, trinomial_powers, trinomial_root
 
 Word = bytes
 
@@ -309,16 +309,6 @@ def _induced_matrix(d: int, m: int) -> tuple[list[Word], np.ndarray]:
     return factors, matrix
 
 
-def _lambda_powers(d: int, top: int, terms: int) -> np.ndarray:
-    """Row k, k <= top: lambda^k on 1, lambda, .., lambda^(d-1), folded by
-    lambda^d = lambda^(d-1) + 1; refused before a sum of `terms` could wrap."""
-    rows = [(1,) + (0,) * (d - 1)]
-    for _ in range(top):
-        c = rows[-1]
-        rows.append((c[-1],) + c[:-2] + (c[-2] + c[-1],))
-    return _int64(rows, terms)
-
-
 @lru_cache(maxsize=None)
 def measure_spectrum(d: int, m: int) -> tuple[MappingProxyType, tuple[str, ...]]:
     """The exponent j with mu(C_u) = lambda^-j of each length-m factor u,
@@ -341,7 +331,7 @@ def measure_spectrum(d: int, m: int) -> tuple[MappingProxyType, tuple[str, ...]]
     v = np.abs(vecs[:, np.argmax(vals.real)].real)
     j = np.rint(np.log(v.sum() / v) / np.log(growth_root(d))).astype(np.int64)
     top = int(j.max())
-    powers = _lambda_powers(d, top + 1, int(matrix.sum()))
+    powers = _int64(trinomial_powers(d, d - 1, top + 1)[:top + 2], int(matrix.sum()))
     wrong = (matrix @ powers[top - j] != powers[top + 1 - j]).any(axis=1)
     failures = [f"m={m}: (M v)_u != lambda v_u at u = {word_str(factors[k])}"
                 for k in np.flatnonzero(wrong).tolist()]

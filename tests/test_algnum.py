@@ -1,4 +1,4 @@
-"""Exact arithmetic in Z[rho] with rho^d = rho + 1."""
+"""Exact arithmetic in Z[rho] with rho^d = rho + 1, and powers modulo x^d - x^k - 1."""
 
 from decimal import Decimal, localcontext
 from functools import lru_cache
@@ -14,8 +14,51 @@ from treesubst.algnum import (
     edge_length_vector,
     letter_length_exact,
     stretch_root,
+    trinomial_powers,
     trinomial_root,
+    trinomial_step,
 )
+
+
+def _rem(poly, d, k):
+    """Python-int remainder of sum poly[i] x^i modulo x^d - x^k - 1, from the top
+    down by x^i = x^(i-d+k) + x^(i-d): the test's oracle, independent of algnum."""
+    c = list(poly) + [0] * max(0, d - len(poly))
+    for i in reversed(range(d, len(c))):
+        top, c[i] = c[i], 0
+        c[i - d + k] += top
+        c[i - d] += top
+    return tuple(c[:d])
+
+
+def _product(a, b, d, k=1):
+    """Python-int product of two coefficient vectors modulo x^d - x^k - 1."""
+    c = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            c[i + j] += x * y
+    return _rem(c, d, k)
+
+
+def _shifted(coeffs, j):
+    """The coefficient list of x^j times sum coeffs[i] x^i, j >= 0, unreduced."""
+    return [0] * j + list(coeffs)
+
+
+_TRINOMIALS = [(3, 1), (4, 1), (5, 1), (40, 1), (3, 2), (4, 3), (5, 4), (40, 39)]
+
+
+@pytest.mark.parametrize("d,k", _TRINOMIALS)
+def test_trinomial_powers_match_the_polynomial_remainder(d, k):
+    one = (1,) + (0,) * (d - 1)
+    for j in range(61):
+        assert trinomial_powers(d, k, j)[j] == _rem(_shifted(one, j), d, k)
+        # x^-j is the row r with x^j r = 1
+        assert _rem(_shifted(trinomial_powers(d, k, -j)[j], j), d, k) == one
+    # across x^0 too: each step undoes the other
+    rows = [trinomial_powers(d, k, j)[abs(j)] for j in range(-60, 61)]
+    for a, b in zip(rows, rows[1:]):
+        assert trinomial_step(a, k, 1) == b and trinomial_step(b, k, -1) == a
 
 
 def test_stretch_root_matches_newton():
@@ -54,10 +97,11 @@ def test_arithmetic_matches_floats():
     eta = stretch_root(d)
     a = ExactLength.rho_power(d, 2)
     b = ExactLength.rho_power(d, -3)
+    product = ExactLength(d, _product(a.coeffs, b.coeffs, d))
     assert abs((a + b).value() - (eta**2 + eta**-3)) < 1e-12
-    assert abs((a * b).value() - eta**-1) < 1e-12
+    assert abs(product.value() - eta**-1) < 1e-12
     assert abs((a - b).value() - (eta**2 - eta**-3)) < 1e-12
-    assert (a * b) == ExactLength.rho_power(d, -1)
+    assert product == ExactLength.rho_power(d, -1)
 
 
 def test_scaling_shifts_exponents():
@@ -72,7 +116,11 @@ def test_scaling_shifts_exponents():
 def test_scaled_is_the_product_with_a_power(d, data, k):
     x = ExactLength(d, tuple(data.draw(st.lists(st.integers(-10**12, 10**12) | st.just(0),
                                                 min_size=d, max_size=d))))
-    assert x.scaled(k) == x * ExactLength.rho_power(d, k)
+    y = x.scaled(k)
+    if k >= 0:
+        assert y.coeffs == _rem(_shifted(x.coeffs, k), d, 1)
+    else:   # x is a unit modulo x^d - x - 1, so x^|k| y = x pins y
+        assert _rem(_shifted(y.coeffs, -k), d, 1) == x.coeffs
 
 
 def test_ordering_and_sign():
@@ -105,10 +153,10 @@ def test_negative_power_from_unscaled_arithmetic_is_positive(k):
     # rho^-k as k products with rho^-1 = rho^2 - 1: coefficients near 1e6
     # (k = 100) and 3e8 (k = 140) whose double value cancels to noise
     d = 3
-    inv_rho = ExactLength.rho_power(d, 2) - ExactLength.one(d)
+    inv_rho = (-1, 0, 1)
     x = ExactLength.one(d)
     for _ in range(k):
-        x = x * inv_rho
+        x = ExactLength(d, _product(x.coeffs, inv_rho, d))
     assert x == ExactLength.rho_power(d, -k)
     assert x.sign() == 1 and (-x).sign() == -1
     assert ExactLength.zero(d) < x < ExactLength.rho_power(d, -k + 1)
@@ -195,12 +243,13 @@ def test_powers_grow_from_an_empty_list_at_the_largest_d():
     # d reaches 1,750: rho^1749 and rho^-1748 are asked for first, so a
     # recursion down to rho^0 would pass the interpreter's limit
     d = 1750
-    algnum._powers.pop((d, False), None)
-    algnum._powers.pop((d, True), None)
-    assert algnum._power_coeffs(d, 1749) == (0,) * 1749 + (1,)
-    assert len(algnum._power_coeffs(d, -1748)) == d
-    for k in range(-1748, 1749):   # each one rho step from the next
-        assert algnum._times_rho(algnum._power_coeffs(d, k)) == algnum._power_coeffs(d, k + 1)
+    algnum._powers.pop((d, 1, 1), None)
+    algnum._powers.pop((d, 1, -1), None)
+    assert ExactLength.rho_power(d, 1749).coeffs == (0,) * 1749 + (1,)
+    assert len(ExactLength.rho_power(d, -1748).coeffs) == d
+    rows = [ExactLength.rho_power(d, k).coeffs for k in range(-1748, 1750)]
+    for a, b in zip(rows, rows[1:]):   # each one rho step from the next, by rho^d = rho + 1
+        assert b == (a[-1], a[0] + a[-1]) + a[1:-1]
 
 
 def test_letter_lengths_agree_with_edges():

@@ -3,7 +3,7 @@ check itself, and `run_suite` must then report that check as failing."""
 
 import pytest
 
-from treesubst import rauzy, verify, words
+from treesubst import rauzy, trees, verify, words
 from treesubst.words import measure_spectrum
 
 
@@ -47,32 +47,63 @@ def _nudge_root(monkeypatch):
     monkeypatch.setattr(verify, "growth_root", lambda d: real(d) + 1e-9)
 
 
-# row -> (corruption, the checks of run_suite("words", 3) that then fail)
+def _bump_edge_matrix(monkeypatch):
+    real = trees.TreeSubstitution.incidence_matrix
+
+    def bumped(self):
+        matrix = real(self).copy()
+        matrix[0, 0] += 1
+        return matrix
+
+    monkeypatch.setattr(trees.TreeSubstitution, "incidence_matrix", bumped)
+
+
+# suite -> row -> (corruption, the checks of run_suite(suite, 3) that then
+# fail, the start of the first failing check's first witness)
 _ROWS = {
-    # m = 2 is read by both measure checks, m = 6 only by the recursion
-    "bumped-sigma-2": (_measure_input("_induced_matrix", _bumped(3, 2)),
-                       ["measure-snapping", "measure-recursion"]),
-    "bumped-sigma-6": (_measure_input("_induced_matrix", _bumped(3, 6)),
-                       ["measure-recursion"]),
-    "wrong-lambda": (_measure_input("growth_root", lambda d: 2.0),
-                     ["measure-snapping", "measure-recursion"]),
-    "dropped-factor-start": (_drop_last(words, "_factor_starts"), ["factor-complexity"]),
-    "dropped-bispecial": (_drop_last(verify, "bispecials_by_generation"),
-                          ["bispecial-oracle"]),
-    "nudged-root": (_nudge_root, ["growth-roots"]),
+    "words": {
+        # m = 2 is read by both measure checks, m = 6 only by the recursion
+        "bumped-sigma-2": (_measure_input("_induced_matrix", _bumped(3, 2)),
+                           ["measure-snapping", "measure-recursion"], "m=2: "),
+        "bumped-sigma-6": (_measure_input("_induced_matrix", _bumped(3, 6)),
+                           ["measure-recursion"], "m=6: "),
+        "wrong-lambda": (_measure_input("growth_root", lambda d: 2.0),
+                         ["measure-snapping", "measure-recursion"], "m=1: "),
+        "dropped-factor-start": (_drop_last(words, "_factor_starts"), ["factor-complexity"], ""),
+        "dropped-bispecial": (_drop_last(verify, "bispecials_by_generation"),
+                              ["bispecial-oracle"], ""),
+        "nudged-root": (_nudge_root, ["growth-roots"], ""),
+    },
+    "trees": {
+        "bumped-edge-matrix": (_bump_edge_matrix, ["matrix-spectra"],
+                               "no eigenvalue near 1.465571"),
+        "truncated-trunk": (_drop_last(verify, "p_star"), ["trunk-determinism"],
+                            "rule 1: trunk projects to ()"),
+    },
 }
 
 
-def _failing():
-    return [r.name for r in verify.run_suite("words", 3) if r.status != "pass"]
+def _failing(suite):
+    return [r for r in verify.run_suite(suite, 3) if r.status != "pass"]
 
 
-@pytest.mark.parametrize("row", sorted(_ROWS))
-def test_words_check_fails_on_corrupted_data(monkeypatch, row):
-    corrupt, want = _ROWS[row]
-    assert _failing() == []   # and the certificates are cached from true data
+def _row_fails(monkeypatch, suite, row):
+    corrupt, want, witness = _ROWS[suite][row]
+    assert _failing(suite) == []   # and the certificates are cached from true data
     corrupt(monkeypatch)
-    assert _failing() == want
+    failing = _failing(suite)
+    assert [r.name for r in failing] == want
+    assert failing[0].witnesses[0].startswith(witness), failing[0].witnesses
+
+
+@pytest.mark.parametrize("row", sorted(_ROWS["words"]))
+def test_words_check_fails_on_corrupted_data(monkeypatch, row):
+    _row_fails(monkeypatch, "words", row)
+
+
+@pytest.mark.parametrize("row", sorted(_ROWS["trees"]))
+def test_trees_check_fails_on_corrupted_data(monkeypatch, row):
+    _row_fails(monkeypatch, "trees", row)
 
 
 def test_certificate_refuses_a_bumped_matrix_entry(monkeypatch):

@@ -189,6 +189,42 @@ def test_extend_rejects_wrong_replaced_edge_under_optimize(flags):
     assert out == "rejected: replaced 2-edge has the wrong length\n", out
 
 
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_length_table_is_the_rescaled_base(d):
+    real = Realization(TreeIteration(d))
+    for n in range(31):
+        table = real.length_table(n)
+        assert table.shape == (2 * d - 1, d) and not table[0].any()
+        for c, base in real.base_lengths.items():
+            assert tuple(table[c].tolist()) == base.scaled(-n).coeffs
+
+
+def test_length_table_past_the_int64_bound_is_a_value_error():
+    real = Realization(TreeIteration(3))
+    bases = real.base_lengths.values()
+    first = next(n for n in range(1000)   # the first stage with a row at half the bound
+                 if any(2 * abs(x) >= algnum.INT64_BOUND for b in bases for x in b.scaled(-n).coeffs))
+    assert 250 < first < 300
+    assert [tuple(r) for r in real.length_table(first - 1)[1:].tolist()] == [
+        b.scaled(-(first - 1)).coeffs for b in bases]
+    for n in (first, first + 1, 1000):
+        with pytest.raises(ValueError, match="reaches the bound 2\\^60"):
+            real.length_table(n)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_edge_law_and_path_audit_read_no_exact_arithmetic(d, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ExactLength arithmetic called")
+
+    for name in ("scaled", "__add__", "__sub__", "__neg__"):
+        monkeypatch.setattr(ExactLength, name, refuse)
+    scan = core.CoreScan(d)
+    for n in range(11):
+        scan.real.edge_length_check(n)
+        assert scan.check_path_distances(n) == []
+
+
 def test_hausdorff_gap_decays():
     real = Realization(TreeIteration(3))
     real.extend_to(8)
