@@ -96,9 +96,10 @@ def cmd_gen(args) -> int:
         real.extend_to(args.n)
         norms, texts = real.coordinates()
         lines = ["vertex,birth_stage,degree,norm,address"]
-        ids, degrees = tree._degrees()
-        for v, born, degree in zip(ids.tolist(), it.birth_stage(ids).tolist(), degrees.tolist()):
-            lines.append(f"{v},{born},{degree},{norms[v]:.9f},{texts[v]}")
+        degrees = tree.degrees()
+        born = it.birth_stage(np.arange(len(degrees)))
+        for v, (stage, degree) in enumerate(zip(born.tolist(), degrees.tolist())):
+            lines.append(f"{v},{stage},{degree},{norms[v]:.9f},{texts[v]}")
         _write("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -372,8 +372,7 @@ class CoreScan:
         if (src[at] != v).any():   # at = -1 reads src[-1] > v
             raise ValueError(f"stage {n}: a center has no color-1 out-edge")
         y = dst[at]
-        ids, deg = tree._degrees()
-        flat = deg[np.searchsorted(ids, y)] != self.d
+        flat = tree.degrees()[y] != self.d
         want = self.length[v] - _power_lengths(self.d)[n]
         bad = flat | (self.length[y] != want)
         return [f"vertex {x}: 1-neighbor {w} does not branch" if out
@@ -460,7 +459,7 @@ class CoreScan:
         if it has one; the sorted (end, arc) rows pair up at each end.
         """
         (edge, src, dst, *_), owner = self._arcs(n, n + 2 * self.d - 2)
-        ids, deg = self.it.tree_at(n + 2 * self.d - 2)._degrees()
+        deg = self.it.tree_at(n + 2 * self.d - 2).degrees()
         ends = np.concatenate([src, dst]).astype(np.int64)
         held = ends[owner[ends] >= 0]
         end, arc = np.divmod(distinct(np.concatenate([ends, held]) * len(edge)
@@ -473,7 +472,7 @@ class CoreScan:
         pair, v = (np.concatenate(c) for c in zip(*shared))
         pairs, _, which = distinct(pair)
         many = np.bincount(which)[which] > 1
-        flat = (self.length[v] < 0) | (deg[np.searchsorted(ids, v)] != self.d)
+        flat = (self.length[v] < 0) | (deg[v] != self.d)
         failures = []
         for p in sorted(set(which[many | flat].tolist())):
             (i, j), at = divmod(int(pairs[p]), len(edge)), which == p
@@ -594,7 +593,7 @@ class CoreScan:
         v (`ColoredTree.spans`, every letter in one pass).
         """
         self.extend_to(n)
-        marks = np.zeros((self.it.sizes[n], self.d), dtype=bool)   # vertex ids are the slots
+        marks = np.zeros((self.it.sizes[n], self.d), dtype=bool)   # by vertex, as `spans` reads them
         for a in range(1, self.d + 1):
             marks[self.shift_domain(a, n), a - 1] = True
         span = self.it.tree_at(n).spans(marks).astype(np.int64)

@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
+from itertools import islice
 from operator import neg
 from typing import NamedTuple
 
@@ -77,7 +78,7 @@ def ancestor_sums(parent: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 
 @dataclass(frozen=True, eq=False)
 class RootedIndex:
-    """A tree hung from its root, as int32 columns by slot: `parent` (the
+    """A tree hung from its root, as int32 columns by vertex: `parent` (the
     root is its own) and `up`, the signed color of the step to the parent
     (0 at the root)."""
 
@@ -95,12 +96,13 @@ class RootedIndex:
 
 
 class ColoredTree:
-    """Finite directed colored tree, kept as three int32 columns (src, dst,
-    color) sorted by (src, dst), which `edges` reads as (s, t, c) tuples.
-    Vertices, and a grown stage's rooted index, are built on first use.
+    """Finite directed colored tree on the vertices 0..|E|, kept as three
+    int32 columns (src, dst, color) sorted by (src, dst), which `edges`
+    reads as (s, t, c) tuples.  A vertex is its own row of `degrees` and
+    of the rooted index, which is built on first use.
 
     A tree built from an edge list is checked by `_check_tree`, which keeps its
-    rooted index; a stage grown by `TreeSubstitution.apply` is a tree by the lemma there,
+    rooted index; a tree grown by `TreeSubstitution.apply` is one by the lemma there,
     and a stage `TreeIteration` reads from its edge log is the one `apply` grows."""
 
     def __init__(self, d: int, edges, root: int | None = None):
@@ -111,97 +113,62 @@ class ColoredTree:
             raise ValueError(f"color {bad[0]} outside 1..{2*d-2}")
         if (cols[:, 0] == cols[:, 1]).any():
             raise ValueError("loop edge")
+        if len(bad := cols[:, :2][(cols[:, :2] < 0) | (cols[:, :2] > len(cols))]):
+            raise ValueError(f"vertex {bad[0]} outside 0..{len(cols)}")
         self._store(d, _sorted(cols), root)
         self._check_tree()
 
     @classmethod
-    def _grown(cls, d: int, cols: np.ndarray, root: int | None, prior: int,
-               fresh: range) -> "ColoredTree":
-        """A stage that `TreeSubstitution.apply` proved a tree, from a tree of
-        `prior` vertices and the `fresh` ids: stored as the constructor does,
-        with the breadth-first pass replaced by two invariants, |E| =
-        |V| - 1 and the fresh ids contiguous from the old maximum + 1."""
-        if fresh.stop > 1 << 31:
-            raise ValueError("vertex ids and colors must fit in int32")
+    def _proven(cls, d: int, columns: tuple[np.ndarray, ...], root: int | None) -> "ColoredTree":
+        """A tree by `TreeSubstitution.apply`'s lemma, from its int32 (src, dst,
+        color) columns in (src, dst) order, stored with no search."""
         tree = cls.__new__(cls)
-        tree._store(d, _sorted(cols), root)
-        ids, _ = tree._degrees()
-        if (len(ids) != prior + len(fresh) or len(tree.src) != len(ids) - 1
-                or np.searchsorted(ids, fresh.start) != prior
-                or (fresh and ids[-1] != fresh[-1])):
-            raise ValueError("substituted stage breaks |E| = |V| - 1 or the fresh ids")
+        tree._store(d, columns, root)
         return tree
 
-    @classmethod
-    def _stage(cls, d: int, columns: tuple[np.ndarray, ...], size: int) -> "ColoredTree":
-        """A stage of `TreeIteration`, rooted at 0, from its int32 (src, dst,
-        color) columns, already in (src, dst) order, on the ids 0..size-1."""
-        tree = cls.__new__(cls)
-        tree._store(d, columns, 0, size)
-        return tree
-
-    def _store(self, d: int, columns: tuple[np.ndarray, ...], root: int | None,
-               size: int | None = None) -> None:
+    def _store(self, d: int, columns: tuple[np.ndarray, ...], root: int | None) -> None:
         self.d = d
         self.root = root
         self.src, self.dst, self.color = columns
         self.edges = _Rows(columns)
-        self._size = size    # set on a stage, whose ids are 0..size-1
         self._rooted = None
         self._prior = None   # set by `TreeIteration`: the index carried up from the stage before
 
-    def _degrees(self) -> tuple[np.ndarray, np.ndarray]:
-        """Distinct vertex ids in increasing order, and the degree of each."""
-        if self._size is not None:
-            return (np.arange(self._size, dtype=np.int32),
-                    np.bincount(self.src, minlength=self._size)
-                    + np.bincount(self.dst, minlength=self._size))
-        ends = np.sort(np.concatenate([self.src, self.dst]))
-        first = np.flatnonzero(np.diff(ends, prepend=ends[:1] - 1))
-        return ends[first], np.diff(np.append(first, len(ends)))
+    @property
+    def vertices(self) -> range:
+        """0..|E|, and none in the empty tree."""
+        return range(len(self.src) + 1 if len(self.src) else 0)
+
+    def degrees(self) -> np.ndarray:
+        """The edge count at each vertex, by id (a tree has no id past |E|)."""
+        return np.bincount(np.concatenate([self.src, self.dst]), minlength=len(self.vertices))
 
     def _check_tree(self) -> None:
-        """|E| = |V| - 1 and a breadth-first pass from the root that reaches
-        every vertex (`_search`): a connected graph with |V| - 1 edges is a
-        tree.  The pass is kept as the rooted index."""
-        if len(self._ids):
-            if len(self.src) != len(self._ids) - 1:
-                raise ValueError("edge count is not vertex count - 1")
+        """A breadth-first pass from the root that reaches every one of the
+        |E| + 1 vertices (`_search`): a connected graph with |V| - 1 edges
+        is a tree.  The pass is kept as the rooted index."""
+        if len(self.src):
             self._rooted = self._search()
 
-    @cached_property
-    def _ids(self) -> np.ndarray:
-        return self._degrees()[0]
-
-    @cached_property
-    def vertices(self) -> tuple[int, ...]:
-        return tuple(self._ids.tolist())
-
     def branch_points(self) -> list[int]:
-        ids, deg = self._degrees()
-        return ids[deg >= 3].tolist()
+        return np.flatnonzero(self.degrees() >= 3).tolist()
 
-    def slot(self, v: int) -> int:
-        """Position of vertex v in `vertices`; the rooted index is kept by it.
-        A stage's ids are 0..size-1, so there each is its own slot."""
-        if self._size is not None and isinstance(v, (int, np.integer)) and 0 <= v < self._size:
-            return int(v)
-        ids = self._ids   # int32: an int key would cast it whole to int64 on each search
-        i = int(ids.searchsorted(np.int32(v))) if -(1 << 31) <= v < 1 << 31 else len(ids)
-        if i == len(ids) or ids.item(i) != v:
+    def _vertex(self, v) -> int:
+        """v, once it is known to be a vertex."""
+        if not (isinstance(v, (int, np.integer)) and 0 <= v < len(self.vertices)):
             raise ValueError(f"{v!r} is not a vertex")
-        return i
+        return int(v)
 
     def rooted_index(self) -> RootedIndex:
-        """The tree hung from `root`, or from the least vertex when there is
-        none, indexed by slot; built on first use and kept on the tree.
+        """The tree hung from `root`, or from vertex 0 when there is none,
+        indexed by vertex; built on first use and kept on the tree.
 
         A stage of `TreeIteration` carries it up from the stage before
         (`_prior`), and keeps what it gets only when `_certifies` proves it
         the rooted index of this tree's own columns.  A tree built from an
         edge list keeps the pass of its tree check, and a stage that fails
         the proof gets one: a breadth-first pass, one numpy step per level
-        over the adjacency in CSR form (the edge ends sorted by slot).  In a
+        over the adjacency in CSR form (the edge ends sorted by vertex).  In a
         tree each vertex has one parent, so the index does not depend on
         the order in which a level's neighbours are visited.
         """
@@ -210,22 +177,22 @@ class ColoredTree:
             self._rooted = index if index is not None and self._certifies(index) else self._search()
         return self._rooted
 
-    def _root_slot(self) -> int:
-        return self.slot(self.root) if self.root is not None else 0
+    def _root_vertex(self) -> int:
+        return self._vertex(self.root) if self.root is not None else 0
 
     def _search(self) -> RootedIndex:
         """The rooted index by a breadth-first pass from the root, one step into
         each new vertex per level; a vertex it does not reach raises ValueError."""
-        ids = self._ids
-        ends = np.searchsorted(ids, np.concatenate([self.src, self.dst]))
+        size = len(self.vertices)
+        ends = np.concatenate([self.src, self.dst])
         order = np.argsort(ends, kind="stable")
         near = ends[order]
-        other = np.concatenate([ends[len(self.src):], ends[:len(self.src)]])[order]
+        other = np.concatenate([self.dst, self.src])[order]
         step = np.concatenate([self.color, -self.color])[order]
-        first = np.searchsorted(near, np.arange(len(ids) + 1))
-        parent, up = np.zeros(len(ids), dtype=np.int32), np.zeros(len(ids), dtype=np.int32)
-        entry = np.full(len(ids), -1)   # per vertex, the edge end that reached it; -1 unseen
-        root = self._root_slot()
+        first = np.searchsorted(near, np.arange(size + 1))
+        parent, up = np.zeros(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
+        entry = np.full(size, -1)   # per vertex, the edge end that reached it; -1 unseen
+        root = self._root_vertex()
         parent[root], entry[root] = root, len(near)
         level = np.array([root])
         while len(level):
@@ -249,16 +216,15 @@ class ColoredTree:
         (`ancestor_sums`, whose sums are the depths).  So the steps make no
         cycle: they are |V| - 1 distinct edges of the tree, so all of them.
         """
-        ids, _ = self._degrees()
         parent, up = index.parent, index.up
-        root = self._root_slot()
-        if not len(parent) == len(ids) == len(self.src) + 1 or parent[root] != root or up[root]:
+        root = self._root_vertex()
+        if len(parent) != len(self.src) + 1 or parent[root] != root or up[root]:
             return False
-        v, out = np.arange(len(ids)), up > 0
-        colors = self.edge_colors(ids[np.where(out, v, parent)], ids[np.where(out, parent, v)])
+        v, out = np.arange(len(parent)), up > 0
+        colors = self.edge_colors(np.where(out, v, parent), np.where(out, parent, v))
         depth, end = ancestor_sums(parent, (up != 0).astype(np.int32))
         vars(index).setdefault("depth", depth)   # what the cached `RootedIndex.depth` computes
-        return (np.count_nonzero(up) == len(ids) - 1 and np.array_equal(colors, np.abs(up))
+        return (np.count_nonzero(up) == len(parent) - 1 and np.array_equal(colors, np.abs(up))
                 and bool((end == root).all()))
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
@@ -267,7 +233,7 @@ class ColoredTree:
         then both climb in step until they meet."""
         index = self.rooted_index()
         parent, up = index.climb
-        x, y = self.slot(x), self.slot(y)
+        x, y = self._vertex(x), self._vertex(y)
         gap = int(index.depth[x]) - int(index.depth[y])
         rise, fall = [], []
         for _ in range(gap):
@@ -290,8 +256,8 @@ class ColoredTree:
         return np.where(keys[at] == want, np.append(self.color, 0)[at], 0)
 
     def spans(self, marks: np.ndarray) -> np.ndarray:
-        """Per slot and column of `marks` (bool, by slot), whether the edge to
-        the slot's parent lies on the least subtree holding the column's
+        """Per vertex and column of `marks` (bool, by vertex), whether the edge
+        to the vertex's parent lies on the least subtree holding the column's
         marked vertices: iff some, not all, lie under it (summed by level)."""
         index = self.rooted_index()
         parent, depth = index.parent, index.depth
@@ -401,9 +367,12 @@ class TreeSubstitution:
         """Check the four defining constraints of an edge substitution."""
         failures: list[str] = []
         ncolors = 2 * self.d - 2
-        missing = [c for c in range(1, ncolors + 1) if c not in self.rules]
-        if missing:
-            failures.append(f"condition 1: no pattern for colors {missing}")
+        present = {c for c in self.rules if 1 <= c <= ncolors}
+        if missing := ncolors - len(present):
+            # the first five by name, found in O(len(rules)) steps however large d is
+            shown = list(islice((c for c in range(1, ncolors + 1) if c not in present), 5))
+            more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
+            failures.append(f"condition 1: no pattern for colors {shown}{more}")
         for c, pat in sorted(self.rules.items()):
             syms = pat.symbols()
             if ANCHOR_SRC not in syms or ANCHOR_DST not in syms:
@@ -460,19 +429,22 @@ class TreeSubstitution:
         tree.  Each pattern joins its edge's two ends and its own fresh
         vertices, so the result is connected; a pattern on k placeholders
         has k + 1 edges, so |E| grows by exactly the fresh count, as |V|
-        does, and |E| = |V| - 1 still holds.  The stage is checked by those
-        two counts (`ColoredTree._grown`).  When a present pattern fails
-        the premise, the result goes through the constructor's tree check.
+        does, and |E| = |V| - 1 still holds.  A present pattern that fails
+        the premise is refused, and the result is checked by the counts: its
+        |V| is the old one plus the fresh count, and every id 0..|E| has an
+        edge.
         """
         src, dst, color = tree.edges.columns
         of_color = {c: np.flatnonzero(color == c) for c in np.flatnonzero(np.bincount(color))}
         if missing := of_color.keys() - self.rules.keys():
             raise ValueError(f"no rule for color {min(missing)}")
+        if bad := [c for c in of_color if not _anchored_tree(self.d, self.rules[c])]:
+            raise ValueError(f"rule {min(bad)} is not a tree holding both anchors")
         places = {c: pat.placeholders() for c, pat in self.rules.items()}
         count = np.zeros(len(color), dtype=np.int64)
         for c, idx in of_color.items():
             count[idx] = len(places[c])
-        start = int(max(src.max(), dst.max())) + 1 if len(src) else 0
+        start = len(tree.vertices)
         first = start + np.cumsum(count) - count
         edges = [np.zeros((0, 3), dtype=np.int32)]
         for c, idx in of_color.items():
@@ -480,12 +452,10 @@ class TreeSubstitution:
             at.update((p, first[idx] + k) for k, p in enumerate(places[c]))
             edges += [np.column_stack([at[ps], at[pt], np.full(len(idx), pc)])
                       for ps, pt, pc in self.rules[c].edges]
-        edges = np.concatenate(edges)
-        if len(src) and all(_anchored_tree(self.d, self.rules[c]) for c in of_color):
-            fresh = range(start, start + int(count.sum()))
-            out = ColoredTree._grown(self.d, edges, tree.root, len(src) + 1, fresh)
-        else:
-            out = ColoredTree(self.d, edges, root=tree.root)
+        out = ColoredTree._proven(self.d, _sorted(np.concatenate(edges)), tree.root)
+        deg = out.degrees()
+        if not len(out.vertices) == len(deg) == start + count.sum() or not deg.all():
+            raise ValueError("substituted tree breaks |E| = |V| - 1 or the fresh ids")
         return ApplyResult(out)
 
     def trunk_word(self, color: int) -> tuple[int, ...]:
@@ -707,7 +677,7 @@ class TreeIteration:
             src, dst, born, death = self._window(n)
             alive = death > n
             columns = src[alive], dst[alive], self._life[born[alive], death[alive] - n]
-            tree = ColoredTree._stage(self.d, columns, self.sizes[n])
+            tree = ColoredTree._proven(self.d, columns, 0)
             tree._prior = partial(self._induced_index, n)
             self.trees[n] = tree
         return self.trees[n]

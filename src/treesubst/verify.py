@@ -225,11 +225,14 @@ def _match_spectrum(observed, expected, extras_test) -> list[str]:
 def initial_star(d: int) -> list[str]:
     """The rules applied d - 1 times to one 2-colored edge give T_0, a star
     of d edges colored 1..d out of one root (`trees.initial_tree` builds it
-    directly)."""
+    directly); a rule application that `apply` refuses is the witness."""
     ts = family_tree_substitution(d)
     t = ColoredTree(d, [(0, 1, 2)])
-    for _ in range(d - 1):
-        t = ts.apply(t).tree
+    for step in range(1, d):
+        try:
+            t = ts.apply(t).tree
+        except ValueError as exc:
+            return [f"step {step}: {exc}"]
     fails = []
     if sorted(t.color.tolist()) != list(range(1, d + 1)):
         fails.append(f"colors {sorted(t.color.tolist())}")

@@ -113,6 +113,17 @@ def test_verify_rules_corrupted(tmp_path, capsys):
     assert "rule set rejected" in err
 
 
+def test_verify_rules_names_five_missing_colors_of_a_huge_d(tmp_path, capsys):
+    # about 2e9 colors lack a rule: five are named and the rest counted, with
+    # work in the size of the file, not of d
+    path = tmp_path / "huge.json"
+    path.write_text('{"d": 1000000000, "rules": {"1": [["X","Y",3]]}}')
+    assert cli.main(["verify", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 1024
+    assert "condition 1: no pattern for colors [2, 3, 4, 5, 6] and 1999999992 more\n" in err
+
+
 def test_plot_rauzy_svg(tmp_path, capsys):
     out = tmp_path / "r.svg"
     rc = cli.main([

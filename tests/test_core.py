@@ -301,8 +301,7 @@ def test_address_map_flags_a_changed_label():
 
 def _on_root_path(tree, v):
     """Index of the edge from v to its parent in the rooted index."""
-    parent = tree.rooted_index().parent[tree.slot(v)]
-    pair = {v, tree.vertices[parent]}
+    pair = {v, int(tree.rooted_index().parent[v])}
     return next(i for i, (s, t, _) in enumerate(tree.edges) if {s, t} == pair)
 
 
@@ -345,8 +344,7 @@ def test_address_map_reports_a_later_drift_as_an_edge_trunk():
     scan = CoreScan(3)
     scan.extend_to(8)
     tree = scan.it.tree_at(7)
-    ids, deg = tree._degrees()
-    leaf = (tree.color == 1) & (deg[np.searchsorted(ids, tree.dst)] == 1)
+    leaf = (tree.color == 1) & (tree.degrees()[tree.dst] == 1)
     i = int(np.flatnonzero(leaf)[0])
     s, t, _ = tree.edges[i]
     prev = scan.it.tree_at(6)
@@ -378,13 +376,13 @@ def test_initial_arcs():
 
 
 def test_partition_sequence_flags_a_stage_missing_an_edge(monkeypatch):
-    # the stage-3 tree loses the edge to one leaf: 10 edges where m = 5 wants 11
+    # the stage-3 tree loses the edge to its last vertex, a leaf: 10 edges
+    # where m = 5 wants 11
     it = TreeIteration(3)
     it.tree_at(4)
     tree = it.tree_at(3)
-    ids, deg = tree._degrees()
-    leaf = next(i for i, t in enumerate(tree.dst) if deg[np.searchsorted(ids, t)] == 1)
-    it.trees[3] = ColoredTree(3, [e for i, e in enumerate(tree.edges) if i != leaf], root=0)
+    leaf = len(tree.vertices) - 1
+    it.trees[3] = ColoredTree(3, [e for e in tree.edges if leaf not in e[:2]], root=0)
     monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(it=it))
     assert verify.partition_sequence(3, 4) == ["stage 3: 10 edges != 11"]
     assert verify.partition_sequence(3, 2) == []

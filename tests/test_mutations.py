@@ -1,9 +1,12 @@
 """Checks shown to fail: each row corrupts the data a check reads, never the
 check itself, and `run_suite` must then report that check as failing."""
 
+from types import SimpleNamespace
+
 import pytest
 
-from treesubst import rauzy, trees, verify, words
+from treesubst import core, rauzy, trees, verify, words
+from treesubst.freegroup import tribonacci_inverse
 from treesubst.words import measure_spectrum
 
 
@@ -58,6 +61,25 @@ def _bump_edge_matrix(monkeypatch):
     monkeypatch.setattr(trees.TreeSubstitution, "incidence_matrix", bumped)
 
 
+def _cyclic_rule_1(monkeypatch):
+    # 1 -> X -> Y (1), Y -> P1 (4): a color cycle through 1 whose Y has degree 2
+    rules = {**trees.family_tree_substitution(3).rules,
+             1: trees.RulePattern(1, (("X", "Y", 1), ("Y", "P1", 4)))}
+    monkeypatch.setattr(verify, "family_tree_substitution",
+                        lambda d: trees.TreeSubstitution(d, rules))
+
+
+def _undiscerned_stage(monkeypatch):
+    # a fresh iteration, never the cached shared scan, whose stage-5 tree has
+    # two out-edges of one vertex in one color
+    it = trees.TreeIteration(3)
+    tree = it.tree_at(5)
+    i, j = next((i, j) for i in range(len(tree.src)) for j in range(i + 1, len(tree.src))
+                if tree.src[i] == tree.src[j])
+    tree.color[j] = tree.color[i]
+    monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(it=it))
+
+
 # suite -> row -> (corruption, the checks of run_suite(suite, 3) that then
 # fail, the start of the first failing check's first witness)
 _ROWS = {
@@ -73,12 +95,22 @@ _ROWS = {
         "dropped-bispecial": (_drop_last(verify, "bispecials_by_generation"),
                               ["bispecial-oracle"], ""),
         "nudged-root": (_nudge_root, ["growth-roots"], ""),
+        "truncated-prefix": (_drop_last(verify, "fixed_point_prefix"), ["development-tails"],
+                             "shift 40: tail"),
+        "cancelling-inverse": (lambda mp: mp.setattr(verify, "family_inverse",
+                                                     lambda d: tribonacci_inverse()),
+                               ["cancellation-probes"],
+                               "family inverse seed 1: unexpected cancellation"),
     },
     "trees": {
         "bumped-edge-matrix": (_bump_edge_matrix, ["matrix-spectra"],
                                "no eigenvalue near 1.465571"),
         "truncated-trunk": (_drop_last(verify, "p_star"), ["trunk-determinism"],
                             "rule 1: trunk projects to ()"),
+        "cyclic-rule-1": (_cyclic_rule_1, ["rule-validation", "initial-star",
+                                           "trunk-determinism", "matrix-spectra"],
+                          "condition 4: color cycle through 1"),
+        "undiscerned-stage": (_undiscerned_stage, ["discerned-stages"], "stage 5 not discerned"),
     },
 }
 
@@ -104,6 +136,12 @@ def test_words_check_fails_on_corrupted_data(monkeypatch, row):
 @pytest.mark.parametrize("row", sorted(_ROWS["trees"]))
 def test_trees_check_fails_on_corrupted_data(monkeypatch, row):
     _row_fails(monkeypatch, "trees", row)
+
+
+@pytest.mark.parametrize("suite", sorted(_ROWS))
+def test_rows_corrupt_every_check_of_the_suite(suite):
+    corrupted = {name for _, want, _ in _ROWS[suite].values() for name in want}
+    assert corrupted == {r.name for r in verify.run_suite(suite, 3)}
 
 
 def test_certificate_refuses_a_bumped_matrix_entry(monkeypatch):

@@ -47,6 +47,13 @@ def test_tree_rejects_non_trees():
         ColoredTree(3, [(0, 1, 1), (1, 0, 2), (2, 3, 1)])   # a double edge, |V| - 1 edges
     with pytest.raises(ValueError, match="5 is not a vertex"):
         ColoredTree(3, [(0, 1, 1), (0, 2, 2)], root=5)
+    # the vertices of a tree are 0..|E|: an id past it is refused, and a gap
+    # below it leaves a vertex the search cannot reach
+    for edge, bad in (((0, 3, 2), 3), ((-1, 1, 2), -1), ((3, 1, 2), 3)):
+        with pytest.raises(ValueError, match=f"^vertex {bad} outside 0..2$"):
+            ColoredTree(3, [(0, 1, 1), edge])
+    with pytest.raises(ValueError, match="not connected"):
+        ColoredTree(3, [(0, 1, 1), (0, 3, 2), (3, 1, 3)])   # no vertex 2
     assert len(ColoredTree(3, []).edges) == 0   # the empty tree still builds
 
 
@@ -107,14 +114,13 @@ def path(tree, x, y) -> list[tuple[int, int]]:
     ending with y: the deeper end climbs the rooted index until they meet."""
     index = tree.rooted_index()
     parent, up, depth = index.parent.tolist(), index.up.tolist(), index.depth.tolist()
-    verts, x, y = tree.vertices, tree.slot(x), tree.slot(y)
     rise, fall = [], []
     while x != y:
         if depth[x] >= depth[y]:
-            rise.append((verts[parent[x]], up[x]))
+            rise.append((parent[x], up[x]))
             x = parent[x]
         else:
-            fall.append((verts[y], -up[y]))
+            fall.append((y, -up[y]))
             y = parent[y]
     return rise + fall[::-1]
 
@@ -133,10 +139,10 @@ def _span_hull(tree, vertices: set) -> set:
     """`ColoredTree.spans` of one column read as a vertex set: the marked
     vertices and both ends of every spanning edge."""
     marks = np.zeros((len(tree.vertices), 1), dtype=bool)
-    marks[[tree.slot(v) for v in vertices], 0] = True
+    marks[list(vertices), 0] = True
     span = tree.spans(marks)[:, 0]
-    parent, verts = tree.rooted_index().parent, np.array(tree.vertices)
-    return set(vertices) | set(verts[span].tolist()) | set(verts[parent[span]].tolist())
+    parent = tree.rooted_index().parent
+    return set(vertices) | set(np.flatnonzero(span).tolist()) | set(parent[span].tolist())
 
 
 def _hull_oracle(tree, vertices):
@@ -163,12 +169,10 @@ def _hull_oracle(tree, vertices):
 
 @st.composite
 def _random_tree(draw):
-    """A tree of 2..60 vertices with random colors, arrows, root and ids."""
+    """A tree of 2..60 vertices with random colors, arrows and root, its
+    ids 0..size - 1 in a random order."""
     size = draw(st.integers(2, 60))
-    if draw(st.booleans()):
-        ids = list(range(size))
-    else:
-        ids = draw(st.lists(st.integers(-100, 10_000), min_size=size, max_size=size, unique=True))
+    ids = draw(st.permutations(range(size)))
     edges = []
     for k in range(1, size):
         other = ids[draw(st.integers(0, k - 1))]
@@ -310,9 +314,16 @@ def test_is_discerned_local_rule():
     assert ok.is_discerned()
 
 
+def _assert_numbered(tree):
+    """The vertices are 0..|E|, each with an edge."""
+    assert tree.vertices == range(len(tree.edges) + 1)
+    assert len(tree.degrees()) == len(tree.vertices) and tree.degrees().all()
+
+
 def test_initial_tree_is_star():
     for d in (3, 4, 5):
         t0 = initial_tree(d)
+        _assert_numbered(t0)
         assert len(t0.edges) == d
         assert sorted(c for _, _, c in t0.edges) == list(range(1, d + 1))
         assert degree(t0, t0.root) == d
@@ -560,7 +571,7 @@ def test_apply_and_centers_match_per_edge_loop(d):
         assert it.sizes[n] == len(res.tree.vertices)
         tree = it.tree_at(n)
         assert tree == res.tree
-        assert all(map(np.array_equal, tree._degrees(), res.tree._degrees()))
+        _assert_numbered(tree)
         prev = res.tree
 
 
@@ -591,9 +602,10 @@ def test_edge_log_refuses_rules_it_cannot_express():
 
 
 def test_growth_builds_only_the_stage_trees_it_reads(monkeypatch):
-    built, stage = [], ColoredTree._stage
-    monkeypatch.setattr(ColoredTree, "_stage", classmethod(
-        lambda cls, d, columns, size: built.append(size) or stage.__func__(cls, d, columns, size)))
+    built, proven = [], ColoredTree._proven
+    monkeypatch.setattr(ColoredTree, "_proven", classmethod(
+        lambda cls, d, columns, root: built.append(len(columns[0]) + 1)
+        or proven.__func__(cls, d, columns, root)))
     it = TreeIteration(3)
     monkeypatch.setattr(rauzy, "shared_scan", lambda d: SimpleNamespace(it=it))
     rauzy._orbit_index.__wrapped__(4, 20000)   # reads the stage-4 tree and the centers
@@ -650,9 +662,16 @@ def test_random_rule_sets_validate_then_apply_like_the_loop(ts):
     if report.ok:
         for _ in range(3):
             tree = _assert_apply_matches(ts, tree)[0].tree
+            _assert_numbered(tree)
         return
     assert report.failures
-    # a rejected set either gives the loop's tree or refuses like the loop
+    # a rejected set refuses a present rule that is not a tree holding both
+    # anchors (here the 2-edge's), and else gives the loop's tree or refuses
+    # like the loop
+    if 2 in ts.rules and not trees._anchored_tree(ts.d, ts.rules[2]):
+        with pytest.raises(ValueError, match="rule 2 is not a tree holding both anchors"):
+            ts.apply(tree)
+        return
     try:
         edges, _ = _apply_oracle(ts, tree)
         ColoredTree(ts.d, edges)
@@ -757,30 +776,44 @@ _RECOLOR = {c: RulePattern(c, (("X", "Y", 1),)) for c in (1, 3, 4)}
 def test_apply_refuses_a_present_pattern_that_is_not_a_tree(pattern):
     ts = TreeSubstitution(3, {**_RECOLOR, 2: RulePattern(2, pattern)})
     assert not ts.validate().ok
-    with pytest.raises(ValueError, match="not connected|vertex count"):
+    with pytest.raises(ValueError, match="rule 2 is not a tree holding both anchors"):
         ts.apply(ColoredTree(3, [(0, 1, 2)]))
 
 
-def test_grown_stage_checks_edge_count_and_fresh_ids():
-    prev = TreeIteration(3).tree_at(5)
-    res = family_tree_substitution(3).apply(prev)
-    prior = len(prev.vertices)   # the ids are 0..prior - 1
-    fresh = range(prior, len(res.tree.vertices))
+def test_grown_stage_checks_edge_count_and_fresh_ids(monkeypatch):
+    # apply's check on its own output, fed corrupted columns in place of the
+    # substituted ones: every id 0..|E| has an edge, and |V| is the old |V|
+    # plus the fresh count
+    ts, prev = family_tree_substitution(3), TreeIteration(3).tree_at(5)
+    res = ts.apply(prev)
+    prior = len(prev.vertices)   # the fresh ids are prior, prior + 1, ...
     cols = np.column_stack(res.tree.edges.columns).astype(np.int64)
-    assert ColoredTree._grown(3, cols, 0, prior, fresh) == res.tree
+    real = trees._sorted
+
+    def apply_to(bad):
+        monkeypatch.setattr(trees, "_sorted", lambda _: real(bad))
+        return ts.apply(prev).tree
+
+    assert apply_to(cols) == res.tree
     # d = 3 numbers each center, then its leaf: giving the second center the
     # first one's leaf duplicates a fresh id and leaves another unused
     dup = cols.copy()
     leaf_edge = (dup[:, 0] == prior + 2) & (dup[:, 1] == prior + 3)
     assert leaf_edge.sum() == 1
     dup[leaf_edge, 1] = prior + 1
-    with pytest.raises(ValueError, match="fresh ids"):
-        ColoredTree._grown(3, dup, 0, prior, fresh)
-    # the last fresh id moved one past the range: the counts hold, contiguity fails
+    # the last fresh id moved one past |E|: the counts hold, the ids do not
     gap = cols.copy()
-    gap[:, :2][gap[:, :2] == fresh[-1]] = fresh.stop
-    with pytest.raises(ValueError, match="fresh ids"):
-        ColoredTree._grown(3, gap, 0, prior, fresh)
+    gap[:, :2][gap[:, :2] == len(cols)] = len(cols) + 1
+    # an inner edge, both ends on other edges too: lost, every id keeps an
+    # edge and |V| falls short; or one end renumbered |E| + 1, so every id
+    # keeps an edge, |V| holds and an id lies past |E|
+    deg = res.tree.degrees()
+    i = int(np.flatnonzero((deg[cols[:, 0]] > 1) & (deg[cols[:, 1]] > 1))[0])
+    torn = cols.copy()
+    torn[i, 1] = len(cols) + 1
+    for bad in (dup, gap, np.delete(cols, i, axis=0), torn):
+        with pytest.raises(ValueError, match="fresh ids"):
+            apply_to(bad)
 
 
 def test_tree_rejects_ids_beyond_int32():
@@ -821,6 +854,9 @@ def test_budget_refuses_by_the_growth_estimate(monkeypatch):
     ((("P1", "X", 3), ("P1", "Y", 1), ("P1", "P2", 1)), ["colors [2, 3, 3]"]),
     # the leaf hangs from Y: the colors hold, the star does not
     ((("P1", "X", 3), ("P1", "Y", 1), ("Y", "P2", 4)), ["root degree 2"]),
+    # a cycle: apply refuses the rule, and the refusal is the witness
+    ((("P1", "X", 3), ("P1", "Y", 1), ("X", "Y", 4)),
+     ["step 1: rule 2 is not a tree holding both anchors"]),
 ])
 def test_initial_star_flags_a_changed_star(monkeypatch, edges, want):
     # d = 3: the 2-rule is P1 -> X (3), P1 -> Y (1) and P1 -> P2 (4)
