@@ -118,13 +118,17 @@ def _load_rules(d: int, path: Path) -> TreeSubstitution:
     if not isinstance(d, int) or d < 3:
         raise ValueError(f"rules file {path}: 'd' must be an integer >= 3")
     rules = {}
-    for color, pattern in data["rules"].items():
+    for key, pattern in data["rules"].items():
+        try:
+            color = int(key)
+        except ValueError:
+            raise ValueError(f"rules file {path}: rule key {key!r} is not an integer") from None
         if not isinstance(pattern, list) or not all(_is_edge(e) for e in pattern):
             raise ValueError(
-                f"rules file {path}: rule {color} must be a list of "
+                f"rules file {path}: rule {key} must be a list of "
                 "[src, dst, color] edges"
             )
-        rules[int(color)] = RulePattern(int(color), tuple(map(tuple, pattern)))
+        rules[color] = RulePattern(color, tuple(map(tuple, pattern)))
     return TreeSubstitution(d, rules)
 
 

@@ -344,7 +344,7 @@ class CoreScan:
         self.extend_to(n)
         lo, hi = n - (2 * self.d - 2), n - (self.d - 1)
         v, _, src, _ = self.it.centers[n].columns
-        prev = np.searchsorted(self.it.sizes, src, side="right")
+        prev = self.it.birth_stage(src)
         prev[src == 0] = apparition_of_empty(self.d)
         bad = (prev < lo) | (prev > hi)
         return [f"vertex {x}: parent step {p} outside [{lo}, {hi}]"

@@ -170,7 +170,8 @@ class Realization:
         a, k, c = self.anchor, self.copy, self.coef
         down, up = a[t] == s, a[s] == t
         side = (a[s] == a[t]) & (k[s] == k[t]) & (a[s] >= 0)
-        coef = np.where(down[:, None], c[t], np.where(up[:, None], -c[s], c[t] - c[s]))
+        coef = c[t] - c[s]
+        coef[up], coef[down] = -c[s[up]], c[t[down]]
         return np.where(up, k[s], k[t]), coef, (down | up | side) & coef.any(axis=1)
 
     def _put(self, ids, base, copy, coef) -> None:

@@ -79,15 +79,12 @@ def ancestor_sums(parent: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.
 @dataclass(frozen=True, eq=False)
 class RootedIndex:
     """A tree hung from its root, as int32 columns by vertex: `parent` (the
-    root is its own) and `up`, the signed color of the step to the parent
-    (0 at the root)."""
+    root is its own), `up`, the signed color of the step to the parent (0 at
+    the root), and `depth`, the number of steps to the root."""
 
     parent: np.ndarray
     up: np.ndarray
-
-    @cached_property
-    def depth(self) -> np.ndarray:
-        return ancestor_sums(self.parent, (self.up != 0).astype(np.int32))[0]
+    depth: np.ndarray
 
     @cached_property
     def climb(self) -> tuple[list[int], list[int]]:
@@ -132,7 +129,7 @@ class ColoredTree:
         self.src, self.dst, self.color = columns
         self.edges = _Rows(columns)
         self._rooted = None
-        self._prior = None   # set by `TreeIteration`: the index carried up from the stage before
+        self._prior = None   # set by `TreeIteration`: the parents carried up from the stage before
 
     @property
     def vertices(self) -> range:
@@ -163,18 +160,19 @@ class ColoredTree:
         """The tree hung from `root`, or from vertex 0 when there is none,
         indexed by vertex; built on first use and kept on the tree.
 
-        A stage of `TreeIteration` carries it up from the stage before
-        (`_prior`), and keeps what it gets only when `_certifies` proves it
-        the rooted index of this tree's own columns.  A tree built from an
-        edge list keeps the pass of its tree check, and a stage that fails
-        the proof gets one: a breadth-first pass, one numpy step per level
-        over the adjacency in CSR form (the edge ends sorted by vertex).  In a
-        tree each vertex has one parent, so the index does not depend on
-        the order in which a level's neighbours are visited.
+        A stage of `TreeIteration` carries the parent column up from the
+        stage before (`_prior`), and `_index_of` reads the steps' colors
+        from this tree's own columns, where it proves the parents a rooted
+        index of them.  A tree built from an edge list keeps the pass of its
+        tree check, and a stage whose carried parents fail the proof gets
+        one: a breadth-first pass, one numpy step per level over the
+        adjacency in CSR form (the edge ends sorted by vertex).  In a tree
+        each vertex has one parent, so the index does not depend on the
+        order in which a level's neighbours are visited.
         """
         if self._rooted is None:
-            index = self._prior() if self._prior is not None else None
-            self._rooted = index if index is not None and self._certifies(index) else self._search()
+            index = self._index_of(self._prior()) if self._prior is not None else None
+            self._rooted = index if index is not None else self._search()
         return self._rooted
 
     def _root_vertex(self) -> int:
@@ -190,7 +188,7 @@ class ColoredTree:
         other = np.concatenate([self.dst, self.src])[order]
         step = np.concatenate([self.color, -self.color])[order]
         first = np.searchsorted(near, np.arange(size + 1))
-        parent, up = np.zeros(size, dtype=np.int32), np.zeros(size, dtype=np.int32)
+        parent, up, depth = (np.zeros(size, dtype=np.int32) for _ in range(3))
         entry = np.full(size, -1)   # per vertex, the edge end that reached it; -1 unseen
         root = self._root_vertex()
         parent[root], entry[root] = root, len(near)
@@ -202,30 +200,31 @@ class ColoredTree:
             entry[other[at]] = at
             at = at[entry[other[at]] == at]   # a cycle may reach a vertex twice
             level = other[at]
-            parent[level], up[level] = near[at], -step[at]
+            parent[level], up[level], depth[level] = near[at], -step[at], depth[near[at]] + 1
         if (entry < 0).any():
             raise ValueError("tree is not connected")
-        return RootedIndex(parent, up)
+        return RootedIndex(parent, up, depth)
 
-    def _certifies(self, index: RootedIndex) -> bool:
-        """Whether `index` is the rooted index of this tree's columns.
+    def _index_of(self, parent: np.ndarray) -> RootedIndex | None:
+        """The rooted index with this parent column, each step's color read
+        from this tree's columns, or None when `parent` hangs no tree on them.
 
-        It is when |V| = |E| + 1, the root is its own parent with color 0,
-        every other v steps to parent[v] along an edge of color |up[v]| != 0
-        in the direction the sign states, and every climb ends at the root
+        It does when |V| = |E| + 1, the root is its own parent, every other
+        vertex has an edge to its parent, and every climb ends at the root
         (`ancestor_sums`, whose sums are the depths).  So the steps make no
         cycle: they are |V| - 1 distinct edges of the tree, so all of them.
         """
-        parent, up = index.parent, index.up
         root = self._root_vertex()
-        if len(parent) != len(self.src) + 1 or parent[root] != root or up[root]:
-            return False
-        v, out = np.arange(len(parent)), up > 0
-        colors = self.edge_colors(np.where(out, v, parent), np.where(out, parent, v))
+        if len(parent) != len(self.src) + 1 or parent[root] != root:
+            return None
+        v = np.arange(len(parent))
+        up = self.edge_colors(v, parent).astype(np.int32)
+        back = up == 0   # no edge out to the parent: read the edge in from it
+        up[back] = -self.edge_colors(parent[back], v[back])
         depth, end = ancestor_sums(parent, (up != 0).astype(np.int32))
-        vars(index).setdefault("depth", depth)   # what the cached `RootedIndex.depth` computes
-        return (np.count_nonzero(up) == len(parent) - 1 and np.array_equal(colors, np.abs(up))
-                and bool((end == root).all()))
+        if np.count_nonzero(up) != len(parent) - 1 or not (end == root).all():
+            return None
+        return RootedIndex(parent, up, depth)
 
     def path_word(self, x: int, y: int) -> tuple[int, ...]:
         """Signed colors along the unique path x -> y (negative = against the
@@ -373,6 +372,11 @@ class TreeSubstitution:
             shown = list(islice((c for c in range(1, ncolors + 1) if c not in present), 5))
             more = f" and {missing - len(shown)} more" if missing > len(shown) else ""
             failures.append(f"condition 1: no pattern for colors {shown}{more}")
+        if strays := sorted(c for c in self.rules if not 1 <= c <= ncolors):
+            more = f" and {len(strays) - 5} more" if len(strays) > 5 else ""
+            which = "pattern for color" if len(strays) == 1 else "patterns for colors"
+            failures.append(f"condition 1: {which} {', '.join(map(str, strays[:5]))}{more} "
+                            f"outside 1..{ncolors}")
         for c, pat in sorted(self.rules.items()):
             syms = pat.symbols()
             if ANCHOR_SRC not in syms or ANCHOR_DST not in syms:
@@ -503,34 +507,6 @@ def initial_tree(d: int) -> ColoredTree:
     single 2-colored edge give this star is the claim `verify.initial_star`
     checks."""
     return ColoredTree(d, [(0, c, c) for c in range(1, d + 1)], root=0)
-
-
-@lru_cache(maxsize=None)
-def _index_steps(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """What the family's rules do to a rooted index, read from their patterns.
-
-    A vertex whose step to its parent was u climbs, one stage later, the
-    trunk word of |u| (reversed and barred when u < 0): `first[u]` and
-    `last[u]` are its first and last letters, offset by 2d - 2 so u
-    indexes them.  On a one-letter trunk the vertex keeps its parent; on
-    the 2-rule's trunk it hangs from the new center, which takes the last
-    letter to the old parent.  `fresh` holds 0 for the center and then the
-    steps of its leaves to it.
-    """
-    subst, ncol = family_tree_substitution(d), 2 * d - 2
-    signed = {0: (0,)}
-    for c in range(1, ncol + 1):
-        word = subst.trunk_word(c)
-        signed[c], signed[-c] = word, tuple(map(neg, reversed(word)))
-    first, last = (np.array([signed[u][k] for u in range(-ncol, ncol + 1)], dtype=np.int32)
-                   for k in (0, -1))
-    pattern, index = _pattern_tree(d, subst.rules[2])
-    hub, *leaves = (index[p] for p in subst.rules[2].placeholders())
-    fresh = np.array([0, *(pattern.path_word(leaf, hub)[0] for leaf in leaves)], dtype=np.int32)
-    tables = first, last, fresh
-    for table in tables:
-        table.flags.writeable = False
-    return tables
 
 
 class NewCenter(NamedTuple):
@@ -682,34 +658,28 @@ class TreeIteration:
             self.trees[n] = tree
         return self.trees[n]
 
-    def _induced_index(self, n: int) -> RootedIndex:
-        """The rooted index of stage n, carried up stage by stage from the
-        nearest one below that has one (stage 0 at worst), keeping only the
-        columns the next stage needs.
+    def _induced_index(self, n: int) -> np.ndarray:
+        """The parent column of stage n's rooted index, carried up stage by
+        stage from the nearest one below that has an index (stage 0 at
+        worst).
 
-        Per stage: an old vertex takes the first letter of its step's trunk
-        (`_index_steps`).  Each center hangs from the old parent of the end
-        of its replaced edge that hung from the other end, and that end
-        hangs from the center; the center's leaves hang from it.
-        `ColoredTree._certifies` checks the result against the stage's
-        columns before it is used.
+        Per stage, an old vertex keeps its parent, save the end of each
+        split edge that hung from the other end (its child end): each center
+        hangs from the old parent of that end, the end hangs from the
+        center, and the center's leaves hang from it.
+        `ColoredTree._index_of` reads the steps' colors from the stage's
+        columns, where it proves the result a rooted index, before it is used.
         """
-        d, ncol = self.d, 2 * self.d - 2
-        first, last, fresh = _index_steps(d)
         below = max(m for m, tree in self.trees.items() if m < n and tree._rooted is not None)
-        base = self.trees[below].rooted_index()
-        parent, up = base.parent, base.up
+        parent = self.trees[below].rooted_index().parent
         for stage in range(below + 1, n + 1):
             v, _, s, t = self.centers[stage].columns   # the center's new vertices are v, v + 1, ...
             child = np.where(parent[t] == s, t, s)
-            hubs = np.repeat(v.astype(np.int32), d - 1).reshape(-1, d - 1)
+            hubs = np.repeat(v.astype(np.int32), self.d - 1).reshape(-1, self.d - 1)
             hubs[:, 0] = parent[child]
-            steps = np.tile(fresh, (len(v), 1))
-            steps[:, 0] = last[up[child] + ncol]
             parent = np.concatenate([parent, hubs.ravel()])
             parent[child] = v
-            up = np.concatenate([first[up + ncol], steps.ravel()])
-        return RootedIndex(parent, up)
+        return parent
 
     def birth_stage(self, v):
         """Stage at which vertex v was born, the first built stage n with v < |V_n|;

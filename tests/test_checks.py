@@ -1,5 +1,6 @@
 """Static guards on the package: checks raise ValueError, so they survive
-python -O, and every public function or class has a caller in the package."""
+python -O, and every function, class and method but a dunder has a caller
+in the package."""
 
 import ast
 import os
@@ -65,15 +66,15 @@ def test_every_public_definition_has_a_caller():
         | {n.attr for n in ast.walk(top) if isinstance(n, ast.Attribute)}
         for top in tops
     ]
+    # any module-level function or class, private ones too
     uncalled = [
         node.name
         for node in tops
         if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
         and not any(node.name in r for other, r in zip(tops, refs) if other is not node)
     ]
-    # a public method must be read as an attribute somewhere in the package;
-    # a read through `self` counts only for the class it is written in
+    # any method but a dunder must be read as an attribute somewhere in the
+    # package; a read through `self` counts only for the class it is written in
     def reads(node, through_self):
         return {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute)
                 and (isinstance(n.value, ast.Name) and n.value.id == "self") == through_self}
@@ -85,10 +86,10 @@ def test_every_public_definition_has_a_caller():
         if isinstance(node, ast.ClassDef)
         for method in node.body
         if isinstance(method, ast.FunctionDef)
-        and not method.name.startswith("_")
+        and not (method.name.startswith("__") and method.name.endswith("__"))
         and method.name not in attributes | reads(node, True)
     ]
-    assert uncalled == [], f"public API with no caller in the package: {uncalled}"
+    assert uncalled == [], f"definitions with no caller in the package: {uncalled}"
 
 
 def test_audit_leaves_numpy_ma_unloaded():

@@ -124,6 +124,25 @@ def test_verify_rules_names_five_missing_colors_of_a_huge_d(tmp_path, capsys):
     assert "condition 1: no pattern for colors [2, 3, 4, 5, 6] and 1999999992 more\n" in err
 
 
+def test_verify_rules_refuses_stray_rule_keys(tmp_path, capsys):
+    path = tmp_path / "stray.json"
+    _dump_rules(family_tree_substitution(3), path)
+    payload = json.loads(path.read_text())
+    payload["rules"].update({"0": [["X", "Y", 1]], "9": [["X", "Y", 1]]})
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "condition 1: patterns for colors 0, 9 outside 1..4\n" in err
+    assert "rule set rejected" in err
+
+
+def test_verify_rules_names_a_key_that_is_not_an_integer(tmp_path, capsys):
+    path = tmp_path / "named.json"
+    path.write_text('{"d": 3, "rules": {"one": [["X", "Y", 3]]}}')
+    assert cli.main(["verify", "--rules", str(path)]) == 2
+    assert f"rules file {path}: rule key 'one' is not an integer" in capsys.readouterr().err
+
+
 def test_plot_rauzy_svg(tmp_path, capsys):
     out = tmp_path / "r.svg"
     rc = cli.main([

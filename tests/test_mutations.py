@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from treesubst import core, rauzy, trees, verify, words
+from treesubst.algnum import ExactLength
 from treesubst.freegroup import tribonacci_inverse
 from treesubst.words import measure_spectrum
 
@@ -80,6 +81,16 @@ def _undiscerned_stage(monkeypatch):
     monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(it=it))
 
 
+def _base_length(color, exponent):
+    """A fresh scan, never the cached shared one, whose realization reads
+    rho^exponent as the base length of `color`."""
+    def corrupt(monkeypatch):
+        scan = core.CoreScan(3)
+        scan.real.base_lengths[color] = ExactLength.rho_power(3, exponent)
+        monkeypatch.setattr(core, "shared_scan", lambda d: scan)
+    return corrupt
+
+
 # suite -> row -> (corruption, the checks of run_suite(suite, 3) that then
 # fail, the start of the first failing check's first witness)
 _ROWS = {
@@ -112,6 +123,13 @@ _ROWS = {
                           "condition 4: color cycle through 1"),
         "undiscerned-stage": (_undiscerned_stage, ["discerned-stages"], "stage 5 not discerned"),
     },
+    "realization": {
+        # the star's 2-edge too long: stage 0 breaks the law, and the gap grows
+        "long-color-2": (_base_length(2, 1), ["edge-length-law", "stage-convergence"],
+                         "stage 0: (0, (0, 2, 2)"),
+        # a branch color, first born at stage 1, too short: the gap stays in bound
+        "short-color-4": (_base_length(4, -2), ["edge-length-law"], "stage 1: (1, (4, 5, 4)"),
+    },
 }
 
 
@@ -136,6 +154,11 @@ def test_words_check_fails_on_corrupted_data(monkeypatch, row):
 @pytest.mark.parametrize("row", sorted(_ROWS["trees"]))
 def test_trees_check_fails_on_corrupted_data(monkeypatch, row):
     _row_fails(monkeypatch, "trees", row)
+
+
+@pytest.mark.parametrize("row", sorted(_ROWS["realization"]))
+def test_realization_check_fails_on_corrupted_data(monkeypatch, row):
+    _row_fails(monkeypatch, "realization", row)
 
 
 @pytest.mark.parametrize("suite", sorted(_ROWS))

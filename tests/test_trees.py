@@ -15,7 +15,6 @@ from treesubst.realization import Realization
 from treesubst.trees import (
     ColoredTree,
     NewCenter,
-    RootedIndex,
     RulePattern,
     TreeIteration,
     TreeSubstitution,
@@ -224,7 +223,7 @@ def test_induced_index_is_the_searched_index(d, top, monkeypatch):
     assert not [t for t in searched if any(t is s for s in grown)]
 
 
-def test_a_recolored_stage_fails_the_certificate():
+def test_a_recolored_stage_and_the_next_are_read_with_no_search(monkeypatch):
     it = TreeIteration(3)
     tree = it.tree_at(7)
     v = it.centers[5][0].vertex
@@ -233,49 +232,52 @@ def test_a_recolored_stage_fails_the_certificate():
     s, t, c = tree.edges[i]
     tree.color[i] = new = c % 4 + 1
     tree._rooted = None     # the index keeps the colors it was built with
-    assert not tree._certifies(tree._prior())
-    assert _same_index(tree.rooted_index(), _searched(tree))
+    searched, search = [], ColoredTree._search
+    monkeypatch.setattr(ColoredTree, "_search", lambda self: searched.append(self) or search(self))
+    index = tree.rooted_index()
+    nxt = it.tree_at(8)     # carried up from the recolored stage
+    nxt_index = nxt.rooted_index()
+    assert not [t for t in searched if t is tree or t is nxt]
+    assert _same_index(index, _searched(tree))
     assert tree.path_word(v, p) == ((new,) if s == v else (-new,))
     steps = _path_oracle(adjacency(tree), tree.root, v)
     assert tree.path_word(tree.root, v) == tuple(sc for _, sc in steps)
-    # the next stage, carried up from the recolored one, fails in turn
-    nxt = it.tree_at(8)
-    assert _same_index(nxt.rooted_index(), _searched(nxt))
+    assert _same_index(nxt_index, _searched(nxt))
 
 
 def test_certificate_refuses_a_wrong_index():
     tree = TreeIteration(3).tree_at(6)
     good = tree.rooted_index()
-    assert tree._certifies(good)
+    assert _same_index(tree._index_of(good.parent), good)
     v = int(np.flatnonzero(good.depth > 3)[-1])   # the cycles below leave the root out
-
-    def changed(**at_v):
-        columns = {f: getattr(good, f).copy() for f in ("parent", "up")}
-        for f, value in at_v.items():
-            columns[f][v] = value
-        return RootedIndex(**columns)
-
-    root_moved = changed()
-    root_moved.parent[0] = v
-    # a 2-cycle on a real edge: v's parent p steps back down to v, against v's
-    # step, so every step is an edge of its color in its direction
     p = int(good.parent[v])
-    two_cycle = changed()
-    two_cycle.parent[p], two_cycle.up[p] = v, -good.up[v]
-    # a 4-cycle: p, its parent g and g's parent climb back to v; a tree has
-    # no longer cycle along its edges, so the step g's parent -> v is none
     g = int(good.parent[p])
-    four_cycle = changed()
-    four_cycle.parent[[v, p, g, good.parent[g]]] = [p, g, good.parent[g], v]
+
+    def changed(at: dict):
+        parent = good.parent.copy()
+        parent[list(at)] = list(at.values())
+        return parent
+
     wrong = [
-        changed(up=-good.up[v]),            # the step against its arrow
-        changed(up=np.sign(good.up[v]) * (abs(good.up[v]) % 4 + 1)),   # another color
-        changed(parent=v, up=0),            # a second root
-        root_moved,                          # the root not its own parent
-        two_cycle,
-        four_cycle,
+        changed({v: v}),                     # a second root
+        changed({0: v}),                     # the root not its own parent
+        # a 2-cycle on a real edge: v's parent p hangs from v, so every vertex
+        # has an edge to its parent, and only the climb refuses it
+        changed({p: v}),
+        # a 4-cycle: g's parent hangs from v; a tree has no longer cycle along
+        # its edges, so that step is none
+        changed({int(good.parent[g]): v}),
+        changed({v: 0}),                     # a parent that is not a neighbour
+        good.parent[:-1],                    # a column one short
     ]
-    assert not any(map(tree._certifies, wrong))
+    assert [tree._index_of(parent) for parent in wrong] == [None] * len(wrong)
+
+
+@settings(max_examples=40, deadline=None)
+@given(tree=_random_tree())
+def test_index_read_from_the_searched_parents_is_the_searched_index(tree):
+    searched = tree.rooted_index()
+    assert _same_index(tree._index_of(searched.parent), searched)
 
 
 @settings(max_examples=40, deadline=None)
@@ -344,6 +346,19 @@ def test_validation_catches_missing_anchor():
     report = TreeSubstitution(3, rules).validate()
     assert not report.ok
     assert any("condition 1" in f for f in report.failures)
+
+
+def test_validation_names_rule_keys_outside_the_colors():
+    family = family_tree_substitution(3).rules
+    stray = RulePattern(0, (("X", "Y", 1),))
+
+    def failures(keys):
+        return TreeSubstitution(3, {**family, **{k: stray for k in keys}}).validate().failures
+
+    assert failures([0]) == ["condition 1: pattern for color 0 outside 1..4"]
+    assert failures([9, 0]) == ["condition 1: patterns for colors 0, 9 outside 1..4"]
+    assert failures([*range(-3, 1), *range(5, 13)]) == [
+        "condition 1: patterns for colors -3, -2, -1, 0, 5 and 7 more outside 1..4"]
 
 
 def test_trunk_words_project_to_inverse_images():
