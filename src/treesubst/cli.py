@@ -112,6 +112,8 @@ def _load_rules(d: int, path: Path) -> TreeSubstitution:
         data = json.loads(path.read_text())
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read rules file {path}: {exc}") from None
+    except RecursionError:
+        raise ValueError(f"cannot read rules file {path}: nested too deeply") from None
     if not isinstance(data, dict) or not isinstance(data.get("rules"), dict):
         raise ValueError(f"rules file {path}: expected an object with a 'rules' object")
     d = data.get("d", d)
@@ -126,18 +128,19 @@ def _load_rules(d: int, path: Path) -> TreeSubstitution:
         if not isinstance(pattern, list) or not all(_is_edge(e) for e in pattern):
             raise ValueError(
                 f"rules file {path}: rule {key} must be a list of "
-                "[src, dst, color] edges"
+                "[src, dst, color] edges, each color an integer in int32"
             )
         rules[color] = RulePattern(color, tuple(map(tuple, pattern)))
     return TreeSubstitution(d, rules)
 
 
 def _is_edge(edge) -> bool:
-    """A rule edge in a rules file: [src symbol, dst symbol, integer color]."""
+    """A rule edge in a rules file: [src symbol, dst symbol, integer color],
+    the color no boolean and within int32, where the tree columns keep it."""
     return (
         isinstance(edge, list) and len(edge) == 3
         and isinstance(edge[0], str) and isinstance(edge[1], str)
-        and isinstance(edge[2], int)
+        and type(edge[2]) is int and -(1 << 31) <= edge[2] < 1 << 31
     )
 
 

@@ -40,15 +40,8 @@ class PrefixSuffixAutomaton:
             for i, a in enumerate(img):
                 self.transitions.append(Transition(a, b, img[:i], a, img[i + 1 :]))
         self.transitions.sort(key=lambda t: (t.src, t.dst, t.prefix, t.suffix))
-
-    def dst_of_label(self, label: tuple[Word, int, Word]) -> int:
-        """Recover the target state: the letter whose image is p.a.s."""
-        p, a, s = label
-        word = p + bytes([a]) + s
-        for b in range(1, self.d + 1):
-            if self.sub.images[b] == word:
-                return b
-        raise ValueError(f"label {label} matches no image")
+        # label (p, a, s) -> target state, the letter whose image is p.a.s
+        self.target = {t.label(): t.dst for t in self.transitions}
 
 
 @lru_cache(maxsize=None)
@@ -60,15 +53,11 @@ Development = tuple[tuple[Word, int, Word], ...]
 
 
 def is_admissible(d: int, dev: Development) -> bool:
-    """Labels chain when each target state equals the next middle letter."""
-    auto = build_automaton(d)
-    known = {t.label() for t in auto.transitions}
-    if not all(lab in known for lab in dev):
-        return False
-    for cur, nxt in zip(dev, dev[1:]):
-        if auto.dst_of_label(cur) != nxt[1]:
-            return False
-    return True
+    """Labels chain when each target state equals the next middle letter;
+    the targets are the automaton's map, built once per d."""
+    target = build_automaton(d).target
+    return (all(lab in target for lab in dev)
+            and all(target[cur] == nxt[1] for cur, nxt in zip(dev, dev[1:])))
 
 
 # ---------------------------------------------------------------------------

@@ -283,9 +283,11 @@ def _first_split(key: np.ndarray, val: np.ndarray) -> int:
     return int(split[0]) if len(split) else len(key)
 
 
-def _partition_witnesses(cyl: np.ndarray, arc: np.ndarray, start: int) -> list[str]:
-    """Witnesses at the first prefix where the tag arrays cut the points
-    differently; cyl[i] and arc[i] tag prefix start + i.
+def _partition_witnesses(cyl: np.ndarray, arc: np.ndarray, start: int,
+                         cyl_names: list[str], arc_names: list[str]) -> list[str]:
+    """Witnesses at the first prefix where the class codes cut the points
+    differently; cyl[i] and arc[i] code prefix start + i, and a code is
+    named as `_tags` names it.
 
     Each cylinder is paired with the arc of its first point and each arc
     with the cylinder of its first point; the first prefix that breaks
@@ -295,20 +297,22 @@ def _partition_witnesses(cyl: np.ndarray, arc: np.ndarray, start: int) -> list[s
     i = min(fwd, rev)
     failures = []
     if fwd == i < len(cyl):
-        failures.append(f"prefix {start + i}: cylinder {cyl[i]} splits across arcs")
+        failures.append(f"prefix {start + i}: cylinder {_tags(cyl[i:i + 1], cyl_names)[0]} "
+                        "splits across arcs")
     if rev == i < len(cyl):
-        failures.append(f"prefix {start + i}: arc {arc[i]} splits across cylinders")
+        failures.append(f"prefix {start + i}: arc {_tags(arc[i:i + 1], arc_names)[0]} "
+                        "splits across cylinders")
     return failures
 
 
 def check_partition_match(depth: int = 20_000, m: int = 7, base: int = 4) -> list[str]:
-    """Cylinder-m tags and arc-base tags cut the cloud identically."""
+    """Cylinder-m classes and arc-base classes cut the cloud identically,
+    compared as codes; only a witness is named."""
     boundary = max(m, determined_partition(3, base))
     cls, names = _cylinder_classes(depth, m)
-    cyl = np.array(_tags(cls[boundary:], names))
     arc_of = _orbit_index(base, depth)[0]
-    arc = np.array(_tags(arc_of[boundary:], _arc_names(arc_of)))
-    failures = _partition_witnesses(cyl, arc, boundary)
+    cyl = cls[boundary:]
+    failures = _partition_witnesses(cyl, arc_of[boundary:], boundary, names, _arc_names(arc_of))
     seen, want = len(distinct(cyl)[0]), complexity(3, m)
     if not failures and seen != want:
         failures.append(f"saw {seen} cylinder classes, want {want}")

@@ -249,10 +249,13 @@ class ColoredTree:
         return (*rise, *map(neg, reversed(fall)))
 
     def edge_colors(self, s, t) -> np.ndarray:
-        """Per pair, the color of the edge s -> t, or 0 where there is none."""
-        keys, want = np.append(_key(self.src, self.dst), np.iinfo(np.int64).max), _key(s, t)
-        at = np.searchsorted(keys, want)
-        return np.where(keys[at] == want, np.append(self.color, 0)[at], 0)
+        """Per pair, the color of the edge s -> t, or 0 where there is none:
+        a search of the sorted keys, its index clipped to the last edge."""
+        keys, want = _key(self.src, self.dst), _key(s, t)
+        if not len(keys):
+            return np.zeros(want.shape, dtype=self.color.dtype)
+        at = np.minimum(np.searchsorted(keys, want), len(keys) - 1)
+        return np.where(keys[at] == want, self.color[at], 0)
 
     def spans(self, marks: np.ndarray) -> np.ndarray:
         """Per vertex and column of `marks` (bool, by vertex), whether the edge

@@ -11,12 +11,14 @@ and proved an eigenvector of its integer matrix in integer coefficients on
 
 Every read of the fixed point slices one buffer per d, grown by copying its
 own prefix: sigma^(a+1)(1) = sigma^a(1) sigma^(a-d+1)(1) for a >= d - 1, as
-sigma^a(2) = sigma^(a-d+1)(1).
+sigma^a(2) = sigma^(a-d+1)(1).  Every read of its factors, of any length,
+slices one factor index per d (`FactorIndex`), grown the same way.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -196,52 +198,187 @@ def growth_root(d: int) -> float:
 # factors
 
 
-def _window_firsts(text: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _packed(text: np.ndarray, span: int, bits: int) -> np.ndarray:
+    """The `span` letters from each position of `text`, zeros past its end,
+    as one int64 with the first letter highest, so that code order is word
+    order; built by doubling the windows packed so far.  span * bits < 63."""
+    code, have = text.astype(np.int64), 1
+    while have < span:
+        step = min(have, span - have)
+        tail = code[step:] & ((1 << bits * step) - 1)
+        code <<= bits * step
+        code[: len(tail)] |= tail
+        have += step
+    return code
+
+
+def _rank_rounds(text: np.ndarray, m: int, n: int, kept: list | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Rank doubling (Karp, Miller and Rosenberg, STOC 1972) of the length-m
-    windows of `text`, as the (first, inverse) of its last round of `distinct`:
-    window i's word first occurs at first[inverse[i]].  A window of length
-    s + t, t <= s, is the pair of its s-blocks at 0 and t, packed letter by
-    letter while it fits an int64, then ranked by a round of `distinct`."""
-    if m == 0:
-        return np.zeros(1, dtype=np.intp), np.zeros(len(text) + 1, dtype=np.intp)
-    rank, span = text.astype(np.int64), 1
+    windows at positions 0..n-1 of `text`, the text read as followed by zeros.
+
+    Returns (order, ranks) of its last round: the ranks of the n windows,
+    dense from 1 in word order, with ranks[n] = 0 for the empty window, and
+    the order that sorts the positions by them.  With a list `kept`, each
+    round's (span, ranks) is appended to it, the ranks in the narrowest
+    dtype that holds them; the rounds before the last rank every position.
+    The first 62 // bits letters are packed into an int64 (`_packed`); a
+    window of length s + t, t <= s, is then the pair of the ranks of its
+    s-blocks at 0 and t, ranked by one sort.  Each round's keys, order and
+    ranks go before the next sort.
+    """
     bits = int(text.max()).bit_length()
-    while span < min(m, 62 // bits):   # 62 // bits letters fit in an int64
-        step = min(span, m - span, 62 // bits - span)
-        rank = rank[: len(rank) - step] << (bits * step) | rank[step:] & ((1 << bits * step) - 1)
-        span += step
-    _, first, inverse = distinct(rank)
-    while span < m:
+    span = min(m, 62 // bits)   # 62 // bits letters fit in an int64
+    key = _packed(text, span, bits)
+    while True:
+        if span == m:
+            key = key[:n]
+        order = np.argsort(key)
+        s = key[order]
+        del key
+        new = np.ones(len(s), dtype=bool)
+        new[1:] = s[1:] != s[:-1]
+        del s
+        ranks = np.zeros(len(new) + 1, dtype=np.intp)
+        ranks[order] = np.cumsum(new)
+        del new
+        if kept is not None:
+            kept.append((span, ranks.astype(np.min_scalar_type(int(ranks.max())))))
+        if span == m:
+            return order, ranks
+        del order
         step = min(span, m - span)
-        rank = first[inverse]
-        _, first, inverse = distinct(rank[: len(rank) - step] * len(text) + rank[step:])
+        key, tail = ranks[:-1] * np.int64(ranks.max() + 1), ranks[step:-1]
+        key[: len(tail)] += tail
+        del ranks, tail
         span += step
-    return first, inverse
+
+
+def _window_firsts(text: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (first, inverse) of `distinct` on the length-m windows of `text`,
+    m >= 1, from `_rank_rounds`: window i's word first occurs at
+    first[inverse[i]]."""
+    order, ranks = _rank_rounds(text, m, len(text) - m + 1)
+    inverse = ranks[:-1] - 1
+    return np.minimum.reduceat(order, np.flatnonzero(np.diff(inverse[order], prepend=-1))), inverse
+
+
+_MIN_CAP = 64   # the least cap of a factor index: the words suite reads lengths up to 61
+
+
+@dataclass(frozen=True, eq=False)
+class FactorIndex:
+    """The first `size` letters of the fixed point, as their suffixes sorted
+    by their first `cap` letters (a suffix that ends sorts before any of its
+    extensions): `order` holds the positions in that order, `rank` the slot
+    of each position, and lcp[k] the length of the longest common prefix of
+    the suffixes in slots k - 1 and k, at most `cap` (lcp[0] = -1: none
+    comes before).  So the length-m windows, m <= cap, fall into the runs of
+    lcp >= m, one run per word (U. Manber and G. Myers, SIAM J. Comput.
+    22(5), 1993)."""
+
+    size: int
+    cap: int
+    order: np.ndarray
+    rank: np.ndarray
+    lcp: np.ndarray
+
+    def classes(self, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The least position in each run of lcp >= m, where its length-m
+        word first occurs, and that of the run of each position in `at`.  A
+        run whose least position is past size - m is one suffix shorter than m."""
+        heads = np.flatnonzero(self.lcp < m)
+        first = np.minimum.reduceat(self.order, heads)
+        return first, first[np.searchsorted(heads, self.rank[at], side="right") - 1]
+
+
+def _leading_letters(x: np.ndarray, span: int, bits: int) -> np.ndarray:
+    """The number of leading letters two `span`-letter codes share, from
+    their xor x: span less the letters from its highest set bit down.  The
+    bit length is read off two exact float halves of 31 bits."""
+    high, low = x >> 31, x & ((1 << 31) - 1)
+    length = np.where(high > 0, 31 + np.frexp(high.astype(float))[1],
+                      np.frexp(low.astype(float))[1])
+    return span - (length + bits - 1) // bits
+
+
+def _build_index(d: int, size: int, cap: int) -> FactorIndex:
+    """The factor index of the first `size` letters, `cap` a power of two.
+
+    The suffixes are sorted by `_rank_rounds` to length `cap`, keeping each
+    round's ranks until the lift reads them.  The lcp of each suffix i and
+    the one sorted just before it, p, is lifted over the kept rounds from
+    the longest span down: a block is taken whenever both share it, as each
+    span is at most twice the next one down, and the last letters come from
+    the packed codes of the shortest span.  T. Kasai et al. (CPM 2001,
+    LNCS 2089) find the same column in one sequential pass; taken by
+    position i, half of the reads here are sequential too.  Two suffixes
+    share no block past their ends, which differ, and the smallest suffix
+    is paired with the empty one.
+    """
+    text = np.frombuffer(_fixed_point(d, size), dtype=np.uint8)[:size]
+    kept: list = []
+    order = _rank_rounds(text, cap, size, kept)[0].astype(np.int32)
+    rank = np.empty(size, dtype=np.int32)
+    rank[order] = np.arange(size, dtype=np.int32)
+    i = np.arange(size, dtype=np.int32)
+    p = np.append(np.int32(size), order[:-1])[rank]   # the empty suffix before the smallest
+    lcp = np.zeros(size, dtype=np.int32)
+    bits, span = int(text.max()).bit_length(), kept[0][0]
+    while kept:   # each round's ranks are freed once read
+        step, ranks = kept.pop()
+        np.add(lcp, step, out=lcp, where=ranks[i + lcp] == ranks[p + lcp])
+    code = np.append(_packed(text, span, bits), 0)
+    lcp += _leading_letters(code[i + lcp] ^ code[p + lcp], span, bits).astype(np.int32)
+    lcp = np.minimum(lcp[order], cap)
+    lcp[0] = -1
+    return FactorIndex(size, cap, order, rank, lcp)
+
+
+# d -> the factor index every read of the factors of d slices
+_indexes: dict[int, FactorIndex] = {}
+
+
+def factor_index(d: int, m: int, size: int) -> FactorIndex:
+    """The factor index of d, rebuilt over `size` letters or more, and a cap
+    of m or more, when the one kept falls short: the cap is the least power
+    of two from `_MIN_CAP` on that holds m, and neither the cap nor the
+    prefix ever shrinks."""
+    index = _indexes.get(d)
+    if index is None or index.cap < m or index.size < size:
+        cap = max(_MIN_CAP, 1 << (m - 1).bit_length())
+        if index is not None:
+            cap, size = max(cap, index.cap), max(size, index.size)
+        index = _indexes[d] = _build_index(d, size, cap)
+    return index
 
 
 def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each length-m factor of the fixed point first occurs, ascending,
     and where the window at each position in `at` does.
 
-    The windows of sigma^a(1) are ranked until those before |sigma^a(1)| -
-    m + 1 show no factor that those before |sigma^(a-1)(1)| - m + 1 do not.
-    The first a read is one past the least that holds `at`, where the rule
-    stops if `at` shows every factor, or with no `at`, b + 2d - 1 for the
-    least |sigma^b(1)| >= m, where it stopped for d = 3..13, m <= 3000.
+    The windows of sigma^a(1) are read from the factor index until those
+    before |sigma^a(1)| - m + 1 show no factor that those before
+    |sigma^(a-1)(1)| - m + 1 do not.  The index reads at least one past the
+    least sigma^a(1) that holds `at`, where the rule stops if `at` shows
+    every factor, or with no `at`, b + 2d - 1 for the least |sigma^b(1)| >=
+    max(m, _MIN_CAP), where it stopped for d = 3..13, m <= 3000.  A longer
+    prefix stops the rule at the same a.
     """
     _fixed_point(d, 0)   # refuses d < 3
     lengths = _power_lengths(d)
     lo = max(bisect_left(lengths, m), 1)
-    hi = max(lo + 1, bisect_left(lengths, int(at.max()) + m) + 1) if len(at) else lo + 2 * d - 1
+    hi = (max(lo + 1, bisect_left(lengths, int(at.max()) + m) + 1) if len(at)
+          else bisect_left(lengths, max(m, _MIN_CAP)) + 2 * d - 1)
     while True:
-        text = np.frombuffer(_fixed_point(d, lengths[hi]), dtype=np.uint8)[: lengths[hi]]
-        first, inverse = _window_firsts(text, m)
-        starts = np.sort(first)
-        found = np.searchsorted(starts, [lengths[a] - m + 1 for a in range(lo, hi + 1)])
+        index = factor_index(d, m, lengths[hi])
+        first, at_first = index.classes(m, at)
+        starts = np.sort(first[first <= index.size - m])
+        top = bisect_right(lengths, index.size) - 1
+        found = np.searchsorted(starts, [lengths[a] - m + 1 for a in range(lo, top + 1)])
         stable = np.flatnonzero(found[1:] == found[:-1])
         if len(stable):
-            return starts[: found[stable[0]]], first[inverse[at]]
-        hi = bisect_left(lengths, 2 * lengths[hi])
+            return starts[: found[stable[0]]], at_first
+        hi = bisect_left(lengths, 2 * lengths[top])
 
 
 @lru_cache(maxsize=None)
@@ -257,12 +394,13 @@ def bispecials(d: int, n: int) -> list[Word]:
     """The bispecial factors of length n, in increasing order.
 
     The length-n windows at the starts S of the length-(n+1) factors, and
-    at S + 1, are ranked by `window_classes`: a class begins as many
+    at S + 1, are classed by the factor index: a class begins as many
     length-(n+1) factors as it has right extensions, and ends as many as
     it has left ones.  Only a class with two of each is spelled out.
     """
     starts = np.array(_factor_starts(d, n + 1))
-    _, cls = window_classes(d, n, np.concatenate([starts, starts + 1]))
+    index = factor_index(d, n, int(starts[-1]) + n + 1)
+    _, cls = index.classes(n, np.concatenate([starts, starts + 1]))
     right, left = (np.bincount(c, minlength=int(cls.max()) + 1) for c in np.split(cls, 2))
     text = _fixed_point(d, int(starts[-1]) + n + 1)
     return sorted(text[c : c + n] for c in np.flatnonzero((right >= 2) & (left >= 2)).tolist())

@@ -143,6 +143,29 @@ def test_verify_rules_names_a_key_that_is_not_an_integer(tmp_path, capsys):
     assert f"rules file {path}: rule key 'one' is not an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("color", [10**30, -(2**31) - 1, 2**31, True],
+                         ids=["huge", "below-int32", "past-int32", "boolean"])
+def test_verify_rules_refuses_a_color_outside_int32_naming_the_rule(tmp_path, capsys, color):
+    # 10^30 used to end in an OverflowError, and true was read as color 1
+    path = tmp_path / "color.json"
+    _dump_rules(family_tree_substitution(3), path)
+    payload = json.loads(path.read_text())
+    payload["rules"]["2"][0][2] = color
+    path.write_text(json.dumps(payload))
+    assert cli.main(["verify", "--suite", "trees", "--d", "3", "--rules", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: rules file {path}: rule 2 must be a list of [src, dst, color] edges" in err
+    assert "Traceback" not in err
+
+
+def test_verify_rules_refuses_a_file_nested_too_deeply(tmp_path, capsys):
+    # 100,000 nested arrays used to end in a RecursionError from json
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert cli.main(["verify", "--suite", "trees", "--d", "3", "--rules", str(path)]) == 2
+    assert f"error: cannot read rules file {path}: nested too deeply" in capsys.readouterr().err
+
+
 def test_plot_rauzy_svg(tmp_path, capsys):
     out = tmp_path / "r.svg"
     rc = cli.main([

@@ -16,7 +16,7 @@ from treesubst import cli, core, rauzy, verify
 from treesubst.trees import TreeIteration, _Rows
 from treesubst.core import l_word
 from treesubst.words import (
-    family_substitution, fixed_point_prefix, measure_spectrum, power_image, word_str,
+    distinct, family_substitution, fixed_point_prefix, measure_spectrum, power_image, word_str,
 )
 from treesubst.rauzy import (
     check_boundedness,
@@ -264,6 +264,18 @@ def _brute_sq(a, b):
     return ((a[:, None, :] - b[None, :, :]) ** 2).sum(axis=2).min(axis=1)
 
 
+@pytest.mark.parametrize("depth, m", [(3000, 7), (3000, 1500), (3000, 2999)])
+def test_cylinder_classes_name_only_the_windows_that_fit(depth, m):
+    # one name per distinct length-m window of the prefix, in word order,
+    # so the names stay within 2m + 1 words even at m = depth - 1
+    cls, names = _cylinder_classes(depth, m)
+    text = fixed_point_prefix(3, depth)
+    windows = [text[i : i + m] for i in range(depth - m + 1)]
+    assert names == [word_str(w) for w in sorted(set(windows))]
+    assert [names[c] for c in cls[m:]] == [word_str(w) for w in windows]
+    assert (cls[:m] == -1).all()
+
+
 def test_certified_pairs_are_translates():
     # the sampled claim the certificate replaced, kept as its oracle: the
     # matched points differ by one vector, the projection of the k letters
@@ -353,6 +365,13 @@ def _loop_witnesses(cyl, arc, start):
     return failures
 
 
+def _coded(cyl, arc, start):
+    """`_partition_witnesses` on tag lists, each coded by its distinct tags."""
+    (cyl_names, _, cyl_code), (arc_names, _, arc_code) = (
+        distinct(np.array(tags, dtype=str)) for tags in (cyl, arc))
+    return _partition_witnesses(cyl_code, arc_code, start, cyl_names.tolist(), arc_names.tolist())
+
+
 def _stage4_tags():
     """Cylinder-7 and arc-4 tags at depth 3000 from the partition boundary on."""
     start = max(7, len(core.l_word(3, 4)) + 1)
@@ -368,7 +387,7 @@ def test_partition_witnesses_match_loop_after_one_swap(side, i, j):
     i, j = i % len(tags), j % len(tags)
     tags[i], tags[j] = tags[j], tags[i]
     want = _loop_witnesses(cyl, arc, start)
-    assert _partition_witnesses(np.array(cyl), np.array(arc), start) == want
+    assert _coded(cyl, arc, start) == want
 
 
 @settings(max_examples=100, deadline=None)
@@ -376,13 +395,12 @@ def test_partition_witnesses_match_loop_after_one_swap(side, i, j):
 def test_partition_witnesses_match_loop_on_random_tags(pairs):
     cyl = [c for c, _ in pairs]
     arc = [a for _, a in pairs]
-    got = _partition_witnesses(np.array(cyl, dtype=str), np.array(arc, dtype=str), 7)
-    assert got == _loop_witnesses(cyl, arc, 7)
+    assert _coded(cyl, arc, 7) == _loop_witnesses(cyl, arc, 7)
 
 
 def test_partition_match_witnesses_pinned():
     cyl, arc, start = _stage4_tags()
-    assert _partition_witnesses(np.array(cyl), np.array(arc), start) == []
+    assert _coded(cyl, arc, start) == []
     assert check_partition_match(3000, 7, 5) == ["prefix 26: cylinder 1231121 splits across arcs"]
     assert check_partition_match(3000, 7, 3) == ["prefix 18: arc a0 splits across cylinders"]
     assert check_partition_match(5, 7, 4) == ["saw 0 cylinder classes, want 15"]

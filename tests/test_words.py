@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treesubst import verify
+from treesubst import verify, words
 from treesubst.words import (
     Substitution,
     _factor_starts,
@@ -399,3 +399,55 @@ def test_window_classes_group_windows_as_their_bytes(d, m, at):
     # equal iff the words are, and the factors' first occurrences hold them
     assert firsts.tolist() == [text.find(w) for w in words]
     assert starts.tolist() == sorted(text.find(w) for w in stable_factors(d, m))
+
+
+def _extensions(text, m):
+    """The length-m windows of `text` by slicing, and how many letters
+    extend each on the left and on the right inside `text`."""
+    windows = {text[i : i + m] for i in range(len(text) - m + 1)}
+    left, right = Counter(), Counter()
+    for u in {text[i : i + m + 1] for i in range(len(text) - m)}:
+        left[u[1:]] += 1
+        right[u[:-1]] += 1
+    return windows, left, right
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(3, 9), m=st.integers(1, 80),
+       at=st.lists(st.integers(0, 3000), max_size=40))
+@example(d=3, m=64, at=[])    # the longest length of the first index
+@example(d=9, m=65, at=[0])   # past it: the cap doubles
+@example(d=4, m=80, at=[3000])
+def test_index_reads_match_every_window_of_its_prefix(d, m, at):
+    starts, firsts = window_classes(d, m, np.array(at, dtype=np.int64))
+    count, special = complexity(d, m), bispecials(d, m)
+    # the index only grows, so its prefix holds every prefix read above
+    text = fixed_point_prefix(d, words._indexes[d].size)
+    windows, left, right = _extensions(text, m)
+    assert starts.tolist() == sorted(text.find(u) for u in windows)
+    assert count == len(windows)
+    assert firsts.tolist() == [text.find(text[i : i + m]) for i in at]
+    assert special == sorted(u for u in windows if left[u] >= 2 and right[u] >= 2)
+
+
+def test_words_suite_ranks_once_per_index_build(monkeypatch):
+    # every length the suite reads (up to 61) comes from one index per d,
+    # each built by one rank doubling, where one doubling per length ran
+    calls = Counter()
+
+    def counted(name):
+        real = getattr(words, name)
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in ("_rank_rounds", "_build_index"):
+        monkeypatch.setattr(words, name, counted(name))
+    monkeypatch.setattr(words, "_indexes", {})
+    _factor_starts.cache_clear()
+    measure_spectrum.cache_clear()
+    for d in (3, 4, 5):
+        assert all(r.status == "pass" for r in verify.run_suite("words", d))
+    assert calls["_rank_rounds"] == calls["_build_index"] == 3
