@@ -15,16 +15,15 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Mapping, ValuesView
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 from operator import mul
-from typing import NamedTuple
 
 import numpy as np
 
 from .algnum import ExactLength, letter_length_exact
 from .freegroup import GroupWord, family_auto, from_positive, invert, p_star, word_text
 from .realization import Realization, distance
-from .trees import TreeIteration, _Rows
+from .trees import TreeIteration
 from .words import (
     Word,
     _power_lengths,
@@ -81,7 +80,7 @@ def stage_lengths(it: TreeIteration, length: np.ndarray, n: int) -> tuple[np.nda
     stage checked (z equals it for d = 3..6, n <= 16), and shows every
     source fits otherwise.  A source without a label fits no prefix.
     """
-    v, _, src, _ = it.centers[n].columns
+    v, _, src, _ = it.centers[n]
     step = _power_lengths(it.d)[n - 1]
     tails = length[src]
     upto = int(tails.max(initial=0)) + 1
@@ -107,24 +106,6 @@ def legal_path_distance(d: int, w: GroupWord) -> ExactLength:
         bad = next(x for x in w if not 1 <= abs(x) <= d)
         raise ValueError(f"letter {bad} outside 1..{d}")
     return ExactLength(d, tuple(sum(map(mul, counts, col)) for col in _letter_columns(d)))
-
-
-class Arc(NamedTuple):
-    """One edge of a stage-n tree together with its interior-branch data.
-
-    Iterating the tree substitution k more times puts exactly one branch
-    point strictly inside the path [src, dst]; the `length` of its label
-    fixes the word that determines the cylinder of the arc.
-    """
-
-    stage: int
-    edge_index: int
-    src: int
-    dst: int
-    color: int
-    k: int
-    center: int
-    length: int
 
 
 def _top_exponents(d: int, lengths: np.ndarray) -> np.ndarray:
@@ -267,7 +248,7 @@ class CoreScan:
             failures = [f"{what}: sigma of its code is {word_text(got)}, want {word_text(want)}"
                         for what, w, want in codes if (got := auto(p_star(d, w))) != want]
         tree, nxt = self.it.tree_at(n), self.it.tree_at(n + 1)
-        v, e, _, _ = self.it.centers[n + 1].columns
+        v, e, _, _ = self.it.centers[n + 1]
         spelled = np.zeros((len(tree.src), table.shape[1]), dtype=np.int64)
         spelled[:, 0] = nxt.edge_colors(tree.src, tree.dst)
         spelled[e, 0] = -nxt.edge_colors(v, tree.src[e])
@@ -343,7 +324,7 @@ class CoreScan:
         parent `src` was born at the first stage whose size exceeds it."""
         self.extend_to(n)
         lo, hi = n - (2 * self.d - 2), n - (self.d - 1)
-        v, _, src, _ = self.it.centers[n].columns
+        v, _, src, _ = self.it.centers[n]
         prev = self.it.birth_stage(src)
         prev[src == 0] = apparition_of_empty(self.d)
         bad = (prev < lo) | (prev > hi)
@@ -353,7 +334,7 @@ class CoreScan:
     def check_writing_exponents(self, n: int) -> list[str]:
         """Max writing exponent of a stage-n label is n-1 or n."""
         self.extend_to(n)
-        v = self.it.centers[n].columns[0]
+        v = self.it.centers[n][0]
         top = _top_exponents(self.d, self.length[v])
         bad = (top != n - 1) & (top != n)
         return [f"vertex {x}: max exponent {t} at step {n}"
@@ -363,7 +344,7 @@ class CoreScan:
         """When the max exponent of a stage-n label reaches n, the 1-neighbor y
         (the head of v's color-1 out-edge) branches and has the label less sigma^n(1)."""
         self.extend_to(n)
-        v = self.it.centers[n].columns[0]
+        v = self.it.centers[n][0]
         v = v[_top_exponents(self.d, self.length[v]) == n]
         tree = self.it.tree_at(n)
         one = tree.color == 1
@@ -409,21 +390,19 @@ class CoreScan:
 
     # -- simple arcs --------------------------------------------------------
 
-    def simple_arcs(self, n: int) -> _Rows:
-        """Each stage-n edge with its first strictly interior branch point, as
-        columns (edge index, src, dst, color, k, center, length) read as `Arc`s."""
-        return _Rows(self._arcs(n, n + 2 * self.d - 2)[0], partial(Arc, n))
-
     def _arcs(self, n: int, upto: int) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
-        """`simple_arcs`' columns, and per vertex to stage upto >= n + 2d - 2
-        the stage-n edge it was born inside (`descent`).  The branch points
-        strictly inside edge e's path later are the centers born inside e
-        on the embedded stage-n tree: one gather over stages n+1..n+2d-2
-        finds e's first such stage n+k and its centers there."""
+        """The simple arcs of stage n as columns (edge, src, dst, color, k,
+        center, length), and per vertex to stage upto >= n + 2d - 2 the
+        stage-n edge it was born inside (`descent`).  Iterating the
+        substitution k more times puts one branch point, `center`, strictly
+        inside the path of edge src -> dst, and its label `length` fixes the
+        word that determines the arc's cylinder: the centers born inside the
+        edge on the embedded stage-n tree, whose first stage n+k one gather
+        over stages n+1..n+2d-2 finds."""
         d, tree = self.d, self.it.tree_at(n)
         self.extend_to(upto)
         arc, on = self.it.descent(n, upto)
-        born = [self.it.centers[n + k].columns[0] for k in range(1, 2 * d - 1)]
+        born = [self.it.centers[n + k][0] for k in range(1, 2 * d - 1)]
         v = np.concatenate(born)
         k = np.repeat(np.arange(1, 2 * d - 1), [len(b) for b in born])
         v, k = v[on[v]], k[on[v]]
@@ -442,7 +421,7 @@ class CoreScan:
         """Stage-0 arc words around the star are sigma^(d-1)(1) for color 1,
         sigma^(j-2)(1) for color j >= 2: fixed-point prefixes, so lengths decide."""
         d = self.d
-        _, _, _, color, _, _, length = self.simple_arcs(0).columns
+        _, _, _, color, _, _, length = self._arcs(0, 2 * d - 2)[0]
         want = np.array(_power_lengths(d)[:d])[np.where(color == 1, d - 1, color - 2)]
         return [f"color {j}: arc label {_label_text(fixed_point_prefix(d, k))}, "
                 f"want {_label_text(fixed_point_prefix(d, w))}"
@@ -454,16 +433,14 @@ class CoreScan:
         Shared vertices must be labeled branch points: the only points lying
         in two arc closures are realized orbit points.  A shadow is its
         edge's two ends and the vertices born inside the edge, and `descent`
-        gives each later-born vertex one edge, its owner.  So only an end can
-        lie in two shadows: those of the arcs it ends, and of its owner's arc
-        if it has one; the sorted (end, arc) rows pair up at each end.
+        gives each later-born vertex one edge and none to a vertex of T_n.
+        So only an end can lie in two shadows, those of the arcs it ends;
+        the sorted (end, arc) rows pair up at each end.
         """
-        (edge, src, dst, *_), owner = self._arcs(n, n + 2 * self.d - 2)
+        edge, src, dst, *_ = self._arcs(n, n + 2 * self.d - 2)[0]
         deg = self.it.tree_at(n + 2 * self.d - 2).degrees()
         ends = np.concatenate([src, dst]).astype(np.int64)
-        held = ends[owner[ends] >= 0]
-        end, arc = np.divmod(distinct(np.concatenate([ends, held]) * len(edge)
-                                      + np.concatenate([edge, edge, owner[held]]))[0], len(edge))
+        end, arc = np.divmod(distinct(ends * len(edge) + np.tile(edge, 2))[0], len(edge))
         shared = [(np.zeros(0, dtype=np.int64),) * 2]   # (i * |E| + j, v): arcs i < j share v
         for g in range(1, len(end)):
             if not (same := end[g:] == end[:-g]).any():
@@ -493,7 +470,7 @@ class CoreScan:
         certified[center] = True
         off = [np.zeros(0, dtype=np.int64)]
         for stage in range(n + 1, deep + 1):
-            v, _, src, _ = self.it.centers[stage].columns
+            v, _, src, _ = self.it.centers[stage]
             if not self.decided(self.check_address_map, stage):
                 certified[v] |= (born_in[src] == born_in[v]) & certified[src]
             off.append(v[~certified[v]])
@@ -532,57 +509,53 @@ class CoreScan:
 
     # -- partial isometries -------------------------------------------------
 
-    def shift_domain(self, a: int, n: int) -> list[int]:
-        """Branch points whose coded tail starts with the letter a."""
+    def shift_domains(self, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """The stage-n branch points, and per point the letter whose shift
+        domain holds it: the next letter of its coded tail, the fixed
+        point's letter at its label length."""
         self.extend_to(n)
         branch = self.branch_points(n)
-        return branch[fixed_point_letters(self.d, self.length[branch]) == a].tolist()
+        return branch, fixed_point_letters(self.d, self.length[branch])
 
-    def check_shift_conjugacy(self, a: int, n: int) -> list[str]:
-        """Image labels are the one-step-longer prefix inverses: the label of
-        v with a appended is a prefix iff a is the next fixed-point letter."""
-        self.extend_to(n + 1)
-        dom = np.array(self.shift_domain(a, n), dtype=np.int64)
-        wrong = fixed_point_letters(self.d, self.length[dom]) != a
-        bad = wrong | (self._vertex_of_length(self.length[dom] + 1) < 0)
-        return [f"vertex {v}: image label {'mismatch' if off else 'unrealized'}"
-                for v, off in zip(dom[bad].tolist(), wrong[bad].tolist())]
-
-    def check_shift_isometry(self, a: int, n: int) -> list[str]:
-        """The shift of letter a keeps realized distances on its stage-n domain,
-        as a certificate over two others.
+    def check_shift_isometry(self, n: int) -> list[str]:
+        """Each letter's shift keeps realized distances on its stage-n
+        domain, as a certificate over two facts shared by every letter.
 
         Lemma: let g(v) = p*(root -> v in T_(n+1)).  The address map gives
         sigma^(n+1)(g(v)) = label(v) for every branch point of T_(n+1).  A
-        domain point v has its image f(v) of label a^-1.label(v), one letter
-        longer with a at position length[v]; so g(f(v)) = h_a.g(v), h_a =
-        sigma^-(n+1)(a^-1) one element per letter, and g(f(x))^-1 g(f(y)) =
-        g(x)^-1 g(y).  Path distances at stage n+1 make the realized distance
-        of two branch points of T_(n+1), which domain points and images are,
-        rho^-(n+1) times the legal length of that reduced word.  So the shift
-        is an isometry when (a) each image's stored length is its point's
-        plus one, (b) the address-map facts hold through stage n+1, and (c)
-        path distances hold at stage n+1.  (b) and (c) do not depend on the
-        letter and are decided once per stage, their failures in their own
-        texts.  A domain point without an image raises ValueError.  The
+        point v of the domain of a has its image f(v) of label
+        a^-1.label(v), one letter longer with a at position length[v]; so
+        g(f(v)) = h_a.g(v), h_a = sigma^-(n+1)(a^-1) one element per letter,
+        and g(f(x))^-1 g(f(y)) = g(x)^-1 g(y).  Path distances at stage n+1
+        make the realized distance of two branch points of T_(n+1), which
+        domain points and images are, rho^-(n+1) times the legal length of
+        that reduced word.  So every shift is an isometry when (a) each
+        image is realized and its stored length is its point's plus one,
+        (b) the address-map facts hold through stage n+1, and (c) path
+        distances hold at stage n+1.  The failures of (a) come by letter,
+        then those of (b) and (c), once, in their own texts.  The
         certificate reads the stored lengths, and the pairs do not: a wrong
         length fails it though every distance survives.
         """
         self.extend_to(n + 1)
         self.real.extend_to(n + 1)
-        dom = np.array(self.shift_domain(a, n), dtype=np.int64)
+        # (b) and (c) first, so that the columns of (a) are not held meanwhile
+        premises = [f for m in range(n + 1) for f in self.decided(self.check_address_map, m)]
+        # fact (3) alone at stage n+1: fact (2) there would read T_(n+2)
+        premises += self.decided(self._length_fact, n + 1)
+        premises += self.decided(self.check_path_distances, n + 1)
+        dom, letter = self.shift_domains(n)
+        order = np.argsort(letter, kind="stable")
+        dom, letter = dom[order], letter[order]
         want = self.length[dom] + 1
         img = self._vertex_of_length(want)
-        if (img < 0).any():
-            raise ValueError(f"letter {a}: a domain point's image label is unrealized")
-        bad = self.length[img] != want
-        failures = [f"letter {a}: image {w} of vertex {v} has label length {k}, want {kv}"
-                    for v, w, k, kv in zip(dom[bad].tolist(), img[bad].tolist(),
-                                           self.length[img[bad]].tolist(), want[bad].tolist())]
-        failures += [f for m in range(n + 1) for f in self.decided(self.check_address_map, m)]
-        # fact (3) alone at stage n+1: fact (2) there would read T_(n+2)
-        failures += self.decided(self._length_fact, n + 1)
-        return failures + self.decided(self.check_path_distances, n + 1)
+        got = np.where(img < 0, -1, self.length[img])
+        bad = got != want
+        failures = [f"vertex {v}: image label unrealized" if w < 0
+                    else f"letter {a}: image {w} of vertex {v} has label length {k}, want {kv}"
+                    for a, v, w, k, kv in zip(*(c[bad].tolist()
+                                                for c in (letter, dom, img, got, want)))]
+        return failures + premises
 
     def check_domain_overlaps(self, n: int) -> list[str]:
         """Spanned domains of distinct letters share at most one vertex.
@@ -592,10 +565,9 @@ class CoreScan:
         parent spans a domain iff some but not all of its points lie under
         v (`ColoredTree.spans`, every letter in one pass).
         """
-        self.extend_to(n)
+        dom, letter = self.shift_domains(n)
         marks = np.zeros((self.it.sizes[n], self.d), dtype=bool)   # by vertex, as `spans` reads them
-        for a in range(1, self.d + 1):
-            marks[self.shift_domain(a, n), a - 1] = True
+        marks[dom, letter - 1] = True
         span = self.it.tree_at(n).spans(marks).astype(np.int64)
         shared = np.triu(span.T @ span, 1)   # per letter pair, the edges spanning both
         return [f"letters {a + 1},{b + 1}: domains share edges" for a, b in np.argwhere(shared)]

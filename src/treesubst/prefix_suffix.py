@@ -10,52 +10,28 @@ spells out its tail.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .words import Substitution, Word, _power_lengths, family_substitution
+from .words import Word, _power_lengths, family_substitution
 
 EMPTY: Word = b""
 
-
-@dataclass(frozen=True)
-class Transition:
-    src: int
-    dst: int
-    prefix: Word
-    letter: int
-    suffix: Word
-
-    def label(self) -> tuple[Word, int, Word]:
-        return (self.prefix, self.letter, self.suffix)
-
-
-class PrefixSuffixAutomaton:
-    def __init__(self, sub: Substitution):
-        self.sub = sub
-        self.d = sub.d
-        self.transitions: list[Transition] = []
-        for b in range(1, self.d + 1):
-            img = sub.images[b]
-            for i, a in enumerate(img):
-                self.transitions.append(Transition(a, b, img[:i], a, img[i + 1 :]))
-        self.transitions.sort(key=lambda t: (t.src, t.dst, t.prefix, t.suffix))
-        # label (p, a, s) -> target state, the letter whose image is p.a.s
-        self.target = {t.label(): t.dst for t in self.transitions}
+Development = tuple[tuple[Word, int, Word], ...]
 
 
 @lru_cache(maxsize=None)
-def build_automaton(d: int) -> PrefixSuffixAutomaton:
-    return PrefixSuffixAutomaton(family_substitution(d))
-
-
-Development = tuple[tuple[Word, int, Word], ...]
+def _targets(d: int) -> dict[tuple[Word, int, Word], int]:
+    """The automaton's transitions as one map: each label (p, a, s) to its
+    target state, the letter b with sigma(b) = p.a.s (a label names one
+    transition, as the source state is its middle letter a)."""
+    images = family_substitution(d).images
+    return {(img[:i], a, img[i + 1:]): b for b, img in images.items() for i, a in enumerate(img)}
 
 
 def is_admissible(d: int, dev: Development) -> bool:
     """Labels chain when each target state equals the next middle letter;
     the targets are the automaton's map, built once per d."""
-    target = build_automaton(d).target
+    target = _targets(d)
     return (all(lab in target for lab in dev)
             and all(target[cur] == nxt[1] for cur, nxt in zip(dev, dev[1:])))
 

@@ -24,6 +24,7 @@ import numpy as np
 from .core import determined_partition, shared_scan, stage_lengths
 from .trees import check_budget
 from .words import (
+    MAX_PREFIX_LEN,
     _window_firsts,
     complexity,
     distinct,
@@ -36,7 +37,6 @@ from .words import (
 WRITE_CHUNK = 1 << 22   # bytes the artifact writers format per write: 2^16 rows of 64
 SVG_SIZE = 800          # pixels on a side of the rendered SVG
 CONGRUENCE_M = 7        # cylinder length whose equal-measure clouds are compared
-MAX_PREFIX_LEN = 10**7  # deepest prefix a cloud projects: 24 bytes of counts per letter
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,8 @@ def family_basis(d: int) -> ContractingBasis:
 def _projected_prefix_orbit(depth: int) -> np.ndarray:
     """(depth+1) x 2 array: projections of the inverted prefixes of length 0..depth.
 
-    A depth above MAX_PREFIX_LEN is refused before anything is allocated:
-    the counts alone take 24 bytes per letter.
+    A depth above `words.MAX_PREFIX_LEN` is refused before anything is
+    allocated: the counts alone take 24 bytes per letter.
     """
     if not 0 <= depth <= MAX_PREFIX_LEN:
         raise ValueError(f"depth must be in 0..{MAX_PREFIX_LEN:,} letters, got {depth:,}")
@@ -179,7 +179,7 @@ def _orbit_index(base: int, depth: int) -> tuple[np.ndarray, np.ndarray]:
     length i realizes the prefix of length i.  Its arc and on-tree status
     are those of `TreeIteration.descent`.
     """
-    check_budget(3, base)   # refused before the table of |sigma^a(1)| runs out
+    check_budget(3, base)   # before `orbit_stage` counts up from a negative base, or too far
     stage = orbit_stage(base, depth)
     it = shared_scan(3).it
     it.extend_to(stage)

@@ -196,7 +196,7 @@ class Realization:
         along the replaced 2-edge, its leaves off it on the next copies."""
         d, n = self.d, self.stage_done + 1
         self.it.extend_to(n)
-        v, _, src, dst = self.it.centers[n].columns
+        v, _, src, dst = self.it.centers[n]
         grow = self.it.sizes[n] - len(self.anchor)
         self.anchor = np.append(self.anchor, np.full(grow, -2))   # -2: not placed
         self.copy = np.append(self.copy, np.zeros(grow, dtype=np.int64))
@@ -263,7 +263,7 @@ class Realization:
         if n < 1:
             raise ValueError(f"stage must be >= 1, got {n}")
         self.extend_to(n)
-        d, (v, _, src, dst) = self.d, self.it.centers[n].columns
+        d, (v, _, src, dst) = self.d, self.it.centers[n]
         k, off, ok = self._between(dst, v)
         k_on, on, ok_on = self._between(v, src)
         ok &= ok_on & (k == k_on) & (self._signs(off) == self._signs(on))

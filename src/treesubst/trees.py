@@ -15,12 +15,12 @@ fully deterministic and vertex sets are nested along the stages.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, partial
 from itertools import islice
 from operator import neg
-from typing import NamedTuple
 
 import numpy as np
 
@@ -29,21 +29,19 @@ from .words import growth_root
 
 class _Rows(Sequence):
     """Read-only sequence over equal-length int columns: row i is the tuple
-    of their i-th entries, or `make` of it, built when it is read."""
+    of their i-th entries, built when it is read."""
 
-    def __init__(self, columns: tuple[np.ndarray, ...], make=None):
-        self.columns, self._make = columns, make
+    def __init__(self, columns: tuple[np.ndarray, ...]):
+        self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __getitem__(self, i):
-        row = tuple(int(c[i]) for c in self.columns)
-        return row if self._make is None else self._make(*row)
+        return tuple(int(c[i]) for c in self.columns)
 
     def __iter__(self):
-        rows = zip(*(c.tolist() for c in self.columns))
-        return rows if self._make is None else (self._make(*r) for r in rows)
+        return zip(*(c.tolist() for c in self.columns))
 
 
 def _key(s, t) -> np.ndarray:
@@ -512,24 +510,23 @@ def initial_tree(d: int) -> ColoredTree:
     return ColoredTree(d, [(0, c, c) for c in range(1, d + 1)], root=0)
 
 
-class NewCenter(NamedTuple):
-    """A branch point born at one stage on the 2-edge src -> dst it replaced."""
-
-    vertex: int
-    edge: int                  # index of the replaced edge one stage earlier
-    src: int                   # the center's color-d neighbor
-    dst: int                   # the center's color-1 neighbor
-    leaves: tuple[int, ...]    # its fresh leaves, on colors d+1, ..., 2d-2
-
-
 EDGE_BUDGET = 1_000_000   # edges a requested stage may hold, by the estimate below
 
 
 def check_budget(d: int, n: int) -> None:
-    """Refuse stage n when d * lambda^n, the stage-0 edge count grown by the
-    Perron root per stage, exceeds EDGE_BUDGET."""
-    if (estimate := d * growth_root(d) ** n) > EDGE_BUDGET:
-        raise ValueError(f"stage {n} would hold about {estimate:,.0f} edges "
+    """Refuse a negative stage n, and stage n when d * lambda^n, the stage-0
+    edge count grown by the Perron root per stage, exceeds EDGE_BUDGET.  An
+    estimate past the floats (from n = 1855 at d = 3) is refused as more
+    than 10^308."""
+    if n < 0:
+        raise ValueError(f"stage must be >= 0, got {n}")
+    try:
+        estimate = d * growth_root(d) ** n
+    except OverflowError:   # lambda^n itself past the floats
+        estimate = math.inf
+    if estimate > EDGE_BUDGET:
+        about = f"about {estimate:,.0f}" if math.isfinite(estimate) else "more than 10^308"
+        raise ValueError(f"stage {n} would hold {about} edges "
                          f"(d * lambda^n), over the budget of {EDGE_BUDGET:,}")
 
 
@@ -582,9 +579,11 @@ class TreeIteration:
     edge lives at most 2d - 2 stages, so stage n lies in the last 2d - 2
     batches up to n.
 
-    Per stage it keeps the vertex count |V_n| and the new centers as
-    columns (vertex, replaced edge, src, dst), which `centers[n]` reads as
-    `NewCenter`s; `extend_to` grows them.  `trees` holds, by stage, the
+    Per stage it keeps the vertex count |V_n| and the new centers as the
+    columns `centers[n]` = (vertex, edge, src, dst): the center v split the
+    2-edge src -> dst, row `edge` of stage n - 1, and is joined to src by
+    color d, to dst by color 1 and to its fresh leaves v + 1, ...,
+    v + d - 2; `extend_to` grows them.  `trees` holds, by stage, the
     trees that `tree_at` was asked for.  Fresh ids count up from the
     previous maximum, so the vertices of T_n are 0, ..., |V_n| - 1.
     """
@@ -599,8 +598,7 @@ class TreeIteration:
         self._batch = [0]   # stage n's edges are the columns _batch[n]:_batch[n + 1]
         self._room(d)[:] = [*self.trees[0].edges.columns, self._span[self.trees[0].color]]
         self.sizes = [d + 1]
-        self._center = lambda v, e, s, t: NewCenter(v, e, s, t, tuple(range(v + 1, v + d - 1)))
-        self.centers = [_Rows((np.zeros(0, dtype=np.int64),) * 4, self._center)]
+        self.centers = [(np.zeros(0, dtype=np.int64),) * 4]
 
     def _room(self, size: int) -> np.ndarray:
         """The log's columns for the next stage's `size` edges, to be filled;
@@ -619,8 +617,6 @@ class TreeIteration:
 
     def extend_to(self, n: int) -> None:
         """Grow the log, the sizes and the new centers through stage n."""
-        if n < 0:
-            raise ValueError(f"stage must be >= 0, got {n}")
         check_budget(self.d, n)
         while len(self.sizes) <= n:
             self._grow()
@@ -646,7 +642,7 @@ class TreeIteration:
             rows[0, :, j], rows[1, :, j] = v, end
             rows[2, :, j] = colors[j] + (colors[k] - colors[j]) * swap
             rows[3, :, j] = n + spans[j] + (spans[k] - spans[j]) * swap
-        self.centers.append(_Rows((v, e, s, t), self._center))
+        self.centers.append((v, e, s, t))
         self.sizes.append(self.sizes[-1] + (d - 1) * len(e))
 
     def tree_at(self, n: int) -> ColoredTree:
@@ -676,7 +672,7 @@ class TreeIteration:
         below = max(m for m, tree in self.trees.items() if m < n and tree._rooted is not None)
         parent = self.trees[below].rooted_index().parent
         for stage in range(below + 1, n + 1):
-            v, _, s, t = self.centers[stage].columns   # the center's new vertices are v, v + 1, ...
+            v, _, s, t = self.centers[stage]   # the center's new vertices are v, v + 1, ...
             child = np.where(parent[t] == s, t, s)
             hubs = np.repeat(v.astype(np.int32), self.d - 1).reshape(-1, self.d - 1)
             hubs[:, 0] = parent[child]
@@ -714,7 +710,7 @@ class TreeIteration:
         arc = np.full(self.sizes[upto], -1, dtype=np.int64)
         on = np.arange(self.sizes[upto]) < old
         for stage in range(base + 1, upto + 1):
-            v, _, s, t = self.centers[stage].columns
+            v, _, s, t = self.centers[stage]
             e = np.maximum(arc[s], arc[t])
             fresh = e < 0
             e[fresh] = np.searchsorted(keys, _key(s[fresh], t[fresh]))

@@ -263,6 +263,7 @@ def _window_firsts(text: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _MIN_CAP = 64   # the least cap of a factor index: the words suite reads lengths up to 61
+MAX_PREFIX_LEN = 10**7   # longest fixed-point prefix a factor index or a cloud reads
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,7 +363,8 @@ def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarr
     least sigma^a(1) that holds `at`, where the rule stops if `at` shows
     every factor, or with no `at`, b + 2d - 1 for the least |sigma^b(1)| >=
     max(m, _MIN_CAP), where it stopped for d = 3..13, m <= 3000.  A longer
-    prefix stops the rule at the same a.
+    prefix stops the rule at the same a.  A prefix past MAX_PREFIX_LEN
+    raises ValueError, where a rule that never stops would exhaust memory.
     """
     _fixed_point(d, 0)   # refuses d < 3
     lengths = _power_lengths(d)
@@ -370,6 +372,9 @@ def window_classes(d: int, m: int, at: np.ndarray) -> tuple[np.ndarray, np.ndarr
     hi = (max(lo + 1, bisect_left(lengths, int(at.max()) + m) + 1) if len(at)
           else bisect_left(lengths, max(m, _MIN_CAP)) + 2 * d - 1)
     while True:
+        if lengths[hi] > MAX_PREFIX_LEN:
+            raise ValueError(f"length-{m} windows would read {lengths[hi]:,} letters, "
+                             f"over the limit of {MAX_PREFIX_LEN:,}")
         index = factor_index(d, m, lengths[hi])
         first, at_first = index.classes(m, at)
         starts = np.sort(first[first <= index.size - m])

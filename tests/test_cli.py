@@ -1,11 +1,15 @@
 """End-to-end runs of the command line, in process."""
 
+import contextlib
 import hashlib
+import io
 import json
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from treesubst import cli, core, rauzy, trees, verify
 from treesubst.trees import family_tree_substitution
@@ -259,6 +263,80 @@ def test_out_of_range_argument_is_usage_error(tmp_path, capsys, argv):
     assert ("unrecognized arguments" in err) == ("--tol" in argv or "--prefix-len" in argv)
 
 
+# Generated command lines, each refused before anything large is built:
+# stages and depths out of range (negative, or far past the edge budget or
+# the prefix limit) and values that are no number.
+_NO_NUMBER = st.text(alphabet="abxe.+_ :", max_size=6)
+_FAR = st.integers(-10**40, -1) | st.integers(100, 10**40)
+_STAGE = _FAR.map(str) | _NO_NUMBER
+_D = st.sampled_from(["3", "4", "5"]) | st.integers(-10**30, 2).map(str) | _NO_NUMBER
+_ARGV = st.one_of(
+    st.tuples(st.just("gen"), st.just("--d"), _D, st.just("--n"), _STAGE),
+    st.tuples(st.just("verify"), st.just("--suite"), st.sampled_from(verify.SUITES),
+              st.just("--d"), _D, st.just("--max-stage"), _STAGE),
+    st.tuples(st.just("plot"), st.just("--kind"), st.just("zeta"), st.just("--n"), _STAGE),
+    st.tuples(st.just("plot"), st.just("--color"),
+              st.sampled_from(["arc:", "cylinder:", "", "arc"]).flatmap(
+                  lambda kind: _STAGE.map(kind.__add__))),
+    st.tuples(st.just("plot"), st.just("--depth"),
+              (st.integers(-10**40, -1) | st.integers(10**7 + 1, 10**40)).map(str) | _NO_NUMBER),
+    st.tuples(st.just("plot"), st.just("--d"),
+              st.integers(-10**30, 10**30).filter(lambda d: d != 3).map(str) | _NO_NUMBER),
+).map(list)
+
+# Generated rules files: JSON of wrong types, sizes and nesting, in and
+# around the {"d": ..., "rules": {color: [[src, dst, color], ...]}} shape.
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=4),
+    max_leaves=12,
+)
+_EDGE = st.lists(st.sampled_from(["X", "Y", "P1", "P2"]) | st.integers() | _JSON, max_size=4)
+_RULES = st.fixed_dictionaries({
+    "d": st.integers(-3, 6) | _JSON,
+    "rules": st.dictionaries(st.integers(-2, 12).map(str) | st.text(max_size=3),
+                             st.lists(_EDGE, max_size=4) | _JSON, max_size=6),
+}) | _JSON
+
+
+def _exit_code(argv):
+    """main(argv)'s exit code, SystemExit's included, and what it wrote to
+    stderr; any other exception propagates."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, err.getvalue()
+
+
+@settings(max_examples=150, deadline=None)
+@example(["verify", "--max-stage", str(10**20)])
+@example(["gen", "--n", "2000"])
+@example(["plot", "--kind", "zeta", "--n", "2000"])
+@example(["plot", "--color", "arc:2000"])
+@given(_ARGV)
+def test_generated_command_lines_keep_the_exit_codes(tmp_path_factory, argv):
+    rauzy._orbit_index.cache_clear()   # a cached walk would skip the budget
+    out = tmp_path_factory.getbasetemp() / "generated.out"
+    rc, err = _exit_code(argv + ["--depth", "10"] * (argv[:2] == ["plot", "--color"])
+                         + ["--out", str(out)])
+    assert rc in (0, 1, 2) and "Traceback" not in err
+
+
+@settings(max_examples=150, deadline=None)
+@example(json.dumps({"d": 3, "rules": {"1": [["X", "Y", 10**30]]}}))
+@example("[" * 100_000)
+@given(_RULES.map(json.dumps))
+def test_generated_rules_files_keep_the_exit_codes(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "generated-rules.json"
+    path.write_text(text)
+    rc, err = _exit_code(["verify", "--rules", str(path)])
+    assert rc in (0, 1, 2) and "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv",
     [["gen"], ["verify", "--suite", "trees"], ["plot", "--depth", "100"]],
@@ -320,6 +398,32 @@ def test_gen_refuses_a_large_d_before_building(capsys):
     assert time.perf_counter() - start < 5
     err = capsys.readouterr().err
     assert err.startswith("error: Newton for x^100000") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["gen", "--n", "2000"], 2000),
+    (["verify", "--max-stage", "2000"], 2001),   # the audit reads n + 1
+    (["plot", "--kind", "zeta", "--n", "2000"], 2000),
+    (["plot", "--color", "arc:2000", "--depth", "10"], 2000),
+], ids=["gen", "verify", "plot-zeta", "plot-arc"])
+def test_stage_past_the_floats_is_usage_error(tmp_path, capsys, argv, stage):
+    # 3 * lambda^n overflowed from n = 1857 (OverflowError, exit 1) and read
+    # "about inf edges" at 1855 and 1856
+    rauzy._orbit_index.cache_clear()
+    assert cli.main(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: stage {stage} would hold more than 10^308 edges (d * lambda^n), "
+                   "over the budget of 1,000,000\n")
+
+
+def test_zeta_refuses_a_far_negative_stage_at_once(tmp_path, capsys):
+    # `orbit_stage` counts up from its base one stage at a time: from -10^13,
+    # 10^13 steps came before the negative base was refused
+    start = time.perf_counter()
+    argv = ["plot", "--kind", "zeta", "--n", str(-10**13), "--out", str(tmp_path / "z.svg")]
+    assert cli.main(argv) == 2
+    assert time.perf_counter() - start < 5
+    assert capsys.readouterr().err == f"error: stage must be >= 0, got {-10**13}\n"
 
 
 def test_verify_rules_refuses_an_iterate_over_the_budget(tmp_path, capsys):

@@ -31,7 +31,7 @@ from treesubst.core import (
 )
 from test_freegroup import iterate
 from test_prefix_suffix import automatic_writing   # the writing read off the letters
-from test_trees import _hull, adjacency, degree
+from test_trees import _hull, adjacency, center_rows, degree
 from test_words import stable_factors
 from pair_oracles import AnchorMetric, Lifting, pair_blocks
 
@@ -117,8 +117,8 @@ def _label_check_oracles(scan, n):
     d, it = scan.d, scan.it
     apparition, parent = {0: apparition_of_empty(d)}, {}
     for stage in range(1, scan.scanned + 1):
-        for c in it.centers[stage]:
-            apparition[c.vertex], parent[c.vertex] = it.birth_stage(c.vertex), c.src
+        for v, _, src, _ in center_rows(it, stage):
+            apparition[v], parent[v] = it.birth_stage(v), src
     length = {v: int(scan.length[v]) for v in apparition}
     writing, chain, neighbor, adj = [], [], [], {}
     for v, stage in apparition.items():
@@ -152,30 +152,31 @@ def _label_checks(scan, n):
 
 def _top_at(scan, stage):
     """The least vertex born at `stage` whose top writing exponent is `stage`."""
-    return next(c.vertex for c in scan.it.centers[stage]
-                if max(length_writing(scan.d, scan.length[c.vertex])) == stage)
+    return next(v for v in scan.it.centers[stage][0].tolist()
+                if max(length_writing(scan.d, scan.length[v])) == stage)
 
 
 def _corrupt(scan, kind, stage=10):
     """Change one datum the label checks read at `stage`; return the one
     failure it gives (from the check named first) and the vertex."""
-    d, c = scan.d, scan.it.centers[stage][0]
+    d, c = scan.d, int(scan.it.centers[stage][0][0])
     if kind == "length":    # a length whose top exponent is one stage late
-        scan.length[c.vertex] = _power_lengths(d)[stage + 1]
-        return f"vertex {c.vertex}: max exponent {stage + 1} at step {stage}"
+        scan.length[c] = _power_lengths(d)[stage + 1]
+        return f"vertex {c}: max exponent {stage + 1} at step {stage}"
     if kind == "length+1":  # a length one past the neighbour's plus sigma^stage(1)
         v = _top_at(scan, stage)
         scan.length[v] += 1
         return f"vertex {v}: 1-neighbor label mismatch"
     if kind == "src":       # a parent born at the empty label's stage
-        scan.it.centers[stage].columns[2][0] = 0
-        return (f"vertex {c.vertex}: parent step {apparition_of_empty(d)} outside "
+        scan.it.centers[stage][2][0] = 0
+        return (f"vertex {c}: parent step {apparition_of_empty(d)} outside "
                 f"[{stage - (2 * d - 2)}, {stage - (d - 1)}]")
     # kind == "edge": the color-1 out-edge of v redirected to another center's leaf
     v = _top_at(scan, stage)
     tree = scan.it.tree_at(stage)
     i = next(i for i, (s, _, col) in enumerate(tree.edges) if s == v and col == 1)
-    leaf = next(z for other in scan.it.centers[stage] if other.vertex != v for z in other.leaves)
+    leaf = next(z for u, *_ in center_rows(scan.it, stage) if u != v
+                for z in range(u + 1, u + d - 1))   # a fresh leaf of another center
     tree.dst[i] = leaf
     return f"vertex {v}: 1-neighbor {leaf} does not branch"
 
@@ -185,9 +186,9 @@ def test_apparition_chain_bounds_are_inclusive():
     d, stage = 3, 10
     scan = CoreScan(d)
     scan.extend_to(12)
-    v, _, src, _ = scan.it.centers[stage].columns
+    v, _, src, _ = scan.it.centers[stage]
     for back, ok in [(2 * d - 1, False), (2 * d - 2, True), (d - 1, True), (d - 2, False)]:
-        src[0] = scan.it.centers[stage - back][0].vertex
+        src[0] = scan.it.centers[stage - back][0][0]
         assert _sweep(scan.check_apparition_chain, 12) == (
             [] if ok else [f"vertex {v[0]}: parent step {stage - back} outside [6, 8]"])
 
@@ -281,14 +282,14 @@ def test_address_map_agrees_with_direct_oracle(d):
 def test_address_map_flags_a_changed_label():
     scan = CoreScan(3)
     scan.extend_to(8)
-    v = scan.it.centers[5][0].vertex    # the least vertex born at stage 5
+    v = int(scan.it.centers[5][0][0])    # the least vertex born at stage 5
     k = int(scan.length[v])
     scan.length[v] += 1     # the label of another prefix
     # the centers with source v were stored from its true length, one less
     # than what the changed one gives them
-    children = [f"stage {n} vertex {c.vertex}: label length {scan.length[c.vertex]}, "
-                f"want {scan.length[c.vertex] + 1}"
-                for n in range(6, 9) for c in scan.it.centers[n] if c.src == v]
+    children = [f"stage {n} vertex {c}: label length {scan.length[c]}, "
+                f"want {scan.length[c] + 1}"
+                for n in range(6, 9) for c, _, src, _ in center_rows(scan.it, n) if src == v]
     assert children
     assert _sweep(scan.check_address_map, 8) == [
         f"stage 5 vertex {v}: label length {k + 1}, want {k}", *children,
@@ -309,7 +310,7 @@ def test_address_map_flags_a_recolored_edge_on_a_root_path():
     scan = CoreScan(3)
     scan.extend_to(8)
     tree = scan.it.tree_at(7)
-    v = scan.it.centers[5][0].vertex
+    v = int(scan.it.centers[5][0][0])
     i = _on_root_path(tree, v)
     s, t, c = tree.edges[i]
     tree.color[i] = new = c % 4 + 1
@@ -365,14 +366,20 @@ def test_injectivity_and_steps():
         scan.approx_points([0, 2])
 
 
+def _arc_rows(scan, n):
+    """The simple arcs of stage n as (edge, src, dst, color, k, center,
+    length) rows, read from the columns of `CoreScan._arcs`."""
+    return list(zip(*(c.tolist() for c in scan._arcs(n, n + 2 * scan.d - 2)[0])))
+
+
 def test_initial_arcs():
     scan = shared_scan(3)
     assert scan.check_initial_arcs() == []
-    arcs = {a.color: a for a in scan.simple_arcs(0)}
-    assert word_str(fixed_point_prefix(3, arcs[1].length)) == "123"
-    assert word_str(fixed_point_prefix(3, arcs[2].length)) == "1"
-    assert word_str(fixed_point_prefix(3, arcs[3].length)) == "12"
-    assert {c: a.k for c, a in arcs.items()} == {1: 3, 2: 1, 3: 2}
+    arcs = {color: (k, length) for _, _, _, color, k, _, length in _arc_rows(scan, 0)}
+    assert word_str(fixed_point_prefix(3, arcs[1][1])) == "123"
+    assert word_str(fixed_point_prefix(3, arcs[2][1])) == "1"
+    assert word_str(fixed_point_prefix(3, arcs[3][1])) == "12"
+    assert {c: k for c, (k, _) in arcs.items()} == {1: 3, 2: 1, 3: 2}
 
 
 def test_partition_sequence_flags_a_stage_missing_an_edge(monkeypatch):
@@ -402,9 +409,9 @@ def test_partition_sequence_flags_a_wrong_partition_size(monkeypatch):
 def test_arc_counts_match_edge_counts():
     scan = shared_scan(3)
     for n in range(5):
-        arcs = scan.simple_arcs(n)
+        arcs = _arc_rows(scan, n)
         assert len(arcs) == 2 * determined_partition(3, n) + 1
-        assert all(1 <= a.k <= 4 for a in arcs)
+        assert all(1 <= k <= 4 for _, _, _, _, k, _, _ in arcs)
 
 
 def test_arc_checks():
@@ -417,16 +424,16 @@ def test_arc_checks():
 def _arc_overlaps_oracle(scan, n):
     """The arc-overlap audit by intersecting the vertex sets of every pair
     of shadows (each arc's ends and the vertices born inside its edge)."""
-    arcs = scan.simple_arcs(n)
+    arcs = _arc_rows(scan, n)
     deep = n + 2 * scan.d - 2
     scan.extend_to(deep)
     tree = scan.it.tree_at(deep)
     owner, _ = scan.it.descent(n, deep)
-    inner = {a.edge_index: set() for a in arcs}
+    inner = {e: set() for e, *_ in arcs}
     for v, e in enumerate(owner.tolist()):
         if e >= 0:
             inner[e].add(v)
-    sets = [{a.src, a.dst} | inner[a.edge_index] for a in arcs]
+    sets = [{src, dst} | inner[e] for e, src, dst, *_ in arcs]
     failures = []
     for i in range(len(arcs)):
         for j in range(i + 1, len(arcs)):
@@ -446,29 +453,29 @@ def test_arc_overlaps_agree_with_the_pairwise_oracle(d):
         assert scan.check_arc_overlaps(n) == _arc_overlaps_oracle(scan, n) == []
 
 
-def test_arc_overlaps_flag_a_vertex_in_a_third_shadow(monkeypatch):
+def test_arc_overlaps_flag_two_arcs_on_one_pair_of_ends(monkeypatch):
+    # arc 1 given the ends of arc 0, as a stage with a double edge would
+    # give them: the two shadows share both ends (`descent` gives no vertex
+    # of T_n an owner, so only ends are shared)
     scan = CoreScan(3)
     n = 3
-    arcs = scan.simple_arcs(n)
-    a = arcs[0]
-    j, b = next((j, b) for j, b in enumerate(arcs) if j and {b.src, b.dst} & {a.src, a.dst})
-    u = ({b.src, b.dst} - {a.src, a.dst}).pop()   # an end of b, claimed born inside a's edge
-    descent = scan.it.descent
+    arcs = scan._arcs
 
-    def moved(base, upto):
-        owner, on = descent(base, upto)
-        owner = owner.copy()
-        owner[u] = a.edge_index
-        return owner, on
+    def moved(n, upto):
+        (edge, src, dst, *rest), owner = arcs(n, upto)
+        src, dst = src.copy(), dst.copy()
+        src[1], dst[1] = src[0], dst[0]
+        return (edge, src, dst, *rest), owner
 
-    monkeypatch.setattr(scan.it, "descent", moved)
+    monkeypatch.setattr(scan, "_arcs", moved)
+    _, s, t, *_ = _arc_rows(scan, n)[0]
     failures = scan.check_arc_overlaps(n)
     assert failures == _arc_overlaps_oracle(scan, n)
-    assert f"arcs 0,{j} share {sorted({a.src, a.dst} & {b.src, b.dst} | {u})}" in failures
-    scan.length[u] = -1   # and unlabeled: not a branch point either
+    assert f"arcs 0,1 share {sorted({s, t})}" in failures
+    scan.length[s] = -1   # and unlabeled: not a branch point either
     failures = scan.check_arc_overlaps(n)
     assert failures == _arc_overlaps_oracle(scan, n)
-    assert f"arcs 0,{j}: shared {u} not a branch" in failures
+    assert f"arcs 0,1: shared {s} not a branch" in failures
 
 
 def _arc_cylinders_oracle(scan, n, deep):
@@ -477,13 +484,13 @@ def _arc_cylinders_oracle(scan, n, deep):
     deep sliced against its arc's word."""
     d = scan.d
     m = determined_partition(d, n)
-    arcs = scan.simple_arcs(n)
-    words = [fixed_point_prefix(d, a.length) for a in arcs]
+    arcs = _arc_rows(scan, n)
+    words = [fixed_point_prefix(d, length) for *_, length in arcs]
     failures = []
     if len(arcs) != (d - 1) * m + 1:
         failures.append(f"stage {n}: {len(arcs)} arcs, want {(d - 1) * m + 1}")
     tags = [w[-m:] for w in words]
-    failures += [f"arc {a.edge_index}: word shorter than {m}" for a, w in zip(arcs, words)
+    failures += [f"arc {e}: word shorter than {m}" for (e, *_), w in zip(arcs, words)
                  if len(w) < m]
     if len(set(tags)) != len(arcs):
         failures.append(f"stage {n}: arc suffixes of length {m} collide")
@@ -493,7 +500,7 @@ def _arc_cylinders_oracle(scan, n, deep):
     born_in, _ = scan.it.descent(n, deep)
     text = fixed_point_prefix(d, int(scan.length.max()))
     for stage in range(n + 1, deep + 1):
-        v = scan.it.centers[stage].columns[0]
+        v = scan.it.centers[stage][0]
         for x, e, k in zip(v.tolist(), born_in[v].tolist(), scan.length[v].tolist()):
             if k < len(words[e]) or text[k - len(words[e]):k] != words[e]:
                 failures.append(f"vertex {x}: label does not extend arc {e}")
@@ -507,7 +514,8 @@ def test_arc_cylinders_agree_with_the_slice_oracle(d):
         assert scan.check_arc_cylinders(n, 12) == _arc_cylinders_oracle(scan, n, 12) == []
         # the src chain alone certifies every center: none is compared directly
         born_in = scan.it.descent(n, max(12, n + 2 * d - 2))[0]
-        assert len(scan._off_chain(n, 12, born_in, scan.simple_arcs(n).columns[5])) == 0
+        center = scan._arcs(n, n + 2 * d - 2)[0][5]
+        assert len(scan._off_chain(n, 12, born_in, center)) == 0
 
 
 def test_arc_certificate_needs_each_src_link(monkeypatch):
@@ -518,11 +526,11 @@ def test_arc_certificate_needs_each_src_link(monkeypatch):
     scan = CoreScan(d)
     scan.extend_to(deep)
     born_in = scan.it.descent(n, deep)[0]
-    center = scan.simple_arcs(n).columns[5]
+    center = scan._arcs(n, n + 2 * d - 2)[0][5]
     # a center x whose source u is born inside x's edge past the stages the
     # arcs are read at, so moving u leaves the arcs as they are
     x, u = next((x, u) for stage in range(n + 2 * d - 1, deep + 1)
-                for x, u in zip(*(c.tolist() for c in scan.it.centers[stage].columns[::2]))
+                for x, u in zip(*(c.tolist() for c in scan.it.centers[stage][::2]))
                 if born_in[u] == born_in[x] and u >= scan.it.sizes[n + 2 * d - 2])
     other = (int(born_in[u]) + 1) % len(center)
     descent = scan.it.descent
@@ -546,7 +554,7 @@ def test_arc_certificate_needs_each_src_link(monkeypatch):
 def test_simple_arcs_at_stage_24_in_linear_memory():
     # arcs keep their label lengths; with the label bytes of each arc the
     # same call peaked at about 1.35 GB
-    code = f"from treesubst.core import CoreScan; CoreScan(3).simple_arcs(24); {_PEAK}"
+    code = f"from treesubst.core import CoreScan; CoreScan(3)._arcs(24, 28); {_PEAK}"
     (peak,) = _fresh_process_output(code)
     assert int(peak) < 100 * 1024
 
@@ -586,7 +594,7 @@ def test_core_suite_flags_two_labels_at_one_point(monkeypatch):
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
     real = scan.real
-    v, w = scan.it.centers[n][0].vertex, scan.it.centers[n][1].vertex
+    v, w = scan.it.centers[n][0][:2].tolist()
     real.anchor[w], real.copy[w], real.coef[w] = real.anchor[v], real.copy[v], real.coef[v]
     failed = _core_failures(monkeypatch, scan, n)
     assert failed["label-injectivity"] == failed["path-distances"]
@@ -599,7 +607,7 @@ def test_core_suite_flags_a_label_missing_from_the_inventory(monkeypatch):
     d, n = 3, 8
     scan = CoreScan(d)
     scan.extend_to(n + 1)
-    scan.length[scan.it.centers[n][0].vertex] = 0
+    scan.length[scan.it.centers[n][0][0]] = 0
     failed = _core_failures(monkeypatch, scan, n)
     want = len(l_word(d, n)) + 1   # 35 labels
     assert failed["label-inventory"] == [
@@ -628,8 +636,8 @@ def test_core_suite_flags_a_changed_initial_arc(monkeypatch):
     d = 3
     scan = CoreScan(d)
     scan.extend_to(2 * d - 1)
-    arc = next(a for a in scan.simple_arcs(0) if a.color == 2)
-    scan.length[arc.center] = 0
+    center = next(c for *_, color, _, c, _ in _arc_rows(scan, 0) if color == 2)
+    scan.length[center] = 0
     failed = _core_failures(monkeypatch, scan, 2 * d - 2)
     assert failed["initial-arcs"] == ["color 2: arc label e, want 1⁻"]
 
@@ -640,10 +648,9 @@ def test_core_suite_flags_an_image_past_the_longest_label(monkeypatch):
     d, n = 3, 8
     scan = CoreScan(d)
     scan.extend_to(n + 1)
-    v = scan.it.centers[n][0].vertex
+    v = int(scan.it.centers[n][0][0])
     scan.length[v] = len(scan.by_length) - 1
     failed = _core_failures(monkeypatch, scan, n)
-    assert "letter 2: a domain point's image label is unrealized" in failed["shift-isometries"]
     assert f"vertex {v}: image label unrealized" in failed["shift-isometries"]
 
 
@@ -654,14 +661,14 @@ class _LabelCorruptedAt12(CoreScan):
     def _scan_stage(self, n):
         super()._scan_stage(n)
         if n == 12:
-            v = self.it.centers[10][0].vertex
+            v = self.it.centers[10][0][0]
             self.length[v] += 1
 
 
 def test_arc_cylinders_read_the_deepest_stage():
     scan = CoreScan(3)
     scan.extend_to(8)
-    v = scan.it.centers[8][-1].vertex
+    v = int(scan.it.centers[8][0][-1])
     scan.length[v] += 1
     assert scan.check_arc_cylinders(2, 8) == [f"vertex {v}: label does not extend arc 4"]
 
@@ -683,7 +690,7 @@ class _GarbledAt3(CoreScan):
     def _scan_stage(self, n):
         if n == 3:
             self.it.tree_at(3)
-            src = max((c.src for c in self.it.centers[3]), key=self.length.__getitem__)
+            src = max(self.it.centers[3][2].tolist(), key=self.length.__getitem__)
             self.length[src] += 1
         super()._scan_stage(n)
 
@@ -702,8 +709,8 @@ def test_labels_match_the_bytes_recursion(d):
     words = {0: b""}
     for n in range(1, 15):
         step = power_image(d, n - 1)
-        for c in scan.it.centers[n]:
-            words[c.vertex] = step + words[c.src]
+        for v, _, src, _ in center_rows(scan.it, n):
+            words[v] = step + words[src]
     assert dict(scan.labels.items()) == words
     assert list(scan.labels) == list(words) and len(scan.labels) == len(words)
     assert list(reversed(scan.labels.values())) == list(reversed(words.values()))
@@ -725,7 +732,7 @@ def test_longest_source_reaches_the_overlap(d):
     for n in range(1, 17):
         step = len(power_image(d, n - 1))
         z = next(i for i in range(len(text) - step) if text[step + i] != text[i])
-        assert max(scan.length[c.src] for c in scan.it.centers[n]) == z
+        assert scan.length[scan.it.centers[n][2]].max() == z
         assert core.shift_overlap(d, step, z + 1) == z
         assert core.shift_overlap(d, step, z) == z
 
@@ -753,7 +760,7 @@ def test_register_rejects_a_source_length_off_by_one(d, delta, error):
         scan = CoreScan(d)
         scan.extend_to(n - 1)
         scan.it.tree_at(n)
-        src = max((c.src for c in scan.it.centers[n]), key=scan.length.__getitem__)
+        src = max(scan.it.centers[n][2].tolist(), key=scan.length.__getitem__)
         scan.length[src] += delta
         with pytest.raises(ValueError, match=error):
             scan.extend_to(n)
@@ -785,7 +792,7 @@ def test_register_rejects_an_earlier_length_or_no_label(d, tail, error):
         scan = CoreScan(d)
         scan.extend_to(n - 1)
         scan.it.tree_at(n)
-        src = scan.it.centers[n][0].src
+        src = int(scan.it.centers[n][2][0])
         step = _power_lengths(d)[n - 1]
         scan.length[src] = int(scan.length.max()) - step if tail == "earlier" else -1
         with pytest.raises(ValueError, match=error):
@@ -865,37 +872,51 @@ def test_shift_image_fixture():
     with pytest.raises(ValueError):
         _shift_image_label(scan, 1, v1)     # second fixed-point letter is 2
     # the scan's own domains, read from the lengths, agree
-    assert root in scan.shift_domain(1, 2)
-    assert v1 in scan.shift_domain(2, 2) and v1 not in scan.shift_domain(1, 2)
+    letters = dict(zip(*(c.tolist() for c in scan.shift_domains(2))))
+    assert letters[root] == 1 and letters[v1] == 2
+
+
+def _domain(scan, a, n):
+    """The stage-n branch points in the domain of letter a, read off the
+    label words: those whose label a lengthens to a fixed-point prefix."""
+    scan.extend_to(n)
+    return [v for v in scan.it.tree_at(n).branch_points()
+            if fixed_point_prefix(scan.d, len(scan.labels[v]) + 1)[-1] == a]
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_shift_domains_match_the_label_words(d):
+    scan = CoreScan(d)
+    for n in range(11):
+        dom, letter = scan.shift_domains(n)
+        assert {a: dom[letter == a].tolist() for a in range(1, d + 1)} == {
+            a: _domain(scan, a, n) for a in range(1, d + 1)}
 
 
 def test_shift_checks():
     scan = shared_scan(3)
-    for a in (1, 2, 3):
-        assert scan.check_shift_isometry(a, 6) == []
-        assert scan.check_shift_conjugacy(a, 6) == []
+    assert scan.check_shift_isometry(6) == []
     assert scan.check_domain_overlaps(6) == []
 
 
-def test_shift_conjugacy_flags_a_missing_or_wrong_image():
+def test_shift_isometry_names_an_unrealized_image(monkeypatch):
+    # a domain point whose image label is not seen: its own witness, where
+    # the certificate raised ValueError for its letter
     scan = CoreScan(3)
     scan.extend_to(7)
-    dom = scan.shift_domain(1, 6)
-    v, w = dom[len(dom) // 2], scan.shift_domain(2, 6)[0]
+    dom = _domain(scan, 1, 6)
+    v = dom[len(dom) // 2]
     scan.by_length[scan.length[v] + 1] = -1    # v's image label is not seen
-    scan.shift_domain = lambda a, n: dom + [w]  # w's next letter is 2, not 1
-    assert scan.check_shift_conjugacy(1, 6) == [
-        f"vertex {v}: image label unrealized", f"vertex {w}: image label mismatch",
-    ]
-    with pytest.raises(ValueError, match="letter 1: a domain point's image label is unrealized"):
-        scan.check_shift_isometry(1, 6)
+    assert scan.check_shift_isometry(6) == [f"vertex {v}: image label unrealized"]
+    monkeypatch.setattr(core, "shared_scan", lambda d: scan)
+    assert verify.shift_isometries(3, 6) == [f"vertex {v}: image label unrealized"]
 
 
 def _isometry_oracle(scan, a, n):
     """The shift isometry pair by pair, with `distance` on both sides."""
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
-    dom = scan.shift_domain(a, n)
+    dom = _domain(scan, a, n)
     pts = {v: scan.real.point(v) for v in dom}
     imgs = {v: scan.real.point(scan.vertex_of_label(_shift_image_label(scan, a, v))) for v in dom}
     return [
@@ -912,7 +933,7 @@ def _blocked_shift_oracle(scan, a, n):
     `AnchorMetric`; witnesses worded as `_isometry_oracle` words them."""
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
-    dom = np.array(scan.shift_domain(a, n), dtype=np.int64)
+    dom = np.array(_domain(scan, a, n), dtype=np.int64)
     img = scan.by_length[scan.length[dom] + 1]
     metric = AnchorMetric(scan.real)
     failures = []
@@ -927,8 +948,9 @@ def _blocked_shift_oracle(scan, a, n):
 def test_shift_isometry_agrees_with_pair_oracle(d):
     scan = CoreScan(d)
     for n in range({3: 16, 4: 12, 5: 10}[d] + 1):
+        assert scan.check_shift_isometry(n) == []
         for a in range(1, d + 1):
-            assert scan.check_shift_isometry(a, n) == _blocked_shift_oracle(scan, a, n) == []
+            assert _blocked_shift_oracle(scan, a, n) == []
             if n <= 10:
                 assert _isometry_oracle(scan, a, n) == []
 
@@ -968,13 +990,13 @@ def test_shift_isometry_flags_a_displaced_image(along):
     scan = CoreScan(d)
     scan.extend_to(n + 1)
     scan.real.extend_to(n + 1)
-    dom = scan.shift_domain(a, n)
+    dom = _domain(scan, a, n)
     images = [scan.vertex_of_label(_shift_image_label(scan, a, v)) for v in dom]
     branch = set(scan.it.tree_at(n + 1).branch_points())
     # an image with no other branch point of T_(n+1) anchored below it
     w = next(w for w in images[len(images) // 2:] if _below(scan.real, w) & branch == {w})
     _displace(scan.real, w, along)
-    failures = scan.check_shift_isometry(a, n)
+    failures = scan.check_shift_isometry(n)
     assert failures == scan.check_path_distances(n + 1) != []
     assert all(w in _pair(f) for f in failures)
     assert _isometry_oracle(scan, a, n) != [] and _blocked_shift_oracle(scan, a, n) != []
@@ -986,11 +1008,11 @@ def test_shift_isometry_flags_a_redirected_image():
     d, n, a = 3, 8, 1
     scan = CoreScan(d)
     scan.extend_to(n + 1)
-    dom = scan.shift_domain(a, n)
+    dom = _domain(scan, a, n)
     v, u = dom[len(dom) // 2], dom[len(dom) // 2 + 1]
     k, w = int(scan.length[v]) + 1, int(scan.by_length[scan.length[u] + 1])
     scan.by_length[k] = w
-    assert scan.check_shift_isometry(a, n) == [
+    assert scan.check_shift_isometry(n) == [
         f"letter {a}: image {w} of vertex {v} has label length {scan.length[w]}, want {k}"
     ]
     assert _isometry_oracle(scan, a, n) != [] and _blocked_shift_oracle(scan, a, n) != []
@@ -998,8 +1020,8 @@ def test_shift_isometry_flags_a_redirected_image():
 
 def test_shift_isometry_flags_a_changed_center_length(monkeypatch):
     """A stage-(n+1) center that is no image, its stored length changed:
-    premise (b), the address map's fact (3) one stage up, fails for every
-    letter, and the audit reports it once.  The oracles read only
+    premise (b), the address map's fact (3) one stage up, is shared by
+    every letter, and the certificate reports it once.  The oracles read only
     `by_length` and the points, which did not change, so they pass: the
     certificate also asks that the stored lengths be the labels', and is
     stricter by design."""
@@ -1007,13 +1029,13 @@ def test_shift_isometry_flags_a_changed_center_length(monkeypatch):
     scan = CoreScan(d)
     scan.extend_to(n + 1)
     images = {int(scan.by_length[k + 1]) for a in range(1, d + 1)
-              for k in scan.length[scan.shift_domain(a, n)].tolist()}
-    c = next(c.vertex for c in scan.it.centers[n + 1] if c.vertex not in images)
+              for k in scan.length[_domain(scan, a, n)].tolist()}
+    c = next(v for v in scan.it.centers[n + 1][0].tolist() if v not in images)
     k = int(scan.length[c])
     scan.length[c] += 1
     want = f"stage {n + 1} vertex {c}: label length {k + 1}, want {k}"
+    assert scan.check_shift_isometry(n) == [want]
     for a in range(1, d + 1):
-        assert scan.check_shift_isometry(a, n) == [want]
         assert _isometry_oracle(scan, a, n) == _blocked_shift_oracle(scan, a, n) == []
     monkeypatch.setattr(core, "shared_scan", lambda d: scan)
     assert verify.shift_isometries(d, n) == [want]
@@ -1022,15 +1044,15 @@ def test_shift_isometry_flags_a_changed_center_length(monkeypatch):
 def test_shift_isometry_reaches_stage_28():
     scan = CoreScan(3)
     for n in range(29):
-        for a in (1, 2, 3):
-            assert scan.check_shift_isometry(a, n) == []
+        assert scan.check_shift_isometry(n) == []
 
 
 def _overlaps_oracle(scan, n):
     """Domain overlaps from vertex sets: the hull of each domain as the
     union of root-index paths, compared as Python sets."""
     tree = scan.it.tree_at(n)
-    hulls = {a: _hull(tree, set(scan.shift_domain(a, n))) for a in range(1, scan.d + 1)}
+    dom, letter = scan.shift_domains(n)
+    hulls = {a: _hull(tree, set(dom[letter == a].tolist())) for a in range(1, scan.d + 1)}
     return [f"letters {a},{b}: domains share edges"
             for a in range(1, scan.d + 1) for b in range(a + 1, scan.d + 1)
             if len(hulls[a] & hulls[b]) > 1]
@@ -1043,8 +1065,10 @@ def test_domain_overlaps_agree_with_the_hull_oracle(d):
         assert scan.check_domain_overlaps(n) == _overlaps_oracle(scan, n) == []
     # every domain widened by the root: all of them then meet around it
     branch = scan.it.tree_at(6).branch_points()
-    domain = scan.shift_domain
-    scan.shift_domain = lambda a, n: sorted({0, branch[a], *domain(a, n)})
+    dom, letter = scan.shift_domains(6)
+    extra = np.arange(1, scan.d + 1)   # the root and branch[a] join the domain of a
+    scan.shift_domains = lambda n: (np.concatenate([dom, 0 * extra, np.array(branch)[extra]]),
+                                    np.concatenate([letter, extra, extra]))
     assert scan.check_domain_overlaps(6) == _overlaps_oracle(scan, 6) != []
 
 
@@ -1052,7 +1076,8 @@ def test_domain_overlaps_allow_one_shared_vertex():
     scan = CoreScan(3)
     branch = sorted(scan.it.tree_at(4).branch_points())
     domains = {1: [0], 2: [0, branch[-1]], 3: []}
-    scan.shift_domain = lambda a, n: domains[a]
+    scan.shift_domains = lambda n: (np.array([v for a in domains for v in domains[a]]),
+                                    np.array([a for a in domains for _ in domains[a]]))
     assert scan.check_domain_overlaps(4) == []
     domains[3] = [branch[1], branch[-1]]
     assert scan.check_domain_overlaps(4) == ["letters 2,3: domains share edges"]
@@ -1146,8 +1171,8 @@ def test_path_audit_flags_a_displaced_point(n, along):
     scan.real.extend_to(n)
     branch = sorted(scan.it.tree_at(n).branch_points())
     # a center born at stage n: only its fresh leaves hang from it
-    centers = scan.it.centers[n]
-    v = centers[len(centers) // 2].vertex
+    centers = scan.it.centers[n][0]
+    v = int(centers[len(centers) // 2])
     assert _below(scan.real, v) & set(branch) == {v}
     _displace(scan.real, v, along)
     failures = scan.check_path_distances(n)
@@ -1213,7 +1238,7 @@ def test_path_audit_refuses_a_shared_row():
     scan.real.extend_to(n)
     real = scan.real
     # two centers born at stage n given one row, so both sit at one point
-    v, w = scan.it.centers[n][0].vertex, scan.it.centers[n][1].vertex
+    v, w = scan.it.centers[n][0][:2].tolist()
     real.anchor[w], real.copy[w], real.coef[w] = real.anchor[v], real.copy[v], real.coef[v]
     failures = scan.check_path_distances(n)
     assert _within(failures, _pair_oracle(scan, n))

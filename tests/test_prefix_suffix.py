@@ -8,7 +8,7 @@ from treesubst.words import (
     _power_lengths, family_substitution, fixed_point_prefix, power_image, word_str,
 )
 from treesubst.prefix_suffix import (
-    build_automaton,
+    _targets,
     development_tail_word,
     is_admissible,
     length_writing,
@@ -17,34 +17,34 @@ from treesubst.prefix_suffix import (
 
 
 def test_automaton_states_and_transitions():
-    auto = build_automaton(3)
+    targets = _targets(3)
     # one transition per (letter, position in its image)
     total = sum(len(img) for img in family_substitution(3).images.values())
-    assert len(auto.transitions) == total == 4
+    assert len(targets) == total == 4
 
 
 def test_transition_labels_decompose_images():
     sub = family_substitution(3)
-    auto = build_automaton(3)
-    for t in auto.transitions:
-        p, a, s = t.label()
-        assert p + bytes([a]) + s == sub.images[t.dst]
-        assert a == t.src
+    for (p, a, s), b in _targets(3).items():
+        # the label's middle letter is its source state, the target b the
+        # letter whose image it decomposes
+        assert p + bytes([a]) + s == sub.images[b]
 
 
 def test_admissible_path_counts():
     # the admissible label sequences of length k are the k-step walks in the
-    # automaton graph; every other sequence of labels is rejected
-    auto = build_automaton(3)
-    labels = [t.label() for t in auto.transitions]
-    walks = [[t] for t in auto.transitions]
+    # automaton graph, a transition of source a following one of target a;
+    # every other sequence of labels is rejected
+    targets = _targets(3)
+    labels = list(targets)
+    walks = [[lab] for lab in labels]
     for k in range(1, 6):
-        admissible = {tuple(t.label() for t in w) for w in walks}
+        admissible = {tuple(w) for w in walks}
         every = [()]
         for _ in range(k):
             every = [seq + (lab,) for seq in every for lab in labels]
         assert {seq for seq in every if is_admissible(3, seq)} == admissible
-        walks = [w + [t] for w in walks for t in auto.transitions if t.src == w[-1].dst]
+        walks = [w + [lab] for w in walks for lab in labels if lab[1] == targets[w[-1]]]
 
 
 def test_shift_development_tail():

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from treesubst import cli, core, rauzy, verify
-from treesubst.trees import TreeIteration, _Rows
+from treesubst.trees import TreeIteration
 from treesubst.core import l_word
 from treesubst.words import (
     distinct, family_substitution, fixed_point_prefix, measure_spectrum, power_image, word_str,
@@ -37,6 +37,7 @@ from treesubst.rauzy import (
     _partition_witnesses,
     _projected_prefix_orbit,
 )
+from test_trees import center_rows
 
 
 def test_tree_image_arcs_flag_a_merged_arc_class(monkeypatch):
@@ -343,10 +344,10 @@ def test_orbit_index_refuses_a_garbled_source_length(monkeypatch):
     # a stage-5 center whose src is a leaf: a source without a label
     it = TreeIteration(3)
     it.tree_at(8)
-    v, e, src, dst = it.centers[5].columns
+    v, e, src, dst = it.centers[5]
     src = src.copy()
     src[0] = 1   # a leaf of the stage-0 star
-    it.centers[5] = _Rows((v, e, src, dst), it._center)
+    it.centers[5] = v, e, src, dst
     monkeypatch.setattr(rauzy, "shared_scan", lambda d: SimpleNamespace(it=it))
     with pytest.raises(ValueError, match="not a prefix inverse"):
         rauzy._orbit_index.__wrapped__(2, 50)
@@ -567,7 +568,7 @@ def test_long_tags_are_written_in_chunks_of_bytes(tmp_path, monkeypatch):
 
 
 def _orbit_index_oracle(base, depth):
-    """The orbit index by a walk over the materialized `NewCenter`s: label
+    """The orbit index by a walk over the new centers row by row: label
     lengths in a dict grown until the longest reaches depth, and arcs by the
     per-center descent loop with a dict of base edges."""
     it = core.shared_scan(3).it
@@ -577,9 +578,9 @@ def _orbit_index_oracle(base, depth):
         stage += 1
         it.tree_at(stage)
         step = len(power_image(3, stage - 1))
-        for c in it.centers[stage]:
-            length[c.vertex] = length[c.src] + step
-            longest = max(longest, length[c.vertex])
+        for c, _, src, _ in center_rows(it, stage):
+            length[c] = length[src] + step
+            longest = max(longest, length[c])
     assert stage == orbit_stage(base, depth)
     size = len(it.tree_at(stage).vertices)
     base_tree = it.tree_at(base)
@@ -587,12 +588,12 @@ def _orbit_index_oracle(base, depth):
     edge_of = {(s, t): i for i, (s, t, _) in enumerate(base_tree.edges)}
     arc, on = [-1] * size, [True] * old + [False] * (size - old)
     for n in range(base + 1, stage + 1):
-        for c in it.centers[n]:
-            e = max(arc[c.src], arc[c.dst])
-            arc[c.vertex] = e if e >= 0 else edge_of[c.src, c.dst]
-            for z in c.leaves:
-                arc[z] = arc[c.vertex]
-            on[c.vertex] = on[c.src] and on[c.dst]
+        for c, _, src, dst in center_rows(it, n):
+            e = max(arc[src], arc[dst])
+            arc[c] = e if e >= 0 else edge_of[src, dst]
+            for z in range(c + 1, c + it.d - 1):   # its fresh leaves
+                arc[z] = arc[c]
+            on[c] = on[src] and on[dst]
     arc_of = np.full(depth + 1, -1, dtype=np.int64)
     on_tree = np.zeros(depth + 1, dtype=bool)
     on_tree[: len(l_word(3, base)) + 1] = True

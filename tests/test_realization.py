@@ -17,6 +17,7 @@ from treesubst.algnum import ExactLength, stretch_root
 from treesubst.realization import FreePoint, Realization, distance, quotient
 from treesubst.trees import TreeIteration
 from pair_oracles import AnchorMetric
+from test_trees import center_rows
 
 # -- the general gap oracle: medians in the free product of lines -----------
 
@@ -52,9 +53,9 @@ def point_segment_distance(x: FreePoint, a: FreePoint, b: FreePoint) -> ExactLen
 def oracle_gap(real: Realization, n: int) -> ExactLength:
     """Largest distance from a stage-n new vertex to the edge its star replaced."""
     gap = ExactLength.zero(real.d)
-    for c in real.it.centers[n]:
-        a, b = real.points[c.dst], real.points[c.src]
-        for v in (c.vertex, *c.leaves):
+    for c, _, src, dst in center_rows(real.it, n):
+        a, b = real.points[dst], real.points[src]
+        for v in range(c, c + real.d - 1):   # the center and its fresh leaves
             dist = point_segment_distance(real.points[v], a, b)
             if gap < dist:
                 gap = dist
@@ -296,7 +297,7 @@ def test_edge_check_catches_a_corrupted_point(check_stage):
     # rescale the last syllable of a stage-5 center by rho^-3
     real = Realization(TreeIteration(3))
     real.extend_to(check_stage)
-    v = real.it.centers[5][0].vertex
+    v = int(real.it.centers[5][0][0])
     real.coef[v] = ExactLength(3, tuple(real.coef[v].tolist())).scaled(-3).coeffs
     with pytest.raises(ValueError) as info:
         real.edge_length_check(check_stage)
@@ -308,28 +309,29 @@ def test_edge_check_catches_a_corrupted_anchor():
     # hang a stage-6 leaf off the center's color-1 neighbour instead of the center
     real = Realization(TreeIteration(3))
     real.extend_to(6)
-    c = real.it.centers[6][0]
-    real.anchor[c.leaves[0]] = c.dst
+    c, _, _, dst = center_rows(real.it, 6)[0]
+    real.anchor[c + 1] = dst   # its first fresh leaf
     with pytest.raises(ValueError) as info:
         real.edge_length_check(6)
     n, (s, t, _), what = info.value.args[0]
-    assert (n, what) == (6, "not a single syllable") and c.leaves[0] in (s, t)
+    assert (n, what) == (6, "not a single syllable") and c + 1 in (s, t)
 
 
 def test_gap_rejects_a_leaf_on_its_edge_copy(monkeypatch):
     real = Realization(TreeIteration(3))
     real.extend_to(6)
-    c = real.it.centers[6][0]
-    (copy, _), = quotient(real.points[c.dst], real.points[c.src])
-    real.copy[c.leaves[0]] = copy
-    assert real.points[c.leaves[0]] == real.points[c.vertex] * FreePoint.syllable(
+    c, _, src, dst = center_rows(real.it, 6)[0]
+    leaf = c + 1   # its first fresh leaf
+    (copy, _), = quotient(real.points[dst], real.points[src])
+    real.copy[leaf] = copy
+    assert real.points[leaf] == real.points[c] * FreePoint.syllable(
         3, copy, ExactLength.rho_power(3, -7))
     with pytest.raises(ValueError, match="leaf not one syllable off its edge"):
         real.hausdorff_gap(6)
     # the audit reports the misplaced leaf as the stage's witness
     monkeypatch.setattr(core, "shared_scan", lambda d: SimpleNamespace(real=real))
     assert verify.stage_convergence(3, 6) == [
-        f"stage 6: {(6, c.leaves[0], 'leaf not one syllable off its edge')}"
+        f"stage 6: {(6, leaf, 'leaf not one syllable off its edge')}"
     ]
 
 
@@ -338,11 +340,11 @@ def test_gap_rejects_a_center_past_its_edge():
     # as it fell short of that end: its last syllable grows by 2 (p - off)
     real = Realization(TreeIteration(3))
     real.extend_to(6)
-    c = real.it.centers[6][0]
-    (copy, p), = quotient(real.points[c.dst], real.points[c.src])
-    (_, off), = quotient(real.points[c.dst], real.points[c.vertex])
-    real.coef[c.vertex] += np.array((p - off).coeffs) * 2
-    (_, past), = quotient(real.points[c.dst], real.points[c.vertex])
+    c, _, src, dst = center_rows(real.it, 6)[0]
+    (copy, p), = quotient(real.points[dst], real.points[src])
+    (_, off), = quotient(real.points[dst], real.points[c])
+    real.coef[c] += np.array((p - off).coeffs) * 2
+    (_, past), = quotient(real.points[dst], real.points[c])
     assert past == p + p - off
     with pytest.raises(ValueError, match="center off its replaced edge"):
         real.hausdorff_gap(6)
@@ -382,11 +384,11 @@ def oracle_points(it: TreeIteration, n: int) -> dict[int, FreePoint]:
     for m in range(1, n + 1):
         it.tree_at(m)
         step = ExactLength.rho_power(d, -m)
-        for c in it.centers[m]:
-            (copy, p), = quotient(pts[c.dst], pts[c.src])
+        for c, _, src, dst in center_rows(it, m):
+            (copy, p), = quotient(pts[dst], pts[src])
             toward = FreePoint.syllable(d, copy, step if p.sign() > 0 else -step)
-            center = pts[c.vertex] = pts[c.dst] * toward
-            for h, z in enumerate(c.leaves, start=1):
+            center = pts[c] = pts[dst] * toward
+            for h, z in enumerate(range(c + 1, c + d - 1), start=1):   # its fresh leaves
                 leg = ExactLength.rho_power(d, -(m + h))
                 pts[z] = center * FreePoint.syllable(d, (copy + h) % d, leg)
     return pts
@@ -422,7 +424,7 @@ def test_distance_rows_part_only_on_one_sign(sign):
     d, n = 3, 6
     real = Realization(TreeIteration(d))
     real.extend_to(n)
-    v = real.it.centers[n][0].vertex
+    v = int(real.it.centers[n][0][0])
     t = ExactLength(d, tuple(real.coef[v].tolist())).scaled(-1)
     real.anchor[v + 1], real.copy[v + 1] = real.anchor[v], real.copy[v]
     real.coef[v + 1] = (t if sign > 0 else -t).coeffs

@@ -14,7 +14,6 @@ from treesubst import cli, core, rauzy, trees, verify
 from treesubst.realization import Realization
 from treesubst.trees import (
     ColoredTree,
-    NewCenter,
     RulePattern,
     TreeIteration,
     TreeSubstitution,
@@ -23,6 +22,12 @@ from treesubst.trees import (
     initial_tree,
 )
 from pair_oracles import Lifting
+
+
+def center_rows(it, n):
+    """The new centers of stage n as (vertex, edge, src, dst) rows, read
+    from the columns of `it.centers[n]`."""
+    return list(zip(*(c.tolist() for c in it.centers[n])))
 
 
 def degree(tree, v):
@@ -226,7 +231,7 @@ def test_induced_index_is_the_searched_index(d, top, monkeypatch):
 def test_a_recolored_stage_and_the_next_are_read_with_no_search(monkeypatch):
     it = TreeIteration(3)
     tree = it.tree_at(7)
-    v = it.centers[5][0].vertex
+    v = int(it.centers[5][0][0])
     p = int(tree.rooted_index().parent[v])
     i = next(i for i, (s, t, _) in enumerate(tree.edges) if {s, t} == {v, p})
     s, t, c = tree.edges[i]
@@ -407,14 +412,15 @@ def test_new_center_record_matches_adjacency(d):
         born = [v for v in tree.vertices if it.birth_stage(v) == n]
         centers = [v for v in born if degree(tree, v) == d]
         leaves = {v for v in born if degree(tree, v) == 1}
-        record = it.centers[n]
-        assert [c.vertex for c in record] == sorted(centers)
-        assert {z for c in record for z in c.leaves} == leaves
-        for c in record:
-            nbr = {sc: w for w, sc, _ in adjacency(tree)[c.vertex]}
-            assert (c.src, c.dst) == (nbr[d], nbr[1])
-            assert c.leaves == tuple(nbr[d + h] for h in range(1, d - 1))
-            assert it.tree_at(n - 1).edges[c.edge] == (c.src, c.dst, 2)
+        record = center_rows(it, n)
+        assert [v for v, *_ in record] == sorted(centers)
+        # a center's fresh leaves are the d - 2 ids after it
+        assert {v + h for v, *_ in record for h in range(1, d - 1)} == leaves
+        for v, e, src, dst in record:
+            nbr = {sc: w for w, sc, _ in adjacency(tree)[v]}
+            assert (src, dst) == (nbr[d], nbr[1])
+            assert tuple(range(v + 1, v + d - 1)) == tuple(nbr[d + h] for h in range(1, d - 1))
+            assert it.tree_at(n - 1).edges[e] == (src, dst, 2)
 
 
 def _base_edge(it, arc, base, edge):
@@ -552,14 +558,17 @@ def _apply_oracle(ts, tree):
 
 
 def _centers_oracle(d, prev_edges, born):
-    """The births of one stage grouped d - 1 at a time into new centers."""
+    """The births of one stage grouped d - 1 at a time into new centers, as
+    (vertex, edge, src, dst) rows; each center's fresh leaves are the d - 2
+    ids after it."""
     fresh = list(born.items())
     out = []
     for i in range(0, len(fresh), d - 1):
         (v, e), *leaves = fresh[i : i + d - 1]
         src, dst, color = prev_edges[e]
         assert color == 2 and all(f == e for _, f in leaves)
-        out.append(NewCenter(v, e, src, dst, tuple(w for w, _ in leaves)))
+        assert [w for w, _ in leaves] == list(range(v + 1, v + d - 1))
+        out.append((v, e, src, dst))
     return out
 
 
@@ -582,7 +591,7 @@ def test_apply_and_centers_match_per_edge_loop(d):
     for n in range(1, 19 if d == 3 else 13):
         res, born = _assert_apply_matches(ts, prev)
         it.extend_to(n)
-        assert list(it.centers[n]) == _centers_oracle(d, list(prev.edges), born)
+        assert center_rows(it, n) == _centers_oracle(d, list(prev.edges), born)
         assert it.sizes[n] == len(res.tree.vertices)
         tree = it.tree_at(n)
         assert tree == res.tree
@@ -600,7 +609,7 @@ def test_stages_built_out_of_order_are_the_same_trees(d):
         assert _same_index(tree.rooted_index(), _searched(stages[n]))
     assert sorted(shuffled.trees) == [0, 4, 9, 12]
     assert shuffled.sizes == ordered.sizes
-    assert [list(c) for c in shuffled.centers] == [list(c) for c in ordered.centers]
+    assert all(center_rows(shuffled, n) == center_rows(ordered, n) for n in range(13))
 
 
 def test_edge_log_refuses_rules_it_cannot_express():
@@ -862,6 +871,18 @@ def test_budget_refuses_by_the_growth_estimate(monkeypatch):
         it.extend_to(10)
     # nothing built or grown past the budget
     assert max(it.trees) == 9 and len(it.sizes) == len(it.centers) == len(it._batch) - 1 == 10
+
+
+@pytest.mark.parametrize("n", [1855, 1856, 1857, 2000, 10**20, 10**400])
+def test_budget_refuses_a_stage_past_the_floats(n):
+    # 3 * lambda^n is inf from n = 1855, and lambda^n raises OverflowError
+    # from n = 1857; the refusal still names a finite count
+    with pytest.raises(ValueError, match=rf"^stage {n} would hold more than 10\^308 edges "
+                                         r"\(d \* lambda\^n\), over the budget of 1,000,000$"):
+        check_budget(3, n)
+    # the last estimate the floats hold is still spelled out
+    with pytest.raises(ValueError, match=r"^stage 1854 would hold about 179,461,909,[0-9,]* edges"):
+        check_budget(3, 1854)
 
 
 @pytest.mark.parametrize("edges, want", [

@@ -451,3 +451,25 @@ def test_words_suite_ranks_once_per_index_build(monkeypatch):
     for d in (3, 4, 5):
         assert all(r.status == "pass" for r in verify.run_suite("words", d))
     assert calls["_rank_rounds"] == calls["_build_index"] == 3
+
+
+def test_window_classes_refuse_a_prefix_past_the_limit(monkeypatch):
+    # classes split at lcp <= m, one too many: at m = 64, the index's cap,
+    # every position is a class of its own, so no two counts are equal and
+    # the stopping rule doubles the prefix until it passes the limit, where
+    # it is refused rather than grown until memory runs out
+    monkeypatch.setattr(words, "MAX_PREFIX_LEN", 20_000)
+    monkeypatch.setattr(words, "_indexes", {})
+    none = np.zeros(0, dtype=np.int64)
+    assert len(window_classes(3, 64, none)[0]) == 2 * 64 + 1   # the true classes settle below it
+
+    def split(self, m, at):
+        heads = np.flatnonzero(self.lcp <= m)
+        first = np.minimum.reduceat(self.order, heads)
+        return first, first[np.searchsorted(heads, self.rank[at], side="right") - 1]
+
+    monkeypatch.setattr(words.FactorIndex, "classes", split)
+    with pytest.raises(ValueError, match=r"^length-64 windows would read [0-9,]+ letters, "
+                                         r"over the limit of 20,000$"):
+        window_classes(3, 64, none)
+    assert words._indexes[3].size <= 20_000
