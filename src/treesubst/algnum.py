@@ -7,11 +7,12 @@ such number has exactly one coefficient vector
     sum coeffs[i] * rho^i,   0 <= i < d,
 
 and equality and hashing are those of the vector.  Signs and values are
-exact: the vector is evaluated in integers at floor(rho * 2^p) / 2^p, with
-rho's bits found by exact bisection, and p doubles until the error bound
-fixes the sign or the leading bits (x^d - x - 1 is irreducible, so a
-nonzero vector never vanishes at rho).  Powers of rho (x^d = x + 1) and of
-lambda (x^d = x^(d-1) + 1) come from one routine, `trinomial_step`.
+exact (`exact_rows`): the vectors are evaluated together in integers at
+floor(rho * 2^p) / 2^p, with rho's bits found by exact bisection, and p
+doubles, for a vector on its own, until the error bound fixes the sign or
+the leading bits (x^d - x - 1 is irreducible, so a nonzero vector never
+vanishes at rho).  Powers of rho (x^d = x + 1) and of lambda
+(x^d = x^(d-1) + 1) come from one routine, `trinomial_step`.
 """
 
 from __future__ import annotations
@@ -88,10 +89,39 @@ def _rho_floor(d: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _rho_weights(d: int, p: int) -> tuple[int, ...]:
-    """lo^i * 2^(p(d-1)) for i < d, where lo = floor(rho * 2^p) / 2^p."""
+def _rho_weights(d: int, p: int) -> np.ndarray:
+    """lo^i * 2^(p(d-1)) for i < d, where lo = floor(rho * 2^p) / 2^p, as an
+    array of Python ints that callers must not change."""
     m = _rho_floor(d, p)
-    return tuple(m**i << p * (d - 1 - i) for i in range(d))
+    return np.array([m**i << p * (d - 1 - i) for i in range(d)], dtype=object)
+
+
+def exact_rows(d: int, rows, bits: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Exact sign of alpha = sum c_i rho^i for each row c of integer
+    coefficients and, for bits > 0, a double x with |x - alpha| < 2^-bits |x|
+    (0.0 at zero): at bits = 60 the double nearest alpha, or its neighbour
+    if alpha is 2^-60-close to a midpoint.  At bits = 0 no double is formed,
+    so a sign is decided however large alpha is.
+
+    All rows are evaluated in one product at p = 64 + bits; only a row
+    whose error bound that precision does not meet doubles p, on its own,
+    until it does.
+    """
+    cs = np.array(rows, dtype=object).reshape(-1, d)   # Python ints: no product wraps
+    p = 64 + bits
+    num = cs.dot(_rho_weights(d, p))   # alpha(lo) = num / 2^(p(d-1))
+    values = (num / (1 << p * (d - 1))).astype(float) if bits else None
+    # rho < 2, so on [lo, rho] alpha moves by less than
+    # 2^-p sum i |c_i| 2^(i-1) <= 2^-p (d-1) 2^(d-2) sum |c_i|
+    slope = abs(cs).sum(1) * ((d - 1) << (d - 2))
+    for r in (abs(num) <= slope << p * (d - 2) + bits).nonzero()[0].tolist():
+        q = p
+        while slope[r] and abs(num[r]) <= slope[r] << q * (d - 2) + bits:   # a zero row stays 0
+            q *= 2
+            num[r] = cs[r].dot(_rho_weights(d, q))
+        if bits:
+            values[r] = num[r] / (1 << q * (d - 1))
+    return np.sign(num).astype(np.int64), values
 
 
 def trinomial_step(c: tuple[int, ...], k: int, sign: int) -> tuple[int, ...]:
@@ -175,28 +205,12 @@ class ExactLength:
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
-    def _fixed(self, bits: int) -> tuple[int, int]:
-        """(num, e) with |num / 2^e - self| < 2^-bits |num / 2^e|, or (0, 0) for zero."""
-        d, cs = self.d, self.coeffs
-        # rho < 2, so on [lo, rho] alpha moves by less than
-        # 2^-p sum i |c_i| 2^(i-1) <= 2^-p (d-1) 2^(d-2) sum |c_i|
-        slope = sum(map(abs, cs)) * (d - 1) << (d - 2)
-        p = 64 + bits
-        while slope:   # alpha(lo) = num / 2^(p(d-1)); double p until it is certain
-            num = sum(map(mul, cs, _rho_weights(d, p)))
-            if abs(num) > slope << (p * (d - 2) + bits):
-                return num, p * (d - 1)
-            p *= 2
-        return 0, 0
-
     def value(self) -> float:
         """The double nearest self (or its neighbour, if self is 2^-60-close to a midpoint)."""
-        num, e = self._fixed(60)
-        return num / (1 << e)
+        return float(exact_rows(self.d, [self.coeffs], 60)[1][0])
 
     def sign(self) -> int:
-        num = self._fixed(0)[0]
-        return (num > 0) - (num < 0)
+        return int(exact_rows(self.d, [self.coeffs], 0)[0][0])
 
     def __abs__(self) -> "ExactLength":
         return self if self.sign() >= 0 else -self

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import core, rauzy, trees, verify
 from .trees import ColoredTree, RulePattern, TreeSubstitution, check_budget
+from .words import distinct
 
 EXIT_OK = 0
 EXIT_CHECK = 1
@@ -57,50 +58,95 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: Path | None) -> None:
+class _AsText:
+    """Bytes written on as ASCII text, to a text stream with no byte buffer
+    under it (such as an in-process capture of standard output)."""
+
+    def __init__(self, stream):
+        self.stream = stream
+
+    def write(self, data) -> None:
+        self.stream.write(bytes(data).decode("ascii"))
+
+
+def _write(pieces: list, out: Path | None) -> None:
+    """Write each piece, bytes or (n, fields) rows by `rauzy._write_rows`, to
+    out or to standard output's byte buffer.  The pieces are made before out
+    is opened, so a failure while making them leaves no file."""
+
+    def emit(fh):
+        for piece in pieces:
+            if isinstance(piece, bytes):
+                fh.write(piece)
+            else:
+                rauzy._write_rows(fh, *piece)
+
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.flush()   # text printed before goes first
+        emit(getattr(sys.stdout, "buffer", None) or _AsText(sys.stdout))
     else:
-        out.write_text(text)
+        with open(out, "wb") as fh:
+            emit(fh)
         print(f"wrote {out}")
 
 
 # -- gen --------------------------------------------------------------------
 
+DOT_PALETTE = ["black", "red", "blue", "green3", "orange", "purple",
+               "brown", "cyan3", "magenta", "gray40"]
 
-def _tree_json(tree: ColoredTree, stage: int) -> str:
-    """json.dumps({d, root, vertices, edges as [s, t, c], stage}, indent=2)
-    + "\n", byte for byte: each list is one '%d' row template, a vertex or
-    an edge triple, repeated, and "[]" when empty."""
-    lists = []
-    for row, values in (("    %d", tree.vertices),
-                        ("    [\n      %d,\n      %d,\n      %d\n    ]",
-                         np.column_stack(tree.edges.columns).ravel().tolist())):
-        rows = len(values) // row.count("%d")
-        lists.append("[\n" + ((row + ",\n") * rows)[:-2] % tuple(values) + "\n  ]" if rows else "[]")
-    return ('{\n  "d": %d,\n  "root": %s,\n  "vertices": %s,\n  "edges": %s,\n  "stage": %d\n}\n'
-            % (tree.d, json.dumps(tree.root), *lists, stage))
+
+def _json_list(n: int, fields: list) -> list:
+    """n rows of `fields` as json.dumps(..., indent=2) lists them at depth 1:
+    a comma after each row but the last, and "[]" when empty."""
+    last = (np.arange(n) == n - 1).view(np.int8)
+    return [b"[\n", (n, [*fields, (last, [",\n", "\n"])]), b"  ]"] if n else [b"[]"]
+
+
+def _tree_json(tree: ColoredTree, stage: int) -> list:
+    """json.dumps({d, root, vertices, edges as [s, t, c], stage}, indent=2) + "\n"."""
+    size, cut = len(tree.vertices), b",\n      "
+    root = json.dumps(tree.root).encode()
+    return [b'{\n  "d": %d,\n  "root": %s,\n  "vertices": ' % (tree.d, root),
+            *_json_list(size, [b"    ", (np.arange(size), 0)]),
+            b',\n  "edges": ',
+            *_json_list(len(tree.src), [b"    [\n      ", (tree.src, 0), cut, (tree.dst, 0), cut,
+                                        (tree.color, 0), b"\n    ]"]),
+            b',\n  "stage": %d\n}\n' % stage]
+
+
+def _tree_dot(tree: ColoredTree) -> list:
+    """The Graphviz digraph: the root double-circled, each edge labelled with
+    its color and drawn in that color's palette entry."""
+    head = b"digraph stage_tree {  // d=%d\n" % tree.d
+    if tree.root is not None:
+        head += b"  v%d [shape=doublecircle];\n" % tree.root
+    colors, _, code = distinct(tree.color)
+    labels = [f'[label="{c}", color={DOT_PALETTE[c % len(DOT_PALETTE)]}];\n'
+              for c in colors.tolist()]
+    rows = [b"  v", (tree.src, 0), b" -> v", (tree.dst, 0), b" ", (code, labels)]
+    return [head, (len(tree.src), rows), b"}\n"]
+
+
+def _tree_csv(scan: core.CoreScan, n: int) -> list:
+    """Per vertex of stage n: id, birth stage, degree, its realized norm as
+    '%.9f' and its free-product address."""
+    norm, values, texts = scan.real.coordinates(n)
+    ids = np.arange(len(texts))
+    return [b"vertex,birth_stage,degree,norm,address\n",
+            (len(ids), [(ids, 0), b",", (scan.it.birth_stage(ids), 0), b",",
+                        (scan.it.tree_at(n).degrees(), 0), b",",
+                        (norm, ["%.9f" % x for x in values.tolist()]), b",", (ids, texts), b"\n"])]
 
 
 def cmd_gen(args) -> int:
     check_budget(args.d, args.n)
     scan = core.shared_scan(args.d)
-    it = scan.it
-    tree = it.tree_at(args.n)
-    if args.format == "json":
-        _write(_tree_json(tree, args.n), args.out)
-    elif args.format == "dot":
-        _write(tree.to_dot(), args.out)
+    tree = scan.it.tree_at(args.n)
+    if args.format == "csv":
+        _write(_tree_csv(scan, args.n), args.out)
     else:
-        real = scan.real
-        real.extend_to(args.n)
-        norms, texts = real.coordinates()
-        lines = ["vertex,birth_stage,degree,norm,address"]
-        degrees = tree.degrees()
-        born = it.birth_stage(np.arange(len(degrees)))
-        for v, (stage, degree) in enumerate(zip(born.tolist(), degrees.tolist())):
-            lines.append(f"{v},{stage},{degree},{norms[v]:.9f},{texts[v]}")
-        _write("\n".join(lines) + "\n", args.out)
+        _write(_tree_json(tree, args.n) if args.format == "json" else _tree_dot(tree), args.out)
     return EXIT_OK
 
 
@@ -163,17 +209,14 @@ def _rules_audit(ts: TreeSubstitution) -> list[verify.CheckResult]:
 
 
 def _emit_report(report: dict, fmt: str, out: Path | None) -> None:
-    if fmt == "json":
-        _write(json.dumps(report, indent=2) + "\n", out)
-        return
-    for entry in report["checks"]:
-        print(f"{entry['status']:4s}  {entry['name']:28s} {entry['scope']}")
-        for w in entry["witnesses"]:
-            print(f"          {w}")
-    print(f"suite {report['suite']}: {report['status']}")
-    if out is not None:
-        out.write_text(json.dumps(report, indent=2) + "\n")
-        print(f"wrote {out}")
+    if fmt == "table":
+        for entry in report["checks"]:
+            print(f"{entry['status']:4s}  {entry['name']:28s} {entry['scope']}")
+            for w in entry["witnesses"]:
+                print(f"          {w}")
+        print(f"suite {report['suite']}: {report['status']}")
+    if fmt == "json" or out is not None:
+        _write([(json.dumps(report, indent=2) + "\n").encode()], out)
 
 
 def cmd_verify(args) -> int:

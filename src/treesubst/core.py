@@ -164,13 +164,17 @@ class CoreScan:
     def __init__(self, d: int):
         self.d = d
         self.it = TreeIteration(d)
-        self.real = Realization(self.it)
         self.length = np.array([0] + [-1] * d, dtype=np.int64)   # T_0: the root, d leaves
         self.by_length = np.zeros(1, dtype=np.int64)
         self.labels = _Labels(self)
         self.scanned = 0
         self._decided: dict[tuple[str, int], list[str]] = {}
         self._branch: dict[int, np.ndarray] = {}   # stage -> its branch points
+
+    @cached_property
+    def real(self) -> Realization:
+        """The realization of the shared tree iteration, built on first use."""
+        return Realization(self.it)
 
     # -- label scan ---------------------------------------------------------
 

@@ -34,7 +34,7 @@ from .words import (
     word_str,
 )
 
-WRITE_CHUNK = 1 << 22   # bytes the artifact writers format per write: 2^16 rows of 64
+WRITE_CHUNK = 1 << 20   # bytes the artifact writers format per write: 2^14 rows of 64
 SVG_SIZE = 800          # pixels on a side of the rendered SVG
 CONGRUENCE_M = 7        # cylinder length whose equal-measure clouds are compared
 
@@ -130,7 +130,9 @@ def _projected_prefix_orbit(depth: int) -> np.ndarray:
     counts = np.zeros((depth + 1, 3))
     for j in range(3):
         counts[1:, j] = np.cumsum(text == j + 1)
-    return -(counts @ np.asarray(basis.to_plane).T)
+    # a C-ordered (3, 2) operand: with the transposed view, an unpinned OpenBLAS
+    # runs a threaded kernel that can spin for tens of ms waiting for a core
+    return -(counts @ np.asarray(basis.to_plane).T.copy())
 
 
 @dataclass
@@ -398,24 +400,27 @@ def _float_text(x: np.ndarray, k: int) -> np.ndarray:
     correctly rounded '%.kf' does.  Every other value (a tie such as 1/128
     at k = 6, a larger p, inf, nan) is formatted by Python into its row.
     The "-" comes from signbit, as Python's does for -0.0 and -1e-300.
+    At k = 0 there is no ".", so an integer below 2^53 reads as '%d'.
     """
     a = np.abs(x)
     p = np.where(a < 2.0**32, a, 0.0) * 10.0**k   # inf and nan leave the float path here
     ok = (p < 2.0**32 - 1) & (np.abs(p - np.floor(p) - 0.5) > 1e-6) & (a < 2.0**32)
     bad = np.flatnonzero(~ok)
     texts = [b"%.*f" % (k, v) for v in x[bad].tolist()]
-    ints = max(1, 10 - k)   # q < 2^32 has at most 10 digits
-    width = max([ints + k + 2, *map(len, texts)])
-    block = np.zeros((width, len(x)), np.uint8)   # transposed: each store is contiguous
-    block[-ints - k - 2] = np.signbit(x) * ord("-")
     q = np.where(ok, np.rint(p), 0.0).astype(np.uint32)
-    for row in chain(range(-1, -k - 1, -1), range(-k - 2, -ints - k - 2, -1)):
+    # the integer part has at most as many digits as the largest q has past k
+    ints, frac = max(1, len(str(q.max(initial=0))) - k), k + (k > 0)
+    width = max([ints + frac + 1, *map(len, texts)])
+    block = np.zeros((width, len(x)), np.uint8)   # transposed: each store is contiguous
+    block[-ints - frac - 1] = np.signbit(x) * ord("-")
+    for row in chain(range(-1, -k - 1, -1), range(-frac - 1, -ints - frac - 1, -1)):
         div = q // 10
         block[row] = q - div * 10 + ord("0")
-        if row < -k - 2:   # a leading zero of the integer part stays NUL
+        if row < -frac - 1:   # a leading zero of the integer part stays NUL
             block[row] *= q > 0
         q = div
-    block[-k - 1] = ord(".")
+    if k:
+        block[-k - 1] = ord(".")
     for r, text in zip(bad, texts):
         block[:, r] = 0
         block[width - len(text) :, r] = np.frombuffer(text, np.uint8)
@@ -426,10 +431,11 @@ def _write_rows(fh, n: int, fields: list) -> None:
     """Write n rows, each the concatenation of `fields`, about WRITE_CHUNK bytes at a time.
 
     A field is constant bytes, a float column (values, k) as `_float_text`
-    lays it out, or a label column (codes, ASCII labels) gathered from one
-    byte table per call.  A chunk is one uint8 block of the fields side by
-    side, as many rows as WRITE_CHUNK bytes hold at the width of the first
-    (at least one); no text holds a NUL, so the nonzero bytes are the rows.
+    lays it out (at k = 0 an integer column, '%d'), or a label column
+    (codes, ASCII labels) gathered from one byte table per call.  A chunk is
+    one uint8 block of the fields side by side, as many rows as WRITE_CHUNK
+    bytes hold at the width of the first (at least one); no text holds a
+    NUL, so the nonzero bytes are the rows.
     """
 
     def column(field):
@@ -439,8 +445,8 @@ def _write_rows(fh, n: int, fields: list) -> None:
         values, spec = field
         if isinstance(spec, int):
             return lambda rows: _float_text(values[rows], spec)
-        table = np.array(spec, dtype=bytes)
-        table = table.view(np.uint8).reshape(len(table), -1)
+        table = np.asarray(spec, dtype=bytes)
+        table = table.view(np.uint8).reshape(len(table), table.itemsize)
         return lambda rows: table.take(values[rows], 0)
 
     columns = [column(field) for field in fields]

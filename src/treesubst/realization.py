@@ -32,7 +32,9 @@ from operator import mul
 
 import numpy as np
 
-from .algnum import ExactLength, _int64, edge_length_vector, trinomial_powers, trinomial_step
+from .algnum import (
+    ExactLength, _int64, edge_length_vector, exact_rows, trinomial_powers, trinomial_step,
+)
 from .trees import TreeIteration, ancestor_sums
 from .words import distinct
 
@@ -70,7 +72,11 @@ class FreePoint:
         return FreePoint(self.d, a[: len(a) - i] + b[i:])
 
     def norm(self) -> ExactLength:
-        return sum((abs(t) for _, t in self.syllables), ExactLength.zero(self.d))
+        """The sum of the |t_i|, their signs decided in one `exact_rows` batch."""
+        rows = [t.coeffs for _, t in self.syllables]
+        signs = exact_rows(self.d, rows, 0)[0].tolist()
+        return ExactLength(self.d, tuple(sum(map(mul, signs, col)) for col in zip(*rows))
+                           if rows else (0,) * self.d)
 
 
 def quotient(p: FreePoint, q: FreePoint) -> tuple[Syllable, ...]:
@@ -244,12 +250,6 @@ class Realization:
             raise ValueError((n, (s, t, c), abs(ExactLength(self.d, tuple(coef[0].tolist()))),
                               ExactLength(self.d, tuple(self.length_table(n)[c].tolist()))))
 
-    def _signs(self, rows: np.ndarray) -> np.ndarray:
-        """Exact sign of each row's value, decided once per distinct row."""
-        values, _, inverse = distinct(rows)
-        signs = [ExactLength(self.d, tuple(r)).sign() for r in values.tolist()]
-        return np.array(signs, dtype=np.int64)[inverse]
-
     def hausdorff_gap(self, n: int) -> ExactLength:
         """Largest distance from a stage-n vertex to the realized T_(n-1).
 
@@ -266,9 +266,13 @@ class Realization:
         d, (v, _, src, dst) = self.d, self.it.centers[n]
         k, off, ok = self._between(dst, v)
         k_on, on, ok_on = self._between(v, src)
-        ok &= ok_on & (k == k_on) & (self._signs(off) == self._signs(on))
         leaves = np.add.outer(np.arange(1, d - 1), v)   # row h - 1: each center's leaf h
         k_leg, legs, ok_leg = self._between(np.tile(v, d - 2), leaves.ravel())
+        # one batch, once per distinct row: the signs of the two syllables
+        # from each center to its edge's ends, and the lengths of the legs
+        rows, _, at = distinct(np.concatenate([off, on, legs]))
+        signs, values = exact_rows(d, rows, 60)
+        ok &= ok_on & (k == k_on) & (signs[at[:len(v)]] == signs[at[len(v):2 * len(v)]])
         on_leg = (ok_leg & (k_leg != np.tile(k, d - 2))).reshape(leaves.shape)
         if (bad := ~(ok & on_leg.all(axis=0))).any():
             i = int(np.argmax(bad))   # the first center that fails, itself before its leaves
@@ -276,28 +280,38 @@ class Realization:
                 raise ValueError((n, int(v[i]), "center off its replaced edge"))
             raise ValueError((n, int(leaves[np.argmin(on_leg[:, i]), i]),
                               "leaf not one syllable off its edge"))
-        lengths = [abs(ExactLength(d, tuple(r))) for r in distinct(legs)[0].tolist()]
+        # a length never reads more than one double below a shorter one's, so
+        # only the legs within a double of the longest are compared exactly
+        leg = distinct(at[2 * len(v):])[0]
+        size = signs[leg] * values[leg]
+        near = leg[size >= np.nextafter(size.max(initial=0.0), -np.inf)]
+        lengths = [ExactLength(d, tuple(r)) for r in (signs[near, None] * rows[near]).tolist()]
         return max(lengths, default=ExactLength.zero(d))
 
-    def _norms(self) -> np.ndarray:
-        """Per vertex the norm |P_v| as int64 rows: its anchor's plus |syllable|,
-        summed along the anchors by `ancestor_sums` (the origin's is zero)."""
-        # a norm sums at most one |syllable| per vertex on its anchor path
-        rows = _int64(self.coef * self._signs(self.coef)[:, None], len(self.anchor))
-        return ancestor_sums(np.where(self.anchor >= 0, self.anchor, 0), rows)[0]
-
-    def coordinates(self) -> tuple[list[float], list[str]]:
-        """Per vertex, the value of its point's norm and its text c^t.c^t...
-        ("O" at the origin): a norm is its anchor's plus |syllable|, and a
-        text is its anchor's joined with the syllable's.  Each distinct
-        syllable gets its text once, and each distinct norm its value()."""
-        d = self.d
-        syllables, _, which = distinct(np.column_stack([self.copy, self.coef]))
-        words = [f"{r[0]}^{ExactLength(d, tuple(r[1:])).value():.6g}" for r in syllables.tolist()]
-        values, _, at = distinct(self._norms())
-        norms = [ExactLength(d, tuple(r)).value() for r in values.tolist()]
-        texts = ["O"] * len(self.anchor)
-        for v, (a, w) in enumerate(zip(self.anchor.tolist(), which.tolist())):
-            if a >= 0:   # anchors come first
-                texts[v] = words[w] if texts[a] == "O" else f"{texts[a]}.{words[w]}"
-        return [norms[i] for i in at.tolist()], texts
+    def coordinates(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per vertex of stage n, its point's norm as a code into the distinct
+        norm values, those values, and its text c^t.c^t... as bytes ("O" at
+        the origin).  A norm is its anchor's plus |syllable|, summed along the
+        anchors by `ancestor_sums` with each text's depth and length, and a
+        text is its anchor's joined with the syllable's, built a depth at a
+        time.  Each distinct (copy, coef) syllable gets its sign and value,
+        and each distinct norm its value, from one `exact_rows` batch."""
+        self.extend_to(n)
+        d, size = self.d, self.it.sizes[n]   # anchors come first, so stage n is a prefix
+        anchor, coef = self.anchor[:size], self.coef[:size]
+        syllables, _, which = distinct(np.column_stack([self.copy[:size], coef]))
+        signs, values = exact_rows(d, syllables[:, 1:], 60)
+        words = np.array([f"{c}^{t:.6g}" for c, t in zip(syllables[:, 0].tolist(), values.tolist())],
+                         dtype=bytes)[which]
+        on = anchor >= 0   # every vertex but the origin adds one syllable
+        # along the anchors: the norm (at most one |syllable| per vertex, so no
+        # sum wraps), the number of syllables and the text's length plus one
+        sums = ancestor_sums(np.where(on, anchor, 0), np.column_stack(
+            [_int64(coef * signs[which][:, None], size), on, on * (np.char.str_len(words) + 1)]))[0]
+        depth = sums[:, d]
+        texts = np.full(size, b"O", dtype=f"S{max(2, sums[:, d + 1].max()) - 1}")
+        for k in range(1, depth.max() + 1):
+            v = np.flatnonzero(depth == k)
+            texts[v] = words[v] if k == 1 else np.char.add(np.char.add(texts[anchor[v]], b"."), words[v])
+        norms, _, at = distinct(sums[:, :d])
+        return at, exact_rows(d, norms, 60)[1], texts

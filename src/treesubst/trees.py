@@ -279,17 +279,6 @@ class ColoredTree:
         keys = [np.sort(end.astype(np.int64) * span + self.color) for end in (self.src, self.dst)]
         return not any((k[1:] == k[:-1]).any() for k in keys)
 
-    def to_dot(self) -> str:
-        palette = ["black", "red", "blue", "green3", "orange", "purple",
-                   "brown", "cyan3", "magenta", "gray40"]
-        lines = [f"digraph stage_tree {{  // d={self.d}"]
-        if self.root is not None:
-            lines.append(f"  v{self.root} [shape=doublecircle];")
-        lines += [f'  v{s} -> v{t} [label="{c}", color={palette[c % len(palette)]}];'
-                  for s, t, c in self.edges]
-        lines.append("}")
-        return "\n".join(lines) + "\n"
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ColoredTree) and self.d == other.d
                 and self.root == other.root

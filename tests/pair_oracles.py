@@ -8,7 +8,7 @@ the anchor tree, and the pair blocks both loops walk.
 
 import numpy as np
 
-from treesubst.algnum import ExactLength, _int64
+from treesubst.algnum import ExactLength, _int64, exact_rows
 from treesubst.words import distinct
 
 
@@ -75,7 +75,7 @@ class AnchorMetric:
     def __init__(self, real):
         self.copy = real.copy
         self.lift = Lifting(np.where(real.anchor >= 0, real.anchor, np.arange(len(real.anchor))))
-        self.sign = real._signs(real.coef)
+        self.sign = exact_rows(real.d, real.coef, 0)[0]
         # a distance sums four norms (x, y, twice the meeting one), each at
         # most one |syllable| per vertex
         size = _int64(real.coef * self.sign[:, None], 4 * len(self.sign))

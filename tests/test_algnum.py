@@ -258,3 +258,68 @@ def test_letter_lengths_agree_with_edges():
     letter = letter_length_exact(d)
     for k in range(1, d + 1):
         assert letter[k] == edge[k]
+
+
+# -- one batch of rows against the per-row loop ------------------------------
+
+
+def _fixed_oracle(d, coeffs, bits):
+    """(num, e) with |num / 2^e - alpha| < 2^-bits |num / 2^e|, or (0, 0) for
+    zero, for one row by itself: evaluate at p = 64 + bits, doubling p until
+    the error bound is met."""
+    slope = sum(map(abs, coeffs)) * (d - 1) << (d - 2)
+    p = 64 + bits
+    while slope:
+        num = sum(c * w for c, w in zip(coeffs, algnum._rho_weights(d, p).tolist()))
+        if abs(num) > slope << (p * (d - 2) + bits):
+            return num, p * (d - 1)
+        p *= 2
+    return 0, 0
+
+
+# per d, the deepest rho^-k whose coefficients stay below 2^62, and the one
+# before it: these rows cancel far below their coefficients
+_DEEP = {3: 307, 4: 135, 5: 254, 6: 174}
+
+
+def _deep_rows(d):
+    k = _DEEP[d]
+    a, b = trinomial_powers(d, 1, -k)[k], trinomial_powers(d, 1, -k)[k - 1]
+    return [[0] * d, list(a), [-c for c in a], [y - x for x, y in zip(a, b)]]
+
+
+_int64 = st.integers(-(2**63), 2**63 - 1)
+_batches = st.sampled_from([3, 4, 5, 6]).flatmap(lambda d: st.tuples(
+    st.just(d), st.lists(st.lists(_int64 | st.integers(-3, 3), min_size=d, max_size=d),
+                         max_size=12)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(batch=_batches)
+@example(batch=(3, []))
+@example(batch=(3, _deep_rows(3) + [[1, 0, 0]]))
+@example(batch=(4, _deep_rows(4)))
+@example(batch=(5, _deep_rows(5)))
+@example(batch=(6, _deep_rows(6) + [[-(2**63)] * 6, [2**63 - 1] * 6]))
+def test_exact_rows_match_each_row_alone(batch):
+    d, rows = batch
+    rows = np.array(rows, dtype=np.int64).reshape(-1, d)
+    signs, values = algnum.exact_rows(d, rows, 60)
+    assert algnum.exact_rows(d, rows, 0)[1] is None
+    assert signs.tolist() == algnum.exact_rows(d, rows, 0)[0].tolist()
+    for row, sign, value in zip(rows.tolist(), signs.tolist(), values.tolist()):
+        num, e = _fixed_oracle(d, row, 60)
+        want = num / (1 << e)
+        assert value.hex() == want.hex()   # bit for bit, -0.0 apart from 0.0
+        x = ExactLength(d, tuple(row))
+        assert x.value().hex() == want.hex()
+        num0 = _fixed_oracle(d, row, 0)[0]
+        assert sign == x.sign() == (num > 0) - (num < 0) == (num0 > 0) - (num0 < 0)
+
+
+@pytest.mark.parametrize("d", sorted(_DEEP))
+def test_deep_rows_need_more_than_the_first_precision(d):
+    # the examples above reach the per-row fallback, at both precisions
+    for row in _deep_rows(d)[1:]:
+        for bits in (0, 60):
+            assert _fixed_oracle(d, row, bits)[1] > (64 + bits) * (d - 1), (row, bits)

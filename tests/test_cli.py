@@ -535,6 +535,12 @@ def _tree_payload(tree, stage):
     }
 
 
+def rendered(pieces, tmp_path) -> bytes:
+    """The bytes `gen` writes for a list of pieces."""
+    cli._write(pieces, tmp_path / "pieces")
+    return (tmp_path / "pieces").read_bytes()
+
+
 @pytest.mark.parametrize("d", [3, 4])
 def test_gen_json_matches_the_json_encoder(d, tmp_path):
     out = tmp_path / "t.json"
@@ -543,7 +549,62 @@ def test_gen_json_matches_the_json_encoder(d, tmp_path):
         payload = _tree_payload(core.shared_scan(d).it.tree_at(n), n)
         assert out.read_text() == json.dumps(payload, indent=2) + "\n", n
     empty = trees.ColoredTree(d, [])   # no root, and empty lists stay "[]"
-    assert cli._tree_json(empty, 0) == json.dumps(_tree_payload(empty, 0), indent=2) + "\n"
+    want = json.dumps(_tree_payload(empty, 0), indent=2) + "\n"
+    assert rendered(cli._tree_json(empty, 0), tmp_path).decode() == want
+
+
+def _tree_dot_oracle(tree):
+    """`gen --format dot` row by row: the root double-circled, then one
+    line per edge labelled with its color, in that color's palette entry."""
+    palette = ["black", "red", "blue", "green3", "orange", "purple",
+               "brown", "cyan3", "magenta", "gray40"]
+    lines = [f"digraph stage_tree {{  // d={tree.d}"]
+    if tree.root is not None:
+        lines.append(f"  v{tree.root} [shape=doublecircle];")
+    lines += [f'  v{s} -> v{t} [label="{c}", color={palette[c % len(palette)]}];'
+              for s, t, c in tree.edges]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _coordinates_csv_oracle(scan, n):
+    """`gen --format csv` row by row, each vertex's norm and address read
+    off its point: the syllables multiplied out, one value() per syllable."""
+    real, it = scan.real, scan.it
+    real.extend_to(n)
+    lines = ["vertex,birth_stage,degree,norm,address"]
+    for v, degree in enumerate(it.tree_at(n).degrees().tolist()):
+        pt = real.point(v)
+        text = ".".join(f"{c}^{t.value():.6g}" for c, t in pt.syllables) or "O"
+        lines.append(f"{v},{it.birth_stage(v)},{degree},{pt.norm().value():.9f},{text}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_gen_dot_and_csv_match_the_row_oracles(d, tmp_path):
+    scan = core.shared_scan(d)
+    for n in range(9):
+        for fmt, want in (("dot", _tree_dot_oracle(scan.it.tree_at(n))),
+                          ("csv", _coordinates_csv_oracle(scan, n))):
+            out = tmp_path / f"t.{fmt}"
+            assert cli.main(["gen", "--d", str(d), "--n", str(n), "--format", fmt,
+                             "--out", str(out)]) == 0
+            assert out.read_text() == want, (fmt, n)
+    empty = trees.ColoredTree(d, [])
+    assert rendered(cli._tree_dot(empty), tmp_path).decode() == _tree_dot_oracle(empty)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "csv"])
+def test_gen_stdout_holds_the_bytes_of_the_out_file(fmt, tmp_path, capsysbinary):
+    argv = ["gen", "--d", "4", "--n", "5", "--format", fmt]
+    assert cli.main(argv + ["--out", str(tmp_path / "t")]) == 0
+    capsysbinary.readouterr()
+    assert cli.main(argv) == 0
+    assert capsysbinary.readouterr().out == (tmp_path / "t").read_bytes()
+    text = io.StringIO()   # a text stream with no byte buffer takes the same text
+    with contextlib.redirect_stdout(text):
+        assert cli.main(argv) == 0
+    assert text.getvalue() == (tmp_path / "t").read_text()
 
 
 # the five full-size artifact calls of the benchmark (`artifact_commands` in

@@ -557,6 +557,21 @@ def test_float_column_matches_percent_format(k, values, ties, chunk):
     assert buf.getvalue() == b"".join(b"%.*f\n" % (k, v) for v in values)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    values=st.lists(st.integers(-(2**53), 2**53), max_size=40),
+    chunk=st.sampled_from([1, 40, rauzy.WRITE_CHUNK]),
+)
+@example(values=[0, 9, 10, 2**31 - 1], chunk=rauzy.WRITE_CHUNK)
+@example(values=[], chunk=rauzy.WRITE_CHUNK)
+@example(values=[-1, 2**32 - 2, 2**32 - 1, 2**32, -(2**53)], chunk=1)
+def test_integer_column_matches_percent_d(values, chunk):
+    buf = io.BytesIO()
+    with mock.patch.object(rauzy, "WRITE_CHUNK", chunk):
+        rauzy._write_rows(buf, len(values), [(np.array(values, dtype=np.int64), 0), b"\n"])
+    assert buf.getvalue() == b"".join(b"%d\n" % v for v in values)
+
+
 def test_long_tags_are_written_in_chunks_of_bytes(tmp_path, monkeypatch):
     # rows of about 1,500 bytes: a 100 kB chunk holds 64 of them
     cloud = fractal_cloud(3000, "cylinder:1500")

@@ -434,13 +434,27 @@ def test_distance_rows_part_only_on_one_sign(sign):
         assert tuple(row) == distance(pts[x], pts[y]).coeffs, (x, y)
 
 
+def _assert_coordinates_match_the_points(real, n):
+    norm, values, texts = real.coordinates(n)
+    assert len(texts) == real.it.sizes[n]
+    for v, text in enumerate(texts):
+        pt = real.point(v)
+        want = ".".join(f"{c}^{t.value():.6g}" for c, t in pt.syllables) or "O"
+        assert (values[norm[v]], text.decode()) == (pt.norm().value(), want), v
+
+
 def test_coordinates_match_the_points():
     real = Realization(TreeIteration(4))
+    real.extend_to(11)   # the rows past stage 9 are not read
+    _assert_coordinates_match_the_points(real, 9)
+
+
+def test_coordinates_count_a_negative_syllable_by_its_length():
+    # the built syllables are all positive; a leaf's, negated, adds |t| to its norm
+    real = Realization(TreeIteration(4))
     real.extend_to(9)
-    norms, texts = real.coordinates()
-    for v, pt in real.points.items():
-        text = ".".join(f"{c}^{t.value():.6g}" for c, t in pt.syllables) or "O"
-        assert (norms[v], texts[v]) == (pt.norm().value(), text), v
+    real.coef[int(real.it.centers[9][0][0]) + 1] *= -1
+    _assert_coordinates_match_the_points(real, 9)
 
 
 def test_rows_refuse_int64_overflow(monkeypatch, tmp_path):

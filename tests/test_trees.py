@@ -22,6 +22,7 @@ from treesubst.trees import (
     initial_tree,
 )
 from pair_oracles import Lifting
+from test_cli import rendered
 
 
 def center_rows(it, n):
@@ -520,17 +521,17 @@ def test_edge_matrix_spectrum():
         assert abs(top - sigma_top) < 1e-9
 
 
-def test_json_round_trip():
+def test_json_round_trip(tmp_path):
     t = initial_tree(3)
-    data = json.loads(cli._tree_json(t, 0))
+    data = json.loads(rendered(cli._tree_json(t, 0), tmp_path))
     assert ColoredTree(data["d"], data["edges"], root=data["root"]) == t
     assert data["vertices"] == list(t.vertices)
 
 
-def test_dot_output_lists_every_edge():
+def test_dot_output_lists_every_edge(tmp_path):
     t = initial_tree(3)
-    dot = t.to_dot()
-    assert dot.count("->") == len(t.edges)
+    dot = rendered(cli._tree_dot(t), tmp_path)
+    assert dot.count(b"->") == len(t.edges)
 
 
 # -- the vectorized apply against the per-edge loop ---------------------------
